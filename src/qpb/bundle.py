@@ -19,7 +19,7 @@ from .errors import (
 )
 from .hopf import HopfStarAlgebra, StarAlgebra
 from .linalg import (
-    BasedSpace, LinearMap, Vec, span_basis, vadd, viadd, vscale,
+    BasedSpace, LinearMap, Vec, span_basis, vadd, viadd_term, vscale,
 )
 from .report import (
     CheckRecord, ValidationReport, failing, map_equality_record, passing,
@@ -50,7 +50,6 @@ class Bundle:
         self.base = base                  # abstract V with solved structure constants
         self.base_in_total = base_in_total
         self.tower_budget = _tower_budget()
-        one = self.field.one
         lact = [total.left_mult_map(v) for v in base_vectors]
         ract = [total.right_mult_map(v) for v in base_vectors]
         self.b_factor = Factor.ungraded(total.space, lact, ract)
@@ -80,7 +79,7 @@ class Bundle:
         for a in range(da):
             target: Vec = {}
             for i, c in total.unit.items():
-                viadd(target, c, {ba.flat_index((i, a)): one})
+                viadd_term(target, ba.flat_index((i, a)), c)
             tau_cols.append(self.X_inv.apply(ba.project(target)))
         self.tau = LinearMap(group.space, self.b2.space, tau_cols, self.field)
         # flat legs tau(e_a) = sum (i, j, c), cached for Sweedler-style loops
@@ -248,7 +247,7 @@ def build_bundle(total: StarAlgebra, group: HopfStarAlgebra,
                 c = a * b
                 for k1, c1 in total.mul_basis(i1, j1).items():
                     for k2, c2 in group.algebra.mul_basis(i2, j2).items():
-                        viadd(out, c * c1 * c2, {k1 * da + k2: one})
+                        viadd_term(out, k1 * da + k2, c * c1 * c2)
         return out
 
     for i in range(total.dim):
@@ -280,7 +279,7 @@ def build_bundle(total: StarAlgebra, group: HopfStarAlgebra,
         acc: Vec = {}
         for idx, c in coaction.cols[i].items():
             i1, i2 = divmod(idx, da)
-            viadd(acc, c * group.eps_basis(i2), {i1: one})
+            viadd_term(acc, i1, c * group.eps_basis(i2))
         if acc != {i: one}:
             raise NotCoaction(f"(id (x) eps)F != id at basis index {i}",
                               where="bundle.coaction")
@@ -324,7 +323,6 @@ def translation_identities(b: Bundle) -> ValidationReport:
     kappa(a^(1)) (x) a^(2)."""
     rep = ValidationReport()
     field = b.field
-    one = field.one
     g = b.group
     total = b.total
     b2 = b.b2
@@ -364,7 +362,7 @@ def translation_identities(b: Bundle) -> ValidationReport:
         acc: Vec = {}
         for a1, a2, c in g.sweedler(a):
             for i, j, ct in b.tau_legs[a1]:
-                viadd(acc, c * ct, {bba.flat_index((i, j, a2)): one})
+                viadd_term(acc, bba.flat_index((i, j, a2)), c * ct)
         rhs_cols.append(bba.project(acc))
     rhs = LinearMap(g.space, bba.space, rhs_cols, field)
     rep.add(map_equality_record("translation.coaction", "(id (x) F)tau", lhs, rhs,
@@ -381,8 +379,7 @@ def translation_identities(b: Bundle) -> ValidationReport:
                     coeff = cc * ca
                     for p, cp in total.mul_basis(u, x).items():
                         for q, cq in total.mul_basis(y, v).items():
-                            viadd(acc, coeff * cp * cq,
-                                  {b2.flat_index((p, q)): one})
+                            viadd_term(acc, b2.flat_index((p, q)), coeff * cp * cq)
             rhs_v = b2.project(acc)
             if lhs_v != rhs_v:
                 bad = {"basis_pair": [g.space.labels[a], g.space.labels[c_]],
@@ -408,7 +405,7 @@ def translation_identities(b: Bundle) -> ValidationReport:
             kap = g.antipode.cols[a1]
             for x, y, ct in b.tau_legs[a2]:
                 for k, ck in kap.items():
-                    viadd(acc, c * ct * ck, {bba.flat_index((x, y, k)): one})
+                    viadd_term(acc, bba.flat_index((x, y, k)), c * ct * ck)
         rhs_cols.append(bba.project(acc))
     rhs = LinearMap(g.space, bba.space, rhs_cols, field)
     rep.add(map_equality_record("translation.left-coaction", "(F (x) id)tau", lhs, rhs,
@@ -437,7 +434,7 @@ def translation_identities(b: Bundle) -> ValidationReport:
             acc = {}
             for a1, a2, c in g.sweedler(a):
                 for k, ck in g.antipode.cols[a1].items():
-                    viadd(acc, c * ck, {b2.flat_index((k, a2)): one})
+                    viadd_term(acc, b2.flat_index((k, a2)), c * ck)
             oracle_cols.append(b2.project(acc))
         oracle = LinearMap(g.space, b2.space, oracle_cols, field)
         rep.add(map_equality_record("translation.point-oracle",
@@ -497,7 +494,7 @@ def galois_tower(b: Bundle, n: int):
             acc_terms = nxt
         acc: Vec = {}
         for tup, c in acc_terms:
-            viadd(acc, c, {bn1.flat_index(tup): one})
+            viadd_term(acc, bn1.flat_index(tup), c)
         tau_cols[at] = bn1.project(acc)
 
     # X_n tau_n (a_1 ... a_n) = 1 (x) a_1 (x) ... (x) a_n
@@ -506,7 +503,7 @@ def galois_tower(b: Bundle, n: int):
         got = xn.apply(tau_cols[at])
         want: Vec = {}
         for i, c in total.unit.items():
-            viadd(want, c, {target.flat_index((i,) + at): one})
+            viadd_term(want, target.flat_index((i,) + at), c)
         want = target.project(want)
         if got != want:
             bad = {"tuple": [b.group.space.labels[a] for a in at],
@@ -520,7 +517,7 @@ def galois_tower(b: Bundle, n: int):
     for at in a_tuples:
         want: Vec = {}
         for i, c in total.unit.items():
-            viadd(want, c, {target.flat_index((i,) + at): one})
+            viadd_term(want, target.flat_index((i,) + at), c)
         direct = xinv.apply(target.project(want))
         if direct != tau_cols[at]:
             bad = {"tuple": [b.group.space.labels[a] for a in at]}

@@ -21,7 +21,7 @@ from .fodc import Envelope2, Fodc, GammaEnvelope
 from .hopf import StarAlgebra
 from .linalg import (
     BasedSpace, Echelon, LinearMap, Vec, span_basis, spans_equal, viadd,
-    vscale,
+    viadd_term, vscale,
 )
 from .report import (
     CheckRecord, ValidationReport, failing, map_equality_record, passing, vacuous,
@@ -129,7 +129,7 @@ class BaseCalculus:
                 sign = -one if deg[i] % 2 else one
                 rhs = self.mul(self.d_apply({i: one}), {j: one})
                 for k, c in self.mul({i: one}, self.d_apply({j: one})).items():
-                    viadd(rhs, sign * c, {k: one})
+                    viadd_term(rhs, k, sign * c)
                 if lhs != rhs:
                     raise ValidationFailed(f"{self.name}: Leibniz fails")
         for i in range(self.dim):
@@ -204,7 +204,7 @@ def universal_base_calculus(n_points: int, field) -> BaseCalculus:
             for y in range(n_points):
                 q = p[:pos] + (y,) + p[pos:]
                 if all(q[i] != q[i + 1] for i in range(len(q) - 1)):
-                    viadd(acc, sign, {index[q]: one})
+                    viadd_term(acc, index[q], sign)
         d_cols.append(acc)
     return BaseCalculus(field, labels, degrees, mult, unit, star_cols, d_cols,
                         name="Omega(M)[universal]")
@@ -241,7 +241,7 @@ class OmegaP:
             acc: Vec = {}
             for m2, cm in base.star_cols[m].items():
                 for g2, cg in gamma.star.cols[g].items():
-                    viadd(acc, cm * cg, {self.idx(m2, g2): one})
+                    viadd_term(acc, self.idx(m2, g2), cm * cg)
             star_cols.append(acc)
         self.star = LinearMap(self.space, self.space, star_cols, field,
                               antilinear=True)
@@ -255,11 +255,11 @@ class OmegaP:
             acc: Vec = {}
             if base.d_cols[m] is not None:
                 for m2, cm in base.d_cols[m].items():
-                    viadd(acc, cm, {self.idx(m2, g): one})
+                    viadd_term(acc, self.idx(m2, g), cm)
             sign = -one if base.degree(m) % 2 else one
             if gamma.degree(g) < BUDGET:
                 for g2, cg in gamma.d_cols[g].items():
-                    viadd(acc, sign * cg, {self.idx(m, g2): one})
+                    viadd_term(acc, self.idx(m, g2), sign * cg)
             d_cols.append(acc)
         self.d_cols = d_cols
 
@@ -455,7 +455,7 @@ class TotalCalculus:
         for gi in range(gamma.dim):
             acc: Vec = {}
             for i, c in omega.unit.items():
-                viadd(acc, c, {og.flat_index((i, gi)): one})
+                viadd_term(acc, og.flat_index((i, gi)), c)
             tau_cols.append(self.x_hat_inv.apply(og.project(acc)))
         self.tau_hat = LinearMap(gamma.space, self.w2.space, tau_cols, field)
         self.tau_legs = []
@@ -516,12 +516,11 @@ class TotalCalculus:
                 i, j = self.w2.tuples[fi]
                 if omega.d_cols[i] is not None:
                     for i2, ci in omega.d_cols[i].items():
-                        viadd(acc, c * ci, {self.w2.flat_index((i2, j)): one})
+                        viadd_term(acc, self.w2.flat_index((i2, j)), c * ci)
                 sign = -one if omega.degree(i) % 2 else one
                 if omega.d_cols[j] is not None:
                     for j2, cj in omega.d_cols[j].items():
-                        viadd(acc, c * cj * sign,
-                              {self.w2.flat_index((i, j2)): one})
+                        viadd_term(acc, self.w2.flat_index((i, j2)), c * cj * sign)
             d_cols.append(self.w2.project(acc))
         self.w2_d_cols = d_cols
         self.w2_degrees = w2deg
@@ -556,7 +555,7 @@ class TotalCalculus:
             for fi, c in self.w2.lift({b: one}).items():
                 i, j = self.w2.tuples[fi]
                 for a, ca in gamma.unit.items():
-                    viadd(acc, c * ca, {self.w2g.flat_index((i, j, a)): one})
+                    viadd_term(acc, self.w2g.flat_index((i, j, a)), c * ca)
             iota_cols.append(self.w2g.project(acc))
         diff_cols = []
         for b in range(self.w2.dim):
@@ -609,7 +608,7 @@ class TotalCalculus:
             acc: Vec = {}
             for w, th, c in omega.f_legs[i]:
                 for p, q, ct in self.tau_legs[th]:
-                    viadd(acc, c * ct, {w3.flat_index((w, p, q)): one})
+                    viadd_term(acc, w3.flat_index((w, p, q)), c * ct)
             delta_cols.append(w3.project(acc))
         self.delta_hat_w3 = LinearMap(omega.space, w3.space, delta_cols, field)
 
@@ -660,7 +659,7 @@ class TotalCalculus:
                 i, j = self.w2.tuples[fi]
                 for fj, cd in self.t_lo.lift(dh_cols[i]).items():
                     l1, x = self.t_lo.tuples[fj]
-                    viadd(acc, c * cd, {self.t_loo.flat_index((l1, x, j)): one})
+                    viadd_term(acc, self.t_loo.flat_index((l1, x, j)), c * cd)
             sol = self.j_ll.solve(self.t_loo.project(acc))
             if sol is None:
                 raise ValidationFailed("phi^_M does not land in L^ (x) L^")
@@ -688,15 +687,14 @@ class TotalCalculus:
         """Apply a slot map on W_2: left actions act on slot 0, right on slot 1."""
         w2 = self.w2
         out: Vec = {}
-        one = self.field.one
         for fi, c in w2.lift(v).items():
             i, j = w2.tuples[fi]
             if right:
                 for j2, cj in m.cols[j].items():
-                    viadd(out, c * cj, {w2.flat_index((i, j2)): one})
+                    viadd_term(out, w2.flat_index((i, j2)), c * cj)
             else:
                 for i2, ci in m.cols[i].items():
-                    viadd(out, c * ci, {w2.flat_index((i2, j)): one})
+                    viadd_term(out, w2.flat_index((i2, j)), c * ci)
         return w2.project(out)
 
     def _into_lhat(self, v: Vec, what: str) -> Vec:
@@ -740,13 +738,12 @@ class TotalCalculus:
         omega, gamma = self.omega, self.gamma
         og = omega.og
         field = self.field
-        one = field.one
         cols = []
         for i in range(omega.dim):
             col = dict(self.omega.f_hat.cols[i])
             iota: Vec = {}
             for a, ca in gamma.unit.items():
-                viadd(iota, ca, {og.flat_index((i, a)): one})
+                viadd_term(iota, og.flat_index((i, a)), ca)
             for k, c in og.project(iota).items():
                 s = col.get(k)
                 s = -c if s is None else s - c
@@ -780,8 +777,6 @@ class TotalCalculus:
     def x2_apply(self, v: Vec) -> Vec:
         """X^_2 : W_3 -> Omega(P) (x) Gamma^ (x) Gamma^."""
         omega, gamma = self.omega, self.gamma
-        field = self.field
-        one = field.one
         ogg = self.ogg_space()
         og = omega.og
         out: Vec = {}
@@ -793,8 +788,7 @@ class TotalCalculus:
                 pairv = self.x_hat.apply(self.w2.project_tuple((x, u)))
                 for fk, c3 in og.lift(pairv).items():
                     p, th1 = og.tuples[fk]
-                    viadd(out, c * c2 * c3,
-                          {ogg.flat_index((p, th1, th2)): one})
+                    viadd_term(out, ogg.flat_index((p, th1, th2)), c * c2 * c3)
         return ogg.project(out)
 
     def ogg_space(self) -> TProd:
@@ -832,7 +826,7 @@ class TotalCalculus:
                 c0 = c1 * c2 * sign
                 for m, cm in omega.mul_basis(p, q).items():
                     for gg, cg in gamma.mul_basis(g1, g2).items():
-                        viadd(out, c0 * cm * cg, {og.flat_index((m, gg)): one})
+                        viadd_term(out, og.flat_index((m, gg)), c0 * cm * cg)
         return self.x_hat_inv.apply(og.project(out))
 
     def w3_mult(self, u: Vec, v: Vec) -> Vec:
@@ -854,28 +848,25 @@ class TotalCalculus:
                 for m, cm in omega.mul_basis(p, q).items():
                     for gg, cg in gamma.mul_basis(g1, g2).items():
                         for hh, ch in gamma.mul_basis(h1, h2).items():
-                            viadd(out, c0 * cm * cg * ch,
-                                  {ogg.flat_index((m, gg, hh)): one})
+                            viadd_term(out, ogg.flat_index((m, gg, hh)), c0 * cm * cg * ch)
         return x2inv.apply(ogg.project(out))
 
     def embed_w3(self, x: Vec, y: Vec, z: Vec) -> Vec:
         """x (x) y (x) z in W_3 from three Omega(P) vectors."""
         w3 = self.w3
-        one = self.field.one
         out: Vec = {}
         for i, ci in x.items():
             for j, cj in y.items():
                 for k, ck in z.items():
-                    viadd(out, ci * cj * ck, {w3.flat_index((i, j, k)): one})
+                    viadd_term(out, w3.flat_index((i, j, k)), ci * cj * ck)
         return w3.project(out)
 
     def embed_w2(self, x: Vec, y: Vec) -> Vec:
         w2 = self.w2
-        one = self.field.one
         out: Vec = {}
         for i, ci in x.items():
             for j, cj in y.items():
-                viadd(out, ci * cj, {w2.flat_index((i, j)): one})
+                viadd_term(out, w2.flat_index((i, j)), ci * cj)
         return w2.project(out)
 
     def sigma_at(self, p: int, inverse: bool = False) -> LinearMap:
@@ -936,7 +927,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
                 c0 = c1 * c2 * sign
                 for m, cm in omega.mul_basis(p, q).items():
                     for gg, cg in gamma.mul_basis(g1, g2).items():
-                        viadd(out, c0 * cm * cg, {og.flat_index((m, gg)): one})
+                        viadd_term(out, og.flat_index((m, gg)), c0 * cm * cg)
         return og.project(out)
 
     bad = None
@@ -962,8 +953,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
             w, th = og.tuples[fj]
             for w2_, cw in omega.star.cols[w].items():
                 for th2, cth in gamma.star.cols[th].items():
-                    viadd(acc, (c.conj()) * cw * cth,
-                          {og.flat_index((w2_, th2)): one})
+                    viadd_term(acc, og.flat_index((w2_, th2)), (c.conj()) * cw * cth)
         if lhs != og.project(acc):
             bad = {"basis_index": i}
             break
@@ -980,11 +970,11 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
             w, th = og.tuples[fj]
             if omega.d_cols[w] is not None:
                 for w2_, cw in omega.d_cols[w].items():
-                    viadd(acc, c * cw, {og.flat_index((w2_, th)): one})
+                    viadd_term(acc, og.flat_index((w2_, th)), c * cw)
             sign = -one if omega.degree(w) % 2 else one
             if gamma.degree(th) < BUDGET and gamma.d_cols[th] is not None:
                 for th2, cth in gamma.d_cols[th].items():
-                    viadd(acc, c * cth * sign, {og.flat_index((w, th2)): one})
+                    viadd_term(acc, og.flat_index((w, th2)), c * cth * sign)
         if lhs != og.project(acc):
             bad = {"basis_index": i}
             break
@@ -999,10 +989,10 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
         rhs: Vec = {}
         for w, th, c in omega.f_legs[i]:
             for w2_, th1, c2 in omega.f_legs[w]:
-                viadd(lhs, c * c2, {ogg.flat_index((w2_, th1, th)): one})
+                viadd_term(lhs, ogg.flat_index((w2_, th1, th)), c * c2)
             for fj, c2 in gamma.square.lift(gamma.phi_hat.cols[th]).items():
                 g1, g2 = gamma.square.tuples[fj]
-                viadd(rhs, c * c2, {ogg.flat_index((w, g1, g2)): one})
+                viadd_term(rhs, ogg.flat_index((w, g1, g2)), c * c2)
         if ogg.project(lhs) != ogg.project(rhs):
             bad = {"basis_index": i}
             break
@@ -1035,13 +1025,13 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
         acc: Vec = {}
         for p, q, ct in tc.tau_legs[gi]:
             for w, th, c in omega.f_legs[q]:
-                viadd(acc, ct * c, {w2g.flat_index((p, w, th)): one})
+                viadd_term(acc, w2g.flat_index((p, w, th)), ct * c)
         lhs_cols.append(w2g.project(acc))
         acc = {}
         for fj, c in gamma.square.lift(gamma.phi_hat.cols[gi]).items():
             g1, g2 = gamma.square.tuples[fj]
             for p, q, ct in tc.tau_legs[g1]:
-                viadd(acc, c * ct, {w2g.flat_index((p, q, g2)): one})
+                viadd_term(acc, w2g.flat_index((p, q, g2)), c * ct)
         rhs_cols.append(w2g.project(acc))
     lhs = LinearMap(gamma.space, w2g.space, lhs_cols, field)
     rhs = LinearMap(gamma.space, w2g.space, rhs_cols, field)
@@ -1057,7 +1047,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
         for fj, c in gamma.square.lift(ad.cols[gi]).items():
             g1, g2 = gamma.square.tuples[fj]
             for p, q, ct in tc.tau_legs[g1]:
-                viadd(acc, c * ct, {w2g.flat_index((p, q, g2)): one})
+                viadd_term(acc, w2g.flat_index((p, q, g2)), c * ct)
         rhs_cols.append(w2g.project(acc))
     rhs = LinearMap(gamma.space, w2g.space, rhs_cols, field)
     rep.add(map_equality_record("diff.tau-ad", "F^_2 tau^ = (tau^ (x) id) ad",
@@ -1093,7 +1083,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
         for p, q, ct in tc.tau_legs[gi]:
             for w, th, c in omega.f_legs[p]:
                 sign = -one if (gamma.degree(th) * omega.degree(q)) % 2 else one
-                viadd(acc, ct * c * sign, {w2g.flat_index((w, q, th)): one})
+                viadd_term(acc, w2g.flat_index((w, q, th)), ct * c * sign)
         lhs_cols.append(w2g.project(acc))
         acc = {}
         for fj, c in gamma.square.lift(gamma.phi_hat.cols[gi]).items():
@@ -1101,8 +1091,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
             sign = -one if (gamma.degree(g1) * gamma.degree(g2)) % 2 else one
             for k1, ck in gamma.kappa_hat.cols[g1].items():
                 for p, q, ct in tc.tau_legs[g2]:
-                    viadd(acc, c * ck * ct * sign,
-                          {w2g.flat_index((p, q, k1)): one})
+                    viadd_term(acc, w2g.flat_index((p, q, k1)), c * ck * ct * sign)
         rhs_cols.append(w2g.project(acc))
     lhs = LinearMap(gamma.space, w2g.space, lhs_cols, field)
     rhs = LinearMap(gamma.space, w2g.space, rhs_cols, field)
@@ -1117,7 +1106,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
         e = gamma.eps_basis(gi)
         if e:
             for i, c in omega.unit.items():
-                viadd(acc, e * c, {tc.w1.flat_index((i,)): one})
+                viadd_term(acc, tc.w1.flat_index((i,)), e * c)
         rhs_cols.append(tc.w1.project(acc))
     rhs = LinearMap(gamma.space, tc.w1.space, rhs_cols, field)
     rep.add(map_equality_record("diff.tau-eps", "l r = eps(.)1", lhs, rhs,
@@ -1155,8 +1144,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
                     c0 = cu * ct * sign
                     for m, cm in omega.mul_basis(u, p).items():
                         for m2, cm2 in omega.mul_basis(q, v_).items():
-                            viadd(acc, c0 * cm * cm2,
-                                  {w2.flat_index((m, m2)): one})
+                            viadd_term(acc, w2.flat_index((m, m2)), c0 * cm * cm2)
             if lhs_v != w2.project(acc):
                 bad = {"pair": [gi, gj]}
                 break
@@ -1259,7 +1247,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
             acc = {}
             for fi, c in b2.lift(lb).items():
                 i, j = b2.tuples[fi]
-                viadd(acc, c, {w2.flat_index((omap[i], omap[j])): one})
+                viadd_term(acc, w2.flat_index((omap[i], omap[j])), c)
             l_in_w2.append(w2.project(acc))
         lhat0 = [lb for li, lb in enumerate(tc.lhat_basis)
                  if tc.lhat_degrees[li] == 0]

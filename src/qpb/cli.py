@@ -233,8 +233,6 @@ def main(argv=None) -> int:
     pa.set_defaults(fn=cmd_gauge_act)
 
     args = parser.parse_args(argv)
-    if getattr(args, "suite", None) is not None or args.command != "check":
-        pass
     if args.command == "check" and not args.suite:
         args.suite = ["all"]
     return args.fn(args)

@@ -13,7 +13,7 @@ from __future__ import annotations
 
 from .calculus import BUDGET, TotalCalculus
 from .errors import NotCovariant, ValidationFailed
-from .linalg import Echelon, LinearMap, Vec, viadd, vscale
+from .linalg import Echelon, LinearMap, Vec, viadd, viadd_term, vscale
 from .report import (
     CheckRecord, ValidationReport, failing, map_equality_record, passing, vacuous,
 )
@@ -28,7 +28,6 @@ class Connection:
         gamma = tc.gamma
         self.omega_map = LinearMap(tc.fodc.inv_space, tc.omega.space,
                                    omega_cols, field)
-        one = field.one
         om = tc.omega
         # connection condition
         og = om.og
@@ -37,10 +36,10 @@ class Connection:
             acc: Vec = {}
             for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
                 for i, ci in omega_cols[th_k].items():
-                    viadd(acc, cc * ci, {og.flat_index((i, gamma.i0(c_k))): one})
+                    viadd_term(acc, og.flat_index((i, gamma.i0(c_k))), cc * ci)
             for i, ci in om.unit.items():
                 for k, ck in gamma.inv1_vec(t).items():
-                    viadd(acc, ci * ck, {og.flat_index((i, k)): one})
+                    viadd_term(acc, og.flat_index((i, k)), ci * ck)
             if lhs != og.project(acc):
                 raise NotCovariant(
                     f"{name} violates the connection transformation law")
@@ -112,9 +111,7 @@ def maurer_cartan(tc: TotalCalculus) -> Connection:
 def perturbed_connection(tc: TotalCalculus, lam_cols) -> Connection:
     """Maurer-Cartan plus a hermitian ad-covariant lambda: Gamma_inv ->
     Omega^1(M); lam_cols give Omega(M) coordinates per Gamma_inv basis."""
-    field = tc.field
     om = tc.omega
-    one = field.one
     base = tc.base_calc
     lam_omega = []
     for t in range(tc.fodc.dim):
@@ -137,18 +134,18 @@ def perturbed_connection(tc: TotalCalculus, lam_cols) -> Connection:
         acc = {}
         for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
             for i, ci in lam_omega[th_k].items():
-                viadd(acc, cc * ci, {og.flat_index((i, tc.gamma.i0(c_k))): one})
+                viadd_term(acc, og.flat_index((i, tc.gamma.i0(c_k))), cc * ci)
         want: Vec = {}
         for i, ci in lam_omega[t].items():
             for a, ca in tc.group.unit.items():
-                viadd(want, ci * ca, {og.flat_index((i, tc.gamma.i0(a))): one})
+                viadd_term(want, og.flat_index((i, tc.gamma.i0(a))), ci * ca)
         if og.project(acc) != og.project(want):
             raise NotCovariant("perturbation is not ad-covariant")
     mc = maurer_cartan(tc)
     cols = [dict(mc.omega_map.cols[t]) for t in range(tc.fodc.dim)]
     for t in range(tc.fodc.dim):
         for i, c in lam_omega[t].items():
-            viadd(cols[t], c, {i: one})
+            viadd_term(cols[t], i, c)
     return Connection(tc, cols, name="perturbed")
 
 
@@ -157,7 +154,6 @@ def varsigma_w3(tc: TotalCalculus, a: int) -> Vec:
     of a group basis element, in W_3."""
     g = tc.group
     om = tc.omega
-    one = tc.field.one
     out: Vec = {}
     for a1, a2, c in g.sweedler(a):
         for k, ck in g.antipode_inverse.cols[a1].items():
@@ -165,8 +161,7 @@ def varsigma_w3(tc: TotalCalculus, a: int) -> Vec:
                 for u, v, cu in tc.tau_legs[tc.gamma.i0(a2)]:
                     coeff = c * ck * ct * cu
                     for w, cw in om.mul_basis(v, y).items():
-                        viadd(out, coeff * cw,
-                              {tc.w3.flat_index((x, u, w)): one})
+                        viadd_term(out, tc.w3.flat_index((x, u, w)), coeff * cw)
     return tc.w3.project(out)
 
 
@@ -196,11 +191,11 @@ def verify_transformations(conn: Connection) -> ValidationReport:
             w2v = conn.omega_pi({a2: one})
             for p, q, ct in tau0(a1):
                 for qq, cq in om.mul({q: one}, w2v).items():
-                    viadd(acc, c * ct * cq, {w2.flat_index((p, qq)): one})
+                    viadd_term(acc, w2.flat_index((p, qq)), c * ct * cq)
             w1v = conn.omega_pi({a1: one})
             for p, q, ct in tau0(a2):
                 for pp, cp in om.mul(w1v, {p: one}).items():
-                    viadd(acc, -(c * ct * cp), {w2.flat_index((pp, q)): one})
+                    viadd_term(acc, w2.flat_index((pp, q)), -(c * ct * cp))
         if lhs != w2.project(acc):
             bad = {"group_basis": g.space.labels[a]}
             break
@@ -242,15 +237,14 @@ def verify_transformations(conn: Connection) -> ValidationReport:
                 left = om.mul(wk, {psi: one})
                 for p, q, ct in tau0(c_k):
                     for pp, cp in om.mul(left, {p: one}).items():
-                        viadd(acc, cc * ct * cp, {w2.flat_index((pp, q)): one})
+                        viadd_term(acc, w2.flat_index((pp, q)), cc * ct * cp)
                 right = om.mul({psi: one}, wk)
                 for p, q, ct in tau0(c_k):
                     for pp, cp in om.mul(right, {p: one}).items():
-                        viadd(acc, -(sign * cc * ct * cp),
-                              {w2.flat_index((pp, q)): one})
+                        viadd_term(acc, w2.flat_index((pp, q)), -(sign * cc * ct * cp))
             rhs = w2.project(acc)
             for k, c in tc.embed_w2({psi: one}, wv).items():
-                viadd(rhs, sign * c, {k: one})
+                viadd_term(rhs, k, sign * c)
             if lhs != rhs:
                 bad = {"theta_index": t, "psi": om.space.labels[psi]}
                 break
@@ -272,7 +266,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
         for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
             for i, ci in conn.omega_map.cols[th_k].items():
                 for p, q, ct in tau0(c_k):
-                    viadd(acc, cc * ci * ct, {w3.flat_index((i, p, q)): one})
+                    viadd_term(acc, w3.flat_index((i, p, q)), cc * ci * ct)
         rhs = w3.project(acc)
         for fi, c in w2.lift(tc.tau_hat.apply(gamma.inv1_vec(t))).items():
             p, q = w2.tuples[fi]
@@ -295,7 +289,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
         acc = {}
         for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
             for i, ci in conn.curvature.cols[th_k].items():
-                viadd(acc, cc * ci, {og.flat_index((i, gamma.i0(c_k))): one})
+                viadd_term(acc, og.flat_index((i, gamma.i0(c_k))), cc * ci)
         if lhs != og.project(acc):
             bad = {"theta_index": t}
             break
@@ -314,7 +308,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
         for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
             for i, ci in conn.curvature.cols[th_k].items():
                 for p, q, ct in tau0(c_k):
-                    viadd(acc, cc * ci * ct, {w3.flat_index((i, p, q)): one})
+                    viadd_term(acc, w3.flat_index((i, p, q)), cc * ci * ct)
         if lhs != w3.project(acc):
             bad = {"theta_index": t}
             break
@@ -376,8 +370,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
                 dw = conn.covariant_derivative({w: one})
                 for iw, ciw in dw.items():
                     for p, q, ct in tau0(a):
-                        viadd(acc, c * cf * ciw * ct,
-                              {w3.flat_index((iw, p, q)): one})
+                        viadd_term(acc, w3.flat_index((iw, p, q)), c * cf * ciw * ct)
         if lhs != w3.project(acc):
             bad = {"form": om.space.render(v)}
             break

@@ -210,6 +210,12 @@ class Scalar:
         self._check(other)
         f = self.field
         a, b = self.coeffs, other.coeffs
+        # canonical form: equal coefficients mean equal scalars
+        one = f.one.coeffs
+        if a == one:
+            return other
+        if b == one:
+            return self
         deg = f.degree
         conv = [_ZERO] * (2 * deg)
         for i in range(deg):

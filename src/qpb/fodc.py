@@ -25,7 +25,7 @@ from .errors import (
 from .hopf import HopfStarAlgebra, adjoint_action
 from .linalg import (
     BasedSpace, Echelon, LinearMap, QuotientSpace, Vec, span_basis, viadd,
-    vscale,
+    viadd_term, vscale,
 )
 from .report import ValidationReport, failing, passing, vacuous
 from .tensor import Factor, TProd
@@ -94,7 +94,7 @@ class Fodc:
             acc: Vec = {}
             for idx, c in self.varpi.cols[t].items():
                 th, a = divmod(idx, da)
-                viadd(acc, c * g.eps_basis(a), {th: one})
+                viadd_term(acc, th, c * g.eps_basis(a))
             if acc != {t: one}:
                 raise ValidationFailed("varpi fails the counit law")
         self.varpi_legs = [[(idx // da, idx % da, c)
@@ -145,7 +145,7 @@ class Fodc:
                 acc: Vec = {}
                 for th, a, c in self.varpi_legs[t]:
                     for u, cu in self.circ[a].cols[e].items():
-                        viadd(acc, c * cu, {th * self.dim + u: one})
+                        viadd_term(acc, th * self.dim + u, c * cu)
                 cols.append(acc)
         self.sigma = LinearMap(self.sq_space, self.sq_space, cols, field)
 
@@ -367,7 +367,7 @@ class Envelope2:
                     for t2, a2, c2 in fodc.varpi_legs[i2]:
                         coeff = c * c1 * c2
                         for a, ca in g.algebra.mul_basis(a1, a2).items():
-                            viadd(out, coeff * ca, {(t1 * d + t2) * da + a: one})
+                            viadd_term(out, (t1 * d + t2) * da + a, coeff * ca)
             return out
 
         def check_covariant(vs, ech: Echelon) -> bool:
@@ -404,7 +404,7 @@ class Envelope2:
                         u2 = fodc.circ[a2].cols[i2]
                         for p, cp in u1.items():
                             for q, cq in u2.items():
-                                viadd(out, c * ca * cp * cq, {p * d + q: one})
+                                viadd_term(out, p * d + q, c * ca * cp * cq)
                 cols.append(self.wedge.apply(out))
             circ2.append(LinearMap(self.l2_space, self.l2_space, cols, field))
         self.circ2 = circ2
@@ -416,7 +416,7 @@ class Envelope2:
                     for a1, a2, ca in g.sweedler(a):
                         for p, cp in fodc.circ[a1].cols[i1].items():
                             for q, cq in fodc.circ[a2].cols[i2].items():
-                                viadd(out, c * ca * cp * cq, {p * d + q: one})
+                                viadd_term(out, p * d + q, c * ca * cp * cq)
                 if not s2_ech.contains(out):
                     raise ValidationFailed("S^2 is not circ-stable")
 
@@ -445,7 +445,7 @@ class Envelope2:
             acc: Vec = {}
             for th, a, c in fodc.varpi_legs[t]:
                 for u, cu in fodc.pi.cols[a].items():
-                    viadd(acc, c * cu, {th * d + u: one})
+                    viadd_term(acc, th * d + u, c * cu)
             rhs_cols.append(acc)
         rhs = LinearMap(fodc.inv_space, fodc.sq_space, rhs_cols, field)
         self.report.add(
@@ -474,7 +474,6 @@ class GammaEnvelope:
         self.group = g
         field = g.field
         self.field = field
-        one = field.one
         da = g.dim
         d1 = self.fodc.dim
         d2 = env.lambda2.dim
@@ -534,8 +533,6 @@ class GammaEnvelope:
 
     def _mul_basis(self, i: int, j: int) -> Vec:
         g = self.group
-        field = self.field
-        one = field.one
         di, a, t = self.split(i)
         dj, b, s = self.split(j)
         if di + dj > 2:
@@ -555,12 +552,12 @@ class GammaEnvelope:
             for b1, b2, c in g.sweedler(b):
                 for k, ck in g.algebra.mul_basis(a, b1).items():
                     for u, cu in self.fodc.circ[b2].cols[t].items():
-                        viadd(out, c * ck * cu, {self.i1(k, u): one})
+                        viadd_term(out, self.i1(k, u), c * ck * cu)
         elif di == 2 and dj == 0:
             for b1, b2, c in g.sweedler(b):
                 for k, ck in g.algebra.mul_basis(a, b1).items():
                     for u, cu in self.env.circ2[b2].cols[t].items():
-                        viadd(out, c * ck * cu, {self.i2(k, u): one})
+                        viadd_term(out, self.i2(k, u), c * ck * cu)
         else:  # 1 x 1
             d1 = self.d1
             for b1, b2, c in g.sweedler(b):
@@ -568,7 +565,7 @@ class GammaEnvelope:
                     for u, cu in self.fodc.circ[b2].cols[t].items():
                         w = self.env.wedge.cols[u * d1 + s]
                         for x, cx in w.items():
-                            viadd(out, c * ck * cu * cx, {self.i2(k, x): one})
+                            viadd_term(out, self.i2(k, x), c * ck * cu * cx)
         return out
 
     def mul(self, u: Vec, v: Vec) -> Vec:
@@ -623,7 +620,7 @@ class GammaEnvelope:
                 acc = {}
                 for a1, a2, c in g.sweedler(a):
                     for u, cu in fodc.pi.cols[a2].items():
-                        viadd(acc, c * cu, {self.i1(a1, u): one})
+                        viadd_term(acc, self.i1(a1, u), c * cu)
                 d_cols.append(acc)
             elif deg == 1:
                 acc = {}
@@ -631,9 +628,9 @@ class GammaEnvelope:
                     for u, cu in fodc.pi.cols[a2].items():
                         w = env.wedge.cols[u * d1 + t]
                         for x, cx in w.items():
-                            viadd(acc, c * cu * cx, {self.i2(a1, x): one})
+                            viadd_term(acc, self.i2(a1, x), c * cu * cx)
                 for x, cx in env.dlambda.cols[t].items():
-                    viadd(acc, cx, {self.i2(a, x): one})
+                    viadd_term(acc, self.i2(a, x), cx)
                 d_cols.append(acc)
             else:
                 d_cols.append(None)
@@ -651,17 +648,16 @@ class GammaEnvelope:
             acc: Vec = {}
             if deg == 0:
                 for a1, a2, c in g.sweedler(a):
-                    viadd(acc, c, {sq.flat_index((self.i0(a1), self.i0(a2))): one})
+                    viadd_term(acc, sq.flat_index((self.i0(a1), self.i0(a2))), c)
                 phi_cols.append(sq.project(acc))
             elif deg == 1:
                 for a1, a2, c in g.sweedler(a):
-                    viadd(acc, c,
-                          {sq.flat_index((self.i0(a1), self.i1(a2, t))): one})
+                    viadd_term(acc, sq.flat_index((self.i0(a1), self.i1(a2, t))), c)
                 for th, ck, cc in self._varpi_pairs(t):
                     for a1, a2, c in g.sweedler(a):
                         for m, cm in g.algebra.mul_basis(a2, ck).items():
-                            viadd(acc, cc * c * cm,
-                                  {sq.flat_index((self.i1(a1, th), self.i0(m))): one})
+                            viadd_term(acc, sq.flat_index((self.i1(a1, th), self.i0(m))),
+                                       cc * c * cm)
                 phi_cols.append(sq.project(acc))
             else:
                 phi_cols.append(None)  # filled below via multiplicativity
@@ -777,8 +773,7 @@ class GammaEnvelope:
                 c0 = cu * cv * sign
                 for xp, cx in self.mul_basis(x, p).items():
                     for yq, cy in self.mul_basis(y, q).items():
-                        viadd(out, c0 * cx * cy,
-                              {sq.flat_index((xp, yq)): one})
+                        viadd_term(out, sq.flat_index((xp, yq)), c0 * cx * cy)
         return sq.project(out)
 
     def d_apply(self, v: Vec) -> Vec:
@@ -811,8 +806,7 @@ class GammaEnvelope:
                     for kx, ck in self.kappa_hat.cols[x].items():
                         sign = -one if (self.degree(kx) * self.degree(y)) % 2 else one
                         for m, cm in self.mul_basis(kx, z).items():
-                            viadd(acc, coeff * ck * cm * sign,
-                                  {sq.flat_index((y, m)): one})
+                            viadd_term(acc, sq.flat_index((y, m)), coeff * ck * cm * sign)
             cols.append(sq.project(acc))
         return LinearMap(self.space, sq.space, cols, field)
 
@@ -854,7 +848,7 @@ class GammaEnvelope:
                 sign = -one if self.degree(i) % 2 else one
                 rhs = self.mul(self.d_cols[i], {j: one})
                 for k, c in self.mul({i: one}, self.d_cols[j]).items():
-                    viadd(rhs, sign * c, {k: one})
+                    viadd_term(rhs, k, sign * c)
                 if lhs != rhs:
                     raise ValidationFailed(f"Leibniz fails at ({i},{j})")
         for i in range(self.dim):
@@ -876,7 +870,7 @@ class GammaEnvelope:
                 sign = -one if (self.degree(i) * self.degree(j)) % 2 else one
                 rhs = {}
                 for k, c in self.mul(self.star.cols[j], self.star.cols[i]).items():
-                    viadd(rhs, sign * c, {k: one})
+                    viadd_term(rhs, k, sign * c)
                 if lhs != rhs:
                     raise ValidationFailed("Gamma^ star is not graded-antimultiplicative")
         # coproduct: counit laws, coassociativity, multiplicativity, hermitian
@@ -886,8 +880,8 @@ class GammaEnvelope:
             acc2: Vec = {}
             for fi, c in sq.lift(self.phi_hat.cols[i]).items():
                 x, y = sq.tuples[fi]
-                viadd(acc1, c * self.eps_basis(x), {y: one})
-                viadd(acc2, c * self.eps_basis(y), {x: one})
+                viadd_term(acc1, y, c * self.eps_basis(x))
+                viadd_term(acc2, x, c * self.eps_basis(y))
             if acc1 != {i: one} or acc2 != {i: one}:
                 raise ValidationFailed("Gamma^ counit law fails")
         for i in range(self.dim):
@@ -897,10 +891,10 @@ class GammaEnvelope:
                 x, y = sq.tuples[fi]
                 for fj, c2 in sq.lift(self.phi_hat.cols[x]).items():
                     u, v = sq.tuples[fj]
-                    viadd(lhs_acc, c * c2, {tri.flat_index((u, v, y)): one})
+                    viadd_term(lhs_acc, tri.flat_index((u, v, y)), c * c2)
                 for fj, c2 in sq.lift(self.phi_hat.cols[y]).items():
                     u, v = sq.tuples[fj]
-                    viadd(rhs_acc, c * c2, {tri.flat_index((x, u, v)): one})
+                    viadd_term(rhs_acc, tri.flat_index((x, u, v)), c * c2)
             if tri.project(lhs_acc) != tri.project(rhs_acc):
                 raise ValidationFailed("Gamma^ coproduct is not coassociative")
         for i in range(self.dim):
@@ -923,8 +917,7 @@ class GammaEnvelope:
                 x, y = sq.tuples[fj]
                 for x2, cx in self.star.cols[x].items():
                     for y2, cy in self.star.cols[y].items():
-                        viadd(acc, c.conj() * cx * cy,
-                              {sq.flat_index((x2, y2)): one})
+                        viadd_term(acc, sq.flat_index((x2, y2)), c.conj() * cx * cy)
             if lhs != sq.project(acc):
                 raise ValidationFailed("Gamma^ coproduct is not hermitian")
         # d-compatibility of the coproduct
@@ -940,11 +933,11 @@ class GammaEnvelope:
                 if self.degree(x) < 2 and self.d_cols[x] is not None:
                     for k, ck in self.d_cols[x].items():
                         if self.degree(k) + self.degree(y) <= 2:
-                            viadd(rhs, c * ck, {sq.flat_index((k, y)): one})
+                            viadd_term(rhs, sq.flat_index((k, y)), c * ck)
                 sign = -one if self.degree(x) % 2 else one
                 if self.degree(y) < 2 and self.d_cols[y] is not None:
                     for k, ck in self.d_cols[y].items():
                         if self.degree(x) + self.degree(k) <= 2:
-                            viadd(rhs, c * ck * sign, {sq.flat_index((x, k)): one})
+                            viadd_term(rhs, sq.flat_index((x, k)), c * ck * sign)
             if lhs != sq.project(rhs):
                 raise ValidationFailed("Gamma^ coproduct does not intertwine d")

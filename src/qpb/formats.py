@@ -146,7 +146,9 @@ def parse_spec(text: str) -> SpecFile:
     _require(doc.get("format") == FORMAT_TAG,
              f"format must be {FORMAT_TAG!r}", "format")
     conductor = doc.get("conductor")
-    _require(isinstance(conductor, int) and conductor >= 1,
+    # bool is an int subclass, so true would otherwise read as conductor 1
+    _require(isinstance(conductor, int) and not isinstance(conductor, bool)
+             and conductor >= 1,
              "conductor must be a positive integer", "conductor")
     field = CycloField(conductor)
 

@@ -17,7 +17,7 @@ from .charsplit import CommAlgebra, field_characters
 from .errors import NotClassical, NotCommutative, ValidationFailed
 from .linalg import (
     BasedSpace, Echelon, LinearMap, Vec, intersect_spans, span_basis,
-    spans_equal, viadd,
+    spans_equal, viadd, viadd_term,
 )
 from .report import (
     CheckRecord, ValidationReport, failing, map_equality_record, passing, vacuous,
@@ -134,7 +134,7 @@ class GaugeCoalgebra:
             acc: Vec = {}
             for k, c, cf in b.f_legs[i]:
                 for x, y, ct in b.tau_legs[c]:
-                    viadd(acc, cf * ct, {b3.flat_index((k, x, y)): one})
+                    viadd_term(acc, b3.flat_index((k, x, y)), cf * ct)
             delta3_cols.append(b3.project(acc))
         self.delta3 = LinearMap(b.total.space, b3.space, delta3_cols, field)
         delta_cols, bad = [], None
@@ -187,7 +187,7 @@ class GaugeCoalgebra:
                 i, j = b2.tuples[fi]
                 for fj, cd in self.t_lb.lift(self.delta.cols[i]).items():
                     l1, x = self.t_lb.tuples[fj]
-                    viadd(acc, c * cd, {self.t_lbb.flat_index((l1, x, j)): one})
+                    viadd_term(acc, self.t_lbb.flat_index((l1, x, j)), c * cd)
             v = self.t_lbb.project(acc)
             sol = self.j_ll.solve(v)
             if sol is None:
@@ -224,7 +224,7 @@ class GaugeCoalgebra:
             for fi, c in b2.lift({i: one}).items():
                 x, y = b2.tuples[fi]
                 for a, ca in b.group.unit.items():
-                    viadd(iota, c * ca, {bba.flat_index((x, y, a)): one})
+                    viadd_term(iota, bba.flat_index((x, y, a)), c * ca)
             for k, c in bba.project(iota).items():
                 s = col.get(k)
                 s = -c if s is None else s - c
@@ -351,7 +351,7 @@ class GaugeCoalgebra:
             for k, a, cf in b.f_legs[i]:
                 for fj, cd in self.t_lb.lift(self.delta.cols[k]).items():
                     l, x = self.t_lb.tuples[fj]
-                    viadd(acc, cf * cd, {self.t_lba.flat_index((l, x, a)): one})
+                    viadd_term(acc, self.t_lba.flat_index((l, x, a)), cf * cd)
             cols.append(self.t_lba.project(acc))
         rhs = LinearMap(b.total.space, self.t_lba.space, cols, field)
         rep.add(map_equality_record("gauge.fgau-F", "fgau-F", lhs, rhs,
@@ -444,8 +444,6 @@ def build_gauge_coalgebra(b: Bundle, braid: BraidOperator | None = None) -> Gaug
 def varsigma(b: Bundle, a_vec: Vec) -> Vec:
     """sigma-cochain of a group element:
     l(kappa^-1(a^(1))) (x) tau(a^(2)) r(kappa^-1(a^(1))), in B_3."""
-    field = b.field
-    one = field.one
     g = b.group
     b3 = b.b_space(3)
     out: Vec = {}
@@ -456,8 +454,7 @@ def varsigma(b: Bundle, a_vec: Vec) -> Vec:
                     for u, v, cu in b.tau_legs[a2]:
                         coeff = ca * c * ck * ct * cu
                         for w, cw in b.total.mul_basis(v, y).items():
-                            viadd(out, coeff * cw,
-                                  {b3.flat_index((x, u, w)): one})
+                            viadd_term(out, b3.flat_index((x, u, w)), coeff * cw)
     return b3.project(out)
 
 
@@ -467,11 +464,10 @@ def varsigma(b: Bundle, a_vec: Vec) -> Vec:
 def unit_b2(b: Bundle) -> Vec:
     """1 (x) 1 in canonical B_2 coordinates."""
     b2 = b.b2
-    one = b.field.one
     acc: Vec = {}
     for i, ci in b.total.unit.items():
         for j, cj in b.total.unit.items():
-            viadd(acc, ci * cj, {b2.flat_index((i, j)): one})
+            viadd_term(acc, b2.flat_index((i, j)), ci * cj)
     return b2.project(acc)
 
 
@@ -484,7 +480,6 @@ class BraidedHopf:
         b = gc.bundle
         braid = gc.braid
         field = gc.field
-        one = field.one
         classical, _ = classicality_report(b, braid)
         if not classical:
             raise NotClassical("the structure group algebra is noncommutative")
@@ -708,7 +703,7 @@ class BraidedHopf:
                 # f . (1 (x) 1) inside L
                 fv = b.lmult_map(2, 0, b.base_vectors[v]).apply(unit2)
                 for k, ck in gc.into_l(fv, "f(1(x)1)").items():
-                    viadd(acc, c * ck, {t_l.flat_index((k,)): one})
+                    viadd_term(acc, t_l.flat_index((k,)), c * ck)
             unit_eps_cols.append(t_l.project(acc))
         unit_eps = LinearMap(gc.l_space, t_l.space, unit_eps_cols, field)
         lhs1 = mu_ll.compose(kap_at(0)).compose(gc.phi_m)
@@ -1093,7 +1088,7 @@ def enumerate_gauge(bh: BraidedHopf):
             acc: Vec = {}
             for k, a, cf in b.f_legs[p]:
                 for u, cu in act.apply({k: one}).items():
-                    viadd(acc, cf * cu, {u * b.group.dim + a: one})
+                    viadd_term(acc, u * b.group.dim + a, cf * cu)
             if lhs != acc:
                 ok_equiv = False
                 break
@@ -1169,7 +1164,6 @@ def isotypic_decompose(b: Bundle, gc: GaugeCoalgebra | None = None) -> IsotypicD
     sum multiplicity^2 = dim L is verified when L is available."""
     rep = ValidationReport()
     field = b.field
-    one = field.one
     g = b.group
     if not g.corepresentations:
         rep.add(vacuous("isotypic.available", "corepresentation data",
@@ -1185,7 +1179,7 @@ def isotypic_decompose(b: Bundle, gc: GaugeCoalgebra | None = None) -> IsotypicD
             for k, a, cf in b.f_legs[i]:
                 val = corep.functional[a]
                 if val:
-                    viadd(acc, cf * val, {k: one})
+                    viadd_term(acc, k, cf * val)
             cols.append(acc)
         proj = LinearMap(b.total.space, b.total.space, cols, field)
         basis = span_basis(proj.cols)
@@ -1216,7 +1210,7 @@ def isotypic_decompose(b: Bundle, gc: GaugeCoalgebra | None = None) -> IsotypicD
                 for j in range(b.total.dim):
                     acc: Vec = {}
                     for i, c in v.items():
-                        viadd(acc, c, {b2.flat_index((i, j)): one})
+                        viadd_term(acc, b2.flat_index((i, j)), c)
                     span.append(b2.project(acc))
             inter = intersect_spans(gc.l_basis, span)
             l_components.append((name, inter))

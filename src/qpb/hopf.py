@@ -15,7 +15,7 @@ from .cyclotomic import CycloField, Scalar
 from .errors import InputError, NoHaar, NonUnique, ValidationFailed
 from .linalg import (
     BasedSpace, LinearMap, Vec, nullspace_of_columns, tensor_labels,
-    viadd, vscale,
+    viadd, viadd_term, vscale,
 )
 from .report import CheckRecord, ValidationReport, failing, passing
 
@@ -29,6 +29,8 @@ class StarAlgebra:
         self.field = field
         self.space = space
         self.mult = mult  # mult[i][j] -> Vec, the product e_i e_j
+        # support[i]: the j with e_i e_j != 0
+        self.support = [frozenset(j for j, p in enumerate(row) if p) for row in mult]
         self.unit = dict(unit)
         self.star = star  # antilinear LinearMap
         if not star.antilinear:
@@ -43,7 +45,8 @@ class StarAlgebra:
         for i, a in u.items():
             row = self.mult[i]
             for j, b in v.items():
-                viadd(out, a * b, row[j])
+                if row[j]:
+                    viadd(out, a * b, row[j])
         return out
 
     def mul_basis(self, i: int, j: int) -> Vec:
@@ -223,10 +226,10 @@ def validate_hopf(h: HopfStarAlgebra) -> ValidationReport:
     for i in range(dim):
         acc: Vec = {}
         for j_, k_, c in h.sweedler(i):
-            viadd(acc, c * h.eps_basis(k_), {j_: one})
+            viadd_term(acc, j_, c * h.eps_basis(k_))
         acc2: Vec = {}
         for j_, k_, c in h.sweedler(i):
-            viadd(acc2, c * h.eps_basis(j_), {k_: one})
+            viadd_term(acc2, k_, c * h.eps_basis(j_))
         e = {i: one}
         if acc != e or acc2 != e:
             bad = {"basis_index": i}
@@ -317,8 +320,8 @@ def validate_hopf(h: HopfStarAlgebra) -> ValidationReport:
                 left: Vec = {}
                 right: Vec = {}
                 for j_, k_, c in h.sweedler(i):
-                    viadd(left, c * h.haar_of({k_: one}), {j_: one})
-                    viadd(right, c * h.haar_of({j_: one}), {k_: one})
+                    viadd_term(left, j_, c * h.haar_of({k_: one}))
+                    viadd_term(right, k_, c * h.haar_of({j_: one}))
                 target = vscale(h.haar_of({i: one}), h.unit)
                 if left != target or right != target:
                     bad = {"basis_index": i}
@@ -349,7 +352,7 @@ def _tensor_mul(h: HopfStarAlgebra, x: Vec, y: Vec) -> Vec:
             c = a * b
             for k1, c1 in prod1.items():
                 for k2, c2 in prod2.items():
-                    viadd(out, c * c1 * c2, {k1 * dim + k2: h.field.one})
+                    viadd_term(out, k1 * dim + k2, c * c1 * c2)
     return out
 
 
@@ -362,7 +365,7 @@ def _tensor_star(h: HopfStarAlgebra, x: Vec) -> Vec:
         s2 = h.star_vec({i2: h.field.one})
         for k1, c1 in s1.items():
             for k2, c2 in s2.items():
-                viadd(out, a.conj() * c1 * c2, {k1 * dim + k2: h.field.one})
+                viadd_term(out, k1 * dim + k2, a.conj() * c1 * c2)
     return out
 
 
@@ -380,7 +383,6 @@ def compute_haar(h: HopfStarAlgebra) -> LinearMap:
     """Solve the two-sided invariance system; the solution space must be
     1-dimensional and normalizable by h(1) = 1."""
     field, dim = h.field, h.dim
-    one = field.one
     # unknowns x_0..x_{dim-1} = h(e_i); equations per basis a and component r:
     #   sum_{(j,k,c) in phi(a), j==r} c x_k = x_a * unit_r   (right invariance)
     #   sum_{(j,k,c) in phi(a), k==r} c x_j = x_a * unit_r   (left invariance)
@@ -433,7 +435,7 @@ def adjoint_action(h: HopfStarAlgebra) -> LinearMap:
         for j1, j2, k, c in h.phi2_basis(i):
             prod = h.mul(h.kappa({j1: one}), {k: one})
             for t, ct in prod.items():
-                viadd(out, c * ct, {j2 * dim + t: one})
+                viadd_term(out, j2 * dim + t, c * ct)
         cols.append(out)
     a2 = tensor_labels(h.space, h.space)
     ad = LinearMap(h.space, a2, cols, field)
@@ -447,7 +449,7 @@ def adjoint_action(h: HopfStarAlgebra) -> LinearMap:
         acc: Vec = {}
         for idx, c in ad.cols[i].items():
             j, k = divmod(idx, dim)
-            viadd(acc, c * h.eps_basis(k), {j: one})
+            viadd_term(acc, j, c * h.eps_basis(k))
         if acc != {i: one}:
             raise ValidationFailed("adjoint action fails the counit law")
     return ad

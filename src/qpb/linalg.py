@@ -67,6 +67,21 @@ def viadd(acc: Vec, c: Scalar, b: Vec) -> None:
                 del acc[k]
 
 
+def viadd_term(acc: Vec, k: int, c: Scalar) -> None:
+    """acc[k] += c, in place; the one-term case of viadd."""
+    if not c:
+        return
+    s = acc.get(k)
+    if s is None:
+        acc[k] = c
+    else:
+        s = s + c
+        if s:
+            acc[k] = s
+        else:
+            del acc[k]
+
+
 def vscale(c: Scalar, a: Vec) -> Vec:
     if not c:
         return {}
@@ -79,10 +94,6 @@ def vneg(a: Vec) -> Vec:
 
 def vconj(a: Vec) -> Vec:
     return {k: v.conj() for k, v in a.items()}
-
-
-def vequal(a: Vec, b: Vec) -> bool:
-    return a == b
 
 
 class BasedSpace:
@@ -309,11 +320,6 @@ class LinearMap:
     def zero(cls, domain: BasedSpace, codomain: BasedSpace, field: CycloField) -> "LinearMap":
         return cls(domain, codomain, [{} for _ in range(domain.dim)], field)
 
-    @classmethod
-    def from_function(cls, domain: BasedSpace, codomain: BasedSpace, field: CycloField, fn,
-                      antilinear: bool = False) -> "LinearMap":
-        return cls(domain, codomain, [fn(i) for i in range(domain.dim)], field, antilinear)
-
     # -- application / composition ---------------------------------------
 
     def apply(self, v: Vec) -> Vec:
@@ -402,9 +408,6 @@ class LinearMap:
         for c in self.cols:
             ech.add(c)
         return ech.rank
-
-    def image_basis(self) -> list[Vec]:
-        return span_basis(self.cols)
 
     def is_bijective(self) -> bool:
         return (self.domain.dim == self.codomain.dim

@@ -1,7 +1,7 @@
 """Validation reports: one record per checked identity, with witnesses.
 
 Identity ids are unique and sorted in a report; JSON serialization is
-byte-stable for a fixed input (timings are kept out of the JSON form).
+byte-stable for a fixed input.
 """
 
 from __future__ import annotations
@@ -17,7 +17,6 @@ class CheckRecord:
     status: str  # "pass" | "fail" | "vacuous"
     witness: dict | None = None
     note: str | None = None
-    seconds: float = 0.0
 
     def as_json_obj(self) -> dict:
         obj = {
@@ -66,15 +65,13 @@ class ValidationReport:
             obj["meta"] = meta
         return json.dumps(obj, sort_keys=True, separators=(",", ":"), ensure_ascii=False)
 
-    def to_text(self, show_timing: bool = False) -> str:
+    def to_text(self) -> str:
         lines = []
         for r in self.sorted_records():
             mark = {"pass": "pass", "fail": "FAIL", "vacuous": "vac."}[r.status]
             line = f"[{mark}] {r.identity_id}"
             if r.paper_label and r.paper_label != r.identity_id.split(".")[-1]:
                 line += f" ({r.paper_label})"
-            if show_timing:
-                line += f"  {r.seconds * 1000:.1f} ms"
             lines.append(line)
             if r.note:
                 lines.append(f"       note: {r.note}")

@@ -21,7 +21,7 @@ from itertools import product as iproduct
 
 from .cyclotomic import CycloField, Scalar
 from .errors import DegreeBudget, InputError
-from .linalg import BasedSpace, LinearMap, QuotientSpace, Vec, viadd
+from .linalg import BasedSpace, LinearMap, QuotientSpace, Vec, viadd_term
 
 
 @dataclass
@@ -84,10 +84,10 @@ class TProd:
                     rel: Vec = {}
                     for k, s in r_cols[t[p]].items():
                         t2 = t[:p] + (k,) + t[p + 1:]
-                        viadd(rel, s, {self.tuple_index[t2]: self.field.one})
+                        viadd_term(rel, self.tuple_index[t2], s)
                     for k, s in l_cols[t[p + 1]].items():
                         t2 = t[:p + 1] + (k,) + t[p + 2:]
-                        viadd(rel, -s, {self.tuple_index[t2]: self.field.one})
+                        viadd_term(rel, self.tuple_index[t2], -s)
                     if rel:
                         out.append(rel)
         return out
@@ -150,7 +150,7 @@ def term_map(src: TProd, dst: TProd, fn, antilinear: bool = False,
                 c = c.conj()
             for t2, c2 in fn(src.tuples[fi]):
                 if c2:
-                    viadd(out, c * c2, {dst.flat_index(t2): field.one})
+                    viadd_term(out, dst.flat_index(t2), c * c2)
         cols.append(dst.project(out))
     return LinearMap(src.space, dst.space, cols, field, antilinear)
 
@@ -162,9 +162,3 @@ def block_terms(sub: TProd, subtuple, m: LinearMap):
     flat = sub.lift(v)
     for fi, c in flat.items():
         yield sub.tuples[fi], c
-
-
-def subspace_in(tp: TProd, vectors) -> list[Vec]:
-    """Canonical basis of the span of the given quotient vectors."""
-    from .linalg import span_basis
-    return span_basis(vectors)

@@ -4,6 +4,7 @@ from qpb.bundle import build_bundle
 from qpb.braiding import (
     braided_structure, classicality_report, sigma_m, verify_braiding_suite,
 )
+from qpb.linalg import viadd
 from qpb.presets import point_bundle_data, trivial_bundle_data
 
 
@@ -83,3 +84,47 @@ def test_classicality_dichotomy():
 def test_classicality_trivial_bundle():
     classical, rep = classicality_report(make_trivial("Z2", 2))
     assert classical
+
+
+def all_pairs_mult_n(braid, n):
+    """Reference braided product on B_n: every pair of transported terms,
+    multiplied factor by factor in B (x) A^{n-1}, with no pruning."""
+    b = braid.bundle
+    xn, xinv = b.x_n(n - 1), b.x_n_inverse(n - 1)
+    target = b.mixed_space("B" + "A" * (n - 1))
+    one = b.field.one
+
+    def mul(u, v):
+        out = {}
+        for fu, cu in target.lift(xn.apply(u)).items():
+            tu = target.tuples[fu]
+            for fv, cv in target.lift(xn.apply(v)).items():
+                tv = target.tuples[fv]
+                terms = [((), cu * cv)]
+                for pos in range(n):
+                    alg = b.total if pos == 0 else b.group.algebra
+                    terms = [(tup + (k,), c * ck) for tup, c in terms
+                             for k, ck in alg.mul_basis(tu[pos], tv[pos]).items()]
+                for tup, c in terms:
+                    viadd(out, c, {target.flat_index(tup): one})
+        return xinv.apply(target.project(out))
+
+    return mul
+
+
+@pytest.mark.parametrize("mk, ns", [
+    (lambda: make_point("Z2"), (3, 4)),                   # classical: pairs pruned
+    (lambda: make_point("S3", "group_algebra"), (3,)),   # every factor product nonzero
+    (lambda: make_trivial("Z2", 3), (3, 4)),             # V != C: balanced B_n
+], ids=["z2-point", "s3-group-algebra", "z2-trivial-3pt"])
+def test_mult_n_matches_all_pairs_product(mk, ns):
+    b = mk()
+    braid = sigma_m(b)
+    one = b.field.one
+    for n in ns:
+        bn = b.b_space(n)
+        fast, ref = braid.mult_n(n), all_pairs_mult_n(braid, n)
+        assert braid.mult_n(n) is fast
+        for i in range(bn.dim):
+            for j in range(bn.dim):
+                assert fast({i: one}, {j: one}) == ref({i: one}, {j: one}), (n, i, j)

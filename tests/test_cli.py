@@ -5,6 +5,7 @@ import sys
 import pytest
 
 from qpb.cli import main
+from qpb.errors import SpecFileError
 from qpb.formats import BuildResult, load_file, parse_spec, run_suites
 from qpb.presets import generate_example, serialize_example
 
@@ -121,6 +122,17 @@ def test_bad_scalar_literal_positioned(tmp_path, capsys):
     assert main(["validate", path]) == 2
     err = capsys.readouterr().err
     assert "hopf.mult[0]" in err
+
+
+def test_boolean_conductor_rejected(tmp_path, capsys):
+    doc = generate_example("c-group", group="Z2")
+    doc["conductor"] = True  # bool is an int subclass; must not read as 1
+    path = write(tmp_path, "boolconductor.json", doc)
+    with pytest.raises(SpecFileError) as exc:
+        load_file(path)
+    assert exc.value.where == "conductor"
+    assert main(["validate", path]) == 2
+    assert "conductor" in capsys.readouterr().err
 
 
 def test_index_out_of_range_positioned(tmp_path, capsys):

@@ -87,3 +87,15 @@ def test_field_axioms(a, b, c):
     assert (a * b).conj() == a.conj() * b.conj()
     if not a.is_zero():
         assert a * a.inverse() == a.field.one
+
+
+@pytest.mark.parametrize("n", [1, 3, 5])
+def test_multiplication_by_one_returns_the_other_operand(n):
+    F = CycloField(n)
+    values = [F.zero, F.one, -F.one, F.rational(Fraction(-2, 7)),
+              F.zeta() + F.rational(3), F.zeta(n - 1) * F.rational(Fraction(1, 3))]
+    for x in values:
+        assert x * F.one == x
+        assert F.one * x == x
+        assert (x * F.one).coeffs == x.coeffs
+        assert (F.one * x).coeffs == x.coeffs
