@@ -365,7 +365,6 @@ def braided_structure(b: Bundle, n: int, braid: BraidOperator | None = None):
     mult = braid.mult_n(n)
     star = braid.star_n(n)
     unit_flat: Vec = {}
-    from itertools import product as iproduct
     units = [b.total.unit] * n
     terms = [((), one)]
     for uvec in units:

@@ -21,9 +21,7 @@ from .hopf import HopfStarAlgebra, StarAlgebra
 from .linalg import (
     BasedSpace, LinearMap, Vec, span_basis, vadd, viadd_term, vscale,
 )
-from .report import (
-    CheckRecord, ValidationReport, failing, map_equality_record, passing,
-)
+from .report import ValidationReport, failing, map_equality_record, passing
 from .tensor import Factor, TProd, term_map
 
 DEFAULT_TOWER_BUDGET = 3
@@ -478,7 +476,6 @@ def galois_tower(b: Bundle, n: int):
     for at in a_tuples:
         # legs of tau(a_1) (x) ... (x) tau(a_n), middle products
         acc_terms = [((), one)]
-        prev_y = None
         for pos, a in enumerate(at):
             nxt = []
             for tup, c in acc_terms:

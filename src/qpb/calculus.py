@@ -2,7 +2,10 @@
 
 Omega(P) = Omega(M) (x)^ Gamma^ carries the graded product, star and
 differential of a product bundle calculus; F^ = id (x) phi^ is its unique
-graded-differential extension of the coaction.  On the balanced powers W_n =
+graded-differential extension of the coaction.  Omega(M) and Omega(P) are
+hopf.GradedStarAlgebra subclasses: product, d, star and the axiom check live
+there, and every product in a graded tensor product (Omega(P) itself and
+Omega(P) (x)^ Gamma^) is hopf.graded_tensor_mul.  On the balanced powers W_n =
 Omega(P) (x)^_M ... the Galois map X^(phi (x) w) = phi F^(w) is verified to
 be bijective in every total degree <= 2, the extended translation map tau^
 is its inverse on Gamma^, and sigma^_M is assembled from F^ and tau^ with
@@ -15,23 +18,21 @@ and degree-budgeted.
 
 from __future__ import annotations
 
-from .bundle import Bundle, build_bundle
+from .bundle import build_bundle
 from .errors import DegreeBudget, NotProductBundle, ValidationFailed
 from .fodc import Envelope2, Fodc, GammaEnvelope
-from .hopf import StarAlgebra
+from .hopf import BUDGET, GradedStarAlgebra, StarAlgebra, graded_tensor_mul
 from .linalg import (
     BasedSpace, Echelon, LinearMap, Vec, span_basis, spans_equal, viadd,
     viadd_term, vscale,
 )
 from .report import (
-    CheckRecord, ValidationReport, failing, map_equality_record, passing, vacuous,
+    ValidationReport, failing, map_equality_record, passing, vacuous,
 )
 from .tensor import Factor, TProd, term_map
 
-BUDGET = 2
 
-
-class BaseCalculus:
+class BaseCalculus(GradedStarAlgebra):
     """A graded *-DGA over the base, truncated at degree 2.
 
     ``mult_table[i][j]`` is a Vec (or None above the budget), ``d_cols[i]``
@@ -40,104 +41,15 @@ class BaseCalculus:
 
     def __init__(self, field, labels, degrees, mult_table, unit, star_cols, d_cols,
                  name="Omega(M)"):
-        self.field = field
-        self.space = BasedSpace(tuple(labels))
-        self.degrees = tuple(degrees)
+        space = BasedSpace(tuple(labels))
+        super().__init__(name, field, space, degrees, unit)
         self.mult_table = mult_table
-        self.unit = dict(unit)
-        self.star_cols = star_cols
+        self.star = LinearMap(space, space, star_cols, field, antilinear=True)
         self.d_cols = d_cols
-        self.name = name
-        self.dim = self.space.dim
-        self._check()
+        self.check_axioms()
 
-    def degree(self, i):
-        return self.degrees[i]
-
-    def mul_basis(self, i, j) -> Vec:
-        out = self.mult_table[i][j]
-        if out is None:
-            raise DegreeBudget(f"product exceeds the degree budget in {self.name}")
-        return out
-
-    def mul(self, u: Vec, v: Vec) -> Vec:
-        out: Vec = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                viadd(out, a * b, self.mul_basis(i, j))
-        return out
-
-    def d_apply(self, v: Vec) -> Vec:
-        out: Vec = {}
-        for i, c in v.items():
-            col = self.d_cols[i]
-            if col is None:
-                raise DegreeBudget(f"d beyond the degree budget in {self.name}")
-            viadd(out, c, col)
-        return out
-
-    def star_apply(self, v: Vec) -> Vec:
-        out: Vec = {}
-        for i, c in v.items():
-            viadd(out, c.conj(), self.star_cols[i])
-        return out
-
-    def _check(self):
-        field = self.field
-        one = field.one
-        deg = self.degrees
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if deg[i] + deg[j] > BUDGET:
-                    continue
-                ij = self.mul_basis(i, j)
-                for k in range(self.dim):
-                    if deg[i] + deg[j] + deg[k] > BUDGET:
-                        continue
-                    if self.mul(ij, {k: one}) != self.mul({i: one}, self.mul_basis(j, k)):
-                        raise ValidationFailed(f"{self.name}: product not associative")
-        for i in range(self.dim):
-            if self.mul(self.unit, {i: one}) != {i: one} or \
-                    self.mul({i: one}, self.unit) != {i: one}:
-                raise ValidationFailed(f"{self.name}: unit fails")
-        for i in range(self.dim):
-            st = self.star_apply(self.star_cols[i])
-            # star_cols hold plain values; star is antilinear so conjugate once
-            if st != {i: one}:
-                raise ValidationFailed(f"{self.name}: star not involutive")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if deg[i] + deg[j] > BUDGET:
-                    continue
-                lhs = self.star_apply(self.mul_basis(i, j))
-                sign = -one if (deg[i] * deg[j]) % 2 else one
-                rhs = vscale(sign, self.mul(self.star_apply({j: one}),
-                                            self.star_apply({i: one})))
-                if lhs != rhs:
-                    raise ValidationFailed(f"{self.name}: star not graded-antimultiplicative")
-        for i in range(self.dim):
-            if deg[i] > 0 or self.d_cols[i] is None:
-                continue
-            dd = self.d_apply(self.d_cols[i])
-            if dd:
-                raise ValidationFailed(f"{self.name}: d^2 != 0")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if deg[i] + deg[j] > BUDGET - 1:
-                    continue
-                lhs = self.d_apply(self.mul_basis(i, j))
-                sign = -one if deg[i] % 2 else one
-                rhs = self.mul(self.d_apply({i: one}), {j: one})
-                for k, c in self.mul({i: one}, self.d_apply({j: one})).items():
-                    viadd_term(rhs, k, sign * c)
-                if lhs != rhs:
-                    raise ValidationFailed(f"{self.name}: Leibniz fails")
-        for i in range(self.dim):
-            if deg[i] > BUDGET - 1:
-                continue
-            if self.d_apply(self.star_apply({i: one})) != \
-                    self.star_apply(self.d_apply({i: one})):
-                raise ValidationFailed(f"{self.name}: d not hermitian")
+    def _product(self, i, j) -> Vec:
+        return self.mult_table[i][j]
 
 
 def trivial_base_calculus(base: StarAlgebra) -> BaseCalculus:
@@ -169,7 +81,6 @@ def universal_base_calculus(n_points: int, field) -> BaseCalculus:
     degrees = [len(p) - 1 for p in allp]
     labels = ["|".join(f"x{i}" for i in p) for p in allp]
     one = field.one
-    dim = len(allp)
 
     def concat(p, q):
         if p[-1] != q[0]:
@@ -210,28 +121,24 @@ def universal_base_calculus(n_points: int, field) -> BaseCalculus:
                         name="Omega(M)[universal]")
 
 
-class OmegaP:
+class OmegaP(GradedStarAlgebra):
     """Omega(M) (x)^ Gamma^ with the product-bundle structure, degree <= 2."""
 
     def __init__(self, base: BaseCalculus, gamma: GammaEnvelope):
         self.base = base
         self.gamma = gamma
         field = gamma.field
-        self.field = field
         one = field.one
-        # free graded pair space for indexing
+        # free graded pair space for indexing (no balancing: flat = space)
         m_factor = Factor(base.space, base.degrees)
         self.tp = TProd(field, (m_factor, gamma.factor), budget=BUDGET,
                         name="Omega(P)")
-        self.space = self.tp.space  # no balancing: flat = space
-        self.dim = self.space.dim
-        self.degrees = tuple(self.tp.degree(t) for t in self.tp.tuples)
-        self._mult_cache: dict = {}
-
-        self.unit = {}
+        unit = {}
         for m, cm in base.unit.items():
             for a, ca in gamma.unit.items():
-                self.unit[self.idx(m, a)] = cm * ca
+                unit[self.idx(m, a)] = cm * ca
+        super().__init__("Omega(P)", field, self.tp.space,
+                         (self.tp.degree(t) for t in self.tp.tuples), unit)
 
         # the product-calculus star is componentwise (no Koszul sign): this is
         # the convention under which d and the extended coproduct are hermitian
@@ -239,7 +146,7 @@ class OmegaP:
         for i in range(self.dim):
             m, g = self.tp.tuples[i]
             acc: Vec = {}
-            for m2, cm in base.star_cols[m].items():
+            for m2, cm in base.star.cols[m].items():
                 for g2, cg in gamma.star.cols[g].items():
                     viadd_term(acc, self.idx(m2, g2), cm * cg)
             star_cols.append(acc)
@@ -315,45 +222,9 @@ class OmegaP:
     def idx(self, m: int, g: int) -> int:
         return self.tp.flat_index((m, g))
 
-    def degree(self, i: int) -> int:
-        return self.degrees[i]
-
-    def mul_basis(self, i: int, j: int) -> Vec:
-        key = (i, j)
-        out = self._mult_cache.get(key)
-        if out is None:
-            m1, g1 = self.tp.tuples[i]
-            m2, g2 = self.tp.tuples[j]
-            if self.degrees[i] + self.degrees[j] > BUDGET:
-                raise DegreeBudget("product exceeds the budget in Omega(P)")
-            sign = (-self.field.one
-                    if (self.gamma.degree(g1) * self.base.degree(m2)) % 2
-                    else self.field.one)
-            out = {}
-            for m, cm in self.base.mul_basis(m1, m2).items():
-                for g, cg in self.gamma.mul_basis(g1, g2).items():
-                    out[self.idx(m, g)] = sign * cm * cg
-            self._mult_cache[key] = out
-        return out
-
-    def mul(self, u: Vec, v: Vec) -> Vec:
-        out: Vec = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                viadd(out, a * b, self.mul_basis(i, j))
-        return out
-
-    def d_apply(self, v: Vec) -> Vec:
-        out: Vec = {}
-        for i, c in v.items():
-            col = self.d_cols[i]
-            if col is None:
-                raise DegreeBudget("d beyond the budget in Omega(P)")
-            viadd(out, c, col)
-        return out
-
-    def star_apply(self, v: Vec) -> Vec:
-        return self.star.apply(v)
+    def _product(self, i: int, j: int) -> Vec:
+        one = self.field.one
+        return graded_tensor_mul(self.tp, self.base, self.gamma, {i: one}, {j: one})
 
     def component(self, degree: int):
         return [i for i in range(self.dim) if self.degrees[i] == degree]
@@ -776,7 +647,7 @@ class TotalCalculus:
 
     def x2_apply(self, v: Vec) -> Vec:
         """X^_2 : W_3 -> Omega(P) (x) Gamma^ (x) Gamma^."""
-        omega, gamma = self.omega, self.gamma
+        omega = self.omega
         ogg = self.ogg_space()
         og = omega.og
         out: Vec = {}
@@ -812,22 +683,10 @@ class TotalCalculus:
 
     def w2_mult(self, u: Vec, v: Vec) -> Vec:
         """Braided product on W_2 transported along X^."""
-        og = self.omega.og
-        omega, gamma = self.omega, self.gamma
-        one = self.field.one
-        xu = self.x_hat.apply(u)
-        xv = self.x_hat.apply(v)
-        out: Vec = {}
-        for fi, c1 in og.lift(xu).items():
-            p, g1 = og.tuples[fi]
-            for fj, c2 in og.lift(xv).items():
-                q, g2 = og.tuples[fj]
-                sign = -one if (gamma.degree(g1) * omega.degree(q)) % 2 else one
-                c0 = c1 * c2 * sign
-                for m, cm in omega.mul_basis(p, q).items():
-                    for gg, cg in gamma.mul_basis(g1, g2).items():
-                        viadd_term(out, og.flat_index((m, gg)), c0 * cm * cg)
-        return self.x_hat_inv.apply(og.project(out))
+        omega = self.omega
+        prod = graded_tensor_mul(omega.og, omega, self.gamma,
+                                 self.x_hat.apply(u), self.x_hat.apply(v))
+        return self.x_hat_inv.apply(prod)
 
     def w3_mult(self, u: Vec, v: Vec) -> Vec:
         """Braided product on W_3 transported along X^_2."""
@@ -917,26 +776,14 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
     rep.add(passing("diff.Xhat-bijective", "X^ bijective per degree",
                     note=str(tc.x_by_degree_ok)))
 
-    def og_mul(u: Vec, v: Vec) -> Vec:
-        out: Vec = {}
-        for fi, c1 in og.lift(u).items():
-            p, g1 = og.tuples[fi]
-            for fj, c2 in og.lift(v).items():
-                q, g2 = og.tuples[fj]
-                sign = -one if (gamma.degree(g1) * omega.degree(q)) % 2 else one
-                c0 = c1 * c2 * sign
-                for m, cm in omega.mul_basis(p, q).items():
-                    for gg, cg in gamma.mul_basis(g1, g2).items():
-                        viadd_term(out, og.flat_index((m, gg)), c0 * cm * cg)
-        return og.project(out)
-
     bad = None
     for i in range(omega.dim):
         for j in range(omega.dim):
             if omega.degree(i) + omega.degree(j) > BUDGET:
                 continue
             lhs = omega.f_hat.apply(omega.mul_basis(i, j))
-            rhs = og_mul(omega.f_hat.cols[i], omega.f_hat.cols[j])
+            rhs = graded_tensor_mul(og, omega, gamma, omega.f_hat.cols[i],
+                                    omega.f_hat.cols[j])
             if lhs != rhs:
                 bad = {"basis_pair": [i, j]}
                 break

@@ -12,9 +12,9 @@ import sys
 
 from .errors import QpbError
 from .formats import SUITES, BuildResult, load_file, run_suites
+from .gauge import classical_braided_hopf, enumerate_gauge, gauge_group_table
 from .hopf import compute_haar
 from .presets import GEN_PRESETS, GROUPS, generate_example, serialize_example
-from .report import ValidationReport
 
 
 def _fail(e: QpbError) -> int:
@@ -95,7 +95,6 @@ def cmd_classicality(args) -> int:
 
 
 def _gauge_group(build: BuildResult):
-    from .gauge import classical_braided_hopf, enumerate_gauge
     bh = classical_braided_hopf(build.gauge)
     return enumerate_gauge(bh)
 
@@ -117,29 +116,9 @@ def cmd_gauge_enumerate(args) -> int:
             cols.append("+".join(f"{c.literal()}*{base_labels[v]}"
                                  for v, c in sorted(col.items())) or "0")
         print(f"gamma[{k}]: " + " | ".join(cols))
-    # group table
-    keyset = {g.matrix_key(): i for i, g in enumerate(gammas)}
     print("table:")
-    field = build.field
-    for g1 in gammas:
-        row = []
-        for g2 in gammas:
-            prod_cols = []
-            gc = build.gauge
-            base = build.bundle.base
-            from .linalg import LinearMap, viadd
-            for li in range(l_dim):
-                acc = {}
-                for fj, c in gc.t_ll.lift(gc.phi_m.cols[li]).items():
-                    l1, l2 = gc.t_ll.tuples[fj]
-                    viadd(acc, c, base.mul(g1.functional.apply({l1: field.one}),
-                                           g2.functional.apply({l2: field.one})))
-                prod_cols.append(acc)
-            prod = LinearMap(gc.l_space, base.space, prod_cols, field)
-            key = tuple(tuple((k2, col[k2].literal()) for k2 in sorted(col))
-                        for col in prod.cols)
-            row.append(str(keyset.get(key, "?")))
-        print("  " + " ".join(row))
+    for row in gauge_group_table(gammas):
+        print("  " + " ".join("?" if idx is None else str(idx) for idx in row))
     print(rep.to_text())
     return 0
 

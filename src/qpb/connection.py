@@ -11,12 +11,11 @@ is D(phi) = d phi - (-1)^{deg phi} sum phi_k omega pi(c_k).
 
 from __future__ import annotations
 
-from .calculus import BUDGET, TotalCalculus
+from .calculus import TotalCalculus
 from .errors import NotCovariant, ValidationFailed
-from .linalg import Echelon, LinearMap, Vec, viadd, viadd_term, vscale
-from .report import (
-    CheckRecord, ValidationReport, failing, map_equality_record, passing, vacuous,
-)
+from .hopf import BUDGET
+from .linalg import Echelon, LinearMap, Vec, viadd, viadd_term
+from .report import CheckRecord, ValidationReport, failing, passing, vacuous
 
 
 class Connection:
@@ -97,7 +96,6 @@ class Connection:
 
 def maurer_cartan(tc: TotalCalculus) -> Connection:
     """omega(theta) = 1_M (x) theta on a product bundle."""
-    field = tc.field
     cols = []
     for t in range(tc.fodc.dim):
         acc: Vec = {}

@@ -12,17 +12,21 @@ Lambda^2, a splitting chosen as the Haar-orthogonal complement of S^2
 differential delta with sigma delta - delta = (id (x) pi) varpi.
 
 GammaEnvelope assembles the degree <= 2 graded *-algebra A (+) Gamma (+)
-Gamma^2 with differential, extended coproduct, counit and antipode.
+Gamma^2 with differential, extended coproduct, counit and antipode.  It is a
+hopf.GradedStarAlgebra, which holds its product, d, star and algebra axiom
+check; the coproduct maps into the graded tensor square, multiplied by
+hopf.graded_tensor_mul, and its checks stay here.
 """
 
 from __future__ import annotations
 
-from .cyclotomic import CycloField
 from .errors import (
-    DegreeBudget, NotAdInvariant, NotIdeal, NotStarCompatible,
-    SplittingIncompatible, ValidationFailed,
+    NotAdInvariant, NotIdeal, NotStarCompatible, SplittingIncompatible,
+    ValidationFailed,
 )
-from .hopf import HopfStarAlgebra, adjoint_action
+from .hopf import (
+    BUDGET, GradedStarAlgebra, HopfStarAlgebra, adjoint_action, graded_tensor_mul,
+)
 from .linalg import (
     BasedSpace, Echelon, LinearMap, QuotientSpace, Vec, span_basis, viadd,
     viadd_term, vscale,
@@ -149,15 +153,6 @@ class Fodc:
                 cols.append(acc)
         self.sigma = LinearMap(self.sq_space, self.sq_space, cols, field)
 
-    def circ_apply(self, v: Vec, a_vec: Vec) -> Vec:
-        out: Vec = {}
-        for a, c in a_vec.items():
-            viadd(out, c, self.circ[a].apply(v))
-        return out
-
-    def pi_vec(self, v: Vec) -> Vec:
-        return self.pi.apply(v)
-
     def braid_equation_report(self) -> ValidationReport:
         rep = ValidationReport()
         if self.dim == 0:
@@ -269,7 +264,6 @@ class Envelope2:
         def orth_rep(v: Vec) -> Vec:
             # v - projection onto span(rel_mat) w.r.t. the Haar form
             n = len(rel_mat)
-            rows = []
             rhs = {}
             cols = [dict() for _ in range(n)]
             for a in range(n):
@@ -459,7 +453,7 @@ def build_envelope2(fodc: Fodc) -> Envelope2:
     return Envelope2(fodc)
 
 
-class GammaEnvelope:
+class GammaEnvelope(GradedStarAlgebra):
     """The degree <= 2 graded *-algebra A (+) (A (x) Gamma_inv) (+)
     (A (x) Lambda^2) with differential, coproduct, counit and antipode.
 
@@ -472,8 +466,6 @@ class GammaEnvelope:
         self.fodc = env.fodc
         g = self.fodc.group
         self.group = g
-        field = g.field
-        self.field = field
         da = g.dim
         d1 = self.fodc.dim
         d2 = env.lambda2.dim
@@ -481,13 +473,12 @@ class GammaEnvelope:
         labels = list(g.space.labels)
         labels += [f"{a}.{t}" for a in g.space.labels for t in self.fodc.inv_space.labels]
         labels += [f"{a}.{t}" for a in g.space.labels for t in env.l2_space.labels]
-        self.space = BasedSpace(tuple(labels))
-        self.degrees = tuple([0] * da + [1] * (da * d1) + [2] * (da * d2))
+        # the unit of A sits in the degree-0 block, whose indices are A's own
+        super().__init__("Gamma^", g.field, BasedSpace(tuple(labels)),
+                         [0] * da + [1] * (da * d1) + [2] * (da * d2), g.unit)
         self.off1 = da
         self.off2 = da + da * d1
-        self.dim = len(labels)
         self.factor = Factor(self.space, self.degrees)
-        self._mult_cache: dict = {}
         self._build_maps()
 
     # -- index helpers -----------------------------------------------------
@@ -511,9 +502,6 @@ class GammaEnvelope:
         j = i - self.off2
         return 2, j // self.d2, j % self.d2
 
-    def degree(self, i: int) -> int:
-        return self.degrees[i]
-
     def inv1_vec(self, t: int) -> Vec:
         """1 (x) theta_t as an element of Gamma (unit in the A leg)."""
         return {self.i1(k, t): c for k, c in self.group.unit.items()}
@@ -523,20 +511,10 @@ class GammaEnvelope:
 
     # -- algebra structure ----------------------------------------------------
 
-    def mul_basis(self, i: int, j: int) -> Vec:
-        key = (i, j)
-        out = self._mult_cache.get(key)
-        if out is None:
-            out = self._mul_basis(i, j)
-            self._mult_cache[key] = out
-        return out
-
-    def _mul_basis(self, i: int, j: int) -> Vec:
+    def _product(self, i: int, j: int) -> Vec:
         g = self.group
         di, a, t = self.split(i)
         dj, b, s = self.split(j)
-        if di + dj > 2:
-            raise DegreeBudget("product exceeds the degree budget in Gamma^")
         out: Vec = {}
         if di == 0 and dj == 0:
             for k, c in g.algebra.mul_basis(a, b).items():
@@ -567,17 +545,6 @@ class GammaEnvelope:
                         for x, cx in w.items():
                             viadd_term(out, self.i2(k, x), c * ck * cu * cx)
         return out
-
-    def mul(self, u: Vec, v: Vec) -> Vec:
-        out: Vec = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                viadd(out, a * b, self.mul_basis(i, j))
-        return out
-
-    @property
-    def unit(self) -> Vec:
-        return {self.i0(k): c for k, c in self.group.unit.items()}
 
     def eps_basis(self, i: int):
         deg, a, _ = self.split(i)
@@ -637,10 +604,10 @@ class GammaEnvelope:
         self.d_cols = d_cols
 
         # coproduct into the free graded tensor square
-        self.square = TProd(field, (self.factor, self.factor), budget=2,
+        self.square = TProd(field, (self.factor, self.factor), budget=BUDGET,
                             name="Gamma^(x)Gamma^")
         self.triple = TProd(field, (self.factor, self.factor, self.factor),
-                            budget=2, name="Gamma^(x)3")
+                            budget=BUDGET, name="Gamma^(x)3")
         sq = self.square
         phi_cols = []
         for i in range(self.dim):
@@ -653,7 +620,7 @@ class GammaEnvelope:
             elif deg == 1:
                 for a1, a2, c in g.sweedler(a):
                     viadd_term(acc, sq.flat_index((self.i0(a1), self.i1(a2, t))), c)
-                for th, ck, cc in self._varpi_pairs(t):
+                for th, ck, cc in fodc.varpi_legs[t]:
                     for a1, a2, c in g.sweedler(a):
                         for m, cm in g.algebra.mul_basis(a2, ck).items():
                             viadd_term(acc, sq.flat_index((self.i1(a1, th), self.i0(m))),
@@ -677,8 +644,9 @@ class GammaEnvelope:
             base = phi_cols[self.i0(a)]
             for idx, c in lift.items():
                 t1, t2 = divmod(idx, d1)
-                viadd(acc, c, self._sq_mul(phi_inv1[t1], phi_inv1[t2]))
-            phi_cols[i] = self._sq_mul(base, acc)
+                viadd(acc, c, graded_tensor_mul(sq, self, self,
+                                                phi_inv1[t1], phi_inv1[t2]))
+            phi_cols[i] = graded_tensor_mul(sq, self, self, base, acc)
         self.phi_hat = LinearMap(self.space, sq.space, phi_cols, field)
 
         # well-definedness on S^2 for both phi and kappa
@@ -686,7 +654,8 @@ class GammaEnvelope:
             acc: Vec = {}
             for idx, c in s.items():
                 t1, t2 = divmod(idx, d1)
-                viadd(acc, c, self._sq_mul(phi_inv1[t1], phi_inv1[t2]))
+                viadd(acc, c, graded_tensor_mul(sq, self, self,
+                                                phi_inv1[t1], phi_inv1[t2]))
             if acc:
                 raise ValidationFailed(
                     "extended coproduct is ill-defined on the quadratic ideal")
@@ -753,40 +722,8 @@ class GammaEnvelope:
             raise ValidationFailed("extended antipode is not bijective")
         self.kappa_hat_inv = self.kappa_hat.inverse()
 
-        self._self_checks()
-
-    def _varpi_pairs(self, t: int):
-        return self.fodc.varpi_legs[t]
-
-    def _sq_mul(self, u: Vec, v: Vec) -> Vec:
-        """Product in the graded tensor square (x (x) y)(p (x) q) =
-        (-1)^{deg y deg p} xp (x) yq, degree-budgeted."""
-        sq = self.square
-        one = self.field.one
-        out: Vec = {}
-        for iu, cu in sq.lift(u).items():
-            x, y = sq.tuples[iu]
-            dy = self.degree(y)
-            for iv, cv in sq.lift(v).items():
-                p, q = sq.tuples[iv]
-                sign = -one if (dy * self.degree(p)) % 2 else one
-                c0 = cu * cv * sign
-                for xp, cx in self.mul_basis(x, p).items():
-                    for yq, cy in self.mul_basis(y, q).items():
-                        viadd_term(out, sq.flat_index((xp, yq)), c0 * cx * cy)
-        return sq.project(out)
-
-    def d_apply(self, v: Vec) -> Vec:
-        out: Vec = {}
-        for i, c in v.items():
-            col = self.d_cols[i]
-            if col is None:
-                raise DegreeBudget("d on a degree-2 element of Gamma^")
-            viadd(out, c, col)
-        return out
-
-    def star_apply(self, v: Vec) -> Vec:
-        return self.star.apply(v)
+        self.check_axioms()
+        self._coproduct_checks()
 
     def ad_hat(self) -> LinearMap:
         """Graded adjoint coaction ad = chi{kappa((1)) (x) (2)} (3) into the
@@ -810,69 +747,8 @@ class GammaEnvelope:
             cols.append(sq.project(acc))
         return LinearMap(self.space, sq.space, cols, field)
 
-    def _self_checks(self):
-        g = self.group
-        field = self.field
-        one = field.one
-        # associativity within the budget
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.degree(i) + self.degree(j) > 2:
-                    continue
-                ij = self.mul_basis(i, j)
-                for k in range(self.dim):
-                    if self.degree(i) + self.degree(j) + self.degree(k) > 2:
-                        continue
-                    lhs = self.mul(ij, {k: one})
-                    rhs = self.mul({i: one}, self.mul_basis(j, k))
-                    if lhs != rhs:
-                        raise ValidationFailed(
-                            f"Gamma^ product is not associative at ({i},{j},{k})")
-        # unit
-        u = self.unit
-        for i in range(self.dim):
-            if self.mul(u, {i: one}) != {i: one} or self.mul({i: one}, u) != {i: one}:
-                raise ValidationFailed("Gamma^ unit fails")
-        # d: Leibniz and d^2 = 0 on degree 0, hermitian
-        for i in range(self.dim):
-            if self.degree(i) != 0:
-                continue
-            dd = self.d_apply(self.d_cols[i])
-            if dd:
-                raise ValidationFailed("d^2 != 0 on Gamma^")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.degree(i) + self.degree(j) > 1:
-                    continue
-                lhs = self.d_apply(self.mul_basis(i, j))
-                sign = -one if self.degree(i) % 2 else one
-                rhs = self.mul(self.d_cols[i], {j: one})
-                for k, c in self.mul({i: one}, self.d_cols[j]).items():
-                    viadd_term(rhs, k, sign * c)
-                if lhs != rhs:
-                    raise ValidationFailed(f"Leibniz fails at ({i},{j})")
-        for i in range(self.dim):
-            if self.degree(i) > 1:
-                continue
-            lhs = self.d_apply(self.star.cols[i])
-            rhs = self.star_apply(self.d_cols[i])
-            if lhs != rhs:
-                raise ValidationFailed("d is not hermitian on Gamma^")
-        # star: involutive, graded-antimultiplicative
-        for i in range(self.dim):
-            if self.star_apply(self.star.cols[i]) != {i: one}:
-                raise ValidationFailed("Gamma^ star is not involutive")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.degree(i) + self.degree(j) > 2:
-                    continue
-                lhs = self.star_apply(self.mul_basis(i, j))
-                sign = -one if (self.degree(i) * self.degree(j)) % 2 else one
-                rhs = {}
-                for k, c in self.mul(self.star.cols[j], self.star.cols[i]).items():
-                    viadd_term(rhs, k, sign * c)
-                if lhs != rhs:
-                    raise ValidationFailed("Gamma^ star is not graded-antimultiplicative")
+    def _coproduct_checks(self):
+        one = self.field.one
         # coproduct: counit laws, coassociativity, multiplicativity, hermitian
         sq, tri = self.square, self.triple
         for i in range(self.dim):
@@ -904,7 +780,8 @@ class GammaEnvelope:
                 lhs = {}
                 for k, c in self.mul_basis(i, j).items():
                     viadd(lhs, c, self.phi_hat.cols[k])
-                rhs = self._sq_mul(self.phi_hat.cols[i], self.phi_hat.cols[j])
+                rhs = graded_tensor_mul(sq, self, self,
+                                        self.phi_hat.cols[i], self.phi_hat.cols[j])
                 if lhs != rhs:
                     raise ValidationFailed("Gamma^ coproduct is not multiplicative")
         # hermiticity of the coproduct for the componentwise tensor star

@@ -13,15 +13,10 @@ import json
 
 from .braiding import braided_structure, classicality_report, sigma_m, verify_braiding_suite
 from .bundle import Bundle, build_bundle, galois_tower, translation_identities
-from .calculus import (
-    TotalCalculus, build_total_calculus, trivial_base_calculus,
-    universal_base_calculus,
-)
+from .calculus import TotalCalculus, trivial_base_calculus, universal_base_calculus
 from .connection import maurer_cartan, perturbed_connection, verify_transformations
 from .cyclotomic import CycloField
-from .errors import (
-    NotClassical, NotCommutative, QpbError, SpecFileError, UnknownPreset,
-)
+from .errors import NotCommutative, SpecFileError, UnknownPreset
 from .fodc import universal_ideal, zero_ideal
 from .gauge import (
     build_gauge_coalgebra, classical_braided_hopf, enumerate_gauge,
@@ -31,7 +26,8 @@ from .hopf import (
     Corepresentation, HopfStarAlgebra, StarAlgebra, compute_haar, validate_hopf,
 )
 from .linalg import BasedSpace, LinearMap, Vec, tensor_labels
-from .report import CheckRecord, ValidationReport, passing, vacuous
+from .presets import functions_on_points, trivial_bundle
+from .report import CheckRecord, ValidationReport
 
 FORMAT_TAG = "qpb-spec/1"
 
@@ -293,7 +289,7 @@ class BuildResult:
                 if not isinstance(points, int) or points < 1:
                     raise SpecFileError("base_points must be a positive integer",
                                         where="bundle.base_points")
-                total, _, coaction = _trivial_from_hopf(h, points)
+                total, coaction = trivial_bundle(h, points)
                 return build_bundle(total, h, coaction)
             raise UnknownPreset(f"unknown bundle preset {preset!r}",
                                 where="bundle.preset")
@@ -400,11 +396,7 @@ class BuildResult:
             preset = base_spec.get("preset", "trivial")
             points = 1 if spec["preset"] == "point" else spec.get("base_points", 2)
             if preset == "trivial":
-                if spec["preset"] == "point":
-                    base = trivial_base_calculus(_point_algebra(self.field))
-                else:
-                    total, _, _ = _trivial_from_hopf(self.hopf, points)
-                    base = _trivial_base_from_points(points, self.field)
+                base = trivial_base_calculus(functions_on_points(points, self.field))
             elif preset == "universal":
                 if points > 3:
                     raise UnknownPreset("universal base calculus supports at most "
@@ -436,71 +428,6 @@ class BuildResult:
                                               tc.base_calc.dim,
                                               f"connection.perturbation[{n}]"))
         return perturbed_connection(tc, lam_cols)
-
-
-def _point_algebra(field):
-    space = BasedSpace(("1",))
-    star = LinearMap(space, space, [{0: field.one}], field, antilinear=True)
-    return StarAlgebra("C(pt)", field, space, [[{0: field.one}]],
-                       {0: field.one}, star)
-
-
-def _trivial_base_from_points(points, field):
-    space = BasedSpace(tuple(f"x{i}" for i in range(points)))
-    one = field.one
-    mult = [[({i: one} if i == j else {}) for j in range(points)]
-            for i in range(points)]
-    star = LinearMap(space, space, [{i: one} for i in range(points)], field,
-                     antilinear=True)
-    alg = StarAlgebra("C(X)", field, space, mult,
-                      {i: one for i in range(points)}, star)
-    return trivial_base_calculus(alg)
-
-
-def _trivial_from_hopf(h: HopfStarAlgebra, points: int):
-    """Total algebra C(X) (x) A with F = id (x) phi, from an already built
-    Hopf algebra."""
-    field = h.field
-    one = field.one
-    da = h.dim
-    labels = tuple(f"x{p}.{lab}" for p in range(points) for lab in h.space.labels)
-    space = BasedSpace(labels)
-
-    def idx(p, a):
-        return p * da + a
-
-    mult = []
-    for p in range(points):
-        for a in range(da):
-            row = []
-            for q in range(points):
-                for b_ in range(da):
-                    if p != q:
-                        row.append({})
-                    else:
-                        row.append({idx(p, k): c
-                                    for k, c in h.algebra.mul_basis(a, b_).items()})
-            mult.append(row)
-    unit: Vec = {}
-    for p in range(points):
-        for a, c in h.unit.items():
-            unit[idx(p, a)] = c
-    star_cols = []
-    for p in range(points):
-        for a in range(da):
-            star_cols.append({idx(p, k): c
-                              for k, c in h.star_vec({a: one}).items()})
-    star = LinearMap(space, space, star_cols, field, antilinear=True)
-    total = StarAlgebra(f"C(X{points})(x)A", field, space, mult, unit, star)
-    f_cols = []
-    for p in range(points):
-        for a in range(da):
-            col: Vec = {}
-            for a1, a2, c in h.sweedler(a):
-                col[idx(p, a1) * da + a2] = c
-            f_cols.append(col)
-    coaction = LinearMap(space, tensor_labels(space, h.space), f_cols, field)
-    return total, h, coaction
 
 
 # -- suite runner --------------------------------------------------------------------
@@ -553,7 +480,7 @@ def run_suites(build: BuildResult, suites, degree: int = 2,
                 if merge(bh.report):
                     return report
                 try:
-                    gammas, gr = enumerate_gauge(bh)
+                    _, gr = enumerate_gauge(bh)
                     if merge(gr):
                         return report
                 except NotCommutative as e:
@@ -583,10 +510,6 @@ def run_suites(build: BuildResult, suites, degree: int = 2,
             if merge(verify_transformations(conn)):
                 return report
     return report
-
-
-def report_json(report: ValidationReport, meta: dict | None = None) -> str:
-    return report.to_json(meta)
 
 
 def load_file(path: str) -> SpecFile:

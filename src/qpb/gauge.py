@@ -15,9 +15,10 @@ from .braiding import BraidOperator, sigma_m
 from .bundle import Bundle
 from .charsplit import CommAlgebra, field_characters
 from .errors import NotClassical, NotCommutative, ValidationFailed
+from .hopf import table_mul
 from .linalg import (
-    BasedSpace, Echelon, LinearMap, Vec, intersect_spans, span_basis,
-    spans_equal, viadd, viadd_term,
+    BasedSpace, LinearMap, Vec, intersect_spans, span_basis, spans_equal, viadd,
+    viadd_term,
 )
 from .report import (
     CheckRecord, ValidationReport, failing, map_equality_record, passing, vacuous,
@@ -235,14 +236,6 @@ class GaugeCoalgebra:
             cols.append(col)
         return LinearMap(b2.space, bba.space, cols, field)
 
-    def eps_apply(self, lvec: Vec) -> Vec:
-        """eps_M of an L-coordinate vector, as a vector in B (via V)."""
-        out: Vec = {}
-        vcoords = self.eps_m.apply(lvec)
-        for v, c in vcoords.items():
-            viadd(out, c, self.bundle.base_vectors[v])
-        return out
-
     # -- coalgebra identities ---------------------------------------------------
 
     def _verify_coalgebra(self):
@@ -251,7 +244,6 @@ class GaugeCoalgebra:
         one = field.one
         rep = self.report
         nl = self.l_space.dim
-        ident_l = LinearMap.identity(self.l_space, field)
 
         # (eps_M (x) id) phi_M = (id (x) eps_M) phi_M = id
         def eps1_terms(t):
@@ -486,7 +478,6 @@ class BraidedHopf:
         self.report = ValidationReport()
         rep = self.report
         b2 = b.b2
-        b3 = b.b_space(3)
         b4 = b.b_space(4)
         unit2 = unit_b2(b)
 
@@ -755,8 +746,7 @@ class GaugeTransformation:
         return out
 
     def matrix_key(self):
-        return tuple(tuple((k, col[k].literal()) for k in sorted(col))
-                     for col in self.functional.cols)
+        return _matrix_key(self.functional)
 
     def __eq__(self, other):
         return isinstance(other, GaugeTransformation) and \
@@ -896,7 +886,6 @@ def _gamma_flags(bh: BraidedHopf, gamma: LinearMap) -> dict:
     flags["star"] = ok
     # compatibility: gamma(rho) b = sum b_j gamma(rho_j)
     braid = gc.braid
-    b3 = b.b_space(3)
     s12 = braid.at(3, 0)
     s23 = braid.at(3, 1)
     move = s12.compose(s23)
@@ -929,6 +918,34 @@ def _gamma_flags(bh: BraidedHopf, gamma: LinearMap) -> dict:
     return flags
 
 
+def _matrix_key(m: LinearMap):
+    return tuple(tuple((k, col[k].literal()) for k in sorted(col)) for col in m.cols)
+
+
+def compose_gammas(g1: GaugeTransformation, g2: GaugeTransformation) -> LinearMap:
+    """The group product gamma gamma' = (gamma (x) gamma')phi_M, as a map L -> V."""
+    gc = g1.gc
+    base = gc.bundle.base
+    one = gc.field.one
+    cols = []
+    for li in range(gc.l_space.dim):
+        acc: Vec = {}
+        for fj, c in gc.t_ll.lift(gc.phi_m.cols[li]).items():
+            l1, l2 = gc.t_ll.tuples[fj]
+            viadd(acc, c, base.mul(g1.functional.apply({l1: one}),
+                                   g2.functional.apply({l2: one})))
+        cols.append(acc)
+    return LinearMap(gc.l_space, base.space, cols, gc.field)
+
+
+def gauge_group_table(gammas) -> list:
+    """table[i][j]: the index of gammas[i] gammas[j] in gammas, or None if the
+    product is not in the list."""
+    keyset = {g.matrix_key(): i for i, g in enumerate(gammas)}
+    return [[keyset.get(_matrix_key(compose_gammas(g1, g2))) for g2 in gammas]
+            for g1 in gammas]
+
+
 def enumerate_gauge(bh: BraidedHopf):
     """All gauge transformations of a classical bundle with commutative L and
     V, found through primitive idempotents; the group law, the inverses, the
@@ -957,7 +974,7 @@ def enumerate_gauge(bh: BraidedHopf):
                 raise NotCommutative("V does not act centrally on L")
 
     l_alg = CommAlgebra(field, gc.l_space.dim,
-                        lambda u, v: _bilinear(bh.l_mult, u, v),
+                        lambda u, v: table_mul(bh.l_mult, u, v),
                         bh.l_unit)
     v_alg = CommAlgebra(field, base.dim,
                         lambda u, v: base.mul(u, v), base.unit)
@@ -1006,31 +1023,9 @@ def enumerate_gauge(bh: BraidedHopf):
                         note=f"{len(gammas)} transformations"))
 
     # group structure: products, inverses, unit
-    def compose_gammas(g1: GaugeTransformation, g2: GaugeTransformation) -> LinearMap:
-        cols = []
-        for li in range(gc.l_space.dim):
-            acc: Vec = {}
-            for fj, c in gc.t_ll.lift(gc.phi_m.cols[li]).items():
-                l1, l2 = gc.t_ll.tuples[fj]
-                viadd(acc, c, base.mul(g1.functional.apply({l1: one}),
-                                       g2.functional.apply({l2: one})))
-            cols.append(acc)
-        return LinearMap(gc.l_space, base.space, cols, field)
-
+    table = gauge_group_table(gammas)
+    ok = all(idx is not None for row in table for idx in row)
     keyset = {g.matrix_key(): i for i, g in enumerate(gammas)}
-    table = []
-    ok = True
-    for g1 in gammas:
-        row = []
-        for g2 in gammas:
-            prod = compose_gammas(g1, g2)
-            key = tuple(tuple((k, col[k].literal()) for k in sorted(col))
-                        for col in prod.cols)
-            idx = keyset.get(key)
-            if idx is None:
-                ok = False
-            row.append(idx)
-        table.append(row)
     rep.add(passing("gauge-group.closed", "gamma gamma' = (gamma (x) gamma')phi_M stays in the set")
             if ok else failing("gauge-group.closed", "product closure", {}))
     inv_ok = True
@@ -1043,15 +1038,12 @@ def enumerate_gauge(bh: BraidedHopf):
         inv_ok = False
     else:
         kappa_inv = bh.kappa_m.inverse()
-        for g in gammas:
-            ginv = g.functional.compose(kappa_inv)
-            key = tuple(tuple((k, col[k].literal()) for k in sorted(col))
-                        for col in ginv.cols)
-            j = keyset.get(key)
+        for i, g in enumerate(gammas):
+            j = keyset.get(_matrix_key(g.functional.compose(kappa_inv)))
             if j is None:
                 inv_ok = False
                 break
-            if table[keyset[g.matrix_key()]][j] != unit_idx:
+            if table[i][j] != unit_idx:
                 inv_ok = False
                 break
     rep.add(passing("gauge-group.inverse", "gamma^-1 = gamma kappa_M^-1, unit = eps_M")
@@ -1061,7 +1053,6 @@ def enumerate_gauge(bh: BraidedHopf):
     ok_auto = True
     ok_comp = True
     ok_equiv = True
-    ident = LinearMap.identity(b.total.space, field)
     for i, g in enumerate(gammas):
         act = g.action
         if not act.is_bijective():
@@ -1082,7 +1073,6 @@ def enumerate_gauge(bh: BraidedHopf):
                 ok_auto = False
                 break
         # F-equivariance F(gamma.b) = sum (gamma.b_k) (x) c_k
-        ba = b.mixed_space("BA")
         for p in range(b.total.dim):
             lhs = b.coaction.apply(act.apply({p: one}))
             acc: Vec = {}
@@ -1137,15 +1127,6 @@ def _assignments(n_v, l_chars, v_in_l, char_value, v_idems, v_alg, field):
         compatible.append(options)
     for combo in iproduct(*compatible):
         yield list(enumerate(combo))
-
-
-def _bilinear(table, u: Vec, v: Vec) -> Vec:
-    out: Vec = {}
-    for i, a in u.items():
-        row = table[i]
-        for j, b_ in v.items():
-            viadd(out, a * b_, row[j])
-    return out
 
 
 # -- isotypic decomposition --------------------------------------------------------

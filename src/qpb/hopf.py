@@ -5,6 +5,12 @@ the validator checks all axioms on basis elements and reports witnesses.  The
 generators produce the function algebra C(G) and the group algebra C[G] of a
 finite group table, together with corepresentation data (characters and
 irreducible matrices) used for isotypic decompositions.
+
+GradedStarAlgebra is the one implementation of the graded differential
+*-algebras truncated at degree BUDGET (Omega(M), Gamma^ and Omega(P)): the
+memoized basis product, mul, d, star and the axiom check live there, and
+graded_tensor_mul is the Koszul-signed product of a graded tensor product of
+two of them.  table_mul is the bilinear product from a full structure table.
 """
 
 from __future__ import annotations
@@ -12,12 +18,26 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .cyclotomic import CycloField, Scalar
-from .errors import InputError, NoHaar, NonUnique, ValidationFailed
+from .errors import DegreeBudget, InputError, NoHaar, NonUnique, ValidationFailed
 from .linalg import (
     BasedSpace, LinearMap, Vec, nullspace_of_columns, tensor_labels,
     viadd, viadd_term, vscale,
 )
 from .report import CheckRecord, ValidationReport, failing, passing
+from .tensor import TProd
+
+BUDGET = 2  # top degree kept by every graded algebra and tensor product
+
+
+def table_mul(table, u: Vec, v: Vec) -> Vec:
+    """The bilinear product with basis products ``table[i][j]``."""
+    out: Vec = {}
+    for i, a in u.items():
+        row = table[i]
+        for j, b in v.items():
+            if row[j]:
+                viadd(out, a * b, row[j])
+    return out
 
 
 class StarAlgebra:
@@ -41,13 +61,7 @@ class StarAlgebra:
         return self.space.dim
 
     def mul(self, u: Vec, v: Vec) -> Vec:
-        out: Vec = {}
-        for i, a in u.items():
-            row = self.mult[i]
-            for j, b in v.items():
-                if row[j]:
-                    viadd(out, a * b, row[j])
-        return out
+        return table_mul(self.mult, u, v)
 
     def mul_basis(self, i: int, j: int) -> Vec:
         return self.mult[i][j]
@@ -118,6 +132,140 @@ class StarAlgebra:
         rep.add(failing(f"{prefix}.star-antimult", "(ab)* = b*a*", bad) if bad
                 else passing(f"{prefix}.star-antimult", "(ab)* = b*a*"))
         return rep
+
+
+class GradedStarAlgebra:
+    """Unital graded *-algebra with a differential, truncated at degree BUDGET.
+
+    A subclass sets ``star`` (an antilinear LinearMap) and ``d_cols`` (d of
+    each basis element, None where it would leave the budget) and defines
+    ``_product(i, j)``, the product of two basis elements whose degrees add
+    up to at most BUDGET.  Each such product is computed once.
+    """
+
+    star: LinearMap
+    d_cols: list
+
+    def __init__(self, name: str, field: CycloField, space: BasedSpace, degrees,
+                 unit: Vec):
+        self.name = name
+        self.field = field
+        self.space = space
+        self.dim = space.dim
+        self.degrees = tuple(degrees)
+        self.unit = dict(unit)
+        self._products: dict = {}
+
+    def degree(self, i: int) -> int:
+        return self.degrees[i]
+
+    def mul_basis(self, i: int, j: int) -> Vec:
+        out = self._products.get((i, j))
+        if out is None:
+            if self.degrees[i] + self.degrees[j] > BUDGET:
+                raise DegreeBudget(f"product exceeds the degree budget in {self.name}")
+            out = self._products[i, j] = self._product(i, j)
+        return out
+
+    def mul(self, u: Vec, v: Vec) -> Vec:
+        out: Vec = {}
+        for i, a in u.items():
+            for j, b in v.items():
+                p = self.mul_basis(i, j)
+                if p:
+                    viadd(out, a * b, p)
+        return out
+
+    def d_apply(self, v: Vec) -> Vec:
+        out: Vec = {}
+        for i, c in v.items():
+            col = self.d_cols[i]
+            if col is None:
+                raise DegreeBudget(f"d beyond the degree budget in {self.name}")
+            viadd(out, c, col)
+        return out
+
+    def star_apply(self, v: Vec) -> Vec:
+        return self.star.apply(v)
+
+    def check_axioms(self) -> None:
+        """Associativity and unit, star involutive and graded-antimultiplicative,
+        d^2 = 0, Leibniz and d hermitian, on basis elements wherever both sides
+        stay within the budget; raises ValidationFailed naming the algebra."""
+        one = self.field.one
+        deg = self.degrees
+        n = self.dim
+
+        def fail(what: str):
+            raise ValidationFailed(f"{self.name}: {what}")
+
+        for i in range(n):
+            for j in range(n):
+                if deg[i] + deg[j] > BUDGET:
+                    continue
+                ij = self.mul_basis(i, j)
+                for k in range(n):
+                    if deg[i] + deg[j] + deg[k] > BUDGET:
+                        continue
+                    if self.mul(ij, {k: one}) != self.mul({i: one}, self.mul_basis(j, k)):
+                        fail(f"product not associative at ({i},{j},{k})")
+        for i in range(n):
+            e = {i: one}
+            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
+                fail("unit fails")
+        for i in range(n):
+            if self.star_apply(self.star.cols[i]) != {i: one}:
+                fail("star not involutive")
+        for i in range(n):
+            for j in range(n):
+                if deg[i] + deg[j] > BUDGET:
+                    continue
+                lhs = self.star_apply(self.mul_basis(i, j))
+                rhs = self.mul(self.star.cols[j], self.star.cols[i])
+                if (deg[i] * deg[j]) % 2:
+                    rhs = vscale(-one, rhs)
+                if lhs != rhs:
+                    fail("star not graded-antimultiplicative")
+        for i in range(n):
+            if deg[i] == 0 and self.d_apply(self.d_cols[i]):
+                fail("d^2 != 0")
+        for i in range(n):
+            for j in range(n):
+                if deg[i] + deg[j] > BUDGET - 1:
+                    continue
+                lhs = self.d_apply(self.mul_basis(i, j))
+                rhs = self.mul(self.d_cols[i], {j: one})
+                viadd(rhs, -one if deg[i] % 2 else one, self.mul({i: one}, self.d_cols[j]))
+                if lhs != rhs:
+                    fail(f"Leibniz fails at ({i},{j})")
+        for i in range(n):
+            if deg[i] <= BUDGET - 1 and \
+                    self.d_apply(self.star.cols[i]) != self.star_apply(self.d_cols[i]):
+                fail("d not hermitian")
+
+
+def graded_tensor_mul(tp: TProd, left: GradedStarAlgebra, right: GradedStarAlgebra,
+                      u: Vec, v: Vec) -> Vec:
+    """Product of u and v in the graded tensor product tp of ``left`` and
+    ``right``: (x (x) y)(p (x) q) = (-1)^{|y||p|} xp (x) yq."""
+    one = tp.field.one
+    v_terms = [(tp.tuples[iv], cv) for iv, cv in tp.lift(v).items()]
+    out: Vec = {}
+    for iu, cu in tp.lift(u).items():
+        x, y = tp.tuples[iu]
+        dy = right.degree(y)
+        for (p, q), cv in v_terms:
+            xp = left.mul_basis(x, p)
+            if not xp:
+                continue
+            yq = right.mul_basis(y, q)
+            if not yq:
+                continue
+            c0 = cu * cv * (-one if (dy * left.degree(p)) % 2 else one)
+            for k1, c1 in xp.items():
+                for k2, c2 in yq.items():
+                    viadd_term(out, tp.flat_index((k1, k2)), c0 * c1 * c2)
+    return tp.project(out)
 
 
 class HopfStarAlgebra:
@@ -367,14 +515,6 @@ def _tensor_star(h: HopfStarAlgebra, x: Vec) -> Vec:
             for k2, c2 in s2.items():
                 viadd_term(out, k1 * dim + k2, a.conj() * c1 * c2)
     return out
-
-
-def require_valid(rep: ValidationReport, what: str, where: str | None = None) -> None:
-    if not rep.ok:
-        first = rep.failures[0]
-        raise ValidationFailed(
-            f"{what} failed axiom {first.identity_id} with witness {first.witness}",
-            where=where, record=first)
 
 
 # -- Haar computation ----------------------------------------------------------

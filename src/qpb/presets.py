@@ -14,7 +14,7 @@ from .hopf import (
     HopfStarAlgebra, StarAlgebra, gen_from_group_table, group_conductor,
     named_group,
 )
-from .linalg import BasedSpace, LinearMap, Vec
+from .linalg import BasedSpace, LinearMap, Vec, tensor_labels
 
 GROUPS = ("Z2", "Z3", "S3", "trivial")
 KINDS = ("function_algebra", "group_algebra")
@@ -33,27 +33,35 @@ def point_bundle_data(group: str, kind: str = "function_algebra",
     return h.algebra, h, h.coproduct
 
 
-def trivial_bundle_data(group: str, base_points: int, kind: str = "function_algebra",
-                        conductor: int | None = None):
-    """(total, group_hopf, coaction) for B = C(X) (x) A, F = id (x) phi."""
-    if base_points < 1:
-        raise UnknownPreset(f"base_points must be >= 1, got {base_points}")
-    h = hopf_preset(group, kind, conductor)
+def functions_on_points(points: int, field: CycloField) -> StarAlgebra:
+    """C(X) for a set X of ``points`` points: delta functions x0, x1, ... with
+    the pointwise product and the trivial star; points = 1 gives C(pt)."""
+    space = BasedSpace(tuple(f"x{i}" for i in range(points)))
+    one = field.one
+    mult = [[({i: one} if i == j else {}) for j in range(points)]
+            for i in range(points)]
+    star = LinearMap(space, space, [{i: one} for i in range(points)], field,
+                     antilinear=True)
+    return StarAlgebra(f"C(X{points})", field, space, mult,
+                       {i: one for i in range(points)}, star)
+
+
+def trivial_bundle(h: HopfStarAlgebra, points: int):
+    """(total, coaction) for B = C(X) (x) A, F = id (x) phi, over |X| = points."""
     field = h.field
     one = field.one
     da = h.dim
-    nx = base_points
-    labels = tuple(f"x{p}.{lab}" for p in range(nx) for lab in h.space.labels)
+    labels = tuple(f"x{p}.{lab}" for p in range(points) for lab in h.space.labels)
     space = BasedSpace(labels)
 
     def idx(p, a):
         return p * da + a
 
     mult = []
-    for p in range(nx):
+    for p in range(points):
         for a in range(da):
             row = []
-            for q in range(nx):
+            for q in range(points):
                 for b_ in range(da):
                     if p != q:
                         row.append({})
@@ -62,35 +70,36 @@ def trivial_bundle_data(group: str, base_points: int, kind: str = "function_alge
                                     for k, c in h.algebra.mul_basis(a, b_).items()})
             mult.append(row)
     unit: Vec = {}
-    for p in range(nx):
+    for p in range(points):
         for a, c in h.unit.items():
             unit[idx(p, a)] = c
     star_cols = []
-    for p in range(nx):
+    for p in range(points):
         for a in range(da):
             star_cols.append({idx(p, k): c
                               for k, c in h.star_vec({a: one}).items()})
     star = LinearMap(space, space, star_cols, field, antilinear=True)
-    total = StarAlgebra(f"C(X{nx})(x){h.algebra.name}", field, space, mult, unit, star)
+    total = StarAlgebra(f"C(X{points})(x){h.algebra.name}", field, space, mult, unit,
+                        star)
     f_cols = []
-    for p in range(nx):
+    for p in range(points):
         for a in range(da):
             col: Vec = {}
             for a1, a2, c in h.sweedler(a):
                 col[idx(p, a1) * da + a2] = c
             f_cols.append(col)
-    from .linalg import tensor_labels
     coaction = LinearMap(space, tensor_labels(space, h.space), f_cols, field)
+    return total, coaction
+
+
+def trivial_bundle_data(group: str, base_points: int, kind: str = "function_algebra",
+                        conductor: int | None = None):
+    """(total, group_hopf, coaction) for B = C(X) (x) A, F = id (x) phi."""
+    if base_points < 1:
+        raise UnknownPreset(f"base_points must be >= 1, got {base_points}")
+    h = hopf_preset(group, kind, conductor)
+    total, coaction = trivial_bundle(h, base_points)
     return total, h, coaction
-
-
-def bundle_data(name: str, group: str, base_points: int = 1,
-                kind: str = "function_algebra", conductor: int | None = None):
-    if name == "point":
-        return point_bundle_data(group, kind, conductor)
-    if name == "trivial":
-        return trivial_bundle_data(group, base_points, kind, conductor)
-    raise UnknownPreset(f"unknown bundle preset {name!r}")
 
 
 # -- example generation: presets as complete spec files ----------------------------

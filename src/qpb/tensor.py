@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from itertools import product as iproduct
 
-from .cyclotomic import CycloField, Scalar
+from .cyclotomic import CycloField
 from .errors import DegreeBudget, InputError
 from .linalg import BasedSpace, LinearMap, QuotientSpace, Vec, viadd_term
 

@@ -21,11 +21,11 @@ from qpb.gauge import (
     build_gauge_coalgebra, classical_braided_hopf, enumerate_gauge,
     isotypic_decompose,
 )
-from qpb.hopf import StarAlgebra, compute_haar, named_group
-from qpb.linalg import BasedSpace, LinearMap
+from qpb.hopf import compute_haar, named_group
+from qpb.linalg import LinearMap
 from qpb.presets import (
-    generate_example, hopf_preset, point_bundle_data, serialize_example,
-    trivial_bundle_data,
+    functions_on_points, generate_example, hopf_preset, point_bundle_data,
+    serialize_example, trivial_bundle_data,
 )
 
 _LINES = []
@@ -55,16 +55,10 @@ def bundles():
     return get
 
 
-def _point_algebra(field):
-    space = BasedSpace(("1",))
-    star = LinearMap(space, space, [{0: field.one}], field, antilinear=True)
-    return StarAlgebra("C(pt)", field, space, [[{0: field.one}]], {0: field.one}, star)
-
-
 def _calculus(group, base, conductor=None):
     h = hopf_preset(group, "function_algebra", conductor)
     if base == "point":
-        bc = trivial_base_calculus(_point_algebra(h.field))
+        bc = trivial_base_calculus(functions_on_points(1, h.field))
     else:
         bc = universal_base_calculus(2, h.field)
     return build_total_calculus(h, universal_ideal(h), bc)

@@ -1,27 +1,24 @@
 import pytest
 
 from qpb.calculus import (
-    TotalCalculus, build_total_calculus, differential_suite,
+    OmegaP, TotalCalculus, build_total_calculus, differential_suite,
     trivial_base_calculus, universal_base_calculus,
 )
 from qpb.cyclotomic import CycloField
-from qpb.fodc import universal_ideal, zero_ideal
-from qpb.presets import hopf_preset
+from qpb.errors import DegreeBudget, ValidationFailed
+from qpb.fodc import (
+    GammaEnvelope, build_envelope2, build_fodc, universal_ideal, zero_ideal,
+)
+from qpb.hopf import graded_tensor_mul
+from qpb.linalg import viadd_term
+from qpb.presets import functions_on_points, hopf_preset
 
 
 def point_calculus(group, kind="function_algebra", ideal="universal"):
     h = hopf_preset(group, kind)
-    point = trivial_base_calculus(_point_algebra(h.field))
+    point = trivial_base_calculus(functions_on_points(1, h.field))
     ib = universal_ideal(h) if ideal == "universal" else zero_ideal(h)
     return build_total_calculus(h, ib, point)
-
-
-def _point_algebra(field):
-    from qpb.hopf import StarAlgebra
-    from qpb.linalg import BasedSpace, LinearMap
-    space = BasedSpace(("1",))
-    star = LinearMap(space, space, [{0: field.one}], field, antilinear=True)
-    return StarAlgebra("C(pt)", field, space, [[{0: field.one}]], {0: field.one}, star)
 
 
 def two_point_calculus(group, kind="function_algebra"):
@@ -99,3 +96,106 @@ def test_tau_hat_restricted_to_degree_zero_is_tau():
             i, j = tc.w2.tuples[fi]
             viadd(acc, c, {b.b2.flat_index((pos[i], pos[j])): one})
         assert b.b2.project(acc) == b.tau.cols[a]
+
+
+# -- the shared graded *-algebra core ------------------------------------------------
+
+
+def _index_of_degree(alg, degree):
+    return next(i for i in range(alg.dim) if alg.degree(i) == degree)
+
+
+def test_check_axioms_rejects_broken_leibniz():
+    F = CycloField(1)
+    m = universal_base_calculus(2, F)
+    m.check_axioms()
+    x0 = m.space.index("x0")
+    # 2 d still squares to zero but is no longer a derivation: d(x0 e) != d(x0) e + x0 d(e)
+    m.d_cols[x0] = {k: c + c for k, c in m.d_cols[x0].items()}
+    with pytest.raises(ValidationFailed, match=r"Omega\(M\)\[universal\]: Leibniz fails"):
+        m.check_axioms()
+
+
+def test_check_axioms_rejects_non_involutive_star():
+    F = CycloField(1)
+    m = universal_base_calculus(2, F)
+    e01 = m.space.index("x0|x1")
+    m.star.cols[e01] = {k: c + c for k, c in m.star.cols[e01].items()}
+    with pytest.raises(ValidationFailed, match=r"Omega\(M\)\[universal\]: star not involutive"):
+        m.check_axioms()
+
+
+def test_over_budget_product_raises_degree_budget():
+    F = CycloField(1)
+    m = universal_base_calculus(2, F)
+    one = F.one
+    top, mid = _index_of_degree(m, 2), _index_of_degree(m, 1)
+    assert m.mul({top: one}, m.unit) == {top: one}
+    with pytest.raises(DegreeBudget):
+        m.mul({top: one}, {mid: one})
+    # also where the product of paths x0|x1 . x0|x1|x0 would be empty
+    with pytest.raises(DegreeBudget):
+        m.mul({mid: one}, {top: one, mid: one})
+    h = hopf_preset("Z2", "function_algebra")
+    ge = GammaEnvelope(build_envelope2(build_fodc(h, universal_ideal(h))))
+    g_one = h.field.one
+    with pytest.raises(DegreeBudget):
+        ge.mul({_index_of_degree(ge, 1): g_one}, {_index_of_degree(ge, 2): g_one})
+
+
+def _old_omega_mul_basis(om, i, j):
+    """Oracle: the Omega(P) basis product written out from its formula."""
+    one = om.field.one
+    m1, g1 = om.tp.tuples[i]
+    m2, g2 = om.tp.tuples[j]
+    sign = -one if (om.gamma.degree(g1) * om.base.degree(m2)) % 2 else one
+    out = {}
+    for m, cm in om.base.mul_basis(m1, m2).items():
+        for g, cg in om.gamma.mul_basis(g1, g2).items():
+            out[om.idx(m, g)] = sign * cm * cg
+    return out
+
+
+def _old_pair_mul(tp, left, right, u, v):
+    """Oracle: the product of a two-factor graded tensor product (Gamma^'s
+    square, Omega(P) (x) Gamma^) written out from its formula."""
+    one = tp.field.one
+    out = {}
+    for iu, cu in tp.lift(u).items():
+        x, y = tp.tuples[iu]
+        for iv, cv in tp.lift(v).items():
+            p, q = tp.tuples[iv]
+            sign = -one if (right.degree(y) * left.degree(p)) % 2 else one
+            c0 = cu * cv * sign
+            for xp, cx in left.mul_basis(x, p).items():
+                for yq, cy in right.mul_basis(y, q).items():
+                    viadd_term(out, tp.flat_index((xp, yq)), c0 * cx * cy)
+    return tp.project(out)
+
+
+@pytest.mark.parametrize("points", [1, 2])
+def test_graded_tensor_product_matches_explicit_formulas(points):
+    h = hopf_preset("Z2", "function_algebra")
+    one = h.field.one
+    base = (trivial_base_calculus(functions_on_points(1, h.field)) if points == 1
+            else universal_base_calculus(2, h.field))
+    gamma = GammaEnvelope(build_envelope2(build_fodc(h, universal_ideal(h))))
+    om = OmegaP(base, gamma)
+    pairs = 0
+    for i in range(om.dim):
+        for j in range(om.dim):
+            if om.degree(i) + om.degree(j) <= 2:
+                want = _old_omega_mul_basis(om, i, j)
+                assert om.mul_basis(i, j) == want
+                assert graded_tensor_mul(om.tp, base, gamma, {i: one}, {j: one}) == want
+                pairs += 1
+    for tp, left, right in ((gamma.square, gamma, gamma), (om.og, om, gamma)):
+        degs = tp.degrees()
+        for s in range(tp.dim):
+            for t in range(tp.dim):
+                if degs[s] + degs[t] <= 2:
+                    u, v = {s: one}, {t: one}
+                    assert graded_tensor_mul(tp, left, right, u, v) == \
+                        _old_pair_mul(tp, left, right, u, v)
+                    pairs += 1
+    assert pairs > 100

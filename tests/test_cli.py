@@ -184,3 +184,29 @@ def test_console_script_entry_point():
                            "--group", "Z2"], capture_output=True, text=True)
     assert proc.returncode == 0
     json.loads(proc.stdout)
+
+
+Z2_C_GROUP_GAUGE_TABLE = """\
+2 gauge transformations
+gamma[0]: 0 | 1*v0
+gamma[1]: 1*v0 | 0
+table:
+  1 0
+  0 1
+[pass] gauge-group.F-equivariance (F(gamma.b) = sum (gamma.b_k) (x) c_k)
+[pass] gauge-group.action-compat ((gamma gamma').b = gamma'.(gamma.b))
+[pass] gauge-group.automorphisms (gamma acts by *-automorphisms)
+[pass] gauge-group.closed (gamma gamma' = (gamma (x) gamma')phi_M stays in the set)
+[pass] gauge-group.count (enumeration)
+       note: 2 transformations
+[pass] gauge-group.inverse (gamma^-1 = gamma kappa_M^-1, unit = eps_M)
+6 checks, 0 failures
+"""
+
+
+def test_gauge_enumerate_table_z2_c_group(tmp_path, capsys):
+    path = str(tmp_path / "z2.json")
+    assert main(["gen", "c-group", "--group", "Z2", "-o", path]) == 0
+    capsys.readouterr()
+    assert main(["gauge", "enumerate", path]) == 0
+    assert capsys.readouterr().out == Z2_C_GROUP_GAUGE_TABLE

@@ -8,21 +8,13 @@ from qpb.connection import (
 )
 from qpb.errors import NotCovariant
 from qpb.fodc import universal_ideal
-from qpb.presets import hopf_preset
-
-
-def _point_algebra(field):
-    from qpb.hopf import StarAlgebra
-    from qpb.linalg import BasedSpace, LinearMap
-    space = BasedSpace(("1",))
-    star = LinearMap(space, space, [{0: field.one}], field, antilinear=True)
-    return StarAlgebra("C(pt)", field, space, [[{0: field.one}]], {0: field.one}, star)
+from qpb.presets import functions_on_points, hopf_preset
 
 
 def point_calculus(group):
     h = hopf_preset(group, "function_algebra")
     return build_total_calculus(h, universal_ideal(h),
-                                trivial_base_calculus(_point_algebra(h.field)))
+                                trivial_base_calculus(functions_on_points(1, h.field)))
 
 
 def two_point_calculus(group, conductor=None):

@@ -5,7 +5,7 @@ from qpb.bundle import build_bundle
 from qpb.errors import NotClassical, NotCommutative
 from qpb.gauge import (
     build_gauge_coalgebra, classical_braided_hopf, enumerate_gauge,
-    isotypic_decompose, varsigma,
+    gauge_group_table, isotypic_decompose, varsigma,
 )
 from qpb.presets import point_bundle_data, trivial_bundle_data
 
@@ -115,6 +115,12 @@ def test_enumerate_gauge_point_z3():
     g = nontriv[0]
     assert g.action.compose(g.action) != ident
     assert g.action.compose(g.action).compose(g.action) == ident
+    # the group table is a Latin square with the counit eps_M as its unit
+    table = gauge_group_table(gammas)
+    assert all(sorted(row) == [0, 1, 2] for row in table)
+    assert all(sorted(col) == [0, 1, 2] for col in zip(*table))
+    e = next(i for i, g in enumerate(gammas) if g.action == ident)
+    assert table[e] == [0, 1, 2] and [row[e] for row in table] == [0, 1, 2]
 
 
 def test_enumeration_oracle_set_maps():
