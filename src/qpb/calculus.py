@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .bundle import build_bundle
 from .errors import DegreeBudget, NotProductBundle, ValidationFailed
-from .fodc import Envelope2, Fodc, GammaEnvelope
+from .fodc import Envelope2, Fodc, GammaEnvelope, build_envelope2
 from .hopf import BUDGET, GradedStarAlgebra, StarAlgebra, graded_tensor_mul
 from .linalg import (
     BasedSpace, Echelon, LinearMap, Vec, span_basis, spans_equal, viadd,
@@ -748,11 +748,9 @@ class TotalCalculus:
         return term_map(self.w3, self.w2, terms)
 
 
-def build_total_calculus(group_hopf, ideal_basis, base_calc: BaseCalculus) -> TotalCalculus:
-    """Assemble the full tower from a Hopf algebra, an FODC ideal, and a base
-    calculus preset."""
-    from .fodc import build_envelope2, build_fodc
-    fodc = build_fodc(group_hopf, ideal_basis)
+def build_total_calculus(fodc: Fodc, base_calc: BaseCalculus) -> TotalCalculus:
+    """Assemble the full tower from an FODC on the structure group and a base
+    calculus."""
     env2 = build_envelope2(fodc)
     gamma = GammaEnvelope(env2)
     omega = OmegaP(base_calc, gamma)

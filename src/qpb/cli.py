@@ -12,7 +12,7 @@ import sys
 
 from .errors import QpbError
 from .formats import SUITES, BuildResult, load_file, run_suites
-from .gauge import classical_braided_hopf, enumerate_gauge, gauge_group_table
+from .gauge import classical_braided_hopf, enumerate_gauge
 from .hopf import compute_haar
 from .presets import GEN_PRESETS, GROUPS, generate_example, serialize_example
 
@@ -103,7 +103,7 @@ def cmd_gauge_enumerate(args) -> int:
     try:
         sf = load_file(args.file)
         build = BuildResult(sf)
-        gammas, rep = _gauge_group(build)
+        gammas, table, rep = _gauge_group(build)
     except QpbError as e:
         return _fail(e)
     print(f"{len(gammas)} gauge transformations")
@@ -117,7 +117,7 @@ def cmd_gauge_enumerate(args) -> int:
                                  for v, c in sorted(col.items())) or "0")
         print(f"gamma[{k}]: " + " | ".join(cols))
     print("table:")
-    for row in gauge_group_table(gammas):
+    for row in table:
         print("  " + " ".join("?" if idx is None else str(idx) for idx in row))
     print(rep.to_text())
     return 0
@@ -149,7 +149,7 @@ def cmd_gauge_act(args) -> int:
     try:
         sf = load_file(args.file)
         build = BuildResult(sf)
-        gammas, _ = _gauge_group(build)
+        gammas, _, _ = _gauge_group(build)
         if not 0 <= args.gamma < len(gammas):
             from .errors import InputError
             raise InputError(

@@ -40,6 +40,34 @@ def _poly_divmod(num: list[Fraction], den: list[Fraction]):
     return q, _poly_trim(num)
 
 
+def _poly_inverse_mod(p, modulus: list[Fraction]) -> list[Fraction]:
+    """u with u*p = 1 modulo an irreducible modulus (p nonzero, reduced),
+    by the extended Euclid algorithm in Q[x]."""
+    # u*p + v*modulus = gcd = nonzero rational
+    r0 = _poly_trim(list(p))
+    r1 = list(modulus)
+    s0: list[Fraction] = [_ONE]
+    s1: list[Fraction] = []
+    while r1:
+        q, r = _poly_divmod(r0, r1)
+        # s0 - q*s1
+        s = list(s0)
+        for i, qi in enumerate(q):
+            if not qi:
+                continue
+            for j, sj in enumerate(s1):
+                if sj:
+                    k = i + j
+                    while len(s) <= k:
+                        s.append(_ZERO)
+                    s[k] -= qi * sj
+        r0, r1 = r1, r
+        s0, s1 = s1, _poly_trim(s)
+    assert len(r0) == 1, "gcd with cyclotomic polynomial must be constant"
+    c = 1 / r0[0]
+    return [x * c for x in s0]
+
+
 def cyclotomic_polynomial(n: int, _cache={}) -> list[Fraction]:
     """Coefficients of Phi_n, ascending degree, via x^n - 1 = prod Phi_d."""
     if n in _cache:
@@ -204,7 +232,7 @@ class Scalar:
         return Scalar(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
 
     def __neg__(self):
-        return Scalar(self.field, tuple(-a for a in self.coeffs))
+        return Scalar(self.field, tuple(-a if a else a for a in self.coeffs))
 
     def __mul__(self, other):
         self._check(other)
@@ -216,6 +244,13 @@ class Scalar:
             return other
         if b == one:
             return self
+        # a rational operand scales the other's canonical coefficients
+        if not any(a[1:]):
+            r = a[0]
+            return Scalar(f, tuple(r * x if x else x for x in b))
+        if not any(b[1:]):
+            r = b[0]
+            return Scalar(f, tuple(x * r if x else x for x in a))
         deg = f.degree
         conv = [_ZERO] * (2 * deg)
         for i in range(deg):
@@ -242,29 +277,9 @@ class Scalar:
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         f = self.field
-        # extended Euclid in Q[x]: u*self + v*Phi = gcd = nonzero rational
-        r0 = _poly_trim(list(self.coeffs))
-        r1 = list(f.modulus)
-        s0: list[Fraction] = [_ONE]
-        s1: list[Fraction] = []
-        while r1:
-            q, r = _poly_divmod(r0, r1)
-            # s0 - q*s1
-            s = list(s0)
-            for i, qi in enumerate(q):
-                if not qi:
-                    continue
-                for j, sj in enumerate(s1):
-                    if sj:
-                        k = i + j
-                        while len(s) <= k:
-                            s.append(_ZERO)
-                        s[k] -= qi * sj
-            r0, r1 = r1, r
-            s0, s1 = s1, _poly_trim(s)
-        assert len(r0) == 1, "gcd with cyclotomic polynomial must be constant"
-        c = 1 / r0[0]
-        return f.scalar([x * c for x in s0])
+        if self.is_rational():
+            return f.rational(1 / self.coeffs[0])
+        return f.scalar(_poly_inverse_mod(self.coeffs, f.modulus))
 
     def __truediv__(self, other):
         self._check(other)

@@ -13,7 +13,9 @@ import json
 
 from .braiding import braided_structure, classicality_report, sigma_m, verify_braiding_suite
 from .bundle import Bundle, build_bundle, galois_tower, translation_identities
-from .calculus import TotalCalculus, trivial_base_calculus, universal_base_calculus
+from .calculus import (
+    TotalCalculus, build_total_calculus, trivial_base_calculus, universal_base_calculus,
+)
 from .connection import maurer_cartan, perturbed_connection, verify_transformations
 from .cyclotomic import CycloField
 from .errors import NotCommutative, SpecFileError, UnknownPreset
@@ -405,13 +407,7 @@ class BuildResult:
             else:
                 raise UnknownPreset(f"unknown base calculus preset {preset!r}",
                                     where="base_calculus.preset")
-            from .fodc import build_envelope2
-            from .fodc import GammaEnvelope
-            env2 = build_envelope2(fodc)
-            gamma = GammaEnvelope(env2)
-            from .calculus import OmegaP
-            omega = OmegaP(base, gamma)
-            self._calc = TotalCalculus(fodc, env2, gamma, base, omega)
+            self._calc = build_total_calculus(fodc, base)
         return self._calc
 
     def connection(self, tc: TotalCalculus):
@@ -480,7 +476,7 @@ def run_suites(build: BuildResult, suites, degree: int = 2,
                 if merge(bh.report):
                     return report
                 try:
-                    _, gr = enumerate_gauge(bh)
+                    _, _, gr = enumerate_gauge(bh)
                     if merge(gr):
                         return report
                 except NotCommutative as e:

@@ -951,7 +951,8 @@ def enumerate_gauge(bh: BraidedHopf):
     V, found through primitive idempotents; the group law, the inverses, the
     action automorphism property and F-equivariance are all verified.
 
-    Returns (transformations, report)."""
+    Returns (transformations, table, report), where table is their
+    gauge_group_table."""
     gc = bh.gc
     b = gc.bundle
     field = gc.field
@@ -1101,7 +1102,7 @@ def enumerate_gauge(bh: BraidedHopf):
             if ok_comp else failing("gauge-group.action-compat", "action compatibility", {}))
     rep.add(passing("gauge-group.F-equivariance", "F(gamma.b) = sum (gamma.b_k) (x) c_k")
             if ok_equiv else failing("gauge-group.F-equivariance", "F-equivariance", {}))
-    return gammas, rep
+    return gammas, table, rep
 
 
 def _assignments(n_v, l_chars, v_in_l, char_value, v_idems, v_alg, field):

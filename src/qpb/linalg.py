@@ -15,7 +15,8 @@ from .errors import InputError
 
 Vec = dict  # {int: Scalar}
 
-# every successful solve is re-checked by substitution when set
+# when set, every successful solve is re-checked by substitution and every
+# inverse by self o inverse == id
 DEBUG_SOLVE = bool(os.environ.get("QPB_DEBUG_SOLVE"))
 
 
@@ -92,10 +93,6 @@ def vneg(a: Vec) -> Vec:
     return {k: -v for k, v in a.items()}
 
 
-def vconj(a: Vec) -> Vec:
-    return {k: v.conj() for k, v in a.items()}
-
-
 class BasedSpace:
     """A finite-dimensional space with an ordered basis of unique labels."""
 
@@ -138,46 +135,61 @@ def tensor_labels(a: BasedSpace, b: BasedSpace) -> BasedSpace:
 # -- row echelon --------------------------------------------------------------
 
 class Echelon:
-    """Incremental reduced row echelon form of a growing set of sparse rows.
+    """Incremental row echelon form of a growing set of sparse rows, reduced
+    on read.
 
-    Pivot columns are chosen as the smallest index of each inserted residual,
-    and all stored rows stay fully reduced against each other; the row set is
-    therefore the canonical RREF basis of the span regardless of insertion
+    Pivot columns are chosen as the smallest index of each inserted residual
+    and every stored row is normalised to a leading 1 at its pivot.  Between
+    inserts the rows are only in echelon form (each row's minimum is its
+    pivot); reading ``rows`` or ``basis()`` back-substitutes once, so what is
+    read is the canonical RREF basis of the span regardless of insertion
     order.
     """
 
     def __init__(self):
-        self.rows: dict[int, Vec] = {}  # pivot column -> row with leading 1
+        self._rows: dict[int, Vec] = {}  # pivot column -> row with leading 1
+        self._dirty = False  # True while some row may hold another pivot column
+
+    @property
+    def rows(self) -> dict[int, Vec]:
+        """pivot column -> RREF row, in insertion order."""
+        if self._dirty:
+            self._back_substitute()
+        return self._rows
 
     @property
     def rank(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     @property
     def pivots(self) -> list[int]:
-        return sorted(self.rows)
+        return sorted(self._rows)
 
     def reduce(self, v: Vec) -> Vec:
         """Residual of v after elimination against the stored rows.
 
         Every stored row has its minimum at its pivot, so eliminating at the
         current minimum only introduces larger indices; the minimum of the
-        work vector increases monotonically and the loop terminates.
+        work vector increases monotonically and the loop terminates.  The
+        residual has no entry at any pivot column, so it is the same whether
+        or not the rows are reduced against each other.
         """
+        rows = self._rows
         v = dict(v)
         out: Vec = {}
         while v:
             p = min(v)
             c = v.pop(p)
-            row = self.rows.get(p)
+            row = rows.get(p)
             if row is None:
                 out[p] = c
                 continue
+            c = -c
             for kk, vv in row.items():
                 if kk == p:
                     continue
                 s = v.get(kk)
-                s = -c * vv if s is None else s - c * vv
+                s = c * vv if s is None else s + c * vv
                 if s:
                     v[kk] = s
                 elif kk in v:
@@ -191,30 +203,40 @@ class Echelon:
             return False
         p = min(r)
         inv = r[p].inverse()
-        r = {k: inv * c for k, c in r.items()}
-        # back-substitute into existing rows
-        for q, row in self.rows.items():
-            c = row.get(p)
-            if c is not None:
-                for kk, vv in r.items():
-                    if kk == p:
+        self._rows[p] = {k: inv * c for k, c in r.items()}
+        self._dirty = True
+        return True
+
+    def _back_substitute(self) -> None:
+        """Bring the rows to RREF in place, pivots in descending order.
+
+        When row p is reached, every row with a larger pivot is already
+        reduced, so it has no entry at another pivot column and one
+        subtraction per pivot entry of row p clears them all.
+        """
+        rows = self._rows
+        for p in sorted(rows, reverse=True):
+            row = rows[p]
+            for q in [k for k in row if k != p and k in rows]:
+                c = -row.pop(q)
+                for kk, vv in rows[q].items():
+                    if kk == q:
                         continue
                     s = row.get(kk)
-                    s = -c * vv if s is None else s - c * vv
+                    s = c * vv if s is None else s + c * vv
                     if s:
                         row[kk] = s
-                    elif kk in row:
+                    else:
                         del row[kk]
-                del row[p]
-        self.rows[p] = r
-        return True
+        self._dirty = False
 
     def contains(self, v: Vec) -> bool:
         return not self.reduce(v)
 
     def basis(self) -> list[Vec]:
         """Canonical RREF basis, ordered by pivot column."""
-        return [dict(self.rows[p]) for p in sorted(self.rows)]
+        rows = self.rows
+        return [dict(rows[p]) for p in sorted(rows)]
 
 
 def span_basis(vectors) -> list[Vec]:
@@ -414,21 +436,26 @@ class LinearMap:
                 and self.rank() == self.domain.dim)
 
     def inverse(self) -> "LinearMap":
-        if self.domain.dim != self.codomain.dim:
+        """Two-sided inverse of a square bijective map.
+
+        Row p of the prepared solve's transform holds the coefficients of
+        pivot variable p over the target entries, so column i of the inverse
+        is entry i of every transform row: one transposition, no solves.
+        """
+        n = self.domain.dim
+        if n != self.codomain.dim:
             raise InputError("inverse of non-square map")
         solver = self.solver()
-        if solver.rank != self.domain.dim:
+        if solver.rank != n:
             raise InputError("map is not invertible")
-        cols = []
-        for i in range(self.codomain.dim):
-            sol = solver.solve({i: self.field.one})
-            if sol is None:
-                raise InputError("map is not invertible")
-            cols.append(sol)
+        cols: list[Vec] = [{} for _ in range(n)]
+        for p, tr in solver.transform.items():
+            for i, c in tr.items():
+                cols[i][p] = c.conj() if self.antilinear else c
         inv = LinearMap(self.codomain, self.domain, cols, self.field, self.antilinear)
-        if self.antilinear:
-            inv = LinearMap(self.codomain, self.domain,
-                            [vconj(c) for c in cols], self.field, True)
+        if DEBUG_SOLVE:
+            assert self.compose(inv) == LinearMap.identity(self.codomain, self.field), \
+                "inverse check failed"
         return inv
 
     # -- comparison -------------------------------------------------------

@@ -17,7 +17,6 @@ in the balanced slots).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product as iproduct
 
 from .cyclotomic import CycloField
 from .errors import DegreeBudget, InputError
@@ -46,25 +45,32 @@ class TProd:
         self.coeff_degrees = coeff_degrees
         self.budget = budget
         self.name = name
-        tuples = []
-        ranges = [range(f.space.dim) for f in self.factors]
-        degs = [f.degrees for f in self.factors]
-        for t in iproduct(*ranges):
-            if budget is not None and sum(d[i] for d, i in zip(degs, t)) > budget:
-                continue
-            tuples.append(t)
+        # tuples in lexicographic order with their total degrees; degrees
+        # are non-negative, so a prefix over the budget is dropped with its tails
+        tuples, tuple_degrees = [()], [0]
+        for f in self.factors:
+            d = f.degrees
+            longer, longer_degrees = [], []
+            for t, s in zip(tuples, tuple_degrees):
+                for i in range(f.space.dim):
+                    if budget is None or s + d[i] <= budget:
+                        longer.append(t + (i,))
+                        longer_degrees.append(s + d[i])
+            tuples, tuple_degrees = longer, longer_degrees
         self.tuples = tuples
         self.tuple_index = {t: i for i, t in enumerate(tuples)}
         labels = tuple("|".join(f.space.labels[i] for f, i in zip(self.factors, t))
                        for t in tuples)
         self.flat = BasedSpace(labels)
-        relations = self._relations()
+        relations = self._relations(tuple_degrees)
         self.quotient = QuotientSpace(self.flat, relations, field)
         self.space = self.quotient.space
 
     # -- construction ------------------------------------------------------
 
-    def _relations(self):
+    def _relations(self, tuple_degrees):
+        """Middle-linearity relations; ``tuple_degrees[i]`` is the total
+        degree of ``self.tuples[i]``."""
         out = []
         nf = len(self.factors)
         for p in range(nf - 1):
@@ -77,17 +83,17 @@ class TProd:
             for c in range(ncoeff):
                 cdeg = 0 if self.coeff_degrees is None else self.coeff_degrees[c]
                 r_cols = left.ract[c].cols
-                l_cols = right.lact[c].cols
-                for t in self.tuples:
-                    if self.budget is not None and self.degree(t) + cdeg > self.budget:
+                neg_l_cols = [{k: -s for k, s in col.items()} for col in right.lact[c].cols]
+                for t, deg in zip(self.tuples, tuple_degrees):
+                    if self.budget is not None and deg + cdeg > self.budget:
                         continue
                     rel: Vec = {}
                     for k, s in r_cols[t[p]].items():
                         t2 = t[:p] + (k,) + t[p + 1:]
                         viadd_term(rel, self.tuple_index[t2], s)
-                    for k, s in l_cols[t[p + 1]].items():
+                    for k, s in neg_l_cols[t[p + 1]].items():
                         t2 = t[:p + 1] + (k,) + t[p + 2:]
-                        viadd_term(rel, self.tuple_index[t2], -s)
+                        viadd_term(rel, self.tuple_index[t2], s)
                     if rel:
                         out.append(rel)
         return out

@@ -15,7 +15,7 @@ from qpb.calculus import (
     universal_base_calculus,
 )
 from qpb.connection import maurer_cartan, perturbed_connection, verify_transformations
-from qpb.fodc import universal_ideal
+from qpb.fodc import build_fodc, universal_ideal
 from qpb.formats import BuildResult, parse_spec, run_suites
 from qpb.gauge import (
     build_gauge_coalgebra, classical_braided_hopf, enumerate_gauge,
@@ -61,7 +61,7 @@ def _calculus(group, base, conductor=None):
         bc = trivial_base_calculus(functions_on_points(1, h.field))
     else:
         bc = universal_base_calculus(2, h.field)
-    return build_total_calculus(h, universal_ideal(h), bc)
+    return build_total_calculus(build_fodc(h, universal_ideal(h)), bc)
 
 
 def test_criterion_01_braid_axioms(bundles):
@@ -178,7 +178,7 @@ def test_criterion_07_gauge_group(bundles):
     b = bundles("trivial", ("Z2", "function_algebra"), 2)
     gc = build_gauge_coalgebra(b)
     bh = classical_braided_hopf(gc)
-    gammas, rep = enumerate_gauge(bh)
+    gammas, _, rep = enumerate_gauge(bh)
     ok = rep.ok and len(gammas) == 4
     need = {"gauge-group.action-compat", "gauge-group.F-equivariance",
             "gauge-group.automorphisms", "gauge-group.closed",

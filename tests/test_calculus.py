@@ -18,13 +18,13 @@ def point_calculus(group, kind="function_algebra", ideal="universal"):
     h = hopf_preset(group, kind)
     point = trivial_base_calculus(functions_on_points(1, h.field))
     ib = universal_ideal(h) if ideal == "universal" else zero_ideal(h)
-    return build_total_calculus(h, ib, point)
+    return build_total_calculus(build_fodc(h, ib), point)
 
 
 def two_point_calculus(group, kind="function_algebra"):
     h = hopf_preset(group, kind)
     base = universal_base_calculus(2, h.field)
-    return build_total_calculus(h, universal_ideal(h), base)
+    return build_total_calculus(build_fodc(h, universal_ideal(h)), base)
 
 
 def test_universal_base_calculus_two_points():

@@ -7,19 +7,19 @@ from qpb.connection import (
     maurer_cartan, perturbed_connection, varsigma_w3, verify_transformations,
 )
 from qpb.errors import NotCovariant
-from qpb.fodc import universal_ideal
+from qpb.fodc import build_fodc, universal_ideal
 from qpb.presets import functions_on_points, hopf_preset
 
 
 def point_calculus(group):
     h = hopf_preset(group, "function_algebra")
-    return build_total_calculus(h, universal_ideal(h),
+    return build_total_calculus(build_fodc(h, universal_ideal(h)),
                                 trivial_base_calculus(functions_on_points(1, h.field)))
 
 
 def two_point_calculus(group, conductor=None):
     h = hopf_preset(group, "function_algebra", conductor)
-    return build_total_calculus(h, universal_ideal(h),
+    return build_total_calculus(build_fodc(h, universal_ideal(h)),
                                 universal_base_calculus(2, h.field))
 
 

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpb.cyclotomic import CycloField, cyclotomic_polynomial
+from qpb.cyclotomic import CycloField, _poly_inverse_mod, cyclotomic_polynomial
 from qpb.errors import BadScalarLiteral
 
 
@@ -99,3 +99,33 @@ def test_multiplication_by_one_returns_the_other_operand(n):
         assert F.one * x == x
         assert (x * F.one).coeffs == x.coeffs
         assert (F.one * x).coeffs == x.coeffs
+
+
+RATIONALS = [Fraction(1), Fraction(-1), Fraction(2), Fraction(-7), Fraction(1, 3),
+             Fraction(-5, 4), Fraction(22, 7), Fraction(-1, 1000)]
+
+
+@pytest.mark.parametrize("n", [1, 3, 4, 5])
+def test_rational_inverse_equals_extended_euclid(n):
+    F = CycloField(n)
+    for q in RATIONALS:
+        x = F.rational(q)
+        euclid = F.scalar(_poly_inverse_mod(x.coeffs, F.modulus))
+        inv = x.inverse()
+        assert inv.coeffs == euclid.coeffs
+        assert inv.is_rational() and inv.rational_value() == 1 / q
+        assert x * inv == F.one
+
+
+@pytest.mark.parametrize("n", [3, 4, 5, 12])
+def test_rational_operand_scales_coefficients(n):
+    F = CycloField(n)
+    z = F.zeta()
+    others = [F.zero, z, F.rational(Fraction(-2, 3)) + z * z, z.conj() - F.rational(5)]
+    for q in RATIONALS + [Fraction(0)]:
+        r = F.rational(q)
+        for x in others:
+            # r + z is not rational, so the right-hand side takes the general product
+            general = x * (r + z) - x * z
+            assert (x * r).coeffs == general.coeffs
+            assert (r * x).coeffs == general.coeffs

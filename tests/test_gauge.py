@@ -90,7 +90,7 @@ def test_enumerate_gauge_trivial_z2_two_points():
     b = make_trivial("Z2", 2)
     gc = build_gauge_coalgebra(b)
     bh = classical_braided_hopf(gc)
-    gammas, rep = enumerate_gauge(bh)
+    gammas, _, rep = enumerate_gauge(bh)
     assert rep.ok, rep.to_text()
     assert len(gammas) == 4  # |G|^|X| = 2^2
     # Klein four group: every action squares to the identity
@@ -104,7 +104,7 @@ def test_enumerate_gauge_point_z3():
     b = make_point("Z3")
     gc = build_gauge_coalgebra(b)
     bh = classical_braided_hopf(gc)
-    gammas, rep = enumerate_gauge(bh)
+    gammas, table, rep = enumerate_gauge(bh)
     assert rep.ok, rep.to_text()
     assert len(gammas) == 3
     # cyclic of order 3: a non-identity element has order 3
@@ -115,8 +115,8 @@ def test_enumerate_gauge_point_z3():
     g = nontriv[0]
     assert g.action.compose(g.action) != ident
     assert g.action.compose(g.action).compose(g.action) == ident
-    # the group table is a Latin square with the counit eps_M as its unit
-    table = gauge_group_table(gammas)
+    # the returned group table is a Latin square with the counit eps_M as its unit
+    assert table == gauge_group_table(gammas)
     assert all(sorted(row) == [0, 1, 2] for row in table)
     assert all(sorted(col) == [0, 1, 2] for col in zip(*table))
     e = next(i for i, g in enumerate(gammas) if g.action == ident)
@@ -129,7 +129,7 @@ def test_enumeration_oracle_set_maps():
     b = make_trivial("Z2", 2)
     gc = build_gauge_coalgebra(b)
     bh = classical_braided_hopf(gc)
-    gammas, _ = enumerate_gauge(bh)
+    gammas, _, _ = enumerate_gauge(bh)
     got = set()
     for g in gammas:
         got.add(tuple(tuple(sorted((k, c.literal()) for k, c in col.items()))
@@ -165,7 +165,7 @@ def test_enumerate_gauge_rejects_noncommutative_L():
     gc = build_gauge_coalgebra(b)
     bh = classical_braided_hopf(gc)
     # sanity: this one enumerates fine (2 transformations)
-    gammas, rep = enumerate_gauge(bh)
+    gammas, _, rep = enumerate_gauge(bh)
     assert len(gammas) == 2
 
 

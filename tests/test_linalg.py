@@ -1,5 +1,9 @@
-import pytest
+from fractions import Fraction
 
+import pytest
+from hypothesis import given, settings, strategies as st
+
+from qpb import linalg
 from qpb.cyclotomic import CycloField
 from qpb.errors import InputError
 from qpb.linalg import (
@@ -142,3 +146,185 @@ def test_inverse_roundtrip():
     inv = m.inverse()
     assert inv.compose(m) == LinearMap.identity(space(2), F)
     assert m.compose(inv) == LinearMap.identity(space(2), F)
+
+
+class EagerEchelon:
+    """Oracle: the eager algorithm, which back-substitutes every new row into
+    all stored rows on insert, so its rows are RREF at all times."""
+
+    def __init__(self):
+        self.rows = {}
+
+    def reduce(self, v):
+        v = dict(v)
+        out = {}
+        while v:
+            p = min(v)
+            c = v.pop(p)
+            row = self.rows.get(p)
+            if row is None:
+                out[p] = c
+                continue
+            for kk, vv in row.items():
+                if kk == p:
+                    continue
+                s = v.get(kk)
+                s = -c * vv if s is None else s - c * vv
+                if s:
+                    v[kk] = s
+                elif kk in v:
+                    del v[kk]
+        return out
+
+    def add(self, v):
+        r = self.reduce(v)
+        if not r:
+            return False
+        p = min(r)
+        inv = r[p].inverse()
+        r = {k: inv * c for k, c in r.items()}
+        for row in self.rows.values():
+            c = row.get(p)
+            if c is not None:
+                for kk, vv in r.items():
+                    if kk == p:
+                        continue
+                    s = row.get(kk)
+                    s = -c * vv if s is None else s - c * vv
+                    if s:
+                        row[kk] = s
+                    elif kk in row:
+                        del row[kk]
+                del row[p]
+        self.rows[p] = r
+        return True
+
+
+small_fractions = st.fractions(min_value=-3, max_value=3, max_denominator=3)
+
+
+def sparse_vecs(field, dim, max_terms):
+    entries = st.lists(small_fractions, min_size=1, max_size=field.degree).map(field.scalar)
+    return st.dictionaries(st.integers(0, dim - 1), entries, max_size=max_terms).map(
+        lambda d: {k: c for k, c in d.items() if c})
+
+
+@st.composite
+def echelon_scripts(draw):
+    """A field, a list of operations and some query vectors.  An operation
+    is a vector to add, a linear combination of two earlier vectors (so that
+    some inserts do not enlarge the span), or None for a read of ``rows``."""
+    field = CycloField(draw(st.sampled_from([1, 3])))
+    vecs = sparse_vecs(field, 8, 5)
+    ops = []
+    added = []
+    for _ in range(draw(st.integers(0, 14))):
+        kind = draw(st.sampled_from(["vec", "vec", "combo", "read"]))
+        if kind == "read":
+            ops.append(None)
+            continue
+        if kind == "combo" and len(added) >= 2:
+            i, j = draw(st.integers(0, len(added) - 1)), draw(st.integers(0, len(added) - 1))
+            c = field.scalar(draw(st.lists(small_fractions, min_size=1, max_size=field.degree)))
+            v = dict(added[j])
+            for k, x in added[i].items():
+                s = v.get(k, field.zero) + c * x
+                if s:
+                    v[k] = s
+                else:
+                    v.pop(k, None)
+        else:
+            v = draw(vecs)
+        added.append(v)
+        ops.append(v)
+    return ops, draw(st.lists(vecs, max_size=4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(echelon_scripts())
+def test_deferred_echelon_matches_eager(script):
+    ops, queries = script
+    ech, eager = Echelon(), EagerEchelon()
+    for v in ops:
+        if v is None:
+            # a read in the middle: dirty -> clean, and later adds dirty it again
+            assert ech.rows == eager.rows
+            assert list(ech.rows) == list(eager.rows)
+            continue
+        assert ech.add(v) == eager.add(v)
+        assert ech.rank == len(eager.rows)
+    assert ech.rows == eager.rows
+    assert list(ech.rows) == list(eager.rows)
+    assert ech.basis() == [eager.rows[p] for p in sorted(eager.rows)]
+    assert ech.pivots == sorted(eager.rows)
+    for w in queries + [v for v in ops if v is not None]:
+        assert ech.contains(w) == (not eager.reduce(w))
+        assert ech.reduce(w) == eager.reduce(w)
+    # RREF is unique: the reversed insertion order gives the same basis
+    rev = Echelon()
+    for v in reversed([v for v in ops if v is not None]):
+        rev.add(v)
+    assert rev.basis() == ech.basis()
+
+
+@st.composite
+def invertible_maps(draw):
+    """P L U with P a permutation, L unit lower triangular and U upper
+    triangular with a nonzero diagonal; linear or antilinear."""
+    field = CycloField(draw(st.sampled_from([1, 3, 4])))
+    n = draw(st.integers(1, 6))
+    sp = space(n)
+    scalars = st.lists(small_fractions, min_size=1, max_size=field.degree).map(field.scalar)
+    nonzero = scalars.filter(bool)
+
+    def triangular(upper):
+        cols = []
+        for j in range(n):
+            col = {j: draw(nonzero) if upper else field.one}
+            for i in (range(j) if upper else range(j + 1, n)):
+                if draw(st.booleans()):
+                    c = draw(scalars)
+                    if c:
+                        col[i] = c
+            cols.append(col)
+        return LinearMap(sp, sp, cols, field)
+
+    perm = draw(st.permutations(range(n)))
+    p = LinearMap(sp, sp, [{perm[j]: field.one} for j in range(n)], field)
+    m = p.compose(triangular(False)).compose(triangular(True))
+    return LinearMap(sp, sp, m.cols, field, antilinear=draw(st.booleans()))
+
+
+@settings(max_examples=80, deadline=None)
+@given(invertible_maps())
+def test_inverse_matches_columnwise_solves(m):
+    inv = m.inverse()
+    field, n = m.field, m.domain.dim
+    solver = m.solver()
+    for i in range(n):
+        sol = solver.solve({i: field.one})
+        if m.antilinear:
+            sol = {k: c.conj() for k, c in sol.items()}
+        assert inv.cols[i] == sol
+    assert inv.antilinear == m.antilinear
+    ident = LinearMap.identity(m.domain, field)
+    assert m.compose(inv) == ident
+    assert inv.compose(m) == ident
+
+
+def test_inverse_rejects_singular_and_non_square(monkeypatch):
+    monkeypatch.setattr(linalg, "DEBUG_SOLVE", True)
+    singular = LinearMap(space(2), space(2), [vec((0, 1), (1, 2)), vec((0, 2), (1, 4))], F)
+    with pytest.raises(InputError):
+        singular.inverse()
+    with pytest.raises(InputError):
+        LinearMap(space(2), space(2), [vec((0, 1)), {}], F, antilinear=True).inverse()
+    with pytest.raises(InputError):
+        LinearMap(space(2), space(3), [vec((0, 1)), vec((1, 1))], F).inverse()
+    with pytest.raises(InputError):
+        LinearMap(space(3), space(2), [vec((0, 1)), vec((1, 1)), {}], F).inverse()
+    # the debug switch checks self o inverse = id on an invertible map
+    z = F.zeta()
+    m = LinearMap(space(2), space(2), [{0: z, 1: ONE}, {1: F.rational(Fraction(-1, 3))}], F,
+                  antilinear=True)
+    assert m.compose(m.inverse()) == LinearMap.identity(space(2), F)
