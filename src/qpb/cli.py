@@ -11,7 +11,7 @@ import argparse
 import sys
 
 from .errors import QpbError
-from .formats import SUITES, BuildResult, load_file, run_suites
+from .formats import SUITES, BuildResult, load_file, require_degree, run_suites
 from .gauge import classical_braided_hopf, enumerate_gauge
 from .hopf import compute_haar
 from .presets import GEN_PRESETS, GROUPS, generate_example, serialize_example
@@ -53,6 +53,7 @@ def cmd_validate(args) -> int:
 
 def cmd_check(args) -> int:
     try:
+        require_degree(args.degree)
         sf = load_file(args.file)
         build = BuildResult(sf)
         report = run_suites(build, args.suite, degree=args.degree,

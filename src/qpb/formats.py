@@ -431,10 +431,15 @@ class BuildResult:
 SUITES = ("translation", "braiding", "gauge", "classical", "differential", "all")
 
 
-def run_suites(build: BuildResult, suites, degree: int = 2,
-               fail_fast: bool = False) -> ValidationReport:
+def require_degree(degree: int) -> None:
+    """Reject every calculus degree but 2, the only one the suites build."""
     if degree != 2:
         raise SpecFileError("only --degree 2 is supported", where="degree")
+
+
+def run_suites(build: BuildResult, suites, degree: int = 2,
+               fail_fast: bool = False) -> ValidationReport:
+    require_degree(degree)
     chosen = set(suites)
     if "all" in chosen:
         chosen = {"translation", "braiding", "gauge", "classical", "differential"}

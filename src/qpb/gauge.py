@@ -983,7 +983,7 @@ def enumerate_gauge(bh: BraidedHopf):
     if len(v_chars) != base.dim:
         raise NotCommutative(
             "V does not split into field characters over this conductor")
-    l_chars = field_characters(l_alg)
+    l_chars = [chi for _, chi in field_characters(l_alg)]
 
     # embed V into L as f (x) 1 (in L coordinates)
     unit2 = unit_b2(b)
@@ -993,10 +993,7 @@ def enumerate_gauge(bh: BraidedHopf):
         v_in_l.append(gc.into_l(fv, "f(1(x)1)"))
 
     # primitive idempotents of V in V coordinates
-    from .charsplit import primitive_idempotents
-    v_pieces = primitive_idempotents(v_alg)
-    assert all(d == 1 for _, d in v_pieces)
-    v_idems = [e for e, _ in v_pieces]
+    v_idems = [e for e, _ in v_chars]
 
     def char_value(chi, vec: Vec):
         acc = field.zero
@@ -1005,8 +1002,7 @@ def enumerate_gauge(bh: BraidedHopf):
         return acc
 
     gammas = []
-    for assignment in _assignments(len(v_idems), l_chars, v_in_l, char_value,
-                                   v_idems, v_alg, field):
+    for assignment in _assignments(v_chars, l_chars, v_in_l, char_value):
         cols = []
         for li in range(gc.l_space.dim):
             acc: Vec = {}
@@ -1105,27 +1101,16 @@ def enumerate_gauge(bh: BraidedHopf):
     return gammas, table, rep
 
 
-def _assignments(n_v, l_chars, v_in_l, char_value, v_idems, v_alg, field):
+def _assignments(v_chars, l_chars, v_in_l, char_value):
     """Choose, for each primitive idempotent f_j of V, an L-character whose
-    restriction to V is the f_j-coordinate character; yield one assignment
-    [(j, chi_j)] per combination."""
+    restriction to V is the f_j-coordinate character psi_j; yield one
+    assignment [(j, chi_j)] per combination."""
     from itertools import product as iproduct
     compatible = []
-    for j, f in enumerate(v_idems):
-        lead = min(f)
-        inv = f[lead].inverse()
-        options = []
-        for chi in l_chars:
-            ok = True
-            for v in range(len(v_in_l)):
-                # psi_j(e_v) = coordinate of e_v f at lead
-                psi = v_alg.mul({v: field.one}, f).get(lead, field.zero) * inv
-                if char_value(chi, v_in_l[v]) != psi:
-                    ok = False
-                    break
-            if ok:
-                options.append(chi)
-        compatible.append(options)
+    for _, psi in v_chars:
+        compatible.append([chi for chi in l_chars
+                           if all(char_value(chi, v_in_l[v]) == psi[v]
+                                  for v in range(len(v_in_l)))])
     for combo in iproduct(*compatible):
         yield list(enumerate(combo))
 

@@ -1,6 +1,7 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -210,3 +211,32 @@ def test_gauge_enumerate_table_z2_c_group(tmp_path, capsys):
     capsys.readouterr()
     assert main(["gauge", "enumerate", path]) == 0
     assert capsys.readouterr().out == Z2_C_GROUP_GAUGE_TABLE
+
+
+def test_check_rejects_degree_before_loading(tmp_path, capsys):
+    missing = str(tmp_path / "missing.json")
+    assert main(["check", missing, "--degree", "3"]) == 2
+    assert capsys.readouterr().err == "error: degree: only --degree 2 is supported\n"
+
+
+# Runs `qpb check` in a fresh interpreter, counting calls of the root finder,
+# and reports whether sympy was ever imported.
+SYMPY_FREE_RUN = """
+import contextlib, io, json, sys
+import qpb.charsplit as charsplit
+from qpb.cli import main
+calls = []
+factor = charsplit.factor_over_field
+charsplit.factor_over_field = lambda *a: calls.append(a) or factor(*a)
+with contextlib.redirect_stdout(io.StringIO()):
+    code = main(["check", sys.argv[1]])
+print(json.dumps({"code": code, "calls": len(calls), "sympy": "sympy" in sys.modules}))
+"""
+
+
+def test_check_runs_without_sympy():
+    spec = Path(__file__).resolve().parents[1] / "bench" / "cases" / "z2-point-bundle.json"
+    proc = subprocess.run([sys.executable, "-c", SYMPY_FREE_RUN, str(spec)],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert json.loads(proc.stdout) == {"code": 0, "calls": 1, "sympy": False}
