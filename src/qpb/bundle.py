@@ -19,7 +19,7 @@ from .errors import (
 )
 from .hopf import HopfStarAlgebra, StarAlgebra
 from .linalg import (
-    BasedSpace, LinearMap, Vec, span_basis, vadd, viadd_term, vscale,
+    BasedSpace, LinearMap, Vec, fixed_points, vadd, viadd_term, vscale,
 )
 from .report import ValidationReport, failing, map_equality_record, passing
 from .tensor import Factor, TProd, term_map
@@ -283,11 +283,9 @@ def build_bundle(total: StarAlgebra, group: HopfStarAlgebra,
                               where="bundle.coaction")
 
     # base V = F-fixed points
-    iota_cols = [tens({i: one}, group.unit) for i in range(total.dim)]
-    diff = LinearMap(total.space, coaction.codomain,
-                     [vadd(coaction.cols[i], vscale(-one, iota_cols[i]))
-                      for i in range(total.dim)], field)
-    base_vectors = span_basis(diff.nullspace())
+    iota = LinearMap(total.space, coaction.codomain,
+                     [tens({i: one}, group.unit) for i in range(total.dim)], field)
+    base_vectors = fixed_points(coaction, iota)
     if not base_vectors:
         raise NotCoaction("coaction has no fixed vectors at all", where="bundle.coaction")
     incl = LinearMap(BasedSpace(tuple(f"v{i}" for i in range(len(base_vectors)))),

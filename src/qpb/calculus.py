@@ -11,9 +11,13 @@ be bijective in every total degree <= 2, the extended translation map tau^
 is its inverse on Gamma^, and sigma^_M is assembled from F^ and tau^ with
 the graded-twist signs of its defining formula.
 
-L^ is the subspace of F^_2-invariants of W_2 with the counital differential
-coalgebra structure (eps^_M, Delta^, phi^_M); everything is checked exactly
-and degree-budgeted.
+The differential gauge coalgebra L^ (F^_2-invariants of W_2 with eps^_M,
+Delta^ and phi^_M, and its counital coalgebra identities) is built by
+gauge.GradedGaugeCoalgebra, the construction that also gives L in degree
+zero, with the degrees of Omega(P) and Omega(M) and the degree budget as
+data.  What only the graded case has stays here: the homogeneity of the L^
+basis vectors, closure of L^ under star and d, eps^_M against star and d,
+and L^0 = L.
 """
 
 from __future__ import annotations
@@ -21,15 +25,16 @@ from __future__ import annotations
 from .bundle import build_bundle
 from .errors import DegreeBudget, NotProductBundle, ValidationFailed
 from .fodc import Envelope2, Fodc, GammaEnvelope, build_envelope2
+from .gauge import GradedGaugeCoalgebra
 from .hopf import BUDGET, GradedStarAlgebra, StarAlgebra, graded_tensor_mul
 from .linalg import (
-    BasedSpace, Echelon, LinearMap, Vec, span_basis, spans_equal, viadd,
-    viadd_term, vscale,
+    BasedSpace, Echelon, LinearMap, Vec, fixed_points, span_basis, spans_equal,
+    viadd, viadd_term, vscale,
 )
 from .report import (
     ValidationReport, failing, map_equality_record, passing, vacuous,
 )
-from .tensor import Factor, TProd, term_map
+from .tensor import Factor, TProd, slot_apply, term_map, unit_leg
 
 
 class BaseCalculus(GradedStarAlgebra):
@@ -231,7 +236,8 @@ class OmegaP(GradedStarAlgebra):
 
 
 class TotalCalculus:
-    """Bundle + FODC + base calculus, with W_2, W_3, X^, tau^, sigma^_M, L^."""
+    """Bundle + FODC + base calculus, with W_2, W_3, X^, tau^, sigma^_M and
+    the differential gauge coalgebra ``lhat``."""
 
     def __init__(self, fodc: Fodc, env2: Envelope2, gamma: GammaEnvelope,
                  base_calc: BaseCalculus, omega: OmegaP):
@@ -420,159 +426,17 @@ class TotalCalculus:
                         yield (w1, w2_, th), c0 * cth
 
         self.f2_hat = term_map(self.w2, self.w2g, f2_terms)
-        iota_cols = []
-        for b in range(self.w2.dim):
-            acc: Vec = {}
-            for fi, c in self.w2.lift({b: one}).items():
-                i, j = self.w2.tuples[fi]
-                for a, ca in gamma.unit.items():
-                    viadd_term(acc, self.w2g.flat_index((i, j, a)), c * ca)
-            iota_cols.append(self.w2g.project(acc))
-        diff_cols = []
-        for b in range(self.w2.dim):
-            col = dict(self.f2_hat.cols[b])
-            for k, c in iota_cols[b].items():
-                s = col.get(k)
-                s = -c if s is None else s - c
-                if s:
-                    col[k] = s
-                elif k in col:
-                    del col[k]
-            diff_cols.append(col)
-        self.lhat_basis = span_basis(
-            LinearMap(self.w2.space, self.w2g.space, diff_cols, field).nullspace())
-        self.lhat_space = BasedSpace(tuple(f"Lh{i}" for i in range(len(self.lhat_basis))))
-        self.lhat_incl = LinearMap(self.lhat_space, self.w2.space, self.lhat_basis, field)
-        self.lhat_degrees = []
-        for lb in self.lhat_basis:
-            degs = {w2deg[i] for i in lb}
-            if len(degs) != 1:
+        self.m_embed = LinearMap(base_calc.space, omega.space, omega.m_embed_cols, field)
+        self.lhat = GradedGaugeCoalgebra(
+            "L^", "Omega", omega, omega.factor, self.m_embed, self.w1, self.w2,
+            self.w3, self.f2_hat, self.w2g, gamma.unit, omega.f_legs, self.tau_legs,
+            coeff_degrees=base_calc.degrees, budget=BUDGET)
+        for lb, deg in zip(self.lhat.l_basis, self.lhat.degrees):
+            if any(w2deg[i] != deg for i in lb):
                 raise ValidationFailed("L^ basis vector is not homogeneous")
-            self.lhat_degrees.append(degs.pop())
-
-        # L^ as an Omega(M)-bimodule factor (actions beyond the degree budget
-        # are stored empty; balanced relations never consult them)
-        lact, ract = [], []
-        for f in range(base_calc.dim):
-            lf = omega.factor.lact[f]
-            rf = omega.factor.ract[f]
-            lcols, rcols = [], []
-            for li, lb in enumerate(self.lhat_basis):
-                if self.lhat_degrees[li] + base_calc.degree(f) > BUDGET:
-                    lcols.append({})
-                    rcols.append({})
-                    continue
-                lv = self._act_w2(lf, lb)
-                rv = self._act_w2(rf, lb, right=True)
-                lcols.append(self._into_lhat(lv, "f.L^"))
-                rcols.append(self._into_lhat(rv, "L^.f"))
-            lact.append(LinearMap(self.lhat_space, self.lhat_space, lcols, field))
-            ract.append(LinearMap(self.lhat_space, self.lhat_space, rcols, field))
-        self.lhat_factor = Factor(self.lhat_space, tuple(self.lhat_degrees),
-                                  lact, ract)
-        self.lhat_lact, self.lhat_ract = lact, ract
-
-        # Delta^ = (id (x) tau^) F^ : Omega(P) -> W_3, restricted to L^ (x) Omega(P)
-        w3 = self.w3
-        delta_cols = []
-        for i in range(omega.dim):
-            acc: Vec = {}
-            for w, th, c in omega.f_legs[i]:
-                for p, q, ct in self.tau_legs[th]:
-                    viadd_term(acc, w3.flat_index((w, p, q)), c * ct)
-            delta_cols.append(w3.project(acc))
-        self.delta_hat_w3 = LinearMap(omega.space, w3.space, delta_cols, field)
-
-        self.t_lo = TProd(field, (self.lhat_factor, omega.factor),
-                          coeff_degrees=base_calc.degrees, budget=BUDGET,
-                          name="L^(x)Omega")
-        self.t_ll = TProd(field, (self.lhat_factor, self.lhat_factor),
-                          coeff_degrees=base_calc.degrees, budget=BUDGET,
-                          name="L^(x)L^")
-        self.t_llo = TProd(field, (self.lhat_factor, self.lhat_factor, omega.factor),
-                           coeff_degrees=base_calc.degrees, budget=BUDGET,
-                           name="L^(x)L^(x)Omega")
-        self.t_lll = TProd(field, (self.lhat_factor,) * 3,
-                           coeff_degrees=base_calc.degrees, budget=BUDGET,
-                           name="L^(x)3")
-        self.t_loo = TProd(field, (self.lhat_factor, omega.factor, omega.factor),
-                           coeff_degrees=base_calc.degrees, budget=BUDGET,
-                           name="L^(x)Omega(x)Omega")
-
-        def j_lo_terms(t):
-            l, j = t
-            for fi, c in self.w2.lift(self.lhat_basis[l]).items():
-                x, y = self.w2.tuples[fi]
-                yield (x, y, j), c
-
-        self.j_lo = term_map(self.t_lo, w3, j_lo_terms)
-        if self.j_lo.rank() != self.t_lo.dim:
-            raise ValidationFailed("L^ (x) Omega does not embed into W_3")
-        dh_cols = []
-        for i in range(omega.dim):
-            sol = self.j_lo.solve(delta_cols[i])
-            if sol is None:
-                raise ValidationFailed("Delta^ does not land in L^ (x) Omega(P)")
-            dh_cols.append(sol)
-        self.delta_hat = LinearMap(omega.space, self.t_lo.space, dh_cols, field)
-
-        def j_ll_terms(t):
-            l1, l2 = t
-            for fi, c in self.w2.lift(self.lhat_basis[l2]).items():
-                x, y = self.w2.tuples[fi]
-                yield (l1, x, y), c
-
-        self.j_ll = term_map(self.t_ll, self.t_loo, j_ll_terms)
-        phi_cols = []
-        for li, lb in enumerate(self.lhat_basis):
-            acc = {}
-            for fi, c in self.w2.lift(lb).items():
-                i, j = self.w2.tuples[fi]
-                for fj, cd in self.t_lo.lift(dh_cols[i]).items():
-                    l1, x = self.t_lo.tuples[fj]
-                    viadd_term(acc, self.t_loo.flat_index((l1, x, j)), c * cd)
-            sol = self.j_ll.solve(self.t_loo.project(acc))
-            if sol is None:
-                raise ValidationFailed("phi^_M does not land in L^ (x) L^")
-            phi_cols.append(sol)
-        self.phi_hat_m = LinearMap(self.lhat_space, self.t_ll.space, phi_cols, field)
-
-        # eps^_M : L^ -> Omega(M) (embedded basis coordinates)
-        m_embed = LinearMap(base_calc.space, omega.space, omega.m_embed_cols, field)
-        eps_cols = []
-        for lb in self.lhat_basis:
-            v = self.w2_mu.apply(lb)
-            acc: Vec = {}
-            for fi, c in self.w1.lift(v).items():
-                acc[self.w1.tuples[fi][0]] = c
-            sol = m_embed.solve(acc)
-            if sol is None:
-                raise ValidationFailed("mu(L^) leaves Omega(M)")
-            eps_cols.append(sol)
-        self.eps_hat_m = LinearMap(self.lhat_space, base_calc.space, eps_cols, field)
-        self.m_embed = m_embed
+        self._filtration: dict[int, list[Vec]] = {}
 
     # -- helpers -----------------------------------------------------------
-
-    def _act_w2(self, m: LinearMap, v: Vec, right: bool = False) -> Vec:
-        """Apply a slot map on W_2: left actions act on slot 0, right on slot 1."""
-        w2 = self.w2
-        out: Vec = {}
-        for fi, c in w2.lift(v).items():
-            i, j = w2.tuples[fi]
-            if right:
-                for j2, cj in m.cols[j].items():
-                    viadd_term(out, w2.flat_index((i, j2)), c * cj)
-            else:
-                for i2, ci in m.cols[i].items():
-                    viadd_term(out, w2.flat_index((i2, j)), c * ci)
-        return w2.project(out)
-
-    def _into_lhat(self, v: Vec, what: str) -> Vec:
-        sol = self.lhat_incl.solve(v)
-        if sol is None:
-            raise ValidationFailed(f"{what} leaves L^")
-        return sol
 
     def w2_d(self, v: Vec) -> Vec:
         out: Vec = {}
@@ -589,55 +453,27 @@ class TotalCalculus:
     def tau_of(self, gamma_vec: Vec) -> Vec:
         return self.tau_hat.apply(gamma_vec)
 
-    def hor_basis(self):
-        """Horizontal forms: kernel of the strictly-positive second degree
-        part of F^."""
-        omega, gamma = self.omega, self.gamma
-        og = omega.og
-        field = self.field
-        cols = []
-        for i in range(omega.dim):
-            col: Vec = {}
-            for w, th, c in omega.f_legs[i]:
-                if gamma.degree(th) > 0:
-                    col[og.flat_index((w, th))] = c
-            cols.append(col)
-        return span_basis(LinearMap(omega.space, og.space, cols, field).nullspace())
-
     def omega_m_fixed(self):
         """F^-fixed subspace of Omega(P) (the embedded Omega(M))."""
-        omega, gamma = self.omega, self.gamma
-        og = omega.og
-        field = self.field
-        cols = []
-        for i in range(omega.dim):
-            col = dict(self.omega.f_hat.cols[i])
-            iota: Vec = {}
-            for a, ca in gamma.unit.items():
-                viadd_term(iota, og.flat_index((i, a)), ca)
-            for k, c in og.project(iota).items():
-                s = col.get(k)
-                s = -c if s is None else s - c
-                if s:
-                    col[k] = s
-                elif k in col:
-                    del col[k]
-            cols.append(col)
-        return span_basis(LinearMap(omega.space, og.space, cols, field).nullspace())
+        iota = unit_leg(self.w1, self.omega.og, self.gamma.unit)
+        return fixed_points(self.omega.f_hat, iota)
 
     def filtration_basis(self, k: int):
-        """Omega_k(P) = F^-preimage of Omega(P) (x) Gamma^{<= k}."""
-        omega, gamma = self.omega, self.gamma
-        og = omega.og
-        field = self.field
-        cols = []
-        for i in range(omega.dim):
-            col: Vec = {}
-            for w, th, c in omega.f_legs[i]:
-                if gamma.degree(th) > k:
-                    col[og.flat_index((w, th))] = c
-            cols.append(col)
-        return span_basis(LinearMap(omega.space, og.space, cols, field).nullspace())
+        """Omega_k(P) = F^-preimage of Omega(P) (x) Gamma^{<= k}; Omega_0(P)
+        is hor(P), the horizontal forms.  Computed once per k."""
+        if k not in self._filtration:
+            omega, gamma = self.omega, self.gamma
+            og = omega.og
+            cols = []
+            for i in range(omega.dim):
+                col: Vec = {}
+                for w, th, c in omega.f_legs[i]:
+                    if gamma.degree(th) > k:
+                        col[og.flat_index((w, th))] = c
+                cols.append(col)
+            self._filtration[k] = span_basis(
+                LinearMap(omega.space, og.space, cols, self.field).nullspace())
+        return self._filtration[k]
 
     def f_pos_part(self, i: int):
         return [(w, th, c) for (w, th, c) in self.omega.f_legs[i]
@@ -845,7 +681,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
             if bad else passing("diff.Fhat-coassoc", "(F^ (x) id)F^ = (id (x) phi^)F^"))
 
     # horizontal forms and the embedded base calculus
-    hor = tc.hor_basis()
+    hor = tc.filtration_basis(0)
     expected_hor = []
     for i in range(omega.dim):
         m, g = omega.tp.tuples[i]
@@ -963,8 +799,8 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
         for gi in range(gamma.dim):
             if base.degree(f) + gamma.degree(gi) > BUDGET:
                 continue
-            lv = tc._act_w2(omega.factor.lact[f], tc.tau_hat.cols[gi])
-            rv = tc._act_w2(omega.factor.ract[f], tc.tau_hat.cols[gi], right=True)
+            lv = slot_apply(w2, tc.tau_hat.cols[gi], 0, omega.factor.lact[f])
+            rv = slot_apply(w2, tc.tau_hat.cols[gi], 1, omega.factor.ract[f])
             sign = -one if (base.degree(f) * gamma.degree(gi)) % 2 else one
             if lv != vscale(sign, rv):
                 bad = {"base_index": f, "gamma_index": gi}
@@ -1062,20 +898,21 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
             else passing("diff.g-d", "d sigma^ = sigma^ d"))
 
     # --- L^ -------------------------------------------------------------------
-    nl = tc.lhat_space.dim
+    lhat = tc.lhat
+    nl = lhat.l_space.dim
     # closed under star and d
     ok = True
-    for lb in tc.lhat_basis:
-        if tc.lhat_incl.solve(tc.w2_star.apply(lb)) is None:
+    for lb in lhat.l_basis:
+        if lhat.l_incl.solve(tc.w2_star.apply(lb)) is None:
             ok = False
             break
     rep.add(passing("diff.Lhat-star", "L^ closed under conjugation") if ok
             else failing("diff.Lhat-star", "L^ closed under conjugation", {}))
     ok = True
-    for li, lb in enumerate(tc.lhat_basis):
-        if tc.lhat_degrees[li] >= BUDGET:
+    for li, lb in enumerate(lhat.l_basis):
+        if lhat.degrees[li] >= BUDGET:
             continue
-        if tc.lhat_incl.solve(tc.w2_d(lb)) is None:
+        if lhat.l_incl.solve(tc.w2_d(lb)) is None:
             ok = False
             break
     rep.add(passing("diff.Lhat-d", "L^ closed under d") if ok
@@ -1094,8 +931,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
                 i, j = b2.tuples[fi]
                 viadd_term(acc, w2.flat_index((omap[i], omap[j])), c)
             l_in_w2.append(w2.project(acc))
-        lhat0 = [lb for li, lb in enumerate(tc.lhat_basis)
-                 if tc.lhat_degrees[li] == 0]
+        lhat0 = [lb for li, lb in enumerate(lhat.l_basis) if lhat.degrees[li] == 0]
         rep.add(passing("diff.Lhat-deg0", "L^0 = L")
                 if spans_equal(l_in_w2, lhat0)
                 else failing("diff.Lhat-deg0", "L^0 = L",
@@ -1104,9 +940,9 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
     # eps^_M: hermitian and d-compatible
     bad = None
     for li in range(nl):
-        st = tc.lhat_incl.solve(tc.w2_star.apply(tc.lhat_basis[li]))
-        lhs_v = tc.eps_hat_m.apply(st)
-        rhs_v = base.star_apply(tc.eps_hat_m.cols[li])
+        st = lhat.l_incl.solve(tc.w2_star.apply(lhat.l_basis[li]))
+        lhs_v = lhat.eps_m.apply(st)
+        rhs_v = base.star_apply(lhat.eps_m.cols[li])
         if lhs_v != rhs_v:
             bad = {"basis_index": li}
             break
@@ -1114,11 +950,11 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
             else passing("diff.epsM-star", "eps^_M * = * eps^_M"))
     bad = None
     for li in range(nl):
-        if tc.lhat_degrees[li] >= BUDGET:
+        if lhat.degrees[li] >= BUDGET:
             continue
-        dl = tc.lhat_incl.solve(tc.w2_d(tc.lhat_basis[li]))
-        lhs_v = tc.eps_hat_m.apply(dl)
-        rhs_v = base.d_apply(tc.eps_hat_m.cols[li])
+        dl = lhat.l_incl.solve(tc.w2_d(lhat.l_basis[li]))
+        lhs_v = lhat.eps_m.apply(dl)
+        rhs_v = base.d_apply(lhat.eps_m.cols[li])
         if lhs_v != rhs_v:
             bad = {"basis_index": li}
             break
@@ -1126,86 +962,11 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
             else passing("diff.epsM-d", "eps^_M d = d eps^_M"))
 
     # counital differential coalgebra identities
-    t_l = TProd(field, (tc.lhat_factor,), budget=BUDGET, name="L^")
-
-    def eps1_terms(t):
-        l1, l2 = t
-        for f, c in tc.eps_hat_m.cols[l1].items():
-            for k, ck in tc.lhat_lact[f].cols[l2].items():
-                yield (k,), c * ck
-
-    eps1 = term_map(tc.t_ll, t_l, eps1_terms)
-
-    def eps2_terms(t):
-        l1, l2 = t
-        for f, c in tc.eps_hat_m.cols[l2].items():
-            for k, ck in tc.lhat_ract[f].cols[l1].items():
-                yield (k,), c * ck
-
-    eps2 = term_map(tc.t_ll, t_l, eps2_terms)
-    resc = LinearMap(tc.lhat_space, t_l.space,
-                     [t_l.project_tuple((i,)) for i in range(nl)], field)
-    rep.add(map_equality_record("diff.Lhat-counit-left", "counit",
-                                eps1.compose(tc.phi_hat_m), resc,
-                                witness_space=t_l.space))
-    rep.add(map_equality_record("diff.Lhat-counit-right", "counit",
-                                eps2.compose(tc.phi_hat_m), resc,
-                                witness_space=t_l.space))
-
-    def epsd_terms(t):
-        l, j = t
-        for f, c in tc.eps_hat_m.cols[l].items():
-            emb = tc.m_embed.cols[f]
-            for i, ci in emb.items():
-                for k, ck in omega.mul_basis(i, j).items():
-                    yield (k,), c * ci * ck
-
-    epsd = term_map(tc.t_lo, tc.w1, epsd_terms)
-    ido = LinearMap(omega.space, tc.w1.space,
-                    [tc.w1.project_tuple((i,)) for i in range(omega.dim)], field)
-    rep.add(map_equality_record("diff.Lhat-e-fgau", "(eps^_M (x) id)Delta^ = id",
-                                epsd.compose(tc.delta_hat), ido,
-                                witness_space=tc.w1.space))
-
-    def id_delta_terms(t):
-        l, j = t
-        for fj, cd in tc.t_lo.lift(tc.delta_hat.cols[j]).items():
-            l2, x = tc.t_lo.tuples[fj]
-            yield (l, l2, x), cd
-
-    id_delta = term_map(tc.t_lo, tc.t_llo, id_delta_terms)
-
-    def phi_id_terms_lo(t):
-        l, j = t
-        for fj, cp in tc.t_ll.lift(tc.phi_hat_m.cols[l]).items():
-            l1, l2 = tc.t_ll.tuples[fj]
-            yield (l1, l2, j), cp
-
-    phi_id = term_map(tc.t_lo, tc.t_llo, phi_id_terms_lo)
-    rep.add(map_equality_record("diff.Lhat-coact", "(id (x) Delta^)Delta^ = (phi^_M (x) id)Delta^",
-                                id_delta.compose(tc.delta_hat),
-                                phi_id.compose(tc.delta_hat),
-                                witness_space=tc.t_llo.space))
-
-    def phi1_terms(t):
-        l1, l2 = t
-        for fj, cp in tc.t_ll.lift(tc.phi_hat_m.cols[l1]).items():
-            a, b_ = tc.t_ll.tuples[fj]
-            yield (a, b_, l2), cp
-
-    phi1 = term_map(tc.t_ll, tc.t_lll, phi1_terms)
-
-    def phi2_terms(t):
-        l1, l2 = t
-        for fj, cp in tc.t_ll.lift(tc.phi_hat_m.cols[l2]).items():
-            a, b_ = tc.t_ll.tuples[fj]
-            yield (l1, a, b_), cp
-
-    phi2 = term_map(tc.t_ll, tc.t_lll, phi2_terms)
-    rep.add(map_equality_record("diff.Lhat-coasso", "phi^_M coassociative",
-                                phi1.compose(tc.phi_hat_m),
-                                phi2.compose(tc.phi_hat_m),
-                                witness_space=tc.t_lll.space))
+    lhat.add_coalgebra_records(rep, (
+        ("diff.Lhat-counit-left", "counit"), ("diff.Lhat-counit-right", "counit"),
+        ("diff.Lhat-e-fgau", "(eps^_M (x) id)Delta^ = id"),
+        ("diff.Lhat-coact", "(id (x) Delta^)Delta^ = (phi^_M (x) id)Delta^"),
+        ("diff.Lhat-coasso", "phi^_M coassociative")))
 
     # <tau^, tau^>(theta) = d tau^(theta) on Gamma_inv
     bad = None

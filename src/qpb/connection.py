@@ -59,7 +59,7 @@ class Connection:
         self.curvature = LinearMap(tc.fodc.inv_space, tc.omega.space, r_cols, field)
         # horizontality of the curvature values
         hor = Echelon()
-        for v in tc.hor_basis():
+        for v in tc.filtration_basis(0):
             hor.add(v)
         for t in range(tc.fodc.dim):
             if not hor.contains(r_cols[t]):
@@ -259,7 +259,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
     # tr-conn: Delta^ omega(theta) = sum omega(theta_k) (x) tau(c_k) + 1 (x) tau^(theta)
     bad = None
     for t in range(d1):
-        lhs = tc.delta_hat_w3.apply(conn.omega_map.cols[t])
+        lhs = tc.lhat.delta3.apply(conn.omega_map.cols[t])
         acc: Vec = {}
         for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
             for i, ci in conn.omega_map.cols[th_k].items():
@@ -301,7 +301,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
     # tr-R2: Delta^ R(theta) = sum R(theta_k) (x) tau(c_k)
     bad = None
     for t in range(d1):
-        lhs = tc.delta_hat_w3.apply(conn.curvature.cols[t])
+        lhs = tc.lhat.delta3.apply(conn.curvature.cols[t])
         acc = {}
         for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
             for i, ci in conn.curvature.cols[th_k].items():
@@ -319,7 +319,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
     # tr-R1: Delta^ R(theta) = sum varsigma(c_k) . R(theta_k)  (W_3 product)
     bad = None
     for t in range(d1):
-        lhs = tc.delta_hat_w3.apply(conn.curvature.cols[t])
+        lhs = tc.lhat.delta3.apply(conn.curvature.cols[t])
         rhs: Vec = {}
         for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
             vs = varsigma_w3(tc, c_k)
@@ -338,7 +338,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
                                  "sigma^_M-induced product"))
 
     # covariant derivative on horizontal forms of degree <= 1
-    hor = tc.hor_basis()
+    hor = tc.filtration_basis(0)
     d_checked = []
     for v in hor:
         deg = om.degree(min(v))
@@ -360,7 +360,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
     # tr-D2: Delta^ D(phi) = sum D(phi_k) (x) tau(c_k)
     bad = None
     for v, deg in d_checked:
-        lhs = tc.delta_hat_w3.apply(conn.covariant_derivative(v))
+        lhs = tc.lhat.delta3.apply(conn.covariant_derivative(v))
         acc = {}
         for i, c in v.items():
             for w, th, cf in tc.f_pos_part(i):
@@ -378,7 +378,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
     # tr-D1: Delta^ D(phi) = sum varsigma(c_k) . D(phi_k)  (W_3 product)
     bad = None
     for v, deg in d_checked:
-        lhs = tc.delta_hat_w3.apply(conn.covariant_derivative(v))
+        lhs = tc.lhat.delta3.apply(conn.covariant_derivative(v))
         rhs = {}
         for i, c in v.items():
             for w, th, cf in tc.f_pos_part(i):

@@ -514,5 +514,13 @@ def run_suites(build: BuildResult, suites, degree: int = 2,
 
 
 def load_file(path: str) -> SpecFile:
-    with open(path, "r", encoding="utf-8") as f:
-        return parse_spec(f.read())
+    try:
+        with open(path, "r", encoding="utf-8") as f:
+            text = f.read()
+    except OSError as e:
+        raise SpecFileError(f"cannot read {path!r}: {e.strerror or e}",
+                            where="file") from None
+    except UnicodeDecodeError as e:
+        raise SpecFileError(f"{path!r} is not UTF-8 text: {e.reason} at byte {e.start}",
+                            where="file") from None
+    return parse_spec(text)

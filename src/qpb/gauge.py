@@ -3,6 +3,17 @@ its braided-Hopf structure over a classical structure group, the gauge group
 of V-valued characters with its action on the bundle, and isotypic
 decompositions from corepresentation data.
 
+L and the differential gauge coalgebra L^ of calculus.py come from one
+construction, GradedGaugeCoalgebra, over a graded balanced tower W, W_2, W_3
+of one factor W over a coefficient algebra M: the F_2-invariants of W_2 with
+Delta = (id (x) tau)F, phi_M = (Delta (x) id)|_L and eps_M = mu|_L, and the
+counital coalgebra and coaction identities.  Degrees, coefficient degrees and
+the degree budget are data; L is the instance W = B, M = V with every degree
+zero and no budget.  What only degree zero has is in GaugeCoalgebra: the Haar
+projection p_L and its cross-checks, B (x) L, mu_M(L) = V, fgau-F, the Lemma
+2.6 antipode identities, delta_3 as a *-homomorphism, and the braided product
+and star of L inside B_2.
+
 All coalgebra maps are concrete matrices on abstract balanced tensor products
 of L, B and V; inclusions into B_n are solved exactly, so membership claims
 (delta_3 lands in L (x) B, phi_M lands in L (x) L, ...) are verified rather
@@ -11,36 +22,245 @@ than assumed.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .braiding import BraidOperator, sigma_m
 from .bundle import Bundle
 from .charsplit import CommAlgebra, field_characters
 from .errors import NotClassical, NotCommutative, ValidationFailed
 from .hopf import table_mul
 from .linalg import (
-    BasedSpace, LinearMap, Vec, intersect_spans, span_basis, spans_equal, viadd,
-    viadd_term,
+    BasedSpace, LinearMap, Vec, fixed_points, intersect_spans, span_basis,
+    spans_equal, viadd, viadd_term,
 )
 from .report import (
     CheckRecord, ValidationReport, failing, map_equality_record, passing, vacuous,
 )
-from .tensor import Factor, TProd, term_map
+from .tensor import Factor, TProd, slot_apply, term_map, unit_leg
 
 
-class GaugeCoalgebra:
-    """L with projection p_L, counit eps_M, action Delta and coproduct phi_M,
-    together with the abstract balanced products they live on."""
+class GradedGaugeCoalgebra:
+    """The gauge coalgebra of a graded balanced tower.
+
+    ``algebra`` is the *-algebra W of one tensor slot (``mul_basis``),
+    ``factor`` its Factor with the coefficient actions, ``coeff_embed`` the
+    inclusion M -> W, and ``w1``, ``w2``, ``w3`` the balanced powers of
+    ``factor``.  ``f2`` : W_2 -> ``w2a`` is the doubled coaction with values
+    in W_2 (x) H, ``unit`` the unit of H, and ``f_legs[i]`` / ``tau_legs[h]``
+    the flat legs (w, h, c) of F(e_i) and (p, q, c) of tau(e_h).  ``name``
+    and ``slot`` name L and W in labels and messages.
+    """
+
+    def __init__(self, name, slot, algebra, factor, coeff_embed, w1, w2, w3,
+                 f2, w2a, unit, f_legs, tau_legs, coeff_degrees=None, budget=None):
+        self.name = name
+        self.algebra = algebra
+        self.coeff_embed = coeff_embed
+        self.w1 = w1
+        self.field = field = w2.field
+
+        # L = F_2-invariants; each basis vector is homogeneous, of the degree
+        # of its pivot
+        self.l_basis = fixed_points(f2, unit_leg(w2, w2a, unit))
+        nl = len(self.l_basis)
+        self.l_space = BasedSpace(tuple(f"{name}{i}" for i in range(nl)))
+        self.l_incl = LinearMap(self.l_space, w2.space, self.l_basis, field)
+        self.degrees = tuple(w2.basis_degree(min(lb)) for lb in self.l_basis)
+
+        # L as an M-bimodule factor (actions beyond the degree budget are
+        # stored empty; balanced relations never consult them)
+        lact, ract = [], []
+        for f in range(len(factor.lact)):
+            fdeg = 0 if coeff_degrees is None else coeff_degrees[f]
+            lcols, rcols = [], []
+            for lb, deg in zip(self.l_basis, self.degrees):
+                if budget is not None and deg + fdeg > budget:
+                    lcols.append({})
+                    rcols.append({})
+                    continue
+                lcols.append(self.into_l(slot_apply(w2, lb, 0, factor.lact[f]),
+                                         f"f.{name}"))
+                rcols.append(self.into_l(slot_apply(w2, lb, 1, factor.ract[f]),
+                                         f"{name}.f"))
+            lact.append(LinearMap(self.l_space, self.l_space, lcols, field))
+            ract.append(LinearMap(self.l_space, self.l_space, rcols, field))
+        self.lact, self.ract = lact, ract
+        self.l_factor = lf = Factor(self.l_space, self.degrees, lact, ract)
+
+        def tprod(factors, label):
+            return TProd(field, factors, coeff_degrees=coeff_degrees,
+                         budget=budget, name=label)
+
+        self.t_l = tprod((lf,), name)
+        self.t_lb = tprod((lf, factor), f"{name}(x){slot}")
+        self.t_ll = tprod((lf, lf), f"{name}(x){name}")
+        self.t_llb = tprod((lf, lf, factor), f"{name}(x){name}(x){slot}")
+        self.t_lbb = tprod((lf, factor, factor), f"{name}(x){slot}(x){slot}")
+        self.t_lll = tprod((lf,) * 3, f"{name}(x){name}(x){name}")
+
+        def j_lb_terms(t):
+            l, j = t
+            for fi, c in w2.lift(self.l_basis[l]).items():
+                x, y = w2.tuples[fi]
+                yield (x, y, j), c
+
+        self.j_lb = term_map(self.t_lb, w3, j_lb_terms)
+        if self.j_lb.rank() != self.t_lb.dim:
+            raise ValidationFailed(
+                f"balanced products with {name} do not embed into {w3.name}")
+
+        # delta_3 = (id (x) tau) F, restricted codomain Delta : W -> L (x)_M W
+        delta3_cols = []
+        for i in range(len(f_legs)):
+            acc: Vec = {}
+            for k, a, cf in f_legs[i]:
+                for x, y, ct in tau_legs[a]:
+                    viadd_term(acc, w3.flat_index((k, x, y)), cf * ct)
+            delta3_cols.append(w3.project(acc))
+        self.delta3 = LinearMap(factor.space, w3.space, delta3_cols, field)
+        delta_cols = []
+        for col in delta3_cols:
+            sol = self.j_lb.solve(col)
+            if sol is None:
+                raise ValidationFailed(f"delta_3 does not land in {name} (x) {slot}")
+            delta_cols.append(sol)
+        self.delta = LinearMap(factor.space, self.t_lb.space, delta_cols, field)
+
+        # eps_M = mu restricted to L, in coefficient coordinates
+        eps_cols = []
+        for lb in self.l_basis:
+            acc = {}
+            for fi, c in w2.lift(lb).items():
+                x, y = w2.tuples[fi]
+                viadd(acc, c, algebra.mul_basis(x, y))
+            sol = coeff_embed.solve(acc)
+            if sol is None:
+                raise ValidationFailed(f"mu_M({name}) leaves the coefficient algebra")
+            eps_cols.append(sol)
+        self.eps_m = LinearMap(self.l_space, coeff_embed.domain, eps_cols, field)
+
+        # phi_M : L -> L (x)_M L as the restriction of (Delta (x) id)
+        def j_ll_terms(t):
+            l1, l2 = t
+            for fi, c in w2.lift(self.l_basis[l2]).items():
+                x, y = w2.tuples[fi]
+                yield (l1, x, y), c
+
+        self.j_ll = term_map(self.t_ll, self.t_lbb, j_ll_terms)
+        phi_cols = []
+        for lb in self.l_basis:
+            acc = {}
+            for fi, c in w2.lift(lb).items():
+                i, j = w2.tuples[fi]
+                for fj, cd in self.t_lb.lift(delta_cols[i]).items():
+                    l1, x = self.t_lb.tuples[fj]
+                    viadd_term(acc, self.t_lbb.flat_index((l1, x, j)), c * cd)
+            sol = self.j_ll.solve(self.t_lbb.project(acc))
+            if sol is None:
+                raise ValidationFailed(f"phi_M does not land in {name} (x) {name}")
+            phi_cols.append(sol)
+        self.phi_m = LinearMap(self.l_space, self.t_ll.space, phi_cols, field)
+
+        # phi_M (x) id and id (x) phi_M : L (x) L -> L (x) L (x) L
+        def phi_id_terms(t):
+            l1, l2 = t
+            for fj, cp in self.t_ll.lift(phi_cols[l1]).items():
+                yield self.t_ll.tuples[fj] + (l2,), cp
+
+        def id_phi_terms(t):
+            l1, l2 = t
+            for fj, cp in self.t_ll.lift(phi_cols[l2]).items():
+                yield (l1,) + self.t_ll.tuples[fj], cp
+
+        self.phi_id = term_map(self.t_ll, self.t_lll, phi_id_terms)
+        self.id_phi = term_map(self.t_ll, self.t_lll, id_phi_terms)
+
+    def into_l(self, v: Vec, what: str = "vector") -> Vec:
+        sol = self.l_incl.solve(v)
+        if sol is None:
+            raise ValidationFailed(f"{what} leaves {self.name}")
+        return sol
+
+    def add_coalgebra_records(self, rep: ValidationReport, ids) -> None:
+        """Record the counital coalgebra and coaction identities; ``ids``
+        holds the (identity id, paper label) of counit-left, counit-right,
+        e-fgau, coact and coasso."""
+        counit_left, counit_right, e_fgau, coact, coasso = ids
+        field = self.field
+        t_l, t_ll = self.t_l, self.t_ll
+
+        # (eps_M (x) id) phi_M = (id (x) eps_M) phi_M = id
+        def eps1_terms(t):
+            l1, l2 = t
+            for v, c in self.eps_m.cols[l1].items():
+                for k, ck in self.lact[v].cols[l2].items():
+                    yield (k,), c * ck
+
+        def eps2_terms(t):
+            l1, l2 = t
+            for v, c in self.eps_m.cols[l2].items():
+                for k, ck in self.ract[v].cols[l1].items():
+                    yield (k,), c * ck
+
+        resc = LinearMap(self.l_space, t_l.space,
+                         [t_l.project_tuple((i,)) for i in range(self.l_space.dim)],
+                         field)
+        rep.add(map_equality_record(*counit_left,
+                                    term_map(t_ll, t_l, eps1_terms).compose(self.phi_m),
+                                    resc, witness_space=t_l.space))
+        rep.add(map_equality_record(*counit_right,
+                                    term_map(t_ll, t_l, eps2_terms).compose(self.phi_m),
+                                    resc, witness_space=t_l.space))
+
+        # (eps_M (x) id) Delta = id on W
+        def epsd_terms(t):
+            l, j = t
+            for v, c in self.eps_m.cols[l].items():
+                for i, ci in self.coeff_embed.cols[v].items():
+                    for k, ck in self.algebra.mul_basis(i, j).items():
+                        yield (k,), c * ci * ck
+
+        w1 = self.w1
+        ident = LinearMap(self.delta.domain, w1.space,
+                          [w1.project_tuple((i,)) for i in range(self.delta.domain.dim)],
+                          field)
+        rep.add(map_equality_record(*e_fgau,
+                                    term_map(self.t_lb, w1, epsd_terms).compose(self.delta),
+                                    ident, witness_space=w1.space))
+
+        # (id (x) Delta) Delta = (phi_M (x) id) Delta
+        def id_delta_terms(t):
+            l, j = t
+            for fj, cd in self.t_lb.lift(self.delta.cols[j]).items():
+                yield (l,) + self.t_lb.tuples[fj], cd
+
+        def phi_id_terms(t):
+            l, j = t
+            for fj, cp in t_ll.lift(self.phi_m.cols[l]).items():
+                yield t_ll.tuples[fj] + (j,), cp
+
+        rep.add(map_equality_record(
+            *coact, term_map(self.t_lb, self.t_llb, id_delta_terms).compose(self.delta),
+            term_map(self.t_lb, self.t_llb, phi_id_terms).compose(self.delta),
+            witness_space=self.t_llb.space))
+
+        # coassociativity of phi_M
+        rep.add(map_equality_record(*coasso, self.phi_id.compose(self.phi_m),
+                                    self.id_phi.compose(self.phi_m),
+                                    witness_space=self.t_lll.space))
+
+
+class GaugeCoalgebra(GradedGaugeCoalgebra):
+    """L of a bundle with projection p_L, counit eps_M, action Delta and
+    coproduct phi_M, the abstract balanced products they live on, and the
+    braided product and star of L inside B_2."""
 
     def __init__(self, bundle: Bundle, braid: BraidOperator):
         self.bundle = bundle
         self.braid = braid
-        self.field = bundle.field
-        self.report = ValidationReport()
         b = bundle
-        field = self.field
-        one = field.one
-        b2, b3 = b.b2, b.b_space(3)
         g = b.group
-        da = g.dim
+        b2 = b.b2
         bba = b.mixed_space("BBA")
 
         # F_2 : B_2 -> B_2 (x) A with multiplied A-components
@@ -53,9 +273,15 @@ class GaugeCoalgebra:
                         yield (k1, k2, a), coeff * ca
 
         self.f2 = term_map(b2, bba, f2_terms)
+        super().__init__("L", "B", b.total, b.b_factor, b.base_in_total,
+                         b.b_space(1), b2, b.b_space(3), self.f2, bba, g.unit,
+                         b.f_legs, b.tau_legs)
+        field = self.field
+        one = field.one
+        self.report = rep = ValidationReport()
 
-        # p_L = (id (x) h) F_2, image = L
-        haar = [g.haar_of({a: one}) for a in range(da)]
+        # p_L = (id (x) h) F_2, whose image must be L
+        haar = [g.haar_of({a: one}) for a in range(g.dim)]
 
         def pl_terms(t):
             i, j = t
@@ -67,57 +293,29 @@ class GaugeCoalgebra:
                             yield (k1, k2), coeff * ca * haar[a]
 
         self.p_l = term_map(b2, b2, pl_terms)
-        self.l_basis = span_basis(self.p_l.cols)
-        self.report.add(
-            passing("gauge.pL-idem", "p_L idempotent")
-            if self.p_l.compose(self.p_l) == self.p_l
-            else failing("gauge.pL-idem", "p_L idempotent", {}))
-
-        # cross-check: im(p_L) equals the F_2-fixed subspace
-        fixed = span_basis(self._f2_minus_unit().nullspace())
-        if spans_equal(self.l_basis, fixed):
-            self.report.add(passing("gauge.pL-image", "im(p_L) = F_2-invariants"))
+        rep.add(passing("gauge.pL-idem", "p_L idempotent")
+                if self.p_l.compose(self.p_l) == self.p_l
+                else failing("gauge.pL-idem", "p_L idempotent", {}))
+        image = span_basis(self.p_l.cols)
+        if spans_equal(image, self.l_basis):
+            rep.add(passing("gauge.pL-image", "im(p_L) = F_2-invariants"))
         else:
-            self.report.add(failing("gauge.pL-image", "im(p_L) = F_2-invariants",
-                                    {"rank_pL": len(self.l_basis),
-                                     "rank_fixed": len(fixed)}))
+            rep.add(failing("gauge.pL-image", "im(p_L) = F_2-invariants",
+                            {"rank_pL": len(image), "rank_fixed": len(self.l_basis)}))
             raise ValidationFailed("p_L image differs from the F_2-fixed subspace")
 
-        # L as a V-bimodule factor
-        nl = len(self.l_basis)
-        self.l_space = BasedSpace(tuple(f"L{i}" for i in range(nl)))
-        self.l_incl = LinearMap(self.l_space, b2.space, self.l_basis, field)
-        lact, ract = [], []
-        for fvec in b.base_vectors:
-            lf = b.lmult_map(2, 0, fvec)
-            rf = b.rmult_map(2, 1, fvec)
-            lact.append(LinearMap(self.l_space, self.l_space,
-                                  [self.into_l(lf.apply(lb), "f.L")
-                                   for lb in self.l_basis], field))
-            ract.append(LinearMap(self.l_space, self.l_space,
-                                  [self.into_l(rf.apply(lb), "L.f")
-                                   for lb in self.l_basis], field))
-        self.l_factor = Factor.ungraded(self.l_space, lact, ract)
-        self.lact, self.ract = lact, ract
+        # the construction raised unless Delta and phi_M land in L (x) B and L (x) L
+        rep.add(passing("gauge.f3-incl", "f3-incl"))
+        rep.add(passing("gauge.phiM-incl", "(Delta (x) id)(L) in L (x) L"))
+        # eps_M lands in V, so mu_M(L) = V exactly when eps_M is onto
+        rank = self.eps_m.rank()
+        rep.add(passing("gauge.muL", "mu_M(L) = V") if rank == b.base_dim
+                else failing("gauge.muL", "mu_M(L) = V",
+                             {"rank": rank, "dim_V": b.base_dim}))
 
-        self.t_lb = TProd(field, (self.l_factor, b.b_factor), name="L(x)B")
         self.t_bl = TProd(field, (b.b_factor, self.l_factor), name="B(x)L")
-        self.t_ll = TProd(field, (self.l_factor, self.l_factor), name="L(x)L")
-        self.t_llb = TProd(field, (self.l_factor, self.l_factor, b.b_factor),
-                           name="L(x)L(x)B")
-        self.t_lbb = TProd(field, (self.l_factor, b.b_factor, b.b_factor),
-                           name="L(x)B(x)B")
-        self.t_lll = TProd(field, (self.l_factor,) * 3, name="L(x)L(x)L")
         self.t_lba = TProd(field, (self.l_factor, b.b_factor, b.a_factor),
                            name="L(x)B(x)A")
-
-        def j_lb_terms(t):
-            l, j = t
-            for fi, c in b2.lift(self.l_basis[l]).items():
-                x, y = b2.tuples[fi]
-                yield (x, y, j), c
-
-        self.j_lb = term_map(self.t_lb, b3, j_lb_terms)
 
         def j_bl_terms(t):
             j, l = t
@@ -125,209 +323,24 @@ class GaugeCoalgebra:
                 x, y = b2.tuples[fi]
                 yield (j, x, y), c
 
-        self.j_bl = term_map(self.t_bl, b3, j_bl_terms)
-        if self.j_lb.rank() != self.t_lb.dim or self.j_bl.rank() != self.t_bl.dim:
+        self.j_bl = term_map(self.t_bl, b.b_space(3), j_bl_terms)
+        if self.j_bl.rank() != self.t_bl.dim:
             raise ValidationFailed("balanced products with L do not embed into B_3")
+        self._lb_moves: dict = {}
 
-        # delta_3 = (id (x) tau) F, restricted codomain Delta : B -> L (x)_V B
-        delta3_cols = []
-        for i in range(b.total.dim):
-            acc: Vec = {}
-            for k, c, cf in b.f_legs[i]:
-                for x, y, ct in b.tau_legs[c]:
-                    viadd_term(acc, b3.flat_index((k, x, y)), cf * ct)
-            delta3_cols.append(b3.project(acc))
-        self.delta3 = LinearMap(b.total.space, b3.space, delta3_cols, field)
-        delta_cols, bad = [], None
-        for i, col in enumerate(delta3_cols):
-            sol = self.j_lb.solve(col)
-            if sol is None:
-                bad = {"basis_index": i, "value": b3.render(col)}
-                break
-            delta_cols.append(sol)
-        self.report.add(failing("gauge.f3-incl", "f3-incl", bad) if bad
-                        else passing("gauge.f3-incl", "f3-incl"))
-        if bad:
-            raise ValidationFailed("delta_3 does not land in L (x)_V B")
-        self.delta = LinearMap(b.total.space, self.t_lb.space, delta_cols, field)
+        self.add_coalgebra_records(rep, (
+            ("gauge.counit-left", "counit"), ("gauge.counit-right", "counit"),
+            ("gauge.e-fgau", "e-fgau"), ("gauge.coact", "coact"),
+            ("gauge.coasso", "coasso")))
+        self._verify_degree_zero()
 
-        # eps_M : L -> V from the product map
-        mu_l_cols = []
-        for lb in self.l_basis:
-            acc = {}
-            for fi, c in b2.lift(lb).items():
-                x, y = b2.tuples[fi]
-                viadd(acc, c, b.total.mul_basis(x, y))
-            mu_l_cols.append(acc)
-        self.report.add(
-            passing("gauge.muL", "mu_M(L) = V")
-            if spans_equal(span_basis(mu_l_cols), b.base_vectors)
-            else failing("gauge.muL", "mu_M(L) = V",
-                         {"rank": len(span_basis(mu_l_cols)),
-                          "dim_V": b.base_dim}))
-        eps_cols = []
-        for col in mu_l_cols:
-            sol = b.base_in_total.solve(col)
-            if sol is None:
-                raise ValidationFailed("mu_M(L) leaves V")
-            eps_cols.append(sol)
-        self.eps_m = LinearMap(self.l_space, b.base.space, eps_cols, field)
+    # -- identities of degree zero only -------------------------------------
 
-        # phi_M : L -> L (x)_V L as the restriction of (Delta (x) id)
-        def j_ll_terms(t):
-            l1, l2 = t
-            for fi, c in b2.lift(self.l_basis[l2]).items():
-                x, y = b2.tuples[fi]
-                yield (l1, x, y), c
-
-        self.j_ll = term_map(self.t_ll, self.t_lbb, j_ll_terms)
-        phi_cols, bad = [], None
-        for li, lb in enumerate(self.l_basis):
-            acc: Vec = {}
-            for fi, c in b2.lift(lb).items():
-                i, j = b2.tuples[fi]
-                for fj, cd in self.t_lb.lift(self.delta.cols[i]).items():
-                    l1, x = self.t_lb.tuples[fj]
-                    viadd_term(acc, self.t_lbb.flat_index((l1, x, j)), c * cd)
-            v = self.t_lbb.project(acc)
-            sol = self.j_ll.solve(v)
-            if sol is None:
-                bad = {"l_basis_index": li}
-                break
-            phi_cols.append(sol)
-        self.report.add(failing("gauge.phiM-incl", "(Delta (x) id)(L) in L (x) L", bad)
-                        if bad else
-                        passing("gauge.phiM-incl", "(Delta (x) id)(L) in L (x) L"))
-        if bad:
-            raise ValidationFailed("phi_M does not land in L (x)_V L")
-        self.phi_m = LinearMap(self.l_space, self.t_ll.space, phi_cols, field)
-
-        self._verify_coalgebra()
-
-    # -- helpers ------------------------------------------------------------
-
-    def into_l(self, v: Vec, what: str = "vector") -> Vec:
-        sol = self.l_incl.solve(v)
-        if sol is None:
-            raise ValidationFailed(f"{what} leaves the gauge coalgebra subspace")
-        return sol
-
-    def _f2_minus_unit(self) -> LinearMap:
-        b = self.bundle
-        field = self.field
-        one = field.one
-        b2 = b.b2
-        bba = b.mixed_space("BBA")
-        cols = []
-        for i in range(b2.dim):
-            col = dict(self.f2.cols[i])
-            iota: Vec = {}
-            for fi, c in b2.lift({i: one}).items():
-                x, y = b2.tuples[fi]
-                for a, ca in b.group.unit.items():
-                    viadd_term(iota, bba.flat_index((x, y, a)), c * ca)
-            for k, c in bba.project(iota).items():
-                s = col.get(k)
-                s = -c if s is None else s - c
-                if s:
-                    col[k] = s
-                elif k in col:
-                    del col[k]
-            cols.append(col)
-        return LinearMap(b2.space, bba.space, cols, field)
-
-    # -- coalgebra identities ---------------------------------------------------
-
-    def _verify_coalgebra(self):
+    def _verify_degree_zero(self):
         b = self.bundle
         field = self.field
         one = field.one
         rep = self.report
-        nl = self.l_space.dim
-
-        # (eps_M (x) id) phi_M = (id (x) eps_M) phi_M = id
-        def eps1_terms(t):
-            l1, l2 = t
-            for v, c in self.eps_m.cols[l1].items():
-                for k, ck in self.lact[v].cols[l2].items():
-                    yield (k,), c * ck
-
-        t_l = TProd(field, (self.l_factor,), name="L")
-        eps1 = term_map(self.t_ll, t_l, eps1_terms)
-
-        def eps2_terms(t):
-            l1, l2 = t
-            for v, c in self.eps_m.cols[l2].items():
-                for k, ck in self.ract[v].cols[l1].items():
-                    yield (k,), c * ck
-
-        eps2 = term_map(self.t_ll, t_l, eps2_terms)
-        resc = LinearMap(self.l_space, t_l.space,
-                         [t_l.project_tuple((i,)) for i in range(nl)], field)
-        rep.add(map_equality_record("gauge.counit-left", "counit",
-                                    eps1.compose(self.phi_m), resc,
-                                    witness_space=t_l.space))
-        rep.add(map_equality_record("gauge.counit-right", "counit",
-                                    eps2.compose(self.phi_m), resc,
-                                    witness_space=t_l.space))
-
-        # (eps_M (x) id) Delta = id on B
-        def epsd_terms(t):
-            l, j = t
-            for v, c in self.eps_m.cols[l].items():
-                prod = b.total.mul(b.base_vectors[v], {j: one})
-                for k, ck in prod.items():
-                    yield (k,), c * ck
-
-        b1 = b.b_space(1)
-        epsd = term_map(self.t_lb, b1, epsd_terms)
-        idb = LinearMap(b.total.space, b1.space,
-                        [b1.project_tuple((i,)) for i in range(b.total.dim)], field)
-        rep.add(map_equality_record("gauge.e-fgau", "e-fgau",
-                                    epsd.compose(self.delta), idb,
-                                    witness_space=b1.space))
-
-        # (id (x) Delta) Delta = (phi_M (x) id) Delta
-        def id_delta_terms(t):
-            l, j = t
-            for fj, cd in self.t_lb.lift(self.delta.cols[j]).items():
-                l2, x = self.t_lb.tuples[fj]
-                yield (l, l2, x), cd
-
-        id_delta = term_map(self.t_lb, self.t_llb, id_delta_terms)
-
-        def phi_id_terms(t):
-            l, j = t
-            for fj, cp in self.t_ll.lift(self.phi_m.cols[l]).items():
-                l1, l2 = self.t_ll.tuples[fj]
-                yield (l1, l2, j), cp
-
-        phi_id = term_map(self.t_lb, self.t_llb, phi_id_terms)
-        rep.add(map_equality_record("gauge.coact", "coact",
-                                    id_delta.compose(self.delta),
-                                    phi_id.compose(self.delta),
-                                    witness_space=self.t_llb.space))
-
-        # coassociativity of phi_M
-        def phi1_terms(t):
-            l1, l2 = t
-            for fj, cp in self.t_ll.lift(self.phi_m.cols[l1]).items():
-                a, b_ = self.t_ll.tuples[fj]
-                yield (a, b_, l2), cp
-
-        phi1 = term_map(self.t_ll, self.t_lll, phi1_terms)
-
-        def phi2_terms(t):
-            l1, l2 = t
-            for fj, cp in self.t_ll.lift(self.phi_m.cols[l2]).items():
-                a, b_ = self.t_ll.tuples[fj]
-                yield (l1, a, b_), cp
-
-        phi2 = term_map(self.t_ll, self.t_lll, phi2_terms)
-        rep.add(map_equality_record("gauge.coasso", "coasso",
-                                    phi1.compose(self.phi_m),
-                                    phi2.compose(self.phi_m),
-                                    witness_space=self.t_lll.space))
 
         # fgau-F diagram: (id (x) F) Delta = (Delta (x) id) F
         def idf_terms(t):
@@ -421,12 +434,42 @@ class GaugeCoalgebra:
 
         # closure status of L under the sigma-induced conjugation (reported)
         star2 = braid.star_n(2)
-        closed = all(self.l_incl.solve(star2.apply(lb)) is not None
-                     for lb in self.l_basis)
+        self.l_star_cols = [self.l_incl.solve(star2.apply(lb)) for lb in self.l_basis]
+        closed = all(st is not None for st in self.l_star_cols)
         rep.add(CheckRecord("gauge.star-closure",
                             "L closed under the braided conjugation",
                             "pass", note=f"closed = {closed}"))
-        self.braided_star_closed = closed
+
+    # -- the braided structure of L inside B_2, computed once ----------------
+
+    @cached_property
+    def l_unit(self) -> Vec:
+        """1 (x) 1 in L coordinates."""
+        return self.into_l(unit_b2(self.bundle), "1(x)1")
+
+    @cached_property
+    def l_mult(self) -> list:
+        """l_mult[i][j]: the braided product of L basis elements i and j in L
+        coordinates, None where it leaves L."""
+        mult2 = self.braid.mult2
+        return [[self.l_incl.solve(mult2(x, y)) for y in self.l_basis]
+                for x in self.l_basis]
+
+    @cached_property
+    def move_lb(self) -> LinearMap:
+        """(sigma (x) id)(id (x) sigma) on B_3, carrying L (x) B to B (x) L."""
+        return self.braid.at(3, 0).compose(self.braid.at(3, 1))
+
+    def lb_move(self, li: int, bi: int):
+        """The flat B (x) L legs (j, l, c) of move_lb(l_li (x) b_bi), or None
+        where the image leaves B (x) L; memoised."""
+        key = (li, bi)
+        if key not in self._lb_moves:
+            moved = self.move_lb.apply(self.j_lb.apply(self.t_lb.project_tuple(key)))
+            sol = self.j_bl.solve(moved)
+            self._lb_moves[key] = None if sol is None else [
+                self.t_bl.tuples[fj] + (c,) for fj, c in self.t_bl.lift(sol).items()]
+        return self._lb_moves[key]
 
 
 def build_gauge_coalgebra(b: Bundle, braid: BraidOperator | None = None) -> GaugeCoalgebra:
@@ -479,7 +522,6 @@ class BraidedHopf:
         rep = self.report
         b2 = b.b2
         b4 = b.b_space(4)
-        unit2 = unit_b2(b)
 
         # diagram tw: F_2 sigma = (sigma (x) id) F_2
         bba = b.mixed_space("BBA")
@@ -496,40 +538,24 @@ class BraidedHopf:
                                     witness_space=bba.space))
 
         # L is a *-subalgebra of braided B_2
-        bad = None
-        star2 = braid.star_n(2)
-        for li, lb in enumerate(gc.l_basis):
-            if gc.l_incl.solve(star2.apply(lb)) is None:
-                bad = {"l_basis_index": li, "side": "star"}
-                break
+        bad = next(({"l_basis_index": li, "side": "star"}
+                    for li, st in enumerate(gc.l_star_cols) if st is None), None)
         if bad is None:
-            for li, lb in enumerate(gc.l_basis):
-                for lj, lb2 in enumerate(gc.l_basis):
-                    if gc.l_incl.solve(braid.mult2(lb, lb2)) is None:
-                        bad = {"l_pair": [li, lj], "side": "mult"}
-                        break
-                if bad:
-                    break
+            bad = next(({"l_pair": [li, lj], "side": "mult"}
+                        for li, row in enumerate(gc.l_mult)
+                        for lj, p in enumerate(row) if p is None), None)
         rep.add(failing("classical.L-subalgebra", "L is a *-subalgebra of B_2", bad)
                 if bad else
                 passing("classical.L-subalgebra", "L is a *-subalgebra of B_2"))
         if bad:
             raise ValidationFailed("L fails to close under the braided structure")
 
-        self.l_mult = [[gc.into_l(braid.mult2(gc.l_basis[i], gc.l_basis[j]), "L.L")
-                        for j in range(len(gc.l_basis))]
-                       for i in range(len(gc.l_basis))]
-        self.l_star = LinearMap(gc.l_space, gc.l_space,
-                                [gc.into_l(star2.apply(lb), "L*")
-                                 for lb in gc.l_basis], field, antilinear=True)
-        self.l_unit = gc.into_l(unit2, "1(x)1")
+        self.l_star = LinearMap(gc.l_space, gc.l_space, gc.l_star_cols, field,
+                                antilinear=True)
 
         # covariance: (sigma x id)(id x sigma)(L (x) B) = B (x) L and mirror
-        s12 = braid.at(3, 0)
-        s23 = braid.at(3, 1)
-        move_lb = s12.compose(s23)
-        move_bl = s23.compose(s12)
-        img = [move_lb.apply(gc.j_lb.cols[i]) for i in range(gc.t_lb.dim)]
+        move_bl = braid.at(3, 1).compose(braid.at(3, 0))
+        img = [gc.move_lb.apply(gc.j_lb.cols[i]) for i in range(gc.t_lb.dim)]
         ok1 = spans_equal(img, gc.j_bl.cols)
         img = [move_bl.apply(gc.j_bl.cols[i]) for i in range(gc.t_bl.dim)]
         ok2 = spans_equal(img, gc.j_lb.cols)
@@ -609,21 +635,7 @@ class BraidedHopf:
                                     witness_space=gc.t_ll.space))
 
         # Sigma exchange laws with phi_M
-        def phi1_terms(t):
-            l1, l2 = t
-            for fj, cp in gc.t_ll.lift(gc.phi_m.cols[l1]).items():
-                a, b_ = gc.t_ll.tuples[fj]
-                yield (a, b_, l2), cp
-
-        phi1 = term_map(gc.t_ll, gc.t_lll, phi1_terms)
-
-        def phi2_terms(t):
-            l1, l2 = t
-            for fj, cp in gc.t_ll.lift(gc.phi_m.cols[l2]).items():
-                a, b_ = gc.t_ll.tuples[fj]
-                yield (l1, a, b_), cp
-
-        phi2 = term_map(gc.t_ll, gc.t_lll, phi2_terms)
+        phi1, phi2 = gc.phi_id, gc.id_phi
 
         def sig_at(p):
             def terms(t):
@@ -658,7 +670,7 @@ class BraidedHopf:
         if bad is None:
             for i in range(gc.l_space.dim):
                 for j in range(gc.l_space.dim):
-                    lhs_v = gc.phi_m.apply(self.l_mult[i][j])
+                    lhs_v = gc.phi_m.apply(gc.l_mult[i][j])
                     prod4 = mult4(self.j_ll4.apply(gc.phi_m.cols[i]),
                                   self.j_ll4.apply(gc.phi_m.cols[j]))
                     sol = self.j_ll4.solve(prod4)
@@ -674,11 +686,10 @@ class BraidedHopf:
         # braided-Hopf antipode axiom via the product on L (x) L -> L
         def mu_ll_terms(t):
             l1, l2 = t
-            prod = braid.mult2(gc.l_basis[l1], gc.l_basis[l2])
-            for k, c in gc.into_l(prod, "L.L").items():
+            for k, c in gc.l_mult[l1][l2].items():
                 yield (k,), c
 
-        t_l = TProd(field, (gc.l_factor,), name="L")
+        t_l = gc.t_l
         mu_ll = term_map(gc.t_ll, t_l, mu_ll_terms)
 
         def kap_at(p):
@@ -692,8 +703,7 @@ class BraidedHopf:
             acc: Vec = {}
             for v, c in gc.eps_m.cols[i].items():
                 # f . (1 (x) 1) inside L
-                fv = b.lmult_map(2, 0, b.base_vectors[v]).apply(unit2)
-                for k, ck in gc.into_l(fv, "f(1(x)1)").items():
+                for k, ck in gc.lact[v].apply(gc.l_unit).items():
                     viadd_term(acc, t_l.flat_index((k,)), c * ck)
             unit_eps_cols.append(t_l.project(acc))
         unit_eps = LinearMap(gc.l_space, t_l.space, unit_eps_cols, field)
@@ -754,168 +764,60 @@ class GaugeTransformation:
 
 
 def verify_gauge_candidate(gc: GaugeCoalgebra, gamma: LinearMap) -> dict:
-    """Flags for a user-supplied functional L -> V on any bundle, including
-    noncommutative ones where enumeration is unsupported.  Multiplicativity
-    is reported as None when L is not closed under the braided product."""
+    """The defining conditions of a gauge transformation for a functional
+    gamma : L -> V, on any bundle, including noncommutative ones where
+    enumeration is unsupported.  Multiplicativity and hermiticity read None
+    when L is not closed under the braided product or star, compatibility
+    when the braid does not carry L (x) B into B (x) L."""
     b = gc.bundle
-    braid = gc.braid
-    field = gc.field
-    one = field.one
+    one = gc.field.one
     base = b.base
-    flags: dict = {}
-    unit_l = gc.into_l(unit_b2(b), "1(x)1")
-    flags["unital"] = gamma.apply(unit_l) == base.unit
-    ok = True
-    for v in range(base.dim):
-        for li in range(gc.l_space.dim):
-            if gamma.apply(gc.lact[v].cols[li]) != \
-                    base.mul({v: one}, gamma.apply({li: one})):
-                ok = False
-                break
-            if gamma.apply(gc.ract[v].cols[li]) != \
-                    base.mul(gamma.apply({li: one}), {v: one}):
-                ok = False
-                break
-        if not ok:
-            break
-    flags["v_linear"] = ok
-    closed = True
-    ok = True
-    for i in range(gc.l_space.dim):
-        for j in range(gc.l_space.dim):
-            prod = braid.mult2(gc.l_basis[i], gc.l_basis[j])
-            sol = gc.l_incl.solve(prod)
-            if sol is None:
-                closed = False
-                break
-            if gamma.apply(sol) != base.mul(gamma.apply({i: one}),
-                                            gamma.apply({j: one})):
-                ok = False
-        if not closed:
-            break
-    flags["multiplicative"] = ok if closed else None
-    star2 = braid.star_n(2)
-    closed = True
-    ok = True
-    for i in range(gc.l_space.dim):
-        st = gc.l_incl.solve(star2.apply(gc.l_basis[i]))
-        if st is None:
-            closed = False
-            break
-        if gamma.apply(st) != base.star_vec(gamma.apply({i: one})):
-            ok = False
-    flags["star"] = ok if closed else None
-    # compatibility: gamma(rho) b = sum b_j gamma(rho_j)
-    s12 = braid.at(3, 0)
-    s23 = braid.at(3, 1)
-    move = s12.compose(s23)
-    ok = True
-    for li in range(gc.l_space.dim):
-        for bi in range(b.total.dim):
-            moved = move.apply(gc.j_lb.apply(gc.t_lb.project_tuple((li, bi))))
-            sol = gc.j_bl.solve(moved)
-            if sol is None:
-                ok = None
-                break
-            rhs: Vec = {}
-            for fj, c in gc.t_bl.lift(sol).items():
-                j, l = gc.t_bl.tuples[fj]
-                gval: Vec = {}
-                for v, cv in gamma.apply({l: one}).items():
-                    viadd(gval, cv, b.base_vectors[v])
-                viadd(rhs, c, b.total.mul({j: one}, gval))
-            gval = {}
-            for v, cv in gamma.apply({li: one}).items():
-                viadd(gval, cv, b.base_vectors[v])
-            if b.total.mul(gval, {bi: one}) != rhs:
-                ok = False
-                break
-        if not ok:
-            break
-    flags["compatibility"] = ok
+    nl = gc.l_space.dim
+    vals = [gamma.apply({li: one}) for li in range(nl)]
+    flags: dict = {"unital": gamma.apply(gc.l_unit) == base.unit}
+    flags["v_linear"] = all(
+        gamma.apply(gc.lact[v].cols[li]) == base.mul({v: one}, vals[li])
+        and gamma.apply(gc.ract[v].cols[li]) == base.mul(vals[li], {v: one})
+        for v in range(base.dim) for li in range(nl))
+    mult = gc.l_mult
+    if any(p is None for row in mult for p in row):
+        flags["multiplicative"] = None
+    else:
+        flags["multiplicative"] = all(
+            gamma.apply(mult[i][j]) == base.mul(vals[i], vals[j])
+            for i in range(nl) for j in range(nl))
+    stars = gc.l_star_cols
+    if any(st is None for st in stars):
+        flags["star"] = None
+    else:
+        flags["star"] = all(gamma.apply(st) == base.star_vec(vals[i])
+                            for i, st in enumerate(stars))
+    flags["compatibility"] = _compatible(gc, vals)
     return flags
 
 
-def _gamma_flags(bh: BraidedHopf, gamma: LinearMap) -> dict:
-    """Evaluate the defining conditions of a gauge transformation."""
-    gc = bh.gc
+def _compatible(gc: GaugeCoalgebra, vals) -> bool | None:
+    """gamma(rho) b = sum b_j gamma(rho_j), where move_lb(rho (x) b) =
+    sum b_j (x) rho_j; vals[l] = gamma(l) in V coordinates."""
     b = gc.bundle
-    field = gc.field
-    one = field.one
-    base = b.base
-    flags = {}
-    # unital
-    flags["unital"] = gamma.apply(bh.l_unit) == base.unit
-    # V-bilinear
-    ok = True
-    for v in range(base.dim):
-        for li in range(gc.l_space.dim):
-            lhs = gamma.apply(gc.lact[v].cols[li])
-            rhs = base.mul({v: one}, gamma.apply({li: one}))
-            if lhs != rhs:
-                ok = False
-                break
-            lhs = gamma.apply(gc.ract[v].cols[li])
-            rhs = base.mul(gamma.apply({li: one}), {v: one})
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
-            break
-    flags["v_linear"] = ok
-    # multiplicative
-    ok = True
-    for i in range(gc.l_space.dim):
-        for j in range(gc.l_space.dim):
-            lhs = gamma.apply(bh.l_mult[i][j])
-            rhs = base.mul(gamma.apply({i: one}), gamma.apply({j: one}))
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
-            break
-    flags["multiplicative"] = ok
-    # hermitian
-    ok = True
-    for i in range(gc.l_space.dim):
-        lhs = gamma.apply(bh.l_star.cols[i])
-        rhs = base.star_vec(gamma.apply({i: one}))
-        if lhs != rhs:
-            ok = False
-            break
-    flags["star"] = ok
-    # compatibility: gamma(rho) b = sum b_j gamma(rho_j)
-    braid = gc.braid
-    s12 = braid.at(3, 0)
-    s23 = braid.at(3, 1)
-    move = s12.compose(s23)
-    ok = True
+    one = gc.field.one
+    in_b = []
+    for val in vals:
+        gval: Vec = {}
+        for v, cv in val.items():
+            viadd(gval, cv, b.base_vectors[v])
+        in_b.append(gval)
     for li in range(gc.l_space.dim):
         for bi in range(b.total.dim):
-            src = gc.j_lb.apply(gc.t_lb.project_tuple((li, bi)))
-            moved = move.apply(src)
-            sol = gc.j_bl.solve(moved)
-            if sol is None:
-                ok = False
-                break
+            legs = gc.lb_move(li, bi)
+            if legs is None:
+                return None
             rhs: Vec = {}
-            for fj, c in gc.t_bl.lift(sol).items():
-                j, l = gc.t_bl.tuples[fj]
-                gval: Vec = {}
-                for v, cv in gamma.apply({l: one}).items():
-                    viadd(gval, cv, b.base_vectors[v])
-                viadd(rhs, c, b.total.mul({j: one}, gval))
-            gval: Vec = {}
-            for v, cv in gamma.apply({li: one}).items():
-                viadd(gval, cv, b.base_vectors[v])
-            lhs = b.total.mul(gval, {bi: one})
-            if lhs != rhs:
-                ok = False
-                break
-        if not ok:
-            break
-    flags["compatibility"] = ok
-    return flags
+            for j, l, c in legs:
+                viadd(rhs, c, b.total.mul({j: one}, in_b[l]))
+            if b.total.mul(in_b[li], {bi: one}) != rhs:
+                return False
+    return True
 
 
 def _matrix_key(m: LinearMap):
@@ -966,7 +868,7 @@ def enumerate_gauge(bh: BraidedHopf):
         raise NotCommutative("the base algebra V is noncommutative")
     for i in range(gc.l_space.dim):
         for j in range(gc.l_space.dim):
-            if bh.l_mult[i][j] != bh.l_mult[j][i]:
+            if gc.l_mult[i][j] != gc.l_mult[j][i]:
                 raise NotCommutative("the gauge coalgebra L is noncommutative")
     # V central in L (needed for the character construction)
     for v in range(base.dim):
@@ -975,8 +877,8 @@ def enumerate_gauge(bh: BraidedHopf):
                 raise NotCommutative("V does not act centrally on L")
 
     l_alg = CommAlgebra(field, gc.l_space.dim,
-                        lambda u, v: table_mul(bh.l_mult, u, v),
-                        bh.l_unit)
+                        lambda u, v: table_mul(gc.l_mult, u, v),
+                        gc.l_unit)
     v_alg = CommAlgebra(field, base.dim,
                         lambda u, v: base.mul(u, v), base.unit)
     v_chars = field_characters(v_alg)
@@ -986,11 +888,7 @@ def enumerate_gauge(bh: BraidedHopf):
     l_chars = [chi for _, chi in field_characters(l_alg)]
 
     # embed V into L as f (x) 1 (in L coordinates)
-    unit2 = unit_b2(b)
-    v_in_l = []
-    for v in range(base.dim):
-        fv = b.lmult_map(2, 0, b.base_vectors[v]).apply(unit2)
-        v_in_l.append(gc.into_l(fv, "f(1(x)1)"))
+    v_in_l = [gc.lact[v].apply(gc.l_unit) for v in range(base.dim)]
 
     # primitive idempotents of V in V coordinates
     v_idems = [e for e, _ in v_chars]
@@ -1012,8 +910,7 @@ def enumerate_gauge(bh: BraidedHopf):
                     viadd(acc, val, v_idems[j])
             cols.append(acc)
         gamma = LinearMap(gc.l_space, base.space, cols, field)
-        flags = _gamma_flags(bh, gamma)
-        if all(flags.values()):
+        if all(verify_gauge_candidate(gc, gamma).values()):
             gammas.append(GaugeTransformation(gc, gamma))
     gammas.sort(key=lambda g: g.matrix_key())
     rep.add(CheckRecord("gauge-group.count", "enumeration", "pass",

@@ -246,6 +246,12 @@ def span_basis(vectors) -> list[Vec]:
     return ech.basis()
 
 
+def fixed_points(f: "LinearMap", iota: "LinearMap") -> list[Vec]:
+    """Canonical basis of {x : f(x) = iota(x)}; with iota(x) = x (x) 1 these
+    are the invariants of a coaction f."""
+    return span_basis(f.sub(iota).nullspace())
+
+
 def spans_equal(vs, ws) -> bool:
     e1 = Echelon()
     for v in vs:

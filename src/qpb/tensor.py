@@ -168,3 +168,19 @@ def block_terms(sub: TProd, subtuple, m: LinearMap):
     flat = sub.lift(v)
     for fi, c in flat.items():
         yield sub.tuples[fi], c
+
+
+def slot_apply(tp: TProd, v: Vec, slot: int, m: LinearMap) -> Vec:
+    """Apply the one-factor map m to one slot of v; m must descend to the
+    balanced quotient (a module map in the balanced slots does)."""
+    out: Vec = {}
+    for fi, c in tp.lift(v).items():
+        t = tp.tuples[fi]
+        for k, ck in m.cols[t[slot]].items():
+            viadd_term(out, tp.flat_index(t[:slot] + (k,) + t[slot + 1:]), c * ck)
+    return tp.project(out)
+
+
+def unit_leg(src: TProd, dst: TProd, unit: Vec) -> LinearMap:
+    """x -> x (x) unit, into dst, whose factors are src's and one free factor."""
+    return term_map(src, dst, lambda t: ((t + (a,), c) for a, c in unit.items()))

@@ -238,7 +238,7 @@ def test_criterion_09_connections():
         tc = _calculus(group, "point")
         conn = maurer_cartan(tc)
         ok = ok and all(not conn.curvature.cols[t] for t in range(tc.fodc.dim))
-        for v in tc.hor_basis():
+        for v in tc.filtration_basis(0):
             if tc.omega.degree(min(v)) < 2:
                 ok = ok and conn.covariant_derivative(v) == {}
     # perturbed connection over the 2-point universal base

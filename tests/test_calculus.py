@@ -42,7 +42,7 @@ def test_point_base_cz2_dims():
     assert Counter(tc.omega.degrees) == {0: 2, 1: 2, 2: 2}
     assert tc.bundle.base_dim == 1
     # hor(P) = B over a point with the trivial base calculus
-    assert len(tc.hor_basis()) == 2
+    assert len(tc.filtration_basis(0)) == 2
 
 
 def test_differential_suite_point_cz2():
@@ -78,6 +78,27 @@ def test_lhat_deg0_matches_gauge_coalgebra():
     assert rep.ok, rep.to_text()
     recs = {r.identity_id for r in rep.records}
     assert "diff.Lhat-deg0" in recs
+
+
+@pytest.mark.parametrize("group, kind, points", [
+    ("Z2", "function_algebra", 1),
+    ("Z3", "function_algebra", 2),
+    ("S3", "group_algebra", 1),
+])
+def test_zero_calculus_lhat_is_l(group, kind, points):
+    """With the zero FODC and the trivial base calculus every degree is zero,
+    so L^ must be L exactly: the same basis and the same Delta, phi_M and
+    eps_M columns."""
+    from qpb.gauge import build_gauge_coalgebra
+    h = hopf_preset(group, kind)
+    base = trivial_base_calculus(functions_on_points(points, h.field))
+    tc = build_total_calculus(build_fodc(h, zero_ideal(h)), base)
+    gc = build_gauge_coalgebra(tc.bundle)
+    lhat = tc.lhat
+    assert lhat.l_basis == gc.l_basis
+    assert lhat.delta.cols == gc.delta.cols
+    assert lhat.phi_m.cols == gc.phi_m.cols
+    assert lhat.eps_m.cols == gc.eps_m.cols
 
 
 def test_tau_hat_restricted_to_degree_zero_is_tau():

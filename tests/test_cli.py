@@ -219,6 +219,25 @@ def test_check_rejects_degree_before_loading(tmp_path, capsys):
     assert capsys.readouterr().err == "error: degree: only --degree 2 is supported\n"
 
 
+def _unreadable(tmp_path, kind):
+    if kind == "missing":
+        return str(tmp_path / "missing.json")
+    if kind == "directory":
+        return str(tmp_path)
+    path = tmp_path / "utf16.json"
+    path.write_bytes(b"\xff\xfe{\x00}\x00")
+    return str(path)
+
+
+@pytest.mark.parametrize("command", ["check", "validate"])
+@pytest.mark.parametrize("kind", ["missing", "directory", "utf16"])
+def test_unreadable_spec_file_exits_two(tmp_path, capsys, command, kind):
+    assert main([command, _unreadable(tmp_path, kind)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: file: ")
+    assert "Traceback" not in err
+
+
 # Runs `qpb check` in a fresh interpreter, counting calls of the root finder,
 # and reports whether sympy was ever imported.
 SYMPY_FREE_RUN = """

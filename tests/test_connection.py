@@ -41,7 +41,7 @@ def test_maurer_cartan_point_flat():
     for t in range(tc.fodc.dim):
         assert conn.curvature.cols[t] == {}
     # D = 0 on hor(P) = B over a point
-    for v in tc.hor_basis():
+    for v in tc.filtration_basis(0):
         if tc.omega.degree(min(v)) < 2:
             assert conn.covariant_derivative(v) == {}
 
