@@ -1,10 +1,16 @@
 """The canonical braid operator on B (x)_V B and everything it induces.
 
 sigma(b (x) q) = sum_k b_k q l(c_k) (x) r(c_k)  with  F(b) = sum_k b_k (x) c_k,
-with inverse sigma^{-1}(q (x) b) = sum_k tau(kappa^{-1}(c_k)) q b_k.  The suite
-checks the braid equation on B_3, the product and star compatibilities, the
-functoriality identities with F and tau, and the four-way classicality
-dichotomy (A commutative <=> two exchange laws <=> sigma involutive).
+with inverse sigma^{-1}(q (x) b) = sum_k tau(kappa^{-1}(c_k)) q b_k.  Both
+formulas, sigma and mu on slots of B_n, the flip star, F_2 and the records of
+the braid equation, the product compatibilities and mu sigma = mu belong to
+bundle.BalancedTower, written once for the bundle (degree zero) and for
+Omega(P) (the graded case of calculus.py).  What only degree zero has is
+here: sigma_m raises unless the formula inverse composes to the identity and
+sigma is V-bilinear; the braided product and star on B_n; the star exchange,
+mu and tau as *-homomorphisms, sigma tau = tau kappa, aP- and F-functoriality;
+and the four-way classicality dichotomy (A commutative <=> two exchange laws
+<=> sigma involutive).
 
 B_n products are transported along the tower isomorphisms X_n, which the
 paper identifies as *-isomorphisms onto B (x) A^n with the componentwise
@@ -24,7 +30,7 @@ from .linalg import LinearMap, Vec, viadd_term
 from .report import (
     CheckRecord, ValidationReport, failing, map_equality_record, passing,
 )
-from .tensor import block_terms, term_map
+from .tensor import term_map
 
 
 class BraidOperator:
@@ -38,36 +44,11 @@ class BraidOperator:
 
     def at(self, n: int, p: int, inverse: bool = False) -> LinearMap:
         """sigma (or its inverse) on slots (p, p+1) of B_n."""
-        key = ("at", n, p, inverse)
-        if key in self._cache:
-            return self._cache[key]
-        b = self.bundle
-        bn = b.b_space(n)
-        m = self.inverse if inverse else self.forward
-
-        def terms(t):
-            for pair, c in block_terms(b.b2, (t[p], t[p + 1]), m):
-                yield t[:p] + pair + t[p + 2:], c
-
-        out = term_map(bn, bn, terms)
-        self._cache[key] = out
-        return out
+        return self.bundle.sigma_at(n, p, inverse)
 
     def mu_at(self, n: int, p: int) -> LinearMap:
         """Multiply slots (p, p+1): B_n -> B_{n-1}."""
-        key = ("mu", n, p)
-        if key in self._cache:
-            return self._cache[key]
-        b = self.bundle
-        src, dst = b.b_space(n), b.b_space(n - 1)
-
-        def terms(t):
-            for k, c in b.total.mul_basis(t[p], t[p + 1]).items():
-                yield t[:p] + (k,) + t[p + 2:], c
-
-        out = term_map(src, dst, terms)
-        self._cache[key] = out
-        return out
+        return self.bundle.mu_at(n, p)
 
     # -- braided algebra structure -------------------------------------------
 
@@ -162,40 +143,11 @@ class BraidOperator:
 
 
 def sigma_m(b: Bundle) -> BraidOperator:
-    """Assemble the braid and its inverse and verify they compose to the
-    identity; V-bilinearity is checked on basis x V-basis."""
+    """The braid of the bundle's tower and its formula inverse, verified to
+    compose to the identity; V-bilinearity is checked on basis x V-basis."""
     field = b.field
     b2 = b.b2
-    total = b.total
-    group = b.group
-
-    def fwd_terms(t):
-        i, j = t
-        for k, c, cf in b.f_legs[i]:
-            for x, y, ct in b.tau_legs[c]:
-                coeff = cf * ct
-                # e_k e_j x (x) y
-                for u, cu in total.mul_basis(k, j).items():
-                    for w, cw in total.mul_basis(u, x).items():
-                        yield (w, y), coeff * cu * cw
-
-    forward = term_map(b2, b2, fwd_terms)
-
-    kappa_inv = group.antipode_inverse
-
-    def inv_terms(t):
-        q, bb = t
-        for bk, c, cf in b.f_legs[bb]:
-            for a, ca in kappa_inv.cols[c].items():
-                for x, y, ct in b.tau_legs[a]:
-                    coeff = cf * ca * ct
-                    # x (x) y q b_k
-                    for u, cu in total.mul_basis(y, q).items():
-                        for w, cw in total.mul_basis(u, bk).items():
-                            yield (x, w), coeff * cu * cw
-
-    inverse = term_map(b2, b2, inv_terms)
-
+    forward, inverse = b.sigma, b.sigma_inv
     ident = LinearMap.identity(b2.space, field)
     if forward.compose(inverse) != ident or inverse.compose(forward) != ident:
         raise EquivalenceViolation("sigma and its formula inverse do not compose to id")
@@ -221,27 +173,10 @@ def verify_braiding_suite(b: Bundle, braid: BraidOperator | None = None) -> Vali
     da = g.dim
     total = b.total
 
-    s12 = braid.at(3, 0)
-    s23 = braid.at(3, 1)
-    lhs = s12.compose(s23).compose(s12)
-    rhs = s23.compose(s12).compose(s23)
-    rep.add(map_equality_record("braiding.braid", "braid", lhs, rhs,
-                                witness_space=b3.space))
-
-    mu12 = braid.mu_at(3, 0)
-    mu23 = braid.mu_at(3, 1)
-    lhs = braid.forward.compose(mu12)
-    rhs = mu23.compose(s12).compose(s23)
-    rep.add(map_equality_record("braiding.prod-sM1", "prod-sM1", lhs, rhs,
-                                witness_space=b2.space))
-    lhs = braid.forward.compose(mu23)
-    rhs = mu12.compose(s23).compose(s12)
-    rep.add(map_equality_record("braiding.prod-sM2", "prod-sM2", lhs, rhs,
-                                witness_space=b2.space))
-
+    b.add_braid_records(rep, (
+        ("braiding.braid", "braid"), ("braiding.prod-sM1", "prod-sM1"),
+        ("braiding.prod-sM2", "prod-sM2"), ("braiding.comm", "comm")))
     mu = braid.mu_at(2, 0)
-    rep.add(map_equality_record("braiding.comm", "comm", mu.compose(braid.forward), mu,
-                                witness_space=b.b_space(1).space))
 
     # inverse formula already verified at construction; record it
     rep.add(passing("braiding.inv", "inv",
@@ -310,17 +245,12 @@ def verify_braiding_suite(b: Bundle, braid: BraidOperator | None = None) -> Vali
     ab = b.mixed_space("AB")
     lhs_cols = []
     rhs_cols = []
-    comp = s12.compose(s23)
+    comp = braid.at(3, 0).compose(braid.at(3, 1))
     for a in range(da):
         for i in range(total.dim):
-            base: Vec = {}
-            for x, y, ct in b.tau_legs[a]:
-                viadd_term(base, b3.flat_index((x, y, i)), ct)
-            lhs_cols.append(comp.apply(b3.project(base)))
-            acc: Vec = {}
-            for x, y, ct in b.tau_legs[a]:
-                viadd_term(acc, b3.flat_index((i, x, y)), ct)
-            rhs_cols.append(b3.project(acc))
+            tau_b, b_tau = _tau_beside(b, a, i)
+            lhs_cols.append(comp.apply(tau_b))
+            rhs_cols.append(b_tau)
     lhs = LinearMap(ab.space, b3.space, lhs_cols, field)
     rhs = LinearMap(ab.space, b3.space, rhs_cols, field)
     rep.add(map_equality_record("braiding.aP-funct", "aP-funct", lhs, rhs,
@@ -328,22 +258,8 @@ def verify_braiding_suite(b: Bundle, braid: BraidOperator | None = None) -> Vali
 
     # F-funct: (sigma (x) id)(id (x) chi)(F (x) id) = (id (x) F) sigma on B_2
     bba = b.mixed_space("BBA")
-
-    def lhs_terms(t):
-        i, j = t
-        for k, c, cf in b.f_legs[i]:
-            for (x, y), cs in braid._sigma_pair(k, j):
-                yield (x, y, c), cf * cs
-
-    lhs = term_map(b2, bba, lhs_terms)
-
-    def idf_terms(t):
-        i, j = t
-        for k, c, cf in b.f_legs[j]:
-            yield (i, k, c), cf
-
-    idf = term_map(b2, bba, idf_terms)
-    rhs = idf.compose(braid.forward)
+    lhs = b.sigma_at("BBA", 0).compose(b.coact_at(0))
+    rhs = b.coact_at(1).compose(braid.forward)
     rep.add(map_equality_record("braiding.F-funct", "F-funct", lhs, rhs,
                                 witness_space=bba.space))
     return rep
@@ -441,6 +357,17 @@ def braided_structure(b: Bundle, n: int, braid: BraidOperator | None = None):
     return mult, star, rep
 
 
+def _tau_beside(b: Bundle, a: int, i: int):
+    """tau(e_a) (x) e_i and e_i (x) tau(e_a) in B_3."""
+    b3 = b.b_space(3)
+    tau_b: Vec = {}
+    b_tau: Vec = {}
+    for x, y, ct in b.tau_legs[a]:
+        viadd_term(tau_b, b3.flat_index((x, y, i)), ct)
+        viadd_term(b_tau, b3.flat_index((i, x, y)), ct)
+    return b3.project(tau_b), b3.project(b_tau)
+
+
 def classicality_report(b: Bundle, braid: BraidOperator | None = None):
     """Prop 4.1 four-way dichotomy; returns (classical: bool, report).
 
@@ -468,29 +395,8 @@ def classicality_report(b: Bundle, braid: BraidOperator | None = None):
 
     # (ii) F-wrong
     bba = b.mixed_space("BBA")
-
-    def fid_chi_terms(t):
-        i, j = t
-        for k, c, cf in b.f_legs[i]:
-            yield (k, j, c), cf
-
-    fid_chi = term_map(b2, bba, fid_chi_terms)
-    lhs = fid_chi.compose(braid.forward)
-
-    def idf_terms(t):
-        i, j = t
-        for k, c, cf in b.f_legs[j]:
-            yield (i, k, c), cf
-
-    idf = term_map(b2, bba, idf_terms)
-
-    def s12_terms(t):
-        i, j, a = t
-        for (x, y), cs in braid._sigma_pair(i, j):
-            yield (x, y, a), cs
-
-    s12_bba = term_map(bba, bba, s12_terms)
-    rhs = s12_bba.compose(idf)
+    lhs = b.coact_at(0).compose(braid.forward)
+    rhs = b.sigma_at("BBA", 0).compose(b.coact_at(1))
     dj = lhs.first_difference(rhs)
     results["ii"] = dj is None
     if dj is not None:
@@ -502,19 +408,12 @@ def classicality_report(b: Bundle, braid: BraidOperator | None = None):
     da = g.dim
     lhs_cols = []
     rhs_cols = []
-    s12 = braid.at(3, 0)
-    s23 = braid.at(3, 1)
-    comp = s23.compose(s12)
+    comp = braid.at(3, 1).compose(braid.at(3, 0))
     for i in range(total.dim):
         for a in range(da):
-            acc: Vec = {}
-            for x, y, ct in b.tau_legs[a]:
-                viadd_term(acc, b3.flat_index((x, y, i)), ct)
-            lhs_cols.append(b3.project(acc))
-            base: Vec = {}
-            for x, y, ct in b.tau_legs[a]:
-                viadd_term(base, b3.flat_index((i, x, y)), ct)
-            rhs_cols.append(comp.apply(b3.project(base)))
+            tau_b, b_tau = _tau_beside(b, a, i)
+            lhs_cols.append(tau_b)
+            rhs_cols.append(comp.apply(b_tau))
     dj = None
     for k, (lc, rc) in enumerate(zip(lhs_cols, rhs_cols)):
         if lc != rc:

@@ -1,17 +1,31 @@
-"""Quantum principal bundles in degree zero.
+"""The balanced braid tower, and quantum principal bundles in degree zero.
+
+BalancedTower is the tower of a coacted slot algebra W over a coefficient
+algebra M with Hopf side H, written once: the balanced powers W_n = W (x)_M
+... (x)_M W, the Galois map X(w (x) w') = w F(w') with its inverse, the
+translation map tau(h) = X^-1(1 (x) h) with its flat legs, the braid sigma
+and its formula inverse, sigma and mu on slots (p, p+1) of W_n, the flip star
+on W_n, the doubled coaction F_2, and the records of the braid equation, the
+two product compatibilities and mu sigma = mu.  The degrees of W and H, the
+coefficient degrees and the degree budget are data, so the graded formulas
+carry their Koszul signs; a sign is applied by negating when it is odd, and
+degree zero does no sign arithmetic.  Bundle is the instance W = B, M = V,
+H = A with every degree zero and no budget; calculus.TotalCalculus is the
+graded instance W = Omega(P), M = Omega(M), H = Gamma^.
 
 A bundle is a coacting *-algebra (B, F) over a Hopf *-algebra A; the base V
 is computed as the F-fixed-point subalgebra, never declared.  Principality is
-the bijectivity of the Galois map X(b (x) q) = b F(q) on B (x)_V B, and the
-translation map is tau(a) = X^{-1}(1 (x) a).
-
-B_n spaces (n-fold balanced tensor powers) are built once and cached so all
-canonical bases agree across operations.
+the bijectivity of X on B (x)_V B.  What only degree zero has stays in Bundle:
+the tower budget on B_n, the products B (x) A^n and the X_n recursion, and
+V-multiplication on one slot; the translation and Galois tower suites are
+here too.  Spaces and maps are built once and cached, so all canonical bases
+agree across operations.
 """
 
 from __future__ import annotations
 
 import os
+from functools import cached_property
 
 from .errors import (
     BudgetExceeded, InputError, NotCoaction, NotPrincipal, NotStarHom,
@@ -22,7 +36,7 @@ from .linalg import (
     BasedSpace, LinearMap, Vec, fixed_points, vadd, viadd_term, vscale,
 )
 from .report import ValidationReport, failing, map_equality_record, passing
-from .tensor import Factor, TProd, term_map
+from .tensor import Factor, TProd, block_terms, term_map
 
 DEFAULT_TOWER_BUDGET = 3
 
@@ -37,13 +51,227 @@ def _tower_budget() -> int:
     return DEFAULT_TOWER_BUDGET
 
 
-class Bundle:
+def _signed(c, odd):
+    """c times (-1)^odd, by negation."""
+    return -c if odd else c
+
+
+class BalancedTower:
+    """The braid tower of a coacted slot algebra W over M.
+
+    ``algebra`` is W (``mul_basis``, ``unit``, ``star``) and ``factor`` its
+    Factor, with the degrees of W and the M-actions; ``hopf`` is H
+    (``mul_basis``, ``unit``) with its Factor ``hopf_factor`` and antipode
+    inverse ``kappa_inv``; ``f_legs[i]`` holds the flat legs (w, h, c) of
+    F(e_i).  ``letters`` name W and H: W_n is "<W>_n" and a mixed product is
+    named by its pattern over the two letters; ``spaces`` maps patterns to
+    mixed products the caller has already built.
+    """
+
+    def __init__(self, algebra, factor, hopf, hopf_factor, kappa_inv, f_legs,
+                 letters, coeff_degrees=None, budget=None, spaces=None):
+        self.algebra, self.factor = algebra, factor
+        self.hopf, self.hopf_factor, self.kappa_inv = hopf, hopf_factor, kappa_inv
+        self.f_legs = f_legs
+        self.letters = letters
+        self.coeff_degrees, self.budget = coeff_degrees, budget
+        self.field = algebra.field
+        self._spaces = {("mix", p): tp for p, tp in (spaces or {}).items()}
+        self._ops: dict = {}
+
+        # Galois map X(w (x) w') = w F(w')
+        def x_terms(t):
+            i, j = t
+            for k, a, c in f_legs[j]:
+                for u, cu in algebra.mul_basis(i, k).items():
+                    yield (u, a), c * cu
+
+        self.X = term_map(self.power(2), self.hopf_space(1), x_terms)
+
+    # -- spaces ----------------------------------------------------------------
+
+    def power(self, n: int) -> TProd:
+        """W_n = W (x)_M ... (x)_M W, cached."""
+        if n < 1:
+            raise InputError("tensor power must be at least 1")
+        key = (self.letters[0], n)
+        if key not in self._spaces:
+            self._spaces[key] = TProd(self.field, (self.factor,) * n, self.coeff_degrees,
+                                      self.budget, name=f"{self.letters[0]}_{n}")
+        return self._spaces[key]
+
+    def mixed_space(self, pattern: str) -> TProd:
+        """TProd for a pattern over the letters of W (balanced) and H (free)."""
+        key = ("mix", pattern)
+        if key not in self._spaces:
+            factors = tuple(self.factor if ch == self.letters[0] else self.hopf_factor
+                            for ch in pattern)
+            self._spaces[key] = TProd(self.field, factors, self.coeff_degrees,
+                                      self.budget, name=pattern)
+        return self._spaces[key]
+
+    def hopf_space(self, n: int) -> TProd:
+        """W_n (x) H."""
+        return self.mixed_space(self.letters[0] * n + self.letters[1])
+
+    # -- X, tau, sigma and F_2 ---------------------------------------------------
+
+    @cached_property
+    def X_inv(self) -> LinearMap:
+        return self.X.inverse()
+
+    @cached_property
+    def tau(self) -> LinearMap:
+        """tau(h) = X^-1(1 (x) h)."""
+        wh = self.hopf_space(1)
+        cols = []
+        for a in range(self.hopf_factor.space.dim):
+            target: Vec = {}
+            for i, c in self.algebra.unit.items():
+                viadd_term(target, wh.flat_index((i, a)), c)
+            cols.append(self.X_inv.apply(wh.project(target)))
+        return LinearMap(self.hopf_factor.space, self.power(2).space, cols, self.field)
+
+    @cached_property
+    def tau_legs(self) -> list:
+        """Flat legs (p, q, c) of tau(e_h), for Sweedler-style loops."""
+        w2 = self.power(2)
+        return [[w2.tuples[fi] + (c,) for fi, c in w2.lift(col).items()]
+                for col in self.tau.cols]
+
+    @cached_property
+    def sigma(self) -> LinearMap:
+        """sigma(w (x) w') = (-1)^{|h||w'|} w_0 w' l(h) (x) r(h), F(w) = w_0 (x) h."""
+        mul, deg, hdeg = self.algebra.mul_basis, self.factor.degrees, self.hopf_factor.degrees
+        tau_legs = self.tau_legs
+
+        def terms(t):
+            i, j = t
+            for w, h, c in self.f_legs[i]:
+                odd = hdeg[h] * deg[j] % 2
+                for p, q, ct in tau_legs[h]:
+                    c0 = _signed(c * ct, odd)
+                    for u, cu in mul(w, j).items():
+                        for v, cv in mul(u, p).items():
+                            yield (v, q), c0 * cu * cv
+
+        return term_map(self.power(2), self.power(2), terms)
+
+    @cached_property
+    def sigma_inv(self) -> LinearMap:
+        """sigma^-1(w (x) w') = (-1)^{|h|(|w|+|w'_0|)} l(k) (x) r(k) w w'_0 with
+        F(w') = w'_0 (x) h and k = kappa^-1(h)."""
+        mul, deg, hdeg = self.algebra.mul_basis, self.factor.degrees, self.hopf_factor.degrees
+        tau_legs, kinv = self.tau_legs, self.kappa_inv
+
+        def terms(t):
+            i, j = t
+            for w, h, c in self.f_legs[j]:
+                odd = hdeg[h] * (deg[i] + deg[w]) % 2
+                for h2, ck in kinv.cols[h].items():
+                    for p, q, ct in tau_legs[h2]:
+                        c0 = _signed(c * ck * ct, odd)
+                        for u, cu in mul(q, i).items():
+                            for v, cv in mul(u, w).items():
+                                yield (p, v), c0 * cu * cv
+
+        return term_map(self.power(2), self.power(2), terms)
+
+    @cached_property
+    def f2(self) -> LinearMap:
+        """F_2 : W_2 -> W_2 (x) H, (w (x) w') -> (-1)^{|h||w'_0|} w_0 (x) w'_0 (x) h h'."""
+        mul, deg, hdeg = self.hopf.mul_basis, self.factor.degrees, self.hopf_factor.degrees
+        f_legs = self.f_legs
+
+        def terms(t):
+            i, j = t
+            for w1, h1, c1 in f_legs[i]:
+                for w2, h2, c2 in f_legs[j]:
+                    c0 = _signed(c1 * c2, hdeg[h1] * deg[w2] % 2)
+                    for a, ca in mul(h1, h2).items():
+                        yield (w1, w2, a), c0 * ca
+
+        return term_map(self.power(2), self.hopf_space(2), terms)
+
+    # -- operators on W_n ----------------------------------------------------------
+
+    def sigma_at(self, n, p: int, inverse: bool = False) -> LinearMap:
+        """sigma (or its inverse) on slots (p, p+1) of W_n, or of the mixed
+        product with pattern n; cached."""
+        key = ("sigma", n, p, inverse)
+        if key not in self._ops:
+            m = self.sigma_inv if inverse else self.sigma
+            w2 = self.power(2)
+            wn = self.mixed_space(n) if isinstance(n, str) else self.power(n)
+
+            def terms(t):
+                for pair, c in block_terms(w2, (t[p], t[p + 1]), m):
+                    yield t[:p] + pair + t[p + 2:], c
+
+            self._ops[key] = term_map(wn, wn, terms)
+        return self._ops[key]
+
+    def mu_at(self, n: int, p: int) -> LinearMap:
+        """Multiply slots (p, p+1): W_n -> W_{n-1}, cached."""
+        key = ("mu", n, p)
+        if key not in self._ops:
+            mul = self.algebra.mul_basis
+
+            def terms(t):
+                for k, c in mul(t[p], t[p + 1]).items():
+                    yield t[:p] + (k,) + t[p + 2:], c
+
+            self._ops[key] = term_map(self.power(n), self.power(n - 1), terms)
+        return self._ops[key]
+
+    def flipstar(self, n: int) -> LinearMap:
+        """The conjugation on W_n: reverse the slots and star each factor, with
+        the Koszul sign of the reversal; cached."""
+        key = ("flipstar", n)
+        if key not in self._ops:
+            star_cols, deg = self.algebra.star.cols, self.factor.degrees
+
+            def terms(t):
+                odd = seen = 0
+                for i in t:
+                    odd += seen * deg[i]
+                    seen += deg[i]
+                rev = t[::-1]
+                acc = [((k,), c) for k, c in star_cols[rev[0]].items()]
+                for i in rev[1:]:
+                    acc = [(tup + (k,), c * ck) for tup, c in acc
+                           for k, ck in star_cols[i].items()]
+                return [(tup, -c) for tup, c in acc] if odd % 2 else acc
+
+            wn = self.power(n)
+            self._ops[key] = term_map(wn, wn, terms, antilinear=True)
+        return self._ops[key]
+
+    def add_braid_records(self, rep: ValidationReport, ids) -> None:
+        """Record the braid equation on W_3, the two product compatibilities
+        and mu sigma = mu; ``ids`` holds their (identity id, paper label)."""
+        braid, prod1, prod2, comm = ids
+        s12, s23 = self.sigma_at(3, 0), self.sigma_at(3, 1)
+        rep.add(map_equality_record(*braid, s12.compose(s23).compose(s12),
+                                    s23.compose(s12).compose(s23),
+                                    witness_space=self.power(3).space))
+        mu12, mu23 = self.mu_at(3, 0), self.mu_at(3, 1)
+        w2 = self.power(2).space
+        rep.add(map_equality_record(*prod1, self.sigma.compose(mu12),
+                                    mu23.compose(s12).compose(s23), witness_space=w2))
+        rep.add(map_equality_record(*prod2, self.sigma.compose(mu23),
+                                    mu12.compose(s23).compose(s12), witness_space=w2))
+        mu = self.mu_at(2, 0)
+        rep.add(map_equality_record(*comm, mu.compose(self.sigma), mu,
+                                    witness_space=self.power(1).space))
+
+
+class Bundle(BalancedTower):
     def __init__(self, total: StarAlgebra, group: HopfStarAlgebra, coaction: LinearMap,
                  base_vectors, base: StarAlgebra, base_in_total: LinearMap):
         self.total = total
         self.group = group
         self.coaction = coaction
-        self.field = total.field
         self.base_vectors = base_vectors  # V basis as vectors in B
         self.base = base                  # abstract V with solved structure constants
         self.base_in_total = base_in_total
@@ -52,70 +280,29 @@ class Bundle:
         ract = [total.right_mult_map(v) for v in base_vectors]
         self.b_factor = Factor.ungraded(total.space, lact, ract)
         self.a_factor = Factor.ungraded(group.space)
-        self._spaces: dict = {}
-        self.b2 = self.b_space(2)
-        # Galois map X(b (x) q) = b F(q)
-        ba = self.mixed_space("BA")
-        fcols = coaction.cols
         da = group.dim
-
-        def x_terms(t):
-            i, j = t
-            for idx, c in fcols[j].items():
-                k, a = divmod(idx, da)
-                for u, cu in total.mul_basis(i, k).items():
-                    yield (u, a), c * cu
-
-        self.X = term_map(self.b2, ba, x_terms)
+        f_legs = [[(idx // da, idx % da, c) for idx, c in col.items()]
+                  for col in coaction.cols]
+        super().__init__(total, self.b_factor, group.algebra, self.a_factor,
+                         group.antipode_inverse, f_legs, ("B", "A"))
+        self.b2 = self.b_space(2)
         if self.b2.dim != total.dim * da or not self.X.is_bijective():
             raise NotPrincipal(
                 "Galois map X is not bijective "
                 f"(dim B2 = {self.b2.dim}, dim B(x)A = {total.dim * da}, rank = {self.X.rank()})",
                 where="bundle.coaction")
-        self.X_inv = self.X.inverse()
-        tau_cols = []
-        for a in range(da):
-            target: Vec = {}
-            for i, c in total.unit.items():
-                viadd_term(target, ba.flat_index((i, a)), c)
-            tau_cols.append(self.X_inv.apply(ba.project(target)))
-        self.tau = LinearMap(group.space, self.b2.space, tau_cols, self.field)
-        # flat legs tau(e_a) = sum (i, j, c), cached for Sweedler-style loops
-        self.tau_legs = []
-        for a in range(da):
-            legs = []
-            for fi, c in self.b2.lift(tau_cols[a]).items():
-                i, j = self.b2.tuples[fi]
-                legs.append((i, j, c))
-            self.tau_legs.append(legs)
-        self.f_legs = []
-        for i in range(total.dim):
-            self.f_legs.append([(idx // da, idx % da, c)
-                                for idx, c in coaction.cols[i].items()])
 
     # -- cached spaces ----------------------------------------------------
 
-    def b_space(self, n: int) -> TProd:
-        """B_n = B (x)_V ... (x)_V B, cached."""
-        if n < 1:
-            raise InputError("tensor power must be at least 1")
+    def power(self, n: int) -> TProd:
+        """B_n = B (x)_V ... (x)_V B, within the tower budget."""
         if n > self.tower_budget + 1:
             raise BudgetExceeded(
                 f"B_{n} exceeds the tensor budget (max n = {self.tower_budget + 1}; "
                 "set QPB_TENSOR_BUDGET to raise)")
-        key = ("B", n)
-        if key not in self._spaces:
-            self._spaces[key] = TProd(self.field, (self.b_factor,) * n, name=f"B_{n}")
-        return self._spaces[key]
+        return super().power(n)
 
-    def mixed_space(self, pattern: str) -> TProd:
-        """TProd for a pattern over letters 'B' (balanced) and 'A' (free)."""
-        key = ("mix", pattern)
-        if key not in self._spaces:
-            factors = tuple(self.b_factor if ch == "B" else self.a_factor
-                            for ch in pattern)
-            self._spaces[key] = TProd(self.field, factors, name=pattern)
-        return self._spaces[key]
+    b_space = power
 
     # -- small conveniences -------------------------------------------------
 
@@ -130,6 +317,17 @@ class Bundle:
         """B = A with F = phi, so the closed-form translation oracle applies."""
         return (self.total.space.labels == self.group.space.labels
                 and self.coaction.cols == self.group.coproduct.cols)
+
+    def coact_at(self, p: int) -> LinearMap:
+        """F on slot p of B_2, its A leg moved last: B_2 -> B_2 (x) A; cached."""
+        key = ("coact", p)
+        if key not in self._ops:
+            def terms(t):
+                for k, a, c in self.f_legs[t[p]]:
+                    yield t[:p] + (k,) + t[p + 1:] + (a,), c
+
+            self._ops[key] = term_map(self.b2, self.hopf_space(2), terms)
+        return self._ops[key]
 
     def x_n(self, n: int) -> LinearMap:
         """The tower isomorphism X_n : B_{n+1} -> B (x) A^n, cached.
@@ -191,24 +389,6 @@ class Bundle:
                 yield t[:slot] + (k,) + t[slot + 1:], c
 
         return term_map(bn, bn, terms)
-
-    def flipstar(self, n: int) -> LinearMap:
-        """The standard conjugation on B_n: reverse slots and star each factor."""
-        bn = self.b_space(n)
-        star_cols = self.total.star.cols
-
-        def terms(t):
-            rev = t[::-1]
-            acc = [((), self.field.one)]
-            for i in rev:
-                nxt = []
-                for tup, c in acc:
-                    for k, ck in star_cols[i].items():
-                        nxt.append((tup + (k,), c * ck))
-                acc = nxt
-            return acc
-
-        return term_map(bn, bn, terms, antilinear=True)
 
 
 def _check(rep: ValidationReport, ident, label, bad):
@@ -333,9 +513,7 @@ def translation_identities(b: Bundle) -> ValidationReport:
 
     # l(a) r(a) = eps(a) 1
     b1 = b.b_space(1)
-    mu = term_map(b2, b1, lambda t: (((k,), c) for k, c in
-                                     total.mul_basis(t[0], t[1]).items()))
-    lhs = mu.compose(b.tau)
+    lhs = b.mu_at(2, 0).compose(b.tau)
     eps_cols = [b1.project({b1.flat_index((i,)): c * g.eps_basis(a)
                             for i, c in total.unit.items()})
                 for a in range(da)]
@@ -346,13 +524,7 @@ def translation_identities(b: Bundle) -> ValidationReport:
     # (id (x) F) tau(a) = tau(a^(1)) (x) a^(2)
     bba = b.mixed_space("BBA")
 
-    def idf_terms(t):
-        i, j = t
-        for k, a, c in b.f_legs[j]:
-            yield (i, k, a), c
-
-    idf = term_map(b2, bba, idf_terms)
-    lhs = idf.compose(b.tau)
+    lhs = b.coact_at(1).compose(b.tau)
     rhs_cols = []
     for a in range(da):
         acc: Vec = {}
@@ -387,13 +559,7 @@ def translation_identities(b: Bundle) -> ValidationReport:
 
     # (F (x) id) tau(a) = l(a^(2)) (x) kappa(a^(1)) (x) r(a^(2)),
     # both sides carried into B (x)_V B (x) A by the free slot swap
-    def fid_terms(t):
-        i, j = t
-        for k, a, c in b.f_legs[i]:
-            yield (k, j, a), c
-
-    fid = term_map(b2, bba, fid_terms)
-    lhs = fid.compose(b.tau)
+    lhs = b.coact_at(0).compose(b.tau)
     rhs_cols = []
     for a in range(da):
         acc = {}

@@ -5,24 +5,29 @@ differential of a product bundle calculus; F^ = id (x) phi^ is its unique
 graded-differential extension of the coaction.  Omega(M) and Omega(P) are
 hopf.GradedStarAlgebra subclasses: product, d, star and the axiom check live
 there, and every product in a graded tensor product (Omega(P) itself and
-Omega(P) (x)^ Gamma^) is hopf.graded_tensor_mul.  On the balanced powers W_n =
-Omega(P) (x)^_M ... the Galois map X^(phi (x) w) = phi F^(w) is verified to
-be bijective in every total degree <= 2, the extended translation map tau^
-is its inverse on Gamma^, and sigma^_M is assembled from F^ and tau^ with
-the graded-twist signs of its defining formula.
+Omega(P) (x)^ Gamma^) is hopf.graded_tensor_mul.
+
+TotalCalculus is the graded instance of bundle.BalancedTower, the braid tower
+that in degree zero is the bundle: W = Omega(P) over M = Omega(M) with Hopf
+side Gamma^.  The balanced powers W_n, X^(phi (x) w) = phi F^(w) and its
+inverse, tau^, sigma^_M and its formula inverse with the Koszul signs of
+their defining formulas, sigma^ and mu on slots of W_n, the conjugation on
+W_2, F^_2 and the records of the braid equation, the product compatibilities
+and mu sigma^ = mu are the tower's, written once for both degrees.  What only
+the graded case has stays here: X^ bijective in every total degree <= 2, d on
+W_2, the filtration Omega_k(P), the transported products on W_2 and W_3, and
+the g-inv, g-star, g-d, gsM-filt and tau^ checks of differential_suite.
 
 The differential gauge coalgebra L^ (F^_2-invariants of W_2 with eps^_M,
 Delta^ and phi^_M, and its counital coalgebra identities) is built by
 gauge.GradedGaugeCoalgebra, the construction that also gives L in degree
-zero, with the degrees of Omega(P) and Omega(M) and the degree budget as
-data.  What only the graded case has stays here: the homogeneity of the L^
-basis vectors, closure of L^ under star and d, eps^_M against star and d,
-and L^0 = L.
+zero.  Graded only: the homogeneity of the L^ basis vectors, closure of L^
+under star and d, eps^_M against star and d, and L^0 = L.
 """
 
 from __future__ import annotations
 
-from .bundle import build_bundle
+from .bundle import BalancedTower, build_bundle
 from .errors import DegreeBudget, NotProductBundle, ValidationFailed
 from .fodc import Envelope2, Fodc, GammaEnvelope, build_envelope2
 from .gauge import GradedGaugeCoalgebra
@@ -34,7 +39,7 @@ from .linalg import (
 from .report import (
     ValidationReport, failing, map_equality_record, passing, vacuous,
 )
-from .tensor import Factor, TProd, slot_apply, term_map, unit_leg
+from .tensor import Factor, TProd, slot_apply, unit_leg
 
 
 class BaseCalculus(GradedStarAlgebra):
@@ -235,9 +240,9 @@ class OmegaP(GradedStarAlgebra):
         return [i for i in range(self.dim) if self.degrees[i] == degree]
 
 
-class TotalCalculus:
-    """Bundle + FODC + base calculus, with W_2, W_3, X^, tau^, sigma^_M and
-    the differential gauge coalgebra ``lhat``."""
+class TotalCalculus(BalancedTower):
+    """Bundle + FODC + base calculus: the graded braid tower W_n, X^, tau^,
+    sigma^_M, F^_2 of Omega(P), and the differential gauge coalgebra ``lhat``."""
 
     def __init__(self, fodc: Fodc, env2: Envelope2, gamma: GammaEnvelope,
                  base_calc: BaseCalculus, omega: OmegaP):
@@ -247,7 +252,6 @@ class TotalCalculus:
         self.base_calc = base_calc
         self.omega = omega
         field = omega.field
-        self.field = field
         one = field.one
         self.group = gamma.group
 
@@ -293,23 +297,14 @@ class TotalCalculus:
         if not spans_equal(emb0, self.bundle.base_vectors):
             raise NotProductBundle("base calculus degree 0 differs from the computed base")
 
-        # balanced powers
-        self.w2 = TProd(field, (omega.factor, omega.factor),
-                        coeff_degrees=base_calc.degrees, budget=BUDGET, name="W_2")
-        self.w3 = TProd(field, (omega.factor,) * 3,
-                        coeff_degrees=base_calc.degrees, budget=BUDGET, name="W_3")
+        # the graded tower; X^ maps into Omega(P) (x) Gamma^, where F^ lives
+        super().__init__(omega, omega.factor, gamma, gamma.factor, gamma.kappa_hat_inv,
+                         omega.f_legs, ("W", "G"), coeff_degrees=base_calc.degrees,
+                         budget=BUDGET, spaces={"WG": omega.og})
+        self.w1, self.w2, self.w3 = (self.power(n) for n in (1, 2, 3))
 
-        # X^ : W_2 -> Omega(P) (x) Gamma^
+        # X^ is bijective in each total degree
         og = omega.og
-
-        def x_terms(t):
-            i, j = t
-            for w, th, c in omega.f_legs[j]:
-                for u, cu in omega.mul_basis(i, w).items():
-                    yield (u, th), c * cu
-
-        self.x_hat = term_map(self.w2, og, x_terms)
-        # bijectivity in each total degree
         w2deg = self.w2.degrees()
         ogdeg = [og.degree(og.tuples[og.quotient.keep[b]]) for b in range(og.dim)]
         self.x_by_degree_ok = {}
@@ -319,70 +314,15 @@ class TotalCalculus:
             ech = Echelon()
             rank = 0
             for i in src:
-                if ech.add(self.x_hat.cols[i]):
+                if ech.add(self.X.cols[i]):
                     rank += 1
             self.x_by_degree_ok[k] = (len(src) == len(dst) == rank)
         if not all(self.x_by_degree_ok.values()):
             raise NotProductBundle(
                 f"X^ fails degreewise bijectivity: {self.x_by_degree_ok}")
-        self.x_hat_inv = self.x_hat.inverse()
 
-        # tau^ on Gamma^ (degree <= 2)
-        tau_cols = []
-        for gi in range(gamma.dim):
-            acc: Vec = {}
-            for i, c in omega.unit.items():
-                viadd_term(acc, og.flat_index((i, gi)), c)
-            tau_cols.append(self.x_hat_inv.apply(og.project(acc)))
-        self.tau_hat = LinearMap(gamma.space, self.w2.space, tau_cols, field)
-        self.tau_legs = []
-        for gi in range(gamma.dim):
-            legs = []
-            for fi, c in self.w2.lift(tau_cols[gi]).items():
-                p, q = self.w2.tuples[fi]
-                legs.append((p, q, c))
-            self.tau_legs.append(legs)
-
-        # sigma^_M and its formula inverse
-        def sigma_terms(t):
-            i, j = t
-            dj = omega.degree(j)
-            for w, th, c in omega.f_legs[i]:
-                sign = -one if (gamma.degree(th) * dj) % 2 else one
-                for p, q, ct in self.tau_legs[th]:
-                    c0 = c * ct * sign
-                    for u, cu in omega.mul_basis(w, j).items():
-                        for v, cv in omega.mul_basis(u, p).items():
-                            yield (v, q), c0 * cu * cv
-
-        self.sigma_fwd = term_map(self.w2, self.w2, sigma_terms)
-
-        kinv = gamma.kappa_hat_inv
-
-        def sigma_inv_terms(t):
-            i, j = t
-            di = omega.degree(i)
-            for w, th, c in omega.f_legs[j]:
-                sign = -one if (gamma.degree(th) * (di + omega.degree(w))) % 2 else one
-                for th2, ck in kinv.cols[th].items():
-                    for p, q, ct in self.tau_legs[th2]:
-                        c0 = c * ck * ct * sign
-                        for u, cu in omega.mul_basis(q, i).items():
-                            for v, cv in omega.mul_basis(u, w).items():
-                                yield (p, v), c0 * cu * cv
-
-        self.sigma_inv = term_map(self.w2, self.w2, sigma_inv_terms)
-
-        # graded operations on W_2
-        def star2_terms(t):
-            i, j = t
-            sign = -one if (omega.degree(i) * omega.degree(j)) % 2 else one
-            for j2, cj in omega.star.cols[j].items():
-                for i2, ci in omega.star.cols[i].items():
-                    yield (j2, i2), sign * cj * ci
-
-        self.w2_star = term_map(self.w2, self.w2, star2_terms, antilinear=True)
-
+        # the conjugation and d on W_2
+        self.w2_star = self.flipstar(2)
         d_cols = []
         for b in range(self.w2.dim):
             if w2deg[b] >= BUDGET:
@@ -402,35 +342,8 @@ class TotalCalculus:
         self.w2_d_cols = d_cols
         self.w2_degrees = w2deg
 
-        def mu_terms(t):
-            i, j = t
-            for k, c in omega.mul_basis(i, j).items():
-                yield (k,), c
-
-        self.w1 = TProd(field, (omega.factor,), budget=BUDGET, name="W_1")
-        self.w2_mu = term_map(self.w2, self.w1, mu_terms)
-
-        # F^_2 on W_2 (into W_2 (x) Gamma^) and the invariants L^
-        self.w2g = TProd(field, (omega.factor, omega.factor, gamma.factor),
-                         coeff_degrees=base_calc.degrees, budget=BUDGET,
-                         name="W_2(x)Gamma^")
-
-        def f2_terms(t):
-            i, j = t
-            for w1, th1, c1 in omega.f_legs[i]:
-                for w2_, th2, c2 in omega.f_legs[j]:
-                    sign = (-one if (gamma.degree(th1) * omega.degree(w2_)) % 2
-                            else one)
-                    c0 = c1 * c2 * sign
-                    for th, cth in gamma.mul_basis(th1, th2).items():
-                        yield (w1, w2_, th), c0 * cth
-
-        self.f2_hat = term_map(self.w2, self.w2g, f2_terms)
         self.m_embed = LinearMap(base_calc.space, omega.space, omega.m_embed_cols, field)
-        self.lhat = GradedGaugeCoalgebra(
-            "L^", "Omega", omega, omega.factor, self.m_embed, self.w1, self.w2,
-            self.w3, self.f2_hat, self.w2g, gamma.unit, omega.f_legs, self.tau_legs,
-            coeff_degrees=base_calc.degrees, budget=BUDGET)
+        self.lhat = GradedGaugeCoalgebra("L^", "Omega", self, self.m_embed)
         for lb, deg in zip(self.lhat.l_basis, self.lhat.degrees):
             if any(w2deg[i] != deg for i in lb):
                 raise ValidationFailed("L^ basis vector is not homogeneous")
@@ -451,7 +364,7 @@ class TotalCalculus:
         return self.w2_degrees[b]
 
     def tau_of(self, gamma_vec: Vec) -> Vec:
-        return self.tau_hat.apply(gamma_vec)
+        return self.tau.apply(gamma_vec)
 
     def omega_m_fixed(self):
         """F^-fixed subspace of Omega(P) (the embedded Omega(M))."""
@@ -489,10 +402,10 @@ class TotalCalculus:
         out: Vec = {}
         for fi, c in self.w3.lift(v).items():
             x, y, z = self.w3.tuples[fi]
-            inner = self.x_hat.apply(self.w2.project_tuple((y, z)))
+            inner = self.X.apply(self.w2.project_tuple((y, z)))
             for fj, c2 in og.lift(inner).items():
                 u, th2 = og.tuples[fj]
-                pairv = self.x_hat.apply(self.w2.project_tuple((x, u)))
+                pairv = self.X.apply(self.w2.project_tuple((x, u)))
                 for fk, c3 in og.lift(pairv).items():
                     p, th1 = og.tuples[fk]
                     viadd_term(out, ogg.flat_index((p, th1, th2)), c * c2 * c3)
@@ -521,8 +434,8 @@ class TotalCalculus:
         """Braided product on W_2 transported along X^."""
         omega = self.omega
         prod = graded_tensor_mul(omega.og, omega, self.gamma,
-                                 self.x_hat.apply(u), self.x_hat.apply(v))
-        return self.x_hat_inv.apply(prod)
+                                 self.X.apply(u), self.X.apply(v))
+        return self.X_inv.apply(prod)
 
     def w3_mult(self, u: Vec, v: Vec) -> Vec:
         """Braided product on W_3 transported along X^_2."""
@@ -564,25 +477,6 @@ class TotalCalculus:
                 viadd_term(out, w2.flat_index((i, j)), ci * cj)
         return w2.project(out)
 
-    def sigma_at(self, p: int, inverse: bool = False) -> LinearMap:
-        from .tensor import block_terms
-        m = self.sigma_inv if inverse else self.sigma_fwd
-
-        def terms(t):
-            for pair, c in block_terms(self.w2, (t[p], t[p + 1]), m):
-                yield t[:p] + pair + t[p + 2:], c
-
-        return term_map(self.w3, self.w3, terms)
-
-    def mu_at(self, p: int) -> LinearMap:
-        omega = self.omega
-
-        def terms(t):
-            for k, c in omega.mul_basis(t[p], t[p + 1]).items():
-                yield t[:p] + (k,) + t[p + 2:], c
-
-        return term_map(self.w3, self.w2, terms)
-
 
 def build_total_calculus(fodc: Fodc, base_calc: BaseCalculus) -> TotalCalculus:
     """Assemble the full tower from an FODC on the structure group and a base
@@ -603,7 +497,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
     field = tc.field
     one = field.one
     omega, gamma, base = tc.omega, tc.gamma, tc.base_calc
-    w2, w3 = tc.w2, tc.w3
+    w2 = tc.w2
     og = omega.og
 
     # --- F^ structure -------------------------------------------------------
@@ -698,7 +592,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
                          {"dim": len(fixed)}))
 
     # --- tau^ block -----------------------------------------------------------
-    w2g = tc.w2g
+    w2g = tc.hopf_space(2)
 
     # (id (x) F^) tau^ = tau^((1)) (x) (2)
     lhs_cols, rhs_cols = [], []
@@ -721,7 +615,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
 
     # F^_2 tau^ = (tau^ (x) id) ad
     ad = gamma.ad_hat()
-    lhs = tc.f2_hat.compose(tc.tau_hat)
+    lhs = tc.f2.compose(tc.tau)
     rhs_cols = []
     for gi in range(gamma.dim):
         acc = {}
@@ -735,8 +629,8 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
                                 lhs, rhs, witness_space=w2g.space))
 
     # tau^(gamma)* = tau^(kappa^(gamma)*)
-    lhs = tc.w2_star.compose(tc.tau_hat)
-    rhs = tc.tau_hat.compose(gamma.star.compose(gamma.kappa_hat))
+    lhs = tc.w2_star.compose(tc.tau)
+    rhs = tc.tau.compose(gamma.star.compose(gamma.kappa_hat))
     rep.add(map_equality_record("diff.tau-star", "tau^* = tau^ kappa^ *",
                                 lhs, rhs, witness_space=w2.space))
 
@@ -745,8 +639,8 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
     for gi in range(gamma.dim):
         if gamma.degree(gi) >= BUDGET:
             continue
-        lhs_v = tc.tau_hat.apply(gamma.d_cols[gi])
-        rhs_v = tc.w2_d(tc.tau_hat.cols[gi])
+        lhs_v = tc.tau.apply(gamma.d_cols[gi])
+        rhs_v = tc.w2_d(tc.tau.cols[gi])
         if lhs_v != rhs_v:
             bad = {"basis_index": gi}
             break
@@ -780,7 +674,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
                                 witness_space=w2g.space))
 
     # mu tau^ = eps(.) 1
-    lhs = tc.w2_mu.compose(tc.tau_hat)
+    lhs = tc.mu_at(2, 0).compose(tc.tau)
     rhs_cols = []
     for gi in range(gamma.dim):
         acc = {}
@@ -799,8 +693,8 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
         for gi in range(gamma.dim):
             if base.degree(f) + gamma.degree(gi) > BUDGET:
                 continue
-            lv = slot_apply(w2, tc.tau_hat.cols[gi], 0, omega.factor.lact[f])
-            rv = slot_apply(w2, tc.tau_hat.cols[gi], 1, omega.factor.ract[f])
+            lv = slot_apply(w2, tc.tau.cols[gi], 0, omega.factor.lact[f])
+            rv = slot_apply(w2, tc.tau.cols[gi], 1, omega.factor.ract[f])
             sign = -one if (base.degree(f) * gamma.degree(gi)) % 2 else one
             if lv != vscale(sign, rv):
                 bad = {"base_index": f, "gamma_index": gi}
@@ -817,7 +711,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
         for gj in range(gamma.dim):
             if gamma.degree(gi) + gamma.degree(gj) > BUDGET:
                 continue
-            lhs_v = tc.tau_hat.apply(gamma.mul_basis(gi, gj))
+            lhs_v = tc.tau.apply(gamma.mul_basis(gi, gj))
             acc: Vec = {}
             for u, v_, cu in tc.tau_legs[gj]:
                 sign = -one if (gamma.degree(gi) * omega.degree(u)) % 2 else one
@@ -836,8 +730,8 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
 
     # --- sigma^_M suite --------------------------------------------------------
     ident = LinearMap.identity(w2.space, field)
-    ok = (tc.sigma_fwd.compose(tc.sigma_inv) == ident
-          and tc.sigma_inv.compose(tc.sigma_fwd) == ident)
+    ok = (tc.sigma.compose(tc.sigma_inv) == ident
+          and tc.sigma_inv.compose(tc.sigma) == ident)
     rep.add(passing("diff.g-inv", "g-inv") if ok
             else failing("diff.g-inv", "g-inv", {}))
 
@@ -853,35 +747,17 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
                     continue
                 left_span.append(tc.embed_w2(u, {j: one}))
                 right_span.append(tc.embed_w2({j: one}, u))
-        img = [tc.sigma_fwd.apply(v) for v in left_span]
+        img = [tc.sigma.apply(v) for v in left_span]
         ok = spans_equal(img, right_span)
         rep.add(passing(f"diff.gsM-filt-{k}", "gsM-filt") if ok
                 else failing(f"diff.gsM-filt-{k}", "gsM-filt", {"k": k}))
 
-    s12 = tc.sigma_at(0)
-    s23 = tc.sigma_at(1)
-    lhs = s12.compose(s23).compose(s12)
-    rhs = s23.compose(s12).compose(s23)
-    rep.add(map_equality_record("diff.g-braid", "g-braid", lhs, rhs,
-                                witness_space=w3.space))
-
-    mu12 = tc.mu_at(0)
-    mu23 = tc.mu_at(1)
-    rep.add(map_equality_record("diff.prod-gsM1", "prod-gsM1",
-                                tc.sigma_fwd.compose(mu12),
-                                mu23.compose(s12).compose(s23),
-                                witness_space=w2.space))
-    rep.add(map_equality_record("diff.prod-gsM2", "prod-gsM2",
-                                tc.sigma_fwd.compose(mu23),
-                                mu12.compose(s23).compose(s12),
-                                witness_space=w2.space))
-
-    rep.add(map_equality_record("diff.g-comm", "mu sigma^ = mu",
-                                tc.w2_mu.compose(tc.sigma_fwd), tc.w2_mu,
-                                witness_space=tc.w1.space))
+    tc.add_braid_records(rep, (
+        ("diff.g-braid", "g-braid"), ("diff.prod-gsM1", "prod-gsM1"),
+        ("diff.prod-gsM2", "prod-gsM2"), ("diff.g-comm", "mu sigma^ = mu")))
 
     rep.add(map_equality_record("diff.g-star", "* sigma^ = sigma^-1 *",
-                                tc.w2_star.compose(tc.sigma_fwd),
+                                tc.w2_star.compose(tc.sigma),
                                 tc.sigma_inv.compose(tc.w2_star),
                                 witness_space=w2.space))
 
@@ -889,8 +765,8 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
     for b in range(w2.dim):
         if tc.w2_basis_deg(b) >= BUDGET:
             continue
-        lhs_v = tc.w2_d(tc.sigma_fwd.cols[b])
-        rhs_v = tc.sigma_fwd.apply(tc.w2_d_cols[b])
+        lhs_v = tc.w2_d(tc.sigma.cols[b])
+        rhs_v = tc.sigma.apply(tc.w2_d_cols[b])
         if lhs_v != rhs_v:
             bad = {"basis_index": b}
             break
@@ -899,22 +775,14 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
 
     # --- L^ -------------------------------------------------------------------
     lhat = tc.lhat
-    nl = lhat.l_space.dim
-    # closed under star and d
-    ok = True
-    for lb in lhat.l_basis:
-        if lhat.l_incl.solve(tc.w2_star.apply(lb)) is None:
-            ok = False
-            break
+    # closed under star and d: one solve per basis vector, shared with eps^_M
+    stars = [lhat.l_incl.solve(tc.w2_star.apply(lb)) for lb in lhat.l_basis]
+    ds = {li: lhat.l_incl.solve(tc.w2_d(lb)) for li, lb in enumerate(lhat.l_basis)
+          if lhat.degrees[li] < BUDGET}
+    ok = all(st is not None for st in stars)
     rep.add(passing("diff.Lhat-star", "L^ closed under conjugation") if ok
             else failing("diff.Lhat-star", "L^ closed under conjugation", {}))
-    ok = True
-    for li, lb in enumerate(lhat.l_basis):
-        if lhat.degrees[li] >= BUDGET:
-            continue
-        if lhat.l_incl.solve(tc.w2_d(lb)) is None:
-            ok = False
-            break
+    ok = all(dl is not None for dl in ds.values())
     rep.add(passing("diff.Lhat-d", "L^ closed under d") if ok
             else failing("diff.Lhat-d", "L^ closed under d", {}))
 
@@ -937,27 +805,15 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
                 else failing("diff.Lhat-deg0", "L^0 = L",
                              {"dim_L": len(l_in_w2), "dim_Lhat0": len(lhat0)}))
 
-    # eps^_M: hermitian and d-compatible
-    bad = None
-    for li in range(nl):
-        st = lhat.l_incl.solve(tc.w2_star.apply(lhat.l_basis[li]))
-        lhs_v = lhat.eps_m.apply(st)
-        rhs_v = base.star_apply(lhat.eps_m.cols[li])
-        if lhs_v != rhs_v:
-            bad = {"basis_index": li}
-            break
+    # eps^_M: hermitian and d-compatible; a star or d that leaves L^ fails
+    bad = next(({"basis_index": li} for li, st in enumerate(stars)
+                if st is None or lhat.eps_m.apply(st)
+                != base.star_apply(lhat.eps_m.cols[li])), None)
     rep.add(failing("diff.epsM-star", "eps^_M * = * eps^_M", bad) if bad
             else passing("diff.epsM-star", "eps^_M * = * eps^_M"))
-    bad = None
-    for li in range(nl):
-        if lhat.degrees[li] >= BUDGET:
-            continue
-        dl = lhat.l_incl.solve(tc.w2_d(lhat.l_basis[li]))
-        lhs_v = lhat.eps_m.apply(dl)
-        rhs_v = base.d_apply(lhat.eps_m.cols[li])
-        if lhs_v != rhs_v:
-            bad = {"basis_index": li}
-            break
+    bad = next(({"basis_index": li} for li, dl in ds.items()
+                if dl is None or lhat.eps_m.apply(dl)
+                != base.d_apply(lhat.eps_m.cols[li])), None)
     rep.add(failing("diff.epsM-d", "eps^_M d = d eps^_M", bad) if bad
             else passing("diff.epsM-d", "eps^_M d = d eps^_M"))
 

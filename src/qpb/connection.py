@@ -183,7 +183,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
     # d-aP: d tau(a) = tau(a^(1)) omega pi(a^(2)) - omega pi(a^(1)) tau(a^(2))
     bad = None
     for a in range(g.dim):
-        lhs = tc.w2_d(tc.tau_hat.cols[gamma.i0(a)])
+        lhs = tc.w2_d(tc.tau.cols[gamma.i0(a)])
         acc: Vec = {}
         for a1, a2, c in g.sweedler(a):
             w2v = conn.omega_pi({a2: one})
@@ -203,7 +203,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
     # gP-inv: tau^(theta) = 1 (x) omega(theta) - sum omega(theta_k) tau(c_k)
     bad = None
     for t in range(d1):
-        lhs = tc.tau_hat.apply(gamma.inv1_vec(t))
+        lhs = tc.tau.apply(gamma.inv1_vec(t))
         acc = tc.embed_w2(om.unit, conn.omega_map.cols[t])
         for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
             wv = conn.omega_map.cols[th_k]
@@ -227,7 +227,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
         for psi in range(om.dim):
             if 1 + om.degree(psi) > BUDGET:
                 continue
-            lhs = tc.sigma_fwd.apply(tc.embed_w2(wv, {psi: one}))
+            lhs = tc.sigma.apply(tc.embed_w2(wv, {psi: one}))
             sign = -one if om.degree(psi) % 2 else one
             acc: Vec = {}
             for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
@@ -266,7 +266,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
                 for p, q, ct in tau0(c_k):
                     viadd_term(acc, w3.flat_index((i, p, q)), cc * ci * ct)
         rhs = w3.project(acc)
-        for fi, c in w2.lift(tc.tau_hat.apply(gamma.inv1_vec(t))).items():
+        for fi, c in w2.lift(tc.tau.apply(gamma.inv1_vec(t))).items():
             p, q = w2.tuples[fi]
             for i, ci in om.unit.items():
                 viadd(rhs, c * ci, w3.project({w3.flat_index((i, p, q)): one}))

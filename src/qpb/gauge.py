@@ -4,15 +4,15 @@ of V-valued characters with its action on the bundle, and isotypic
 decompositions from corepresentation data.
 
 L and the differential gauge coalgebra L^ of calculus.py come from one
-construction, GradedGaugeCoalgebra, over a graded balanced tower W, W_2, W_3
-of one factor W over a coefficient algebra M: the F_2-invariants of W_2 with
-Delta = (id (x) tau)F, phi_M = (Delta (x) id)|_L and eps_M = mu|_L, and the
-counital coalgebra and coaction identities.  Degrees, coefficient degrees and
-the degree budget are data; L is the instance W = B, M = V with every degree
-zero and no budget.  What only degree zero has is in GaugeCoalgebra: the Haar
-projection p_L and its cross-checks, B (x) L, mu_M(L) = V, fgau-F, the Lemma
-2.6 antipode identities, delta_3 as a *-homomorphism, and the braided product
-and star of L inside B_2.
+construction, GradedGaugeCoalgebra, over a bundle.BalancedTower of one slot
+algebra W over a coefficient algebra M: the invariants of the tower's F_2 on
+W_2 with Delta = (id (x) tau)F, phi_M = (Delta (x) id)|_L and eps_M = mu|_L,
+and the counital coalgebra and coaction identities.  Degrees, coefficient
+degrees and the degree budget are the tower's data; L is the instance W = B,
+M = V with every degree zero and no budget.  What only degree zero has is in
+GaugeCoalgebra: the Haar projection p_L = (id (x) h)F_2 and its cross-checks,
+B (x) L, mu_M(L) = V, fgau-F, the Lemma 2.6 antipode identities, delta_3 as a
+*-homomorphism, and the braided product and star of L inside B_2.
 
 All coalgebra maps are concrete matrices on abstract balanced tensor products
 of L, B and V; inclusions into B_n are solved exactly, so membership claims
@@ -40,28 +40,28 @@ from .tensor import Factor, TProd, slot_apply, term_map, unit_leg
 
 
 class GradedGaugeCoalgebra:
-    """The gauge coalgebra of a graded balanced tower.
+    """The gauge coalgebra of a balanced tower (bundle.BalancedTower).
 
-    ``algebra`` is the *-algebra W of one tensor slot (``mul_basis``),
-    ``factor`` its Factor with the coefficient actions, ``coeff_embed`` the
-    inclusion M -> W, and ``w1``, ``w2``, ``w3`` the balanced powers of
-    ``factor``.  ``f2`` : W_2 -> ``w2a`` is the doubled coaction with values
-    in W_2 (x) H, ``unit`` the unit of H, and ``f_legs[i]`` / ``tau_legs[h]``
-    the flat legs (w, h, c) of F(e_i) and (p, q, c) of tau(e_h).  ``name``
-    and ``slot`` name L and W in labels and messages.
+    ``tower`` gives the slot algebra W with its Factor, the powers W_1, W_2,
+    W_3, the doubled coaction F_2 into W_2 (x) H, the unit of H, the flat legs
+    of F and tau, the coefficient degrees and the budget; ``coeff_embed`` is
+    the inclusion M -> W.  ``name`` and ``slot`` name L and W in labels and
+    messages.
     """
 
-    def __init__(self, name, slot, algebra, factor, coeff_embed, w1, w2, w3,
-                 f2, w2a, unit, f_legs, tau_legs, coeff_degrees=None, budget=None):
+    def __init__(self, name, slot, tower, coeff_embed):
         self.name = name
-        self.algebra = algebra
+        self.algebra = algebra = tower.algebra
         self.coeff_embed = coeff_embed
-        self.w1 = w1
-        self.field = field = w2.field
+        self.w1, w2, w3 = (tower.power(n) for n in (1, 2, 3))
+        self.field = field = tower.field
+        factor, f_legs, tau_legs = tower.factor, tower.f_legs, tower.tau_legs
+        coeff_degrees, budget = tower.coeff_degrees, tower.budget
 
         # L = F_2-invariants; each basis vector is homogeneous, of the degree
         # of its pivot
-        self.l_basis = fixed_points(f2, unit_leg(w2, w2a, unit))
+        self.l_basis = fixed_points(tower.f2, unit_leg(w2, tower.hopf_space(2),
+                                                           tower.hopf.unit))
         nl = len(self.l_basis)
         self.l_space = BasedSpace(tuple(f"{name}{i}" for i in range(nl)))
         self.l_incl = LinearMap(self.l_space, w2.space, self.l_basis, field)
@@ -261,38 +261,15 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
         b = bundle
         g = b.group
         b2 = b.b2
-        bba = b.mixed_space("BBA")
-
-        # F_2 : B_2 -> B_2 (x) A with multiplied A-components
-        def f2_terms(t):
-            i, j = t
-            for k1, c1, cf1 in b.f_legs[i]:
-                for k2, c2, cf2 in b.f_legs[j]:
-                    coeff = cf1 * cf2
-                    for a, ca in g.algebra.mul_basis(c1, c2).items():
-                        yield (k1, k2, a), coeff * ca
-
-        self.f2 = term_map(b2, bba, f2_terms)
-        super().__init__("L", "B", b.total, b.b_factor, b.base_in_total,
-                         b.b_space(1), b2, b.b_space(3), self.f2, bba, g.unit,
-                         b.f_legs, b.tau_legs)
+        super().__init__("L", "B", b, b.base_in_total)
         field = self.field
         one = field.one
         self.report = rep = ValidationReport()
 
         # p_L = (id (x) h) F_2, whose image must be L
         haar = [g.haar_of({a: one}) for a in range(g.dim)]
-
-        def pl_terms(t):
-            i, j = t
-            for k1, c1, cf1 in b.f_legs[i]:
-                for k2, c2, cf2 in b.f_legs[j]:
-                    coeff = cf1 * cf2
-                    for a, ca in g.algebra.mul_basis(c1, c2).items():
-                        if haar[a]:
-                            yield (k1, k2), coeff * ca * haar[a]
-
-        self.p_l = term_map(b2, b2, pl_terms)
+        self.p_l = term_map(b.hopf_space(2), b2,
+                            lambda t: (((t[0], t[1]), haar[t[2]]),)).compose(b.f2)
         rep.add(passing("gauge.pL-idem", "p_L idempotent")
                 if self.p_l.compose(self.p_l) == self.p_l
                 else failing("gauge.pL-idem", "p_L idempotent", {}))
@@ -510,13 +487,12 @@ class BraidedHopf:
     """{kappa_M, eps_M, phi_M, Sigma} on L over a classical structure group."""
 
     def __init__(self, gc: GaugeCoalgebra):
-        from .braiding import classicality_report
         self.gc = gc
         b = gc.bundle
         braid = gc.braid
         field = gc.field
-        classical, _ = classicality_report(b, braid)
-        if not classical:
+        # Prop 4.1 (i); the classical suite checks the four-way equivalence
+        if b.group.is_commutative() is not None:
             raise NotClassical("the structure group algebra is noncommutative")
         self.report = ValidationReport()
         rep = self.report
@@ -524,18 +500,10 @@ class BraidedHopf:
         b4 = b.b_space(4)
 
         # diagram tw: F_2 sigma = (sigma (x) id) F_2
-        bba = b.mixed_space("BBA")
-
-        def s12_terms(t):
-            i, j, a = t
-            for (x, y), cs in braid._sigma_pair(i, j):
-                yield (x, y, a), cs
-
-        s12_bba = term_map(bba, bba, s12_terms)
         rep.add(map_equality_record("classical.tw", "tw",
-                                    gc.f2.compose(braid.forward),
-                                    s12_bba.compose(gc.f2),
-                                    witness_space=bba.space))
+                                    b.f2.compose(braid.forward),
+                                    b.sigma_at("BBA", 0).compose(b.f2),
+                                    witness_space=b.hopf_space(2).space))
 
         # L is a *-subalgebra of braided B_2
         bad = next(({"l_basis_index": li, "side": "star"}
@@ -739,21 +707,16 @@ class GaugeTransformation:
         self.functional = functional  # L-space -> V-space
         b = gc.bundle
         field = gc.field
+        in_b = _values_in_b(gc, [functional.apply({li: field.one})
+                                 for li in range(gc.l_space.dim)])
         cols = []
         for i in range(b.total.dim):
             acc: Vec = {}
             for fj, cd in gc.t_lb.lift(gc.delta.cols[i]).items():
                 l, x = gc.t_lb.tuples[fj]
-                gval = self.value_in_b({l: field.one})
-                viadd(acc, cd, b.total.mul(gval, {x: field.one}))
+                viadd(acc, cd, b.total.mul(in_b[l], {x: field.one}))
             cols.append(acc)
         self.action = LinearMap(b.total.space, b.total.space, cols, field)
-
-    def value_in_b(self, lvec: Vec) -> Vec:
-        out: Vec = {}
-        for v, c in self.functional.apply(lvec).items():
-            viadd(out, c, self.gc.bundle.base_vectors[v])
-        return out
 
     def matrix_key(self):
         return _matrix_key(self.functional)
@@ -801,12 +764,7 @@ def _compatible(gc: GaugeCoalgebra, vals) -> bool | None:
     sum b_j (x) rho_j; vals[l] = gamma(l) in V coordinates."""
     b = gc.bundle
     one = gc.field.one
-    in_b = []
-    for val in vals:
-        gval: Vec = {}
-        for v, cv in val.items():
-            viadd(gval, cv, b.base_vectors[v])
-        in_b.append(gval)
+    in_b = _values_in_b(gc, vals)
     for li in range(gc.l_space.dim):
         for bi in range(b.total.dim):
             legs = gc.lb_move(li, bi)
@@ -818,6 +776,17 @@ def _compatible(gc: GaugeCoalgebra, vals) -> bool | None:
             if b.total.mul(in_b[li], {bi: one}) != rhs:
                 return False
     return True
+
+
+def _values_in_b(gc: GaugeCoalgebra, vals) -> list:
+    """gamma(l) as vectors of B, from vals[l] = gamma(l) in V coordinates."""
+    out = []
+    for val in vals:
+        gval: Vec = {}
+        for v, cv in val.items():
+            viadd(gval, cv, gc.bundle.base_vectors[v])
+        out.append(gval)
+    return out
 
 
 def _matrix_key(m: LinearMap):

@@ -101,12 +101,54 @@ def test_zero_calculus_lhat_is_l(group, kind, points):
     assert lhat.eps_m.cols == gc.eps_m.cols
 
 
+@pytest.mark.parametrize("group, kind, points", [
+    ("Z2", "function_algebra", 1),
+    ("Z3", "function_algebra", 2),
+    ("S3", "group_algebra", 1),
+])
+def test_zero_calculus_tower_is_bundle_tower(group, kind, points):
+    """With the zero FODC and the trivial base calculus every degree is zero,
+    so the graded tower of Omega(P) must be the bundle's tower column for
+    column: X, tau, sigma^+-1, sigma on both slot pairs of W_3, mu, the flip
+    star and F_2."""
+    h = hopf_preset(group, kind)
+    base = trivial_base_calculus(functions_on_points(points, h.field))
+    tc = build_total_calculus(build_fodc(h, zero_ideal(h)), base)
+    b = tc.bundle
+    for graded, degree0 in (
+            (tc.X, b.X), (tc.tau, b.tau), (tc.sigma, b.sigma),
+            (tc.sigma_inv, b.sigma_inv), (tc.sigma_at(3, 0), b.sigma_at(3, 0)),
+            (tc.sigma_at(3, 1), b.sigma_at(3, 1)), (tc.mu_at(2, 0), b.mu_at(2, 0)),
+            (tc.flipstar(2), b.flipstar(2)), (tc.f2, b.f2)):
+        assert graded.cols == degree0.cols
+    assert tc.tau_legs == b.tau_legs
+
+
+def test_differential_suite_reports_lhat_not_closed_under_star():
+    """A conjugation that leaves L^ is recorded as failing diff.Lhat-star and
+    diff.epsM-star; the suite still returns its report."""
+    from qpb.linalg import LinearMap, Echelon
+    tc = point_calculus("Z2")
+    one = tc.field.one
+    lhat_span = Echelon()
+    for lb in tc.lhat.l_basis:
+        lhat_span.add(lb)
+    outside = next(k for k in range(tc.w2.dim) if not lhat_span.contains({k: one}))
+    tc.w2_star = LinearMap(tc.w2.space, tc.w2.space, [{outside: one}] * tc.w2.dim,
+                           tc.field, antilinear=True)
+    rep = differential_suite(tc)
+    recs = {r.identity_id: r for r in rep.records}
+    assert recs["diff.Lhat-star"].status == "fail"
+    assert recs["diff.epsM-star"].status == "fail"
+    assert recs["diff.epsM-star"].witness == {"basis_index": 0}
+
+
 def test_tau_hat_restricted_to_degree_zero_is_tau():
     tc = point_calculus("Z2")
     b = tc.bundle
     # group basis elements sit in degree 0 of Gamma^
     for a in range(tc.group.dim):
-        v = tc.tau_hat.cols[tc.gamma.i0(a)]
+        v = tc.tau.cols[tc.gamma.i0(a)]
         # translate to b2 coordinates
         acc = {}
         from qpb.linalg import viadd

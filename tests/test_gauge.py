@@ -213,3 +213,29 @@ def test_trivial_group_single_component():
     assert dec.report.ok
     assert len(dec.components) == 1
     assert len(dec.components[0][2]) == b.total.dim
+
+
+def test_classical_suite_runs_classicality_once(monkeypatch):
+    """The classical suite runs the four-way dichotomy once; BraidedHopf reads
+    classicality off the structure group (Prop 4.1 (i)) instead of re-running
+    it."""
+    from pathlib import Path
+
+    import qpb.braiding
+    import qpb.formats
+    from qpb.formats import BuildResult, load_file, run_suites
+
+    case = Path(__file__).resolve().parents[1] / "bench" / "cases" / "z2-point-bundle.json"
+    build = BuildResult(load_file(str(case)))
+    calls = []
+    original = qpb.braiding.classicality_report
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return original(*args, **kwargs)
+
+    for module in (qpb.braiding, qpb.formats):
+        monkeypatch.setattr(module, "classicality_report", counted)
+    rep = run_suites(build, ["classical"])
+    assert rep.ok, rep.to_text()
+    assert len(calls) == 1
