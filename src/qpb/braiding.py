@@ -2,24 +2,24 @@
 
 sigma(b (x) q) = sum_k b_k q l(c_k) (x) r(c_k)  with  F(b) = sum_k b_k (x) c_k,
 with inverse sigma^{-1}(q (x) b) = sum_k tau(kappa^{-1}(c_k)) q b_k.  Both
-formulas, sigma and mu on slots of B_n, the flip star, F_2 and the records of
-the braid equation, the product compatibilities and mu sigma = mu belong to
+formulas, sigma and mu on slots of B_n, the flip star, F_2, the records of
+the braid equation, the product compatibilities and mu sigma = mu, the Galois
+tower X_n and the product on B_n transported along it belong to
 bundle.BalancedTower, written once for the bundle (degree zero) and for
 Omega(P) (the graded case of calculus.py).  What only degree zero has is
 here: sigma_m raises unless the formula inverse composes to the identity and
-sigma is V-bilinear; the braided product and star on B_n; the star exchange,
-mu and tau as *-homomorphisms, sigma tau = tau kappa, aP- and F-functoriality;
-and the four-way classicality dichotomy (A commutative <=> two exchange laws
-<=> sigma involutive).
+sigma is V-bilinear; the explicit product p sigma(b (x) q) g on B_2 and the
+braid-word star on B_n; the star exchange, mu and tau as *-homomorphisms,
+sigma tau = tau kappa, aP- and F-functoriality; and the four-way
+classicality dichotomy (A commutative <=> two exchange laws <=> sigma
+involutive).
 
-B_n products are transported along the tower isomorphisms X_n, which the
-paper identifies as *-isomorphisms onto B (x) A^n with the componentwise
-structure; the n >= 3 star is the reversal braid word applied after the
-factorwise star, and its algebra axioms are asserted rather than assumed.
-The product is computed factorwise in the transported flat basis, and a pair
-of terms is multiplied only when each factor's multiplication support
-(``StarAlgebra.support``) admits it, so pairs with a zero factor product cost
-a set lookup.  No structure constants are stored on the B_n basis.
+The paper identifies X_n as a *-isomorphism onto B (x) A^n with the
+componentwise structure.  braided2.X-mult checks X against the explicit B_2
+product, so for n = 2 the braided product is that formula and for n >= 3 it
+is the tower's transported one; the n >= 3 star is the reversal braid word
+applied after the factorwise star, and its algebra axioms are asserted
+rather than assumed.
 """
 
 from __future__ import annotations
@@ -95,51 +95,11 @@ class BraidOperator:
         return out
 
     def mult_n(self, n: int):
-        """Braided product on B_n (n >= 2), cached per n.
-
-        For n >= 3 both operands are transported along X_{n-1} to
-        B (x) A^{n-1}, where the product is componentwise, multiplied
-        factorwise in the flat basis and transported back.  The right
-        operand is indexed by its leading factor, and a pair of terms is
-        multiplied only when every factor product is nonzero, as read off
-        each factor algebra's multiplication support.
-        """
+        """Braided product on B_n (n >= 2): the explicit sigma formula for
+        n = 2, the tower's product transported along X_{n-1} for n >= 3."""
         if n == 2:
             return self.mult2
-        key = ("mult", n)
-        if key in self._cache:
-            return self._cache[key]
-        b = self.bundle
-        xn = b.x_n(n - 1)
-        xinv = b.x_n_inverse(n - 1)
-        target = b.mixed_space("B" + "A" * (n - 1))
-        algs = (b.total,) + (b.group.algebra,) * (n - 1)
-        supports = [alg.support for alg in algs]
-        tuples = target.tuples
-
-        def mul(u: Vec, v: Vec) -> Vec:
-            by_lead: dict = {}
-            for fv, cv in target.lift(xn.apply(v)).items():
-                tv = tuples[fv]
-                by_lead.setdefault(tv[0], []).append((tv, cv))
-            out: Vec = {}
-            for fu, cu in target.lift(xn.apply(u)).items():
-                tu = tuples[fu]
-                rows = [sup[i] for sup, i in zip(supports, tu)]
-                for lead in rows[0]:
-                    for tv, cv in by_lead.get(lead, ()):
-                        if not all(j in row for j, row in zip(tv[1:], rows[1:])):
-                            continue
-                        terms = [((), cu * cv)]
-                        for alg, i, j in zip(algs, tu, tv):
-                            terms = [(tup + (k,), c * ck) for tup, c in terms
-                                     for k, ck in alg.mul_basis(i, j).items()]
-                        for tup, c in terms:
-                            viadd_term(out, target.flat_index(tup), c)
-            return xinv.apply(target.project(out))
-
-        self._cache[key] = mul
-        return mul
+        return self.bundle.transported_mult(n)
 
 
 def sigma_m(b: Bundle) -> BraidOperator:

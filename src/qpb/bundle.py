@@ -5,30 +5,33 @@ algebra M with Hopf side H, written once: the balanced powers W_n = W (x)_M
 ... (x)_M W, the Galois map X(w (x) w') = w F(w') with its inverse, the
 translation map tau(h) = X^-1(1 (x) h) with its flat legs, the braid sigma
 and its formula inverse, sigma and mu on slots (p, p+1) of W_n, the flip star
-on W_n, the doubled coaction F_2, and the records of the braid equation, the
-two product compatibilities and mu sigma = mu.  The degrees of W and H, the
-coefficient degrees and the degree budget are data, so the graded formulas
-carry their Koszul signs; a sign is applied by negating when it is odd, and
-degree zero does no sign arithmetic.  Bundle is the instance W = B, M = V,
-H = A with every degree zero and no budget; calculus.TotalCalculus is the
-graded instance W = Omega(P), M = Omega(M), H = Gamma^.
+on W_n, the doubled coaction F_2, the records of the braid equation, the two
+product compatibilities and mu sigma = mu, the Galois tower X_n : W_{n+1} ->
+W (x) H^n with its inverse, and the braided product on W_n transported along
+X_{n-1}.  The degrees of W and H, the coefficient degrees and the degree
+budget are data, so the graded formulas carry their Koszul signs; a sign is
+applied by negating when it is odd, and degree zero does no sign arithmetic.
+Bundle is the instance W = B, M = V, H = A with every degree zero and no
+budget; calculus.TotalCalculus is the graded instance W = Omega(P),
+M = Omega(M), H = Gamma^.
 
 A bundle is a coacting *-algebra (B, F) over a Hopf *-algebra A; the base V
 is computed as the F-fixed-point subalgebra, never declared.  Principality is
 the bijectivity of X on B (x)_V B.  What only degree zero has stays in Bundle:
-the tower budget on B_n, the products B (x) A^n and the X_n recursion, and
-V-multiplication on one slot; the translation and Galois tower suites are
-here too.  Spaces and maps are built once and cached, so all canonical bases
-agree across operations.
+the tower budget on B_n, F on one slot of B_2 and V-multiplication on one
+slot; the translation and Galois tower suites are here too.  Spaces and maps
+are built once and cached, so all canonical bases agree across operations.
 """
 
 from __future__ import annotations
 
+import operator
 import os
 from functools import cached_property
+from itertools import accumulate
 
 from .errors import (
-    BudgetExceeded, InputError, NotCoaction, NotPrincipal, NotStarHom,
+    BudgetExceeded, DegreeBudget, InputError, NotCoaction, NotPrincipal, NotStarHom,
     ValidationFailed,
 )
 from .hopf import HopfStarAlgebra, StarAlgebra
@@ -59,13 +62,14 @@ def _signed(c, odd):
 class BalancedTower:
     """The braid tower of a coacted slot algebra W over M.
 
-    ``algebra`` is W (``mul_basis``, ``unit``, ``star``) and ``factor`` its
-    Factor, with the degrees of W and the M-actions; ``hopf`` is H
-    (``mul_basis``, ``unit``) with its Factor ``hopf_factor`` and antipode
-    inverse ``kappa_inv``; ``f_legs[i]`` holds the flat legs (w, h, c) of
-    F(e_i).  ``letters`` name W and H: W_n is "<W>_n" and a mixed product is
-    named by its pattern over the two letters; ``spaces`` maps patterns to
-    mixed products the caller has already built.
+    ``algebra`` is W (``mul_basis``, ``support``, ``unit``, ``star``) and
+    ``factor`` its Factor, with the degrees of W and the M-actions; ``hopf``
+    is H (``mul_basis``, ``support``, ``unit``) with its Factor
+    ``hopf_factor`` and antipode inverse ``kappa_inv``; ``f_legs[i]`` holds
+    the flat legs (w, h, c) of F(e_i).  ``letters`` name W and H: W_n is
+    "<W>_n" and a mixed product is named by its pattern over the two
+    letters; ``spaces`` maps patterns to mixed products the caller has
+    already built.
     """
 
     def __init__(self, algebra, factor, hopf, hopf_factor, kappa_inv, f_legs,
@@ -247,6 +251,109 @@ class BalancedTower:
             self._ops[key] = term_map(wn, wn, terms, antilinear=True)
         return self._ops[key]
 
+    # -- the Galois tower and the transported product -----------------------------
+
+    def x_n(self, n: int) -> LinearMap:
+        """X_n : W_{n+1} -> W (x) H^n, cached: X_1 = X and
+        X_{m+1}(w (x) q) = (X (x) id^m)(w (x) X_m(q)); no factor passes
+        another, so there is no sign."""
+        if n < 1:
+            raise InputError("tower level must be >= 1")
+        if n == 1:
+            return self.X
+        key = ("X", n)
+        if key not in self._ops:
+            prev, prev_src = self.x_n(n - 1), self.power(n)
+            w, h = self.letters
+            prev_target = self.mixed_space(w + h * (n - 1))
+            w2, wh = self.power(2), self.hopf_space(1)
+
+            def terms(t):
+                sub = prev.apply(prev_src.project_tuple(t[1:]))
+                for fi, c in prev_target.lift(sub).items():
+                    st = prev_target.tuples[fi]
+                    xv = self.X.apply(w2.project_tuple((t[0], st[0])))
+                    for fj, c2 in wh.lift(xv).items():
+                        yield wh.tuples[fj] + st[1:], c * c2
+
+            self._ops[key] = term_map(self.power(n + 1), self.mixed_space(w + h * n), terms)
+        return self._ops[key]
+
+    def x_n_inverse(self, n: int) -> LinearMap:
+        """X_n^-1, cached; raises ValidationFailed unless X_n is bijective."""
+        if n == 1:
+            return self.X_inv
+        key = ("Xinv", n)
+        if key not in self._ops:
+            xn = self.x_n(n)
+            if xn.domain.dim != xn.codomain.dim or xn.solver().rank != xn.domain.dim:
+                raise ValidationFailed(f"X_{n} is not bijective")
+            self._ops[key] = xn.inverse()
+        return self._ops[key]
+
+    def transported_mult(self, n: int):
+        """The braided product on W_n (n >= 2), cached per n.
+
+        Both operands are carried along X_{n-1} to W (x) H^{n-1}, multiplied
+        there factor by factor with the sign (-1)^{sum_{j<i} |u_i||v_j|}, and
+        carried back.  The right operand is indexed by its leading factor,
+        and a pair of terms is multiplied only when every factor product is
+        nonzero, as read off each factor algebra's ``support``.  Operands
+        whose degrees add up to more than the budget raise DegreeBudget.
+        """
+        key = ("mult", n)
+        if key in self._ops:
+            return self._ops[key]
+        xn, xinv = self.x_n(n - 1), self.x_n_inverse(n - 1)
+        w, h = self.letters
+        target = self.mixed_space(w + h * (n - 1))
+        tuples, budget = target.tuples, self.budget
+        algs = (self.algebra,) + (self.hopf,) * (n - 1)
+        supports = [alg.support for alg in algs]
+        fdegs = (self.factor.degrees,) + (self.hopf_factor.degrees,) * (n - 1)
+        # for each flat tuple with a graded factor (none in degree zero): the
+        # degree of each factor and of the factors before it
+        degs, before = {}, {}
+        for f, t in enumerate(tuples):
+            ds = [d[i] for d, i in zip(fdegs, t)]
+            if any(ds):
+                degs[f], before[f] = ds, list(accumulate(ds[:-1], initial=0))
+
+        def mul(u: Vec, v: Vec) -> Vec:
+            tu_terms = target.lift(xn.apply(u))
+            tv_terms = target.lift(xn.apply(v))
+            if budget is not None and tu_terms and tv_terms and \
+                    max(sum(degs.get(f, ())) for f in tu_terms) \
+                    + max(sum(degs.get(f, ())) for f in tv_terms) > budget:
+                raise DegreeBudget(f"product exceeds the degree budget in {w}_{n}")
+            by_lead: dict = {}
+            for fv, cv in tv_terms.items():
+                tv = tuples[fv]
+                by_lead.setdefault(tv[0], []).append((tv, cv, before.get(fv)))
+            out: Vec = {}
+            for fu, cu in tu_terms.items():
+                tu = tuples[fu]
+                rows = [sup[i] for sup, i in zip(supports, tu)]
+                du = degs.get(fu)
+                for lead in rows[0]:
+                    for tv, cv, bv in by_lead.get(lead, ()):
+                        if not all(j in row for j, row in zip(tv[1:], rows[1:])):
+                            continue
+                        c0 = cu * cv
+                        if du is not None and bv is not None \
+                                and sum(map(operator.mul, du, bv)) % 2:
+                            c0 = -c0
+                        terms = [((), c0)]
+                        for alg, i, j in zip(algs, tu, tv):
+                            terms = [(tup + (k,), c * ck) for tup, c in terms
+                                     for k, ck in alg.mul_basis(i, j).items()]
+                        for tup, c in terms:
+                            viadd_term(out, target.flat_index(tup), c)
+            return xinv.apply(target.project(out))
+
+        self._ops[key] = mul
+        return mul
+
     def add_braid_records(self, rep: ValidationReport, ids) -> None:
         """Record the braid equation on W_3, the two product compatibilities
         and mu sigma = mu; ``ids`` holds their (identity id, paper label)."""
@@ -328,46 +435,6 @@ class Bundle(BalancedTower):
 
             self._ops[key] = term_map(self.b2, self.hopf_space(2), terms)
         return self._ops[key]
-
-    def x_n(self, n: int) -> LinearMap:
-        """The tower isomorphism X_n : B_{n+1} -> B (x) A^n, cached.
-
-        X_1 = X and X_{m+1}(b (x) q) = (X (x) id^m)(b (x) X_m(q)).
-        """
-        if n < 1:
-            raise InputError("tower level must be >= 1")
-        if n > self.tower_budget:
-            raise BudgetExceeded(f"tower level {n} exceeds budget {self.tower_budget}")
-        key = ("X", n)
-        if key in self._spaces:
-            return self._spaces[key]
-        if n == 1:
-            self._spaces[key] = self.X
-            return self.X
-        prev = self.x_n(n - 1)
-        prev_src = self.b_space(n)
-        prev_target = self.mixed_space("B" + "A" * (n - 1))
-        target = self.mixed_space("B" + "A" * n)
-        ba = self.mixed_space("BA")
-
-        def terms(t):
-            sub = prev.apply(prev_src.project_tuple(t[1:]))
-            for fi, c in prev_target.lift(sub).items():
-                st = prev_target.tuples[fi]
-                xv = self.X.apply(self.b2.project_tuple((t[0], st[0])))
-                for fj, c2 in ba.lift(xv).items():
-                    u, a0 = ba.tuples[fj]
-                    yield (u, a0) + st[1:], c * c2
-
-        xn = term_map(self.b_space(n + 1), target, terms)
-        self._spaces[key] = xn
-        return xn
-
-    def x_n_inverse(self, n: int) -> LinearMap:
-        key = ("Xinv", n)
-        if key not in self._spaces:
-            self._spaces[key] = self.x_n(n).inverse()
-        return self._spaces[key]
 
     def lmult_map(self, n: int, slot: int, w: Vec) -> LinearMap:
         """Left multiplication by w in one slot of B_n."""

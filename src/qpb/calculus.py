@@ -12,11 +12,14 @@ that in degree zero is the bundle: W = Omega(P) over M = Omega(M) with Hopf
 side Gamma^.  The balanced powers W_n, X^(phi (x) w) = phi F^(w) and its
 inverse, tau^, sigma^_M and its formula inverse with the Koszul signs of
 their defining formulas, sigma^ and mu on slots of W_n, the conjugation on
-W_2, F^_2 and the records of the braid equation, the product compatibilities
-and mu sigma^ = mu are the tower's, written once for both degrees.  What only
-the graded case has stays here: X^ bijective in every total degree <= 2, d on
-W_2, the filtration Omega_k(P), the transported products on W_2 and W_3, and
-the g-inv, g-star, g-d, gsM-filt and tau^ checks of differential_suite.
+W_2, F^_2, the records of the braid equation, the product compatibilities
+and mu sigma^ = mu, the Galois tower X^_n and the braided products on W_2 and
+W_3 transported along it are the tower's, written once for both degrees.
+The degree-0 bundle is not rebuilt here: it is the product bundle the caller
+built, and Omega^0(P) lists its basis in the same order.  What only the
+graded case has stays here: X^ bijective in every total degree <= 2, d on
+W_2, the filtration Omega_k(P), and the g-inv, g-star, g-d, gsM-filt and
+tau^ checks of differential_suite.
 
 The differential gauge coalgebra L^ (F^_2-invariants of W_2 with eps^_M,
 Delta^ and phi^_M, and its counital coalgebra identities) is built by
@@ -27,7 +30,7 @@ under star and d, eps^_M against star and d, and L^0 = L.
 
 from __future__ import annotations
 
-from .bundle import BalancedTower, build_bundle
+from .bundle import BalancedTower
 from .errors import DegreeBudget, NotProductBundle, ValidationFailed
 from .fodc import Envelope2, Fodc, GammaEnvelope, build_envelope2
 from .gauge import GradedGaugeCoalgebra
@@ -254,48 +257,8 @@ class TotalCalculus(BalancedTower):
         field = omega.field
         one = field.one
         self.group = gamma.group
-
-        # the degree-0 bundle extracted from Omega(P)
-        deg0 = omega.component(0)
-        self._deg0 = deg0
-        pos = {i: k for k, i in enumerate(deg0)}
-        labels = tuple(omega.space.labels[i] for i in deg0)
-        b_space = BasedSpace(labels)
-
-        def to_b(v: Vec) -> Vec:
-            out = {}
-            for i, c in v.items():
-                k = pos.get(i)
-                if k is None:
-                    raise ValidationFailed("degree-0 data leaks into higher degree")
-                out[k] = c
-            return out
-
-        mult = [[to_b(omega.mul_basis(i, j)) for j in deg0] for i in deg0]
-        unit = to_b(omega.unit)
-        star_cols = [to_b(omega.star.cols[i]) for i in deg0]
-        star = LinearMap(b_space, b_space, star_cols, field, antilinear=True)
-        total = StarAlgebra("Omega^0(P)", field, b_space, mult, unit, star)
-        g = self.group
-        da = g.dim
-        from .linalg import tensor_labels
-        f_cols = []
-        for i in deg0:
-            col: Vec = {}
-            for w, th, c in omega.f_legs[i]:
-                dth, a, _ = gamma.split(th)
-                if dth != 0:
-                    raise ValidationFailed("coaction of a function has a form component")
-                col[pos[w] * da + a] = c
-            f_cols.append(col)
-        coaction = LinearMap(b_space, tensor_labels(b_space, g.space), f_cols, field)
-        self.bundle = build_bundle(total, g, coaction)
-        # Omega^0(M) must be exactly the computed base V
-        emb0 = [to_b(col) for col in
-                [omega.m_embed_cols[f] for f in range(base_calc.dim)
-                 if base_calc.degree(f) == 0]]
-        if not spans_equal(emb0, self.bundle.base_vectors):
-            raise NotProductBundle("base calculus degree 0 differs from the computed base")
+        # Omega^0(P) in the basis order of the product bundle's B
+        self._deg0 = omega.component(0)
 
         # the graded tower; X^ maps into Omega(P) (x) Gamma^, where F^ lives
         super().__init__(omega, omega.factor, gamma, gamma.factor, gamma.kappa_hat_inv,
@@ -391,73 +354,6 @@ class TotalCalculus(BalancedTower):
     def f_pos_part(self, i: int):
         return [(w, th, c) for (w, th, c) in self.omega.f_legs[i]
                 if self.gamma.degree(th) == 0]
-
-    # -- transported products ----------------------------------------------
-
-    def x2_apply(self, v: Vec) -> Vec:
-        """X^_2 : W_3 -> Omega(P) (x) Gamma^ (x) Gamma^."""
-        omega = self.omega
-        ogg = self.ogg_space()
-        og = omega.og
-        out: Vec = {}
-        for fi, c in self.w3.lift(v).items():
-            x, y, z = self.w3.tuples[fi]
-            inner = self.X.apply(self.w2.project_tuple((y, z)))
-            for fj, c2 in og.lift(inner).items():
-                u, th2 = og.tuples[fj]
-                pairv = self.X.apply(self.w2.project_tuple((x, u)))
-                for fk, c3 in og.lift(pairv).items():
-                    p, th1 = og.tuples[fk]
-                    viadd_term(out, ogg.flat_index((p, th1, th2)), c * c2 * c3)
-        return ogg.project(out)
-
-    def ogg_space(self) -> TProd:
-        if not hasattr(self, "_ogg"):
-            self._ogg = TProd(self.field,
-                              (Factor(self.omega.space, self.omega.degrees),
-                               self.gamma.factor, self.gamma.factor),
-                              budget=BUDGET, name="Omega(x)Gamma^(x)Gamma^")
-        return self._ogg
-
-    def x2_inverse(self) -> LinearMap:
-        if not hasattr(self, "_x2inv"):
-            ogg = self.ogg_space()
-            cols = [self.x2_apply({b: self.field.one}) for b in range(self.w3.dim)]
-            x2 = LinearMap(self.w3.space, ogg.space, cols, self.field)
-            if not x2.is_bijective():
-                raise ValidationFailed("X^_2 is not bijective")
-            self._x2 = x2
-            self._x2inv = x2.inverse()
-        return self._x2inv
-
-    def w2_mult(self, u: Vec, v: Vec) -> Vec:
-        """Braided product on W_2 transported along X^."""
-        omega = self.omega
-        prod = graded_tensor_mul(omega.og, omega, self.gamma,
-                                 self.X.apply(u), self.X.apply(v))
-        return self.X_inv.apply(prod)
-
-    def w3_mult(self, u: Vec, v: Vec) -> Vec:
-        """Braided product on W_3 transported along X^_2."""
-        ogg = self.ogg_space()
-        omega, gamma = self.omega, self.gamma
-        one = self.field.one
-        x2inv = self.x2_inverse()
-        xu = self._x2.apply(u)
-        xv = self._x2.apply(v)
-        out: Vec = {}
-        for fi, c1 in ogg.lift(xu).items():
-            p, g1, h1 = ogg.tuples[fi]
-            d_g1, d_h1 = gamma.degree(g1), gamma.degree(h1)
-            for fj, c2 in ogg.lift(xv).items():
-                q, g2, h2 = ogg.tuples[fj]
-                sgn = ((d_g1 + d_h1) * omega.degree(q) + d_h1 * gamma.degree(g2)) % 2
-                c0 = c1 * c2 * (-one if sgn else one)
-                for m, cm in omega.mul_basis(p, q).items():
-                    for gg, cg in gamma.mul_basis(g1, g2).items():
-                        for hh, ch in gamma.mul_basis(h1, h2).items():
-                            viadd_term(out, ogg.flat_index((m, gg, hh)), c0 * cm * cg * ch)
-        return x2inv.apply(ogg.project(out))
 
     def embed_w3(self, x: Vec, y: Vec, z: Vec) -> Vec:
         """x (x) y (x) z in W_3 from three Omega(P) vectors."""
@@ -557,7 +453,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
             else passing("diff.Fhat-d", "F^ intertwines d"))
 
     # (F^ (x) id)F^ = (id (x) phi^)F^ in Omega (x) Gamma^ (x) Gamma^
-    ogg = tc.ogg_space()
+    ogg = tc.mixed_space("WGG")
     bad = None
     for i in range(omega.dim):
         lhs: Vec = {}
@@ -787,17 +683,15 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
             else failing("diff.Lhat-d", "L^ closed under d", {}))
 
     if gauge_coalgebra is not None:
-        # degree-0 part of L^ equals L
-        b = tc.bundle
-        b2 = b.b2
+        # degree-0 part of L^ equals L; basis element k of B is deg0[k] of Omega(P)
+        b2 = gauge_coalgebra.bundle.b2
         deg0 = tc._deg0
-        omap = {bi: deg0[bi] for bi in range(len(deg0))}
         l_in_w2 = []
         for lb in gauge_coalgebra.l_basis:
             acc = {}
             for fi, c in b2.lift(lb).items():
                 i, j = b2.tuples[fi]
-                viadd_term(acc, w2.flat_index((omap[i], omap[j])), c)
+                viadd_term(acc, w2.flat_index((deg0[i], deg0[j])), c)
             l_in_w2.append(w2.project(acc))
         lhat0 = [lb for li, lb in enumerate(lhat.l_basis) if lhat.degrees[li] == 0]
         rep.add(passing("diff.Lhat-deg0", "L^0 = L")
@@ -836,7 +730,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
             t1, t2 = divmod(idx, gamma.d1)
             v1 = tc.tau_of(gamma.inv1_vec(t1))
             v2 = tc.tau_of(gamma.inv1_vec(t2))
-            viadd(lhs_v, c, tc.w2_mult(v1, v2))
+            viadd(lhs_v, c, tc.transported_mult(2)(v1, v2))
         rhs_v = tc.w2_d(tc.tau_of(theta_vec))
         if lhs_v != rhs_v:
             bad = {"theta_index": t}

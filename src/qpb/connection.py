@@ -324,7 +324,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
         for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
             vs = varsigma_w3(tc, c_k)
             rv = conn.curvature.cols[th_k]
-            prod = tc.w3_mult(vs, tc.embed_w3(om.unit, om.unit, rv))
+            prod = tc.transported_mult(3)(vs, tc.embed_w3(om.unit, om.unit, rv))
             viadd(rhs, cc, prod)
         if lhs != rhs:
             bad = {"theta_index": t}
@@ -385,7 +385,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
                 _, a, _ = gamma.split(th)
                 vs = varsigma_w3(tc, a)
                 dw = conn.covariant_derivative({w: one})
-                prod = tc.w3_mult(vs, tc.embed_w3(om.unit, om.unit, dw))
+                prod = tc.transported_mult(3)(vs, tc.embed_w3(om.unit, om.unit, dw))
                 viadd(rhs, c * cf, prod)
         if lhs != rhs:
             bad = {"form": om.space.render(v)}

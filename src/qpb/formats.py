@@ -62,6 +62,11 @@ def _require(cond, msg, where):
         raise SpecFileError(msg, where=where)
 
 
+def _is_int(v) -> bool:
+    """A JSON integer; bool is an int subclass, so true must not read as 1."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
 def _check_keys(obj, allowed, where):
     for k in obj:
         if k not in allowed:
@@ -87,7 +92,7 @@ def _parse_entries3(field, entries, dim_i, dim_j, dim_k, where):
         _require(isinstance(e, list) and len(e) == 4, "entry must be [i, j, k, scalar]", w)
         i, j, k = e[0], e[1], e[2]
         for name, v, d in (("i", i, dim_i), ("j", j, dim_j), ("k", k, dim_k)):
-            _require(isinstance(v, int) and 0 <= v < d,
+            _require(_is_int(v) and 0 <= v < d,
                      f"index {name}={v!r} out of range [0, {d})", w)
         c = _parse_scalar(field, e[3], w)
         vec = out.setdefault((i, j), {})
@@ -106,7 +111,7 @@ def _parse_entries2(field, entries, dim_i, dim_j, where):
         _require(isinstance(e, list) and len(e) == 3, "entry must be [i, j, scalar]", w)
         i, j = e[0], e[1]
         for name, v, d in (("i", i, dim_i), ("j", j, dim_j)):
-            _require(isinstance(v, int) and 0 <= v < d,
+            _require(_is_int(v) and 0 <= v < d,
                      f"index {name}={v!r} out of range [0, {d})", w)
         c = _parse_scalar(field, e[2], w)
         vec = out.setdefault(i, {})
@@ -124,7 +129,7 @@ def _parse_functional(field, entries, dim, where):
         w = f"{where}[{n}]"
         _require(isinstance(e, list) and len(e) == 2, "entry must be [i, scalar]", w)
         i = e[0]
-        _require(isinstance(i, int) and 0 <= i < dim, f"index {i!r} out of range", w)
+        _require(_is_int(i) and 0 <= i < dim, f"index {i!r} out of range", w)
         c = _parse_scalar(field, e[1], w)
         prev = out.get(i)
         out[i] = c if prev is None else prev + c
@@ -144,9 +149,7 @@ def parse_spec(text: str) -> SpecFile:
     _require(doc.get("format") == FORMAT_TAG,
              f"format must be {FORMAT_TAG!r}", "format")
     conductor = doc.get("conductor")
-    # bool is an int subclass, so true would otherwise read as conductor 1
-    _require(isinstance(conductor, int) and not isinstance(conductor, bool)
-             and conductor >= 1,
+    _require(_is_int(conductor) and conductor >= 1,
              "conductor must be a positive integer", "conductor")
     field = CycloField(conductor)
 
@@ -200,7 +203,7 @@ def parse_spec(text: str) -> SpecFile:
             name = item.get("name")
             d = item.get("dim")
             _require(isinstance(name, str), "name must be a string", f"{w}.name")
-            _require(isinstance(d, int) and d >= 1, "dim must be a positive integer",
+            _require(_is_int(d) and d >= 1, "dim must be a positive integer",
                      f"{w}.dim")
             func = item.get("functional")
             _require(isinstance(func, list) and len(func) == dim,
@@ -235,6 +238,12 @@ def parse_spec(text: str) -> SpecFile:
     expect = doc.get("expect", {})
     _require(isinstance(expect, dict), "expect must be an object", "expect")
     _check_keys(expect, _EXPECT_KEYS, "expect")
+    for key in ("base_dim", "b2_dim", "gauge_dim", "gamma_inv_dim"):
+        if key in expect:
+            _require(_is_int(expect[key]) and expect[key] >= 0,
+                     f"{key} must be a non-negative integer", f"expect.{key}")
+    _require(isinstance(expect.get("classical", False), bool),
+             "classical must be true or false", "expect.classical")
     return SpecFile(conductor, hopf, bundle_spec, fodc_spec, base_spec,
                     conn_spec, expect)
 
@@ -288,7 +297,7 @@ class BuildResult:
                 return build_bundle(h.algebra, h, h.coproduct)
             if preset == "trivial":
                 points = spec.get("base_points", 2)
-                if not isinstance(points, int) or points < 1:
+                if not _is_int(points) or points < 1:
                     raise SpecFileError("base_points must be a positive integer",
                                         where="bundle.base_points")
                 total, coaction = trivial_bundle(h, points)
@@ -396,7 +405,7 @@ class BuildResult:
             fodc = self.build_fodc()
             base_spec = self.sf.base_calc_spec or {"preset": "trivial"}
             preset = base_spec.get("preset", "trivial")
-            points = 1 if spec["preset"] == "point" else spec.get("base_points", 2)
+            points = self.bundle.base_dim
             if preset == "trivial":
                 base = trivial_base_calculus(functions_on_points(points, self.field))
             elif preset == "universal":

@@ -8,7 +8,8 @@ irreducible matrices) used for isotypic decompositions.
 
 GradedStarAlgebra is the one implementation of the graded differential
 *-algebras truncated at degree BUDGET (Omega(M), Gamma^ and Omega(P)): the
-memoized basis product, mul, d, star and the axiom check live there, and
+memoized basis product and its support, mul, d, star and the axiom check live
+there, and
 graded_tensor_mul is the Koszul-signed product of a graded tensor product of
 two of them.  table_mul is the bilinear product from a full structure table.
 """
@@ -16,6 +17,7 @@ two of them.  table_mul is the bilinear product from a full structure table.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .cyclotomic import CycloField, Scalar
 from .errors import DegreeBudget, InputError, NoHaar, NonUnique, ValidationFailed
@@ -166,6 +168,14 @@ class GradedStarAlgebra:
                 raise DegreeBudget(f"product exceeds the degree budget in {self.name}")
             out = self._products[i, j] = self._product(i, j)
         return out
+
+    @cached_property
+    def support(self) -> list:
+        """support[i]: the j with e_i e_j != 0 and degrees within the budget."""
+        deg = self.degrees
+        return [frozenset(j for j in range(self.dim)
+                          if deg[i] + deg[j] <= BUDGET and self.mul_basis(i, j))
+                for i in range(self.dim)]
 
     def mul(self, u: Vec, v: Vec) -> Vec:
         out: Vec = {}

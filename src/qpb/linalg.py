@@ -420,6 +420,8 @@ class LinearMap:
 
     def solve(self, b: Vec) -> Vec | None:
         """Deterministic preimage of b (free variables zero), or None."""
+        if b and (min(b) < 0 or max(b) >= self.codomain.dim):
+            raise InputError("target vector outside codomain")
         sol = self.solver().solve(b)
         if DEBUG_SOLVE and sol is not None:
             check: Vec = {}
@@ -568,6 +570,8 @@ class QuotientSpace:
         self.field = field
         ech = Echelon()
         for r in relations:
+            if r and (min(r) < 0 or max(r) >= ambient.dim):
+                raise InputError("relation vector outside ambient space")
             ech.add(r)
         self.relations = ech
         piv = set(ech.rows)
@@ -606,47 +610,3 @@ class QuotientSpace:
         if len(ker) != self.relations.rank:
             return False
         return all(self.relations.contains(v) for v in ker)
-
-
-def quotient_by(ambient: BasedSpace, relations, field: CycloField) -> QuotientSpace:
-    for r in relations:
-        for k in r:
-            if not 0 <= k < ambient.dim:
-                raise InputError("relation vector outside ambient space")
-    return QuotientSpace(ambient, relations, field)
-
-
-def solve_linear(m: LinearMap, target: Vec) -> Vec | None:
-    """Spec-level entry point; see LinearMap.solve."""
-    for k in target:
-        if not 0 <= k < m.codomain.dim:
-            raise InputError("target vector outside codomain")
-    return m.solve(target)
-
-
-def graded_twist(v: Vec, dim_a: int, dim_b: int, deg_a, deg_b) -> Vec:
-    """chi(u (x) w) = (-1)^{deg u * deg w} w (x) u on a two-factor tensor.
-
-    Degrees are per-basis lists for the two factors; on degree-0 data this is
-    the plain transposition.
-    """
-    if deg_a is None or deg_b is None:
-        raise InputError("graded twist needs degrees on both factors")
-    out: Vec = {}
-    for idx, c in v.items():
-        i, j = divmod(idx, dim_b)
-        if (deg_a[i] * deg_b[j]) % 2:
-            c = -c
-        out[j * dim_a + i] = c
-    return out
-
-
-def twist_map(a: BasedSpace, b: BasedSpace, deg_a, deg_b, field: CycloField) -> LinearMap:
-    dom = tensor_labels(a, b)
-    cod = tensor_labels(b, a)
-    cols = []
-    for i in range(a.dim):
-        for j in range(b.dim):
-            sign = -field.one if (deg_a[i] * deg_b[j]) % 2 else field.one
-            cols.append({j * a.dim + i: sign})
-    return LinearMap(dom, cod, cols, field)

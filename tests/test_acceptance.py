@@ -210,7 +210,7 @@ def test_criterion_07_gauge_group(bundles):
     verdict(7, "gauge-group", ok)
 
 
-def test_criterion_08_differential_suite():
+def test_criterion_08_differential_suite(bundles):
     ok = True
     need = {"diff.g-inv", "diff.gsM-filt-0", "diff.gsM-filt-1", "diff.gsM-filt-2",
             "diff.g-braid", "diff.g-d", "diff.g-comm", "diff.g-star",
@@ -220,7 +220,9 @@ def test_criterion_08_differential_suite():
     for group in ("Z2", "Z3"):
         for base in ("point", "two-point"):
             tc = _calculus(group, base)
-            gc = build_gauge_coalgebra(tc.bundle)
+            # the product bundle whose B is Omega^0(P)
+            points = 1 if base == "point" else 2
+            gc = build_gauge_coalgebra(bundles("trivial", (group, "function_algebra"), points))
             rep = differential_suite(tc, gauge_coalgebra=gc)
             got = {r.identity_id for r in rep.records if r.status == "pass"}
             ok = ok and rep.ok and need <= got

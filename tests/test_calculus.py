@@ -1,5 +1,6 @@
 import pytest
 
+from qpb.bundle import build_bundle
 from qpb.calculus import (
     OmegaP, TotalCalculus, build_total_calculus, differential_suite,
     trivial_base_calculus, universal_base_calculus,
@@ -9,9 +10,10 @@ from qpb.errors import DegreeBudget, ValidationFailed
 from qpb.fodc import (
     GammaEnvelope, build_envelope2, build_fodc, universal_ideal, zero_ideal,
 )
-from qpb.hopf import graded_tensor_mul
-from qpb.linalg import viadd_term
-from qpb.presets import functions_on_points, hopf_preset
+from qpb.hopf import BUDGET, graded_tensor_mul
+from qpb.linalg import LinearMap, viadd_term
+from qpb.presets import functions_on_points, hopf_preset, trivial_bundle
+from qpb.tensor import Factor, TProd
 
 
 def point_calculus(group, kind="function_algebra", ideal="universal"):
@@ -27,6 +29,12 @@ def two_point_calculus(group, kind="function_algebra"):
     return build_total_calculus(build_fodc(h, universal_ideal(h)), base)
 
 
+def degree0_bundle(h, points=1):
+    """The product bundle C(X) (x) A: its B is Omega^0(P), basis for basis."""
+    total, coaction = trivial_bundle(h, points)
+    return build_bundle(total, h, coaction)
+
+
 def test_universal_base_calculus_two_points():
     F = CycloField(1)
     m = universal_base_calculus(2, F)
@@ -40,7 +48,8 @@ def test_point_base_cz2_dims():
     # Omega(P) = Gamma^: dims (2, 2, 2)
     from collections import Counter
     assert Counter(tc.omega.degrees) == {0: 2, 1: 2, 2: 2}
-    assert tc.bundle.base_dim == 1
+    # the F^-fixed forms are Omega(M) = C(pt)
+    assert len(tc.omega_m_fixed()) == 1
     # hor(P) = B over a point with the trivial base calculus
     assert len(tc.filtration_basis(0)) == 2
 
@@ -73,7 +82,7 @@ def test_differential_suite_zero_calculus():
 def test_lhat_deg0_matches_gauge_coalgebra():
     tc = point_calculus("Z2")
     from qpb.gauge import build_gauge_coalgebra
-    gc = build_gauge_coalgebra(tc.bundle)
+    gc = build_gauge_coalgebra(degree0_bundle(tc.group))
     rep = differential_suite(tc, gauge_coalgebra=gc)
     assert rep.ok, rep.to_text()
     recs = {r.identity_id for r in rep.records}
@@ -93,7 +102,7 @@ def test_zero_calculus_lhat_is_l(group, kind, points):
     h = hopf_preset(group, kind)
     base = trivial_base_calculus(functions_on_points(points, h.field))
     tc = build_total_calculus(build_fodc(h, zero_ideal(h)), base)
-    gc = build_gauge_coalgebra(tc.bundle)
+    gc = build_gauge_coalgebra(degree0_bundle(h, points))
     lhat = tc.lhat
     assert lhat.l_basis == gc.l_basis
     assert lhat.delta.cols == gc.delta.cols
@@ -110,18 +119,106 @@ def test_zero_calculus_tower_is_bundle_tower(group, kind, points):
     """With the zero FODC and the trivial base calculus every degree is zero,
     so the graded tower of Omega(P) must be the bundle's tower column for
     column: X, tau, sigma^+-1, sigma on both slot pairs of W_3, mu, the flip
-    star and F_2."""
+    star, F_2 and X_2, and the transported product on W_3."""
     h = hopf_preset(group, kind)
     base = trivial_base_calculus(functions_on_points(points, h.field))
     tc = build_total_calculus(build_fodc(h, zero_ideal(h)), base)
-    b = tc.bundle
+    b = degree0_bundle(h, points)
     for graded, degree0 in (
             (tc.X, b.X), (tc.tau, b.tau), (tc.sigma, b.sigma),
             (tc.sigma_inv, b.sigma_inv), (tc.sigma_at(3, 0), b.sigma_at(3, 0)),
             (tc.sigma_at(3, 1), b.sigma_at(3, 1)), (tc.mu_at(2, 0), b.mu_at(2, 0)),
-            (tc.flipstar(2), b.flipstar(2)), (tc.f2, b.f2)):
+            (tc.flipstar(2), b.flipstar(2)), (tc.f2, b.f2), (tc.x_n(2), b.x_n(2))):
         assert graded.cols == degree0.cols
     assert tc.tau_legs == b.tau_legs
+    one = h.field.one
+    dim = tc.w3.dim
+    assert dim == b.b_space(3).dim
+    # every pair on the small towers, a stride through the 216^2 pairs of S3
+    pairs = [(i, j) for i in range(dim) for j in range(dim)][::max(1, dim * dim // 1500)]
+    graded, degree0 = tc.transported_mult(3), b.transported_mult(3)
+    for i, j in pairs:
+        assert graded({i: one}, {j: one}) == degree0({i: one}, {j: one}), (i, j)
+
+
+def _old_ogg(tc):
+    """Omega(P) (x) Gamma^ (x) Gamma^ as a free graded product of its own."""
+    om, gamma = tc.omega, tc.gamma
+    return TProd(tc.field, (Factor(om.space, om.degrees), gamma.factor, gamma.factor),
+                 budget=BUDGET)
+
+
+def _old_x2(tc, ogg):
+    """Oracle: X^_2(x (x) y (x) z) = (X^ (x) id)(x (x) X^(y (x) z)), written out."""
+    og, w2, w3, one = tc.omega.og, tc.w2, tc.w3, tc.field.one
+    cols = []
+    for b in range(w3.dim):
+        out = {}
+        for fi, c in w3.lift({b: one}).items():
+            x, y, z = w3.tuples[fi]
+            for fj, c2 in og.lift(tc.X.apply(w2.project_tuple((y, z)))).items():
+                u, th2 = og.tuples[fj]
+                for fk, c3 in og.lift(tc.X.apply(w2.project_tuple((x, u)))).items():
+                    p, th1 = og.tuples[fk]
+                    viadd_term(out, ogg.flat_index((p, th1, th2)), c * c2 * c3)
+        cols.append(ogg.project(out))
+    return LinearMap(w3.space, ogg.space, cols, tc.field)
+
+
+def _old_w2_mult(tc, u, v):
+    """Oracle: the W_2 product carried along X^ to Omega(P) (x) Gamma^."""
+    om = tc.omega
+    return tc.X_inv.apply(graded_tensor_mul(om.og, om, tc.gamma, tc.X.apply(u),
+                                            tc.X.apply(v)))
+
+
+def _old_w3_mult(tc, ogg, x2, x2inv, u, v):
+    """Oracle: the W_3 product carried along X^_2, with the Koszul sign
+    (-1)^{(|g1| + |h1|)|q| + |h1||g2|} of (p g1 h1)(q g2 h2) written out."""
+    om, gamma, one = tc.omega, tc.gamma, tc.field.one
+    out = {}
+    for fi, c1 in ogg.lift(x2.apply(u)).items():
+        p, g1, h1 = ogg.tuples[fi]
+        d_g1, d_h1 = gamma.degree(g1), gamma.degree(h1)
+        for fj, c2 in ogg.lift(x2.apply(v)).items():
+            q, g2, h2 = ogg.tuples[fj]
+            sgn = ((d_g1 + d_h1) * om.degree(q) + d_h1 * gamma.degree(g2)) % 2
+            c0 = c1 * c2 * (-one if sgn else one)
+            for m, cm in om.mul_basis(p, q).items():
+                for gg, cg in gamma.mul_basis(g1, g2).items():
+                    for hh, ch in gamma.mul_basis(h1, h2).items():
+                        viadd_term(out, ogg.flat_index((m, gg, hh)), c0 * cm * cg * ch)
+    return x2inv.apply(ogg.project(out))
+
+
+@pytest.mark.parametrize("make", [lambda: point_calculus("Z2"),
+                                  lambda: two_point_calculus("Z2")],
+                         ids=["z2-point", "z2-two-point"])
+def test_transported_mult_matches_explicit_formulas(make):
+    """The tower's X_2 and transported products on W_2 and W_3 equal the
+    graded formulas written out, on every basis pair within the budget."""
+    tc = make()
+    one = tc.field.one
+    ogg = _old_ogg(tc)
+    x2 = _old_x2(tc, ogg)
+    assert tc.x_n(2).cols == x2.cols
+    x2inv = x2.inverse()
+    pairs = 0
+    for n, old in ((2, lambda u, v: _old_w2_mult(tc, u, v)),
+                   (3, lambda u, v: _old_w3_mult(tc, ogg, x2, x2inv, u, v))):
+        mult, degs = tc.transported_mult(n), tc.power(n).degrees()
+        for i in range(len(degs)):
+            for j in range(len(degs)):
+                if degs[i] + degs[j] <= BUDGET:
+                    assert mult({i: one}, {j: one}) == old({i: one}, {j: one}), (n, i, j)
+                    pairs += 1
+    assert pairs > 1000
+    # X^ carries tau^ of a top-degree form to 1 (x) that form: its square pairs
+    # two top-degree factors, which the support skips, so only the degree
+    # check can raise
+    top = tc.tau.cols[tc.gamma.degrees.index(BUDGET)]
+    with pytest.raises(DegreeBudget):
+        tc.transported_mult(2)(top, top)
 
 
 def test_differential_suite_reports_lhat_not_closed_under_star():
@@ -145,7 +242,7 @@ def test_differential_suite_reports_lhat_not_closed_under_star():
 
 def test_tau_hat_restricted_to_degree_zero_is_tau():
     tc = point_calculus("Z2")
-    b = tc.bundle
+    b = degree0_bundle(tc.group)
     # group basis elements sit in degree 0 of Gamma^
     for a in range(tc.group.dim):
         v = tc.tau.cols[tc.gamma.i0(a)]

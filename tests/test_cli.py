@@ -125,15 +125,38 @@ def test_bad_scalar_literal_positioned(tmp_path, capsys):
     assert "hopf.mult[0]" in err
 
 
-def test_boolean_conductor_rejected(tmp_path, capsys):
+def _set(*path_and_value):
+    """A doc mutation that sets doc[path...] = value."""
+    *path, key, value = path_and_value
+
+    def mutate(doc):
+        for k in path:
+            doc = doc[k]
+        doc[key] = value
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, where", [
+    (_set("conductor", True), "conductor"),
+    (_set("bundle", {"preset": "trivial", "base_points": True}), "bundle.base_points"),
+    (_set("hopf", "mult", 0, 0, True), "hopf.mult[0]"),
+    (_set("hopf", "antipode", 1, 1, True), "hopf.antipode[1]"),
+    (_set("hopf", "counit", 0, 0, False), "hopf.counit[0]"),
+    (_set("corepresentations", 0, "dim", True), "corepresentations[0].dim"),
+    (_set("expect", {"base_dim": True}), "expect.base_dim"),
+], ids=["conductor", "base_points", "entries3", "entries2", "functional",
+        "corep-dim", "expect"])
+def test_boolean_conductor_rejected(tmp_path, capsys, mutate, where):
+    """A JSON boolean where the spec asks for an integer exits 2 at its
+    position: bool is an int subclass, so true must not read as 1."""
     doc = generate_example("c-group", group="Z2")
-    doc["conductor"] = True  # bool is an int subclass; must not read as 1
-    path = write(tmp_path, "boolconductor.json", doc)
+    mutate(doc)
+    path = write(tmp_path, "boolint.json", doc)
     with pytest.raises(SpecFileError) as exc:
-        load_file(path)
-    assert exc.value.where == "conductor"
+        BuildResult(load_file(path))
+    assert exc.value.where == where
     assert main(["validate", path]) == 2
-    assert "conductor" in capsys.readouterr().err
+    assert where in capsys.readouterr().err
 
 
 def test_index_out_of_range_positioned(tmp_path, capsys):
