@@ -136,11 +136,8 @@ def factor_over_field(coeffs, field: CycloField):
         raise InputError("factor_over_field: the polynomial is not squarefree")
     n, phi = field.n, field.degree
     # integral roots s = D r of hat(t) = D^d m(t/D), coordinates in Z[zeta]
-    den = 1
-    for c in coeffs:
-        for q in c.coeffs[:phi]:
-            den = lcm(den, q.denominator)
-    hat = [[int(q * den ** (d - i)) for q in c.coeffs[:phi]]
+    den = lcm(*(c.coeffs[-1] for c in coeffs))
+    hat = [[a * (den ** (d - i) // c.coeffs[-1]) for a in c.coeffs[:-1]]
            for i, c in enumerate(coeffs)]
     cauchy = 1 + max((sum(map(abs, h)) for h in hat[:-1]), default=0)
     bound_sq = phi * (phi * cauchy * _dual_row_norm(n)) ** 2   # B^2
@@ -194,7 +191,7 @@ def _dual_row_norm(n: int) -> Fraction:
     phi = field.degree
 
     def trace(x: Scalar) -> Fraction:
-        return sum((x * field.zeta(j)).coeffs[j] for j in range(phi))
+        return sum((x * field.zeta(j)).fractions()[j] for j in range(phi))
 
     tr = [trace(field.zeta(e)) for e in range(2 * phi - 1)]
     rat = CycloField(1)

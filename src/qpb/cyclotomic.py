@@ -1,10 +1,18 @@
 """Exact arithmetic in cyclotomic fields Q(zeta_n).
 
-A scalar is a rational polynomial in z = zeta_n = exp(2*pi*i/n), stored as a
-coefficient vector of length n over the powers z^0..z^{n-1} and kept reduced
-modulo the n-th cyclotomic polynomial, so the reduced form is the canonical
-form (all coefficients at degree >= euler_phi(n) vanish).  Conjugation sends
-z to z^{n-1} = z^{-1} and is an involutive field automorphism fixing Q.
+A scalar is a rational polynomial in z = zeta_n = exp(2*pi*i/n) of degree
+below phi = euler_phi(n), the degree of the n-th cyclotomic polynomial Phi_n.
+It is stored as integer numerators over one common denominator,
+``coeffs = (a_0, ..., a_{phi-1}, d)``, meaning (sum_k a_k z^k) / d, with
+d > 0 and gcd(a_0, ..., a_{phi-1}, d) = 1.  Zero is (0, ..., 0, 1).  The form
+is canonical, so equal scalars have equal ``coeffs`` and equal hashes.
+Phi_n is monic with integer coefficients, so products reduce modulo it in
+integers and only the denominators multiply.  Conjugation sends z to
+z^{n-1} = z^{-1} and is an involutive field automorphism fixing Q.
+
+This is the representation of FLINT/Antic's ``nf_elem`` (W. Hart, "ANTIC:
+Algebraic Number Theory In C", 2015).  ``Scalar.fractions()`` gives the
+coefficients as ``Fraction``s.
 
 The conductor is fixed per field instance; scalars from different conductors
 never mix.
@@ -14,6 +22,8 @@ from __future__ import annotations
 
 import re
 from fractions import Fraction
+from math import gcd, lcm
+from operator import add as _add, neg as _neg, sub as _sub
 
 from .errors import BadScalarLiteral, InputError
 
@@ -83,6 +93,26 @@ def cyclotomic_polynomial(n: int, _cache={}) -> list[Fraction]:
     return p
 
 
+def _power_rows(cyc: list[int], count: int) -> list[tuple[int, ...]]:
+    """x^k mod the monic integer polynomial cyc for k < count, as integer rows
+    of width deg(cyc), by x^{k+1} = x * x^k."""
+    deg = len(cyc) - 1
+    low = cyc[:deg]
+    row = [1] + [0] * (deg - 1)
+    rows = []
+    for _ in range(count):
+        rows.append(tuple(row))
+        top = row[-1]
+        row = [0] + row[:-1]
+        if top:
+            row = [r - top * c for r, c in zip(row, low)]
+    return rows
+
+
+def _sparse(row) -> tuple[tuple[int, int], ...]:
+    return tuple((i, t) for i, t in enumerate(row) if t)
+
+
 class CycloField:
     """The field Q(zeta_n); one shared instance per conductor."""
 
@@ -102,43 +132,53 @@ class CycloField:
         self.n = n
         phi = cyclotomic_polynomial(n)
         self.modulus = phi
-        self.degree = len(phi) - 1
-        # x^k mod Phi_n for k < 2n, as length-n tuples
-        table = []
-        for k in range(2 * n):
-            p = [_ZERO] * (k + 1)
-            p[k] = _ONE
-            _, r = _poly_divmod(p, phi)
-            r += [_ZERO] * (n - len(r))
-            table.append(tuple(r))
-        self.power_table = table
-        self.zero = Scalar(self, (_ZERO,) * n)
-        self.one = Scalar(self, self.power_table[0])
-        # conjugation images of the basis powers z^k, k < degree
-        self.conj_table = [self.power_table[(n - k) % n] for k in range(self.degree)]
+        deg = self.degree = len(phi) - 1
+        # x^k mod Phi_n for k < 2n, as integer rows of width degree
+        self.power_table = _power_rows([int(c) for c in phi], 2 * n)
+        # the reduction of z^k for degree <= k < 2*degree - 1, sparse
+        self._reduce = [_sparse(self.power_table[k]) for k in range(deg, 2 * deg - 1)]
+        # conjugation images of the basis powers z^k, k < degree, sparse
+        self._conj = [_sparse(self.power_table[(n - k) % n]) for k in range(deg)]
+        self.zero = Scalar(self, (0,) * deg + (1,))
+        self.one = Scalar(self, self.power_table[0] + (1,))
+
+    def _make(self, nums: list[int], den: int) -> "Scalar":
+        """nums / den in canonical form (den > 0)."""
+        g = gcd(*nums, den)
+        if g != 1:
+            nums = [x // g for x in nums]
+            den //= g
+        return Scalar(self, (*nums, den))
 
     # -- constructors --------------------------------------------------
 
     def scalar(self, coeffs) -> "Scalar":
         """Build a scalar from up to 2n coefficients (any iterable of rationals)."""
-        acc = [_ZERO] * self.n
+        terms = []
+        den = 1
         for k, c in enumerate(coeffs):
             c = Fraction(c)
             if not c:
                 continue
             if k >= 2 * self.n:
                 raise InputError("coefficient vector too long")
+            terms.append((k, c))
+            den = lcm(den, c.denominator)
+        acc = [0] * self.degree
+        for k, c in terms:
+            m = c.numerator * (den // c.denominator)
             for i, t in enumerate(self.power_table[k]):
                 if t:
-                    acc[i] += c * t
-        return Scalar(self, tuple(acc))
+                    acc[i] += m * t
+        return self._make(acc, den)
 
     def rational(self, q) -> "Scalar":
         q = Fraction(q)
-        return Scalar(self, (q,) + (_ZERO,) * (self.n - 1))
+        return Scalar(self, (q.numerator,) + (0,) * (self.degree - 1) + (q.denominator,))
 
     def zeta(self, k: int = 1) -> "Scalar":
-        return Scalar(self, self.power_table[k % self.n])
+        # a power of zeta is a unit of Z[zeta], so its row has content 1
+        return Scalar(self, self.power_table[k % self.n] + (1,))
 
     def root_of_unity(self, e: int) -> "Scalar":
         """A primitive e-th root of unity, when mu_e is contained in the field
@@ -182,17 +222,19 @@ class CycloField:
                 exp %= self.n
             elif self.n == 1:
                 exp = 0
-            for i, t in enumerate(self.power_table[exp]):
-                if t:
-                    acc[i] += coeff * t
-        return Scalar(self, tuple(acc))
+            acc[exp] += coeff
+        return self.scalar(acc)
 
     def __repr__(self):
         return f"CycloField({self.n})"
 
 
 class Scalar:
-    """An element of Q(zeta_n), immutable, in canonical reduced form."""
+    """An element of Q(zeta_n), immutable.
+
+    ``coeffs = (a_0, ..., a_{phi-1}, d)``: integer numerators over the power
+    basis z^0..z^{phi-1} and one denominator d > 0, with gcd of all of them 1.
+    """
 
     __slots__ = ("field", "coeffs", "_hash")
 
@@ -204,18 +246,23 @@ class Scalar:
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return not any(self.coeffs)
+        return self.coeffs == self.field.zero.coeffs
 
     def __bool__(self):
-        return any(self.coeffs)
+        return self.coeffs != self.field.zero.coeffs
 
     def is_rational(self) -> bool:
-        return not any(self.coeffs[1:])
+        return not any(self.coeffs[1:-1])
 
     def rational_value(self) -> Fraction:
         if not self.is_rational():
             raise InputError(f"scalar {self} is not rational")
-        return self.coeffs[0]
+        return Fraction(self.coeffs[0], self.coeffs[-1])
+
+    def fractions(self) -> tuple[Fraction, ...]:
+        """The coefficients over z^0..z^{phi-1} as Fractions."""
+        d = self.coeffs[-1]
+        return tuple(Fraction(a, d) for a in self.coeffs[:-1])
 
     # -- arithmetic ------------------------------------------------------
 
@@ -223,20 +270,45 @@ class Scalar:
         if self.field is not other.field:
             raise InputError("scalars from different cyclotomic fields")
 
+    def _combine(self, other: "Scalar", op) -> "Scalar":
+        """self op other for op in (add, sub)."""
+        f = self.field
+        if f is not other.field:
+            raise InputError("scalars from different cyclotomic fields")
+        a, b = self.coeffs, other.coeffs
+        d, e = a[-1], b[-1]
+        if d == e:
+            s = [*map(op, a, b)]
+            s[-1] = d
+            if d == 1:
+                return Scalar(f, tuple(s))
+            g = gcd(*s)
+            if g != 1:
+                s = [x // g for x in s]
+            return Scalar(f, tuple(s))
+        g = gcd(d, e)
+        if g == 1:
+            # no prime of d divides e: the sum stays in lowest terms
+            s = [op(x * e, y * d) for x, y in zip(a, b)]
+            s[-1] = d * e
+            return Scalar(f, tuple(s))
+        la, lb = e // g, d // g
+        return f._make([op(x * la, y * lb) for x, y in zip(a[:-1], b[:-1])], d * la)
+
     def __add__(self, other):
-        self._check(other)
-        return Scalar(self.field, tuple(a + b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, _add)
 
     def __sub__(self, other):
-        self._check(other)
-        return Scalar(self.field, tuple(a - b for a, b in zip(self.coeffs, other.coeffs)))
+        return self._combine(other, _sub)
 
     def __neg__(self):
-        return Scalar(self.field, tuple(-a if a else a for a in self.coeffs))
+        a = self.coeffs
+        return Scalar(self.field, (*map(_neg, a[:-1]), a[-1]))
 
     def __mul__(self, other):
-        self._check(other)
         f = self.field
+        if f is not other.field:
+            raise InputError("scalars from different cyclotomic fields")
         a, b = self.coeffs, other.coeffs
         # canonical form: equal coefficients mean equal scalars
         one = f.one.coeffs
@@ -244,56 +316,60 @@ class Scalar:
             return other
         if b == one:
             return self
-        # a rational operand scales the other's canonical coefficients
-        if not any(a[1:]):
-            r = a[0]
-            return Scalar(f, tuple(r * x if x else x for x in b))
-        if not any(b[1:]):
-            r = b[0]
-            return Scalar(f, tuple(x * r if x else x for x in a))
-        deg = f.degree
-        conv = [_ZERO] * (2 * deg)
-        for i in range(deg):
-            ai = a[i]
-            if not ai:
-                continue
-            for j in range(deg):
-                bj = b[j]
-                if bj:
-                    conv[i + j] += ai * bj
-        acc = [_ZERO] * f.n
-        for k, c in enumerate(conv):
-            if not c:
-                continue
-            if k < deg:
-                acc[k] += c
-            else:
-                for i, t in enumerate(f.power_table[k]):
-                    if t:
-                        acc[i] += c * t
-        return Scalar(f, tuple(acc))
+        den = a[-1] * b[-1]
+        # a rational operand scales the other's numerators
+        if not any(a[1:-1]):
+            r, v = a[0], b
+        elif not any(b[1:-1]):
+            r, v = b[0], a
+        else:
+            deg = f.degree
+            conv = [0] * (2 * deg - 1)
+            for i, x in enumerate(a[:-1]):
+                if x:
+                    for j, y in enumerate(b[:-1]):
+                        if y:
+                            conv[i + j] += x * y
+            for k, row in enumerate(f._reduce, deg):
+                c = conv[k]
+                if c:
+                    for i, t in row:
+                        conv[i] += c * t
+            return f._make(conv[:deg], den)
+        if not r:
+            return f.zero
+        return f._make([r * x for x in v[:-1]], den)
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
             raise ZeroDivisionError("inverse of zero scalar")
         f = self.field
+        a = self.coeffs
         if self.is_rational():
-            return f.rational(1 / self.coeffs[0])
-        return f.scalar(_poly_inverse_mod(self.coeffs, f.modulus))
+            num, den = (a[-1], a[0]) if a[0] > 0 else (-a[-1], -a[0])
+            return Scalar(f, (num,) + a[1:-1] + (den,))
+        # (sum a_k z^k / d)^-1 = d * (sum a_k z^k)^-1
+        d = a[-1]
+        return f.scalar([x * d for x in _poly_inverse_mod(list(map(Fraction, a[:-1])),
+                                                            f.modulus)])
 
     def __truediv__(self, other):
         self._check(other)
         return self * other.inverse()
 
     def conj(self) -> "Scalar":
+        a = self.coeffs
+        if not any(a[1:-1]):
+            return self
         f = self.field
-        acc = [_ZERO] * f.n
-        for k, c in enumerate(self.coeffs[: f.degree]):
-            if not c:
-                continue
-            for i, t in enumerate(f.conj_table[k]):
-                if t:
+        acc = [0] * f.degree
+        for k, row in enumerate(f._conj):
+            c = a[k]
+            if c:
+                for i, t in row:
                     acc[i] += c * t
+        # conjugation is a ring automorphism of Z[zeta], so the content stays 1
+        acc.append(a[-1])
         return Scalar(f, tuple(acc))
 
     # -- comparison / hashing ---------------------------------------------
@@ -312,17 +388,19 @@ class Scalar:
 
     def literal(self) -> str:
         """Canonical scalar literal (descending powers of z)."""
+        a = self.coeffs
+        d = a[-1]
         terms = []
         for k in range(self.field.degree - 1, 0, -1):
-            c = self.coeffs[k]
-            if not c:
+            if not a[k]:
                 continue
+            c = Fraction(a[k], d)
             if c == 1:
                 terms.append(f"z^{k}")
             else:
                 terms.append(f"{c}*z^{k}")
-        if self.coeffs[0] or not terms:
-            terms.append(str(self.coeffs[0]))
+        if a[0] or not terms:
+            terms.append(str(Fraction(a[0], d)))
         return "+".join(terms)
 
     def __repr__(self):

@@ -105,7 +105,7 @@ class GradedGaugeCoalgebra:
                 yield (x, y, j), c
 
         self.j_lb = term_map(self.t_lb, w3, j_lb_terms)
-        if self.j_lb.rank() != self.t_lb.dim:
+        if self.j_lb.solver().rank != self.t_lb.dim:
             raise ValidationFailed(
                 f"balanced products with {name} do not embed into {w3.name}")
 
@@ -301,7 +301,7 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
                 yield (j, x, y), c
 
         self.j_bl = term_map(self.t_bl, b.b_space(3), j_bl_terms)
-        if self.j_bl.rank() != self.t_bl.dim:
+        if self.j_bl.solver().rank != self.t_bl.dim:
             raise ValidationFailed("balanced products with L do not embed into B_3")
         self._lb_moves: dict = {}
 

@@ -142,7 +142,7 @@ def sympy_factor_degrees(poly, field):
         dom = QQ
 
         def to_dom(s):
-            return QQ(s.coeffs[0].numerator, s.coeffs[0].denominator)
+            return QQ(s.fractions()[0].numerator, s.fractions()[0].denominator)
 
         def from_dom(a):
             return field.rational(Fraction(int(a.numerator), int(a.denominator)))
@@ -151,7 +151,7 @@ def sympy_factor_degrees(poly, field):
 
         def to_dom(s):
             expr = sum(sympy.Rational(c.numerator, c.denominator) * zeta ** k
-                       for k, c in enumerate(s.coeffs) if c)
+                       for k, c in enumerate(s.fractions()) if c)
             return dom.from_sympy(sympy.expand(expr))
 
         def from_dom(a):

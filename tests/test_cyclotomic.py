@@ -1,9 +1,10 @@
 from fractions import Fraction
+from math import gcd
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from qpb.cyclotomic import CycloField, _poly_inverse_mod, cyclotomic_polynomial
+from qpb.cyclotomic import CycloField, _poly_divmod, _poly_inverse_mod, cyclotomic_polynomial
 from qpb.errors import BadScalarLiteral
 
 
@@ -110,7 +111,7 @@ def test_rational_inverse_equals_extended_euclid(n):
     F = CycloField(n)
     for q in RATIONALS:
         x = F.rational(q)
-        euclid = F.scalar(_poly_inverse_mod(x.coeffs, F.modulus))
+        euclid = F.scalar(_poly_inverse_mod(x.fractions(), F.modulus))
         inv = x.inverse()
         assert inv.coeffs == euclid.coeffs
         assert inv.is_rational() and inv.rational_value() == 1 / q
@@ -129,3 +130,85 @@ def test_rational_operand_scales_coefficients(n):
             general = x * (r + z) - x * z
             assert (x * r).coeffs == general.coeffs
             assert (r * x).coeffs == general.coeffs
+
+
+def test_power_table_matches_division_reference():
+    """Row k of the recurrence table is x^k mod Phi_n, found by long division."""
+    for n in range(1, 61):
+        F = CycloField(n)
+        assert len(F.power_table) == 2 * n
+        for k, row in enumerate(F.power_table):
+            _, r = _poly_divmod([Fraction(0)] * k + [Fraction(1)], F.modulus)
+            assert row == tuple(r) + (0,) * (F.degree - len(r)), (n, k)
+
+
+# -- the integer form against a Fraction-polynomial oracle mod Phi_n -----------
+
+CONDUCTORS = [1, 3, 4, 5, 8, 12]
+
+
+def ref_reduce(p, n):
+    """p mod Phi_n by long division over Q, padded to euler_phi(n) Fractions."""
+    modulus = cyclotomic_polynomial(n)
+    _, r = _poly_divmod([Fraction(c) for c in p], modulus)
+    return tuple(r) + (Fraction(0),) * (len(modulus) - 1 - len(r))
+
+
+def ref_mul(p, q, n):
+    conv = [Fraction(0)] * (len(p) + len(q) - 1)
+    for i, x in enumerate(p):
+        for j, y in enumerate(q):
+            conv[i + j] += x * y
+    return ref_reduce(conv, n)
+
+
+def ref_conj(p, n):
+    """sum p_k z^{-k}, with z^{-k} = z^{n-k}."""
+    acc = [Fraction(0)] * (n + 1)
+    for k, c in enumerate(p):
+        acc[(n - k) % n] += c
+    return ref_reduce(acc, n)
+
+
+def assert_canonical(x):
+    *nums, d = x.coeffs
+    assert all(type(a) is int for a in x.coeffs)
+    assert len(nums) == x.field.degree
+    assert d > 0 and gcd(*nums, d) == 1
+    if not any(nums):
+        assert x.coeffs == x.field.zero.coeffs and not x and x.is_zero()
+
+
+@st.composite
+def field_pairs(draw):
+    """(n, p, q): a conductor and two lists of up to 2n rational coefficients."""
+    n = draw(st.sampled_from(CONDUCTORS))
+    q = st.fractions(min_value=-6, max_value=6, max_denominator=12)
+    return n, draw(st.lists(q, min_size=0, max_size=2 * n)), draw(
+        st.lists(q, min_size=0, max_size=2 * n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(field_pairs())
+def test_integer_form_matches_fraction_oracle(data):
+    n, p, q = data
+    F = CycloField(n)
+    x, y = F.scalar(p), F.scalar(q)
+    rx, ry = ref_reduce(p or [0], n), ref_reduce(q or [0], n)
+    for v, ref in ((x, rx), (y, ry), (x + y, tuple(a + b for a, b in zip(rx, ry))),
+                   (x - y, tuple(a - b for a, b in zip(rx, ry))), (-x, tuple(-a for a in rx)),
+                   (x * y, ref_mul(rx, ry, n)), (x.conj(), ref_conj(rx, n))):
+        assert_canonical(v)
+        assert v.fractions() == ref
+    if x:
+        inv = x.inverse()
+        assert_canonical(inv)
+        assert ref_mul(rx, inv.fractions(), n) == ref_reduce([1], n)
+    else:
+        with pytest.raises(ZeroDivisionError):
+            x.inverse()
+    # equal scalars built along different paths have equal coeffs and hashes
+    for a, b in ((x, (x + y) - y), (x * y, y * x), (x - x, F.zero), (x, F.scalar(rx))):
+        assert a == b and a.coeffs == b.coeffs and hash(a) == hash(b)
+    assert F.parse(x.literal()) == x
+    assert F.parse((x * y).literal()) == x * y
