@@ -79,8 +79,10 @@ class Fodc:
         self.q = QuotientSpace(g.space, relations, field)
         self.inv_space = BasedSpace(tuple(f"w[{lab}]" for lab in self.q.space.labels))
         self.dim = self.q.dim
-        self.pi = LinearMap(g.space, self.inv_space, self.q.projection.cols, field)
-        self.section = LinearMap(self.inv_space, g.space, self.q.section.cols, field)
+        self.pi = LinearMap(g.space, self.inv_space,
+                            [dict(c) for c in self.q.projection.cols], field)
+        self.section = LinearMap(self.inv_space, g.space,
+                                 [dict(c) for c in self.q.section.cols], field)
 
         # varpi pi = (pi (x) id) ad
         id_a = LinearMap.identity(g.space, field)
@@ -228,7 +230,7 @@ class Envelope2:
         self.l2_space = BasedSpace(tuple(
             f"w2[{lab}]" for lab in self.lambda2.space.labels))
         self.wedge = LinearMap(fodc.sq_space, self.l2_space,
-                               self.lambda2.projection.cols, field)
+                               [dict(c) for c in self.lambda2.projection.cols], field)
 
         if d == 0:
             self.complement = []

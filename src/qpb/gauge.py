@@ -893,7 +893,7 @@ def enumerate_gauge(bh: BraidedHopf):
             if ok else failing("gauge-group.closed", "product closure", {}))
     inv_ok = True
     unit_idx = None
-    eps_gamma = LinearMap(gc.l_space, base.space, gc.eps_m.cols, field)
+    eps_gamma = LinearMap(gc.l_space, base.space, [dict(c) for c in gc.eps_m.cols], field)
     for i, g in enumerate(gammas):
         if g.functional == eps_gamma:
             unit_idx = i

@@ -31,6 +31,11 @@ from .tensor import TProd
 BUDGET = 2  # top degree kept by every graded algebra and tensor product
 
 
+def basis_witness(space: BasedSpace, i: int) -> dict:
+    """A failure witness at basis element i: its index and its label."""
+    return {"basis_index": i, "basis_label": space.labels[i]}
+
+
 def table_mul(table, u: Vec, v: Vec) -> Vec:
     """The bilinear product with basis products ``table[i][j]``."""
     out: Vec = {}
@@ -111,7 +116,7 @@ class StarAlgebra:
         for i in range(dim):
             e = {i: field.one}
             if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
-                bad = {"basis_index": i}
+                bad = basis_witness(self.space, i)
                 break
         rep.add(failing(f"{prefix}.unit", "unit laws", bad) if bad
                 else passing(f"{prefix}.unit", "unit laws"))
@@ -376,7 +381,7 @@ def validate_hopf(h: HopfStarAlgebra) -> ValidationReport:
     bad = None
     j = lhs.first_difference(rhs)
     if j is not None:
-        bad = {"basis_index": j}
+        bad = basis_witness(h.space, j)
     record("hopf.coassoc", "coassociativity", bad)
 
     # counit law
@@ -390,7 +395,7 @@ def validate_hopf(h: HopfStarAlgebra) -> ValidationReport:
             viadd_term(acc2, k_, c * h.eps_basis(j_))
         e = {i: one}
         if acc != e or acc2 != e:
-            bad = {"basis_index": i}
+            bad = basis_witness(h.space, i)
             break
     record("hopf.counit-law", "(eps (x) id)phi = id = (id (x) eps)phi", bad)
 
@@ -415,7 +420,7 @@ def validate_hopf(h: HopfStarAlgebra) -> ValidationReport:
         lhs_v = h.phi(h.star_vec({i: one}))
         rhs_v = _tensor_star(h, h.phi({i: one}))
         if lhs_v != rhs_v:
-            bad = {"basis_index": i}
+            bad = basis_witness(h.space, i)
             break
     record("hopf.phi-star", "phi(a*) = phi(a)^(*(x)*)", bad)
 
@@ -434,7 +439,8 @@ def validate_hopf(h: HopfStarAlgebra) -> ValidationReport:
         if bad is None:
             for i in range(dim):
                 if h.eps(h.star_vec({i: one})) != h.eps_basis(i).conj():
-                    bad = {"basis_index": i, "reason": "eps(a*) != conj(eps(a))"}
+                    bad = {**basis_witness(h.space, i),
+                           "reason": "eps(a*) != conj(eps(a))"}
                     break
     record("hopf.eps-hom", "eps is a *-homomorphism", bad)
 
@@ -448,7 +454,7 @@ def validate_hopf(h: HopfStarAlgebra) -> ValidationReport:
             viadd(acc2, c, h.mul({j_: one}, h.kappa({k_: one})))
         target = vscale(h.eps_basis(i), h.unit)
         if acc1 != target or acc2 != target:
-            bad = {"basis_index": i,
+            bad = {**basis_witness(h.space, i),
                    "m(kappa(x)id)phi": h.space.render(acc1),
                    "m(id(x)kappa)phi": h.space.render(acc2),
                    "eps(a)1": h.space.render(target)}
@@ -464,7 +470,7 @@ def validate_hopf(h: HopfStarAlgebra) -> ValidationReport:
     for i in range(dim):
         v = h.kappa(h.star_vec(h.kappa(h.star_vec({i: one}))))
         if v != {i: one}:
-            bad = {"basis_index": i}
+            bad = basis_witness(h.space, i)
             break
     record("hopf.star-antipode", "kappa(kappa(a*)*) = a", bad)
 
@@ -482,7 +488,7 @@ def validate_hopf(h: HopfStarAlgebra) -> ValidationReport:
                     viadd_term(right, k_, c * h.haar_of({j_: one}))
                 target = vscale(h.haar_of({i: one}), h.unit)
                 if left != target or right != target:
-                    bad = {"basis_index": i}
+                    bad = basis_witness(h.space, i)
                     break
         record("hopf.haar-invariance", "(id (x) h)phi = h(.)1 = (h (x) id)phi", bad)
 

@@ -146,8 +146,10 @@ class Echelon:
     order.
     """
 
-    def __init__(self):
-        self._rows: dict[int, Vec] = {}  # pivot column -> row with leading 1
+    def __init__(self, rref: dict[int, Vec] | None = None):
+        # pivot column -> row with leading 1; ``rref`` seeds rows that are
+        # already in RREF, and the Echelon takes ownership of them
+        self._rows: dict[int, Vec] = {} if rref is None else rref
         self._dirty = False  # True while some row may hold another pivot column
 
     @property
@@ -324,6 +326,8 @@ class LinearMap:
     """A based linear (or antilinear) map stored by sparse columns.
 
     Antilinear maps conjugate input coefficients: T(c*v) = conj(c)*T(v).
+    The map owns the column list it is given, which must not change
+    afterwards; a caller passing another map's columns copies them.
     """
 
     __slots__ = ("domain", "codomain", "cols", "antilinear", "field", "_solver")
@@ -334,7 +338,7 @@ class LinearMap:
             raise InputError("column count does not match domain dimension")
         self.domain = domain
         self.codomain = codomain
-        self.cols = [dict(c) for c in cols]
+        self.cols = cols
         self.antilinear = antilinear
         self.field = field
 
@@ -563,43 +567,65 @@ class QuotientSpace:
     The quotient basis consists of the ambient basis classes at the non-pivot
     indices of the RREF of the relations (lexicographic pivot order); the
     section maps each class to its representative ambient basis vector.
+
+    A single-entry relation says that one ambient basis vector is zero: it is
+    its own RREF row, so it is recorded without elimination, and the
+    multi-term relations are eliminated after all of them.
     """
 
     def __init__(self, ambient: BasedSpace, relations, field: CycloField):
         self.ambient = ambient
         self.field = field
-        ech = Echelon()
+        units: dict[int, Vec] = {}
+        multi = []
         for r in relations:
             if r and (min(r) < 0 or max(r) >= ambient.dim):
                 raise InputError("relation vector outside ambient space")
+            if len(r) == 1:
+                (i,) = r
+                units[i] = {i: field.one}
+            elif r:
+                multi.append(r)
+        ech = Echelon(units)
+        for r in multi:
             ech.add(r)
         self.relations = ech
-        piv = set(ech.rows)
-        keep = [i for i in range(ambient.dim) if i not in piv]
+        rows = ech.rows
+        keep = [i for i in range(ambient.dim) if i not in rows]
         self.keep = keep
-        self._pos = {k: idx for idx, k in enumerate(keep)}
+        self._pos = pos = {k: idx for idx, k in enumerate(keep)}
         self.space = BasedSpace(tuple(ambient.labels[i] for i in keep))
         proj_cols = []
         for i in range(ambient.dim):
-            if i in piv:
-                row = ech.rows[i]
-                col = {self._pos[k]: -c for k, c in row.items() if k != i}
+            row = rows.get(i)
+            if row is None:
+                proj_cols.append({pos[i]: field.one})
             else:
-                col = {self._pos[i]: field.one}
-            proj_cols.append(col)
+                proj_cols.append({pos[k]: -c for k, c in row.items() if k != i})
         self.projection = LinearMap(ambient, self.space, proj_cols, field)
-        sec_cols = [{k: field.one} for k in keep]
-        self.section = LinearMap(self.space, ambient, sec_cols, field)
+        self.section = LinearMap(self.space, ambient, [{k: field.one} for k in keep], field)
 
     @property
     def dim(self) -> int:
         return self.space.dim
 
     def project(self, v: Vec) -> Vec:
-        return self.projection.apply(v)
+        """The class of v: a kept index is its own class, a pivot index
+        contributes its projection column (empty for a zero class)."""
+        out: Vec = {}
+        pos, cols = self._pos, self.projection.cols
+        for i, c in v.items():
+            b = pos.get(i)
+            if b is not None:
+                viadd_term(out, b, c)
+            elif cols[i]:
+                viadd(out, c, cols[i])
+        return out
 
     def lift(self, v: Vec) -> Vec:
-        return self.section.apply(v)
+        """The section's columns are unit vectors, so lifting renames indices."""
+        keep = self.keep
+        return {keep[b]: c for b, c in v.items()}
 
     def verify(self) -> bool:
         """projection o section = id and kernel(projection) = span(relations)."""

@@ -8,6 +8,15 @@ pair exactly when the left factor carries a right action and the right factor
 a left action; factors without actions (e.g. trailing Hopf-algebra legs) stay
 free.
 
+The kernel is assembled from adjacent pairs.  A two-factor product emits one
+relation per flat tuple and coefficient basis element.  The kernel of an
+n-factor product is the sum over balanced pairs p of
+F_<p (x) K(F_p, F_p+1) (x) F_>p+1, truncated at the budget, where K is the
+kernel of the two-factor product (F_p, F_p+1): its RREF rows are built once
+per distinct pair and placed beside every context tuple that fits.
+QuotientSpace records the many single-entry rows (tuples that are zero in the
+quotient) without elimination.
+
 Operators between TProds are assembled per canonical basis element by lifting
 to the flat tensor basis, rewriting tuples, and projecting back; the caller's
 rewrite rule must descend to the quotient (all rules used here are module maps
@@ -62,41 +71,73 @@ class TProd:
         labels = tuple("|".join(f.space.labels[i] for f, i in zip(self.factors, t))
                        for t in tuples)
         self.flat = BasedSpace(labels)
-        relations = self._relations(tuple_degrees)
+        if len(self.factors) == 2:
+            relations = self._pair_relations(tuple_degrees)
+        else:
+            relations = self._embedded_pair_kernels()
         self.quotient = QuotientSpace(self.flat, relations, field)
         self.space = self.quotient.space
 
     # -- construction ------------------------------------------------------
 
-    def _relations(self, tuple_degrees):
-        """Middle-linearity relations; ``tuple_degrees[i]`` is the total
-        degree of ``self.tuples[i]``."""
-        out = []
-        nf = len(self.factors)
-        for p in range(nf - 1):
-            left, right = self.factors[p], self.factors[p + 1]
-            if left.ract is None or right.lact is None:
+    def _balanced(self, p: int) -> bool:
+        left, right = self.factors[p], self.factors[p + 1]
+        if left.ract is None or right.lact is None:
+            return False
+        if len(left.ract) != len(right.lact):
+            raise InputError("factor actions disagree on coefficient dimension")
+        return True
+
+    def _pair_relations(self, tuple_degrees):
+        """Middle-linearity relations x.c (x) y - x (x) c.y of a two-factor
+        product, one per tuple and coefficient basis element c;
+        ``tuple_degrees[i]`` is the total degree of ``self.tuples[i]``."""
+        if not self._balanced(0):
+            return
+        left, right = self.factors
+        index = self.tuple_index
+        for c in range(len(left.ract)):
+            cdeg = 0 if self.coeff_degrees is None else self.coeff_degrees[c]
+            r_cols = left.ract[c].cols
+            neg_l_cols = [{k: -s for k, s in col.items()} for col in right.lact[c].cols]
+            for (x, y), deg in zip(self.tuples, tuple_degrees):
+                if self.budget is not None and deg + cdeg > self.budget:
+                    continue
+                xc, cy = r_cols[x], neg_l_cols[y]
+                if not xc and not cy:
+                    continue
+                rel: Vec = {}
+                for k, s in xc.items():
+                    viadd_term(rel, index[(k, y)], s)
+                for k, s in cy.items():
+                    viadd_term(rel, index[(x, k)], s)
+                if rel:
+                    yield rel
+
+    def _embedded_pair_kernels(self):
+        """The kernel of an n-factor product is the sum over adjacent pairs p
+        of F_<p (x) K(F_p, F_p+1) (x) F_>p+1, truncated at the budget, where
+        K is the kernel of the two-factor product.  Each pair's RREF rows are
+        homogeneous, so a row fits beside a context exactly when its pivot
+        tuple does: every flat tuple whose pair part is a pivot yields one row.
+        """
+        kernels = {}  # identical adjacent pairs share one kernel
+        index = self.tuple_index
+        for p in range(len(self.factors) - 1):
+            if not self._balanced(p):
                 continue
-            ncoeff = len(left.ract)
-            if len(right.lact) != ncoeff:
-                raise InputError("factor actions disagree on coefficient dimension")
-            for c in range(ncoeff):
-                cdeg = 0 if self.coeff_degrees is None else self.coeff_degrees[c]
-                r_cols = left.ract[c].cols
-                neg_l_cols = [{k: -s for k, s in col.items()} for col in right.lact[c].cols]
-                for t, deg in zip(self.tuples, tuple_degrees):
-                    if self.budget is not None and deg + cdeg > self.budget:
-                        continue
-                    rel: Vec = {}
-                    for k, s in r_cols[t[p]].items():
-                        t2 = t[:p] + (k,) + t[p + 1:]
-                        viadd_term(rel, self.tuple_index[t2], s)
-                    for k, s in neg_l_cols[t[p + 1]].items():
-                        t2 = t[:p + 1] + (k,) + t[p + 2:]
-                        viadd_term(rel, self.tuple_index[t2], s)
-                    if rel:
-                        out.append(rel)
-        return out
+            key = (id(self.factors[p]), id(self.factors[p + 1]))
+            if key not in kernels:
+                pair = TProd(self.field, self.factors[p:p + 2], self.coeff_degrees,
+                             self.budget)
+                kernels[key] = {pair.tuples[q]: [(pair.tuples[k], c) for k, c in row.items()]
+                                for q, row in pair.quotient.relations.rows.items()}
+            rows = kernels[key]
+            for t in self.tuples:
+                row = rows.get(t[p:p + 2])
+                if row is not None:
+                    head, tail = t[:p], t[p + 2:]
+                    yield {index[head + pq + tail]: c for pq, c in row}
 
     # -- basic queries -------------------------------------------------------
 

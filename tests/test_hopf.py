@@ -57,7 +57,7 @@ def test_broken_antipode_fails_with_witness():
     bad = [r for r in rep.records if r.status == "fail"]
     assert any(r.identity_id == "hopf.antipode" for r in bad)
     wit = next(r for r in bad if r.identity_id == "hopf.antipode").witness
-    assert "basis_index" in wit
+    assert wit["basis_label"] == h.space.labels[wit["basis_index"]]
 
 
 def haar_values(h):

@@ -242,6 +242,38 @@ def test_deferred_echelon_matches_eager(script):
 
 
 @st.composite
+def quotient_scripts(draw):
+    """A field, an ambient dimension, relations mixing single-entry and
+    multi-term vectors in random order, and some vectors to project."""
+    field = CycloField(draw(st.sampled_from([1, 3])))
+    dim = draw(st.integers(1, 8))
+    nonzero = st.lists(small_fractions, min_size=1, max_size=field.degree).map(
+        field.scalar).filter(bool)
+    unit = st.builds(lambda i, c: {i: c}, st.integers(0, dim - 1), nonzero)
+    relations = draw(st.lists(st.one_of(unit, sparse_vecs(field, dim, 5)), max_size=12))
+    return field, dim, relations, draw(st.lists(sparse_vecs(field, dim, 5), max_size=4))
+
+
+@settings(max_examples=80, deadline=None)
+@given(quotient_scripts())
+def test_quotient_matches_plain_elimination(script):
+    field, dim, relations, queries = script
+    q = QuotientSpace(space(dim), relations, field)
+    plain = Echelon()
+    for r in relations:
+        plain.add(r)
+    assert q.relations.rows == plain.rows
+    assert q.relations.basis() == plain.basis()
+    assert q.keep == [i for i in range(dim) if i not in plain.rows]
+    assert q.verify()
+    for v in queries:
+        cls = q.project(v)
+        assert cls == q.projection.apply(v)
+        assert q.lift(cls) == q.section.apply(cls)
+        assert q.project(q.lift(cls)) == cls
+
+
+@st.composite
 def invertible_maps(draw):
     """P L U with P a permutation, L unit lower triangular and U upper
     triangular with a nonzero diagonal; linear or antilinear."""
