@@ -296,10 +296,12 @@ class BalancedTower:
 
         Both operands are carried along X_{n-1} to W (x) H^{n-1}, multiplied
         there factor by factor with the sign (-1)^{sum_{j<i} |u_i||v_j|}, and
-        carried back.  The right operand is indexed by its leading factor,
-        and a pair of terms is multiplied only when every factor product is
-        nonzero, as read off each factor algebra's ``support``.  Operands
-        whose degrees add up to more than the budget raise DegreeBudget.
+        carried back.  The right operand's flat tuples go into a trie keyed
+        one factor at a time; each left term walks it slot by slot through
+        the smaller of the node's children and its row of each factor
+        algebra's ``support``, so it meets only the right terms whose factor
+        products are all nonzero.  Operands whose degrees add up to more than
+        the budget raise DegreeBudget.
         """
         key = ("mult", n)
         if key in self._ops:
@@ -326,29 +328,48 @@ class BalancedTower:
                     max(sum(degs.get(f, ())) for f in tu_terms) \
                     + max(sum(degs.get(f, ())) for f in tv_terms) > budget:
                 raise DegreeBudget(f"product exceeds the degree budget in {w}_{n}")
-            by_lead: dict = {}
+            # the right terms by flat tuple, one factor per level; a leaf
+            # holds (tuple, coefficient, degrees before each factor)
+            trie: dict = {}
             for fv, cv in tv_terms.items():
                 tv = tuples[fv]
-                by_lead.setdefault(tv[0], []).append((tv, cv, before.get(fv)))
+                node = trie
+                for j in tv[:-1]:
+                    node = node.setdefault(j, {})
+                node[tv[-1]] = (tv, cv, before.get(fv))
             out: Vec = {}
             for fu, cu in tu_terms.items():
                 tu = tuples[fu]
-                rows = [sup[i] for sup, i in zip(supports, tu)]
+                # keep, level by level, the children whose factor meets the
+                # left term's factor, scanning the smaller of row and node
+                nodes = [trie]
+                for sup, i in zip(supports, tu):
+                    row, reached = sup[i], []
+                    for node in nodes:
+                        if len(row) < len(node):
+                            for j in row:
+                                child = node.get(j)
+                                if child is not None:
+                                    reached.append(child)
+                        else:
+                            for j, child in node.items():
+                                if j in row:
+                                    reached.append(child)
+                    nodes = reached
+                    if not nodes:
+                        break
                 du = degs.get(fu)
-                for lead in rows[0]:
-                    for tv, cv, bv in by_lead.get(lead, ()):
-                        if not all(j in row for j, row in zip(tv[1:], rows[1:])):
-                            continue
-                        c0 = cu * cv
-                        if du is not None and bv is not None \
-                                and sum(map(operator.mul, du, bv)) % 2:
-                            c0 = -c0
-                        terms = [((), c0)]
-                        for alg, i, j in zip(algs, tu, tv):
-                            terms = [(tup + (k,), c * ck) for tup, c in terms
-                                     for k, ck in alg.mul_basis(i, j).items()]
-                        for tup, c in terms:
-                            viadd_term(out, target.flat_index(tup), c)
+                for tv, cv, bv in nodes:
+                    c0 = cu * cv
+                    if du is not None and bv is not None \
+                            and sum(map(operator.mul, du, bv)) % 2:
+                        c0 = -c0
+                    terms = [((), c0)]
+                    for alg, i, j in zip(algs, tu, tv):
+                        terms = [(tup + (k,), c * ck) for tup, c in terms
+                                 for k, ck in alg.mul_basis(i, j).items()]
+                    for tup, c in terms:
+                        viadd_term(out, target.flat_index(tup), c)
             return xinv.apply(target.project(out))
 
         self._ops[key] = mul

@@ -630,7 +630,7 @@ class BraidedHopf:
         mult4 = braid.mult_n(4)
         bad = None
         for i in range(gc.l_space.dim):
-            lhs_v = self.phi_of_star(i)
+            lhs_v = gc.phi_m.apply(self.l_star.cols[i])
             rhs_v = self.ll_star.apply(gc.phi_m.cols[i])
             if lhs_v != rhs_v:
                 bad = {"l_basis_index": i, "side": "star"}
@@ -687,9 +687,6 @@ class BraidedHopf:
                                     self.kappa_m.compose(self.kappa_m),
                                     LinearMap.identity(gc.l_space, field),
                                     witness_space=gc.l_space))
-
-    def phi_of_star(self, i: int) -> Vec:
-        return self.gc.phi_m.apply(self.l_star.cols[i])
 
 
 def classical_braided_hopf(gc: GaugeCoalgebra) -> BraidedHopf:

@@ -450,9 +450,10 @@ class LinearMap:
     def inverse(self) -> "LinearMap":
         """Two-sided inverse of a square bijective map.
 
-        Row p of the prepared solve's transform holds the coefficients of
-        pivot variable p over the target entries, so column i of the inverse
-        is entry i of every transform row: one transposition, no solves.
+        Entry i of the prepared solve holds the coefficient of b_i in every
+        pivot variable, and a bijective map has no constraints, so it is
+        column i of the inverse: no solves and no transposition.  A linear
+        inverse shares these dicts with the solver; neither changes them.
         """
         n = self.domain.dim
         if n != self.codomain.dim:
@@ -460,10 +461,8 @@ class LinearMap:
         solver = self.solver()
         if solver.rank != n:
             raise InputError("map is not invertible")
-        cols: list[Vec] = [{} for _ in range(n)]
-        for p, tr in solver.transform.items():
-            for i, c in tr.items():
-                cols[i][p] = c.conj() if self.antilinear else c
+        cols = [{p: c.conj() for p, c in col.items()} for col in solver.entries] \
+            if self.antilinear else list(solver.entries)
         inv = LinearMap(self.codomain, self.domain, cols, self.field, self.antilinear)
         if DEBUG_SOLVE:
             assert self.compose(inv) == LinearMap.identity(self.codomain, self.field), \
@@ -495,10 +494,14 @@ class LinearMap:
 class PreparedSolve:
     """One elimination, many right-hand sides.
 
-    Rows [A | I] are fully reduced once; afterwards each solve(b) reads the
-    particular solution (free variables zero) off the tracked identity part,
-    and rows whose pivot fell into the tracking region are consistency
-    constraints on b.
+    Rows [A | I] are fully reduced once.  Each reduced row has a pivot: a
+    solution variable p < n, or, when its A part vanished, a column of the
+    tracking region, and then its tracking part is a constraint that must
+    annihilate b.  The tracking block is stored by target entry:
+    ``entries[r]`` maps each pivot to the coefficient of b_r in its row, in
+    pivot order.  solve(b) visits only the entries b touches; it returns None
+    if a constraint total is nonzero, and otherwise the particular solution
+    (free variables zero) with its keys in pivot order.
     """
 
     def __init__(self, cols: list[Vec], ncod: int, field: CycloField):
@@ -515,36 +518,32 @@ class PreparedSolve:
             row = dict(rows.get(r, {}))
             row[n + r] = field.one
             ech.add(row)
-        self.transform: dict[int, Vec] = {}   # pivot var -> {r: coeff}
-        self.constraints: list[Vec] = []      # {r: coeff}, must annihilate b
+        self.entries: list[Vec] = [{} for _ in range(ncod)]  # r -> {pivot: coeff}
         self.pivots = []
-        for p, row in ech.rows.items():
+        rows = ech.rows  # freed row by row as it is transposed
+        for p in list(rows):
+            row = rows.pop(p)
             if p < n:
                 self.pivots.append(p)
-                self.transform[p] = {k - n: v for k, v in row.items() if k >= n}
-            else:
-                self.constraints.append({k - n: v for k, v in row.items()})
+            for k, v in row.items():
+                if k >= n:
+                    self.entries[k - n][p] = v
         self.rank = len(self.pivots)
+        self._position = {p: i for i, p in enumerate(self.pivots)}
 
     def solve(self, b: Vec) -> Vec | None:
-        for con in self.constraints:
-            acc = None
-            for r, c in con.items():
-                v = b.get(r)
-                if v:
-                    acc = c * v if acc is None else acc + c * v
-            if acc:
-                return None
-        sol: Vec = {}
-        for p, tr in self.transform.items():
-            acc = None
-            for r, c in tr.items():
-                v = b.get(r)
-                if v:
-                    acc = c * v if acc is None else acc + c * v
-            if acc:
-                sol[p] = acc
-        return sol
+        entries = self.entries
+        acc: Vec = {}
+        for r, v in b.items():
+            if v:
+                for p, c in entries[r].items():
+                    s = acc.get(p)
+                    acc[p] = c * v if s is None else s + c * v
+        n = self.n
+        if any(c for p, c in acc.items() if p >= n):
+            return None
+        return {p: acc[p] for p in sorted((p for p in acc if p < n),
+                                          key=self._position.__getitem__) if acc[p]}
 
 
 def solve_columns(cols: list[Vec], b: Vec, field: CycloField,

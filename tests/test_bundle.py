@@ -1,9 +1,24 @@
+import operator
+import random
+from fractions import Fraction
+from itertools import accumulate
+from pathlib import Path
+
 import pytest
 
 from qpb.bundle import build_bundle, galois_tower, translation_identities
-from qpb.errors import BudgetExceeded, NotPrincipal
-from qpb.linalg import LinearMap
-from qpb.presets import point_bundle_data, trivial_bundle_data
+from qpb.calculus import build_total_calculus, trivial_base_calculus
+from qpb.errors import BudgetExceeded, DegreeBudget, NotPrincipal
+from qpb.fodc import build_fodc, universal_ideal
+from qpb.formats import BuildResult, load_file
+from qpb.gauge import classical_braided_hopf
+from qpb.hopf import BUDGET
+from qpb.linalg import LinearMap, viadd_term
+from qpb.presets import (
+    functions_on_points, hopf_preset, point_bundle_data, trivial_bundle_data,
+)
+
+CASES = Path(__file__).resolve().parents[1] / "bench" / "cases"
 
 
 def make_point(group, kind="function_algebra"):
@@ -87,3 +102,125 @@ def test_tower_trivial_bundle():
     b = make_trivial("Z2", 2)
     xn, tau_n, rep = galois_tower(b, 2)
     assert rep.ok, rep.to_text()
+
+
+def by_lead_mult(tower, n):
+    """Reference transported product on W_n: the right operand's terms
+    indexed by their leading factor, and each candidate pair kept only when
+    every later factor lies in the left term's support row, then multiplied
+    factor by factor with its Koszul sign."""
+    xn, xinv = tower.x_n(n - 1), tower.x_n_inverse(n - 1)
+    w, h = tower.letters
+    target = tower.mixed_space(w + h * (n - 1))
+    tuples, budget = target.tuples, tower.budget
+    algs = (tower.algebra,) + (tower.hopf,) * (n - 1)
+    supports = [alg.support for alg in algs]
+    fdegs = (tower.factor.degrees,) + (tower.hopf_factor.degrees,) * (n - 1)
+    degs, before = {}, {}
+    for f, t in enumerate(tuples):
+        ds = [d[i] for d, i in zip(fdegs, t)]
+        if any(ds):
+            degs[f], before[f] = ds, list(accumulate(ds[:-1], initial=0))
+
+    def mul(u, v):
+        tu_terms = target.lift(xn.apply(u))
+        tv_terms = target.lift(xn.apply(v))
+        if budget is not None and tu_terms and tv_terms and \
+                max(sum(degs.get(f, ())) for f in tu_terms) \
+                + max(sum(degs.get(f, ())) for f in tv_terms) > budget:
+            raise DegreeBudget(f"product exceeds the degree budget in {w}_{n}")
+        by_lead = {}
+        for fv, cv in tv_terms.items():
+            tv = tuples[fv]
+            by_lead.setdefault(tv[0], []).append((tv, cv, before.get(fv)))
+        out = {}
+        for fu, cu in tu_terms.items():
+            tu = tuples[fu]
+            rows = [sup[i] for sup, i in zip(supports, tu)]
+            du = degs.get(fu)
+            for lead in rows[0]:
+                for tv, cv, bv in by_lead.get(lead, ()):
+                    if not all(j in row for j, row in zip(tv[1:], rows[1:])):
+                        continue
+                    c0 = cu * cv
+                    if du is not None and bv is not None \
+                            and sum(map(operator.mul, du, bv)) % 2:
+                        c0 = -c0
+                    terms = [((), c0)]
+                    for alg, i, j in zip(algs, tu, tv):
+                        terms = [(tup + (k,), c * ck) for tup, c in terms
+                                 for k, ck in alg.mul_basis(i, j).items()]
+                    for tup, c in terms:
+                        viadd_term(out, target.flat_index(tup), c)
+        return xinv.apply(target.project(out))
+
+    return mul
+
+
+def random_sum(rng, field, indices, terms):
+    """A sum of ``terms`` distinct basis vectors drawn from ``indices`` with
+    nonzero rational coefficients."""
+    return {i: field.rational(Fraction(rng.choice([-3, -2, -1, 1, 2, 3]), rng.randint(1, 3)))
+            for i in rng.sample(indices, terms)}
+
+
+def test_transported_mult_matches_by_lead_on_classical_phi_m_products():
+    """The 36 products of classical.phiM-star-hom on classical-s3: j_LL4 of
+    the phi_M columns, multi-term operands in B_4 over C(S3), where every
+    support row is a singleton."""
+    gc = BuildResult(load_file(str(CASES / "classical-s3.json"))).gauge
+    bh = classical_braided_hopf(gc)
+    tower = gc.bundle
+    assert all(len(row) == 1 for row in tower.hopf.support)
+    ops = [bh.j_ll4.apply(col) for col in gc.phi_m.cols]
+    assert len(ops) == 6 and min(map(len, ops)) > 1
+    fast, ref = tower.transported_mult(4), by_lead_mult(tower, 4)
+    for i, u in enumerate(ops):
+        for j, v in enumerate(ops):
+            assert fast(u, v) == ref(u, v), (i, j)
+
+
+def test_transported_mult_matches_by_lead_with_full_support_rows():
+    """B_3 of the point bundle over C[S3]: every factor product is nonzero,
+    so the trie walk visits every node."""
+    tower = make_point("S3", "group_algebra")
+    dim = tower.hopf.dim
+    assert all(len(row) == dim for row in tower.hopf.support)
+    assert all(len(row) == tower.algebra.dim for row in tower.algebra.support)
+    fast, ref = tower.transported_mult(3), by_lead_mult(tower, 3)
+    indices = list(range(tower.b_space(3).dim))
+    rng = random.Random(3)
+    for _ in range(30):
+        u = random_sum(rng, tower.field, indices, rng.randint(2, 6))
+        v = random_sum(rng, tower.field, indices, rng.randint(2, 6))
+        assert fast(u, v) == ref(u, v)
+
+
+@pytest.mark.parametrize("n", [2, 3])
+def test_transported_mult_matches_by_lead_on_graded_sums(n):
+    """W_n of the point calculus over C(Z2) with the universal FODC: sums of
+    basis vectors of mixed degree, so odd factors pass each other and the
+    Koszul sign matters; operands past the budget raise DegreeBudget on both
+    sides."""
+    h = hopf_preset("Z2", "function_algebra")
+    point = trivial_base_calculus(functions_on_points(1, h.field))
+    tc = build_total_calculus(build_fodc(h, universal_ideal(h)), point)
+    fast, ref = tc.transported_mult(n), by_lead_mult(tc, n)
+    degs = tc.power(n).degrees()
+    # basis indices of degree at most d, for each d within the budget
+    upto = [[i for i, di in enumerate(degs) if di <= d] for d in range(BUDGET + 1)]
+    rng = random.Random(n)
+    within = past = 0
+    for _ in range(150):
+        u, v = (random_sum(rng, tc.field, pool, rng.randint(1, 4))
+                for pool in (rng.choice(upto), rng.choice(upto)))
+        try:
+            want = ref(u, v)
+        except DegreeBudget:
+            with pytest.raises(DegreeBudget):
+                fast(u, v)
+            past += 1
+            continue
+        assert fast(u, v) == want
+        within += 1
+    assert within > 20 and past > 20

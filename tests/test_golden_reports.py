@@ -3,7 +3,9 @@
 For each file under bench/cases that `qpb check FILE --suite all --report
 json` accepts, the sha256 of that report equals the hash stored in
 bench/cases/expected.json; for each rejected file the same QpbError
-location is raised.  The files are read, never written.
+location is raised.  The files are read, never written.  The runs are made
+with ``linalg.DEBUG_SOLVE`` on, so every solve on the way is checked by
+substitution and every inverse by composition.
 """
 
 import hashlib
@@ -12,6 +14,7 @@ from pathlib import Path
 
 import pytest
 
+from qpb import linalg
 from qpb.errors import QpbError
 from qpb.formats import BuildResult, load_file, run_suites
 
@@ -20,7 +23,8 @@ EXPECTED = json.loads((CASES / "expected.json").read_text(encoding="utf-8"))
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
-def test_report_matches_stored_hash(name):
+def test_report_matches_stored_hash(name, monkeypatch):
+    monkeypatch.setattr(linalg, "DEBUG_SOLVE", True)
     want = EXPECTED[name]
     path = str(CASES / f"{name}.json")
     if want["exit"] == 2:

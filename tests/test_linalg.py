@@ -7,8 +7,8 @@ from qpb import linalg
 from qpb.cyclotomic import CycloField
 from qpb.errors import InputError
 from qpb.linalg import (
-    BasedSpace, Echelon, LinearMap, QuotientSpace, intersect_spans,
-    nullspace_of_columns, span_basis, spans_equal,
+    BasedSpace, Echelon, LinearMap, PreparedSolve, QuotientSpace, intersect_spans,
+    nullspace_of_columns, span_basis, spans_equal, viadd,
 )
 
 F = CycloField(12)
@@ -273,6 +273,49 @@ def test_quotient_matches_plain_elimination(script):
         assert q.project(q.lift(cls)) == cls
 
 
+class RowWalkSolve:
+    """Reference prepared solve kept by rows: the tracking part of each
+    reduced row of [A | I] whose pivot is a variable, and the constraints;
+    each solve walks every constraint and then every variable row."""
+
+    def __init__(self, cols, ncod, field):
+        n = len(cols)
+        rows = {}
+        for j, col in enumerate(cols):
+            for r, c in col.items():
+                rows.setdefault(r, {})[j] = c
+        ech = Echelon()
+        for r in range(ncod):
+            row = dict(rows.get(r, {}))
+            row[n + r] = field.one
+            ech.add(row)
+        self.transform, self.constraints = {}, []
+        for p, row in ech.rows.items():
+            if p < n:
+                self.transform[p] = {k - n: v for k, v in row.items() if k >= n}
+            else:
+                self.constraints.append({k - n: v for k, v in row.items()})
+
+    @staticmethod
+    def _total(row, b):
+        acc = None
+        for r, c in row.items():
+            v = b.get(r)
+            if v:
+                acc = c * v if acc is None else acc + c * v
+        return acc
+
+    def solve(self, b):
+        if any(self._total(con, b) for con in self.constraints):
+            return None
+        sol = {}
+        for p, tr in self.transform.items():
+            acc = self._total(tr, b)
+            if acc:
+                sol[p] = acc
+        return sol
+
+
 @st.composite
 def invertible_maps(draw):
     """P L U with P a permutation, L unit lower triangular and U upper
@@ -313,9 +356,64 @@ def test_inverse_matches_columnwise_solves(m):
             sol = {k: c.conj() for k, c in sol.items()}
         assert inv.cols[i] == sol
     assert inv.antilinear == m.antilinear
+    # column i is entry i of every variable row of the row-wise tracking
+    # block, keys in pivot order
+    ref = RowWalkSolve(m.cols, n, field)
+    want = [{} for _ in range(n)]
+    for p, tr in ref.transform.items():
+        for i, c in tr.items():
+            want[i][p] = c.conj() if m.antilinear else c
+    assert [list(col.items()) for col in inv.cols] == [list(col.items()) for col in want]
     ident = LinearMap.identity(m.domain, field)
     assert m.compose(inv) == ident
     assert inv.compose(m) == ident
+
+
+@st.composite
+def solve_problems(draw):
+    """Sparse columns over Q(zeta_3), some target entries covered by no
+    column, and right-hand sides that are consistent, arbitrary (mostly
+    inconsistent), touch an uncovered entry, or carry explicit zeros."""
+    field = CycloField(3)
+    ncod, n = draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    uncovered = draw(st.sets(st.integers(0, ncod - 1), max_size=2))
+    cols = [{r: c for r, c in draw(sparse_vecs(field, ncod, 4)).items() if r not in uncovered}
+            for _ in range(n)]
+    consistent = {}
+    for j, c in (draw(sparse_vecs(field, n, n)) if n else {}).items():
+        viadd(consistent, c, cols[j])
+    rhs = [consistent, draw(sparse_vecs(field, ncod, 5))]
+    nonzero = st.lists(small_fractions, min_size=1, max_size=2).map(field.scalar).filter(bool)
+    for r in uncovered:
+        rhs.append({**consistent, r: draw(nonzero)})
+    zeros = draw(st.sets(st.integers(0, ncod - 1), max_size=3))
+    rhs.append({**{r: field.zero for r in zeros}, **consistent})
+    return field, ncod, cols, rhs
+
+
+@settings(max_examples=60, deadline=None)
+@given(solve_problems())
+def test_prepared_solve_matches_row_walk(problem):
+    field, ncod, cols, rhs = problem
+    fast, ref = PreparedSolve(cols, ncod, field), RowWalkSolve(cols, ncod, field)
+    assert fast.pivots == list(ref.transform)
+    assert fast.rank == len(ref.transform)
+    for b in rhs:
+        got, want = fast.solve(b), ref.solve(b)
+        if want is None:
+            assert got is None
+        else:
+            assert got is not None and list(got.items()) == list(want.items())
+    # b = A x, with or without explicit zero entries, is solvable
+    assert fast.solve(rhs[0]) is not None and fast.solve(rhs[-1]) is not None
+
+
+def test_prepared_solve_keys_in_pivot_order():
+    """Pivots are found in row order, here variable 1 before variable 0, and
+    the solution's keys follow that order, not the sorted one."""
+    solver = PreparedSolve([vec((1, 1)), vec((0, 1))], 2, F)
+    assert solver.pivots == [1, 0]
+    assert list(solver.solve(vec((0, 2), (1, 3)))) == [1, 0]
 
 
 def test_inverse_rejects_singular_and_non_square(monkeypatch):
