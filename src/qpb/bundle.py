@@ -31,14 +31,13 @@ from functools import cached_property
 from itertools import accumulate
 
 from .errors import (
-    BudgetExceeded, DegreeBudget, InputError, NotCoaction, NotPrincipal, NotStarHom,
-    ValidationFailed,
+    BudgetExceeded, DegreeBudget, InputError, NotCoaction, NotPrincipal, ValidationFailed,
 )
-from .hopf import HopfStarAlgebra, StarAlgebra
-from .linalg import (
-    BasedSpace, LinearMap, Vec, fixed_points, vadd, viadd_term, vscale,
+from .hopf import HopfStarAlgebra, StarAlgebra, add_coaction_records
+from .linalg import BasedSpace, LinearMap, Vec, fixed_points, viadd_term
+from .report import (
+    RaisingReport, ValidationReport, failing, map_equality_record, passing,
 )
-from .report import ValidationReport, failing, map_equality_record, passing
 from .tensor import Factor, TProd, block_terms, term_map
 
 DEFAULT_TOWER_BUDGET = 3
@@ -489,72 +488,24 @@ def build_bundle(total: StarAlgebra, group: HopfStarAlgebra,
                  coaction: LinearMap) -> Bundle:
     """Validate the coaction, compute the base, and assemble X and tau.
 
-    Raises NotCoaction / NotStarHom / NotPrincipal on bad input.
+    Raises NotCoaction / NotPrincipal on bad input.
     """
     field = total.field
-    one = field.one
-    da = group.dim
-
-    def tens(u: Vec, v: Vec) -> Vec:
-        out: Vec = {}
-        for i, a in u.items():
-            for j, b in v.items():
-                out[i * da + j] = a * b
-        return out
-
-    # unital
-    if coaction.apply(total.unit) != tens(total.unit, group.unit):
-        raise NotCoaction("F(1) != 1 (x) 1", where="bundle.coaction")
-    # multiplicative and star
-    def ba_mul(x: Vec, y: Vec) -> Vec:
-        out: Vec = {}
-        for idx, a in x.items():
-            i1, i2 = divmod(idx, da)
-            for jdx, b in y.items():
-                j1, j2 = divmod(jdx, da)
-                c = a * b
-                for k1, c1 in total.mul_basis(i1, j1).items():
-                    for k2, c2 in group.algebra.mul_basis(i2, j2).items():
-                        viadd_term(out, k1 * da + k2, c * c1 * c2)
-        return out
-
-    for i in range(total.dim):
-        for j in range(total.dim):
-            lhs = coaction.apply(total.mul_basis(i, j))
-            rhs = ba_mul(coaction.cols[i], coaction.cols[j])
-            if lhs != rhs:
-                raise NotStarHom(
-                    f"F is not multiplicative at basis pair ({i}, {j})",
-                    where="bundle.coaction")
-    for i in range(total.dim):
-        lhs = coaction.apply(total.star_vec({i: one}))
-        rhs: Vec = {}
-        for idx, c in coaction.cols[i].items():
-            i1, i2 = divmod(idx, da)
-            rhs = vadd(rhs, vscale(c.conj(),
-                                   tens(total.star_vec({i1: one}),
-                                        group.star_vec({i2: one}))))
-        if lhs != rhs:
-            raise NotStarHom(f"F is not hermitian at basis index {i}",
-                             where="bundle.coaction")
-    # coaction laws
-    id_b = LinearMap.identity(total.space, field)
-    lhs = coaction.tensor(LinearMap.identity(group.space, field)).compose(coaction)
-    rhs = id_b.tensor(group.coproduct).compose(coaction)
-    if lhs != rhs:
-        raise NotCoaction("(F (x) id)F != (id (x) phi)F", where="bundle.coaction")
-    for i in range(total.dim):
-        acc: Vec = {}
-        for idx, c in coaction.cols[i].items():
-            i1, i2 = divmod(idx, da)
-            viadd_term(acc, i1, c * group.eps_basis(i2))
-        if acc != {i: one}:
-            raise NotCoaction(f"(id (x) eps)F != id at basis index {i}",
-                              where="bundle.coaction")
+    ba = TProd(field, (Factor.ungraded(total.space), Factor.ungraded(group.space)),
+               name="B(x)A")
+    add_coaction_records(
+        RaisingReport(NotCoaction, where="bundle.coaction"),
+        (("bundle.F-mult", "F is not unital and multiplicative"),
+         ("bundle.F-star", "F is not hermitian"), None,
+         ("bundle.F-comodule", "(F (x) id)F != (id (x) phi)F"),
+         ("bundle.F-counit", "(id (x) eps)F != id")),
+        "F", total, coaction, ba, group.algebra, group.coproduct, group.square,
+        group.eps_basis)
 
     # base V = F-fixed points
     iota = LinearMap(total.space, coaction.codomain,
-                     [tens({i: one}, group.unit) for i in range(total.dim)], field)
+                     [{i * group.dim + a: c for a, c in group.unit.items()}
+                      for i in range(total.dim)], field)
     base_vectors = fixed_points(coaction, iota)
     if not base_vectors:
         raise NotCoaction("coaction has no fixed vectors at all", where="bundle.coaction")

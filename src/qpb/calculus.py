@@ -4,8 +4,11 @@ Omega(P) = Omega(M) (x)^ Gamma^ carries the graded product, star and
 differential of a product bundle calculus; F^ = id (x) phi^ is its unique
 graded-differential extension of the coaction.  Omega(M) and Omega(P) are
 hopf.GradedStarAlgebra subclasses: product, d, star and the axiom check live
-there, and every product in a graded tensor product (Omega(P) itself and
-Omega(P) (x)^ Gamma^) is hopf.graded_tensor_mul.
+there.  The product, star and d of a graded tensor product (Omega(P) itself,
+W_2 and Omega(P) (x)^ Gamma^) are hopf.graded_tensor_mul, graded_tensor_star
+and graded_tensor_d, and differential_suite records F^ as a unital,
+hermitian, d-compatible *-homomorphism and coaction through
+hopf.add_coaction_records.
 
 TotalCalculus is the graded instance of bundle.BalancedTower, the braid tower
 that in degree zero is the bundle: W = Omega(P) over M = Omega(M) with Hopf
@@ -34,7 +37,10 @@ from .bundle import BalancedTower
 from .errors import DegreeBudget, NotProductBundle, ValidationFailed
 from .fodc import Envelope2, Fodc, GammaEnvelope, build_envelope2
 from .gauge import GradedGaugeCoalgebra
-from .hopf import BUDGET, GradedStarAlgebra, StarAlgebra, graded_tensor_mul
+from .hopf import (
+    BUDGET, GradedStarAlgebra, StarAlgebra, add_coaction_records, graded_tensor_d,
+    graded_tensor_mul, graded_tensor_star,
+)
 from .linalg import (
     BasedSpace, Echelon, LinearMap, Vec, fixed_points, span_basis, spans_equal,
     viadd, viadd_term, vscale,
@@ -153,35 +159,14 @@ class OmegaP(GradedStarAlgebra):
         super().__init__("Omega(P)", field, self.tp.space,
                          (self.tp.degree(t) for t in self.tp.tuples), unit)
 
-        # the product-calculus star is componentwise (no Koszul sign): this is
-        # the convention under which d and the extended coproduct are hermitian
-        star_cols = []
-        for i in range(self.dim):
-            m, g = self.tp.tuples[i]
-            acc: Vec = {}
-            for m2, cm in base.star.cols[m].items():
-                for g2, cg in gamma.star.cols[g].items():
-                    viadd_term(acc, self.idx(m2, g2), cm * cg)
-            star_cols.append(acc)
+        # the product-calculus star is componentwise
+        star_cols = [graded_tensor_star(self.tp, base, gamma, {i: one})
+                     for i in range(self.dim)]
         self.star = LinearMap(self.space, self.space, star_cols, field,
                               antilinear=True)
-
-        d_cols = []
-        for i in range(self.dim):
-            m, g = self.tp.tuples[i]
-            if self.degrees[i] >= BUDGET:
-                d_cols.append(None)
-                continue
-            acc: Vec = {}
-            if base.d_cols[m] is not None:
-                for m2, cm in base.d_cols[m].items():
-                    viadd_term(acc, self.idx(m2, g), cm)
-            sign = -one if base.degree(m) % 2 else one
-            if gamma.degree(g) < BUDGET:
-                for g2, cg in gamma.d_cols[g].items():
-                    viadd_term(acc, self.idx(m, g2), sign * cg)
-            d_cols.append(acc)
-        self.d_cols = d_cols
+        self.d_cols = [None if self.degrees[i] >= BUDGET
+                       else graded_tensor_d(self.tp, base, gamma, {i: one})
+                       for i in range(self.dim)]
 
         # F^ = id (x) phi^ into Omega(P) (x) Gamma^
         self.og = TProd(field, (Factor(self.space, self.degrees), gamma.factor),
@@ -286,23 +271,9 @@ class TotalCalculus(BalancedTower):
 
         # the conjugation and d on W_2
         self.w2_star = self.flipstar(2)
-        d_cols = []
-        for b in range(self.w2.dim):
-            if w2deg[b] >= BUDGET:
-                d_cols.append(None)
-                continue
-            acc: Vec = {}
-            for fi, c in self.w2.lift({b: one}).items():
-                i, j = self.w2.tuples[fi]
-                if omega.d_cols[i] is not None:
-                    for i2, ci in omega.d_cols[i].items():
-                        viadd_term(acc, self.w2.flat_index((i2, j)), c * ci)
-                sign = -one if omega.degree(i) % 2 else one
-                if omega.d_cols[j] is not None:
-                    for j2, cj in omega.d_cols[j].items():
-                        viadd_term(acc, self.w2.flat_index((i, j2)), c * cj * sign)
-            d_cols.append(self.w2.project(acc))
-        self.w2_d_cols = d_cols
+        self.w2_d_cols = [None if w2deg[b] >= BUDGET
+                          else graded_tensor_d(self.w2, omega, omega, {b: one})
+                          for b in range(self.w2.dim)]
         self.w2_degrees = w2deg
 
         self.m_embed = LinearMap(base_calc.space, omega.space, omega.m_embed_cols, field)
@@ -385,9 +356,9 @@ def build_total_calculus(fodc: Fodc, base_calc: BaseCalculus) -> TotalCalculus:
 
 def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationReport:
     """All degree-budgeted identities of the differential sector: F^ is a
-    graded-differential *-homomorphism, X^ is degreewise bijective, the tau^
-    identity block, the full sigma^_M suite, and the counital differential
-    coalgebra structure of L^."""
+    unital graded-differential *-homomorphism and a coaction, X^ is
+    degreewise bijective, the tau^ identity block, the full sigma^_M suite,
+    and the counital differential coalgebra structure of L^."""
     rep = ValidationReport()
     rep.extend(tc.env2.report)
     field = tc.field
@@ -400,75 +371,11 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
     rep.add(passing("diff.Xhat-bijective", "X^ bijective per degree",
                     note=str(tc.x_by_degree_ok)))
 
-    bad = None
-    for i in range(omega.dim):
-        for j in range(omega.dim):
-            if omega.degree(i) + omega.degree(j) > BUDGET:
-                continue
-            lhs = omega.f_hat.apply(omega.mul_basis(i, j))
-            rhs = graded_tensor_mul(og, omega, gamma, omega.f_hat.cols[i],
-                                    omega.f_hat.cols[j])
-            if lhs != rhs:
-                bad = {"basis_pair": [i, j]}
-                break
-        if bad:
-            break
-    rep.add(failing("diff.Fhat-mult", "F^ multiplicative", bad) if bad
-            else passing("diff.Fhat-mult", "F^ multiplicative"))
-
-    bad = None
-    for i in range(omega.dim):
-        lhs = omega.f_hat.apply(omega.star.cols[i])
-        acc: Vec = {}
-        for fj, c in og.lift(omega.f_hat.cols[i]).items():
-            w, th = og.tuples[fj]
-            for w2_, cw in omega.star.cols[w].items():
-                for th2, cth in gamma.star.cols[th].items():
-                    viadd_term(acc, og.flat_index((w2_, th2)), (c.conj()) * cw * cth)
-        if lhs != og.project(acc):
-            bad = {"basis_index": i}
-            break
-    rep.add(failing("diff.Fhat-star", "F^ hermitian", bad) if bad
-            else passing("diff.Fhat-star", "F^ hermitian"))
-
-    bad = None
-    for i in range(omega.dim):
-        if omega.degree(i) >= BUDGET:
-            continue
-        lhs = omega.f_hat.apply(omega.d_cols[i])
-        acc = {}
-        for fj, c in og.lift(omega.f_hat.cols[i]).items():
-            w, th = og.tuples[fj]
-            if omega.d_cols[w] is not None:
-                for w2_, cw in omega.d_cols[w].items():
-                    viadd_term(acc, og.flat_index((w2_, th)), c * cw)
-            sign = -one if omega.degree(w) % 2 else one
-            if gamma.degree(th) < BUDGET and gamma.d_cols[th] is not None:
-                for th2, cth in gamma.d_cols[th].items():
-                    viadd_term(acc, og.flat_index((w, th2)), c * cth * sign)
-        if lhs != og.project(acc):
-            bad = {"basis_index": i}
-            break
-    rep.add(failing("diff.Fhat-d", "F^ intertwines d", bad) if bad
-            else passing("diff.Fhat-d", "F^ intertwines d"))
-
-    # (F^ (x) id)F^ = (id (x) phi^)F^ in Omega (x) Gamma^ (x) Gamma^
-    ogg = tc.mixed_space("WGG")
-    bad = None
-    for i in range(omega.dim):
-        lhs: Vec = {}
-        rhs: Vec = {}
-        for w, th, c in omega.f_legs[i]:
-            for w2_, th1, c2 in omega.f_legs[w]:
-                viadd_term(lhs, ogg.flat_index((w2_, th1, th)), c * c2)
-            for fj, c2 in gamma.square.lift(gamma.phi_hat.cols[th]).items():
-                g1, g2 = gamma.square.tuples[fj]
-                viadd_term(rhs, ogg.flat_index((w, g1, g2)), c * c2)
-        if ogg.project(lhs) != ogg.project(rhs):
-            bad = {"basis_index": i}
-            break
-    rep.add(failing("diff.Fhat-coassoc", "(F^ (x) id)F^ = (id (x) phi^)F^", bad)
-            if bad else passing("diff.Fhat-coassoc", "(F^ (x) id)F^ = (id (x) phi^)F^"))
+    add_coaction_records(
+        rep, (("diff.Fhat-mult", "F^ multiplicative"), ("diff.Fhat-star", "F^ hermitian"),
+              ("diff.Fhat-d", "F^ intertwines d"),
+              ("diff.Fhat-coassoc", "(F^ (x) id)F^ = (id (x) phi^)F^"), None),
+        "F^", omega, omega.f_hat, og, gamma, gamma.phi_hat, gamma.square, gamma.eps_basis)
 
     # horizontal forms and the embedded base calculus
     hor = tc.filtration_basis(0)
@@ -702,7 +609,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
     # eps^_M: hermitian and d-compatible; a star or d that leaves L^ fails
     bad = next(({"basis_index": li} for li, st in enumerate(stars)
                 if st is None or lhat.eps_m.apply(st)
-                != base.star_apply(lhat.eps_m.cols[li])), None)
+                != base.star_vec(lhat.eps_m.cols[li])), None)
     rep.add(failing("diff.epsM-star", "eps^_M * = * eps^_M", bad) if bad
             else passing("diff.epsM-star", "eps^_M * = * eps^_M"))
     bad = next(({"basis_index": li} for li, dl in ds.items()

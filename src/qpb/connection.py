@@ -45,7 +45,7 @@ class Connection:
         if hermitian:
             for t in range(tc.fodc.dim):
                 lhs = self.omega_of(tc.fodc.star_inv.cols[t])
-                rhs = om.star_apply(omega_cols[t])
+                rhs = om.star_vec(omega_cols[t])
                 if lhs != rhs:
                     raise NotCovariant(f"{name} is not hermitian")
         # curvature R = d omega - <omega, omega>
@@ -124,7 +124,7 @@ def perturbed_connection(tc: TotalCalculus, lam_cols) -> Connection:
         lhs: Vec = {}
         for t2, c in tc.fodc.star_inv.cols[t].items():
             viadd(lhs, c.conj(), lam_omega[t2])
-        if lhs != om.star_apply(lam_omega[t]):
+        if lhs != om.star_vec(lam_omega[t]):
             raise NotCovariant("perturbation is not hermitian")
     # ad-covariance: sum lam(theta_k) (x) c_k = lam(theta) (x) 1
     og = om.og

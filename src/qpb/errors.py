@@ -43,10 +43,6 @@ class NotCoaction(QpbError):
     pass
 
 
-class NotStarHom(QpbError):
-    pass
-
-
 class NotPrincipal(QpbError):
     pass
 

@@ -14,8 +14,10 @@ differential delta with sigma delta - delta = (id (x) pi) varpi.
 GammaEnvelope assembles the degree <= 2 graded *-algebra A (+) Gamma (+)
 Gamma^2 with differential, extended coproduct, counit and antipode.  It is a
 hopf.GradedStarAlgebra, which holds its product, d, star and algebra axiom
-check; the coproduct maps into the graded tensor square, multiplied by
-hopf.graded_tensor_mul, and its checks stay here.
+check; the coproduct phi^ maps into the graded tensor square, and
+hopf.add_coaction_records checks it as a unital, hermitian, d-compatible,
+coassociative and counital *-homomorphism.  A failure in either check
+rejects the calculus with ValidationFailed.
 """
 
 from __future__ import annotations
@@ -25,13 +27,14 @@ from .errors import (
     ValidationFailed,
 )
 from .hopf import (
-    BUDGET, GradedStarAlgebra, HopfStarAlgebra, adjoint_action, graded_tensor_mul,
+    BUDGET, GradedStarAlgebra, HopfStarAlgebra, add_coaction_records, adjoint_action,
+    graded_tensor_mul,
 )
 from .linalg import (
     BasedSpace, Echelon, LinearMap, QuotientSpace, Vec, span_basis, viadd,
     viadd_term, vscale,
 )
-from .report import ValidationReport, failing, passing, vacuous
+from .report import RaisingReport, ValidationReport, failing, passing, vacuous
 from .tensor import Factor, TProd
 
 
@@ -608,8 +611,6 @@ class GammaEnvelope(GradedStarAlgebra):
         # coproduct into the free graded tensor square
         self.square = TProd(field, (self.factor, self.factor), budget=BUDGET,
                             name="Gamma^(x)Gamma^")
-        self.triple = TProd(field, (self.factor, self.factor, self.factor),
-                            budget=BUDGET, name="Gamma^(x)3")
         sq = self.square
         phi_cols = []
         for i in range(self.dim):
@@ -726,7 +727,14 @@ class GammaEnvelope(GradedStarAlgebra):
         self.kappa_hat_inv = self.kappa_hat.inverse()
 
         self.check_axioms()
-        self._coproduct_checks()
+        add_coaction_records(
+            RaisingReport(ValidationFailed, "Gamma^: "),
+            (("phi-mult", "coproduct is not multiplicative"),
+             ("phi-star", "coproduct is not hermitian"),
+             ("phi-d", "coproduct does not intertwine d"),
+             ("phi-coassoc", "coproduct is not coassociative"),
+             ("phi-counit", "counit law fails")),
+            "phi^", self, self.phi_hat, sq, self, self.phi_hat, sq, self.eps_basis)
 
     def ad_hat(self) -> LinearMap:
         """Graded adjoint coaction ad = chi{kappa((1)) (x) (2)} (3) into the
@@ -749,75 +757,3 @@ class GammaEnvelope(GradedStarAlgebra):
                             viadd_term(acc, sq.flat_index((y, m)), coeff * ck * cm * sign)
             cols.append(sq.project(acc))
         return LinearMap(self.space, sq.space, cols, field)
-
-    def _coproduct_checks(self):
-        one = self.field.one
-        # coproduct: counit laws, coassociativity, multiplicativity, hermitian
-        sq, tri = self.square, self.triple
-        for i in range(self.dim):
-            acc1: Vec = {}
-            acc2: Vec = {}
-            for fi, c in sq.lift(self.phi_hat.cols[i]).items():
-                x, y = sq.tuples[fi]
-                viadd_term(acc1, y, c * self.eps_basis(x))
-                viadd_term(acc2, x, c * self.eps_basis(y))
-            if acc1 != {i: one} or acc2 != {i: one}:
-                raise ValidationFailed("Gamma^ counit law fails")
-        for i in range(self.dim):
-            lhs_acc: Vec = {}
-            rhs_acc: Vec = {}
-            for fi, c in sq.lift(self.phi_hat.cols[i]).items():
-                x, y = sq.tuples[fi]
-                for fj, c2 in sq.lift(self.phi_hat.cols[x]).items():
-                    u, v = sq.tuples[fj]
-                    viadd_term(lhs_acc, tri.flat_index((u, v, y)), c * c2)
-                for fj, c2 in sq.lift(self.phi_hat.cols[y]).items():
-                    u, v = sq.tuples[fj]
-                    viadd_term(rhs_acc, tri.flat_index((x, u, v)), c * c2)
-            if tri.project(lhs_acc) != tri.project(rhs_acc):
-                raise ValidationFailed("Gamma^ coproduct is not coassociative")
-        for i in range(self.dim):
-            for j in range(self.dim):
-                if self.degree(i) + self.degree(j) > 2:
-                    continue
-                lhs = {}
-                for k, c in self.mul_basis(i, j).items():
-                    viadd(lhs, c, self.phi_hat.cols[k])
-                rhs = graded_tensor_mul(sq, self, self,
-                                        self.phi_hat.cols[i], self.phi_hat.cols[j])
-                if lhs != rhs:
-                    raise ValidationFailed("Gamma^ coproduct is not multiplicative")
-        # hermiticity of the coproduct for the componentwise tensor star
-        for i in range(self.dim):
-            lhs = {}
-            for k, c in self.star.cols[i].items():
-                viadd(lhs, c, self.phi_hat.cols[k])
-            acc: Vec = {}
-            for fj, c in sq.lift(self.phi_hat.cols[i]).items():
-                x, y = sq.tuples[fj]
-                for x2, cx in self.star.cols[x].items():
-                    for y2, cy in self.star.cols[y].items():
-                        viadd_term(acc, sq.flat_index((x2, y2)), c.conj() * cx * cy)
-            if lhs != sq.project(acc):
-                raise ValidationFailed("Gamma^ coproduct is not hermitian")
-        # d-compatibility of the coproduct
-        for i in range(self.dim):
-            if self.degree(i) > 1:
-                continue
-            lhs = {}
-            for k, c in self.d_cols[i].items():
-                viadd(lhs, c, self.phi_hat.cols[k])
-            rhs: Vec = {}
-            for fi, c in sq.lift(self.phi_hat.cols[i]).items():
-                x, y = sq.tuples[fi]
-                if self.degree(x) < 2 and self.d_cols[x] is not None:
-                    for k, ck in self.d_cols[x].items():
-                        if self.degree(k) + self.degree(y) <= 2:
-                            viadd_term(rhs, sq.flat_index((k, y)), c * ck)
-                sign = -one if self.degree(x) % 2 else one
-                if self.degree(y) < 2 and self.d_cols[y] is not None:
-                    for k, ck in self.d_cols[y].items():
-                        if self.degree(x) + self.degree(k) <= 2:
-                            viadd_term(rhs, sq.flat_index((x, k)), c * ck * sign)
-            if lhs != sq.project(rhs):
-                raise ValidationFailed("Gamma^ coproduct does not intertwine d")

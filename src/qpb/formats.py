@@ -25,11 +25,12 @@ from .gauge import (
     isotypic_decompose,
 )
 from .hopf import (
-    Corepresentation, HopfStarAlgebra, StarAlgebra, compute_haar, validate_hopf,
+    Corepresentation, HopfStarAlgebra, StarAlgebra, algebra_ids, compute_haar,
+    validate_hopf,
 )
 from .linalg import BasedSpace, LinearMap, Vec, tensor_labels
 from .presets import functions_on_points, trivial_bundle
-from .report import CheckRecord, ValidationReport
+from .report import CheckRecord, RaisingReport, ValidationReport
 
 FORMAT_TAG = "qpb-spec/1"
 
@@ -71,6 +72,14 @@ def _check_keys(obj, allowed, where):
     for k in obj:
         if k not in allowed:
             raise SpecFileError(f"unknown key {k!r}", where=where)
+
+
+def _parse_basis(basis, where) -> BasedSpace:
+    _require(isinstance(basis, list) and basis
+             and all(isinstance(b, str) for b in basis),
+             f"{where} must be a nonempty list of labels", where)
+    _require(len(set(basis)) == len(basis), "basis labels must be unique", where)
+    return BasedSpace(tuple(basis))
 
 
 def _parse_scalar(field, text, where):
@@ -156,12 +165,8 @@ def parse_spec(text: str) -> SpecFile:
     hopf_doc = doc.get("hopf")
     _require(isinstance(hopf_doc, dict), "missing hopf section", "hopf")
     _check_keys(hopf_doc, _HOPF_KEYS, "hopf")
-    basis = hopf_doc.get("basis")
-    _require(isinstance(basis, list) and basis
-             and all(isinstance(b, str) for b in basis),
-             "hopf.basis must be a nonempty list of labels", "hopf.basis")
-    dim = len(basis)
-    space = BasedSpace(tuple(basis))
+    space = _parse_basis(hopf_doc.get("basis"), "hopf.basis")
+    dim = space.dim
     mult_entries = _parse_entries3(field, hopf_doc.get("mult", []),
                                    dim, dim, dim, "hopf.mult")
     mult = [[mult_entries.get((i, j), {}) for j in range(dim)] for i in range(dim)]
@@ -188,7 +193,7 @@ def parse_spec(text: str) -> SpecFile:
     coproduct = LinearMap(space, tensor_labels(space, space), cop_cols, field)
     # the unit is solved from the counit law after validation; for building we
     # find it as the unique two-sided unit of the algebra
-    unit = _find_unit(field, space, mult)
+    unit = _find_unit(field, space, mult, "hopf.mult")
     algebra = StarAlgebra("A", field, space, mult, unit, star_map)
     coreps = None
     if "corepresentations" in doc:
@@ -248,7 +253,7 @@ def parse_spec(text: str) -> SpecFile:
                     conn_spec, expect)
 
 
-def _find_unit(field, space, mult) -> Vec:
+def _find_unit(field, space, mult, where) -> Vec:
     """The two-sided unit, solved from e . x = x for all basis x."""
     from .linalg import PreparedSolve
     dim = space.dim
@@ -262,7 +267,7 @@ def _find_unit(field, space, mult) -> Vec:
     target: Vec = {x * dim + x: field.one for x in range(dim)}
     sol = PreparedSolve(cols, dim * dim, field).solve(target)
     if sol is None:
-        raise SpecFileError("algebra has no unit", where="hopf.mult")
+        raise SpecFileError("algebra has no unit", where=where)
     return sol
 
 
@@ -304,12 +309,9 @@ class BuildResult:
                 return build_bundle(total, h, coaction)
             raise UnknownPreset(f"unknown bundle preset {preset!r}",
                                 where="bundle.preset")
-        basis = spec.get("basis")
-        _require(isinstance(basis, list) and basis, "bundle.basis required",
-                 "bundle.basis")
-        dim = len(basis)
+        space = _parse_basis(spec.get("basis"), "bundle.basis")
+        dim = space.dim
         field = sf.field
-        space = BasedSpace(tuple(basis))
         mult_entries = _parse_entries3(field, spec.get("mult", []), dim, dim, dim,
                                        "bundle.mult")
         mult = [[mult_entries.get((i, j), {}) for j in range(dim)]
@@ -317,14 +319,12 @@ class BuildResult:
         star = _parse_entries2(field, spec.get("star", []), dim, dim, "bundle.star")
         star_map = LinearMap(space, space, [star.get(i, {}) for i in range(dim)],
                              field, antilinear=True)
-        unit = _find_unit(field, space, mult)
+        unit = _find_unit(field, space, mult, "bundle.mult")
         total = StarAlgebra("B", field, space, mult, unit, star_map)
-        rep = total.validate("bundle.algebra")
-        if not rep.ok:
-            first = rep.failures[0]
-            raise SpecFileError(
-                f"bundle algebra validation failed: {first.identity_id}",
-                where="bundle")
+        total.add_axiom_records(
+            RaisingReport(SpecFileError, "bundle algebra validation failed: ",
+                          where="bundle"),
+            algebra_ids("bundle.algebra"))
         co_entries = _parse_entries3(field, spec.get("coaction", []),
                                      dim, dim, sf.hopf.dim, "bundle.coaction")
         cols = [dict() for _ in range(dim)]

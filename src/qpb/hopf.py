@@ -1,17 +1,28 @@
-"""Finite-dimensional Hopf *-algebras by structure constants.
+"""Finite-dimensional Hopf *-algebras by structure constants, and the one
+checker of the *-algebra and coaction axioms.
 
-Everything is an explicit matrix or structure tensor over a cyclotomic field;
-the validator checks all axioms on basis elements and reports witnesses.  The
-generators produce the function algebra C(G) and the group algebra C[G] of a
-finite group table, together with corepresentation data (characters and
-irreducible matrices) used for isotypic decompositions.
+Everything is an explicit matrix or structure tensor over a cyclotomic field.
+The generators produce the function algebra C(G) and the group algebra C[G]
+of a finite group table, together with the dual central idempotents of their
+irreducible corepresentations, used for isotypic decompositions.
 
-GradedStarAlgebra is the one implementation of the graded differential
-*-algebras truncated at degree BUDGET (Omega(M), Gamma^ and Omega(P)): the
-memoized basis product and its support, mul, d, star and the axiom check live
-there, and
-graded_tensor_mul is the Koszul-signed product of a graded tensor product of
-two of them.  table_mul is the bilinear product from a full structure table.
+GradedStarAlgebra is the one implementation of a unital *-algebra truncated
+at degree BUDGET, with or without d: the memoized basis product and its
+support, mul, d and star, and ``add_axiom_records``, the algebra axioms on
+basis elements (associativity, unit, star involutive and graded
+antimultiplicative, then d^2 = 0, Leibniz and d hermitian).  StarAlgebra is
+its degree-0 case without d, with products read from a table: A, B and V;
+Omega(M), Gamma^ and Omega(P) are the graded subclasses.
+
+graded_tensor_mul, graded_tensor_star and graded_tensor_d are the product,
+the componentwise star and d of a graded tensor product of two of them, and
+``add_coaction_records`` checks a map f: W -> W (x) H over such products:
+unital and multiplicative, hermitian, intertwining d, the comodule law and
+the counit law.  It serves phi on A (validate_hopf), the adjoint action,
+F on B (bundle.build_bundle), phi^ on Gamma^ (fodc.GammaEnvelope) and F^ on
+Omega(P) (calculus.differential_suite).  Both checkers write records whose
+(identity id, label) pairs the caller passes; a caller that rejects input
+passes a report.RaisingReport, which raises at the first failure.
 """
 
 from __future__ import annotations
@@ -25,8 +36,8 @@ from .linalg import (
     BasedSpace, LinearMap, Vec, nullspace_of_columns, tensor_labels,
     viadd, viadd_term, vscale,
 )
-from .report import CheckRecord, ValidationReport, failing, passing
-from .tensor import TProd
+from .report import RaisingReport, ValidationReport, failing, passing
+from .tensor import Factor, TProd
 
 BUDGET = 2  # top degree kept by every graded algebra and tensor product
 
@@ -47,111 +58,44 @@ def table_mul(table, u: Vec, v: Vec) -> Vec:
     return out
 
 
-class StarAlgebra:
-    """Unital associative *-algebra given by a rank-3 structure tensor."""
+def _record(rep: ValidationReport, ident, witnesses) -> None:
+    """Record identity ``ident`` = (id, label): failing with the first witness
+    that ``witnesses`` yields, else passing.  Nothing is computed when
+    ``ident`` is None, since ``witnesses`` is a generator not yet started."""
+    if ident is not None:
+        bad = next(witnesses, None)
+        rep.add(failing(*ident, bad) if bad else passing(*ident))
 
-    def __init__(self, name: str, field: CycloField, space: BasedSpace,
-                 mult, unit: Vec, star: LinearMap):
-        self.name = name
-        self.field = field
-        self.space = space
-        self.mult = mult  # mult[i][j] -> Vec, the product e_i e_j
-        # support[i]: the j with e_i e_j != 0
-        self.support = [frozenset(j for j, p in enumerate(row) if p) for row in mult]
-        self.unit = dict(unit)
-        self.star = star  # antilinear LinearMap
-        if not star.antilinear:
-            raise InputError("star map must be antilinear")
 
-    @property
-    def dim(self) -> int:
-        return self.space.dim
+def algebra_ids(prefix: str) -> tuple:
+    """The (identity id, label) pairs of the *-algebra axioms of an algebra
+    without d, under ``prefix``."""
+    return ((f"{prefix}.assoc", "associativity"), (f"{prefix}.unit", "unit laws"),
+            (f"{prefix}.star-invol", "star involutive"),
+            (f"{prefix}.star-antimult", "(ab)* = b*a*"), None, None, None)
 
-    def mul(self, u: Vec, v: Vec) -> Vec:
-        return table_mul(self.mult, u, v)
 
-    def mul_basis(self, i: int, j: int) -> Vec:
-        return self.mult[i][j]
-
-    def star_vec(self, v: Vec) -> Vec:
-        return self.star.apply(v)
-
-    def left_mult_map(self, v: Vec) -> LinearMap:
-        cols = [self.mul(v, {j: self.field.one}) for j in range(self.dim)]
-        return LinearMap(self.space, self.space, cols, self.field)
-
-    def right_mult_map(self, v: Vec) -> LinearMap:
-        cols = [self.mul({j: self.field.one}, v) for j in range(self.dim)]
-        return LinearMap(self.space, self.space, cols, self.field)
-
-    def is_commutative(self):
-        """None if commutative, else a witness basis pair (i, j)."""
-        for i in range(self.dim):
-            for j in range(i + 1, self.dim):
-                if self.mult[i][j] != self.mult[j][i]:
-                    return (i, j)
-        return None
-
-    def validate(self, prefix: str = "algebra") -> ValidationReport:
-        rep = ValidationReport()
-        field, dim = self.field, self.dim
-        bad = None
-        for i in range(dim):
-            for j in range(dim):
-                for k in range(dim):
-                    lhs = self.mul(self.mult[i][j], {k: field.one})
-                    rhs = self.mul({i: field.one}, self.mult[j][k])
-                    if lhs != rhs:
-                        bad = {"basis_triple": [i, j, k],
-                               "lhs": self.space.render(lhs),
-                               "rhs": self.space.render(rhs)}
-                        break
-                if bad:
-                    break
-            if bad:
-                break
-        rep.add(failing(f"{prefix}.assoc", "associativity", bad) if bad
-                else passing(f"{prefix}.assoc", "associativity"))
-        bad = None
-        for i in range(dim):
-            e = {i: field.one}
-            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
-                bad = basis_witness(self.space, i)
-                break
-        rep.add(failing(f"{prefix}.unit", "unit laws", bad) if bad
-                else passing(f"{prefix}.unit", "unit laws"))
-        inv = self.star.compose(self.star)
-        rec = CheckRecord(f"{prefix}.star-invol", "star involutive",
-                          "pass" if inv == LinearMap.identity(self.space, field) else "fail")
-        rep.add(rec)
-        bad = None
-        for i in range(dim):
-            for j in range(dim):
-                lhs = self.star_vec(self.mult[i][j])
-                rhs = self.mul(self.star_vec({j: field.one}), self.star_vec({i: field.one}))
-                if lhs != rhs:
-                    bad = {"basis_pair": [i, j],
-                           "lhs": self.space.render(lhs),
-                           "rhs": self.space.render(rhs)}
-                    break
-            if bad:
-                break
-        rep.add(failing(f"{prefix}.star-antimult", "(ab)* = b*a*", bad) if bad
-                else passing(f"{prefix}.star-antimult", "(ab)* = b*a*"))
-        return rep
+# the axioms as check_axioms states them when one fails
+_AXIOM_FAILURES = (("assoc", "product not associative"), ("unit", "unit fails"),
+                   ("star-invol", "star not involutive"),
+                   ("star-antimult", "star not graded-antimultiplicative"),
+                   ("d-square", "d^2 != 0"), ("leibniz", "Leibniz fails"),
+                   ("d-star", "d not hermitian"))
 
 
 class GradedStarAlgebra:
-    """Unital graded *-algebra with a differential, truncated at degree BUDGET.
+    """Unital graded *-algebra, with or without a differential, truncated at
+    degree BUDGET.
 
-    A subclass sets ``star`` (an antilinear LinearMap) and ``d_cols`` (d of
-    each basis element, None where it would leave the budget) and defines
-    ``_product(i, j)``, the product of two basis elements whose degrees add
-    up to at most BUDGET.  Each such product is computed once.
+    A subclass sets ``star`` (an antilinear LinearMap) and, if it has a
+    differential, ``d_cols`` (d of each basis element, None where it would
+    leave the budget), and defines ``_product(i, j)``, the product of two
+    basis elements whose degrees add up to at most BUDGET.  Each such product
+    is computed once.
     """
 
     star: LinearMap
-    d_cols: list
+    d_cols: list | None = None
 
     def __init__(self, name: str, field: CycloField, space: BasedSpace, degrees,
                  unit: Vec):
@@ -200,64 +144,113 @@ class GradedStarAlgebra:
             viadd(out, c, col)
         return out
 
-    def star_apply(self, v: Vec) -> Vec:
+    def star_vec(self, v: Vec) -> Vec:
         return self.star.apply(v)
 
-    def check_axioms(self) -> None:
-        """Associativity and unit, star involutive and graded-antimultiplicative,
-        d^2 = 0, Leibniz and d hermitian, on basis elements wherever both sides
-        stay within the budget; raises ValidationFailed naming the algebra."""
+    def add_axiom_records(self, rep: ValidationReport, ids) -> None:
+        """Record the axioms on basis elements, wherever both sides stay
+        within the budget: associativity, unit, star involutive, star graded
+        antimultiplicative, d^2 = 0, Leibniz and d hermitian.  ``ids`` holds
+        their seven (identity id, label) pairs; the d identities are None
+        for an algebra without d, and an identity that is None is not
+        computed."""
+        assoc, unit, invol, antimult, d_square, leibniz, d_star = ids
         one = self.field.one
-        deg = self.degrees
-        n = self.dim
+        deg, n, space, star = self.degrees, self.dim, self.space, self.star.cols
+        e = [{i: one} for i in range(n)]
+        pairs = [(i, j) for i in range(n) for j in range(n) if deg[i] + deg[j] <= BUDGET]
 
-        def fail(what: str):
-            raise ValidationFailed(f"{self.name}: {what}")
+        def differ(key, at, lhs, rhs):
+            return {key: list(at), "lhs": space.render(lhs), "rhs": space.render(rhs)}
 
-        for i in range(n):
-            for j in range(n):
-                if deg[i] + deg[j] > BUDGET:
-                    continue
-                ij = self.mul_basis(i, j)
+        def assoc_failures():
+            for i, j in pairs:
                 for k in range(n):
-                    if deg[i] + deg[j] + deg[k] > BUDGET:
-                        continue
-                    if self.mul(ij, {k: one}) != self.mul({i: one}, self.mul_basis(j, k)):
-                        fail(f"product not associative at ({i},{j},{k})")
-        for i in range(n):
-            e = {i: one}
-            if self.mul(self.unit, e) != e or self.mul(e, self.unit) != e:
-                fail("unit fails")
-        for i in range(n):
-            if self.star_apply(self.star.cols[i]) != {i: one}:
-                fail("star not involutive")
-        for i in range(n):
-            for j in range(n):
-                if deg[i] + deg[j] > BUDGET:
-                    continue
-                lhs = self.star_apply(self.mul_basis(i, j))
-                rhs = self.mul(self.star.cols[j], self.star.cols[i])
-                if (deg[i] * deg[j]) % 2:
+                    if deg[i] + deg[j] + deg[k] <= BUDGET:
+                        lhs = self.mul(self.mul_basis(i, j), e[k])
+                        rhs = self.mul(e[i], self.mul_basis(j, k))
+                        if lhs != rhs:
+                            yield differ("basis_triple", (i, j, k), lhs, rhs)
+
+        def antimult_failures():
+            for i, j in pairs:
+                lhs = self.star_vec(self.mul_basis(i, j))
+                rhs = self.mul(star[j], star[i])
+                if deg[i] * deg[j] % 2:
                     rhs = vscale(-one, rhs)
                 if lhs != rhs:
-                    fail("star not graded-antimultiplicative")
-        for i in range(n):
-            if deg[i] == 0 and self.d_apply(self.d_cols[i]):
-                fail("d^2 != 0")
-        for i in range(n):
-            for j in range(n):
-                if deg[i] + deg[j] > BUDGET - 1:
-                    continue
-                lhs = self.d_apply(self.mul_basis(i, j))
-                rhs = self.mul(self.d_cols[i], {j: one})
-                viadd(rhs, -one if deg[i] % 2 else one, self.mul({i: one}, self.d_cols[j]))
-                if lhs != rhs:
-                    fail(f"Leibniz fails at ({i},{j})")
-        for i in range(n):
-            if deg[i] <= BUDGET - 1 and \
-                    self.d_apply(self.star.cols[i]) != self.star_apply(self.d_cols[i]):
-                fail("d not hermitian")
+                    yield differ("basis_pair", (i, j), lhs, rhs)
 
+        def leibniz_failures():
+            for i, j in pairs:
+                if deg[i] + deg[j] < BUDGET:
+                    lhs = self.d_apply(self.mul_basis(i, j))
+                    rhs = self.mul(self.d_cols[i], e[j])
+                    viadd(rhs, -one if deg[i] % 2 else one, self.mul(e[i], self.d_cols[j]))
+                    if lhs != rhs:
+                        yield differ("basis_pair", (i, j), lhs, rhs)
+
+        _record(rep, assoc, assoc_failures())
+        _record(rep, unit, (basis_witness(space, i) for i in range(n)
+                            if self.mul(self.unit, e[i]) != e[i]
+                            or self.mul(e[i], self.unit) != e[i]))
+        _record(rep, invol, (basis_witness(space, i) for i in range(n)
+                             if self.star_vec(star[i]) != e[i]))
+        _record(rep, antimult, antimult_failures())
+        _record(rep, d_square, (basis_witness(space, i) for i in range(n)
+                                if deg[i] + 2 <= BUDGET and self.d_apply(self.d_cols[i])))
+        _record(rep, leibniz, leibniz_failures())
+        _record(rep, d_star, (basis_witness(space, i) for i in range(n) if deg[i] < BUDGET
+                              and self.d_apply(star[i]) != self.star_vec(self.d_cols[i])))
+
+    def check_axioms(self) -> None:
+        """Raise ValidationFailed naming the algebra at the first axiom that
+        fails."""
+        self.add_axiom_records(RaisingReport(ValidationFailed, f"{self.name}: "),
+                               _AXIOM_FAILURES)
+
+
+class StarAlgebra(GradedStarAlgebra):
+    """Unital associative *-algebra given by a rank-3 structure tensor: the
+    degree-0 case of GradedStarAlgebra, without d, whose products are read
+    from the table."""
+
+    def __init__(self, name: str, field: CycloField, space: BasedSpace,
+                 mult, unit: Vec, star: LinearMap):
+        super().__init__(name, field, space, (0,) * space.dim, unit)
+        self.mult = mult  # mult[i][j] -> Vec, the product e_i e_j
+        # support[i]: the j with e_i e_j != 0
+        self.support = [frozenset(j for j, p in enumerate(row) if p) for row in mult]
+        self.star = star  # antilinear LinearMap
+        if not star.antilinear:
+            raise InputError("star map must be antilinear")
+
+    def mul(self, u: Vec, v: Vec) -> Vec:
+        return table_mul(self.mult, u, v)
+
+    def mul_basis(self, i: int, j: int) -> Vec:
+        return self.mult[i][j]
+
+    def left_mult_map(self, v: Vec) -> LinearMap:
+        cols = [self.mul(v, {j: self.field.one}) for j in range(self.dim)]
+        return LinearMap(self.space, self.space, cols, self.field)
+
+    def right_mult_map(self, v: Vec) -> LinearMap:
+        cols = [self.mul({j: self.field.one}, v) for j in range(self.dim)]
+        return LinearMap(self.space, self.space, cols, self.field)
+
+    def is_commutative(self):
+        """None if commutative, else a witness basis pair (i, j)."""
+        for i in range(self.dim):
+            for j in range(i + 1, self.dim):
+                if self.mult[i][j] != self.mult[j][i]:
+                    return (i, j)
+        return None
+
+
+# -- graded tensor products of two algebras -------------------------------------
+#
+# tp is a TProd whose two factors are the spaces of ``left`` and ``right``.
 
 def graded_tensor_mul(tp: TProd, left: GradedStarAlgebra, right: GradedStarAlgebra,
                       u: Vec, v: Vec) -> Vec:
@@ -281,6 +274,117 @@ def graded_tensor_mul(tp: TProd, left: GradedStarAlgebra, right: GradedStarAlgeb
                 for k2, c2 in yq.items():
                     viadd_term(out, tp.flat_index((k1, k2)), c0 * c1 * c2)
     return tp.project(out)
+
+
+def graded_tensor_star(tp: TProd, left: GradedStarAlgebra, right: GradedStarAlgebra,
+                       v: Vec) -> Vec:
+    """The componentwise star (x (x) y)* = x* (x) y*, antilinear and with no
+    Koszul sign: the convention under which d and every coaction here are
+    hermitian."""
+    out: Vec = {}
+    for fi, c in tp.lift(v).items():
+        x, y = tp.tuples[fi]
+        c = c.conj()
+        for x2, cx in left.star.cols[x].items():
+            for y2, cy in right.star.cols[y].items():
+                viadd_term(out, tp.flat_index((x2, y2)), c * cx * cy)
+    return tp.project(out)
+
+
+def graded_tensor_d(tp: TProd, left: GradedStarAlgebra, right: GradedStarAlgebra,
+                    v: Vec) -> Vec:
+    """d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy, with the terms that leave
+    the budget dropped."""
+    out: Vec = {}
+    index = tp.tuple_index
+    for fi, c in tp.lift(v).items():
+        x, y = tp.tuples[fi]
+        if left.d_cols[x] is not None:
+            for k, ck in left.d_cols[x].items():
+                t = index.get((k, y))
+                if t is not None:
+                    viadd_term(out, t, c * ck)
+        if right.d_cols[y] is not None:
+            cs = -c if left.degree(x) % 2 else c
+            for k, ck in right.d_cols[y].items():
+                t = index.get((x, k))
+                if t is not None:
+                    viadd_term(out, t, cs * ck)
+    return tp.project(out)
+
+
+def _legs(m: LinearMap, tp: TProd) -> list:
+    """The flat terms (tuple, coefficient) of each column of m, a map into tp."""
+    return [[(tp.tuples[fi], c) for fi, c in tp.lift(col).items()] for col in m.cols]
+
+
+def add_coaction_records(rep: ValidationReport, ids, name: str,
+                         w: GradedStarAlgebra, f: LinearMap, wh: TProd,
+                         h: GradedStarAlgebra, phi: LinearMap, hh: TProd,
+                         eps_basis) -> None:
+    """Record that f: W -> W (x) H is a unital *-homomorphism and a right
+    coaction of the coalgebra (H, phi, eps).
+
+    f maps into the graded tensor product ``wh`` and phi into ``hh``;
+    ``eps_basis(a)`` is the counit on basis element a.  ``ids`` holds the
+    (identity id, label) of mult (f unital and multiplicative), star (f
+    hermitian for the componentwise star), d (f intertwines d, for W and H
+    with d), comodule ((f (x) id)f = (id (x) phi)f) and counit
+    ((id (x) eps)f = id, and (eps (x) id)f = id when f is phi); an identity
+    that is None is not computed.  ``name`` names f in the witness of a unit
+    failure.  H has no coefficient action, so W (x) H (x) H is free and the
+    comodule law compares flat tuples.
+    """
+    mult, star, d, comodule, counit = ids
+    one = w.field.one
+    n, deg, space = w.dim, w.degrees, w.space
+    if comodule is not None or counit is not None:
+        f_legs = _legs(f, wh)
+
+    def mult_failures():
+        unit = {wh.flat_index((i, a)): ci * ca
+                for i, ci in w.unit.items() for a, ca in h.unit.items()}
+        if f.apply(w.unit) != wh.project(unit):
+            yield {"reason": f"{name}(1) != 1(x)1"}
+        for i in range(n):
+            for j in range(n):
+                if deg[i] + deg[j] <= BUDGET and f.apply(w.mul_basis(i, j)) != \
+                        graded_tensor_mul(wh, w, h, f.cols[i], f.cols[j]):
+                    yield {"basis_pair": [i, j]}
+
+    def comodule_failures():
+        phi_legs = f_legs if phi is f else _legs(phi, hh)
+        for i in range(n):
+            lhs: Vec = {}
+            rhs: Vec = {}
+            for (x, a), c in f_legs[i]:
+                for (x2, a1), c2 in f_legs[x]:
+                    viadd_term(lhs, (x2, a1, a), c * c2)
+                for (a1, a2), c2 in phi_legs[a]:
+                    viadd_term(rhs, (x, a1, a2), c * c2)
+            if lhs != rhs:
+                yield basis_witness(space, i)
+
+    def counit_failures():
+        for i in range(n):
+            right: Vec = {}
+            left: Vec = {}
+            for (x, a), c in f_legs[i]:
+                viadd_term(right, x, c * eps_basis(a))
+                if f is phi:
+                    viadd_term(left, a, c * eps_basis(x))
+            if right != {i: one} or (f is phi and left != {i: one}):
+                yield basis_witness(space, i)
+
+    _record(rep, mult, mult_failures())
+    _record(rep, star, (basis_witness(space, i) for i in range(n)
+                        if f.apply(w.star.cols[i])
+                        != graded_tensor_star(wh, w, h, f.cols[i])))
+    _record(rep, d, (basis_witness(space, i) for i in range(n)
+                     if w.d_cols[i] is not None
+                     and f.apply(w.d_cols[i]) != graded_tensor_d(wh, w, h, f.cols[i])))
+    _record(rep, comodule, comodule_failures())
+    _record(rep, counit, counit_failures())
 
 
 class HopfStarAlgebra:
@@ -329,9 +433,6 @@ class HopfStarAlgebra:
     def kappa(self, v: Vec) -> Vec:
         return self.antipode.apply(v)
 
-    def kappa_inv(self, v: Vec) -> Vec:
-        return self.antipode_inverse.apply(v)
-
     def haar_of(self, v: Vec) -> Scalar:
         if self.haar is None:
             raise InputError("no Haar functional available")
@@ -346,6 +447,12 @@ class HopfStarAlgebra:
 
     def star_vec(self, v: Vec) -> Vec:
         return self.algebra.star_vec(v)
+
+    @cached_property
+    def square(self) -> TProd:
+        """A (x) A, the free product whose space the coproduct maps into."""
+        factor = Factor.ungraded(self.space)
+        return TProd(self.field, (factor, factor), name="A(x)A")
 
     def phi2_basis(self, i: int):
         """Triples (j, k, l, c) of (phi (x) id)phi(e_i)."""
@@ -364,65 +471,20 @@ class HopfStarAlgebra:
 def validate_hopf(h: HopfStarAlgebra) -> ValidationReport:
     """Check every Hopf *-algebra axiom on basis elements; failures carry a
     basis-indexed witness."""
-    rep = h.algebra.validate("hopf.algebra")
+    rep = ValidationReport()
     field, dim = h.field, h.dim
     one = field.one
+    h.algebra.add_axiom_records(rep, algebra_ids("hopf.algebra"))
+    add_coaction_records(
+        rep, (("hopf.phi-hom", "phi multiplicative and unital"),
+              ("hopf.phi-star", "phi(a*) = phi(a)^(*(x)*)"), None,
+              ("hopf.coassoc", "coassociativity"),
+              ("hopf.counit-law", "(eps (x) id)phi = id = (id (x) eps)phi")),
+        "phi", h.algebra, h.coproduct, h.square, h.algebra, h.coproduct, h.square,
+        h.eps_basis)
 
     def record(ident, label, bad):
         rep.add(failing(ident, label, bad) if bad else passing(ident, label))
-
-    # coassociativity
-    phi = h.coproduct
-    id_a = LinearMap.identity(h.space, field)
-    phi_id = phi.tensor(id_a)
-    id_phi = id_a.tensor(phi)
-    lhs = phi_id.compose(phi)
-    rhs = id_phi.compose(phi)
-    bad = None
-    j = lhs.first_difference(rhs)
-    if j is not None:
-        bad = basis_witness(h.space, j)
-    record("hopf.coassoc", "coassociativity", bad)
-
-    # counit law
-    bad = None
-    for i in range(dim):
-        acc: Vec = {}
-        for j_, k_, c in h.sweedler(i):
-            viadd_term(acc, j_, c * h.eps_basis(k_))
-        acc2: Vec = {}
-        for j_, k_, c in h.sweedler(i):
-            viadd_term(acc2, k_, c * h.eps_basis(j_))
-        e = {i: one}
-        if acc != e or acc2 != e:
-            bad = basis_witness(h.space, i)
-            break
-    record("hopf.counit-law", "(eps (x) id)phi = id = (id (x) eps)phi", bad)
-
-    # phi is a unital *-compatible algebra homomorphism
-    bad = None
-    if h.phi(h.unit) != _tensor_vec(h, h.unit, h.unit):
-        bad = {"reason": "phi(1) != 1(x)1"}
-    else:
-        for i in range(dim):
-            for j in range(dim):
-                lhs_v = h.phi(h.algebra.mult[i][j])
-                rhs_v = _tensor_mul(h, h.phi({i: one}), h.phi({j: one}))
-                if lhs_v != rhs_v:
-                    bad = {"basis_pair": [i, j]}
-                    break
-            if bad:
-                break
-    record("hopf.phi-hom", "phi multiplicative and unital", bad)
-
-    bad = None
-    for i in range(dim):
-        lhs_v = h.phi(h.star_vec({i: one}))
-        rhs_v = _tensor_star(h, h.phi({i: one}))
-        if lhs_v != rhs_v:
-            bad = basis_witness(h.space, i)
-            break
-    record("hopf.phi-star", "phi(a*) = phi(a)^(*(x)*)", bad)
 
     # counit is a *-homomorphism
     bad = None
@@ -463,7 +525,7 @@ def validate_hopf(h: HopfStarAlgebra) -> ValidationReport:
 
     # kappa invertible and Hopf-* condition kappa(kappa(a*)*) = a
     bad = None
-    if h.antipode_inverse.compose(h.antipode) != id_a:
+    if h.antipode_inverse.compose(h.antipode) != LinearMap.identity(h.space, field):
         bad = {"reason": "kappa^-1 . kappa != id"}
     record("hopf.antipode-inv", "kappa invertible", bad)
     bad = None
@@ -493,44 +555,6 @@ def validate_hopf(h: HopfStarAlgebra) -> ValidationReport:
         record("hopf.haar-invariance", "(id (x) h)phi = h(.)1 = (h (x) id)phi", bad)
 
     return rep
-
-
-def _tensor_vec(h: HopfStarAlgebra, u: Vec, v: Vec) -> Vec:
-    dim = h.dim
-    out: Vec = {}
-    for i, a in u.items():
-        for j, b in v.items():
-            out[i * dim + j] = a * b
-    return out
-
-
-def _tensor_mul(h: HopfStarAlgebra, x: Vec, y: Vec) -> Vec:
-    dim = h.dim
-    out: Vec = {}
-    for idx, a in x.items():
-        i1, i2 = divmod(idx, dim)
-        for jdx, b in y.items():
-            j1, j2 = divmod(jdx, dim)
-            prod1 = h.algebra.mult[i1][j1]
-            prod2 = h.algebra.mult[i2][j2]
-            c = a * b
-            for k1, c1 in prod1.items():
-                for k2, c2 in prod2.items():
-                    viadd_term(out, k1 * dim + k2, c * c1 * c2)
-    return out
-
-
-def _tensor_star(h: HopfStarAlgebra, x: Vec) -> Vec:
-    dim = h.dim
-    out: Vec = {}
-    for idx, a in x.items():
-        i1, i2 = divmod(idx, dim)
-        s1 = h.star_vec({i1: h.field.one})
-        s2 = h.star_vec({i2: h.field.one})
-        for k1, c1 in s1.items():
-            for k2, c2 in s2.items():
-                viadd_term(out, k1 * dim + k2, a.conj() * c1 * c2)
-    return out
 
 
 # -- Haar computation ----------------------------------------------------------
@@ -593,21 +617,12 @@ def adjoint_action(h: HopfStarAlgebra) -> LinearMap:
             for t, ct in prod.items():
                 viadd_term(out, j2 * dim + t, c * ct)
         cols.append(out)
-    a2 = tensor_labels(h.space, h.space)
-    ad = LinearMap(h.space, a2, cols, field)
-    # right coaction law: (ad (x) id)ad = (id (x) phi)ad, and (id (x) eps)ad = id
-    id_a = LinearMap.identity(h.space, field)
-    lhs = ad.tensor(id_a).compose(ad)
-    rhs = id_a.tensor(h.coproduct).compose(ad)
-    if lhs != rhs:
-        raise ValidationFailed("adjoint action is not a coaction")
-    for i in range(dim):
-        acc: Vec = {}
-        for idx, c in ad.cols[i].items():
-            j, k = divmod(idx, dim)
-            viadd_term(acc, j, c * h.eps_basis(k))
-        if acc != {i: one}:
-            raise ValidationFailed("adjoint action fails the counit law")
+    ad = LinearMap(h.space, h.coproduct.codomain, cols, field)
+    add_coaction_records(
+        RaisingReport(ValidationFailed, "adjoint action: "),
+        (None, None, None, ("ad.comodule", "(ad (x) id)ad != (id (x) phi)ad"),
+         ("ad.counit", "(id (x) eps)ad != id")),
+        "ad", h.algebra, ad, h.square, h.algebra, h.coproduct, h.square, h.eps_basis)
     return ad
 
 
@@ -724,13 +739,10 @@ class Corepresentation:
 
     ``functional`` is the dual central idempotent e_alpha as coefficients over
     the Hopf algebra basis: the isotypic projector is (id (x) e_alpha) o F.
-    ``matrix`` optionally carries the corepresentation matrix u in M_d(A) as a
-    nested list of Vec entries.
     """
     name: str
     dim: int
     functional: list
-    matrix: list | None = None
 
 
 def _s3_irreps(field: CycloField):
@@ -821,7 +833,7 @@ def gen_from_group_table(t: GroupTable, kind: str, field: CycloField) -> HopfSta
                 for i in range(d):
                     tr = tr + mats[g][i][i]
                 func.append(d_scal * inv_order * tr.conj())
-            coreps.append(Corepresentation(name, d, func, mats))
+            coreps.append(Corepresentation(name, d, func))
         return HopfStarAlgebra(alg, coproduct, counit, antipode, haar, coreps)
     if kind == "group_algebra":
         labels = tuple(t.element_names)

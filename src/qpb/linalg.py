@@ -373,9 +373,6 @@ class LinearMap:
         return LinearMap(other.domain, self.codomain, cols, self.field,
                          self.antilinear ^ other.antilinear)
 
-    def __matmul__(self, other: "LinearMap") -> "LinearMap":
-        return self.compose(other)
-
     def add(self, other: "LinearMap") -> "LinearMap":
         if self.antilinear != other.antilinear:
             raise InputError("cannot add linear and antilinear maps")

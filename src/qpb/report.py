@@ -82,6 +82,22 @@ class ValidationReport:
         return "\n".join(lines)
 
 
+class RaisingReport(ValidationReport):
+    """A report for callers that reject input: adding a failing record
+    raises ``error`` with its label and witness, so checks stop at the first
+    failure."""
+
+    def __init__(self, error, prefix: str = "", where: str | None = None):
+        super().__init__()
+        self.error, self.prefix, self.where = error, prefix, where
+
+    def add(self, record: CheckRecord) -> None:
+        if record.status == "fail":
+            at = ", ".join(f"{k}={v}" for k, v in record.witness.items())
+            raise self.error(f"{self.prefix}{record.paper_label} at {at}", where=self.where)
+        super().add(record)
+
+
 def passing(identity_id: str, label: str, note: str | None = None) -> CheckRecord:
     return CheckRecord(identity_id, label, "pass", note=note)
 

@@ -159,6 +159,39 @@ def test_boolean_conductor_rejected(tmp_path, capsys, mutate, where):
     assert where in capsys.readouterr().err
 
 
+def _explicit_bundle(basis, mult=([0, 0, 0, "1"], [1, 1, 1, "1"])):
+    """A doc mutation that adds the bundle of bench/cases/broken-bundle-coaction.json
+    with the given bundle basis and product."""
+    def mutate(doc):
+        doc["bundle"] = {
+            "basis": basis,
+            "mult": list(mult),
+            "star": [[0, 0, "1"], [1, 1, "1"]],
+            "coaction": [[0, 0, 0, "1"], [0, 0, 1, "1"], [1, 1, 0, "1"], [1, 1, 1, "1"]],
+        }
+    return mutate
+
+
+@pytest.mark.parametrize("mutate, where", [
+    (_explicit_bundle([1, 2]), "bundle.basis"),
+    (_explicit_bundle(["b", "b"]), "bundle.basis"),
+    (_set("hopf", "basis", ["dr0", "dr0"]), "hopf.basis"),
+    (_explicit_bundle(["b0", "b1"], mult=()), "bundle.mult"),
+], ids=["bundle-non-string", "bundle-duplicate", "hopf-duplicate", "bundle-no-unit"])
+def test_bad_basis_or_unit_positioned(tmp_path, capsys, mutate, where):
+    """Basis labels must be distinct strings, and the bundle algebra needs a
+    unit; anything else exits 2 at its section, never with a traceback."""
+    doc = generate_example("c-group", group="Z2")
+    mutate(doc)
+    path = write(tmp_path, "badbasis.json", doc)
+    with pytest.raises(SpecFileError) as exc:
+        BuildResult(load_file(path))
+    assert exc.value.where == where
+    assert main(["validate", path]) == 2
+    err = capsys.readouterr().err
+    assert where in err and "Traceback" not in err
+
+
 def test_index_out_of_range_positioned(tmp_path, capsys):
     doc = generate_example("c-group", group="Z2")
     doc["hopf"]["mult"][0][2] = 99
