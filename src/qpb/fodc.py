@@ -79,13 +79,12 @@ class Fodc:
 
         # Gamma_inv = A / (R + C 1)
         relations = [dict(r) for r in self.ideal_basis] + [dict(g.unit)]
-        self.q = QuotientSpace(g.space, relations, field)
-        self.inv_space = BasedSpace(tuple(f"w[{lab}]" for lab in self.q.space.labels))
+        self.q = QuotientSpace(g.space.dim, relations, field)
+        self.inv_space = BasedSpace(tuple(f"w[{g.space.labels[i]}]" for i in self.q.keep))
         self.dim = self.q.dim
-        self.pi = LinearMap(g.space, self.inv_space,
-                            [dict(c) for c in self.q.projection.cols], field)
+        self.pi = LinearMap(g.space, self.inv_space, self.q.projection_cols(), field)
         self.section = LinearMap(self.inv_space, g.space,
-                                 [dict(c) for c in self.q.section.cols], field)
+                                 [{i: field.one} for i in self.q.keep], field)
 
         # varpi pi = (pi (x) id) ad
         id_a = LinearMap.identity(g.space, field)
@@ -229,11 +228,11 @@ class Envelope2:
             if v:
                 s2.append(v)
         self.s2_basis = span_basis(s2)
-        self.lambda2 = QuotientSpace(fodc.sq_space, self.s2_basis, field)
+        self.lambda2 = QuotientSpace(fodc.sq_space.dim, self.s2_basis, field)
         self.l2_space = BasedSpace(tuple(
-            f"w2[{lab}]" for lab in self.lambda2.space.labels))
+            f"w2[{fodc.sq_space.labels[i]}]" for i in self.lambda2.keep))
         self.wedge = LinearMap(fodc.sq_space, self.l2_space,
-                               [dict(c) for c in self.lambda2.projection.cols], field)
+                               self.lambda2.projection_cols(), field)
 
         if d == 0:
             self.complement = []
@@ -321,7 +320,7 @@ class Envelope2:
         # section Lambda^2 -> complement
         sec_cols = []
         for k in range(self.lambda2.dim):
-            raw = self.lambda2.section.cols[k]
+            raw = self.lambda2.lift({k: field.one})
             # adjust raw by S^2 so that it lies in the complement:
             # raw - sum coords; solve raw = c + s with c in comp, s in S^2
             from .linalg import solve_columns as _solve
@@ -351,7 +350,7 @@ class Envelope2:
                                  antilinear=True)
         # S^2 and the complement must be star-stable
         for s in self.s2_basis:
-            if not self.lambda2.relations.contains(self.star_sq.apply(s)):
+            if not self.lambda2.contains(self.star_sq.apply(s)):
                 raise SplittingIncompatible("S^2 is not star-stable")
         for c in comp:
             if not comp_ech.contains(self.star_sq.apply(c)):
@@ -369,7 +368,9 @@ class Envelope2:
                             viadd_term(out, (t1 * d + t2) * da + a, coeff * ca)
             return out
 
-        def check_covariant(vs, ech: Echelon) -> bool:
+        def check_covariant(vs, span) -> bool:
+            """Every A-component of varpi_2(v), v in vs, lies in ``span``
+            (an Echelon or the quotient's relations)."""
             for v in vs:
                 img = varpi2_legs(v)
                 by_a: dict[int, Vec] = {}
@@ -377,12 +378,11 @@ class Envelope2:
                     w, a = divmod(idx, da)
                     by_a.setdefault(a, {})[w] = c
                 for v2 in by_a.values():
-                    if not ech.contains(v2):
+                    if not span.contains(v2):
                         return False
             return True
 
-        s2_ech = self.lambda2.relations
-        if not check_covariant(self.s2_basis, s2_ech):
+        if not check_covariant(self.s2_basis, self.lambda2):
             raise SplittingIncompatible("S^2 is not varpi-covariant")
         if not check_covariant(comp, comp_ech):
             raise SplittingIncompatible("splitting is not varpi-covariant")

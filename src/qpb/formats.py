@@ -28,7 +28,7 @@ from .hopf import (
     Corepresentation, HopfStarAlgebra, StarAlgebra, algebra_ids, compute_haar,
     validate_hopf,
 )
-from .linalg import BasedSpace, LinearMap, Vec, tensor_labels
+from .linalg import LABEL_SEPARATORS, BasedSpace, LinearMap, Vec, tensor_labels
 from .presets import functions_on_points, trivial_bundle
 from .report import CheckRecord, RaisingReport, ValidationReport
 
@@ -78,6 +78,10 @@ def _parse_basis(basis, where) -> BasedSpace:
     _require(isinstance(basis, list) and basis
              and all(isinstance(b, str) for b in basis),
              f"{where} must be a nonempty list of labels", where)
+    for i, b in enumerate(basis):
+        _require(not any(sep in b for sep in LABEL_SEPARATORS),
+                 f"basis label {b!r} contains '|' or '(x)', which join tensor labels",
+                 f"{where}[{i}]")
     _require(len(set(basis)) == len(basis), "basis labels must be unique", where)
     return BasedSpace(tuple(basis))
 

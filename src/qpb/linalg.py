@@ -128,6 +128,12 @@ class BasedSpace:
         return f"BasedSpace(dim={self.dim})"
 
 
+# "|" joins the factor labels of a TProd's flat tuple and "(x)" those of
+# ``tensor_labels``; a factor label holding either could collide with another
+# tensor label
+LABEL_SEPARATORS = ("|", "(x)")
+
+
 def tensor_labels(a: BasedSpace, b: BasedSpace) -> BasedSpace:
     return BasedSpace(tuple(f"{x}(x){y}" for x in a.labels for y in b.labels))
 
@@ -558,64 +564,77 @@ def solve_columns(cols: list[Vec], b: Vec, field: CycloField,
 
 
 class QuotientSpace:
-    """ambient / span(relations), with canonical projection and section.
+    """The ambient indices 0..ambient_dim-1 modulo the unit vectors at
+    ``zero`` and the span of ``relations``, with canonical projection and
+    section.
 
-    The quotient basis consists of the ambient basis classes at the non-pivot
-    indices of the RREF of the relations (lexicographic pivot order); the
-    section maps each class to its representative ambient basis vector.
+    Class b of the quotient is the ambient basis vector ``keep[b]``: the
+    non-pivot indices of the RREF of all relations, in lexicographic pivot
+    order.  That RREF has two parts, kept apart:
 
-    A single-entry relation says that one ambient basis vector is zero: it is
-    its own RREF row, so it is recorded without elimination, and the
-    multi-term relations are eliminated after all of them.
+    * ``zero``, the set of indices whose RREF row is a unit vector.  The
+      explicit zero set and every single-entry relation start it, with no row
+      stored per index; a relation that reduces to one entry joins it.
+    * ``rows``, pivot -> RREF row with at least two entries.  The multi-term
+      relations are eliminated after their entries at the zero set are
+      dropped, which leaves the pivots and the RREF unchanged; they alone go
+      through ``Echelon.add``.
+
+    The projection is kept sparse: a kept index is its own class, a zero
+    index has none, and each multi-term pivot has the column
+    ``{keep position: -entry}`` of its row.  ``projection_cols`` writes the
+    full column list out for a caller that wants a ``LinearMap``.  Labels
+    belong to the caller: the quotient knows indices only.
     """
 
-    def __init__(self, ambient: BasedSpace, relations, field: CycloField):
-        self.ambient = ambient
+    def __init__(self, ambient_dim: int, relations, field: CycloField, zero=()):
+        self.ambient_dim = ambient_dim
         self.field = field
-        units: dict[int, Vec] = {}
+        zero = set(zero)
+        if zero and (min(zero) < 0 or max(zero) >= ambient_dim):
+            raise InputError("zero index outside ambient space")
         multi = []
         for r in relations:
-            if r and (min(r) < 0 or max(r) >= ambient.dim):
+            if r and (min(r) < 0 or max(r) >= ambient_dim):
                 raise InputError("relation vector outside ambient space")
             if len(r) == 1:
-                (i,) = r
-                units[i] = {i: field.one}
+                zero.update(r)
             elif r:
                 multi.append(r)
-        ech = Echelon(units)
+        ech = Echelon()
         for r in multi:
-            ech.add(r)
-        self.relations = ech
+            r = {k: c for k, c in r.items() if k not in zero}
+            if r:
+                ech.add(r)
         rows = ech.rows
-        keep = [i for i in range(ambient.dim) if i not in rows]
+        for p in [p for p, row in rows.items() if len(row) == 1]:
+            del rows[p]
+            zero.add(p)
+        self.zero = zero
+        self.rows = rows
+        keep = [i for i in range(ambient_dim) if i not in zero and i not in rows]
         self.keep = keep
-        self._pos = pos = {k: idx for idx, k in enumerate(keep)}
-        self.space = BasedSpace(tuple(ambient.labels[i] for i in keep))
-        proj_cols = []
-        for i in range(ambient.dim):
-            row = rows.get(i)
-            if row is None:
-                proj_cols.append({pos[i]: field.one})
-            else:
-                proj_cols.append({pos[k]: -c for k, c in row.items() if k != i})
-        self.projection = LinearMap(ambient, self.space, proj_cols, field)
-        self.section = LinearMap(self.space, ambient, [{k: field.one} for k in keep], field)
+        self._pos = pos = {k: b for b, k in enumerate(keep)}
+        self._cols = {p: {pos[k]: -c for k, c in row.items() if k != p}
+                      for p, row in rows.items()}
 
     @property
     def dim(self) -> int:
-        return self.space.dim
+        return len(self.keep)
 
     def project(self, v: Vec) -> Vec:
-        """The class of v: a kept index is its own class, a pivot index
-        contributes its projection column (empty for a zero class)."""
+        """The class of v: a kept index is its own class, a multi-term pivot
+        contributes its column and a zero index nothing."""
         out: Vec = {}
-        pos, cols = self._pos, self.projection.cols
+        pos, cols = self._pos, self._cols
         for i, c in v.items():
             b = pos.get(i)
             if b is not None:
                 viadd_term(out, b, c)
-            elif cols[i]:
-                viadd(out, c, cols[i])
+            else:
+                col = cols.get(i)
+                if col is not None:
+                    viadd(out, c, col)
         return out
 
     def lift(self, v: Vec) -> Vec:
@@ -623,12 +642,26 @@ class QuotientSpace:
         keep = self.keep
         return {keep[b]: c for b, c in v.items()}
 
+    def contains(self, v: Vec) -> bool:
+        """True if v lies in the span of the relations, i.e. its class is 0."""
+        return not self.project(v)
+
+    def projection_cols(self) -> list[Vec]:
+        """Column i of the projection for every ambient index i, as fresh
+        dicts a ``LinearMap`` can own."""
+        one, pos, cols = self.field.one, self._pos, self._cols
+        return [{pos[i]: one} if i in pos else dict(cols.get(i, {}))
+                for i in range(self.ambient_dim)]
+
     def verify(self) -> bool:
-        """projection o section = id and kernel(projection) = span(relations)."""
-        comp = self.projection.compose(self.section)
-        if comp != LinearMap.identity(self.space, self.field):
+        """projection o section = id and kernel(projection) = span(relations),
+        the latter read off an elimination independent of the columns."""
+        cols = self.projection_cols()
+        if any(cols[k] != {b: self.field.one} for b, k in enumerate(self.keep)):
             return False
-        ker = self.projection.nullspace()
-        if len(ker) != self.relations.rank:
+        ker = nullspace_of_columns(cols, self.field)
+        if len(ker) != len(self.zero) + len(self.rows):
             return False
-        return all(self.relations.contains(v) for v in ker)
+        rel = Echelon(dict(self.rows))
+        return all(not rel.reduce({k: c for k, c in v.items() if k not in self.zero})
+                   for v in ker)

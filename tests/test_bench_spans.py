@@ -22,3 +22,18 @@ def test_traced_name_resolves(module, path, name):
     owner, attr, original = spans._resolve(module, path)
     assert callable(original)
     assert getattr(owner, attr) is original
+
+
+def test_tprod_observer_reads_a_real_product():
+    """``bench/run.py --trace 1`` reads ``tuples`` and ``dim`` of every TProd
+    it sees; a balanced B_3 has fewer classes than flat tuples."""
+    from qpb.formats import BuildResult, load_file
+
+    case = Path(__file__).resolve().parents[1] / "bench" / "cases" / "z2-trivial-3pt.json"
+    tp = BuildResult(load_file(str(case))).bundle.power(3)
+    counts = {}
+    spans._observe_tprod(counts, (tp,), None)
+    spans._observe_tprod(counts, (tp,), None)
+    assert counts == {"tensor.tprod.dim_sum": 2 * tp.dim,
+                      "tensor.tprod.flat_dim_sum": 2 * len(tp.tuples)}
+    assert 0 < tp.dim < len(tp.tuples)

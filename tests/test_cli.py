@@ -177,10 +177,14 @@ def _explicit_bundle(basis, mult=([0, 0, 0, "1"], [1, 1, 1, "1"])):
     (_explicit_bundle(["b", "b"]), "bundle.basis"),
     (_set("hopf", "basis", ["dr0", "dr0"]), "hopf.basis"),
     (_explicit_bundle(["b0", "b1"], mult=()), "bundle.mult"),
-], ids=["bundle-non-string", "bundle-duplicate", "hopf-duplicate", "bundle-no-unit"])
+    (_set("hopf", "basis", ["x", "x|x"]), "hopf.basis[1]"),
+    (_explicit_bundle(["b(x)c", "b"]), "bundle.basis[0]"),
+], ids=["bundle-non-string", "bundle-duplicate", "hopf-duplicate", "bundle-no-unit",
+        "hopf-separator", "bundle-separator"])
 def test_bad_basis_or_unit_positioned(tmp_path, capsys, mutate, where):
-    """Basis labels must be distinct strings, and the bundle algebra needs a
-    unit; anything else exits 2 at its section, never with a traceback."""
+    """Basis labels must be distinct strings free of the tensor label
+    separators "|" and "(x)", and the bundle algebra needs a unit; anything
+    else exits 2 at its position, never with a traceback."""
     doc = generate_example("c-group", group="Z2")
     mutate(doc)
     path = write(tmp_path, "badbasis.json", doc)

@@ -63,8 +63,7 @@ def test_nullspace():
 
 
 def test_quotient_basic():
-    amb = space(2)
-    q = QuotientSpace(amb, [vec((0, 1), (1, -1))], F)
+    q = QuotientSpace(2, [vec((0, 1), (1, -1))], F)
     assert q.dim == 1
     assert q.verify()
     # both classes agree
@@ -73,15 +72,21 @@ def test_quotient_basic():
 
 def test_quotient_no_relations():
     amb = space(3)
-    q = QuotientSpace(amb, [], F)
+    q = QuotientSpace(3, [], F)
     assert q.dim == 3
-    assert q.projection == LinearMap.identity(amb, F)
+    assert LinearMap(amb, amb, q.projection_cols(), F) == LinearMap.identity(amb, F)
     assert q.verify()
 
 
 def test_quotient_rejects_out_of_range():
     with pytest.raises(InputError):
-        QuotientSpace(space(2), [{5: ONE}], F)
+        QuotientSpace(2, [{5: ONE}], F)
+
+
+@pytest.mark.parametrize("zero", [{2}, {-1}, {0, 7}])
+def test_quotient_rejects_zero_index_out_of_range(zero):
+    with pytest.raises(InputError):
+        QuotientSpace(2, [], F, zero)
 
 
 def test_echelon_membership_and_span():
@@ -243,34 +248,46 @@ def test_deferred_echelon_matches_eager(script):
 
 @st.composite
 def quotient_scripts(draw):
-    """A field, an ambient dimension, relations mixing single-entry and
-    multi-term vectors in random order, and some vectors to project."""
+    """A field, an ambient dimension, a script mixing single-entry and
+    multi-term relations with explicit zero indices (``int`` items) in random
+    order, and some vectors to project."""
     field = CycloField(draw(st.sampled_from([1, 3])))
     dim = draw(st.integers(1, 8))
     nonzero = st.lists(small_fractions, min_size=1, max_size=field.degree).map(
         field.scalar).filter(bool)
     unit = st.builds(lambda i, c: {i: c}, st.integers(0, dim - 1), nonzero)
-    relations = draw(st.lists(st.one_of(unit, sparse_vecs(field, dim, 5)), max_size=12))
-    return field, dim, relations, draw(st.lists(sparse_vecs(field, dim, 5), max_size=4))
+    items = st.one_of(unit, sparse_vecs(field, dim, 5), st.integers(0, dim - 1))
+    script = draw(st.lists(items, max_size=12))
+    return field, dim, script, draw(st.lists(sparse_vecs(field, dim, 5), max_size=4))
 
 
 @settings(max_examples=80, deadline=None)
 @given(quotient_scripts())
 def test_quotient_matches_plain_elimination(script):
-    field, dim, relations, queries = script
-    q = QuotientSpace(space(dim), relations, field)
+    field, dim, items, queries = script
+    relations = [r for r in items if isinstance(r, dict)]
+    zero = [i for i in items if isinstance(i, int)]
+    q = QuotientSpace(dim, relations, field, zero)
     plain = Echelon()
-    for r in relations:
-        plain.add(r)
-    assert q.relations.rows == plain.rows
-    assert q.relations.basis() == plain.basis()
+    for r in items:
+        plain.add(r if isinstance(r, dict) else {r: field.one})
+    # the full RREF: a unit row at each zero index, and the multi-term rows
+    rref = {z: {z: field.one} for z in q.zero} | q.rows
+    assert len(rref) == len(q.zero) + len(q.rows)
+    assert q.zero == {p for p, row in plain.rows.items() if len(row) == 1}
+    assert rref == plain.rows
+    assert [rref[p] for p in sorted(rref)] == plain.basis()
     assert q.keep == [i for i in range(dim) if i not in plain.rows]
     assert q.verify()
+    amb, quo = space(dim), space(q.dim, "c")
+    projection = LinearMap(amb, quo, q.projection_cols(), field)
+    section = LinearMap(quo, amb, [{k: field.one} for k in q.keep], field)
     for v in queries:
         cls = q.project(v)
-        assert cls == q.projection.apply(v)
-        assert q.lift(cls) == q.section.apply(cls)
+        assert cls == projection.apply(v)
+        assert q.lift(cls) == section.apply(cls)
         assert q.project(q.lift(cls)) == cls
+        assert q.contains(v) == plain.contains(v)
 
 
 class RowWalkSolve:

@@ -4,10 +4,12 @@ A TProd builds the kernel of an n-factor product from the RREF kernels of
 its adjacent pairs.  The reference here writes out the definition instead:
 one middle-linearity relation x.c (x) y - x (x) c.y per flat tuple, balanced
 slot and coefficient basis element c, eliminated by plain ``Echelon.add``.
-RREF is unique, so the kept tuples and the projection must agree exactly.
+RREF is unique, so the kept tuples, the zero set and the projection must
+agree exactly.
 """
 
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
@@ -59,18 +61,25 @@ def plain_quotient(tp):
 
 def run_check(name):
     """Every TProd that building and checking a bench case constructs, the
-    bundle's four-factor B_4, and the ``Echelon.add`` calls made inside
-    ``QuotientSpace.__init__`` during the check."""
-    built = []
-    adds = [0]
+    bundle's four-factor B_4, the ``Echelon.add`` calls made inside
+    ``QuotientSpace.__init__`` during the check, the key of every pair
+    kernel built and the number of flat-tuple labels built."""
+    built, kernels = [], []
+    adds, labels = [0], [0]
     inside = [False]
     tprod_init = tensor.TProd.__init__
+    kernel_init = tensor.PairKernel.__init__
     quotient_init = linalg.QuotientSpace.__init__
     echelon_add = linalg.Echelon.add
+    tuple_label = tensor.tuple_label
 
     def tprod(self, *args, **kwargs):
         tprod_init(self, *args, **kwargs)
         built.append(self)
+
+    def kernel(self, field, left, right, coeff_degrees, budget):
+        kernels.append((left, right, coeff_degrees and tuple(coeff_degrees), budget))
+        kernel_init(self, field, left, right, coeff_degrees, budget)
 
     def quotient(self, *args, **kwargs):
         outer, inside[0] = inside[0], True
@@ -83,17 +92,24 @@ def run_check(name):
         adds[0] += inside[0]
         return echelon_add(self, v)
 
+    def label(factors, t):
+        labels[0] += 1
+        return tuple_label(factors, t)
+
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor.TProd, "__init__", tprod)
+        mp.setattr(tensor.PairKernel, "__init__", kernel)
         mp.setattr(linalg.QuotientSpace, "__init__", quotient)
         mp.setattr(linalg.Echelon, "add", add)
+        mp.setattr(tensor, "tuple_label", label)
         build = BuildResult(load_file(str(CASES / f"{name}.json")))
         adds[0] = 0
         report = run_suites(build, ["all"])
         check_adds = adds[0]
         b4 = build.bundle.power(4)
     assert report.ok
-    return built, b4, check_adds
+    return SimpleNamespace(built=built, b4=b4, check_adds=check_adds, kernels=kernels,
+                           labels=labels[0])
 
 
 @pytest.fixture(scope="module")
@@ -103,21 +119,43 @@ def calculus_z3():
 
 @pytest.mark.parametrize("name", ["calculus-z3", "z2-trivial-3pt"])
 def test_pair_kernels_match_per_tuple_elimination(name, calculus_z3):
-    built, b4, _ = calculus_z3 if name == "calculus-z3" else run_check(name)
-    assert len(b4.factors) == 4 and b4 in built
+    """The zero set is the reference's empty columns, the sparse projection
+    agrees with the reference on every other column, and the full column
+    list written out on request is the reference's."""
+    run = calculus_z3 if name == "calculus-z3" else run_check(name)
+    assert len(run.b4.factors) == 4 and run.b4 in run.built
     # calculus-z3 also builds graded three-factor products over Omega(M)
-    graded = any(len(tp.factors) == 3 and tp.coeff_degrees is not None for tp in built)
+    graded = any(len(tp.factors) == 3 and tp.coeff_degrees is not None
+                 for tp in run.built)
     assert graded == (name == "calculus-z3")
-    for tp in built:
+    one = run.b4.field.one
+    for tp in run.built:
         keep, cols = plain_quotient(tp)
-        assert tp.quotient.keep == keep, tp.name
-        assert tp.quotient.projection.cols == cols, tp.name
+        q = tp.quotient
+        assert q.keep == keep, tp.name
+        assert q.zero == {i for i, col in enumerate(cols) if not col}, tp.name
+        for i, col in enumerate(cols):
+            if i not in q.zero:
+                assert tp.project({i: one}) == col, (tp.name, i)
+        assert q.projection_cols() == cols, tp.name
 
 
 def test_balanced_products_skip_dependent_relations(calculus_z3):
     """The per-tuple elimination makes 146,053 ``Echelon.add`` calls inside
     ``QuotientSpace.__init__`` during this check, two thirds of them
-    dependent; the pair kernels and the single-entry relations need far
-    fewer."""
-    _, _, check_adds = calculus_z3
-    assert check_adds <= 15_000
+    dependent; the pair kernels' multi-term rows need far fewer."""
+    assert calculus_z3.check_adds <= 15_000
+
+
+def test_pair_kernels_and_labels_are_built_once(calculus_z3):
+    """Each factor pair's kernel is built once per coefficient degrees and
+    budget, whichever products share it, and only kept tuples are labelled:
+    the labels built are the sum of the products' dims, not of their flat
+    tuple counts."""
+    keys = [(id(left), id(right), cdeg, budget)
+            for left, right, cdeg, budget in calculus_z3.kernels]
+    assert keys and len(set(keys)) == len(keys)
+    built = calculus_z3.built
+    dim_sum = sum(tp.dim for tp in built)
+    assert calculus_z3.labels == dim_sum
+    assert dim_sum < sum(len(tp.tuples) for tp in built)
