@@ -290,89 +290,12 @@ class BalancedTower:
             self._ops[key] = xn.inverse()
         return self._ops[key]
 
-    def transported_mult(self, n: int):
-        """The braided product on W_n (n >= 2), cached per n.
-
-        Both operands are carried along X_{n-1} to W (x) H^{n-1}, multiplied
-        there factor by factor with the sign (-1)^{sum_{j<i} |u_i||v_j|}, and
-        carried back.  The right operand's flat tuples go into a trie keyed
-        one factor at a time; each left term walks it slot by slot through
-        the smaller of the node's children and its row of each factor
-        algebra's ``support``, so it meets only the right terms whose factor
-        products are all nonzero.  Operands whose degrees add up to more than
-        the budget raise DegreeBudget.
-        """
+    def transported_mult(self, n: int) -> "TransportedProduct":
+        """The braided product on W_n (n >= 2), cached per n."""
         key = ("mult", n)
-        if key in self._ops:
-            return self._ops[key]
-        xn, xinv = self.x_n(n - 1), self.x_n_inverse(n - 1)
-        w, h = self.letters
-        target = self.mixed_space(w + h * (n - 1))
-        tuples, budget = target.tuples, self.budget
-        algs = (self.algebra,) + (self.hopf,) * (n - 1)
-        supports = [alg.support for alg in algs]
-        fdegs = (self.factor.degrees,) + (self.hopf_factor.degrees,) * (n - 1)
-        # for each flat tuple with a graded factor (none in degree zero): the
-        # degree of each factor and of the factors before it
-        degs, before = {}, {}
-        for f, t in enumerate(tuples):
-            ds = [d[i] for d, i in zip(fdegs, t)]
-            if any(ds):
-                degs[f], before[f] = ds, list(accumulate(ds[:-1], initial=0))
-
-        def mul(u: Vec, v: Vec) -> Vec:
-            tu_terms = target.lift(xn.apply(u))
-            tv_terms = target.lift(xn.apply(v))
-            if budget is not None and tu_terms and tv_terms and \
-                    max(sum(degs.get(f, ())) for f in tu_terms) \
-                    + max(sum(degs.get(f, ())) for f in tv_terms) > budget:
-                raise DegreeBudget(f"product exceeds the degree budget in {w}_{n}")
-            # the right terms by flat tuple, one factor per level; a leaf
-            # holds (tuple, coefficient, degrees before each factor)
-            trie: dict = {}
-            for fv, cv in tv_terms.items():
-                tv = tuples[fv]
-                node = trie
-                for j in tv[:-1]:
-                    node = node.setdefault(j, {})
-                node[tv[-1]] = (tv, cv, before.get(fv))
-            out: Vec = {}
-            for fu, cu in tu_terms.items():
-                tu = tuples[fu]
-                # keep, level by level, the children whose factor meets the
-                # left term's factor, scanning the smaller of row and node
-                nodes = [trie]
-                for sup, i in zip(supports, tu):
-                    row, reached = sup[i], []
-                    for node in nodes:
-                        if len(row) < len(node):
-                            for j in row:
-                                child = node.get(j)
-                                if child is not None:
-                                    reached.append(child)
-                        else:
-                            for j, child in node.items():
-                                if j in row:
-                                    reached.append(child)
-                    nodes = reached
-                    if not nodes:
-                        break
-                du = degs.get(fu)
-                for tv, cv, bv in nodes:
-                    c0 = cu * cv
-                    if du is not None and bv is not None \
-                            and sum(map(operator.mul, du, bv)) % 2:
-                        c0 = -c0
-                    terms = [((), c0)]
-                    for alg, i, j in zip(algs, tu, tv):
-                        terms = [(tup + (k,), c * ck) for tup, c in terms
-                                 for k, ck in alg.mul_basis(i, j).items()]
-                    for tup, c in terms:
-                        viadd_term(out, target.flat_index(tup), c)
-            return xinv.apply(target.project(out))
-
-        self._ops[key] = mul
-        return mul
+        if key not in self._ops:
+            self._ops[key] = TransportedProduct(self, n)
+        return self._ops[key]
 
     def add_braid_records(self, rep: ValidationReport, ids) -> None:
         """Record the braid equation on W_3, the two product compatibilities
@@ -391,6 +314,98 @@ class BalancedTower:
         mu = self.mu_at(2, 0)
         rep.add(map_equality_record(*comm, mu.compose(self.sigma), mu,
                                     witness_space=self.power(1).space))
+
+
+class TransportedProduct:
+    """The braided product on W_n (n >= 2) of a tower.
+
+    Both operands are carried along X_{n-1} to W (x) H^{n-1} (``carry``),
+    multiplied there factor by factor with the sign
+    (-1)^{sum_{j<i} |u_i||v_j|} (``mul_carried``), and carried back; calling
+    the product on two W_n vectors does all three.  A caller that multiplies
+    the same operand many times carries it once.  The right operand's flat
+    tuples go into a trie keyed one factor at a time; each left term walks
+    it slot by slot through the smaller of the node's children and its row
+    of each factor algebra's ``support``, so it meets only the right terms
+    whose factor products are all nonzero.  Operands whose degrees add up to
+    more than the budget raise DegreeBudget.
+    """
+
+    def __init__(self, tower: BalancedTower, n: int):
+        self.xn, self.xinv = tower.x_n(n - 1), tower.x_n_inverse(n - 1)
+        w, h = tower.letters
+        self.where = f"{w}_{n}"
+        self.target = tower.mixed_space(w + h * (n - 1))
+        self.budget = tower.budget
+        self.algs = (tower.algebra,) + (tower.hopf,) * (n - 1)
+        self.supports = [alg.support for alg in self.algs]
+        fdegs = (tower.factor.degrees,) + (tower.hopf_factor.degrees,) * (n - 1)
+        # for each flat tuple with a graded factor (none in degree zero): the
+        # degree of each factor and of the factors before it
+        self.degs, self.before = degs, before = {}, {}
+        for f, t in enumerate(self.target.tuples):
+            ds = [d[i] for d, i in zip(fdegs, t)]
+            if any(ds):
+                degs[f], before[f] = ds, list(accumulate(ds[:-1], initial=0))
+
+    def carry(self, u: Vec) -> Vec:
+        """u in W_n carried to W (x) H^{n-1}, over flat tuples."""
+        return self.target.lift(self.xn.apply(u))
+
+    def __call__(self, u: Vec, v: Vec) -> Vec:
+        return self.mul_carried(self.carry(u), self.carry(v))
+
+    def mul_carried(self, tu_terms: Vec, tv_terms: Vec) -> Vec:
+        """The product in W_n of two carried operands."""
+        target, degs, before = self.target, self.degs, self.before
+        tuples, budget = target.tuples, self.budget
+        if budget is not None and tu_terms and tv_terms and \
+                max(sum(degs.get(f, ())) for f in tu_terms) \
+                + max(sum(degs.get(f, ())) for f in tv_terms) > budget:
+            raise DegreeBudget(f"product exceeds the degree budget in {self.where}")
+        # the right terms by flat tuple, one factor per level; a leaf holds
+        # (tuple, coefficient, degrees before each factor)
+        trie: dict = {}
+        for fv, cv in tv_terms.items():
+            tv = tuples[fv]
+            node = trie
+            for j in tv[:-1]:
+                node = node.setdefault(j, {})
+            node[tv[-1]] = (tv, cv, before.get(fv))
+        out: Vec = {}
+        for fu, cu in tu_terms.items():
+            tu = tuples[fu]
+            # keep, level by level, the children whose factor meets the left
+            # term's factor, scanning the smaller of row and node
+            nodes = [trie]
+            for sup, i in zip(self.supports, tu):
+                row, reached = sup[i], []
+                for node in nodes:
+                    if len(row) < len(node):
+                        for j in row:
+                            child = node.get(j)
+                            if child is not None:
+                                reached.append(child)
+                    else:
+                        for j, child in node.items():
+                            if j in row:
+                                reached.append(child)
+                nodes = reached
+                if not nodes:
+                    break
+            du = degs.get(fu)
+            for tv, cv, bv in nodes:
+                c0 = cu * cv
+                if du is not None and bv is not None \
+                        and sum(map(operator.mul, du, bv)) % 2:
+                    c0 = -c0
+                terms = [((), c0)]
+                for alg, i, j in zip(self.algs, tu, tv):
+                    terms = [(tup + (k,), c * ck) for tup, c in terms
+                             for k, ck in alg.mul_basis(i, j).items()]
+                for tup, c in terms:
+                    viadd_term(out, target.flat_index(tup), c)
+        return self.xinv.apply(target.project(out))
 
 
 class Bundle(BalancedTower):

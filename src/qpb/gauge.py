@@ -396,10 +396,12 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
                 bad = {"basis_index": i, "side": "star"}
                 break
         if bad is None:
+            # each delta_3(e_i) carried along X_2 once
+            carried = [mult3.carry(col) for col in self.delta3.cols]
             for i in range(b.total.dim):
                 for j in range(b.total.dim):
                     lhs_v = self.delta3.apply(b.total.mul_basis(i, j))
-                    rhs_v = mult3(self.delta3.cols[i], self.delta3.cols[j])
+                    rhs_v = mult3.mul_carried(carried[i], carried[j])
                     if lhs_v != rhs_v:
                         bad = {"basis_pair": [i, j], "side": "mult"}
                         break
@@ -636,12 +638,12 @@ class BraidedHopf:
                 bad = {"l_basis_index": i, "side": "star"}
                 break
         if bad is None:
+            # each phi_M(l_i) embedded in B_4 and carried along X_3 once
+            carried = [mult4.carry(self.j_ll4.apply(col)) for col in gc.phi_m.cols]
             for i in range(gc.l_space.dim):
                 for j in range(gc.l_space.dim):
                     lhs_v = gc.phi_m.apply(gc.l_mult[i][j])
-                    prod4 = mult4(self.j_ll4.apply(gc.phi_m.cols[i]),
-                                  self.j_ll4.apply(gc.phi_m.cols[j]))
-                    sol = self.j_ll4.solve(prod4)
+                    sol = self.j_ll4.solve(mult4.mul_carried(carried[i], carried[j]))
                     if sol is None or sol != lhs_v:
                         bad = {"l_pair": [i, j], "side": "mult"}
                         break

@@ -9,6 +9,7 @@ bases, solutions) is canonical and byte-reproducible.
 from __future__ import annotations
 
 import os
+from functools import cached_property
 
 from .cyclotomic import CycloField, Scalar
 from .errors import InputError
@@ -22,18 +23,23 @@ DEBUG_SOLVE = bool(os.environ.get("QPB_DEBUG_SOLVE"))
 
 # -- sparse vector helpers ---------------------------------------------------
 
-def vadd(a: Vec, b: Vec) -> Vec:
-    out = dict(a)
+def _iadd(acc: Vec, b: Vec) -> None:
+    """acc += b, in place."""
     for k, v in b.items():
-        s = out.get(k)
+        s = acc.get(k)
         if s is None:
-            out[k] = v
+            acc[k] = v
         else:
             s = s + v
             if s:
-                out[k] = s
+                acc[k] = s
             else:
-                del out[k]
+                del acc[k]
+
+
+def vadd(a: Vec, b: Vec) -> Vec:
+    out = dict(a)
+    _iadd(out, b)
     return out
 
 
@@ -53,8 +59,11 @@ def vsub(a: Vec, b: Vec) -> Vec:
 
 
 def viadd(acc: Vec, c: Scalar, b: Vec) -> None:
-    """acc += c*b, in place."""
+    """acc += c*b, in place; c = 1 adds b's entries as they are."""
     if not c:
+        return
+    if c.coeffs == c.field.one.coeffs:
+        _iadd(acc, b)
         return
     for k, v in b.items():
         s = acc.get(k)
@@ -108,9 +117,6 @@ class BasedSpace:
 
     def index(self, label: str) -> int:
         return self._index[label]
-
-    def basis_vec(self, i: int, field: CycloField) -> Vec:
-        return {i: field.one}
 
     def render(self, v: Vec) -> str:
         """Human/report form '1/2*label+...' with indices ascending; '0' if empty."""
@@ -209,11 +215,20 @@ class Echelon:
         r = self.reduce(v)
         if not r:
             return False
-        p = min(r)
-        inv = r[p].inverse()
-        self._rows[p] = {k: inv * c for k, c in r.items()}
-        self._dirty = True
+        self.insert(r)
         return True
+
+    def insert(self, r: Vec) -> None:
+        """Store r, a nonzero residual of ``reduce``, as the row at its
+        smallest index, normalised to a leading 1 there; the Echelon takes
+        ownership of r."""
+        p = min(r)
+        lead = r[p]
+        if lead.coeffs != lead.field.one.coeffs:
+            inv = lead.inverse()
+            r = {k: inv * c for k, c in r.items()}
+        self._rows[p] = r
+        self._dirty = True
 
     def _back_substitute(self) -> None:
         """Bring the rows to RREF in place, pivots in descending order.
@@ -303,29 +318,11 @@ def _field_of(vecs) -> CycloField:
 def nullspace_of_columns(cols: list[Vec], field: CycloField) -> list[Vec]:
     """Kernel basis of the map with the given columns (domain dim = len(cols)).
 
-    Deterministic: RREF over the equations, free variables in ascending order,
-    each kernel vector has a 1 at its free index.
+    Deterministic: one vector per column that depends on the earlier ones,
+    in ascending order, with a 1 at that column and zeros at the other such
+    columns (``PreparedSolve.kernel``).
     """
-    # equations indexed by row: row r -> {j: cols[j][r]}
-    rows: dict[int, Vec] = {}
-    for j, col in enumerate(cols):
-        for r, c in col.items():
-            rows.setdefault(r, {})[j] = c
-    ech = Echelon()
-    for r in sorted(rows):
-        ech.add(rows[r])
-    pivset = set(ech.rows)
-    out = []
-    for f in range(len(cols)):
-        if f in pivset:
-            continue
-        v = {f: field.one}
-        for p, row in ech.rows.items():
-            c = row.get(f)
-            if c is not None:
-                v[p] = -c
-        out.append({k: c for k, c in v.items() if c})
-    return out
+    return PreparedSolve(cols, _target_dim(cols), field).kernel
 
 
 class LinearMap:
@@ -426,25 +423,34 @@ class LinearMap:
         return s
 
     def solve(self, b: Vec) -> Vec | None:
-        """Deterministic preimage of b (free variables zero), or None."""
+        """The solution of A x = b with every free variable zero, or None
+        when b leaves the image; the free variables are the columns that
+        depend on earlier ones (``PreparedSolve``).  Under QPB_DEBUG_SOLVE a
+        solution is checked by substitution and a None by an independent
+        elimination of the columns."""
         if b and (min(b) < 0 or max(b) >= self.codomain.dim):
             raise InputError("target vector outside codomain")
         sol = self.solver().solve(b)
-        if DEBUG_SOLVE and sol is not None:
-            check: Vec = {}
-            for j, c in sol.items():
-                viadd(check, c, self.cols[j])
-            assert check == b, "solve substitution check failed"
+        if DEBUG_SOLVE:
+            if sol is None:
+                image = Echelon()
+                for col in self.cols:
+                    image.add(col)
+                assert not image.contains(b), "solve returned None for a target in the image"
+            else:
+                check: Vec = {}
+                for j, c in sol.items():
+                    viadd(check, c, self.cols[j])
+                assert check == b, "solve substitution check failed"
         return sol
 
     def nullspace(self) -> list[Vec]:
-        return nullspace_of_columns(self.cols, self.field)
+        """Kernel basis as in ``nullspace_of_columns``; the vectors are
+        shared with the prepared solve and must not be changed."""
+        return list(self.solver().kernel)
 
     def rank(self) -> int:
-        ech = Echelon()
-        for c in self.cols:
-            ech.add(c)
-        return ech.rank
+        return self.solver().rank
 
     def is_bijective(self) -> bool:
         return (self.domain.dim == self.codomain.dim
@@ -453,10 +459,10 @@ class LinearMap:
     def inverse(self) -> "LinearMap":
         """Two-sided inverse of a square bijective map.
 
-        Entry i of the prepared solve holds the coefficient of b_i in every
-        pivot variable, and a bijective map has no constraints, so it is
-        column i of the inverse: no solves and no transposition.  A linear
-        inverse shares these dicts with the solver; neither changes them.
+        The image is everything, so its RREF rows are the unit vectors and
+        the prepared solve's T_i, with A T_i = e_i, is column i of the
+        inverse: no solves.  A linear inverse shares these dicts with the
+        solver; neither changes them.
         """
         n = self.domain.dim
         if n != self.codomain.dim:
@@ -464,8 +470,9 @@ class LinearMap:
         solver = self.solver()
         if solver.rank != n:
             raise InputError("map is not invertible")
-        cols = [{p: c.conj() for p, c in col.items()} for col in solver.entries] \
-            if self.antilinear else list(solver.entries)
+        tracks = solver.tracks
+        cols = [{p: c.conj() for p, c in tracks[i].items()} for i in range(n)] \
+            if self.antilinear else [tracks[i] for i in range(n)]
         inv = LinearMap(self.codomain, self.domain, cols, self.field, self.antilinear)
         if DEBUG_SOLVE:
             assert self.compose(inv) == LinearMap.identity(self.codomain, self.field), \
@@ -495,72 +502,88 @@ class LinearMap:
 
 
 class PreparedSolve:
-    """One elimination, many right-hand sides.
+    """One column elimination, many right-hand sides.
 
-    Rows [A | I] are fully reduced once.  Each reduced row has a pivot: a
-    solution variable p < n, or, when its A part vanished, a column of the
-    tracking region, and then its tracking part is a constraint that must
-    annihilate b.  The tracking block is stored by target entry:
-    ``entries[r]`` maps each pivot to the coefficient of b_r in its row, in
-    pivot order.  solve(b) visits only the entries b touches; it returns None
-    if a constraint total is nonzero, and otherwise the particular solution
-    (free variables zero) with its keys in pivot order.
+    Column j of A goes into an ``Echelon`` together with its tracking unit
+    vector e_j, placed after the ncod target entries.  A column whose
+    residual has no target entry left depends on the earlier columns: it
+    stores no row and its variable is free, and the tracking part of its
+    residual, a 1 at j plus pivot variables, is its ``kernel`` vector.  The
+    other columns are the ``pivots``, the first independent columns in
+    ascending order.  The first solve or read of ``tracks`` brings the
+    stored rows to RREF, and the row at target entry p splits into R_p, the
+    RREF basis vector of the image with its leading 1 at p, and
+    ``tracks[p]`` = T_p, the combination of pivot columns with A T_p = R_p.
+
+    b lies in the image exactly when b = sum_p b_p R_p, and then
+    x = sum_p b_p T_p is the one solution with every free variable zero.
+    solve(b) visits only the rows at b's entries and returns None when b
+    leaves the image.
     """
 
     def __init__(self, cols: list[Vec], ncod: int, field: CycloField):
-        self.n = len(cols)
         self.ncod = ncod
-        self.field = field
-        rows: dict[int, Vec] = {}
-        for j, col in enumerate(cols):
-            for r, c in col.items():
-                rows.setdefault(r, {})[j] = c
+        one = field.one
         ech = Echelon()
-        n = self.n
-        for r in range(ncod):
-            row = dict(rows.get(r, {}))
-            row[n + r] = field.one
-            ech.add(row)
-        self.entries: list[Vec] = [{} for _ in range(ncod)]  # r -> {pivot: coeff}
-        self.pivots = []
-        rows = ech.rows  # freed row by row as it is transposed
-        for p in list(rows):
-            row = rows.pop(p)
-            if p < n:
-                self.pivots.append(p)
-            for k, v in row.items():
-                if k >= n:
-                    self.entries[k - n][p] = v
+        self.pivots: list[int] = []
+        self.kernel: list[Vec] = []
+        for j, col in enumerate(cols):
+            r = ech.reduce({**col, ncod + j: one})
+            if min(r) < ncod:
+                ech.insert(r)
+                self.pivots.append(j)
+            else:
+                self.kernel.append({k - ncod: c for k, c in r.items()})
         self.rank = len(self.pivots)
-        self._position = {p: i for i, p in enumerate(self.pivots)}
+        self._ech = ech
+
+    @cached_property
+    def _rref(self) -> tuple[dict[int, Vec], dict[int, Vec]]:
+        """(p -> -R_p off p, p -> T_p), split from the stored rows in RREF on
+        first use, so a caller after the rank or the kernel alone does not
+        back-substitute; the rows are freed as they are split."""
+        ncod = self.ncod
+        rests: dict[int, Vec] = {}
+        tracks: dict[int, Vec] = {}
+        rows = self._ech.rows
+        for p in list(rows):
+            rest, track = {}, {}
+            for k, c in rows.pop(p).items():
+                if k >= ncod:
+                    track[k - ncod] = c
+                elif k != p:
+                    rest[k] = -c
+            rests[p], tracks[p] = rest, track
+        del self._ech
+        return rests, tracks
+
+    @property
+    def tracks(self) -> dict[int, Vec]:
+        return self._rref[1]
 
     def solve(self, b: Vec) -> Vec | None:
-        entries = self.entries
-        acc: Vec = {}
-        for r, v in b.items():
-            if v:
-                for p, c in entries[r].items():
-                    s = acc.get(p)
-                    acc[p] = c * v if s is None else s + c * v
-        n = self.n
-        if any(c for p, c in acc.items() if p >= n):
-            return None
-        return {p: acc[p] for p in sorted((p for p in acc if p < n),
-                                          key=self._position.__getitem__) if acc[p]}
+        rests, tracks = self._rref
+        left: Vec = {}  # b - sum_p b_p R_p, which is zero at every pivot entry
+        x: Vec = {}
+        for r, c in b.items():
+            track = tracks.get(r)
+            if track is None:
+                viadd_term(left, r, c)
+            else:
+                viadd(left, c, rests[r])
+                viadd(x, c, track)
+        return None if left else x
 
 
-def solve_columns(cols: list[Vec], b: Vec, field: CycloField,
-                  ncod: int | None = None) -> Vec | None:
-    """Solve sum_j x_j cols[j] = b; lexicographically smallest pivot choice,
-    free variables zero; None when inconsistent."""
-    if ncod is None:
-        ncod = 0
-        for col in cols:
-            for r in col:
-                ncod = max(ncod, r + 1)
-        for r in b:
-            ncod = max(ncod, r + 1)
-    return PreparedSolve(cols, ncod, field).solve(b)
+def solve_columns(cols: list[Vec], b: Vec, field: CycloField) -> Vec | None:
+    """Solve sum_j x_j cols[j] = b as ``PreparedSolve`` does, every free
+    variable zero; None when inconsistent."""
+    return PreparedSolve(cols, _target_dim([*cols, b]), field).solve(b)
+
+
+def _target_dim(vecs) -> int:
+    """One more than the largest index of any of the vectors."""
+    return max((r for v in vecs for r in v), default=-1) + 1
 
 
 class QuotientSpace:

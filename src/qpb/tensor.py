@@ -248,28 +248,23 @@ class TProd:
     def render(self, v: Vec) -> str:
         return self.space.render(v)
 
-    def basis_vec(self, b: int) -> Vec:
-        return {b: self.field.one}
-
 
 def term_map(src: TProd, dst: TProd, fn, antilinear: bool = False,
              field: CycloField | None = None) -> LinearMap:
     """Build a map src.space -> dst.space from a flat term rewriter.
 
-    ``fn(t)`` receives a source tuple and yields (tuple, Scalar) pairs over
-    dst; the rewriter must descend to the balanced quotient.
+    ``fn(t)`` receives the kept tuple of each source basis element (its
+    lift, with coefficient one) and yields (tuple, Scalar) pairs over dst;
+    the rewriter must descend to the balanced quotient.
     """
     field = field or src.field
     cols = []
-    for b in range(src.dim):
-        flat = src.lift(src.basis_vec(b))
+    tuples = src.tuples
+    for k in src.quotient.keep:
         out: Vec = {}
-        for fi, c in flat.items():
-            if antilinear:
-                c = c.conj()
-            for t2, c2 in fn(src.tuples[fi]):
-                if c2:
-                    viadd_term(out, dst.flat_index(t2), c * c2)
+        for t2, c2 in fn(tuples[k]):
+            if c2:
+                viadd_term(out, dst.flat_index(t2), c2)
         cols.append(dst.project(out))
     return LinearMap(src.space, dst.space, cols, field, antilinear)
 

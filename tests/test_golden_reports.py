@@ -4,8 +4,9 @@ For each file under bench/cases that `qpb check FILE --suite all --report
 json` accepts, the sha256 of that report equals the hash stored in
 bench/cases/expected.json; for each rejected file the same QpbError
 location is raised.  The files are read, never written.  The runs are made
-with ``linalg.DEBUG_SOLVE`` on, so every solve on the way is checked by
-substitution and every inverse by composition.
+with ``linalg.DEBUG_SOLVE`` on, so every solution on the way is checked by
+substitution, every "not in the image" answer by an independent elimination
+of the columns, and every inverse by composition.
 """
 
 import hashlib

@@ -8,7 +8,7 @@ from qpb.cyclotomic import CycloField
 from qpb.errors import InputError
 from qpb.linalg import (
     BasedSpace, Echelon, LinearMap, PreparedSolve, QuotientSpace, intersect_spans,
-    nullspace_of_columns, span_basis, spans_equal, viadd,
+    nullspace_of_columns, span_basis, spans_equal, vadd, viadd,
 )
 
 F = CycloField(12)
@@ -333,6 +333,47 @@ class RowWalkSolve:
         return sol
 
 
+def row_rref_kernel(cols, field):
+    """Reference kernel from the RREF of the equations (the rows of A): one
+    vector per free variable, ascending, with a 1 there and minus the free
+    variable's RREF entry at each pivot."""
+    rows = {}
+    for j, col in enumerate(cols):
+        for r, c in col.items():
+            rows.setdefault(r, {})[j] = c
+    ech = Echelon()
+    for r in sorted(rows):
+        ech.add(rows[r])
+    out = []
+    for f in range(len(cols)):
+        if f in ech.rows:
+            continue
+        v = {f: field.one}
+        for p, row in ech.rows.items():
+            c = row.get(f)
+            if c is not None:
+                v[p] = -c
+        out.append(v)
+    return out
+
+
+def first_independent_columns(cols):
+    """The columns outside the span of the columns before them, ascending."""
+    ech = Echelon()
+    return [j for j, col in enumerate(cols) if ech.add(col)]
+
+
+def inverse_from_row_walk(m):
+    """Column i of m's inverse is entry i of every variable row of the
+    row-wise tracking block, conjugated for an antilinear m."""
+    ref = RowWalkSolve(m.cols, m.codomain.dim, m.field)
+    want = [{} for _ in range(m.codomain.dim)]
+    for p, tr in ref.transform.items():
+        for i, c in tr.items():
+            want[i][p] = c.conj() if m.antilinear else c
+    return want
+
+
 @st.composite
 def invertible_maps(draw):
     """P L U with P a permutation, L unit lower triangular and U upper
@@ -373,14 +414,8 @@ def test_inverse_matches_columnwise_solves(m):
             sol = {k: c.conj() for k, c in sol.items()}
         assert inv.cols[i] == sol
     assert inv.antilinear == m.antilinear
-    # column i is entry i of every variable row of the row-wise tracking
-    # block, keys in pivot order
-    ref = RowWalkSolve(m.cols, n, field)
-    want = [{} for _ in range(n)]
-    for p, tr in ref.transform.items():
-        for i, c in tr.items():
-            want[i][p] = c.conj() if m.antilinear else c
-    assert [list(col.items()) for col in inv.cols] == [list(col.items()) for col in want]
+    assert inv.cols == inverse_from_row_walk(m)
+    assert solver.pivots == list(range(n)) and solver.kernel == []
     ident = LinearMap.identity(m.domain, field)
     assert m.compose(inv) == ident
     assert inv.compose(m) == ident
@@ -388,49 +423,91 @@ def test_inverse_matches_columnwise_solves(m):
 
 @st.composite
 def solve_problems(draw):
-    """Sparse columns over Q(zeta_3), some target entries covered by no
-    column, and right-hand sides that are consistent, arbitrary (mostly
-    inconsistent), touch an uncovered entry, or carry explicit zeros."""
+    """Sparse columns over Q(zeta_3) in one of four shapes (tall with
+    ncod >= 4n, square, wide, or any), some target entries covered by no
+    column, optionally some columns replaced by combinations of earlier
+    ones (rank deficient), and right-hand sides that are consistent,
+    arbitrary (mostly inconsistent), touch an uncovered entry, are moved off
+    a consistent one along one target entry, or carry explicit zeros."""
     field = CycloField(3)
-    ncod, n = draw(st.integers(1, 8)), draw(st.integers(0, 8))
-    uncovered = draw(st.sets(st.integers(0, ncod - 1), max_size=2))
+    shape = draw(st.sampled_from(["tall", "square", "wide", "any"]))
+    if shape == "tall":
+        n = draw(st.integers(1, 4))
+        ncod = draw(st.integers(4 * n, 4 * n + 4))
+    elif shape == "square":
+        n = ncod = draw(st.integers(1, 7))
+    elif shape == "wide":
+        ncod = draw(st.integers(1, 5))
+        n = draw(st.integers(ncod + 1, 9))
+    else:
+        ncod, n = draw(st.integers(1, 8)), draw(st.integers(0, 8))
+    uncovered = draw(st.sets(st.integers(0, ncod - 1), max_size=2)) if shape != "square" \
+        else set()
     cols = [{r: c for r, c in draw(sparse_vecs(field, ncod, 4)).items() if r not in uncovered}
             for _ in range(n)]
+    nonzero = st.lists(small_fractions, min_size=1, max_size=2).map(field.scalar).filter(bool)
+    if n >= 2 and draw(st.booleans()):
+        for j in sorted(draw(st.sets(st.integers(1, n - 1), min_size=1, max_size=3))):
+            dep = {}
+            for i in draw(st.sets(st.integers(0, j - 1), max_size=3)):
+                viadd(dep, draw(nonzero), cols[i])
+            cols[j] = dep
     consistent = {}
     for j, c in (draw(sparse_vecs(field, n, n)) if n else {}).items():
         viadd(consistent, c, cols[j])
     rhs = [consistent, draw(sparse_vecs(field, ncod, 5))]
-    nonzero = st.lists(small_fractions, min_size=1, max_size=2).map(field.scalar).filter(bool)
     for r in uncovered:
         rhs.append({**consistent, r: draw(nonzero)})
+    rhs.append(vadd(consistent, {draw(st.integers(0, ncod - 1)): draw(nonzero)}))
     zeros = draw(st.sets(st.integers(0, ncod - 1), max_size=3))
     rhs.append({**{r: field.zero for r in zeros}, **consistent})
     return field, ncod, cols, rhs
 
 
-@settings(max_examples=60, deadline=None)
-@given(solve_problems())
-def test_prepared_solve_matches_row_walk(problem):
+@settings(max_examples=80, deadline=None)
+@given(solve_problems(), st.booleans())
+def test_prepared_solve_matches_row_walk(problem, antilinear):
     field, ncod, cols, rhs = problem
     fast, ref = PreparedSolve(cols, ncod, field), RowWalkSolve(cols, ncod, field)
-    assert fast.pivots == list(ref.transform)
+    assert fast.pivots == first_independent_columns(cols)
+    assert set(fast.pivots) == set(ref.transform)
     assert fast.rank == len(ref.transform)
     for b in rhs:
         got, want = fast.solve(b), ref.solve(b)
         if want is None:
             assert got is None
         else:
-            assert got is not None and list(got.items()) == list(want.items())
+            assert got == want
     # b = A x, with or without explicit zero entries, is solvable
     assert fast.solve(rhs[0]) is not None and fast.solve(rhs[-1]) is not None
+    # a dependent column's tracking part is the row-RREF kernel vector
+    assert fast.kernel == row_rref_kernel(cols, field)
+    assert nullspace_of_columns(cols, field) == fast.kernel
+    m = LinearMap(space(len(cols)), space(ncod), cols, field, antilinear)
+    assert m.rank() == fast.rank and m.nullspace() == fast.kernel
+    if len(cols) == ncod and fast.rank == ncod:
+        assert m.inverse().cols == inverse_from_row_walk(m)
 
 
-def test_prepared_solve_keys_in_pivot_order():
-    """Pivots are found in row order, here variable 1 before variable 0, and
-    the solution's keys follow that order, not the sorted one."""
-    solver = PreparedSolve([vec((1, 1)), vec((0, 1))], 2, F)
-    assert solver.pivots == [1, 0]
-    assert list(solver.solve(vec((0, 2), (1, 3)))) == [1, 0]
+def test_prepared_solve_pivots_are_first_independent_columns():
+    """Column 1 is twice column 0, so variable 1 is free: it gets the kernel
+    vector e_1 - 2 e_0 and stays zero in every solution."""
+    solver = PreparedSolve([vec((1, 1)), vec((1, 2)), vec((0, 1))], 2, F)
+    assert solver.pivots == [0, 2] and solver.rank == 2
+    assert solver.kernel == [vec((0, -2), (1, 1))]
+    assert solver.solve(vec((0, 2), (1, 3))) == vec((0, 3), (2, 2))
+    assert PreparedSolve([vec((1, 1)), vec((0, 1))], 2, F).pivots == [0, 1]
+    assert PreparedSolve([vec((0, 1), (1, 1))], 3, F).solve(vec((0, 1), (2, 1))) is None
+
+
+def test_debug_switch_checks_a_none_answer(monkeypatch):
+    monkeypatch.setattr(linalg, "DEBUG_SOLVE", True)
+    m = LinearMap(space(2), space(3), [vec((0, 1), (1, 1)), vec((2, 1))], F)
+    assert m.solve(vec((0, 1))) is None  # a right None passes the check
+    monkeypatch.setattr(PreparedSolve, "solve", lambda self, b: None)
+    assert m.solve(vec((0, 1))) is None
+    with pytest.raises(AssertionError, match="in the image"):
+        m.solve(vec((0, 1), (1, 1)))
 
 
 def test_inverse_rejects_singular_and_non_square(monkeypatch):
