@@ -33,6 +33,8 @@ under star and d, eps^_M against star and d, and L^0 = L.
 
 from __future__ import annotations
 
+from functools import cache
+
 from .bundle import BalancedTower
 from .errors import DegreeBudget, NotProductBundle, ValidationFailed
 from .fodc import Envelope2, Fodc, GammaEnvelope, build_envelope2
@@ -628,6 +630,12 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
     # <tau^, tau^>(theta) = d tau^(theta) on Gamma_inv
     bad = None
     checked = False
+
+    @cache
+    def carried_tau(t: int) -> Vec:
+        """tau^(theta_t) carried along X_1, once per theta_t."""
+        return tc.transported_mult(2).carry(tc.tau_of(gamma.inv1_vec(t)))
+
     for t in range(gamma.d1):
         checked = True
         # theta as the invariant element 1 (x) theta_t of Gamma
@@ -635,9 +643,8 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
         lhs_v: Vec = {}
         for idx, c in tc.env2.delta.cols[t].items():
             t1, t2 = divmod(idx, gamma.d1)
-            v1 = tc.tau_of(gamma.inv1_vec(t1))
-            v2 = tc.tau_of(gamma.inv1_vec(t2))
-            viadd(lhs_v, c, tc.transported_mult(2)(v1, v2))
+            viadd(lhs_v, c, tc.transported_mult(2).mul_carried(carried_tau(t1),
+                                                                carried_tau(t2)))
         rhs_v = tc.w2_d(tc.tau_of(theta_vec))
         if lhs_v != rhs_v:
             bad = {"theta_index": t}

@@ -11,6 +11,8 @@ is D(phi) = d phi - (-1)^{deg phi} sum phi_k omega pi(c_k).
 
 from __future__ import annotations
 
+from functools import cache
+
 from .calculus import TotalCalculus
 from .errors import NotCovariant, ValidationFailed
 from .hopf import BUDGET
@@ -180,6 +182,23 @@ def verify_transformations(conn: Connection) -> ValidationReport:
     def tau0(a: int):
         return tc.tau_legs[gamma.i0(a)]
 
+    # the W_3 products of tr-R1 and tr-D1 carry each operand along X_2 once
+    @cache
+    def carried_varsigma(a: int) -> Vec:
+        return tc.transported_mult(3).carry(varsigma_w3(tc, a))
+
+    def carried_w3(v: Vec) -> Vec:
+        """1 (x) 1 (x) v carried along X_2."""
+        return tc.transported_mult(3).carry(tc.embed_w3(om.unit, om.unit, v))
+
+    @cache
+    def carried_curvature(t: int) -> Vec:
+        return carried_w3(conn.curvature.cols[t])
+
+    @cache
+    def carried_derivative(w: int) -> Vec:
+        return carried_w3(conn.covariant_derivative({w: one}))
+
     # d-aP: d tau(a) = tau(a^(1)) omega pi(a^(2)) - omega pi(a^(1)) tau(a^(2))
     bad = None
     for a in range(g.dim):
@@ -322,9 +341,8 @@ def verify_transformations(conn: Connection) -> ValidationReport:
         lhs = tc.lhat.delta3.apply(conn.curvature.cols[t])
         rhs: Vec = {}
         for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
-            vs = varsigma_w3(tc, c_k)
-            rv = conn.curvature.cols[th_k]
-            prod = tc.transported_mult(3)(vs, tc.embed_w3(om.unit, om.unit, rv))
+            prod = tc.transported_mult(3).mul_carried(carried_varsigma(c_k),
+                                                      carried_curvature(th_k))
             viadd(rhs, cc, prod)
         if lhs != rhs:
             bad = {"theta_index": t}
@@ -383,9 +401,8 @@ def verify_transformations(conn: Connection) -> ValidationReport:
         for i, c in v.items():
             for w, th, cf in tc.f_pos_part(i):
                 _, a, _ = gamma.split(th)
-                vs = varsigma_w3(tc, a)
-                dw = conn.covariant_derivative({w: one})
-                prod = tc.transported_mult(3)(vs, tc.embed_w3(om.unit, om.unit, dw))
+                prod = tc.transported_mult(3).mul_carried(carried_varsigma(a),
+                                                          carried_derivative(w))
                 viadd(rhs, c * cf, prod)
         if lhs != rhs:
             bad = {"form": om.space.render(v)}

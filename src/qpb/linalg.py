@@ -587,17 +587,16 @@ def _target_dim(vecs) -> int:
 
 
 class QuotientSpace:
-    """The ambient indices 0..ambient_dim-1 modulo the unit vectors at
-    ``zero`` and the span of ``relations``, with canonical projection and
-    section.
+    """The ambient indices 0..ambient_dim-1 modulo the span of
+    ``relations``, with canonical projection and section.
 
     Class b of the quotient is the ambient basis vector ``keep[b]``: the
     non-pivot indices of the RREF of all relations, in lexicographic pivot
     order.  That RREF has two parts, kept apart:
 
-    * ``zero``, the set of indices whose RREF row is a unit vector.  The
-      explicit zero set and every single-entry relation start it, with no row
-      stored per index; a relation that reduces to one entry joins it.
+    * ``zero``, the set of indices whose RREF row is a unit vector.  Every
+      single-entry relation starts it, with no row stored per index; a
+      relation that reduces to one entry joins it.
     * ``rows``, pivot -> RREF row with at least two entries.  The multi-term
       relations are eliminated after their entries at the zero set are
       dropped, which leaves the pivots and the RREF unchanged; they alone go
@@ -605,17 +604,17 @@ class QuotientSpace:
 
     The projection is kept sparse: a kept index is its own class, a zero
     index has none, and each multi-term pivot has the column
-    ``{keep position: -entry}`` of its row.  ``projection_cols`` writes the
-    full column list out for a caller that wants a ``LinearMap``.  Labels
-    belong to the caller: the quotient knows indices only.
+    ``{keep position: -entry}`` of its row.  ``project`` drops any key it
+    has no class for, such as a ``TProd``'s sink ``None``.
+    ``projection_cols`` writes the full column list out for a caller that
+    wants a ``LinearMap``.  Labels belong to the caller: the quotient knows
+    indices only.
     """
 
-    def __init__(self, ambient_dim: int, relations, field: CycloField, zero=()):
+    def __init__(self, ambient_dim: int, relations, field: CycloField):
         self.ambient_dim = ambient_dim
         self.field = field
-        zero = set(zero)
-        if zero and (min(zero) < 0 or max(zero) >= ambient_dim):
-            raise InputError("zero index outside ambient space")
+        zero = set()
         multi = []
         for r in relations:
             if r and (min(r) < 0 or max(r) >= ambient_dim):
@@ -647,7 +646,7 @@ class QuotientSpace:
 
     def project(self, v: Vec) -> Vec:
         """The class of v: a kept index is its own class, a multi-term pivot
-        contributes its column and a zero index nothing."""
+        contributes its column, and a zero index or any other key nothing."""
         out: Vec = {}
         pos, cols = self._pos, self._cols
         for i, c in v.items():

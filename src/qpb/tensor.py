@@ -17,16 +17,23 @@ The kernel of an n-factor product is the sum over balanced pairs p of
 F_<p (x) K(F_p, F_p+1) (x) F_>p+1, truncated at the budget, and it splits
 into two parts:
 
-* the zero set: a pair RREF row with a single entry says that pair tuple is
-  zero, so a flat tuple is zero exactly when one of its balanced adjacent
-  pairs is.  It is computed as a set of flat indices, with no row per tuple;
-* the multi-term pair rows, placed beside every context tuple that fits, with
-  their entries at zero tuples dropped.  Only these are eliminated.
+* the zero tuples: a pair RREF row with a single entry says that pair tuple
+  is zero, so a flat tuple is zero exactly when one of its balanced adjacent
+  pairs is.  A product of three or more factors holds its support only: its
+  ``tuples``, ``tuple_index``, quotient and labels never see a zero tuple,
+  because each prefix is extended only through the pair's ``adjacency``.
+  ``flat_index`` of a zero tuple within the budget is the sink ``None``,
+  which is no list index and which ``project`` drops; a tuple over the
+  budget still raises DegreeBudget;
+* the multi-term pair rows, placed beside every (head, tail) context of
+  nonzero sub-tuples that fits, with their entries outside the support
+  dropped.  Only these are eliminated.
 
 RREF is unique and the zero rows are unit vectors, so this gives the same
-kept tuples and projection as eliminating every relation.  The quotient keeps
-its projection sparse (pivot -> column, no column for a zero tuple), and only
-kept tuples get a "|"-joined label.
+kept tuples and projection as eliminating every relation on all flat tuples.
+Two-factor products enumerate every flat tuple: they are where the zero
+pairs are found.  The quotient keeps its projection sparse (pivot -> column,
+no column for a zero tuple), and only kept tuples get a "|"-joined label.
 
 Operators between TProds are assembled per canonical basis element by lifting
 to the flat tensor basis, rewriting tuples, and projecting back; the caller's
@@ -66,15 +73,22 @@ class Factor:
         return cls(space, (0,) * space.dim, lact, ract)
 
 
-def flat_tuples(factors, budget):
+def flat_tuples(factors, budget, adjacency=None):
     """Flat tuples in lexicographic order with their total degrees; degrees
-    are non-negative, so a prefix over the budget is dropped with its tails."""
+    are non-negative, so a prefix over the budget is dropped with its tails.
+
+    ``adjacency``, if given, has one entry per adjacent pair: None for a free
+    pair, or a balanced pair's ``PairKernel.adjacency``.  A prefix ending in
+    x then grows only by the y listed for x, so the result is the support:
+    the flat tuples none of whose balanced pairs is zero."""
     tuples, tuple_degrees = [()], [0]
-    for f in factors:
+    for p, f in enumerate(factors):
         d = f.degrees
+        every = range(f.space.dim)
+        adj = adjacency[p - 1] if adjacency and p else None
         longer, longer_degrees = [], []
         for t, s in zip(tuples, tuple_degrees):
-            for i in range(f.space.dim):
+            for i in every if adj is None else adj.get(t[-1], ()):
                 if budget is None or s + d[i] <= budget:
                     longer.append(t + (i,))
                     longer_degrees.append(s + d[i])
@@ -108,11 +122,12 @@ def pair_kernel(field: CycloField, left: Factor, right: Factor, coeff_degrees,
 
 
 class PairKernel:
-    """The two-factor product left (x) right: its flat tuples, their index,
-    and its quotient by the middle-linearity relations.  ``zero_tuples`` and
-    ``row_tuples`` give the kernel by pair tuple, for longer products: the
-    pair tuples that are zero, and each multi-term pivot tuple's RREF row as
-    (tuple, coefficient) pairs."""
+    """The two-factor product left (x) right: all its flat tuples, their
+    index, and its quotient by the middle-linearity relations.
+    ``adjacency`` and ``row_tuples`` give the kernel by pair tuple, for
+    longer products: each left index x -> the right indices y, ascending,
+    with (x, y) within the budget and not zero, and each multi-term pivot
+    tuple's RREF row as (tuple, coefficient) pairs."""
 
     def __init__(self, field: CycloField, left: Factor, right: Factor, coeff_degrees,
                  budget):
@@ -146,9 +161,13 @@ class PairKernel:
                     yield rel
 
     @cached_property
-    def zero_tuples(self) -> set:
-        tuples = self.tuples
-        return {tuples[i] for i in self.quotient.zero}
+    def adjacency(self) -> dict:
+        adj: dict = {}
+        zero = self.quotient.zero
+        for i, (x, y) in enumerate(self.tuples):
+            if i not in zero:
+                adj.setdefault(x, []).append(y)
+        return adj
 
     @cached_property
     def row_tuples(self) -> dict:
@@ -170,46 +189,54 @@ class TProd:
             self.tuples, self.tuple_index = pair.tuples, pair.tuple_index
             self.quotient = pair.quotient
         else:
-            self.tuples = flat_tuples(self.factors, budget)[0]
-            self.tuple_index = {t: i for i, t in enumerate(self.tuples)}
-            zero, relations = self._embedded_pair_kernels()
-            self.quotient = QuotientSpace(len(self.tuples), relations, field, zero)
+            self.tuples, self.tuple_index, relations = self._support_and_relations()
+            self.quotient = QuotientSpace(len(self.tuples), relations, field)
         self.space = BasedSpace(tuple_label(self.factors, self.tuples[k])
                                 for k in self.quotient.keep)
 
     # -- construction ------------------------------------------------------
 
-    def _embedded_pair_kernels(self):
-        """(zero set, multi-term relations) of an n-factor product.
+    def _support_and_relations(self):
+        """(support tuples, their index, multi-term relations) of an
+        n-factor product.
 
-        A flat tuple is zero when one of its balanced adjacent pairs is a
-        zero pair tuple.  Each pair's multi-term RREF rows are homogeneous,
-        so a row fits beside a context exactly when its pivot tuple does:
-        every flat tuple whose pair part is a pivot yields one row, whose
-        entries at zero tuples the quotient drops.
+        Each pair's multi-term RREF rows are homogeneous, so a row fits
+        beside a (head, tail) context exactly when its pivot tuple does.  The
+        heads and tails are the supports of the factors before and after the
+        pair, and every context that fits yields one row, with its entries
+        outside the support dropped.  A pivot that is zero through a
+        neighbouring pair keeps its contexts: nothing shows that the rest of
+        such a row is zero too.
         """
-        factors = self.factors
-        pairs = [(p, pair_kernel(self.field, factors[p], factors[p + 1],
-                                 self.coeff_degrees, self.budget))
-                 for p in range(len(factors) - 1) if balanced(factors[p], factors[p + 1])]
-        tuples, index = self.tuples, self.tuple_index
-        zero = set()
-        for p, kernel in pairs:
-            zero_pairs = kernel.zero_tuples
-            if zero_pairs:
-                zero.update(i for i, t in enumerate(tuples) if t[p:p + 2] in zero_pairs)
+        factors, budget = self.factors, self.budget
+        kernels = [pair_kernel(self.field, left, right, self.coeff_degrees, budget)
+                   if balanced(left, right) else None
+                   for left, right in zip(factors, factors[1:])]
+        adjacency = [k and k.adjacency for k in kernels]
+        tuples = flat_tuples(factors, budget, adjacency)[0]
+        index = {t: i for i, t in enumerate(tuples)}
         relations = []
-        for p, kernel in pairs:
-            rows = kernel.row_tuples
+        for p, kernel in enumerate(kernels):
+            rows = kernel and kernel.row_tuples
             if not rows:
                 continue
-            for t in tuples:
-                row = rows.get(t[p:p + 2])
-                if row is None:
-                    continue
-                head, tail = t[:p], t[p + 2:]
-                relations.append({index[head + pq + tail]: c for pq, c in row})
-        return zero, relations
+            dl, dr = factors[p].degrees, factors[p + 1].degrees
+            pivots = [(pq, dl[pq[0]] + dr[pq[1]], rows[pq]) for pq in sorted(rows)]
+            heads = zip(*flat_tuples(factors[:p], budget, adjacency[:p - 1]))
+            tails = list(zip(*flat_tuples(factors[p + 2:], budget, adjacency[p + 2:])))
+            for head, hd in heads:
+                for pq, pd, row in pivots:
+                    for tail, td in tails:
+                        if budget is not None and hd + pd + td > budget:
+                            continue
+                        rel = {}
+                        for rq, c in row:
+                            k = index.get(head + rq + tail)
+                            if k is not None:
+                                rel[k] = c
+                        if rel:
+                            relations.append(rel)
+        return tuples, index, relations
 
     # -- basic queries -------------------------------------------------------
 
@@ -233,9 +260,12 @@ class TProd:
     def lift(self, v: Vec) -> Vec:
         return self.quotient.lift(v)
 
-    def flat_index(self, t) -> int:
+    def flat_index(self, t) -> int | None:
+        """The index of flat tuple t; None, the sink, for a zero tuple within
+        the budget (only a product of three or more factors has one).
+        ``project`` drops the sink, so a flat vector may carry it."""
         idx = self.tuple_index.get(t)
-        if idx is None:
+        if idx is None and self.budget is not None and self.degree(t) > self.budget:
             raise DegreeBudget(f"tuple {t} exceeds the degree budget in {self.name or 'TProd'}")
         return idx
 

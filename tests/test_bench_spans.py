@@ -26,11 +26,13 @@ def test_traced_name_resolves(module, path, name):
 
 def test_tprod_observer_reads_a_real_product():
     """``bench/run.py --trace 1`` reads ``tuples`` and ``dim`` of every TProd
-    it sees; a balanced B_3 has fewer classes than flat tuples."""
+    it sees.  A product of three factors lists its support tuples only; on
+    calculus-z3's W_3 a multi-term relation still leaves fewer classes than
+    support tuples."""
     from qpb.formats import BuildResult, load_file
 
-    case = Path(__file__).resolve().parents[1] / "bench" / "cases" / "z2-trivial-3pt.json"
-    tp = BuildResult(load_file(str(case))).bundle.power(3)
+    case = Path(__file__).resolve().parents[1] / "bench" / "cases" / "calculus-z3.json"
+    tp = BuildResult(load_file(str(case))).total_calculus().w3
     counts = {}
     spans._observe_tprod(counts, (tp,), None)
     spans._observe_tprod(counts, (tp,), None)

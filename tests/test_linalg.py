@@ -85,8 +85,9 @@ def test_quotient_rejects_out_of_range():
 
 @pytest.mark.parametrize("zero", [{2}, {-1}, {0, 7}])
 def test_quotient_rejects_zero_index_out_of_range(zero):
+    """A zero index enters as a single-entry relation, with the same check."""
     with pytest.raises(InputError):
-        QuotientSpace(2, [], F, zero)
+        QuotientSpace(2, [{i: ONE} for i in zero], F)
 
 
 def test_echelon_membership_and_span():
@@ -249,8 +250,8 @@ def test_deferred_echelon_matches_eager(script):
 @st.composite
 def quotient_scripts(draw):
     """A field, an ambient dimension, a script mixing single-entry and
-    multi-term relations with explicit zero indices (``int`` items) in random
-    order, and some vectors to project."""
+    multi-term relations with zero indices (``int`` items, each to be fed as
+    a unit relation) in random order, and some vectors to project."""
     field = CycloField(draw(st.sampled_from([1, 3])))
     dim = draw(st.integers(1, 8))
     nonzero = st.lists(small_fractions, min_size=1, max_size=field.degree).map(
@@ -265,12 +266,12 @@ def quotient_scripts(draw):
 @given(quotient_scripts())
 def test_quotient_matches_plain_elimination(script):
     field, dim, items, queries = script
-    relations = [r for r in items if isinstance(r, dict)]
-    zero = [i for i in items if isinstance(i, int)]
-    q = QuotientSpace(dim, relations, field, zero)
+    # an integer item is a zero index, fed as a single-entry relation
+    relations = [r if isinstance(r, dict) else {r: field.one} for r in items]
+    q = QuotientSpace(dim, relations, field)
     plain = Echelon()
-    for r in items:
-        plain.add(r if isinstance(r, dict) else {r: field.one})
+    for r in relations:
+        plain.add(r)
     # the full RREF: a unit row at each zero index, and the multi-term rows
     rref = {z: {z: field.one} for z in q.zero} | q.rows
     assert len(rref) == len(q.zero) + len(q.rows)

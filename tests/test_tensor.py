@@ -1,37 +1,41 @@
 """Balanced tensor products against their definition.
 
 A TProd builds the kernel of an n-factor product from the RREF kernels of
-its adjacent pairs.  The reference here writes out the definition instead:
-one middle-linearity relation x.c (x) y - x (x) c.y per flat tuple, balanced
-slot and coefficient basis element c, eliminated by plain ``Echelon.add``.
-RREF is unique, so the kept tuples, the zero set and the projection must
-agree exactly.
+its adjacent pairs, and from three factors on it holds its support only.
+The reference here writes out the definition instead, on every flat tuple
+within the budget: one middle-linearity relation x.c (x) y - x (x) c.y per
+flat tuple, balanced slot and coefficient basis element c, eliminated by
+plain ``Echelon.add``.  RREF is unique, so the kept tuples and the class of
+every flat tuple must agree exactly; a tuple outside the support has class 0.
 """
 
+import json
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from qpb import linalg, tensor
+from qpb.errors import DegreeBudget, QpbError
 from qpb.formats import BuildResult, load_file, run_suites
 from qpb.linalg import Echelon, viadd_term
 
 CASES = Path(__file__).resolve().parents[1] / "bench" / "cases"
+EXPECTED = json.loads((CASES / "expected.json").read_text(encoding="utf-8"))
 
 
-def per_tuple_relations(tp):
+def per_tuple_relations(tp, tuples):
     """One relation per (flat tuple, balanced slot, coefficient), within the
-    degree budget."""
-    degrees = [tp.degree(t) for t in tp.tuples]
-    index = tp.tuple_index
+    degree budget, over ``tuples``: every flat tuple of tp's factors."""
+    degrees = [tp.degree(t) for t in tuples]
+    index = {t: i for i, t in enumerate(tuples)}
     for p in range(len(tp.factors) - 1):
         left, right = tp.factors[p], tp.factors[p + 1]
         if left.ract is None or right.lact is None:
             continue
         for c in range(len(left.ract)):
             cdeg = 0 if tp.coeff_degrees is None else tp.coeff_degrees[c]
-            for t, deg in zip(tp.tuples, degrees):
+            for t, deg in zip(tuples, degrees):
                 if tp.budget is not None and deg + cdeg > tp.budget:
                     continue
                 rel = {}
@@ -44,26 +48,29 @@ def per_tuple_relations(tp):
 
 
 def plain_quotient(tp):
-    """(keep, projection columns) of the flat space modulo the per-tuple
-    relations, each inserted with ``Echelon.add``."""
+    """(flat tuples, keep, projection columns) of the unpruned flat space of
+    tp's factors modulo the per-tuple relations, each inserted with
+    ``Echelon.add``."""
+    tuples = tensor.flat_tuples(tp.factors, tp.budget)[0]
     ech = Echelon()
-    for rel in per_tuple_relations(tp):
+    for rel in per_tuple_relations(tp, tuples):
         ech.add(rel)
     rows = ech.rows
-    keep = [i for i in range(len(tp.tuples)) if i not in rows]
+    keep = [i for i in range(len(tuples)) if i not in rows]
     pos = {k: b for b, k in enumerate(keep)}
     one = tp.field.one
     cols = [{pos[i]: one} if i not in rows
             else {pos[k]: -c for k, c in rows[i].items() if k != i}
-            for i in range(len(tp.tuples))]
-    return keep, cols
+            for i in range(len(tuples))]
+    return tuples, keep, cols
 
 
 def run_check(name):
     """Every TProd that building and checking a bench case constructs, the
     bundle's four-factor B_4, the ``Echelon.add`` calls made inside
     ``QuotientSpace.__init__`` during the check, the key of every pair
-    kernel built and the number of flat-tuple labels built."""
+    kernel built, the number of flat-tuple labels built, and ``failure``:
+    None for a passing check, else what went wrong."""
     built, kernels = [], []
     adds, labels = [0], [0]
     inside = [False]
@@ -102,14 +109,20 @@ def run_check(name):
         mp.setattr(linalg.QuotientSpace, "__init__", quotient)
         mp.setattr(linalg.Echelon, "add", add)
         mp.setattr(tensor, "tuple_label", label)
-        build = BuildResult(load_file(str(CASES / f"{name}.json")))
-        adds[0] = 0
-        report = run_suites(build, ["all"])
-        check_adds = adds[0]
-        b4 = build.bundle.power(4)
-    assert report.ok
-    return SimpleNamespace(built=built, b4=b4, check_adds=check_adds, kernels=kernels,
-                           labels=labels[0])
+        # a failure is kept, so that the products built so far can still be
+        # compared with the reference before it is reported
+        failure, b4, check_adds = None, None, None
+        try:
+            build = BuildResult(load_file(str(CASES / f"{name}.json")))
+            adds[0] = 0
+            if not run_suites(build, ["all"]).ok:
+                failure = "an identity failed"
+            check_adds = adds[0]
+            b4 = build.bundle.power(4)
+        except QpbError as err:
+            failure = err
+    return SimpleNamespace(failure=failure, built=built, b4=b4, check_adds=check_adds,
+                           kernels=kernels, labels=labels[0])
 
 
 @pytest.fixture(scope="module")
@@ -117,33 +130,57 @@ def calculus_z3():
     return run_check("calculus-z3")
 
 
-@pytest.mark.parametrize("name", ["calculus-z3", "z2-trivial-3pt"])
-def test_pair_kernels_match_per_tuple_elimination(name, calculus_z3):
-    """The zero set is the reference's empty columns, the sparse projection
-    agrees with the reference on every other column, and the full column
-    list written out on request is the reference's."""
-    run = calculus_z3 if name == "calculus-z3" else run_check(name)
+@pytest.mark.parametrize("name", ["calculus-z3", "z2-trivial-3pt", "z3-trivial-2pt",
+                                  "classical-s3"])
+def test_pair_kernels_match_per_tuple_elimination(name, request):
+    """The kept tuples are the reference's, every flat tuple (in the support
+    or not) projects to the reference's column, the zero set is the support's
+    empty columns, and the full column list written out on request is the
+    reference's on the support."""
+    run = request.getfixturevalue("calculus_z3") if name == "calculus-z3" else run_check(name)
+    for tp in run.built:
+        tuples, keep, cols = plain_quotient(tp)
+        q = tp.quotient
+        assert [tp.tuples[k] for k in q.keep] == [tuples[i] for i in keep], tp.name
+        for t, col in zip(tuples, cols):
+            if t not in tp.tuple_index:
+                assert col == {}, (tp.name, t)
+            assert tp.project_tuple(t) == col, (tp.name, t)
+        support = [cols[i] for i, t in enumerate(tuples) if t in tp.tuple_index]
+        assert q.zero == {i for i, col in enumerate(support) if not col}, tp.name
+        assert q.projection_cols() == support, tp.name
+    assert run.failure is None, run.failure
     assert len(run.b4.factors) == 4 and run.b4 in run.built
     # calculus-z3 also builds graded three-factor products over Omega(M)
     graded = any(len(tp.factors) == 3 and tp.coeff_degrees is not None
                  for tp in run.built)
     assert graded == (name == "calculus-z3")
-    one = run.b4.field.one
-    for tp in run.built:
-        keep, cols = plain_quotient(tp)
-        q = tp.quotient
-        assert q.keep == keep, tp.name
-        assert q.zero == {i for i, col in enumerate(cols) if not col}, tp.name
-        for i, col in enumerate(cols):
-            if i not in q.zero:
-                assert tp.project({i: one}) == col, (tp.name, i)
-        assert q.projection_cols() == cols, tp.name
+
+
+def test_three_factor_products_hold_their_support_only(calculus_z3):
+    """calculus-z3's W_3 lists 3,132 support tuples of 12,528 flat ones; a
+    zero tuple within the budget has the sink index, which ``project`` drops,
+    and a tuple over the budget still raises DegreeBudget."""
+    assert calculus_z3.failure is None, calculus_z3.failure
+    w3 = next(tp for tp in calculus_z3.built if tp.name == "W_3")
+    flat = tensor.flat_tuples(w3.factors, w3.budget)[0]
+    assert (len(w3.tuples), len(flat)) == (3132, 12528)
+    assert w3.dim < len(w3.tuples)
+    zero = next(t for t in flat if t not in w3.tuple_index)
+    assert w3.flat_index(zero) is None
+    assert w3.project({w3.flat_index(zero): w3.field.one}) == {}
+    assert w3.project_tuple(zero) == {}
+    top = tuple(max(range(f.space.dim), key=f.degrees.__getitem__) for f in w3.factors)
+    assert w3.degree(top) > w3.budget
+    with pytest.raises(DegreeBudget):
+        w3.flat_index(top)
 
 
 def test_balanced_products_skip_dependent_relations(calculus_z3):
     """The per-tuple elimination makes 146,053 ``Echelon.add`` calls inside
     ``QuotientSpace.__init__`` during this check, two thirds of them
     dependent; the pair kernels' multi-term rows need far fewer."""
+    assert calculus_z3.failure is None, calculus_z3.failure
     assert calculus_z3.check_adds <= 15_000
 
 
@@ -152,6 +189,7 @@ def test_pair_kernels_and_labels_are_built_once(calculus_z3):
     budget, whichever products share it, and only kept tuples are labelled:
     the labels built are the sum of the products' dims, not of their flat
     tuple counts."""
+    assert calculus_z3.failure is None, calculus_z3.failure
     keys = [(id(left), id(right), cdeg, budget)
             for left, right, cdeg, budget in calculus_z3.kernels]
     assert keys and len(set(keys)) == len(keys)
@@ -159,3 +197,25 @@ def test_pair_kernels_and_labels_are_built_once(calculus_z3):
     dim_sum = sum(tp.dim for tp in built)
     assert calculus_z3.labels == dim_sum
     assert dim_sum < sum(len(tp.tuples) for tp in built)
+
+
+@pytest.mark.parametrize("name", sorted(EXPECTED))
+def test_no_sink_key_reaches_a_linear_map(name, monkeypatch):
+    """The sink index of a zero tuple never escapes ``project``: every column
+    key of every map that a bench case builds and checks is a basis index of
+    the codomain."""
+    init = linalg.LinearMap.__init__
+
+    def checked(self, domain, codomain, cols, *args, **kwargs):
+        for col in cols:
+            assert all(type(k) is int and 0 <= k < codomain.dim for k in col), \
+                (codomain.dim, sorted(col, key=repr))
+        init(self, domain, codomain, cols, *args, **kwargs)
+
+    monkeypatch.setattr(linalg.LinearMap, "__init__", checked)
+    path = str(CASES / f"{name}.json")
+    if EXPECTED[name]["exit"] == 2:
+        with pytest.raises(QpbError):
+            run_suites(BuildResult(load_file(path)), ["all"])
+    else:
+        assert run_suites(BuildResult(load_file(path)), ["all"]).ok
