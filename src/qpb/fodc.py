@@ -11,13 +11,24 @@ Lambda^2, a splitting chosen as the Haar-orthogonal complement of S^2
 (checked to be *- and varpi-compatible), and the lifted embedded
 differential delta with sigma delta - delta = (id (x) pi) varpi.
 
+Every map on a quotient is defined once, by descent (``_descend``): a map f
+on the ambient space must kill every relation, or ValidationFailed names it,
+and is then read on the representatives of a basis.  So varpi, circ, the
+star and dlambda descend from A to Gamma_inv, and circ, the star, phi^ and
+kappa^ from Gamma_inv^(x)2 to Lambda^2.
+
 GammaEnvelope assembles the degree <= 2 graded *-algebra A (+) Gamma (+)
 Gamma^2 with differential, extended coproduct, counit and antipode.  It is a
 hopf.GradedStarAlgebra, which holds its product, d, star and algebra axiom
 check; the coproduct phi^ maps into the graded tensor square, and
 hopf.add_coaction_records checks it as a unital, hermitian, d-compatible,
-coassociative and counital *-homomorphism.  A failure in either check
-rejects the calculus with ValidationFailed.
+coassociative and counital *-homomorphism.  On Gamma_inv,
+phi^(theta) = 1 (x) theta + sum_k theta_k (x) c_k for
+varpi(theta) = sum_k theta_k (x) c_k, so m(id (x) kappa^)phi^ = eps gives
+kappa^(theta) = -sum_k theta_k kappa(c_k).  hopf.add_antipode_record checks
+the whole antipode axiom in degrees <= 1, then again in degree 2 once kappa^
+has extended by graded antimultiplicativity.  A failure in any check rejects
+the calculus with ValidationFailed.
 """
 
 from __future__ import annotations
@@ -27,30 +38,38 @@ from .errors import (
     ValidationFailed,
 )
 from .hopf import (
-    BUDGET, GradedStarAlgebra, HopfStarAlgebra, add_coaction_records, adjoint_action,
-    graded_tensor_mul,
+    BUDGET, GradedStarAlgebra, HopfStarAlgebra, add_antipode_record, add_coaction_records,
+    adjoint_action, graded_tensor_mul,
 )
 from .linalg import (
-    BasedSpace, Echelon, LinearMap, QuotientSpace, Vec, span_basis, viadd,
-    viadd_term, vscale,
+    BasedSpace, Echelon, LinearMap, PreparedSolve, QuotientSpace, Vec,
+    nullspace_of_columns, span_basis, viadd, viadd_term, vscale,
 )
 from .report import RaisingReport, ValidationReport, failing, passing, vacuous
 from .tensor import Factor, TProd
 
 
+def _descend(f, reps, relations, what: str) -> list:
+    """The map that f induces on a quotient, as its values on the
+    representatives ``reps`` of a basis: f must kill every relation, or
+    ValidationFailed names the map ``what``."""
+    for n, r in enumerate(relations):
+        if f(r):
+            raise ValidationFailed(f"{what} is not well defined: it does not kill "
+                                   f"relation {n}")
+    return [f(v) for v in reps]
+
+
 class Fodc:
     def __init__(self, group: HopfStarAlgebra, ideal_basis):
-        self.group = group
-        self.field = group.field
-        field = self.field
+        self.group = g = group
+        self.field = field = group.field
         one = field.one
         da = group.dim
-        g = group
 
         self.ideal = Echelon()
         for r in ideal_basis:
-            eps = g.eps(r)
-            if eps:
+            if g.eps(r):
                 raise NotIdeal("ideal vector has nonzero counit", where="fodc.ideal_basis")
             self.ideal.add(r)
         self.ideal_basis = self.ideal.basis()
@@ -78,21 +97,23 @@ class Fodc:
                 raise NotStarCompatible("kappa(R)* leaves R", where="fodc.ideal_basis")
 
         # Gamma_inv = A / (R + C 1)
-        relations = [dict(r) for r in self.ideal_basis] + [dict(g.unit)]
-        self.q = QuotientSpace(g.space.dim, relations, field)
+        self.relations = [dict(r) for r in self.ideal_basis] + [dict(g.unit)]
+        self.q = QuotientSpace(g.space.dim, self.relations, field)
         self.inv_space = BasedSpace(tuple(f"w[{g.space.labels[i]}]" for i in self.q.keep))
         self.dim = self.q.dim
         self.pi = LinearMap(g.space, self.inv_space, self.q.projection_cols(), field)
         self.section = LinearMap(self.inv_space, g.space,
                                  [{i: field.one} for i in self.q.keep], field)
 
-        # varpi pi = (pi (x) id) ad
+        def on_inv(f, what):
+            """The map that f: A -> W induces on Gamma_inv, by descent."""
+            return _descend(f, self.section.cols, self.relations, what)
+
+        # varpi pi = (pi (x) id) ad, and its coaction laws
         id_a = LinearMap.identity(g.space, field)
-        self.varpi = self.pi.tensor(id_a).compose(ad).compose(self.section)
-        # well-definedness and the coaction laws
-        pi_ad = self.pi.tensor(id_a).compose(ad)
-        if pi_ad != self.varpi.compose(self.pi):
-            raise ValidationFailed("varpi pi != (pi (x) id) ad")
+        pi_id = self.pi.tensor(id_a)
+        self.varpi = LinearMap(self.inv_space, pi_id.codomain,
+                               on_inv(lambda x: pi_id.apply(ad.apply(x)), "varpi"), field)
         lhs = self.varpi.tensor(id_a).compose(self.varpi)
         rhs = LinearMap.identity(self.inv_space, field).tensor(g.coproduct) \
             .compose(self.varpi)
@@ -109,21 +130,18 @@ class Fodc:
                             for idx, c in self.varpi.cols[t].items()]
                            for t in range(self.dim)]
 
-        # circ: pi(a) o b = pi(ab) - eps(a) pi(b)
-        circ = []
-        for a in range(da):
-            cols = []
-            for t in range(self.dim):
-                x = self.section.cols[t]
-                v = self.pi.apply(g.mul(x, {a: one}))
+        # circ: pi(x) o b = pi(xb) - eps(x) pi(b), and the module law
+        # (theta o a) o b = theta o (ab)
+        def circ_by(b):
+            def f(x):
+                v = self.pi.apply(g.mul(x, {b: one}))
                 eps_x = g.eps(x)
                 if eps_x:
-                    viadd(v, -eps_x, self.pi.cols[a])
-                cols.append(v)
-            circ.append(LinearMap(self.inv_space, self.inv_space, cols, field))
-        self.circ = circ
-        # well-definedness: r o b = 0 and 1 o b = 0 hold by the ideal property;
-        # module law (theta o a) o b = theta o (ab)
+                    viadd(v, -eps_x, self.pi.cols[b])
+                return v
+            return f
+        self.circ = [LinearMap(self.inv_space, self.inv_space, on_inv(circ_by(b), "circ"),
+                               field) for b in range(da)]
         for a in range(da):
             for b_ in range(da):
                 comp = self.circ[b_].compose(self.circ[a])
@@ -133,13 +151,11 @@ class Fodc:
                 if comp != acc:
                     raise ValidationFailed("circ is not a right module action")
 
-        # star on Gamma_inv: [x]* = -[kappa(x)*]
-        star_cols = []
-        for t in range(self.dim):
-            x = self.section.cols[t]
-            star_cols.append(vscale(-one, self.pi.apply(g.star_vec(g.kappa(x)))))
-        self.star_inv = LinearMap(self.inv_space, self.inv_space, star_cols, field,
-                                  antilinear=True)
+        # star on Gamma_inv: pi(x)* = -pi(kappa(x)*)
+        self.star_inv = LinearMap(
+            self.inv_space, self.inv_space,
+            on_inv(lambda x: vscale(-one, self.pi.apply(g.star_vec(g.kappa(x)))),
+                   "star on Gamma_inv"), field, antilinear=True)
         if self.star_inv.compose(self.star_inv) != \
                 LinearMap.identity(self.inv_space, field):
             raise ValidationFailed("star on Gamma_inv is not involutive")
@@ -221,13 +237,8 @@ class Envelope2:
         self.report = ValidationReport()
 
         # S^2 = (pi (x) pi) phi (R)
-        s2 = []
         pp = fodc.pi.tensor(fodc.pi)
-        for r in fodc.ideal_basis:
-            v = pp.apply(g.phi(r))
-            if v:
-                s2.append(v)
-        self.s2_basis = span_basis(s2)
+        self.s2_basis = span_basis(pp.apply(g.phi(r)) for r in fodc.ideal_basis)
         self.lambda2 = QuotientSpace(fodc.sq_space.dim, self.s2_basis, field)
         self.l2_space = BasedSpace(tuple(
             f"w2[{fodc.sq_space.labels[i]}]" for i in self.lambda2.keep))
@@ -255,8 +266,7 @@ class Envelope2:
         da = g.dim
         gram_a = [[g.haar_of(g.mul(g.star_vec({i: one}), {j: one}))
                    for j in range(da)] for i in range(da)]
-        rel_basis = fodc.ideal_basis + [dict(g.unit)]
-        rel_mat = span_basis(rel_basis)
+        rel_mat = span_basis(fodc.relations)
 
         def inner_a(u: Vec, v: Vec):
             acc = field.zero
@@ -265,21 +275,24 @@ class Envelope2:
                     acc = acc + ci.conj() * cj * gram_a[i][j]
             return acc
 
+        # the Haar Gram matrix of the relations, eliminated once
+        n = len(rel_mat)
+        gram_rel = [dict() for _ in range(n)]
+        for a in range(n):
+            for b in range(n):
+                val = inner_a(rel_mat[a], rel_mat[b])
+                if val:
+                    gram_rel[b][a] = val
+        gram_solver = PreparedSolve(gram_rel, n, field)
+
         def orth_rep(v: Vec) -> Vec:
             # v - projection onto span(rel_mat) w.r.t. the Haar form
-            n = len(rel_mat)
             rhs = {}
-            cols = [dict() for _ in range(n)]
             for a in range(n):
-                for b in range(n):
-                    val = inner_a(rel_mat[a], rel_mat[b])
-                    if val:
-                        cols[b][a] = val
                 val = inner_a(rel_mat[a], v)
                 if val:
                     rhs[a] = val
-            from .linalg import solve_columns
-            sol = solve_columns(cols, rhs, field)
+            sol = gram_solver.solve(rhs)
             assert sol is not None, "Haar Gram matrix is degenerate"
             out = dict(v)
             for b, c in sol.items():
@@ -307,7 +320,6 @@ class Envelope2:
                 val = inner_sq(s, {w: one})
                 if val:
                     cols[w][a] = val
-        from .linalg import nullspace_of_columns
         comp = span_basis(nullspace_of_columns(cols, field))
         if len(comp) + len(self.s2_basis) != d * d:
             raise SplittingIncompatible(
@@ -317,14 +329,12 @@ class Envelope2:
         for v in comp:
             comp_ech.add(v)
 
-        # section Lambda^2 -> complement
+        # section Lambda^2 -> complement: write raw = c + s with c in the
+        # complement and s in S^2, and keep c
+        sec_solver = PreparedSolve(comp + self.s2_basis, d * d, field)
         sec_cols = []
         for k in range(self.lambda2.dim):
-            raw = self.lambda2.lift({k: field.one})
-            # adjust raw by S^2 so that it lies in the complement:
-            # raw - sum coords; solve raw = c + s with c in comp, s in S^2
-            from .linalg import solve_columns as _solve
-            sol = _solve(comp + self.s2_basis, raw, field)
+            sol = sec_solver.solve(self.lambda2.lift({k: field.one}))
             assert sol is not None
             c_part: Vec = {}
             for idx, cc in sol.items():
@@ -335,6 +345,10 @@ class Envelope2:
         if self.wedge.compose(self.split_section) != \
                 LinearMap.identity(self.l2_space, field):
             raise SplittingIncompatible("splitting is not a section of the projection")
+
+        def on_l2(f, what):
+            """The map that f: Gamma_inv^(x)2 -> W induces on Lambda^2, by descent."""
+            return _descend(f, self.split_section.cols, self.s2_basis, what)
 
         # star on Gamma_inv^(x)2: (theta (x) eta)* = -eta* (x) theta*
         star_cols = []
@@ -348,10 +362,10 @@ class Envelope2:
             star_cols.append(acc)
         self.star_sq = LinearMap(fodc.sq_space, fodc.sq_space, star_cols, field,
                                  antilinear=True)
-        # S^2 and the complement must be star-stable
-        for s in self.s2_basis:
-            if not self.lambda2.contains(self.star_sq.apply(s)):
-                raise SplittingIncompatible("S^2 is not star-stable")
+        self.star2 = LinearMap(
+            self.l2_space, self.l2_space,
+            on_l2(lambda v: self.wedge.apply(self.star_sq.apply(v)), "star on Lambda^2"),
+            field, antilinear=True)
         for c in comp:
             if not comp_ech.contains(self.star_sq.apply(c)):
                 raise SplittingIncompatible("splitting is not star-compatible")
@@ -389,14 +403,11 @@ class Envelope2:
         self.report.add(passing("envelope.splitting", "split-GT",
                                 note="Haar-orthogonal splitting is *- and varpi-compatible"))
 
-        # circ on Lambda^2 (the ideal S^2 is circ-stable)
-        circ2 = []
-        for a in range(da):
-            cols = []
-            for k in range(self.lambda2.dim):
-                lift = self.split_section.cols[k]
+        # circ on Lambda^2: (theta (x) eta) o a = (theta o a^(1)) (x) (eta o a^(2))
+        def circ_by(a):
+            def f(v):
                 out: Vec = {}
-                for idx, c in lift.items():
+                for idx, c in v.items():
                     i1, i2 = divmod(idx, d)
                     for a1, a2, ca in g.sweedler(a):
                         u1 = fodc.circ[a1].cols[i1]
@@ -404,38 +415,19 @@ class Envelope2:
                         for p, cp in u1.items():
                             for q, cq in u2.items():
                                 viadd_term(out, p * d + q, c * ca * cp * cq)
-                cols.append(self.wedge.apply(out))
-            circ2.append(LinearMap(self.l2_space, self.l2_space, cols, field))
-        self.circ2 = circ2
-        for a in range(da):
-            for s in self.s2_basis:
-                out: Vec = {}
-                for idx, c in s.items():
-                    i1, i2 = divmod(idx, d)
-                    for a1, a2, ca in g.sweedler(a):
-                        for p, cp in fodc.circ[a1].cols[i1].items():
-                            for q, cq in fodc.circ[a2].cols[i2].items():
-                                viadd_term(out, p * d + q, c * ca * cp * cq)
-                if not s2_ech.contains(out):
-                    raise ValidationFailed("S^2 is not circ-stable")
+                return self.wedge.apply(out)
+            return f
+        self.circ2 = [LinearMap(self.l2_space, self.l2_space,
+                                on_l2(circ_by(a), "circ on Lambda^2"), field)
+                      for a in range(da)]
 
-        # star on Lambda^2
-        st_cols = [self.wedge.apply(self.star_sq.apply(self.split_section.cols[k]))
-                   for k in range(self.lambda2.dim)]
-        self.star2 = LinearMap(self.l2_space, self.l2_space, st_cols, field,
-                               antilinear=True)
-
-        # embedded differential: delta = -lift . project . (pi (x) pi) phi
-        dl_cols = []
-        delta_cols = []
-        for t in range(d):
-            x = fodc.section.cols[t]
-            raw = vscale(-one, pp.apply(g.phi(x)))
-            dl = self.wedge.apply(raw)
-            dl_cols.append(dl)
-            delta_cols.append(self.split_section.apply(dl))
-        self.dlambda = LinearMap(fodc.inv_space, self.l2_space, dl_cols, field)
-        self.delta = LinearMap(fodc.inv_space, fodc.sq_space, delta_cols, field)
+        # embedded differential: dlambda(pi(x)) = -[(pi (x) pi) phi(x)], lifted
+        # by the splitting to delta
+        self.dlambda = LinearMap(
+            fodc.inv_space, self.l2_space,
+            _descend(lambda x: self.wedge.apply(vscale(-one, pp.apply(g.phi(x)))),
+                     fodc.section.cols, fodc.relations, "dlambda"), field)
+        self.delta = self.split_section.compose(self.dlambda)
 
         # sigma delta - delta = (id (x) pi) varpi
         lhs = fodc.sigma.compose(self.delta).sub(self.delta)
@@ -513,6 +505,16 @@ class GammaEnvelope(GradedStarAlgebra):
 
     def inv2_vec(self, x: int) -> Vec:
         return {self.i2(k, x): c for k, c in self.group.unit.items()}
+
+    def kappa_inv(self, t: int) -> Vec:
+        """kappa^(theta_t) = -sum_k theta_k kappa(c_k), where varpi(theta_t) =
+        sum_k theta_k (x) c_k: read off m(id (x) kappa^)phi^ = eps."""
+        one = self.field.one
+        acc: Vec = {}
+        for th, a, c in self.fodc.varpi_legs[t]:
+            for m, cm in self.group.antipode.cols[a].items():
+                viadd(acc, -(c * cm), self.mul(self.inv1_vec(th), {self.i0(m): one}))
+        return acc
 
     # -- algebra structure ----------------------------------------------------
 
@@ -630,96 +632,59 @@ class GammaEnvelope(GradedStarAlgebra):
                                        cc * c * cm)
                 phi_cols.append(sq.project(acc))
             else:
-                phi_cols.append(None)  # filled below via multiplicativity
-        # degree 2 via multiplicativity over the splitting lift
+                phi_cols.append(None)  # filled below by multiplicativity
+        # degree 2 by multiplicativity: phi^(theta eta) = phi^(theta) phi^(eta)
         phi_inv1 = []
         for t in range(d1):
             acc: Vec = {}
             for k, ck in g.unit.items():
                 viadd(acc, ck, phi_cols[self.i1(k, t)])
             phi_inv1.append(acc)
-        for i in range(self.dim):
-            deg, a, x = self.split(i)
-            if deg != 2:
-                continue
-            lift = env.split_section.cols[x]
+
+        def phi_sq(v):
             acc: Vec = {}
-            base = phi_cols[self.i0(a)]
-            for idx, c in lift.items():
+            for idx, c in v.items():
                 t1, t2 = divmod(idx, d1)
                 viadd(acc, c, graded_tensor_mul(sq, self, self,
                                                 phi_inv1[t1], phi_inv1[t2]))
-            phi_cols[i] = graded_tensor_mul(sq, self, self, base, acc)
-        self.phi_hat = LinearMap(self.space, sq.space, phi_cols, field)
-
-        # well-definedness on S^2 for both phi and kappa
-        for s in env.s2_basis:
-            acc: Vec = {}
-            for idx, c in s.items():
-                t1, t2 = divmod(idx, d1)
-                viadd(acc, c, graded_tensor_mul(sq, self, self,
-                                                phi_inv1[t1], phi_inv1[t2]))
-            if acc:
-                raise ValidationFailed(
-                    "extended coproduct is ill-defined on the quadratic ideal")
-
-        # antipode
-        kap_cols: list = [None] * self.dim
-        for a in range(da):
-            kap_cols[self.i0(a)] = {self.i0(k): c
-                                    for k, c in g.antipode.cols[a].items()}
-        kap_inv1 = []
-        for t in range(d1):
-            x = fodc.section.cols[t]
-            acc: Vec = {}
-            # kappa(pi(x)) = - (1 (x) pi(x^(2))) . (kappa(x^(1)) x^(3))
-            for xa, cx in x.items():
-                for x1, x2, x3, c in g.phi2_basis(xa):
-                    for u, cu in fodc.pi.cols[x2].items():
-                        for k1, ck1 in g.antipode.cols[x1].items():
-                            for m, cm in g.algebra.mul_basis(k1, x3).items():
-                                prod = self.mul(self.inv1_vec(u), {self.i0(m): one})
-                                viadd(acc, -(cx * c * cu * ck1 * cm), prod)
-            kap_inv1.append(acc)
-        for r in fodc.ideal_basis + [dict(g.unit)]:
-            acc = {}
-            for xa, cx in r.items():
-                for x1, x2, x3, c in g.phi2_basis(xa):
-                    for u, cu in fodc.pi.cols[x2].items():
-                        for k1, ck1 in g.antipode.cols[x1].items():
-                            for m, cm in g.algebra.mul_basis(k1, x3).items():
-                                viadd(acc, -(cx * c * cu * ck1 * cm),
-                                      self.mul(self.inv1_vec(u), {self.i0(m): one}))
-            if acc:
-                raise ValidationFailed("antipode is ill-defined on Gamma_inv")
-        for a in range(da):
-            for t in range(d1):
-                acc = {}
-                for k, ck in g.antipode.cols[a].items():
-                    viadd(acc, ck, self.mul(kap_inv1[t], {self.i0(k): one}))
-                kap_cols[self.i1(a, t)] = acc
-        # degree 2 by graded antimultiplicativity: kappa(theta eta) = -kappa(eta)kappa(theta)
-        kap2_inv = []
-        for x in range(d2):
-            lift = env.split_section.cols[x]
-            acc = {}
-            for idx, c in lift.items():
-                t1, t2 = divmod(idx, d1)
-                viadd(acc, -c, self.mul(kap_inv1[t2], kap_inv1[t1]))
-            kap2_inv.append(acc)
-        for s in env.s2_basis:
-            acc = {}
-            for idx, c in s.items():
-                t1, t2 = divmod(idx, d1)
-                viadd(acc, -c, self.mul(kap_inv1[t2], kap_inv1[t1]))
-            if acc:
-                raise ValidationFailed("degree-2 antipode is ill-defined")
+            return acc
+        phi_inv2 = _descend(phi_sq, env.split_section.cols, env.s2_basis,
+                            "extended coproduct")
         for a in range(da):
             for x in range(d2):
-                acc = {}
-                for k, ck in g.antipode.cols[a].items():
-                    viadd(acc, ck, self.mul(kap2_inv[x], {self.i0(k): one}))
-                kap_cols[self.i2(a, x)] = acc
+                phi_cols[self.i2(a, x)] = graded_tensor_mul(
+                    sq, self, self, phi_cols[self.i0(a)], phi_inv2[x])
+        self.phi_hat = LinearMap(self.space, sq.space, phi_cols, field)
+
+        # antipode: kappa on A, kappa^(a theta) = kappa^(theta) kappa(a), and
+        # kappa_inv on Gamma_inv.  The axiom is checked in degrees <= 1 before
+        # kappa^ extends to degree 2, whose well-definedness rests on them.
+        antipode = RaisingReport(ValidationFailed, "Gamma^: ")
+        kap_cols: list = [{self.i0(k): c for k, c in g.antipode.cols[a].items()}
+                          for a in range(da)] + [None] * (self.dim - da)
+        kap_inv1 = [self.kappa_inv(t) for t in range(d1)]
+        for a in range(da):
+            for t in range(d1):
+                kap_cols[self.i1(a, t)] = self.mul(kap_inv1[t], kap_cols[self.i0(a)])
+        add_antipode_record(antipode, ("antipode-1", "antipode axiom fails"), self,
+                            self.phi_hat, sq, kap_cols, self.eps_basis, range(self.off2))
+
+        # degree 2 by graded antimultiplicativity:
+        # kappa^(theta eta) = -kappa^(eta) kappa^(theta)
+        def kappa_sq(v):
+            acc: Vec = {}
+            for idx, c in v.items():
+                t1, t2 = divmod(idx, d1)
+                viadd(acc, -c, self.mul(kap_inv1[t2], kap_inv1[t1]))
+            return acc
+        kap_inv2 = _descend(kappa_sq, env.split_section.cols, env.s2_basis,
+                            "degree-2 antipode")
+        for a in range(da):
+            for x in range(d2):
+                kap_cols[self.i2(a, x)] = self.mul(kap_inv2[x], kap_cols[self.i0(a)])
+        add_antipode_record(antipode, ("antipode-2", "antipode axiom fails"), self,
+                            self.phi_hat, sq, kap_cols, self.eps_basis,
+                            range(self.off2, self.dim))
         self.kappa_hat = LinearMap(self.space, self.space, kap_cols, field)
         # the rank comes from the elimination that the inverse reuses
         if self.kappa_hat.solver().rank != self.space.dim:

@@ -20,9 +20,12 @@ the componentwise star and d of a graded tensor product of two of them, and
 unital and multiplicative, hermitian, intertwining d, the comodule law and
 the counit law.  It serves phi on A (validate_hopf), the adjoint action,
 F on B (bundle.build_bundle), phi^ on Gamma^ (fodc.GammaEnvelope) and F^ on
-Omega(P) (calculus.differential_suite).  Both checkers write records whose
-(identity id, label) pairs the caller passes; a caller that rejects input
-passes a report.RaisingReport, which raises at the first failure.
+Omega(P) (calculus.differential_suite).  ``add_antipode_record`` checks
+m(kappa (x) id)phi = eps(.)1 = m(id (x) kappa)phi for such a coproduct; its
+two callers are validate_hopf for A and fodc.GammaEnvelope for kappa^ on
+Gamma^.  The checkers write records whose (identity id, label) pairs the
+caller passes; a caller that rejects input passes a report.RaisingReport,
+which raises at the first failure.
 """
 
 from __future__ import annotations
@@ -387,6 +390,33 @@ def add_coaction_records(rep: ValidationReport, ids, name: str,
     _record(rep, counit, counit_failures())
 
 
+def add_antipode_record(rep: ValidationReport, ident, w: GradedStarAlgebra,
+                        phi: LinearMap, ww: TProd, kappa: list, eps_basis,
+                        basis=None) -> None:
+    """Record ``ident`` = (id, label) of the antipode axiom on the basis
+    elements ``basis`` of W (all of them by default), for phi: W -> W (x) W
+    into ``ww``, kappa[i] = kappa(e_i) and the counit ``eps_basis``.  kappa
+    has degree 0, so no Koszul sign enters."""
+    one, space = w.field.one, w.space
+
+    def failures():
+        for i in range(w.dim) if basis is None else basis:
+            left: Vec = {}
+            right: Vec = {}
+            for fi, c in ww.lift(phi.cols[i]).items():
+                x, y = ww.tuples[fi]
+                viadd(left, c, w.mul(kappa[x], {y: one}))
+                viadd(right, c, w.mul({x: one}, kappa[y]))
+            target = vscale(eps_basis(i), w.unit)
+            if left != target or right != target:
+                yield {**basis_witness(space, i),
+                       "m(kappa(x)id)phi": space.render(left),
+                       "m(id(x)kappa)phi": space.render(right),
+                       "eps(a)1": space.render(target)}
+
+    _record(rep, ident, failures())
+
+
 class HopfStarAlgebra:
     """Hopf *-algebra with an optional normalized two-sided Haar integral."""
 
@@ -506,22 +536,9 @@ def validate_hopf(h: HopfStarAlgebra) -> ValidationReport:
                     break
     record("hopf.eps-hom", "eps is a *-homomorphism", bad)
 
-    # antipode axiom
-    bad = None
-    for i in range(dim):
-        acc1: Vec = {}
-        acc2: Vec = {}
-        for j_, k_, c in h.sweedler(i):
-            viadd(acc1, c, h.mul(h.kappa({j_: one}), {k_: one}))
-            viadd(acc2, c, h.mul({j_: one}, h.kappa({k_: one})))
-        target = vscale(h.eps_basis(i), h.unit)
-        if acc1 != target or acc2 != target:
-            bad = {**basis_witness(h.space, i),
-                   "m(kappa(x)id)phi": h.space.render(acc1),
-                   "m(id(x)kappa)phi": h.space.render(acc2),
-                   "eps(a)1": h.space.render(target)}
-            break
-    record("hopf.antipode", "m(kappa (x) id)phi = eps(.)1 = m(id (x) kappa)phi", bad)
+    add_antipode_record(rep, ("hopf.antipode",
+                              "m(kappa (x) id)phi = eps(.)1 = m(id (x) kappa)phi"),
+                        h.algebra, h.coproduct, h.square, h.antipode.cols, h.eps_basis)
 
     # kappa invertible and Hopf-* condition kappa(kappa(a*)*) = a
     bad = None

@@ -116,6 +116,22 @@ def test_non_ad_invariant_ideal_exits_two(tmp_path, capsys):
     assert "fodc.ideal_basis" in err
 
 
+@pytest.mark.parametrize("ideal", [
+    [[[4, "1"]], [[5, "1"]]],  # d_r, d_r2: the transposition calculus, S^2 != 0
+    [[[1, "1"]], [[2, "1"]], [[3, "1"]]],  # d_s, d_sr, d_sr2: the 3-cycle calculus
+], ids=["transpositions", "3-cycles"])
+def test_proper_calculus_on_s3_passes(tmp_path, capsys, ideal):
+    """A FODC smaller than the universal one on the non-abelian C(S3): its
+    envelope descends to Lambda^2 and kappa^ satisfies the antipode axiom."""
+    doc = generate_example("point-bundle", group="S3")
+    doc["fodc"] = {"ideal_basis": ideal}
+    path = write(tmp_path, "s3-calculus.json", doc)
+    assert main(["check", path, "--suite", "all", "--report", "json"]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert len(report["records"]) == 116
+    assert report["fail_count"] == 0
+
+
 def test_bad_scalar_literal_positioned(tmp_path, capsys):
     doc = generate_example("c-group", group="Z2")
     doc["hopf"]["mult"][0][3] = "1/0"

@@ -75,6 +75,13 @@ def test_ad_invariant_but_proper_ideal_s3():
     f = build_fodc(hs, ideal)
     assert f.dim == 3
     assert f.braid_equation_report().ok
+    # S^2 != 0: circ, star, phi^ and kappa^ descend to Lambda^2
+    env = build_envelope2(f)
+    assert env.report.ok, env.report.to_text()
+    assert len(env.s2_basis) == 2
+    assert env.lambda2.dim == 7
+    ge = GammaEnvelope(env)  # checks the antipode axiom on every basis element
+    assert (ge.d1, ge.d2) == (3, 7)
 
 
 def test_envelope_universal_cz2():

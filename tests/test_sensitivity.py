@@ -2,10 +2,11 @@
 
 ``GradedStarAlgebra.add_axiom_records`` checks the *-algebra axioms of A, B,
 Omega(M) and Gamma^, and ``add_coaction_records`` checks phi on A, F on B,
-phi^ on Gamma^, F^ on Omega(P) and the adjoint action.  For every site and
-identity one targeted mutation breaks that identity.  A site that records
-then fails exactly that record among the checker's records, with a witness;
-a site that rejects its input raises at that identity.
+phi^ on Gamma^, F^ on Omega(P) and the adjoint action; ``add_antipode_record``
+checks kappa^ on Gamma^.  For every site and identity one targeted mutation
+breaks that identity.  A site that records then fails exactly that record
+among the checker's records, with a witness; a site that rejects its input
+raises at that identity.
 """
 
 import pytest
@@ -22,7 +23,7 @@ from qpb.errors import NotCoaction, SpecFileError, ValidationFailed
 from qpb.fodc import GammaEnvelope, build_envelope2, build_fodc, universal_ideal
 from qpb.formats import BuildResult, parse_spec
 from qpb.hopf import HopfStarAlgebra, StarAlgebra, adjoint_action, validate_hopf
-from qpb.linalg import LinearMap
+from qpb.linalg import LinearMap, viadd
 from qpb.presets import (
     functions_on_points, generate_example, hopf_preset, serialize_example, trivial_bundle,
 )
@@ -402,3 +403,59 @@ def test_differential_suite_fails_exactly_the_broken_fhat_identity(mutate, expec
         assert is_basis_witness(failures[expected], tc.omega.space, witness)
     else:
         assert failures[expected] == witness
+
+
+# -- kappa^ on Gamma^: GammaEnvelope rejects a wrong antipode -------------------------
+
+
+def transposition_envelope():
+    """C(S3) modulo d_r, d_r2: non-abelian, so varpi is not trivial, and S^2 != 0."""
+    h = hopf_preset("S3", "function_algebra")
+    one = h.field.one
+    return build_envelope2(build_fodc(h, [{4: one}, {5: one}]))
+
+
+def kappa_inv_without_kappa(self, t):
+    """-sum_k theta_k c_k, with c_k where kappa(c_k) belongs.  On an abelian
+    A, varpi(theta) = theta (x) 1 and the two agree."""
+    acc = {}
+    for th, a, c in self.fodc.varpi_legs[t]:
+        viadd(acc, -c, self.mul(self.inv1_vec(th), {self.i0(a): self.field.one}))
+    return acc
+
+
+def test_gamma_envelope_rejects_a_wrong_antipode_on_gamma_inv(monkeypatch):
+    env = transposition_envelope()
+    GammaEnvelope(env)
+    monkeypatch.setattr(GammaEnvelope, "kappa_inv", kappa_inv_without_kappa)
+    with pytest.raises(ValidationFailed, match=r"Gamma\^: antipode axiom fails at "
+                       r"basis_index=6, basis_label=de\.w\[ds\], m\(kappa\(x\)id\)phi="):
+        GammaEnvelope(env)
+
+
+def test_gamma_envelope_rejects_a_wrong_antipode_in_degree_two(monkeypatch):
+    real = fodc_mod._descend
+
+    def negated_kappa2(f, reps, relations, what):
+        out = real(f, reps, relations, what)
+        return [negated(v) for v in out] if what == "degree-2 antipode" else out
+
+    monkeypatch.setattr(fodc_mod, "_descend", negated_kappa2)
+    first_degree_two = 2 + 2 * 1  # after degrees 0 and 1 of Gamma^ over C(Z2)
+    with pytest.raises(ValidationFailed, match=r"Gamma\^: antipode axiom fails at "
+                       rf"basis_index={first_degree_two}, "):
+        gamma_z2()
+
+
+def test_descend_returns_f_on_the_representatives_once_every_relation_is_killed():
+    one = CycloField(4).one
+
+    def drop_first(v):  # kills exactly the multiples of e_0
+        return {k: c for k, c in v.items() if k}
+
+    reps = [{1: one}, {0: one, 2: one}]
+    assert fodc_mod._descend(drop_first, reps, [{0: one}, {0: one + one}], "m") == \
+        [{1: one}, {2: one}]
+    with pytest.raises(ValidationFailed,
+                       match="m is not well defined: it does not kill relation 1"):
+        fodc_mod._descend(drop_first, reps, [{0: one}, {0: one, 1: one}], "m")
