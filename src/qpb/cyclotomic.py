@@ -16,6 +16,12 @@ coefficients as ``Fraction``s.
 
 The conductor is fixed per field instance; scalars from different conductors
 never mix.
+
+Each field owns one ``Scalar`` object for each of 0, 1 and -1, and every way
+of making a scalar returns that object when the value is one of them.  Most
+coefficients that maps, relations and projections hold are 1 or -1, and
+these then share two objects.  Equality and hashing stay by value, and no
+caller relies on ``is`` for correctness.
 """
 
 from __future__ import annotations
@@ -139,8 +145,13 @@ class CycloField:
         self._reduce = [_sparse(self.power_table[k]) for k in range(deg, 2 * deg - 1)]
         # conjugation images of the basis powers z^k, k < degree, sparse
         self._conj = [_sparse(self.power_table[(n - k) % n]) for k in range(deg)]
+        # the canonical objects for 0, 1 and -1, which every constructor
+        # returns in place of an equal copy
+        self._units = {}
         self.zero = Scalar(self, (0,) * deg + (1,))
         self.one = Scalar(self, self.power_table[0] + (1,))
+        minus_one = Scalar(self, (-1,) + self.power_table[0][1:] + (1,))
+        self._units = {s.coeffs: s for s in (self.zero, self.one, minus_one)}
 
     def _make(self, nums: list[int], den: int) -> "Scalar":
         """nums / den in canonical form (den > 0)."""
@@ -238,10 +249,14 @@ class Scalar:
 
     __slots__ = ("field", "coeffs", "_hash")
 
-    def __init__(self, field: CycloField, coeffs: tuple):
-        self.field = field
-        self.coeffs = coeffs
-        self._hash = None
+    def __new__(cls, field: CycloField, coeffs: tuple):
+        s = field._units.get(coeffs)
+        if s is None:
+            s = object.__new__(cls)
+            s.field = field
+            s.coeffs = coeffs
+            s._hash = None
+        return s
 
     # -- predicates -----------------------------------------------------
 

@@ -30,7 +30,6 @@ which raises at the first failure.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 from .cyclotomic import CycloField, Scalar
@@ -645,14 +644,15 @@ def adjoint_action(h: HopfStarAlgebra) -> LinearMap:
 
 # -- group tables and generators -------------------------------------------------
 
-@dataclass
 class GroupTable:
-    name: str
-    order: int
-    mult: list        # mult[i][j] = index of g_i g_j
-    identity: int
-    inverse: list
-    element_names: list
+    """A finite group by its table: ``mult[i][j]`` is the index of g_i g_j."""
+
+    __slots__ = ("name", "order", "mult", "identity", "inverse", "element_names")
+
+    def __init__(self, name: str, order: int, mult: list, identity: int, inverse: list,
+                 element_names: list):
+        self.name, self.order, self.mult = name, order, mult
+        self.identity, self.inverse, self.element_names = identity, inverse, element_names
 
     @classmethod
     def build(cls, name: str, mult: list, element_names=None) -> "GroupTable":
@@ -750,16 +750,17 @@ def _lcm(a, b):
     return a * b // gcd(a, b)
 
 
-@dataclass
 class Corepresentation:
     """Irreducible corepresentation data for isotypic decompositions.
 
     ``functional`` is the dual central idempotent e_alpha as coefficients over
     the Hopf algebra basis: the isotypic projector is (id (x) e_alpha) o F.
     """
-    name: str
-    dim: int
-    functional: list
+
+    __slots__ = ("name", "dim", "functional")
+
+    def __init__(self, name: str, dim: int, functional: list):
+        self.name, self.dim, self.functional = name, dim, functional
 
 
 def _s3_irreps(field: CycloField):

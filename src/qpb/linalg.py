@@ -103,19 +103,48 @@ def vneg(a: Vec) -> Vec:
 
 
 class BasedSpace:
-    """A finite-dimensional space with an ordered basis of unique labels."""
+    """A finite-dimensional space with an ordered basis of unique labels.
 
-    __slots__ = ("labels", "dim", "_index")
+    ``BasedSpace.deferred`` makes a space that knows its dim at once and
+    builds its labels, and the label -> index dict, the first time
+    ``labels``, ``index`` or ``render`` is read.
+    """
+
+    __slots__ = ("dim", "_labels", "_index", "_make")
 
     def __init__(self, labels):
         labels = tuple(labels)
-        if len(set(labels)) != len(labels):
+        index = {lab: i for i, lab in enumerate(labels)}
+        if len(index) != len(labels):
             raise InputError("basis labels must be unique")
-        self.labels = labels
         self.dim = len(labels)
+        self._labels, self._index, self._make = labels, index, None
+
+    @classmethod
+    def deferred(cls, dim: int, make_labels) -> "BasedSpace":
+        """A space of dimension dim whose labels are ``make_labels()``, called
+        on first read; they must be unique by construction, and are not
+        checked."""
+        space = cls.__new__(cls)
+        space.dim = dim
+        space._labels = space._index = None
+        space._make = make_labels
+        return space
+
+    def _build(self) -> None:
+        self._labels = labels = tuple(self._make())
         self._index = {lab: i for i, lab in enumerate(labels)}
+        self._make = None
+
+    @property
+    def labels(self) -> tuple:
+        if self._labels is None:
+            self._build()
+        return self._labels
 
     def index(self, label: str) -> int:
+        if self._index is None:
+            self._build()
         return self._index[label]
 
     def render(self, v: Vec) -> str:
@@ -604,8 +633,10 @@ class QuotientSpace:
 
     The projection is kept sparse: a kept index is its own class, a zero
     index has none, and each multi-term pivot has the column
-    ``{keep position: -entry}`` of its row.  ``project`` drops any key it
-    has no class for, such as a ``TProd``'s sink ``None``.
+    ``{keep position: -entry}`` of its row.  The positions are one list,
+    indexed by ambient index, holding ``keep``'s position b at ``keep[b]``
+    and None at every other index.  ``project`` reads ambient indices and
+    drops a zero index and the key None, a ``TProd``'s sink.
     ``projection_cols`` writes the full column list out for a caller that
     wants a ``LinearMap``.  Labels belong to the caller: the quotient knows
     indices only.
@@ -636,7 +667,9 @@ class QuotientSpace:
         self.rows = rows
         keep = [i for i in range(ambient_dim) if i not in zero and i not in rows]
         self.keep = keep
-        self._pos = pos = {k: b for b, k in enumerate(keep)}
+        self._pos = pos = [None] * ambient_dim
+        for b, k in enumerate(keep):
+            pos[k] = b
         self._cols = {p: {pos[k]: -c for k, c in row.items() if k != p}
                       for p, row in rows.items()}
 
@@ -645,12 +678,15 @@ class QuotientSpace:
         return len(self.keep)
 
     def project(self, v: Vec) -> Vec:
-        """The class of v: a kept index is its own class, a multi-term pivot
-        contributes its column, and a zero index or any other key nothing."""
+        """The class of v, whose keys are ambient indices or the sink None: a
+        kept index is its own class, a multi-term pivot contributes its
+        column, and a zero index or the sink nothing."""
         out: Vec = {}
         pos, cols = self._pos, self._cols
         for i, c in v.items():
-            b = pos.get(i)
+            if i is None:
+                continue
+            b = pos[i]
             if b is not None:
                 viadd_term(out, b, c)
             else:
@@ -671,9 +707,9 @@ class QuotientSpace:
     def projection_cols(self) -> list[Vec]:
         """Column i of the projection for every ambient index i, as fresh
         dicts a ``LinearMap`` can own."""
-        one, pos, cols = self.field.one, self._pos, self._cols
-        return [{pos[i]: one} if i in pos else dict(cols.get(i, {}))
-                for i in range(self.ambient_dim)]
+        one, cols = self.field.one, self._cols
+        return [{b: one} if b is not None else dict(cols.get(i, {}))
+                for i, b in enumerate(self._pos)]
 
     def verify(self) -> bool:
         """projection o section = id and kernel(projection) = span(relations),

@@ -7,16 +7,20 @@ byte-stable for a fixed input.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
 
 
-@dataclass
 class CheckRecord:
-    identity_id: str
-    paper_label: str
-    status: str  # "pass" | "fail" | "vacuous"
-    witness: dict | None = None
-    note: str | None = None
+    """One checked identity: ``status`` is "pass", "fail" or "vacuous"."""
+
+    __slots__ = ("identity_id", "paper_label", "status", "witness", "note")
+
+    def __init__(self, identity_id: str, paper_label: str, status: str,
+                 witness: dict | None = None, note: str | None = None):
+        self.identity_id, self.paper_label, self.status = identity_id, paper_label, status
+        self.witness, self.note = witness, note
+
+    def __repr__(self):
+        return f"CheckRecord({self.identity_id!r}, {self.status!r})"
 
     def as_json_obj(self) -> dict:
         obj = {
@@ -31,13 +35,17 @@ class CheckRecord:
         return obj
 
 
-@dataclass
 class ValidationReport:
-    records: list = field(default_factory=list)
+    """Records in the order added, with their ids, which must be unique."""
+
+    def __init__(self):
+        self.records: list = []
+        self._ids: set = set()
 
     def add(self, record: CheckRecord) -> None:
-        if any(r.identity_id == record.identity_id for r in self.records):
+        if record.identity_id in self._ids:
             raise ValueError(f"duplicate identity id {record.identity_id}")
+        self._ids.add(record.identity_id)
         self.records.append(record)
 
     def extend(self, other: "ValidationReport") -> None:

@@ -33,7 +33,14 @@ RREF is unique and the zero rows are unit vectors, so this gives the same
 kept tuples and projection as eliminating every relation on all flat tuples.
 Two-factor products enumerate every flat tuple: they are where the zero
 pairs are found.  The quotient keeps its projection sparse (pivot -> column,
-no column for a zero tuple), and only kept tuples get a "|"-joined label.
+no column for a zero tuple).
+
+A product's labels, the "|"-joined labels of its kept tuples, are built on
+demand: its space knows its dim at once and builds the labels the first time
+they are read, for a witness or a rendered vector.  A passing check reads
+none.  They are unique without a check: input labels hold no "|"
+(``LABEL_SEPARATORS``), so all labels of one factor have the same number of
+"|"-separated parts, and a product label splits back into its tuple.
 
 Operators between TProds are assembled per canonical basis element by lifting
 to the flat tensor basis, rewriting tuples, and projecting back; the caller's
@@ -43,18 +50,17 @@ in the balanced slots).
 
 from __future__ import annotations
 
-import dataclasses
-from functools import cached_property
+from functools import cached_property, partial
 
 from .cyclotomic import CycloField
 from .errors import DegreeBudget, InputError
 from .linalg import BasedSpace, LinearMap, QuotientSpace, Vec, viadd_term
 
 
-@dataclasses.dataclass(eq=False)
 class Factor:
     """One tensor slot: a based space with degrees and optional left/right
-    actions of the coefficient algebra basis.
+    actions of the coefficient algebra basis (``lact``, ``ract``: one
+    ``LinearMap`` per coefficient basis element, or None).
 
     Factors compare and hash by identity.  ``pair_kernels`` caches the
     kernels of the two-factor products with this factor on the left, keyed
@@ -62,11 +68,13 @@ class Factor:
     and the budget.  A factor's actions must not change once a product has
     used it.
     """
-    space: BasedSpace
-    degrees: tuple
-    lact: list | None = None  # list[LinearMap], one per coefficient basis element
-    ract: list | None = None
-    pair_kernels: dict = dataclasses.field(default_factory=dict, init=False, repr=False)
+
+    __slots__ = ("space", "degrees", "lact", "ract", "pair_kernels")
+
+    def __init__(self, space: BasedSpace, degrees, lact: list | None = None,
+                 ract: list | None = None):
+        self.space, self.degrees, self.lact, self.ract = space, degrees, lact, ract
+        self.pair_kernels: dict = {}
 
     @classmethod
     def ungraded(cls, space: BasedSpace, lact=None, ract=None) -> "Factor":
@@ -99,6 +107,11 @@ def flat_tuples(factors, budget, adjacency=None):
 def tuple_label(factors, t) -> str:
     """The label of a flat tuple: its factor labels joined by "|"."""
     return "|".join(f.space.labels[i] for f, i in zip(factors, t))
+
+
+def kept_labels(factors, tuples, keep) -> list[str]:
+    """The labels of a product's basis: those of its kept tuples."""
+    return [tuple_label(factors, tuples[k]) for k in keep]
 
 
 def balanced(left: Factor, right: Factor) -> bool:
@@ -191,8 +204,9 @@ class TProd:
         else:
             self.tuples, self.tuple_index, relations = self._support_and_relations()
             self.quotient = QuotientSpace(len(self.tuples), relations, field)
-        self.space = BasedSpace(tuple_label(self.factors, self.tuples[k])
-                                for k in self.quotient.keep)
+        self.space = BasedSpace.deferred(
+            self.quotient.dim, partial(kept_labels, self.factors, self.tuples,
+                                       self.quotient.keep))
 
     # -- construction ------------------------------------------------------
 

@@ -335,3 +335,14 @@ def test_check_runs_without_sympy():
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert json.loads(proc.stdout) == {"code": 0, "calls": 1, "sympy": False}
+
+
+def test_importing_the_cli_leaves_dataclasses_unloaded():
+    """Every `qpb` run pays for what `import qpb.cli` loads.  ``dataclasses``
+    brings in ``inspect``, ``ast`` and ``dis``, about 1 MB of peak RSS, so
+    no module of the package may import it."""
+    code = ("import sys, qpb.cli; print(sorted(m for m in "
+            "('dataclasses', 'inspect', 'ast', 'dis') if m in sys.modules))")
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout == "[]\n"

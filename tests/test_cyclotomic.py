@@ -212,3 +212,61 @@ def test_integer_form_matches_fraction_oracle(data):
         assert a == b and a.coeffs == b.coeffs and hash(a) == hash(b)
     assert F.parse(x.literal()) == x
     assert F.parse((x * y).literal()) == x * y
+
+
+# -- one object each for 0, 1 and -1 --------------------------------------------------
+
+def assert_value(F, v, ref):
+    """v has the value ref, and is F's own object for it when that is 0, 1
+    or -1."""
+    assert v.field is F and v.fractions() == ref
+    canonical = {x.fractions(): x for x in (F.zero, F.one, -F.one)}.get(ref)
+    assert canonical is None or v is canonical, (F.n, ref)
+
+
+@st.composite
+def unit_cases(draw):
+    """(F, p, u, k): a conductor's field, up to 2n rational coefficients, a
+    target value u in {-1, 0, 1} and a power k of zeta below 2n."""
+    F = CycloField(draw(st.sampled_from([1, 3, 4, 5, 12])))
+    q = st.fractions(min_value=-3, max_value=3, max_denominator=4)
+    coeffs = st.one_of(st.lists(q, max_size=2 * F.n),
+                       st.lists(st.sampled_from([-1, 0, 1]), max_size=2 * F.n))
+    return (F, draw(coeffs), draw(st.sampled_from([-1, 0, 1])),
+            draw(st.integers(0, 2 * F.n - 1)))
+
+
+@settings(max_examples=200, deadline=None)
+@given(unit_cases())
+def test_every_constructor_returns_the_fields_unit_objects(case):
+    """Every way of making a scalar whose value is 0, 1 or -1 returns the
+    field's one object for that value; every value equals a reference from
+    ``fractions()``."""
+    F, p, u, k = case
+    n = F.n
+    assert -F.one is -F.one and -(-F.one) is F.one and -F.zero is F.zero
+    x, rx, ru = F.scalar(p), ref_reduce(p or [0], n), ref_reduce([u], n)
+    assert_value(F, x, rx)
+    unit = F.scalar(ru)
+    assert_value(F, unit, ru)
+    assert_value(F, F._make([3 * a for a in unit.coeffs[:-1]], 3), ru)
+    assert_value(F, x + F.scalar([b - a for a, b in zip(rx, ru)]), ru)
+    assert_value(F, x - F.scalar([a - b for a, b in zip(rx, ru)]), ru)
+    assert_value(F, -unit, tuple(-a for a in ru))
+    assert_value(F, -x, tuple(-a for a in rx))
+    assert_value(F, x * F.zero, ref_reduce([0], n))
+    assert_value(F, unit * unit, ref_mul(ru, ru, n))
+    if x:
+        other = F.scalar(ref_mul(ru, _poly_inverse_mod(rx, F.modulus), n))
+        assert_value(F, x * other, ru)
+        assert_value(F, other * x, ru)
+        assert_value(F, x.inverse(), ref_reduce(_poly_inverse_mod(rx, F.modulus), n))
+    if u:
+        assert_value(F, unit.inverse(), ru)
+    assert_value(F, unit.conj(), ru)
+    assert_value(F, x.conj(), ref_conj(rx, n))
+    assert_value(F, F.rational(Fraction(7 * u, 7)), ru)
+    assert_value(F, F.scalar([0] * n + [u]), ru)  # z^n = 1
+    assert_value(F, F.zeta(k), ref_reduce([0] * k + [1], n))
+    assert_value(F, F.parse(unit.literal()), ru)
+    assert_value(F, F.parse(x.literal()), rx)

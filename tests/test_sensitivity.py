@@ -27,6 +27,7 @@ from qpb.linalg import LinearMap, viadd
 from qpb.presets import (
     functions_on_points, generate_example, hopf_preset, serialize_example, trivial_bundle,
 )
+from qpb.report import ValidationReport
 
 
 def doubled(v):
@@ -459,3 +460,28 @@ def test_descend_returns_f_on_the_representatives_once_every_relation_is_killed(
     with pytest.raises(ValidationFailed,
                        match="m is not well defined: it does not kill relation 1"):
         fodc_mod._descend(drop_first, reps, [{0: one}, {0: one, 1: one}], "m")
+
+
+# -- a witness over a balanced tensor product keeps its "|"-joined labels --------------
+
+
+def test_braid_record_witness_names_tensor_basis_elements_by_their_tuples():
+    """Doubling column 7 of sigma on the two-point trivial bundle over C(Z3)
+    breaks both product compatibilities on W_3.  The failing records name
+    the W_3 basis element by the "|"-joined labels of its kept tuple and
+    render both sides over W_2, although a passing check builds no TProd
+    labels."""
+    h = hopf_preset("Z3", "function_algebra")
+    total, coaction = trivial_bundle(h, 2)
+    b = build_bundle(total, h, coaction)
+    sigma = b.sigma
+    b.sigma = with_col(sigma, 7, doubled(sigma.cols[7]))
+    rep = ValidationReport()
+    b.add_braid_records(rep, [(f"t.{k}", k) for k in ("braid", "prod1", "prod2", "comm")])
+    failures = {r.identity_id: r.witness for r in rep.failures}
+    assert failures == {
+        "t.prod1": {"basis_index": 25, "basis_label": "x0.dr2|x0.dr2|x0.dr1",
+                    "lhs": "2*x0.dr1|x0.dr2", "rhs": "4*x0.dr1|x0.dr2"},
+        "t.prod2": {"basis_index": 22, "basis_label": "x0.dr2|x0.dr1|x0.dr1",
+                    "lhs": "2*x0.dr1|x0.dr2", "rhs": "4*x0.dr1|x0.dr2"},
+    }

@@ -184,19 +184,31 @@ def test_balanced_products_skip_dependent_relations(calculus_z3):
     assert calculus_z3.check_adds <= 15_000
 
 
-def test_pair_kernels_and_labels_are_built_once(calculus_z3):
+def test_pair_kernels_and_labels_are_built_once(calculus_z3, monkeypatch):
     """Each factor pair's kernel is built once per coefficient degrees and
-    budget, whichever products share it, and only kept tuples are labelled:
-    the labels built are the sum of the products' dims, not of their flat
-    tuple counts."""
+    budget, whichever products share it.  Labels are built on demand: the
+    passing check builds none, and reading every product's labels afterwards
+    builds one per kept tuple, the sum of the products' dims, not of their
+    flat tuple counts."""
     assert calculus_z3.failure is None, calculus_z3.failure
     keys = [(id(left), id(right), cdeg, budget)
             for left, right, cdeg, budget in calculus_z3.kernels]
     assert keys and len(set(keys)) == len(keys)
+    assert calculus_z3.labels == 0
     built = calculus_z3.built
     dim_sum = sum(tp.dim for tp in built)
-    assert calculus_z3.labels == dim_sum
-    assert dim_sum < sum(len(tp.tuples) for tp in built)
+    assert dim_sum == 15_492 < sum(len(tp.tuples) for tp in built)
+    tuple_label, count = tensor.tuple_label, [0]
+
+    def label(factors, t):
+        count[0] += 1
+        return tuple_label(factors, t)
+
+    monkeypatch.setattr(tensor, "tuple_label", label)
+    for tp in built:
+        assert tp.space.labels == tuple(tuple_label(tp.factors, tp.tuples[k])
+                                        for k in tp.quotient.keep), tp.name
+    assert count[0] == dim_sum
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
