@@ -24,12 +24,12 @@ rather than assumed.
 
 from __future__ import annotations
 
+from itertools import chain
+
 from .bundle import Bundle
 from .errors import EquivalenceViolation
 from .linalg import LinearMap, Vec, viadd_term
-from .report import (
-    CheckRecord, ValidationReport, failing, map_equality_record, passing,
-)
+from .report import CheckRecord, ValidationReport, map_equality_record, passing
 from .tensor import term_map
 
 
@@ -147,17 +147,12 @@ def verify_braiding_suite(b: Bundle, braid: BraidOperator | None = None) -> Vali
                                 braid.forward.compose(fs), fs.compose(braid.inverse),
                                 witness_space=b2.space))
 
-    # mu is a *-homomorphism for the braided structure
+    # mu is a *-homomorphism for the braided structure: star first, then mult
     star2 = braid.star_n(2)
-    bad = None
     b1 = b.b_space(1)
     star1 = b.flipstar(1)
-    for i in range(b2.dim):
-        v = {i: one}
-        if mu.apply(star2.apply(v)) != star1.apply(mu.apply(v)):
-            bad = {"basis_index": i}
-            break
-    if bad is None:
+
+    def mu_mult_failures():
         for i in range(b2.dim):
             for j in range(b2.dim):
                 lhs_v = mu.apply(braid.mult2({i: one}, {j: one}))
@@ -168,34 +163,22 @@ def verify_braiding_suite(b: Bundle, braid: BraidOperator | None = None) -> Vali
                                                      b1.tuples[fv][0]).items():
                             viadd_term(rhs_flat, b1.flat_index((k,)), cu * cv * ck)
                 if lhs_v != b1.project(rhs_flat):
-                    bad = {"basis_pair": [i, j]}
-                    break
-            if bad:
-                break
-    rep.add(failing("braiding.mu-star-hom", "mu_M is a *-homomorphism", bad)
-            if bad else passing("braiding.mu-star-hom", "mu_M is a *-homomorphism"))
+                    yield {"basis_pair": [i, j]}
+
+    rep.check(("braiding.mu-star-hom", "mu_M is a *-homomorphism"), chain(
+        ({"basis_index": i} for i in range(b2.dim)
+         if mu.apply(star2.apply({i: one})) != star1.apply(mu.apply({i: one}))),
+        mu_mult_failures()))
 
     # tau is a *-homomorphism into braided B_2, and sigma tau = tau kappa
-    bad = None
-    for a in range(da):
-        lhs_v = b.tau.apply(g.star_vec({a: one}))
-        rhs_v = star2.apply(b.tau.cols[a])
-        if lhs_v != rhs_v:
-            bad = {"group_basis": g.space.labels[a], "side": "star"}
-            break
-    if bad is None:
-        for a in range(da):
-            for c in range(da):
-                lhs_v = b.tau.apply(g.algebra.mul_basis(a, c))
-                rhs_v = braid.mult2(b.tau.cols[a], b.tau.cols[c])
-                if lhs_v != rhs_v:
-                    bad = {"basis_pair": [g.space.labels[a], g.space.labels[c]],
-                           "side": "mult"}
-                    break
-            if bad:
-                break
-    rep.add(failing("braiding.tau-star-hom", "tau is a *-homomorphism", bad)
-            if bad else passing("braiding.tau-star-hom", "tau is a *-homomorphism"))
+    labels = g.space.labels
+    rep.check(("braiding.tau-star-hom", "tau is a *-homomorphism"), chain(
+        ({"group_basis": labels[a], "side": "star"} for a in range(da)
+         if b.tau.apply(g.star_vec({a: one})) != star2.apply(b.tau.cols[a])),
+        ({"basis_pair": [labels[a], labels[c]], "side": "mult"}
+         for a in range(da) for c in range(da)
+         if b.tau.apply(g.algebra.mul_basis(a, c))
+         != braid.mult2(b.tau.cols[a], b.tau.cols[c]))))
 
     rep.add(map_equality_record("braiding.sigma-tau", "sigma tau = tau kappa",
                                 braid.forward.compose(b.tau),
@@ -249,60 +232,37 @@ def braided_structure(b: Bundle, n: int, braid: BraidOperator | None = None):
         viadd_term(unit_flat, bn.flat_index(tup), c)
     unit = bn.project(unit_flat)
 
-    bad = None
-    for i in range(bn.dim):
-        v = {i: one}
-        if mult(unit, v) != v or mult(v, unit) != v:
-            bad = {"basis_index": i}
-            break
-    rep.add(failing(f"braided{n}.unit", "unit of prodBB", bad) if bad
-            else passing(f"braided{n}.unit", "unit of prodBB"))
-
-    bad = None
-    for i in range(bn.dim):
-        v = {i: one}
-        if star.apply(star.apply(v)) != v:
-            bad = {"basis_index": i}
-            break
-    rep.add(failing(f"braided{n}.star-invol", "star involutive", bad) if bad
-            else passing(f"braided{n}.star-invol", "star involutive"))
-
-    bad = None
-    for i in range(bn.dim):
-        for j in range(bn.dim):
-            lhs = star.apply(mult({i: one}, {j: one}))
-            rhs = mult(star.apply({j: one}), star.apply({i: one}))
-            if lhs != rhs:
-                bad = {"basis_pair": [i, j]}
-                break
-        if bad:
-            break
-    rep.add(failing(f"braided{n}.star-antimult", "(uv)* = v*u*", bad) if bad
-            else passing(f"braided{n}.star-antimult", "(uv)* = v*u*"))
+    e = [{i: one} for i in range(bn.dim)]
+    rep.check((f"braided{n}.unit", "unit of prodBB"),
+              ({"basis_index": i} for i, v in enumerate(e)
+               if mult(unit, v) != v or mult(v, unit) != v))
+    rep.check((f"braided{n}.star-invol", "star involutive"),
+              ({"basis_index": i} for i, v in enumerate(e) if star.apply(star.apply(v)) != v))
+    rep.check((f"braided{n}.star-antimult", "(uv)* = v*u*"),
+              ({"basis_pair": [i, j]} for i in range(bn.dim) for j in range(bn.dim)
+               if star.apply(mult(e[i], e[j])) != mult(star.apply(e[j]), star.apply(e[i]))))
 
     if n == 2:
         # X is a *-isomorphism onto B (x) A
         ba = b.mixed_space("BA")
         total, g = b.total, b.group
-        bad = None
-        for i in range(bn.dim):
-            for j in range(bn.dim):
-                lhs = b.X.apply(mult({i: one}, {j: one}))
-                acc: Vec = {}
-                for fu, cu in ba.lift(b.X.apply({i: one})).items():
-                    u, au = ba.tuples[fu]
-                    for fv, cv in ba.lift(b.X.apply({j: one})).items():
-                        v, av = ba.tuples[fv]
-                        for k, ck in total.mul_basis(u, v).items():
-                            for a, ca in g.algebra.mul_basis(au, av).items():
-                                viadd_term(acc, ba.flat_index((k, a)), cu * cv * ck * ca)
-                if lhs != ba.project(acc):
-                    bad = {"basis_pair": [i, j]}
-                    break
-            if bad:
-                break
-        rep.add(failing("braided2.X-mult", "X multiplicative", bad) if bad
-                else passing("braided2.X-mult", "X multiplicative"))
+
+        def x_mult_failures():
+            for i in range(bn.dim):
+                for j in range(bn.dim):
+                    lhs = b.X.apply(mult({i: one}, {j: one}))
+                    acc: Vec = {}
+                    for fu, cu in ba.lift(b.X.apply({i: one})).items():
+                        u, au = ba.tuples[fu]
+                        for fv, cv in ba.lift(b.X.apply({j: one})).items():
+                            v, av = ba.tuples[fv]
+                            for k, ck in total.mul_basis(u, v).items():
+                                for a, ca in g.algebra.mul_basis(au, av).items():
+                                    viadd_term(acc, ba.flat_index((k, a)), cu * cv * ck * ca)
+                    if lhs != ba.project(acc):
+                        yield {"basis_pair": [i, j]}
+
+        rep.check(("braided2.X-mult", "X multiplicative"), x_mult_failures())
 
         def ba_star_terms(t):
             i, a = t

@@ -35,9 +35,7 @@ from .errors import (
 )
 from .hopf import HopfStarAlgebra, StarAlgebra, add_coaction_records
 from .linalg import BasedSpace, LinearMap, Vec, fixed_points, viadd_term
-from .report import (
-    RaisingReport, ValidationReport, failing, map_equality_record, passing,
-)
+from .report import RaisingReport, ValidationReport, map_equality_record
 from .tensor import Factor, TProd, block_terms, term_map
 
 DEFAULT_TOWER_BUDGET = 3
@@ -495,10 +493,6 @@ class Bundle(BalancedTower):
         return term_map(bn, bn, terms)
 
 
-def _check(rep: ValidationReport, ident, label, bad):
-    rep.add(failing(ident, label, bad) if bad else passing(ident, label))
-
-
 def build_bundle(total: StarAlgebra, group: HopfStarAlgebra,
                  coaction: LinearMap) -> Bundle:
     """Validate the coaction, compute the base, and assemble X and tau.
@@ -593,25 +587,23 @@ def translation_identities(b: Bundle) -> ValidationReport:
                                 witness_space=bba.space))
 
     # tau(ac) = l(c)l(a) (x) r(a)r(c)
-    bad = None
-    for a in range(da):
-        for c_ in range(da):
-            lhs_v = b.tau.apply(g.algebra.mul_basis(a, c_))
-            acc: Vec = {}
-            for u, v, cc in b.tau_legs[c_]:
-                for x, y, ca in b.tau_legs[a]:
-                    coeff = cc * ca
-                    for p, cp in total.mul_basis(u, x).items():
-                        for q, cq in total.mul_basis(y, v).items():
-                            viadd_term(acc, b2.flat_index((p, q)), coeff * cp * cq)
-            rhs_v = b2.project(acc)
-            if lhs_v != rhs_v:
-                bad = {"basis_pair": [g.space.labels[a], g.space.labels[c_]],
-                       "lhs": b2.render(lhs_v), "rhs": b2.render(rhs_v)}
-                break
-        if bad:
-            break
-    _check(rep, "translation.mult", "tau(ac) = l(c)l(a) (x) r(a)r(c)", bad)
+    def mult_failures():
+        for a in range(da):
+            for c_ in range(da):
+                lhs_v = b.tau.apply(g.algebra.mul_basis(a, c_))
+                acc: Vec = {}
+                for u, v, cc in b.tau_legs[c_]:
+                    for x, y, ca in b.tau_legs[a]:
+                        coeff = cc * ca
+                        for p, cp in total.mul_basis(u, x).items():
+                            for q, cq in total.mul_basis(y, v).items():
+                                viadd_term(acc, b2.flat_index((p, q)), coeff * cp * cq)
+                rhs_v = b2.project(acc)
+                if lhs_v != rhs_v:
+                    yield {"basis_pair": [g.space.labels[a], g.space.labels[c_]],
+                           "lhs": b2.render(lhs_v), "rhs": b2.render(rhs_v)}
+
+    rep.check(("translation.mult", "tau(ac) = l(c)l(a) (x) r(a)r(c)"), mult_failures())
 
     # (F (x) id) tau(a) = l(a^(2)) (x) kappa(a^(1)) (x) r(a^(2)),
     # both sides carried into B (x)_V B (x) A by the free slot swap
@@ -630,20 +622,18 @@ def translation_identities(b: Bundle) -> ValidationReport:
                                 witness_space=bba.space))
 
     # tau(a) f = f tau(a) for f in a basis of V
-    bad = None
-    for fi, fvec in enumerate(b.base_vectors):
-        lf = b.lmult_map(2, 0, fvec)
-        rf = b.rmult_map(2, 1, fvec)
-        for a in range(da):
-            lv = lf.apply(b.tau.cols[a])
-            rv = rf.apply(b.tau.cols[a])
-            if lv != rv:
-                bad = {"base_index": fi, "group_basis": g.space.labels[a],
-                       "f.tau(a)": b2.render(lv), "tau(a).f": b2.render(rv)}
-                break
-        if bad:
-            break
-    _check(rep, "translation.centrality", "tf=ft", bad)
+    def centrality_failures():
+        for fi, fvec in enumerate(b.base_vectors):
+            lf = b.lmult_map(2, 0, fvec)
+            rf = b.rmult_map(2, 1, fvec)
+            for a in range(da):
+                lv = lf.apply(b.tau.cols[a])
+                rv = rf.apply(b.tau.cols[a])
+                if lv != rv:
+                    yield {"base_index": fi, "group_basis": g.space.labels[a],
+                           "f.tau(a)": b2.render(lv), "tau(a).f": b2.render(rv)}
+
+    rep.check(("translation.centrality", "tf=ft"), centrality_failures())
 
     # closed-form oracle over a point-trivial bundle
     if b.is_point_trivial():
@@ -684,11 +674,11 @@ def galois_tower(b: Bundle, n: int):
     target = b.mixed_space("B" + "A" * n)
     # the rank comes from the elimination that x_n_inverse reuses
     rank = xn.solver().rank
-    if xn.domain.dim != xn.codomain.dim or rank != xn.domain.dim:
-        rep.add(failing("tower.bijective", f"X_{n} bijective",
-                        {"rank": rank, "dim": xn.domain.dim}))
+    bijective = xn.domain.dim == xn.codomain.dim and rank == xn.domain.dim
+    rep.check(("tower.bijective", f"X_{n} bijective"),
+              [] if bijective else [{"rank": rank, "dim": xn.domain.dim}])
+    if not bijective:
         return xn, None, rep
-    rep.add(passing("tower.bijective", f"X_{n} bijective"))
 
     # tau_n via the product formula
     bn1 = b.b_space(n + 1)
@@ -716,32 +706,31 @@ def galois_tower(b: Bundle, n: int):
             viadd_term(acc, bn1.flat_index(tup), c)
         tau_cols[at] = bn1.project(acc)
 
-    # X_n tau_n (a_1 ... a_n) = 1 (x) a_1 (x) ... (x) a_n
-    bad = None
-    for at in a_tuples:
-        got = xn.apply(tau_cols[at])
+    def one_tensor(at) -> Vec:
+        """1 (x) a_1 (x) ... (x) a_n in B (x) A^n."""
         want: Vec = {}
         for i, c in total.unit.items():
             viadd_term(want, target.flat_index((i,) + at), c)
-        want = target.project(want)
-        if got != want:
-            bad = {"tuple": [b.group.space.labels[a] for a in at],
-                   "lhs": target.render(got), "rhs": target.render(want)}
-            break
-    _check(rep, "tower.inverse", f"X_{n} tau_{n} = 1 (x) id", bad)
+        return target.project(want)
+
+    def labels(at) -> list:
+        return [b.group.space.labels[a] for a in at]
+
+    # X_n tau_n (a_1 ... a_n) = 1 (x) a_1 (x) ... (x) a_n
+    def inverse_failures():
+        for at in a_tuples:
+            got, want = xn.apply(tau_cols[at]), one_tensor(at)
+            if got != want:
+                yield {"tuple": labels(at), "lhs": target.render(got),
+                       "rhs": target.render(want)}
+
+    rep.check(("tower.inverse", f"X_{n} tau_{n} = 1 (x) id"), inverse_failures())
 
     # independent check: tau_n agrees with the restricted inverse of X_n
     xinv = b.x_n_inverse(n)
-    bad = None
-    for at in a_tuples:
-        want: Vec = {}
-        for i, c in total.unit.items():
-            viadd_term(want, target.flat_index((i,) + at), c)
-        direct = xinv.apply(target.project(want))
-        if direct != tau_cols[at]:
-            bad = {"tuple": [b.group.space.labels[a] for a in at]}
-            break
-    _check(rep, "tower.formula", f"tau_{n} product formula = X_{n}^-1 restriction", bad)
+    rep.check(("tower.formula", f"tau_{n} product formula = X_{n}^-1 restriction"),
+              ({"tuple": labels(at)} for at in a_tuples
+               if xinv.apply(one_tensor(at)) != tau_cols[at]))
 
     tau_n = tau_cols
     return xn, tau_n, rep

@@ -47,9 +47,7 @@ from .linalg import (
     BasedSpace, Echelon, LinearMap, Vec, fixed_points, span_basis, spans_equal,
     viadd, viadd_term, vscale,
 )
-from .report import (
-    ValidationReport, failing, map_equality_record, passing, vacuous,
-)
+from .report import ValidationReport, map_equality_record, passing, vacuous
 from .tensor import Factor, TProd, slot_apply, unit_leg
 
 
@@ -386,15 +384,12 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
         m, g = omega.tp.tuples[i]
         if gamma.degree(g) == 0:
             expected_hor.append({i: one})
-    rep.add(passing("diff.hor", "hor(P) = Omega(M) . B")
-            if spans_equal(hor, expected_hor)
-            else failing("diff.hor", "hor(P) = Omega(M) . B",
-                         {"dim": len(hor), "expected": len(expected_hor)}))
+    rep.check(("diff.hor", "hor(P) = Omega(M) . B"),
+              [] if spans_equal(hor, expected_hor)
+              else [{"dim": len(hor), "expected": len(expected_hor)}])
     fixed = tc.omega_m_fixed()
-    rep.add(passing("diff.omegaM", "Omega(M) = F^-fixed forms")
-            if spans_equal(fixed, omega.m_embed_cols)
-            else failing("diff.omegaM", "Omega(M) = F^-fixed forms",
-                         {"dim": len(fixed)}))
+    rep.check(("diff.omegaM", "Omega(M) = F^-fixed forms"),
+              [] if spans_equal(fixed, omega.m_embed_cols) else [{"dim": len(fixed)}])
 
     # --- tau^ block -----------------------------------------------------------
     w2g = tc.hopf_space(2)
@@ -440,17 +435,9 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
                                 lhs, rhs, witness_space=w2.space))
 
     # tau^ d = d tau^
-    bad = None
-    for gi in range(gamma.dim):
-        if gamma.degree(gi) >= BUDGET:
-            continue
-        lhs_v = tc.tau.apply(gamma.d_cols[gi])
-        rhs_v = tc.w2_d(tc.tau.cols[gi])
-        if lhs_v != rhs_v:
-            bad = {"basis_index": gi}
-            break
-    rep.add(failing("diff.tau-d", "tau^ d = d tau^", bad) if bad
-            else passing("diff.tau-d", "tau^ d = d tau^"))
+    rep.check(("diff.tau-d", "tau^ d = d tau^"),
+              ({"basis_index": gi} for gi in range(gamma.dim) if gamma.degree(gi) < BUDGET
+               and tc.tau.apply(gamma.d_cols[gi]) != tc.w2_d(tc.tau.cols[gi])))
 
     # (F^ (x) id) tau^ = chi{kappa^((1)) (x) tau^((2))}, carried into
     # W_2 (x) Gamma^: the right side is the graded twist of
@@ -493,52 +480,45 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
                                 witness_space=tc.w1.space))
 
     # graded centrality of im(tau^) with Omega(M)
-    bad = None
-    for f in range(base.dim):
-        for gi in range(gamma.dim):
-            if base.degree(f) + gamma.degree(gi) > BUDGET:
-                continue
-            lv = slot_apply(w2, tc.tau.cols[gi], 0, omega.factor.lact[f])
-            rv = slot_apply(w2, tc.tau.cols[gi], 1, omega.factor.ract[f])
-            sign = -one if (base.degree(f) * gamma.degree(gi)) % 2 else one
-            if lv != vscale(sign, rv):
-                bad = {"base_index": f, "gamma_index": gi}
-                break
-        if bad:
-            break
-    rep.add(failing("diff.tau-central", "im(tau^) graded-commutes with Omega(M)", bad)
-            if bad else
-            passing("diff.tau-central", "im(tau^) graded-commutes with Omega(M)"))
+    def central_failures():
+        for f in range(base.dim):
+            for gi in range(gamma.dim):
+                if base.degree(f) + gamma.degree(gi) > BUDGET:
+                    continue
+                lv = slot_apply(w2, tc.tau.cols[gi], 0, omega.factor.lact[f])
+                rv = slot_apply(w2, tc.tau.cols[gi], 1, omega.factor.ract[f])
+                sign = -one if (base.degree(f) * gamma.degree(gi)) % 2 else one
+                if lv != vscale(sign, rv):
+                    yield {"base_index": f, "gamma_index": gi}
+
+    rep.check(("diff.tau-central", "im(tau^) graded-commutes with Omega(M)"),
+              central_failures())
 
     # twisted multiplicativity: tau^(xy) per the chi-formula
-    bad = None
-    for gi in range(gamma.dim):
-        for gj in range(gamma.dim):
-            if gamma.degree(gi) + gamma.degree(gj) > BUDGET:
-                continue
-            lhs_v = tc.tau.apply(gamma.mul_basis(gi, gj))
-            acc: Vec = {}
-            for u, v_, cu in tc.tau_legs[gj]:
-                sign = -one if (gamma.degree(gi) * omega.degree(u)) % 2 else one
-                for p, q, ct in tc.tau_legs[gi]:
-                    c0 = cu * ct * sign
-                    for m, cm in omega.mul_basis(u, p).items():
-                        for m2, cm2 in omega.mul_basis(q, v_).items():
-                            viadd_term(acc, w2.flat_index((m, m2)), c0 * cm * cm2)
-            if lhs_v != w2.project(acc):
-                bad = {"pair": [gi, gj]}
-                break
-        if bad:
-            break
-    rep.add(failing("diff.tau-mult", "tau^ of a product (chi formula)", bad)
-            if bad else passing("diff.tau-mult", "tau^ of a product (chi formula)"))
+    def mult_failures():
+        for gi in range(gamma.dim):
+            for gj in range(gamma.dim):
+                if gamma.degree(gi) + gamma.degree(gj) > BUDGET:
+                    continue
+                lhs_v = tc.tau.apply(gamma.mul_basis(gi, gj))
+                acc: Vec = {}
+                for u, v_, cu in tc.tau_legs[gj]:
+                    sign = -one if (gamma.degree(gi) * omega.degree(u)) % 2 else one
+                    for p, q, ct in tc.tau_legs[gi]:
+                        c0 = cu * ct * sign
+                        for m, cm in omega.mul_basis(u, p).items():
+                            for m2, cm2 in omega.mul_basis(q, v_).items():
+                                viadd_term(acc, w2.flat_index((m, m2)), c0 * cm * cm2)
+                if lhs_v != w2.project(acc):
+                    yield {"pair": [gi, gj]}
+
+    rep.check(("diff.tau-mult", "tau^ of a product (chi formula)"), mult_failures())
 
     # --- sigma^_M suite --------------------------------------------------------
     ident = LinearMap.identity(w2.space, field)
     ok = (tc.sigma.compose(tc.sigma_inv) == ident
           and tc.sigma_inv.compose(tc.sigma) == ident)
-    rep.add(passing("diff.g-inv", "g-inv") if ok
-            else failing("diff.g-inv", "g-inv", {}))
+    rep.check(("diff.g-inv", "g-inv"), [] if ok else [{}])
 
     # filtration compatibility for k = 0, 1, 2 (degree-budgeted pairings)
     for k in range(BUDGET + 1):
@@ -553,9 +533,8 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
                 left_span.append(tc.embed_w2(u, {j: one}))
                 right_span.append(tc.embed_w2({j: one}, u))
         img = [tc.sigma.apply(v) for v in left_span]
-        ok = spans_equal(img, right_span)
-        rep.add(passing(f"diff.gsM-filt-{k}", "gsM-filt") if ok
-                else failing(f"diff.gsM-filt-{k}", "gsM-filt", {"k": k}))
+        rep.check((f"diff.gsM-filt-{k}", "gsM-filt"),
+                  [] if spans_equal(img, right_span) else [{"k": k}])
 
     tc.add_braid_records(rep, (
         ("diff.g-braid", "g-braid"), ("diff.prod-gsM1", "prod-gsM1"),
@@ -566,17 +545,9 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
                                 tc.sigma_inv.compose(tc.w2_star),
                                 witness_space=w2.space))
 
-    bad = None
-    for b in range(w2.dim):
-        if tc.w2_basis_deg(b) >= BUDGET:
-            continue
-        lhs_v = tc.w2_d(tc.sigma.cols[b])
-        rhs_v = tc.sigma.apply(tc.w2_d_cols[b])
-        if lhs_v != rhs_v:
-            bad = {"basis_index": b}
-            break
-    rep.add(failing("diff.g-d", "d sigma^ = sigma^ d", bad) if bad
-            else passing("diff.g-d", "d sigma^ = sigma^ d"))
+    rep.check(("diff.g-d", "d sigma^ = sigma^ d"),
+              ({"basis_index": b} for b in range(w2.dim) if tc.w2_basis_deg(b) < BUDGET
+               and tc.w2_d(tc.sigma.cols[b]) != tc.sigma.apply(tc.w2_d_cols[b])))
 
     # --- L^ -------------------------------------------------------------------
     lhat = tc.lhat
@@ -584,12 +555,10 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
     stars = [lhat.l_incl.solve(tc.w2_star.apply(lb)) for lb in lhat.l_basis]
     ds = {li: lhat.l_incl.solve(tc.w2_d(lb)) for li, lb in enumerate(lhat.l_basis)
           if lhat.degrees[li] < BUDGET}
-    ok = all(st is not None for st in stars)
-    rep.add(passing("diff.Lhat-star", "L^ closed under conjugation") if ok
-            else failing("diff.Lhat-star", "L^ closed under conjugation", {}))
-    ok = all(dl is not None for dl in ds.values())
-    rep.add(passing("diff.Lhat-d", "L^ closed under d") if ok
-            else failing("diff.Lhat-d", "L^ closed under d", {}))
+    rep.check(("diff.Lhat-star", "L^ closed under conjugation"),
+              [] if all(st is not None for st in stars) else [{}])
+    rep.check(("diff.Lhat-d", "L^ closed under d"),
+              [] if all(dl is not None for dl in ds.values()) else [{}])
 
     if gauge_coalgebra is not None:
         # degree-0 part of L^ equals L; basis element k of B is deg0[k] of Omega(P)
@@ -603,22 +572,17 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
                 viadd_term(acc, w2.flat_index((deg0[i], deg0[j])), c)
             l_in_w2.append(w2.project(acc))
         lhat0 = [lb for li, lb in enumerate(lhat.l_basis) if lhat.degrees[li] == 0]
-        rep.add(passing("diff.Lhat-deg0", "L^0 = L")
-                if spans_equal(l_in_w2, lhat0)
-                else failing("diff.Lhat-deg0", "L^0 = L",
-                             {"dim_L": len(l_in_w2), "dim_Lhat0": len(lhat0)}))
+        rep.check(("diff.Lhat-deg0", "L^0 = L"),
+                  [] if spans_equal(l_in_w2, lhat0)
+                  else [{"dim_L": len(l_in_w2), "dim_Lhat0": len(lhat0)}])
 
     # eps^_M: hermitian and d-compatible; a star or d that leaves L^ fails
-    bad = next(({"basis_index": li} for li, st in enumerate(stars)
-                if st is None or lhat.eps_m.apply(st)
-                != base.star_vec(lhat.eps_m.cols[li])), None)
-    rep.add(failing("diff.epsM-star", "eps^_M * = * eps^_M", bad) if bad
-            else passing("diff.epsM-star", "eps^_M * = * eps^_M"))
-    bad = next(({"basis_index": li} for li, dl in ds.items()
-                if dl is None or lhat.eps_m.apply(dl)
-                != base.d_apply(lhat.eps_m.cols[li])), None)
-    rep.add(failing("diff.epsM-d", "eps^_M d = d eps^_M", bad) if bad
-            else passing("diff.epsM-d", "eps^_M d = d eps^_M"))
+    rep.check(("diff.epsM-star", "eps^_M * = * eps^_M"),
+              ({"basis_index": li} for li, st in enumerate(stars)
+               if st is None or lhat.eps_m.apply(st) != base.star_vec(lhat.eps_m.cols[li])))
+    rep.check(("diff.epsM-d", "eps^_M d = d eps^_M"),
+              ({"basis_index": li} for li, dl in ds.items()
+               if dl is None or lhat.eps_m.apply(dl) != base.d_apply(lhat.eps_m.cols[li])))
 
     # counital differential coalgebra identities
     lhat.add_coalgebra_records(rep, (
@@ -628,32 +592,27 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
         ("diff.Lhat-coasso", "phi^_M coassociative")))
 
     # <tau^, tau^>(theta) = d tau^(theta) on Gamma_inv
-    bad = None
-    checked = False
-
     @cache
     def carried_tau(t: int) -> Vec:
         """tau^(theta_t) carried along X_1, once per theta_t."""
         return tc.transported_mult(2).carry(tc.tau_of(gamma.inv1_vec(t)))
 
-    for t in range(gamma.d1):
-        checked = True
-        # theta as the invariant element 1 (x) theta_t of Gamma
-        theta_vec = gamma.inv1_vec(t)
-        lhs_v: Vec = {}
-        for idx, c in tc.env2.delta.cols[t].items():
-            t1, t2 = divmod(idx, gamma.d1)
-            viadd(lhs_v, c, tc.transported_mult(2).mul_carried(carried_tau(t1),
-                                                                carried_tau(t2)))
-        rhs_v = tc.w2_d(tc.tau_of(theta_vec))
-        if lhs_v != rhs_v:
-            bad = {"theta_index": t}
-            break
-    if not checked:
-        rep.add(vacuous("diff.tau-bracket", "<tau^,tau^> = d tau^",
-                        note="zero calculus"))
+    def bracket_failures():
+        for t in range(gamma.d1):
+            # theta as the invariant element 1 (x) theta_t of Gamma
+            theta_vec = gamma.inv1_vec(t)
+            lhs_v: Vec = {}
+            for idx, c in tc.env2.delta.cols[t].items():
+                t1, t2 = divmod(idx, gamma.d1)
+                viadd(lhs_v, c, tc.transported_mult(2).mul_carried(carried_tau(t1),
+                                                                    carried_tau(t2)))
+            if lhs_v != tc.w2_d(tc.tau_of(theta_vec)):
+                yield {"theta_index": t}
+
+    bracket = ("diff.tau-bracket", "<tau^,tau^> = d tau^")
+    if gamma.d1:
+        rep.check(bracket, bracket_failures())
     else:
-        rep.add(failing("diff.tau-bracket", "<tau^,tau^> = d tau^", bad) if bad
-                else passing("diff.tau-bracket", "<tau^,tau^> = d tau^"))
+        rep.add(vacuous(*bracket, note="zero calculus"))
 
     return rep

@@ -17,7 +17,7 @@ from .calculus import TotalCalculus
 from .errors import NotCovariant, ValidationFailed
 from .hopf import BUDGET
 from .linalg import Echelon, LinearMap, Vec, viadd, viadd_term
-from .report import CheckRecord, ValidationReport, failing, passing, vacuous
+from .report import ValidationReport, vacuous
 
 
 class Connection:
@@ -177,7 +177,6 @@ def verify_transformations(conn: Connection) -> ValidationReport:
     g = tc.group
     w2, w3 = tc.w2, tc.w3
     d1 = tc.fodc.dim
-    vac = d1 == 0
 
     def tau0(a: int):
         return tc.tau_legs[gamma.i0(a)]
@@ -199,161 +198,139 @@ def verify_transformations(conn: Connection) -> ValidationReport:
     def carried_derivative(w: int) -> Vec:
         return carried_w3(conn.covariant_derivative({w: one}))
 
+    def theta_check(ident, witnesses, note=None):
+        """rep.check for an identity over Gamma_inv: vacuous over the zero
+        calculus, where it has no theta."""
+        if d1:
+            rep.check(ident, witnesses, note)
+        else:
+            rep.add(vacuous(*ident, note="zero calculus"))
+
     # d-aP: d tau(a) = tau(a^(1)) omega pi(a^(2)) - omega pi(a^(1)) tau(a^(2))
-    bad = None
-    for a in range(g.dim):
-        lhs = tc.w2_d(tc.tau.cols[gamma.i0(a)])
-        acc: Vec = {}
-        for a1, a2, c in g.sweedler(a):
-            w2v = conn.omega_pi({a2: one})
-            for p, q, ct in tau0(a1):
-                for qq, cq in om.mul({q: one}, w2v).items():
-                    viadd_term(acc, w2.flat_index((p, qq)), c * ct * cq)
-            w1v = conn.omega_pi({a1: one})
-            for p, q, ct in tau0(a2):
-                for pp, cp in om.mul(w1v, {p: one}).items():
-                    viadd_term(acc, w2.flat_index((pp, q)), -(c * ct * cp))
-        if lhs != w2.project(acc):
-            bad = {"group_basis": g.space.labels[a]}
-            break
-    rep.add(failing("conn.d-aP", "d-aP", bad) if bad
-            else passing("conn.d-aP", "d-aP"))
+    def d_ap_failures():
+        for a in range(g.dim):
+            lhs = tc.w2_d(tc.tau.cols[gamma.i0(a)])
+            acc: Vec = {}
+            for a1, a2, c in g.sweedler(a):
+                w2v = conn.omega_pi({a2: one})
+                for p, q, ct in tau0(a1):
+                    for qq, cq in om.mul({q: one}, w2v).items():
+                        viadd_term(acc, w2.flat_index((p, qq)), c * ct * cq)
+                w1v = conn.omega_pi({a1: one})
+                for p, q, ct in tau0(a2):
+                    for pp, cp in om.mul(w1v, {p: one}).items():
+                        viadd_term(acc, w2.flat_index((pp, q)), -(c * ct * cp))
+            if lhs != w2.project(acc):
+                yield {"group_basis": g.space.labels[a]}
+
+    rep.check(("conn.d-aP", "d-aP"), d_ap_failures())
 
     # gP-inv: tau^(theta) = 1 (x) omega(theta) - sum omega(theta_k) tau(c_k)
-    bad = None
-    for t in range(d1):
-        lhs = tc.tau.apply(gamma.inv1_vec(t))
-        acc = tc.embed_w2(om.unit, conn.omega_map.cols[t])
-        for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
-            wv = conn.omega_map.cols[th_k]
-            for p, q, ct in tau0(c_k):
-                for pp, cp in om.mul(wv, {p: one}).items():
-                    viadd(acc, -(cc * ct * cp),
-                          w2.project({w2.flat_index((pp, q)): one}))
-        if lhs != acc:
-            bad = {"theta_index": t}
-            break
-    if vac:
-        rep.add(vacuous("conn.gP-inv", "gP-inv", note="zero calculus"))
-    else:
-        rep.add(failing("conn.gP-inv", "gP-inv", bad) if bad
-                else passing("conn.gP-inv", "gP-inv"))
+    def gp_inv_failures():
+        for t in range(d1):
+            lhs = tc.tau.apply(gamma.inv1_vec(t))
+            acc = tc.embed_w2(om.unit, conn.omega_map.cols[t])
+            for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
+                wv = conn.omega_map.cols[th_k]
+                for p, q, ct in tau0(c_k):
+                    for pp, cp in om.mul(wv, {p: one}).items():
+                        viadd(acc, -(cc * ct * cp),
+                              w2.project({w2.flat_index((pp, q)): one}))
+            if lhs != acc:
+                yield {"theta_index": t}
+
+    theta_check(("conn.gP-inv", "gP-inv"), gp_inv_failures())
 
     # braiding between connections and arbitrary forms
-    bad = None
-    for t in range(d1):
-        wv = conn.omega_map.cols[t]
-        for psi in range(om.dim):
-            if 1 + om.degree(psi) > BUDGET:
-                continue
-            lhs = tc.sigma.apply(tc.embed_w2(wv, {psi: one}))
-            sign = -one if om.degree(psi) % 2 else one
-            acc: Vec = {}
-            for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
-                wk = conn.omega_map.cols[th_k]
-                left = om.mul(wk, {psi: one})
-                for p, q, ct in tau0(c_k):
-                    for pp, cp in om.mul(left, {p: one}).items():
-                        viadd_term(acc, w2.flat_index((pp, q)), cc * ct * cp)
-                right = om.mul({psi: one}, wk)
-                for p, q, ct in tau0(c_k):
-                    for pp, cp in om.mul(right, {p: one}).items():
-                        viadd_term(acc, w2.flat_index((pp, q)), -(sign * cc * ct * cp))
-            rhs = w2.project(acc)
-            for k, c in tc.embed_w2({psi: one}, wv).items():
-                viadd_term(rhs, k, sign * c)
-            if lhs != rhs:
-                bad = {"theta_index": t, "psi": om.space.labels[psi]}
-                break
-        if bad:
-            break
-    if vac:
-        rep.add(vacuous("conn.braiding-connection", "braiding with connections",
-                        note="zero calculus"))
-    else:
-        rep.add(failing("conn.braiding-connection", "braiding with connections", bad)
-                if bad else
-                passing("conn.braiding-connection", "braiding with connections"))
+    def braiding_failures():
+        for t in range(d1):
+            wv = conn.omega_map.cols[t]
+            for psi in range(om.dim):
+                if 1 + om.degree(psi) > BUDGET:
+                    continue
+                lhs = tc.sigma.apply(tc.embed_w2(wv, {psi: one}))
+                sign = -one if om.degree(psi) % 2 else one
+                acc: Vec = {}
+                for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
+                    wk = conn.omega_map.cols[th_k]
+                    left = om.mul(wk, {psi: one})
+                    for p, q, ct in tau0(c_k):
+                        for pp, cp in om.mul(left, {p: one}).items():
+                            viadd_term(acc, w2.flat_index((pp, q)), cc * ct * cp)
+                    right = om.mul({psi: one}, wk)
+                    for p, q, ct in tau0(c_k):
+                        for pp, cp in om.mul(right, {p: one}).items():
+                            viadd_term(acc, w2.flat_index((pp, q)), -(sign * cc * ct * cp))
+                rhs = w2.project(acc)
+                for k, c in tc.embed_w2({psi: one}, wv).items():
+                    viadd_term(rhs, k, sign * c)
+                if lhs != rhs:
+                    yield {"theta_index": t, "psi": om.space.labels[psi]}
+
+    theta_check(("conn.braiding-connection", "braiding with connections"), braiding_failures())
 
     # tr-conn: Delta^ omega(theta) = sum omega(theta_k) (x) tau(c_k) + 1 (x) tau^(theta)
-    bad = None
-    for t in range(d1):
-        lhs = tc.lhat.delta3.apply(conn.omega_map.cols[t])
-        acc: Vec = {}
-        for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
-            for i, ci in conn.omega_map.cols[th_k].items():
-                for p, q, ct in tau0(c_k):
-                    viadd_term(acc, w3.flat_index((i, p, q)), cc * ci * ct)
-        rhs = w3.project(acc)
-        for fi, c in w2.lift(tc.tau.apply(gamma.inv1_vec(t))).items():
-            p, q = w2.tuples[fi]
-            for i, ci in om.unit.items():
-                viadd(rhs, c * ci, w3.project({w3.flat_index((i, p, q)): one}))
-        if lhs != rhs:
-            bad = {"theta_index": t}
-            break
-    if vac:
-        rep.add(vacuous("conn.tr-conn", "tr-conn", note="zero calculus"))
-    else:
-        rep.add(failing("conn.tr-conn", "tr-conn", bad) if bad
-                else passing("conn.tr-conn", "tr-conn"))
+    def tr_conn_failures():
+        for t in range(d1):
+            lhs = tc.lhat.delta3.apply(conn.omega_map.cols[t])
+            acc: Vec = {}
+            for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
+                for i, ci in conn.omega_map.cols[th_k].items():
+                    for p, q, ct in tau0(c_k):
+                        viadd_term(acc, w3.flat_index((i, p, q)), cc * ci * ct)
+            rhs = w3.project(acc)
+            for fi, c in w2.lift(tc.tau.apply(gamma.inv1_vec(t))).items():
+                p, q = w2.tuples[fi]
+                for i, ci in om.unit.items():
+                    viadd(rhs, c * ci, w3.project({w3.flat_index((i, p, q)): one}))
+            if lhs != rhs:
+                yield {"theta_index": t}
+
+    theta_check(("conn.tr-conn", "tr-conn"), tr_conn_failures())
 
     # curvature covariance F^ R(theta) = sum R(theta_k) (x) c_k
     og = om.og
-    bad = None
-    for t in range(d1):
-        lhs = om.f_hat.apply(conn.curvature.cols[t])
-        acc = {}
-        for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
-            for i, ci in conn.curvature.cols[th_k].items():
-                viadd_term(acc, og.flat_index((i, gamma.i0(c_k))), cc * ci)
-        if lhs != og.project(acc):
-            bad = {"theta_index": t}
-            break
-    if vac:
-        rep.add(vacuous("conn.R-covariant", "curvature F^-covariance",
-                        note="zero calculus"))
-    else:
-        rep.add(failing("conn.R-covariant", "curvature F^-covariance", bad) if bad
-                else passing("conn.R-covariant", "curvature F^-covariance"))
+
+    def covariance_failures():
+        for t in range(d1):
+            lhs = om.f_hat.apply(conn.curvature.cols[t])
+            acc = {}
+            for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
+                for i, ci in conn.curvature.cols[th_k].items():
+                    viadd_term(acc, og.flat_index((i, gamma.i0(c_k))), cc * ci)
+            if lhs != og.project(acc):
+                yield {"theta_index": t}
+
+    theta_check(("conn.R-covariant", "curvature F^-covariance"), covariance_failures())
 
     # tr-R2: Delta^ R(theta) = sum R(theta_k) (x) tau(c_k)
-    bad = None
-    for t in range(d1):
-        lhs = tc.lhat.delta3.apply(conn.curvature.cols[t])
-        acc = {}
-        for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
-            for i, ci in conn.curvature.cols[th_k].items():
-                for p, q, ct in tau0(c_k):
-                    viadd_term(acc, w3.flat_index((i, p, q)), cc * ci * ct)
-        if lhs != w3.project(acc):
-            bad = {"theta_index": t}
-            break
-    if vac:
-        rep.add(vacuous("conn.tr-R2", "tr-R2", note="zero calculus"))
-    else:
-        rep.add(failing("conn.tr-R2", "tr-R2", bad) if bad
-                else passing("conn.tr-R2", "tr-R2"))
+    def tr_r2_failures():
+        for t in range(d1):
+            lhs = tc.lhat.delta3.apply(conn.curvature.cols[t])
+            acc = {}
+            for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
+                for i, ci in conn.curvature.cols[th_k].items():
+                    for p, q, ct in tau0(c_k):
+                        viadd_term(acc, w3.flat_index((i, p, q)), cc * ci * ct)
+            if lhs != w3.project(acc):
+                yield {"theta_index": t}
+
+    theta_check(("conn.tr-R2", "tr-R2"), tr_r2_failures())
 
     # tr-R1: Delta^ R(theta) = sum varsigma(c_k) . R(theta_k)  (W_3 product)
-    bad = None
-    for t in range(d1):
-        lhs = tc.lhat.delta3.apply(conn.curvature.cols[t])
-        rhs: Vec = {}
-        for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
-            prod = tc.transported_mult(3).mul_carried(carried_varsigma(c_k),
-                                                      carried_curvature(th_k))
-            viadd(rhs, cc, prod)
-        if lhs != rhs:
-            bad = {"theta_index": t}
-            break
-    if vac:
-        rep.add(vacuous("conn.tr-R1", "tr-R1", note="zero calculus"))
-    else:
-        rep.add(CheckRecord("conn.tr-R1", "tr-R1",
-                            "fail" if bad else "pass", witness=bad,
-                            note="right side multiplied in W_3 with the "
-                                 "sigma^_M-induced product"))
+    def tr_r1_failures():
+        for t in range(d1):
+            lhs = tc.lhat.delta3.apply(conn.curvature.cols[t])
+            rhs: Vec = {}
+            for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
+                prod = tc.transported_mult(3).mul_carried(carried_varsigma(c_k),
+                                                          carried_curvature(th_k))
+                viadd(rhs, cc, prod)
+            if lhs != rhs:
+                yield {"theta_index": t}
+
+    w3_note = "right side multiplied in W_3 with the sigma^_M-induced product"
+    theta_check(("conn.tr-R1", "tr-R1"), tr_r1_failures(), w3_note)
 
     # covariant derivative on horizontal forms of degree <= 1
     hor = tc.filtration_basis(0)
@@ -365,50 +342,40 @@ def verify_transformations(conn: Connection) -> ValidationReport:
         d_checked.append((v, deg))
 
     # D maps hor to hor
-    bad = None
-    for v, deg in d_checked:
-        dv = conn.covariant_derivative(v)
-        if not conn.hor_span.contains(dv):
-            bad = {"form": om.space.render(v)}
-            break
-    rep.add(failing("conn.D-horizontal", "D preserves horizontal forms", bad)
-            if bad else
-            passing("conn.D-horizontal", "D preserves horizontal forms"))
+    rep.check(("conn.D-horizontal", "D preserves horizontal forms"),
+              ({"form": om.space.render(v)} for v, deg in d_checked
+               if not conn.hor_span.contains(conn.covariant_derivative(v))))
 
     # tr-D2: Delta^ D(phi) = sum D(phi_k) (x) tau(c_k)
-    bad = None
-    for v, deg in d_checked:
-        lhs = tc.lhat.delta3.apply(conn.covariant_derivative(v))
-        acc = {}
-        for i, c in v.items():
-            for w, th, cf in tc.f_pos_part(i):
-                _, a, _ = gamma.split(th)
-                dw = conn.covariant_derivative({w: one})
-                for iw, ciw in dw.items():
-                    for p, q, ct in tau0(a):
-                        viadd_term(acc, w3.flat_index((iw, p, q)), c * cf * ciw * ct)
-        if lhs != w3.project(acc):
-            bad = {"form": om.space.render(v)}
-            break
-    rep.add(failing("conn.tr-D2", "tr-D2", bad) if bad
-            else passing("conn.tr-D2", "tr-D2"))
+    def tr_d2_failures():
+        for v, deg in d_checked:
+            lhs = tc.lhat.delta3.apply(conn.covariant_derivative(v))
+            acc = {}
+            for i, c in v.items():
+                for w, th, cf in tc.f_pos_part(i):
+                    _, a, _ = gamma.split(th)
+                    dw = conn.covariant_derivative({w: one})
+                    for iw, ciw in dw.items():
+                        for p, q, ct in tau0(a):
+                            viadd_term(acc, w3.flat_index((iw, p, q)), c * cf * ciw * ct)
+            if lhs != w3.project(acc):
+                yield {"form": om.space.render(v)}
+
+    rep.check(("conn.tr-D2", "tr-D2"), tr_d2_failures())
 
     # tr-D1: Delta^ D(phi) = sum varsigma(c_k) . D(phi_k)  (W_3 product)
-    bad = None
-    for v, deg in d_checked:
-        lhs = tc.lhat.delta3.apply(conn.covariant_derivative(v))
-        rhs = {}
-        for i, c in v.items():
-            for w, th, cf in tc.f_pos_part(i):
-                _, a, _ = gamma.split(th)
-                prod = tc.transported_mult(3).mul_carried(carried_varsigma(a),
-                                                          carried_derivative(w))
-                viadd(rhs, c * cf, prod)
-        if lhs != rhs:
-            bad = {"form": om.space.render(v)}
-            break
-    rep.add(CheckRecord("conn.tr-D1", "tr-D1", "fail" if bad else "pass",
-                        witness=bad,
-                        note="right side multiplied in W_3 with the "
-                             "sigma^_M-induced product"))
+    def tr_d1_failures():
+        for v, deg in d_checked:
+            lhs = tc.lhat.delta3.apply(conn.covariant_derivative(v))
+            rhs = {}
+            for i, c in v.items():
+                for w, th, cf in tc.f_pos_part(i):
+                    _, a, _ = gamma.split(th)
+                    prod = tc.transported_mult(3).mul_carried(carried_varsigma(a),
+                                                              carried_derivative(w))
+                    viadd(rhs, c * cf, prod)
+            if lhs != rhs:
+                yield {"form": om.space.render(v)}
+
+    rep.check(("conn.tr-D1", "tr-D1"), tr_d1_failures(), w3_note)
     return rep

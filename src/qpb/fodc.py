@@ -12,10 +12,13 @@ Lambda^2, a splitting chosen as the Haar-orthogonal complement of S^2
 differential delta with sigma delta - delta = (id (x) pi) varpi.
 
 Every map on a quotient is defined once, by descent (``_descend``): a map f
-on the ambient space must kill every relation, or ValidationFailed names it,
-and is then read on the representatives of a basis.  So varpi, circ, the
-star and dlambda descend from A to Gamma_inv, and circ, the star, phi^ and
-kappa^ from Gamma_inv^(x)2 to Lambda^2.
+on the ambient space must kill every relation, or an error is raised, and f
+is then read on the representatives of a basis.  So varpi, circ, the star
+and dlambda descend from A to Gamma_inv, and circ, the star, phi^ and kappa^
+from Gamma_inv^(x)2 to Lambda^2.  The descents of circ, varpi and the star
+to Gamma_inv are the checks that R is a right ideal, ad-invariant and
+star-compatible, and reject the ideal at fodc.ideal_basis; any other descent
+that fails raises ValidationFailed naming the map.
 
 GammaEnvelope assembles the degree <= 2 graded *-algebra A (+) Gamma (+)
 Gamma^2 with differential, extended coproduct, counit and antipode.  It is a
@@ -45,18 +48,19 @@ from .linalg import (
     BasedSpace, Echelon, LinearMap, PreparedSolve, QuotientSpace, Vec,
     nullspace_of_columns, span_basis, viadd, viadd_term, vscale,
 )
-from .report import RaisingReport, ValidationReport, failing, passing, vacuous
+from .report import RaisingReport, ValidationReport, passing, vacuous
 from .tensor import Factor, TProd
 
 
-def _descend(f, reps, relations, what: str) -> list:
+def _descend(f, reps, relations, what: str, reject=None) -> list:
     """The map that f induces on a quotient, as its values on the
-    representatives ``reps`` of a basis: f must kill every relation, or
-    ValidationFailed names the map ``what``."""
+    representatives ``reps`` of a basis: f must kill every relation, or the
+    error ``reject`` is raised, by default a ValidationFailed that names the
+    map ``what``."""
     for n, r in enumerate(relations):
         if f(r):
-            raise ValidationFailed(f"{what} is not well defined: it does not kill "
-                                   f"relation {n}")
+            raise reject or ValidationFailed(f"{what} is not well defined: it does not "
+                                             f"kill relation {n}")
     return [f(v) for v in reps]
 
 
@@ -73,28 +77,7 @@ class Fodc:
                 raise NotIdeal("ideal vector has nonzero counit", where="fodc.ideal_basis")
             self.ideal.add(r)
         self.ideal_basis = self.ideal.basis()
-
-        # right ideal: R A in R
-        for r in self.ideal_basis:
-            for a in range(da):
-                if not self.ideal.contains(g.mul(r, {a: one})):
-                    raise NotIdeal("R is not a right ideal", where="fodc.ideal_basis")
-        # ad-invariance: ad(R) in R (x) A
-        ad = adjoint_action(g)
-        for r in self.ideal_basis:
-            img = ad.apply(r)
-            by_second: dict[int, Vec] = {}
-            for idx, c in img.items():
-                j, k = divmod(idx, da)
-                by_second.setdefault(k, {})[j] = c
-            for k, v in by_second.items():
-                if not self.ideal.contains(v):
-                    raise NotAdInvariant("ad(R) leaves R (x) A", where="fodc.ideal_basis")
-        self.ad = ad
-        # star compatibility: kappa(R)* in R
-        for r in self.ideal_basis:
-            if not self.ideal.contains(g.star_vec(g.kappa(r))):
-                raise NotStarCompatible("kappa(R)* leaves R", where="fodc.ideal_basis")
+        self.ad = ad = adjoint_action(g)
 
         # Gamma_inv = A / (R + C 1)
         self.relations = [dict(r) for r in self.ideal_basis] + [dict(g.unit)]
@@ -105,15 +88,43 @@ class Fodc:
         self.section = LinearMap(self.inv_space, g.space,
                                  [{i: field.one} for i in self.q.keep], field)
 
-        def on_inv(f, what):
-            """The map that f: A -> W induces on Gamma_inv, by descent."""
-            return _descend(f, self.section.cols, self.relations, what)
+        def on_inv(f, what, reject):
+            """The map that f: A -> W induces on Gamma_inv, by descent, or the
+            input error ``reject``.  Every r.b, every A-component of ad(r) and
+            every kappa(r)* lies in ker eps, and (R + C.1) cap ker eps = R, so
+            the descents of circ, varpi and the star are the right-ideal,
+            ad-invariance and star-compatibility conditions on R."""
+            return _descend(f, self.section.cols, self.relations, what, reject)
+
+        # circ: pi(x) o b = pi(xb) - eps(x) pi(b), and the module law
+        # (theta o a) o b = theta o (ab)
+        def circ_by(b):
+            def f(x):
+                v = self.pi.apply(g.mul(x, {b: one}))
+                eps_x = g.eps(x)
+                if eps_x:
+                    viadd(v, -eps_x, self.pi.cols[b])
+                return v
+            return f
+        not_ideal = NotIdeal("R is not a right ideal", where="fodc.ideal_basis")
+        self.circ = [LinearMap(self.inv_space, self.inv_space,
+                               on_inv(circ_by(b), "circ", not_ideal), field)
+                     for b in range(da)]
+        for a in range(da):
+            for b_ in range(da):
+                comp = self.circ[b_].compose(self.circ[a])
+                acc = LinearMap.zero(self.inv_space, self.inv_space, field)
+                for k, c in g.algebra.mul_basis(a, b_).items():
+                    acc = acc.add(self.circ[k].scale(c))
+                if comp != acc:
+                    raise ValidationFailed("circ is not a right module action")
 
         # varpi pi = (pi (x) id) ad, and its coaction laws
         id_a = LinearMap.identity(g.space, field)
         pi_id = self.pi.tensor(id_a)
-        self.varpi = LinearMap(self.inv_space, pi_id.codomain,
-                               on_inv(lambda x: pi_id.apply(ad.apply(x)), "varpi"), field)
+        self.varpi = LinearMap(self.inv_space, pi_id.codomain, on_inv(
+            lambda x: pi_id.apply(ad.apply(x)), "varpi",
+            NotAdInvariant("ad(R) leaves R (x) A", where="fodc.ideal_basis")), field)
         lhs = self.varpi.tensor(id_a).compose(self.varpi)
         rhs = LinearMap.identity(self.inv_space, field).tensor(g.coproduct) \
             .compose(self.varpi)
@@ -130,32 +141,13 @@ class Fodc:
                             for idx, c in self.varpi.cols[t].items()]
                            for t in range(self.dim)]
 
-        # circ: pi(x) o b = pi(xb) - eps(x) pi(b), and the module law
-        # (theta o a) o b = theta o (ab)
-        def circ_by(b):
-            def f(x):
-                v = self.pi.apply(g.mul(x, {b: one}))
-                eps_x = g.eps(x)
-                if eps_x:
-                    viadd(v, -eps_x, self.pi.cols[b])
-                return v
-            return f
-        self.circ = [LinearMap(self.inv_space, self.inv_space, on_inv(circ_by(b), "circ"),
-                               field) for b in range(da)]
-        for a in range(da):
-            for b_ in range(da):
-                comp = self.circ[b_].compose(self.circ[a])
-                acc = LinearMap.zero(self.inv_space, self.inv_space, field)
-                for k, c in g.algebra.mul_basis(a, b_).items():
-                    acc = acc.add(self.circ[k].scale(c))
-                if comp != acc:
-                    raise ValidationFailed("circ is not a right module action")
-
         # star on Gamma_inv: pi(x)* = -pi(kappa(x)*)
         self.star_inv = LinearMap(
             self.inv_space, self.inv_space,
             on_inv(lambda x: vscale(-one, self.pi.apply(g.star_vec(g.kappa(x)))),
-                   "star on Gamma_inv"), field, antilinear=True)
+                   "star on Gamma_inv",
+                   NotStarCompatible("kappa(R)* leaves R", where="fodc.ideal_basis")),
+            field, antilinear=True)
         if self.star_inv.compose(self.star_inv) != \
                 LinearMap.identity(self.inv_space, field):
             raise ValidationFailed("star on Gamma_inv is not involutive")
@@ -200,10 +192,8 @@ class Fodc:
         s12, s23 = at(0), at(1)
         lhs = s12.compose(s23).compose(s12)
         rhs = s23.compose(s12).compose(s23)
-        ok = lhs == rhs
-        rep.add(passing("fodc.braid", "sigma braid equation") if ok
-                else failing("fodc.braid", "sigma braid equation",
-                             {"first_difference": lhs.first_difference(rhs)}))
+        rep.check(("fodc.braid", "sigma braid equation"),
+                  [] if lhs == rhs else [{"first_difference": lhs.first_difference(rhs)}])
         return rep
 
 
@@ -439,11 +429,9 @@ class Envelope2:
                     viadd_term(acc, th * d + u, c * cu)
             rhs_cols.append(acc)
         rhs = LinearMap(fodc.inv_space, fodc.sq_space, rhs_cols, field)
-        self.report.add(
-            passing("envelope.sigma-delta", "sigma delta - delta = (id (x) pi) varpi")
-            if lhs == rhs else
-            failing("envelope.sigma-delta", "sigma delta - delta = (id (x) pi) varpi",
-                    {"first_difference": lhs.first_difference(rhs)}))
+        self.report.check(("envelope.sigma-delta", "sigma delta - delta = (id (x) pi) varpi"),
+                          [] if lhs == rhs
+                          else [{"first_difference": lhs.first_difference(rhs)}])
 
 
 def build_envelope2(fodc: Fodc) -> Envelope2:

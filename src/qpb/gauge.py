@@ -23,6 +23,7 @@ than assumed.
 from __future__ import annotations
 
 from functools import cached_property
+from itertools import chain
 
 from .braiding import BraidOperator, sigma_m
 from .bundle import Bundle
@@ -33,9 +34,7 @@ from .linalg import (
     BasedSpace, LinearMap, Vec, fixed_points, intersect_spans, span_basis,
     spans_equal, viadd, viadd_term,
 )
-from .report import (
-    CheckRecord, ValidationReport, failing, map_equality_record, passing, vacuous,
-)
+from .report import CheckRecord, ValidationReport, map_equality_record, passing, vacuous
 from .tensor import Factor, TProd, slot_apply, term_map, unit_leg
 
 
@@ -270,15 +269,13 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
         haar = [g.haar_of({a: one}) for a in range(g.dim)]
         self.p_l = term_map(b.hopf_space(2), b2,
                             lambda t: (((t[0], t[1]), haar[t[2]]),)).compose(b.f2)
-        rep.add(passing("gauge.pL-idem", "p_L idempotent")
-                if self.p_l.compose(self.p_l) == self.p_l
-                else failing("gauge.pL-idem", "p_L idempotent", {}))
+        rep.check(("gauge.pL-idem", "p_L idempotent"),
+                  [] if self.p_l.compose(self.p_l) == self.p_l else [{}])
         image = span_basis(self.p_l.cols)
-        if spans_equal(image, self.l_basis):
-            rep.add(passing("gauge.pL-image", "im(p_L) = F_2-invariants"))
-        else:
-            rep.add(failing("gauge.pL-image", "im(p_L) = F_2-invariants",
-                            {"rank_pL": len(image), "rank_fixed": len(self.l_basis)}))
+        onto = spans_equal(image, self.l_basis)
+        rep.check(("gauge.pL-image", "im(p_L) = F_2-invariants"),
+                  [] if onto else [{"rank_pL": len(image), "rank_fixed": len(self.l_basis)}])
+        if not onto:
             raise ValidationFailed("p_L image differs from the F_2-fixed subspace")
 
         # the construction raised unless Delta and phi_M land in L (x) B and L (x) L
@@ -286,9 +283,8 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
         rep.add(passing("gauge.phiM-incl", "(Delta (x) id)(L) in L (x) L"))
         # eps_M lands in V, so mu_M(L) = V exactly when eps_M is onto
         rank = self.eps_m.rank()
-        rep.add(passing("gauge.muL", "mu_M(L) = V") if rank == b.base_dim
-                else failing("gauge.muL", "mu_M(L) = V",
-                             {"rank": rank, "dim_V": b.base_dim}))
+        rep.check(("gauge.muL", "mu_M(L) = V"),
+                  [] if rank == b.base_dim else [{"rank": rank, "dim_V": b.base_dim}])
 
         self.t_bl = TProd(field, (b.b_factor, self.l_factor), name="B(x)L")
         self.t_lba = TProd(field, (self.l_factor, b.b_factor, b.a_factor),
@@ -377,39 +373,29 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
             if lhs2 != rhs2 and bad2 is None:
                 bad2 = {"basis_index": bi, "lhs": b2.render(lhs2),
                         "rhs": b2.render(rhs2)}
-        rep.add(failing("gauge.antipode-1", "mu^2(id^2 (x) sigma)(delta_3 (x) id) = mu (x) 1",
-                        bad1) if bad1 else
-                passing("gauge.antipode-1", "mu^2(id^2 (x) sigma)(delta_3 (x) id) = mu (x) 1"))
-        rep.add(failing("gauge.antipode-2", "mu^2(sigma (x) id^2)(delta_3 (x) id) = 1 (x) mu",
-                        bad2) if bad2 else
-                passing("gauge.antipode-2", "mu^2(sigma (x) id^2)(delta_3 (x) id) = 1 (x) mu"))
+        rep.check(("gauge.antipode-1", "mu^2(id^2 (x) sigma)(delta_3 (x) id) = mu (x) 1"),
+                  [bad1])
+        rep.check(("gauge.antipode-2", "mu^2(sigma (x) id^2)(delta_3 (x) id) = 1 (x) mu"),
+                  [bad2])
 
         # delta_3 is a *-homomorphism into braided B_3
         star3 = braid.star_n(3)
         mult3 = braid.mult_n(3)
         star_b = b.total.star
-        bad = None
-        for i in range(b.total.dim):
-            lhs_v = self.delta3.apply(star_b.cols[i])
-            rhs_v = star3.apply(self.delta3.cols[i])
-            if lhs_v != rhs_v:
-                bad = {"basis_index": i, "side": "star"}
-                break
-        if bad is None:
+
+        def delta3_mult_failures():
             # each delta_3(e_i) carried along X_2 once
             carried = [mult3.carry(col) for col in self.delta3.cols]
             for i in range(b.total.dim):
                 for j in range(b.total.dim):
                     lhs_v = self.delta3.apply(b.total.mul_basis(i, j))
-                    rhs_v = mult3.mul_carried(carried[i], carried[j])
-                    if lhs_v != rhs_v:
-                        bad = {"basis_pair": [i, j], "side": "mult"}
-                        break
-                if bad:
-                    break
-        rep.add(failing("gauge.delta3-star-hom", "delta_3 is a *-homomorphism", bad)
-                if bad else
-                passing("gauge.delta3-star-hom", "delta_3 is a *-homomorphism"))
+                    if lhs_v != mult3.mul_carried(carried[i], carried[j]):
+                        yield {"basis_pair": [i, j], "side": "mult"}
+
+        rep.check(("gauge.delta3-star-hom", "delta_3 is a *-homomorphism"), chain(
+            ({"basis_index": i, "side": "star"} for i in range(b.total.dim)
+             if self.delta3.apply(star_b.cols[i]) != star3.apply(self.delta3.cols[i])),
+            delta3_mult_failures()))
 
         # closure status of L under the sigma-induced conjugation (reported)
         star2 = braid.star_n(2)
@@ -508,16 +494,11 @@ class BraidedHopf:
                                     witness_space=b.hopf_space(2).space))
 
         # L is a *-subalgebra of braided B_2
-        bad = next(({"l_basis_index": li, "side": "star"}
-                    for li, st in enumerate(gc.l_star_cols) if st is None), None)
-        if bad is None:
-            bad = next(({"l_pair": [li, lj], "side": "mult"}
-                        for li, row in enumerate(gc.l_mult)
-                        for lj, p in enumerate(row) if p is None), None)
-        rep.add(failing("classical.L-subalgebra", "L is a *-subalgebra of B_2", bad)
-                if bad else
-                passing("classical.L-subalgebra", "L is a *-subalgebra of B_2"))
-        if bad:
+        if rep.check(("classical.L-subalgebra", "L is a *-subalgebra of B_2"), chain(
+                ({"l_basis_index": li, "side": "star"}
+                 for li, st in enumerate(gc.l_star_cols) if st is None),
+                ({"l_pair": [li, lj], "side": "mult"} for li, row in enumerate(gc.l_mult)
+                 for lj, p in enumerate(row) if p is None))) is not None:
             raise ValidationFailed("L fails to close under the braided structure")
 
         self.l_star = LinearMap(gc.l_space, gc.l_space, gc.l_star_cols, field,
@@ -529,23 +510,14 @@ class BraidedHopf:
         ok1 = spans_equal(img, gc.j_bl.cols)
         img = [move_bl.apply(gc.j_bl.cols[i]) for i in range(gc.t_bl.dim)]
         ok2 = spans_equal(img, gc.j_lb.cols)
-        rep.add(passing("classical.covariance", "braid moves L across B")
-                if ok1 and ok2 else
-                failing("classical.covariance", "braid moves L across B",
-                        {"LB_to_BL": ok1, "BL_to_LB": ok2}))
+        rep.check(("classical.covariance", "braid moves L across B"),
+                  [] if ok1 and ok2 else [{"LB_to_BL": ok1, "BL_to_LB": ok2}])
 
         # kappa_M = sigma restricted to L
-        bad = None
-        kap_cols = []
-        for li, lb in enumerate(gc.l_basis):
-            sol = gc.l_incl.solve(braid.forward.apply(lb))
-            if sol is None:
-                bad = {"l_basis_index": li}
-                break
-            kap_cols.append(sol)
-        rep.add(failing("classical.L-sigma-invariant", "sigma(L) = L", bad) if bad
-                else passing("classical.L-sigma-invariant", "sigma(L) = L"))
-        if bad:
+        kap_cols, li = _solve_each(gc.l_incl, (braid.forward.apply(lb) for lb in gc.l_basis))
+        rep.check(("classical.L-sigma-invariant", "sigma(L) = L"),
+                  [] if li is None else [{"l_basis_index": li}])
+        if li is not None:
             raise ValidationFailed("L is not sigma-invariant")
         self.kappa_m = LinearMap(gc.l_space, gc.l_space, kap_cols, field)
 
@@ -564,18 +536,10 @@ class BraidedHopf:
                     yield (x, y, u, v), c * c2
 
         self.j_ll4 = term_map(gc.t_ll, b4, j_ll4_terms)
-        sig_cols, bad = [], None
-        for i in range(gc.t_ll.dim):
-            img_v = big.apply(self.j_ll4.cols[i])
-            sol = self.j_ll4.solve(img_v)
-            if sol is None:
-                bad = {"t_ll_index": i}
-                break
-            sig_cols.append(sol)
-        rep.add(failing("classical.Sigma-restricts", "Sigma preserves L (x) L", bad)
-                if bad else
-                passing("classical.Sigma-restricts", "Sigma preserves L (x) L"))
-        if bad:
+        sig_cols, i = _solve_each(self.j_ll4, (big.apply(col) for col in self.j_ll4.cols))
+        rep.check(("classical.Sigma-restricts", "Sigma preserves L (x) L"),
+                  [] if i is None else [{"t_ll_index": i}])
+        if i is not None:
             raise ValidationFailed("Sigma does not restrict to L (x) L")
         self.sigma_ll = LinearMap(gc.t_ll.space, gc.t_ll.space, sig_cols, field)
 
@@ -586,14 +550,9 @@ class BraidedHopf:
 
         # star on L (x) L from the braided star on B_4
         star4 = braid.star_n(4)
-        ll_star_cols, bad = [], None
-        for i in range(gc.t_ll.dim):
-            sol = self.j_ll4.solve(star4.apply(self.j_ll4.cols[i]))
-            if sol is None:
-                bad = {"t_ll_index": i}
-                break
-            ll_star_cols.append(sol)
-        if bad:
+        ll_star_cols, i = _solve_each(self.j_ll4,
+                                      (star4.apply(col) for col in self.j_ll4.cols))
+        if i is not None:
             raise ValidationFailed("braided star does not preserve L (x) L")
         # j_ll4 is linear, star4 antilinear: solving against linear columns
         # keeps the conjugated coefficients, so mark the result antilinear.
@@ -630,28 +589,22 @@ class BraidedHopf:
 
         # phi_M is a *-homomorphism (braided product on L (x) L via B_4)
         mult4 = braid.mult_n(4)
-        bad = None
-        for i in range(gc.l_space.dim):
-            lhs_v = gc.phi_m.apply(self.l_star.cols[i])
-            rhs_v = self.ll_star.apply(gc.phi_m.cols[i])
-            if lhs_v != rhs_v:
-                bad = {"l_basis_index": i, "side": "star"}
-                break
-        if bad is None:
+        nl = gc.l_space.dim
+
+        def phi_mult_failures():
             # each phi_M(l_i) embedded in B_4 and carried along X_3 once
             carried = [mult4.carry(self.j_ll4.apply(col)) for col in gc.phi_m.cols]
-            for i in range(gc.l_space.dim):
-                for j in range(gc.l_space.dim):
+            for i in range(nl):
+                for j in range(nl):
                     lhs_v = gc.phi_m.apply(gc.l_mult[i][j])
                     sol = self.j_ll4.solve(mult4.mul_carried(carried[i], carried[j]))
                     if sol is None or sol != lhs_v:
-                        bad = {"l_pair": [i, j], "side": "mult"}
-                        break
-                if bad:
-                    break
-        rep.add(failing("classical.phiM-star-hom", "phi_M is a *-homomorphism", bad)
-                if bad else
-                passing("classical.phiM-star-hom", "phi_M is a *-homomorphism"))
+                        yield {"l_pair": [i, j], "side": "mult"}
+
+        rep.check(("classical.phiM-star-hom", "phi_M is a *-homomorphism"), chain(
+            ({"l_basis_index": i, "side": "star"} for i in range(nl)
+             if gc.phi_m.apply(self.l_star.cols[i]) != self.ll_star.apply(gc.phi_m.cols[i])),
+            phi_mult_failures()))
 
         # braided-Hopf antipode axiom via the product on L (x) L -> L
         def mu_ll_terms(t):
@@ -689,6 +642,19 @@ class BraidedHopf:
                                     self.kappa_m.compose(self.kappa_m),
                                     LinearMap.identity(gc.l_space, field),
                                     witness_space=gc.l_space))
+
+
+def _solve_each(m: LinearMap, vecs):
+    """The solutions x of m x = v for v in ``vecs``, in order, up to the
+    first v with none: (solutions, None), or (the solutions before it, its
+    position)."""
+    cols = []
+    for v in vecs:
+        sol = m.solve(v)
+        if sol is None:
+            return cols, len(cols)
+        cols.append(sol)
+    return cols, None
 
 
 def classical_braided_hopf(gc: GaugeCoalgebra) -> BraidedHopf:
@@ -886,83 +852,64 @@ def enumerate_gauge(bh: BraidedHopf):
 
     # group structure: products, inverses, unit
     table = gauge_group_table(gammas)
-    ok = all(idx is not None for row in table for idx in row)
+    rep.check(("gauge-group.closed", "gamma gamma' = (gamma (x) gamma')phi_M stays in the set"),
+              ({"gamma_pair": [i, j]} for i, row in enumerate(table)
+               for j, idx in enumerate(row) if idx is None))
     keyset = {g.matrix_key(): i for i, g in enumerate(gammas)}
-    rep.add(passing("gauge-group.closed", "gamma gamma' = (gamma (x) gamma')phi_M stays in the set")
-            if ok else failing("gauge-group.closed", "product closure", {}))
-    inv_ok = True
-    unit_idx = None
     eps_gamma = LinearMap(gc.l_space, base.space, [dict(c) for c in gc.eps_m.cols], field)
+    unit_idx = None
     for i, g in enumerate(gammas):
         if g.functional == eps_gamma:
             unit_idx = i
-    if unit_idx is None:
-        inv_ok = False
-    else:
+
+    def inverse_failures():
+        if unit_idx is None:
+            yield {"reason": "eps_M is not a gauge transformation"}
+            return
         kappa_inv = bh.kappa_m.inverse()
         for i, g in enumerate(gammas):
             j = keyset.get(_matrix_key(g.functional.compose(kappa_inv)))
-            if j is None:
-                inv_ok = False
-                break
-            if table[i][j] != unit_idx:
-                inv_ok = False
-                break
-    rep.add(passing("gauge-group.inverse", "gamma^-1 = gamma kappa_M^-1, unit = eps_M")
-            if inv_ok else failing("gauge-group.inverse", "inverses", {}))
+            if j is None or table[i][j] != unit_idx:
+                yield {"gamma_index": i}
+
+    rep.check(("gauge-group.inverse", "gamma^-1 = gamma kappa_M^-1, unit = eps_M"),
+              inverse_failures())
 
     # action laws
-    ok_auto = True
-    ok_comp = True
-    ok_equiv = True
-    for i, g in enumerate(gammas):
-        act = g.action
-        if not act.is_bijective():
-            ok_auto = False
-        if act.apply(b.total.unit) != b.total.unit:
-            ok_auto = False
-        for p in range(b.total.dim):
-            for q in range(b.total.dim):
-                if act.apply(b.total.mul_basis(p, q)) != \
-                        b.total.mul(act.apply({p: one}), act.apply({q: one})):
-                    ok_auto = False
-                    break
-            if not ok_auto:
-                break
-        for p in range(b.total.dim):
-            if act.apply(b.total.star_vec({p: one})) != \
-                    b.total.star_vec(act.apply({p: one})):
-                ok_auto = False
-                break
-        # F-equivariance F(gamma.b) = sum (gamma.b_k) (x) c_k
-        for p in range(b.total.dim):
-            lhs = b.coaction.apply(act.apply({p: one}))
+    total = b.total
+    e = [{p: one} for p in range(total.dim)]
+
+    def is_automorphism(act: LinearMap) -> bool:
+        """act is bijective, unital, multiplicative and hermitian."""
+        return (act.is_bijective() and act.apply(total.unit) == total.unit
+                and all(act.apply(total.mul_basis(p, q))
+                        == total.mul(act.apply(e[p]), act.apply(e[q]))
+                        for p in range(total.dim) for q in range(total.dim))
+                and all(act.apply(total.star_vec(v)) == total.star_vec(act.apply(v))
+                        for v in e))
+
+    def is_equivariant(act: LinearMap) -> bool:
+        """F(gamma.b) = sum (gamma.b_k) (x) c_k on every basis element b."""
+        for p, v in enumerate(e):
             acc: Vec = {}
             for k, a, cf in b.f_legs[p]:
-                for u, cu in act.apply({k: one}).items():
+                for u, cu in act.apply(e[k]).items():
                     viadd_term(acc, u * b.group.dim + a, cf * cu)
-            if lhs != acc:
-                ok_equiv = False
-                break
+            if b.coaction.apply(act.apply(v)) != acc:
+                return False
+        return True
+
+    rep.check(("gauge-group.automorphisms", "gamma acts by *-automorphisms"),
+              ({"gamma_index": i} for i, g in enumerate(gammas) if not is_automorphism(g.action)))
     # composition law: with the product (gamma (x) gamma')phi_M and the action
     # (gamma (x) id)Delta, coassociativity gives (gamma gamma').b =
     # gamma'.(gamma.b); both readings agree when the gauge group is abelian
-    for i, g1 in enumerate(gammas):
-        for j, g2 in enumerate(gammas):
-            comp = table[i][j]
-            if comp is None:
-                ok_comp = False
-                continue
-            lhs = gammas[comp].action
-            rhs = g2.action.compose(g1.action)
-            if lhs != rhs:
-                ok_comp = False
-    rep.add(passing("gauge-group.automorphisms", "gamma acts by *-automorphisms")
-            if ok_auto else failing("gauge-group.automorphisms", "action", {}))
-    rep.add(passing("gauge-group.action-compat", "(gamma gamma').b = gamma'.(gamma.b)")
-            if ok_comp else failing("gauge-group.action-compat", "action compatibility", {}))
-    rep.add(passing("gauge-group.F-equivariance", "F(gamma.b) = sum (gamma.b_k) (x) c_k")
-            if ok_equiv else failing("gauge-group.F-equivariance", "F-equivariance", {}))
+    rep.check(("gauge-group.action-compat", "(gamma gamma').b = gamma'.(gamma.b)"),
+              ({"gamma_pair": [i, j]} for i, g1 in enumerate(gammas)
+               for j, g2 in enumerate(gammas) if table[i][j] is None
+               or gammas[table[i][j]].action != g2.action.compose(g1.action)))
+    rep.check(("gauge-group.F-equivariance", "F(gamma.b) = sum (gamma.b_k) (x) c_k"),
+              ({"gamma_index": i} for i, g in enumerate(gammas) if not is_equivariant(g.action)))
     return gammas, table, rep
 
 
@@ -1016,21 +963,17 @@ def isotypic_decompose(b: Bundle, gc: GaugeCoalgebra | None = None) -> IsotypicD
         proj = LinearMap(b.total.space, b.total.space, cols, field)
         basis = span_basis(proj.cols)
         dim = len(basis)
-        if dim % corep.dim != 0:
-            rep.add(failing("isotypic.multiplicity", "m_alpha integral",
-                            {"component": corep.name, "dim": dim,
-                             "irrep_dim": corep.dim}))
-            mult = None
-        else:
-            mult = dim // corep.dim
+        mult = None if dim % corep.dim else dim // corep.dim
+        if mult is None:
+            rep.check(("isotypic.multiplicity", "m_alpha integral"),
+                      [{"component": corep.name, "dim": dim, "irrep_dim": corep.dim}])
         comps.append((corep.name, corep.dim, basis, mult))
         total_dim += dim
         proj_sum = proj_sum.add(proj)
     ok = total_dim == b.total.dim and \
         proj_sum == LinearMap.identity(b.total.space, field)
-    rep.add(passing("isotypic.complete", "sum of components = B")
-            if ok else failing("isotypic.complete", "sum of components = B",
-                               {"sum_dims": total_dim, "dim_B": b.total.dim}))
+    rep.check(("isotypic.complete", "sum of components = B"),
+              [] if ok else [{"sum_dims": total_dim, "dim_B": b.total.dim}])
     l_components = None
     if gc is not None:
         l_components = []
@@ -1048,13 +991,11 @@ def isotypic_decompose(b: Bundle, gc: GaugeCoalgebra | None = None) -> IsotypicD
             l_components.append((name, inter))
         sum_l = sum(len(basis) for _, basis in l_components)
         ok = sum_l == len(gc.l_basis)
-        rep.add(passing("isotypic.gauge-split", "L = (+) G_alpha")
-                if ok else failing("isotypic.gauge-split", "L = (+) G_alpha",
-                                   {"sum": sum_l, "dim_L": len(gc.l_basis)}))
+        rep.check(("isotypic.gauge-split", "L = (+) G_alpha"),
+                  [] if ok else [{"sum": sum_l, "dim_L": len(gc.l_basis)}])
         if b.is_point_base():
             want = sum((mult or 0) ** 2 for _, _, _, mult in comps)
             ok = want == len(gc.l_basis)
-            rep.add(passing("isotypic.peter-weyl", "sum m_alpha^2 = dim L")
-                    if ok else failing("isotypic.peter-weyl", "sum m_alpha^2 = dim L",
-                                       {"sum_m2": want, "dim_L": len(gc.l_basis)}))
+            rep.check(("isotypic.peter-weyl", "sum m_alpha^2 = dim L"),
+                      [] if ok else [{"sum_m2": want, "dim_L": len(gc.l_basis)}])
     return IsotypicDecomposition(comps, l_components, rep)

@@ -23,9 +23,11 @@ F on B (bundle.build_bundle), phi^ on Gamma^ (fodc.GammaEnvelope) and F^ on
 Omega(P) (calculus.differential_suite).  ``add_antipode_record`` checks
 m(kappa (x) id)phi = eps(.)1 = m(id (x) kappa)phi for such a coproduct; its
 two callers are validate_hopf for A and fodc.GammaEnvelope for kappa^ on
-Gamma^.  The checkers write records whose (identity id, label) pairs the
-caller passes; a caller that rejects input passes a report.RaisingReport,
-which raises at the first failure.
+Gamma^.  The caller passes each checker the (identity id, label) pairs of
+its records, and the checker hands each identity's witnesses, lazily, to
+report.ValidationReport.check, which fails the record at the first one; an
+identity passed as None is never computed.  A caller that rejects input
+passes a report.RaisingReport, which raises at the first failure.
 """
 
 from __future__ import annotations
@@ -38,7 +40,7 @@ from .linalg import (
     BasedSpace, LinearMap, Vec, nullspace_of_columns, tensor_labels,
     viadd, viadd_term, vscale,
 )
-from .report import RaisingReport, ValidationReport, failing, passing
+from .report import RaisingReport, ValidationReport
 from .tensor import Factor, TProd
 
 BUDGET = 2  # top degree kept by every graded algebra and tensor product
@@ -58,15 +60,6 @@ def table_mul(table, u: Vec, v: Vec) -> Vec:
             if row[j]:
                 viadd(out, a * b, row[j])
     return out
-
-
-def _record(rep: ValidationReport, ident, witnesses) -> None:
-    """Record identity ``ident`` = (id, label): failing with the first witness
-    that ``witnesses`` yields, else passing.  Nothing is computed when
-    ``ident`` is None, since ``witnesses`` is a generator not yet started."""
-    if ident is not None:
-        bad = next(witnesses, None)
-        rep.add(failing(*ident, bad) if bad else passing(*ident))
 
 
 def algebra_ids(prefix: str) -> tuple:
@@ -192,18 +185,18 @@ class GradedStarAlgebra:
                     if lhs != rhs:
                         yield differ("basis_pair", (i, j), lhs, rhs)
 
-        _record(rep, assoc, assoc_failures())
-        _record(rep, unit, (basis_witness(space, i) for i in range(n)
-                            if self.mul(self.unit, e[i]) != e[i]
-                            or self.mul(e[i], self.unit) != e[i]))
-        _record(rep, invol, (basis_witness(space, i) for i in range(n)
-                             if self.star_vec(star[i]) != e[i]))
-        _record(rep, antimult, antimult_failures())
-        _record(rep, d_square, (basis_witness(space, i) for i in range(n)
-                                if deg[i] + 2 <= BUDGET and self.d_apply(self.d_cols[i])))
-        _record(rep, leibniz, leibniz_failures())
-        _record(rep, d_star, (basis_witness(space, i) for i in range(n) if deg[i] < BUDGET
-                              and self.d_apply(star[i]) != self.star_vec(self.d_cols[i])))
+        rep.check(assoc, assoc_failures())
+        rep.check(unit, (basis_witness(space, i) for i in range(n)
+                         if self.mul(self.unit, e[i]) != e[i]
+                         or self.mul(e[i], self.unit) != e[i]))
+        rep.check(invol, (basis_witness(space, i) for i in range(n)
+                          if self.star_vec(star[i]) != e[i]))
+        rep.check(antimult, antimult_failures())
+        rep.check(d_square, (basis_witness(space, i) for i in range(n)
+                             if deg[i] + 2 <= BUDGET and self.d_apply(self.d_cols[i])))
+        rep.check(leibniz, leibniz_failures())
+        rep.check(d_star, (basis_witness(space, i) for i in range(n) if deg[i] < BUDGET
+                           and self.d_apply(star[i]) != self.star_vec(self.d_cols[i])))
 
     def check_axioms(self) -> None:
         """Raise ValidationFailed naming the algebra at the first axiom that
@@ -378,15 +371,15 @@ def add_coaction_records(rep: ValidationReport, ids, name: str,
             if right != {i: one} or (f is phi and left != {i: one}):
                 yield basis_witness(space, i)
 
-    _record(rep, mult, mult_failures())
-    _record(rep, star, (basis_witness(space, i) for i in range(n)
-                        if f.apply(w.star.cols[i])
-                        != graded_tensor_star(wh, w, h, f.cols[i])))
-    _record(rep, d, (basis_witness(space, i) for i in range(n)
-                     if w.d_cols[i] is not None
-                     and f.apply(w.d_cols[i]) != graded_tensor_d(wh, w, h, f.cols[i])))
-    _record(rep, comodule, comodule_failures())
-    _record(rep, counit, counit_failures())
+    rep.check(mult, mult_failures())
+    rep.check(star, (basis_witness(space, i) for i in range(n)
+                     if f.apply(w.star.cols[i])
+                     != graded_tensor_star(wh, w, h, f.cols[i])))
+    rep.check(d, (basis_witness(space, i) for i in range(n)
+                  if w.d_cols[i] is not None
+                  and f.apply(w.d_cols[i]) != graded_tensor_d(wh, w, h, f.cols[i])))
+    rep.check(comodule, comodule_failures())
+    rep.check(counit, counit_failures())
 
 
 def add_antipode_record(rep: ValidationReport, ident, w: GradedStarAlgebra,
@@ -413,7 +406,7 @@ def add_antipode_record(rep: ValidationReport, ident, w: GradedStarAlgebra,
                        "m(id(x)kappa)phi": space.render(right),
                        "eps(a)1": space.render(target)}
 
-    _record(rep, ident, failures())
+    rep.check(ident, failures())
 
 
 class HopfStarAlgebra:
@@ -512,63 +505,49 @@ def validate_hopf(h: HopfStarAlgebra) -> ValidationReport:
         "phi", h.algebra, h.coproduct, h.square, h.algebra, h.coproduct, h.square,
         h.eps_basis)
 
-    def record(ident, label, bad):
-        rep.add(failing(ident, label, bad) if bad else passing(ident, label))
-
     # counit is a *-homomorphism
-    bad = None
-    if h.eps(h.unit) != one:
-        bad = {"reason": "eps(1) != 1"}
-    else:
+    def eps_hom_failures():
+        if h.eps(h.unit) != one:
+            yield {"reason": "eps(1) != 1"}
         for i in range(dim):
             for j in range(dim):
                 if h.eps(h.algebra.mult[i][j]) != h.eps_basis(i) * h.eps_basis(j):
-                    bad = {"basis_pair": [i, j]}
-                    break
-            if bad:
-                break
-        if bad is None:
-            for i in range(dim):
-                if h.eps(h.star_vec({i: one})) != h.eps_basis(i).conj():
-                    bad = {**basis_witness(h.space, i),
-                           "reason": "eps(a*) != conj(eps(a))"}
-                    break
-    record("hopf.eps-hom", "eps is a *-homomorphism", bad)
+                    yield {"basis_pair": [i, j]}
+        for i in range(dim):
+            if h.eps(h.star_vec({i: one})) != h.eps_basis(i).conj():
+                yield {**basis_witness(h.space, i), "reason": "eps(a*) != conj(eps(a))"}
+
+    rep.check(("hopf.eps-hom", "eps is a *-homomorphism"), eps_hom_failures())
 
     add_antipode_record(rep, ("hopf.antipode",
                               "m(kappa (x) id)phi = eps(.)1 = m(id (x) kappa)phi"),
                         h.algebra, h.coproduct, h.square, h.antipode.cols, h.eps_basis)
 
     # kappa invertible and Hopf-* condition kappa(kappa(a*)*) = a
-    bad = None
-    if h.antipode_inverse.compose(h.antipode) != LinearMap.identity(h.space, field):
-        bad = {"reason": "kappa^-1 . kappa != id"}
-    record("hopf.antipode-inv", "kappa invertible", bad)
-    bad = None
-    for i in range(dim):
-        v = h.kappa(h.star_vec(h.kappa(h.star_vec({i: one}))))
-        if v != {i: one}:
-            bad = basis_witness(h.space, i)
-            break
-    record("hopf.star-antipode", "kappa(kappa(a*)*) = a", bad)
+    invertible = h.antipode_inverse.compose(h.antipode) == LinearMap.identity(h.space, field)
+    rep.check(("hopf.antipode-inv", "kappa invertible"),
+              [] if invertible else [{"reason": "kappa^-1 . kappa != id"}])
+    rep.check(("hopf.star-antipode", "kappa(kappa(a*)*) = a"),
+              (basis_witness(h.space, i) for i in range(dim)
+               if h.kappa(h.star_vec(h.kappa(h.star_vec({i: one})))) != {i: one}))
 
     # Haar, if present
-    if h.haar is not None:
-        bad = None
+    def haar_failures():
         if h.haar_of(h.unit) != one:
-            bad = {"reason": "h(1) != 1"}
-        else:
-            for i in range(dim):
-                left: Vec = {}
-                right: Vec = {}
-                for j_, k_, c in h.sweedler(i):
-                    viadd_term(left, j_, c * h.haar_of({k_: one}))
-                    viadd_term(right, k_, c * h.haar_of({j_: one}))
-                target = vscale(h.haar_of({i: one}), h.unit)
-                if left != target or right != target:
-                    bad = basis_witness(h.space, i)
-                    break
-        record("hopf.haar-invariance", "(id (x) h)phi = h(.)1 = (h (x) id)phi", bad)
+            yield {"reason": "h(1) != 1"}
+        for i in range(dim):
+            left: Vec = {}
+            right: Vec = {}
+            for j_, k_, c in h.sweedler(i):
+                viadd_term(left, j_, c * h.haar_of({k_: one}))
+                viadd_term(right, k_, c * h.haar_of({j_: one}))
+            target = vscale(h.haar_of({i: one}), h.unit)
+            if left != target or right != target:
+                yield basis_witness(h.space, i)
+
+    if h.haar is not None:
+        rep.check(("hopf.haar-invariance", "(id (x) h)phi = h(.)1 = (h (x) id)phi"),
+                  haar_failures())
 
     return rep
 

@@ -1,7 +1,12 @@
 """Validation reports: one record per checked identity, with witnesses.
 
-Identity ids are unique and sorted in a report; JSON serialization is
-byte-stable for a fixed input.
+Every identity that a suite checks is recorded by ``ValidationReport.check``
+under one (identity id, label) pair, written once: the first witness that is
+not None fails the record, and none passes it.  A witness is a dict that
+positions the failure (a basis index, a pair, a tuple, ...), so an empty
+dict fails too.  Records whose status the construction fixes (pass,
+vacuous) are added directly.  Identity ids are unique and sorted in a
+report; JSON serialization is byte-stable for a fixed input.
 """
 
 from __future__ import annotations
@@ -48,6 +53,17 @@ class ValidationReport:
         self._ids.add(record.identity_id)
         self.records.append(record)
 
+    def check(self, ident, witnesses, note: str | None = None):
+        """Record ``ident`` = (id, label): failing with the first item of
+        ``witnesses`` that is not None, passing if there is none; return
+        that witness or None.  When ``ident`` is None nothing is recorded and
+        ``witnesses`` is never consumed, so a generator computes nothing."""
+        if ident is None:
+            return None
+        bad = next((w for w in witnesses if w is not None), None)
+        self.add(CheckRecord(*ident, "pass" if bad is None else "fail", bad, note))
+        return bad
+
     def extend(self, other: "ValidationReport") -> None:
         for r in other.records:
             self.add(r)
@@ -91,9 +107,9 @@ class ValidationReport:
 
 
 class RaisingReport(ValidationReport):
-    """A report for callers that reject input: adding a failing record
-    raises ``error`` with its label and witness, so checks stop at the first
-    failure."""
+    """A report for callers that reject input: adding a failing record, as
+    ``check`` does at the first witness, raises ``error`` with its label and
+    witness, so checks stop at the first failure."""
 
     def __init__(self, error, prefix: str = "", where: str | None = None):
         super().__init__()

@@ -239,3 +239,45 @@ def test_classical_suite_runs_classicality_once(monkeypatch):
     rep = run_suites(build, ["classical"])
     assert rep.ok, rep.to_text()
     assert len(calls) == 1
+
+
+def doubled_product(real):
+    def compose(g1, g2):
+        return real(g1, g2).scale(g1.gc.field.rational(2))
+    return compose
+
+
+def doubled_action(real):
+    def init(self, gc, functional):
+        real(self, gc, functional)
+        self.action = self.action.scale(gc.field.rational(2))
+    return init
+
+
+@pytest.mark.parametrize("target, attr, breaking, broken", [
+    ("module", "compose_gammas", doubled_product,
+     {"gauge-group.closed", "gauge-group.inverse", "gauge-group.action-compat"}),
+    ("class", "__init__", doubled_action,
+     {"gauge-group.automorphisms", "gauge-group.action-compat"}),
+], ids=["compose_gammas", "action"])
+def test_gauge_group_records_fail_under_their_own_label_with_a_witness(
+        monkeypatch, target, attr, breaking, broken):
+    """Doubling the group product or every action on the classical C(Z2)
+    point bundle fails the gauge-group laws it breaks; each failing record
+    keeps its passing label and names the first offending transformation
+    (gamma_index) or pair (gamma_pair)."""
+    import qpb.gauge as gauge_mod
+
+    bh = classical_braided_hopf(build_gauge_coalgebra(make_point("Z2")))
+    _, _, rep = enumerate_gauge(bh)
+    assert rep.ok, rep.to_text()
+    labels = {r.identity_id: r.paper_label for r in rep.records}
+    owner = gauge_mod if target == "module" else gauge_mod.GaugeTransformation
+    monkeypatch.setattr(owner, attr, breaking(getattr(owner, attr)))
+    _, _, rep = enumerate_gauge(bh)
+    failures = {r.identity_id: r for r in rep.failures}
+    assert set(failures) == broken
+    assert [r.identity_id for r in rep.records] == list(labels)
+    for ident, rec in failures.items():
+        assert rec.paper_label == labels[ident]
+        assert rec.witness and set(rec.witness) <= {"gamma_index", "gamma_pair"}

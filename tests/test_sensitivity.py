@@ -437,8 +437,8 @@ def test_gamma_envelope_rejects_a_wrong_antipode_on_gamma_inv(monkeypatch):
 def test_gamma_envelope_rejects_a_wrong_antipode_in_degree_two(monkeypatch):
     real = fodc_mod._descend
 
-    def negated_kappa2(f, reps, relations, what):
-        out = real(f, reps, relations, what)
+    def negated_kappa2(f, reps, relations, what, *args, **kwargs):
+        out = real(f, reps, relations, what, *args, **kwargs)
         return [negated(v) for v in out] if what == "degree-2 antipode" else out
 
     monkeypatch.setattr(fodc_mod, "_descend", negated_kappa2)
