@@ -516,9 +516,11 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
 
     # --- sigma^_M suite --------------------------------------------------------
     ident = LinearMap.identity(w2.space, field)
-    ok = (tc.sigma.compose(tc.sigma_inv) == ident
-          and tc.sigma_inv.compose(tc.sigma) == ident)
-    rep.check(("diff.g-inv", "g-inv"), [] if ok else [{}])
+    rep.check(("diff.g-inv", "g-inv"),
+              ({"product": name, "basis_index": j} for name, (m1, m2) in (
+                  ("sigma^ sigma^-1", (tc.sigma, tc.sigma_inv)),
+                  ("sigma^-1 sigma^", (tc.sigma_inv, tc.sigma)))
+               if (j := m1.compose(m2).first_difference(ident)) is not None))
 
     # filtration compatibility for k = 0, 1, 2 (degree-budgeted pairings)
     for k in range(BUDGET + 1):
@@ -556,9 +558,9 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
     ds = {li: lhat.l_incl.solve(tc.w2_d(lb)) for li, lb in enumerate(lhat.l_basis)
           if lhat.degrees[li] < BUDGET}
     rep.check(("diff.Lhat-star", "L^ closed under conjugation"),
-              [] if all(st is not None for st in stars) else [{}])
+              ({"basis_index": li} for li, st in enumerate(stars) if st is None))
     rep.check(("diff.Lhat-d", "L^ closed under d"),
-              [] if all(dl is not None for dl in ds.values()) else [{}])
+              ({"basis_index": li} for li, dl in ds.items() if dl is None))
 
     if gauge_coalgebra is not None:
         # degree-0 part of L^ equals L; basis element k of B is deg0[k] of Omega(P)

@@ -5,7 +5,7 @@ below phi = euler_phi(n), the degree of the n-th cyclotomic polynomial Phi_n.
 It is stored as integer numerators over one common denominator,
 ``coeffs = (a_0, ..., a_{phi-1}, d)``, meaning (sum_k a_k z^k) / d, with
 d > 0 and gcd(a_0, ..., a_{phi-1}, d) = 1.  Zero is (0, ..., 0, 1).  The form
-is canonical, so equal scalars have equal ``coeffs`` and equal hashes.
+is canonical: equal scalars have equal ``coeffs``.
 Phi_n is monic with integer coefficients, so products reduce modulo it in
 integers and only the denominators multiply.  Conjugation sends z to
 z^{n-1} = z^{-1} and is an involutive field automorphism fixing Q.
@@ -17,11 +17,23 @@ coefficients as ``Fraction``s.
 The conductor is fixed per field instance; scalars from different conductors
 never mix.
 
-Each field owns one ``Scalar`` object for each of 0, 1 and -1, and every way
-of making a scalar returns that object when the value is one of them.  Most
-coefficients that maps, relations and projections hold are 1 or -1, and
-these then share two objects.  Equality and hashing stay by value, and no
-caller relies on ``is`` for correctness.
+Scalars are hash-consed (J.-C. Filliatre and S. Conchon, "Type-Safe Modular
+Hash-Consing", ML Workshop 2006).  The invariants:
+
+- one object per value: ``Scalar(field, coeffs)`` returns the field's one
+  object for those canonical ``coeffs``, so every constructor and operation
+  does, and ``field.zero`` and ``field.one`` are those objects for 0 and 1;
+- never freed: the field's intern table holds every scalar it has made, and
+  a field lives as long as the process (one instance per conductor);
+- ``is`` means equal: ``==`` is identity, and ``bool(x)`` is
+  ``x is not field.zero``;
+- hash by value: ``hash(x)`` is ``hash((n, coeffs))``, computed once at
+  interning, so a set of scalars iterates in an order fixed by the values;
+- memo keyed by ``id``: ``x + y``, ``x - y`` and ``x * y`` are stored in dicts
+  on ``x`` under ``id(y)``, and ``-x`` in a slot of ``x``.  An ``id`` names one
+  live object, and no scalar is freed, so an ``id`` key never comes to name
+  another scalar; a scalar of another field is never a key, and reaches the
+  field check, which raises ``InputError``.
 """
 
 from __future__ import annotations
@@ -145,13 +157,10 @@ class CycloField:
         self._reduce = [_sparse(self.power_table[k]) for k in range(deg, 2 * deg - 1)]
         # conjugation images of the basis powers z^k, k < degree, sparse
         self._conj = [_sparse(self.power_table[(n - k) % n]) for k in range(deg)]
-        # the canonical objects for 0, 1 and -1, which every constructor
-        # returns in place of an equal copy
-        self._units = {}
+        # every scalar of this field by its coeffs, kept for the field's life
+        self._interned: dict[tuple, Scalar] = {}
         self.zero = Scalar(self, (0,) * deg + (1,))
         self.one = Scalar(self, self.power_table[0] + (1,))
-        minus_one = Scalar(self, (-1,) + self.power_table[0][1:] + (1,))
-        self._units = {s.coeffs: s for s in (self.zero, self.one, minus_one)}
 
     def _make(self, nums: list[int], den: int) -> "Scalar":
         """nums / den in canonical form (den > 0)."""
@@ -241,30 +250,35 @@ class CycloField:
 
 
 class Scalar:
-    """An element of Q(zeta_n), immutable.
+    """An element of Q(zeta_n), immutable and interned: its field holds one
+    object per value (see the module docstring).
 
     ``coeffs = (a_0, ..., a_{phi-1}, d)``: integer numerators over the power
     basis z^0..z^{phi-1} and one denominator d > 0, with gcd of all of them 1.
     """
 
-    __slots__ = ("field", "coeffs", "_hash")
+    __slots__ = ("field", "coeffs", "_hash", "_plus", "_minus", "_times", "_neg")
 
     def __new__(cls, field: CycloField, coeffs: tuple):
-        s = field._units.get(coeffs)
+        s = field._interned.get(coeffs)
         if s is None:
             s = object.__new__(cls)
             s.field = field
             s.coeffs = coeffs
-            s._hash = None
+            s._hash = hash((field.n, coeffs))
+            # results by id of the other operand; see the module docstring
+            s._plus, s._minus, s._times = {}, {}, {}
+            s._neg = None
+            field._interned[coeffs] = s
         return s
 
     # -- predicates -----------------------------------------------------
 
     def is_zero(self) -> bool:
-        return self.coeffs == self.field.zero.coeffs
+        return self is self.field.zero
 
     def __bool__(self):
-        return self.coeffs != self.field.zero.coeffs
+        return self is not self.field.zero
 
     def is_rational(self) -> bool:
         return not any(self.coeffs[1:-1])
@@ -311,26 +325,41 @@ class Scalar:
         return f._make([op(x * la, y * lb) for x, y in zip(a[:-1], b[:-1])], d * la)
 
     def __add__(self, other):
-        return self._combine(other, _add)
+        r = self._plus.get(id(other))
+        if r is None:
+            r = self._plus[id(other)] = other._plus[id(self)] = self._combine(other, _add)
+        return r
 
     def __sub__(self, other):
-        return self._combine(other, _sub)
+        r = self._minus.get(id(other))
+        if r is None:
+            r = self._minus[id(other)] = self._combine(other, _sub)
+        return r
 
     def __neg__(self):
-        a = self.coeffs
-        return Scalar(self.field, (*map(_neg, a[:-1]), a[-1]))
+        r = self._neg
+        if r is None:
+            a = self.coeffs
+            r = self._neg = Scalar(self.field, (*map(_neg, a[:-1]), a[-1]))
+            r._neg = self
+        return r
 
     def __mul__(self, other):
+        r = self._times.get(id(other))
+        if r is None:
+            r = self._times[id(other)] = other._times[id(self)] = self._product(other)
+        return r
+
+    def _product(self, other) -> "Scalar":
         f = self.field
         if f is not other.field:
             raise InputError("scalars from different cyclotomic fields")
-        a, b = self.coeffs, other.coeffs
-        # canonical form: equal coefficients mean equal scalars
-        one = f.one.coeffs
-        if a == one:
+        one = f.one
+        if self is one:
             return other
-        if b == one:
+        if other is one:
             return self
+        a, b = self.coeffs, other.coeffs
         den = a[-1] * b[-1]
         # a rational operand scales the other's numerators
         if not any(a[1:-1]):
@@ -387,16 +416,9 @@ class Scalar:
         acc.append(a[-1])
         return Scalar(f, tuple(acc))
 
-    # -- comparison / hashing ---------------------------------------------
-
-    def __eq__(self, other):
-        if not isinstance(other, Scalar):
-            return NotImplemented
-        return self.field is other.field and self.coeffs == other.coeffs
+    # -- hashing: by value; equality is identity -------------------------
 
     def __hash__(self):
-        if self._hash is None:
-            self._hash = hash((self.field.n, self.coeffs))
         return self._hash
 
     # -- printing ----------------------------------------------------------

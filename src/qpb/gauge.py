@@ -31,8 +31,8 @@ from .charsplit import CommAlgebra, field_characters
 from .errors import NotClassical, NotCommutative, ValidationFailed
 from .hopf import table_mul
 from .linalg import (
-    BasedSpace, LinearMap, Vec, fixed_points, intersect_spans, span_basis,
-    spans_equal, viadd, viadd_term,
+    BasedSpace, LinearMap, Vec, first_outside, fixed_points, intersect_spans,
+    span_basis, spans_equal, viadd, viadd_term,
 )
 from .report import CheckRecord, ValidationReport, map_equality_record, passing, vacuous
 from .tensor import Factor, TProd, slot_apply, term_map, unit_leg
@@ -269,8 +269,8 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
         haar = [g.haar_of({a: one}) for a in range(g.dim)]
         self.p_l = term_map(b.hopf_space(2), b2,
                             lambda t: (((t[0], t[1]), haar[t[2]]),)).compose(b.f2)
-        rep.check(("gauge.pL-idem", "p_L idempotent"),
-                  [] if self.p_l.compose(self.p_l) == self.p_l else [{}])
+        rep.add(map_equality_record("gauge.pL-idem", "p_L idempotent",
+                                    self.p_l.compose(self.p_l), self.p_l))
         image = span_basis(self.p_l.cols)
         onto = spans_equal(image, self.l_basis)
         rep.check(("gauge.pL-image", "im(p_L) = F_2-invariants"),
@@ -504,14 +504,20 @@ class BraidedHopf:
         self.l_star = LinearMap(gc.l_space, gc.l_space, gc.l_star_cols, field,
                                 antilinear=True)
 
-        # covariance: (sigma x id)(id x sigma)(L (x) B) = B (x) L and mirror
+        # covariance: (sigma x id)(id x sigma)(L (x) B) = B (x) L and mirror; a
+        # failure names the first moved source basis vector that leaves the
+        # target, or else the first target basis vector that the image misses
+        def moved_outside(direction, move, source, target):
+            img = [move.apply(v) for v in source]
+            if not spans_equal(img, target):
+                i = first_outside(img, target)
+                yield ({"direction": direction, "source_index": i} if i is not None else
+                       {"direction": direction, "target_index": first_outside(target, img)})
+
         move_bl = braid.at(3, 1).compose(braid.at(3, 0))
-        img = [gc.move_lb.apply(gc.j_lb.cols[i]) for i in range(gc.t_lb.dim)]
-        ok1 = spans_equal(img, gc.j_bl.cols)
-        img = [move_bl.apply(gc.j_bl.cols[i]) for i in range(gc.t_bl.dim)]
-        ok2 = spans_equal(img, gc.j_lb.cols)
         rep.check(("classical.covariance", "braid moves L across B"),
-                  [] if ok1 and ok2 else [{"LB_to_BL": ok1, "BL_to_LB": ok2}])
+                  chain(moved_outside("LB_to_BL", gc.move_lb, gc.j_lb.cols, gc.j_bl.cols),
+                        moved_outside("BL_to_LB", move_bl, gc.j_bl.cols, gc.j_lb.cols)))
 
         # kappa_M = sigma restricted to L
         kap_cols, li = _solve_each(gc.l_incl, (braid.forward.apply(lb) for lb in gc.l_basis))

@@ -60,9 +60,10 @@ def vsub(a: Vec, b: Vec) -> Vec:
 
 def viadd(acc: Vec, c: Scalar, b: Vec) -> None:
     """acc += c*b, in place; c = 1 adds b's entries as they are."""
-    if not c:
+    field = c.field
+    if c is field.zero:
         return
-    if c.coeffs == c.field.one.coeffs:
+    if c is field.one:
         _iadd(acc, b)
         return
     for k, v in b.items():
@@ -79,7 +80,7 @@ def viadd(acc: Vec, c: Scalar, b: Vec) -> None:
 
 def viadd_term(acc: Vec, k: int, c: Scalar) -> None:
     """acc[k] += c, in place; the one-term case of viadd."""
-    if not c:
+    if c is c.field.zero:
         return
     s = acc.get(k)
     if s is None:
@@ -253,7 +254,7 @@ class Echelon:
         ownership of r."""
         p = min(r)
         lead = r[p]
-        if lead.coeffs != lead.field.one.coeffs:
+        if lead is not lead.field.one:
             inv = lead.inverse()
             r = {k: inv * c for k, c in r.items()}
         self._rows[p] = r
@@ -314,6 +315,14 @@ def spans_equal(vs, ws) -> bool:
     if e1.rank != e2.rank:
         return False
     return all(e1.contains(w) for w in e2.basis())
+
+
+def first_outside(vs, ws) -> int | None:
+    """Index of the first of vs outside span(ws), or None."""
+    ech = Echelon()
+    for w in ws:
+        ech.add(w)
+    return next((i for i, v in enumerate(vs) if not ech.contains(v)), None)
 
 
 def intersect_spans(us, ws) -> list[Vec]:

@@ -302,12 +302,13 @@ def term_map(src: TProd, dst: TProd, fn, antilinear: bool = False,
     the rewriter must descend to the balanced quotient.
     """
     field = field or src.field
+    zero = field.zero
     cols = []
     tuples = src.tuples
     for k in src.quotient.keep:
         out: Vec = {}
         for t2, c2 in fn(tuples[k]):
-            if c2:
+            if c2 is not zero:
                 viadd_term(out, dst.flat_index(t2), c2)
         cols.append(dst.project(out))
     return LinearMap(src.space, dst.space, cols, field, antilinear)

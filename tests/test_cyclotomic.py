@@ -1,11 +1,12 @@
 from fractions import Fraction
 from math import gcd
+from operator import add, mul, sub
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from qpb.cyclotomic import CycloField, _poly_divmod, _poly_inverse_mod, cyclotomic_polynomial
-from qpb.errors import BadScalarLiteral
+from qpb.errors import BadScalarLiteral, InputError
 
 
 def test_cyclotomic_polynomials():
@@ -214,14 +215,17 @@ def test_integer_form_matches_fraction_oracle(data):
     assert F.parse((x * y).literal()) == x * y
 
 
-# -- one object each for 0, 1 and -1 --------------------------------------------------
+# -- one object per value ------------------------------------------------------------
 
 def assert_value(F, v, ref):
-    """v has the value ref, and is F's own object for it when that is 0, 1
-    or -1."""
+    """v has the value ref and is F's one object for it: the object that
+    ``F.scalar`` returns for those coefficients, and ``F.zero``, ``F.one`` or
+    ``-F.one`` when the value is 0, 1 or -1."""
     assert v.field is F and v.fractions() == ref
+    assert v is F.scalar(ref), (F.n, ref)
     canonical = {x.fractions(): x for x in (F.zero, F.one, -F.one)}.get(ref)
     assert canonical is None or v is canonical, (F.n, ref)
+    assert hash(v) == hash((F.n, v.coeffs))
 
 
 @st.composite
@@ -239,9 +243,9 @@ def unit_cases(draw):
 @settings(max_examples=200, deadline=None)
 @given(unit_cases())
 def test_every_constructor_returns_the_fields_unit_objects(case):
-    """Every way of making a scalar whose value is 0, 1 or -1 returns the
-    field's one object for that value; every value equals a reference from
-    ``fractions()``."""
+    """Every way of making a scalar returns the field's one object for its
+    value, which for 0, 1 and -1 is the field's unit object; every value
+    equals a reference from ``fractions()``."""
     F, p, u, k = case
     n = F.n
     assert -F.one is -F.one and -(-F.one) is F.one and -F.zero is F.zero
@@ -270,3 +274,65 @@ def test_every_constructor_returns_the_fields_unit_objects(case):
     assert_value(F, F.zeta(k), ref_reduce([0] * k + [1], n))
     assert_value(F, F.parse(unit.literal()), ru)
     assert_value(F, F.parse(x.literal()), rx)
+    assert_value(F, F._make([5 * a for a in x.coeffs[:-1]], 5 * x.coeffs[-1]), rx)
+    assert_value(F, (x + unit) - unit, rx)
+    assert_value(F, x * unit, ref_mul(rx, ru, n))
+    assert_value(F, x.conj().conj(), rx)
+
+
+@st.composite
+def memo_cases(draw):
+    """(F, p, q): a field of conductor 1, 3, 4, 5 or 12 and two lists of up
+    to 2n rational coefficients, with few distinct values so that operand
+    pairs repeat across examples."""
+    F = CycloField(draw(st.sampled_from([1, 3, 4, 5, 12])))
+    q = st.fractions(min_value=-2, max_value=2, max_denominator=3)
+    return F, draw(st.lists(q, max_size=2 * F.n)), draw(st.lists(q, max_size=2 * F.n))
+
+
+@settings(max_examples=200, deadline=None)
+@given(memo_cases())
+def test_memoized_operations_match_the_oracle_on_every_call(case):
+    """+, -, * and negation give the oracle's value and the field's one
+    object for it on the first call and on each repeat, whichever operand
+    comes first; a scalar of another field still raises ``InputError`` once
+    the operands' memos are warm."""
+    F, p, q = case
+    n = F.n
+    x, y = F.scalar(p), F.scalar(q)
+    rx, ry = ref_reduce(p or [0], n), ref_reduce(q or [0], n)
+    cases = [
+        (lambda: x + y, tuple(a + b for a, b in zip(rx, ry))),
+        (lambda: y + x, tuple(a + b for a, b in zip(rx, ry))),
+        (lambda: x - y, tuple(a - b for a, b in zip(rx, ry))),
+        (lambda: y - x, tuple(b - a for a, b in zip(rx, ry))),
+        (lambda: x * y, ref_mul(rx, ry, n)),
+        (lambda: y * x, ref_mul(rx, ry, n)),
+        (lambda: x * x, ref_mul(rx, rx, n)),
+        (lambda: -x, tuple(-a for a in rx)),
+        (lambda: -(-x), rx),
+    ]
+    first = [op() for op, _ in cases]
+    for _ in range(2):
+        for (op, ref), v in zip(cases, first):
+            again = op()
+            assert_value(F, again, ref)
+            assert again is v
+    G = CycloField(7)
+    for foreign in (G.one, G.zero, G.zeta() + G.rational(2)):
+        for op in (add, sub, mul):
+            with pytest.raises(InputError):
+                op(x, foreign)
+            with pytest.raises(InputError):
+                op(foreign, x)
+        assert x != foreign
+
+
+def test_hash_is_by_value_and_sets_iterate_by_value():
+    """A scalar hashes as (n, coeffs), so a set of scalars iterates in the
+    order that a set of their (n, coeffs) keys would."""
+    F = CycloField(12)
+    values = [F.rational(Fraction(k, 3)) + F.zeta(k) for k in range(24)]
+    for v in values:
+        assert hash(v) == hash((12, v.coeffs))
+    assert [(F.n, v.coeffs) for v in set(values)] == list({(F.n, v.coeffs) for v in values})

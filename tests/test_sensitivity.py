@@ -12,6 +12,7 @@ raises at that identity.
 import pytest
 
 import qpb.fodc as fodc_mod
+import qpb.formats as formats_mod
 import qpb.hopf as hopf_mod
 from qpb.bundle import build_bundle
 from qpb.calculus import (
@@ -21,11 +22,13 @@ from qpb.calculus import (
 from qpb.cyclotomic import CycloField
 from qpb.errors import NotCoaction, SpecFileError, ValidationFailed
 from qpb.fodc import GammaEnvelope, build_envelope2, build_fodc, universal_ideal
-from qpb.formats import BuildResult, parse_spec
+from qpb.formats import BuildResult, parse_spec, run_suites
+from qpb.gauge import build_gauge_coalgebra, classical_braided_hopf
 from qpb.hopf import HopfStarAlgebra, StarAlgebra, adjoint_action, validate_hopf
 from qpb.linalg import LinearMap, viadd
 from qpb.presets import (
-    functions_on_points, generate_example, hopf_preset, serialize_example, trivial_bundle,
+    functions_on_points, generate_example, hopf_preset, point_bundle_data, serialize_example,
+    trivial_bundle,
 )
 from qpb.report import ValidationReport
 
@@ -485,3 +488,88 @@ def test_braid_record_witness_names_tensor_basis_elements_by_their_tuples():
         "t.prod2": {"basis_index": 22, "basis_label": "x0.dr2|x0.dr1|x0.dr1",
                     "lhs": "2*x0.dr1|x0.dr2", "rhs": "4*x0.dr1|x0.dr2"},
     }
+
+
+# -- records that name the first basis element where an identity breaks -----------------
+
+
+def test_pl_idem_names_the_first_column_where_p_l_squared_differs():
+    """Doubling the Haar functional of C[S3] doubles p_L, which keeps its
+    image but is no longer idempotent."""
+    b = build_bundle(*point_bundle_data("S3", "group_algebra"))
+    h = b.group
+    h.haar = LinearMap(h.haar.domain, h.haar.codomain, [doubled(c) for c in h.haar.cols],
+                       h.field)
+    failures = {r.identity_id: r.witness for r in build_gauge_coalgebra(b).report.failures}
+    assert failures == {"gauge.pL-idem": {"basis_index": 0, "basis_label": "e|e",
+                                          "lhs": "4*e|e", "rhs": "2*e|e"}}
+
+
+def zero_map(m: LinearMap) -> LinearMap:
+    return LinearMap(m.domain, m.codomain, [{} for _ in m.cols], m.field, m.antilinear)
+
+
+@pytest.mark.parametrize("mutate, witness", [
+    (lambda m: with_col(m, 5, negated(m.cols[5])), {"direction": "LB_to_BL", "source_index": 3}),
+    (zero_map, {"direction": "LB_to_BL", "target_index": 0}),
+], ids=["leaves", "misses"])
+def test_covariance_names_the_first_vector_outside_the_target(mutate, witness):
+    """On the C(Z2) point bundle, with (sigma (x) id)(id (x) sigma) on B_3
+    replaced after the structure is built: a negated column carries an
+    L (x) B basis vector out of B (x) L, and the zero map misses B (x) L."""
+    gc = build_gauge_coalgebra(build_bundle(*point_bundle_data("Z2")))
+    assert classical_braided_hopf(gc).report.ok
+    gc.move_lb = mutate(gc.move_lb)
+    failures = {r.identity_id: r.witness for r in classical_braided_hopf(gc).report.failures}
+    assert failures == {"classical.covariance": witness}
+
+
+def double_sigma_inv_col(i):
+    def mutate(tc):
+        tc.sigma_inv = with_col(tc.sigma_inv, i, doubled(tc.sigma_inv.cols[i]))
+    return mutate
+
+
+def negate_w2_star_col_0(tc):
+    tc.w2_star = with_col(tc.w2_star, 0, negated(tc.w2_star.cols[0]))
+
+
+def double_w2_d_col_0(tc):
+    tc.w2_d_cols[0] = doubled(tc.w2_d_cols[0])
+
+
+@pytest.mark.parametrize("mutate, expected, witness", [
+    (double_sigma_inv_col(0), "diff.g-inv", {"product": "sigma^ sigma^-1", "basis_index": 0}),
+    (double_sigma_inv_col(2), "diff.g-inv", {"product": "sigma^ sigma^-1", "basis_index": 2}),
+    (negate_w2_star_col_0, "diff.Lhat-star", {"basis_index": 0}),
+    (double_w2_d_col_0, "diff.Lhat-d", {"basis_index": 0}),
+], ids=["g-inv-0", "g-inv-2", "Lhat-star", "Lhat-d"])
+def test_differential_suite_names_where_sigma_hat_or_l_hat_breaks(mutate, expected, witness):
+    """On the universal calculus of C(Z2) over a point: sigma^-1 with a
+    doubled column no longer inverts sigma^ there, and a broken star or d of
+    W_2 carries the first L^ basis vector out of L^."""
+    tc = point_calculus()
+    mutate(tc)
+    failures = {r.identity_id: r.witness for r in differential_suite(tc).failures}
+    assert failures[expected] == witness
+
+
+def test_run_suites_skips_the_gauge_group_when_the_braided_hopf_laws_fail(monkeypatch):
+    """With column 0 of sigma negated after the build of C[Z2] over a point,
+    classical.phiM-star-hom fails, and the character split behind the
+    gauge-group enumeration would run on without end; run_suites records the
+    enumeration as vacuous and never starts it."""
+    build = BuildResult(parse_spec(serialize_example(
+        generate_example("group-algebra", group="Z2"))))
+    sigma = build.braid.forward
+    build.braid.forward = build.bundle.sigma = with_col(sigma, 0, negated(sigma.cols[0]))
+
+    def unreachable(bh):
+        raise AssertionError("enumerate_gauge ran on a failing braided Hopf structure")
+
+    monkeypatch.setattr(formats_mod, "enumerate_gauge", unreachable)
+    report = run_suites(build, ["all"])
+    assert "classical.phiM-star-hom" in {r.identity_id for r in report.failures}
+    rec = {r.identity_id: r for r in report.records}["gauge-group.enumeration"]
+    assert (rec.status, rec.note) == ("vacuous",
+                                      "skipped: the braided Hopf structure of L fails")
