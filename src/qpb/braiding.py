@@ -30,7 +30,7 @@ from .bundle import Bundle
 from .errors import EquivalenceViolation
 from .linalg import LinearMap, Vec, viadd_term
 from .report import CheckRecord, ValidationReport, map_equality_record, passing
-from .tensor import term_map
+from .tensor import slot_apply, term_map
 
 
 class BraidOperator:
@@ -104,19 +104,25 @@ class BraidOperator:
 
 def sigma_m(b: Bundle) -> BraidOperator:
     """The braid of the bundle's tower and its formula inverse, verified to
-    compose to the identity; V-bilinearity is checked on basis x V-basis."""
+    compose to the identity; V-bilinearity is checked on each basis vector of
+    B_2 against the V-actions of the balanced slots."""
     field = b.field
     b2 = b.b2
     forward, inverse = b.sigma, b.sigma_inv
     ident = LinearMap.identity(b2.space, field)
     if forward.compose(inverse) != ident or inverse.compose(forward) != ident:
         raise EquivalenceViolation("sigma and its formula inverse do not compose to id")
-    for fvec in b.base_vectors:
-        lf = b.lmult_map(2, 0, fvec)
-        rf = b.rmult_map(2, 1, fvec)
-        if forward.compose(lf) != lf.compose(forward):
+    one = field.one
+
+    def commutes(slot, act):
+        """sigma commutes with ``act`` on one slot of B_2."""
+        return all(forward.apply(slot_apply(b2, {i: one}, slot, act))
+                   == slot_apply(b2, forward.cols[i], slot, act) for i in range(b2.dim))
+
+    for lf, rf in zip(b.b_factor.lact, b.b_factor.ract):
+        if not commutes(0, lf):
             raise EquivalenceViolation("sigma is not left V-linear")
-        if forward.compose(rf) != rf.compose(forward):
+        if not commutes(1, rf):
             raise EquivalenceViolation("sigma is not right V-linear")
     return BraidOperator(b, forward, inverse)
 

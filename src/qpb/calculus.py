@@ -13,16 +13,18 @@ hopf.add_coaction_records.
 TotalCalculus is the graded instance of bundle.BalancedTower, the braid tower
 that in degree zero is the bundle: W = Omega(P) over M = Omega(M) with Hopf
 side Gamma^.  The balanced powers W_n, X^(phi (x) w) = phi F^(w) and its
-inverse, tau^, sigma^_M and its formula inverse with the Koszul signs of
-their defining formulas, sigma^ and mu on slots of W_n, the conjugation on
-W_2, F^_2, the records of the braid equation, the product compatibilities
-and mu sigma^ = mu, the Galois tower X^_n and the braided products on W_2 and
-W_3 transported along it are the tower's, written once for both degrees.
-The degree-0 bundle is not rebuilt here: it is the product bundle the caller
-built, and Omega^0(P) lists its basis in the same order.  What only the
-graded case has stays here: X^ bijective in every total degree <= 2, d on
-W_2, the filtration Omega_k(P), and the g-inv, g-star, g-d, gsM-filt and
-tau^ checks of differential_suite.
+inverse, tau^ and its star, counit, coaction, product and centrality
+records, the sigma-cochain, sigma^_M and its formula inverse with the
+Koszul signs of their defining formulas, sigma^ and mu on slots of W_n, the
+conjugation on W_2, F^_2, the records of the braid equation, the product
+compatibilities and mu sigma^ = mu, the Galois tower X^_n and the braided
+products on W_2 and W_3 transported along it are the tower's, written once
+for both degrees.  The degree-0 bundle is not rebuilt here: it is the
+product bundle the caller built, and Omega^0(P) lists its basis in the same
+order.  What only the graded case has stays here: X^ bijective in every
+total degree <= 2, d on W_2, the filtration Omega_k(P), the tau-ad and tau-d
+records, and the g-inv, g-star, g-d and gsM-filt checks of
+differential_suite.
 
 The differential gauge coalgebra L^ (F^_2-invariants of W_2 with eps^_M,
 Delta^ and phi^_M, and its counital coalgebra identities) is built by
@@ -45,10 +47,10 @@ from .hopf import (
 )
 from .linalg import (
     BasedSpace, Echelon, LinearMap, Vec, fixed_points, span_basis, spans_equal,
-    viadd, viadd_term, vscale,
+    viadd, viadd_term,
 )
 from .report import ValidationReport, map_equality_record, passing, vacuous
-from .tensor import Factor, TProd, slot_apply, unit_leg
+from .tensor import Factor, TProd, unit_leg
 
 
 class BaseCalculus(GradedStarAlgebra):
@@ -246,7 +248,11 @@ class TotalCalculus(BalancedTower):
         self._deg0 = omega.component(0)
 
         # the graded tower; X^ maps into Omega(P) (x) Gamma^, where F^ lives
-        super().__init__(omega, omega.factor, gamma, gamma.factor, gamma.kappa_hat_inv,
+        sq = gamma.square
+        phi_legs = [[sq.tuples[fj] + (c,) for fj, c in sq.lift(col).items()]
+                    for col in gamma.phi_hat.cols]
+        super().__init__(omega, omega.factor, gamma, gamma.factor, gamma.kappa_hat,
+                         gamma.kappa_hat_inv, phi_legs.__getitem__, gamma.eps_basis,
                          omega.f_legs, ("W", "G"), coeff_degrees=base_calc.degrees,
                          budget=BUDGET, spaces={"WG": omega.og})
         self.w1, self.w2, self.w3 = (self.power(n) for n in (1, 2, 3))
@@ -293,12 +299,6 @@ class TotalCalculus(BalancedTower):
                 raise DegreeBudget("d beyond the budget on W_2")
             viadd(out, c, col)
         return out
-
-    def w2_basis_deg(self, b: int) -> int:
-        return self.w2_degrees[b]
-
-    def tau_of(self, gamma_vec: Vec) -> Vec:
-        return self.tau.apply(gamma_vec)
 
     def omega_m_fixed(self):
         """F^-fixed subspace of Omega(P) (the embedded Omega(M))."""
@@ -392,28 +392,14 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
               [] if spans_equal(fixed, omega.m_embed_cols) else [{"dim": len(fixed)}])
 
     # --- tau^ block -----------------------------------------------------------
-    w2g = tc.hopf_space(2)
-
-    # (id (x) F^) tau^ = tau^((1)) (x) (2)
-    lhs_cols, rhs_cols = [], []
-    for gi in range(gamma.dim):
-        acc: Vec = {}
-        for p, q, ct in tc.tau_legs[gi]:
-            for w, th, c in omega.f_legs[q]:
-                viadd_term(acc, w2g.flat_index((p, w, th)), ct * c)
-        lhs_cols.append(w2g.project(acc))
-        acc = {}
-        for fj, c in gamma.square.lift(gamma.phi_hat.cols[gi]).items():
-            g1, g2 = gamma.square.tuples[fj]
-            for p, q, ct in tc.tau_legs[g1]:
-                viadd_term(acc, w2g.flat_index((p, q, g2)), c * ct)
-        rhs_cols.append(w2g.project(acc))
-    lhs = LinearMap(gamma.space, w2g.space, lhs_cols, field)
-    rhs = LinearMap(gamma.space, w2g.space, rhs_cols, field)
-    rep.add(map_equality_record("diff.tau-coact", "(id (x) F^)tau^", lhs, rhs,
-                                witness_space=w2g.space))
+    tc.add_translation_records(rep, (
+        ("diff.tau-star", "tau^* = tau^ kappa^ *"), ("diff.tau-eps", "l r = eps(.)1"),
+        ("diff.tau-coact", "(id (x) F^)tau^"), ("diff.tau-left-coact", "(F^ (x) id)tau^"),
+        ("diff.tau-mult", "tau^ of a product (chi formula)"),
+        ("diff.tau-central", "im(tau^) graded-commutes with Omega(M)")))
 
     # F^_2 tau^ = (tau^ (x) id) ad
+    w2g = tc.hopf_space(2)
     ad = gamma.ad_hat()
     lhs = tc.f2.compose(tc.tau)
     rhs_cols = []
@@ -428,91 +414,10 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
     rep.add(map_equality_record("diff.tau-ad", "F^_2 tau^ = (tau^ (x) id) ad",
                                 lhs, rhs, witness_space=w2g.space))
 
-    # tau^(gamma)* = tau^(kappa^(gamma)*)
-    lhs = tc.w2_star.compose(tc.tau)
-    rhs = tc.tau.compose(gamma.star.compose(gamma.kappa_hat))
-    rep.add(map_equality_record("diff.tau-star", "tau^* = tau^ kappa^ *",
-                                lhs, rhs, witness_space=w2.space))
-
     # tau^ d = d tau^
     rep.check(("diff.tau-d", "tau^ d = d tau^"),
               ({"basis_index": gi} for gi in range(gamma.dim) if gamma.degree(gi) < BUDGET
                and tc.tau.apply(gamma.d_cols[gi]) != tc.w2_d(tc.tau.cols[gi])))
-
-    # (F^ (x) id) tau^ = chi{kappa^((1)) (x) tau^((2))}, carried into
-    # W_2 (x) Gamma^: the right side is the graded twist of
-    # kappa^(gamma^(1)) (x) l(gamma^(2)) (x) r(gamma^(2)) moving the kappa^
-    # leg to the end, with the coproduct twist sign (-1)^{deg (1) deg (2)};
-    # the left side swaps the F^-output leg past the r slot
-    lhs_cols, rhs_cols = [], []
-    for gi in range(gamma.dim):
-        acc: Vec = {}
-        for p, q, ct in tc.tau_legs[gi]:
-            for w, th, c in omega.f_legs[p]:
-                sign = -one if (gamma.degree(th) * omega.degree(q)) % 2 else one
-                viadd_term(acc, w2g.flat_index((w, q, th)), ct * c * sign)
-        lhs_cols.append(w2g.project(acc))
-        acc = {}
-        for fj, c in gamma.square.lift(gamma.phi_hat.cols[gi]).items():
-            g1, g2 = gamma.square.tuples[fj]
-            sign = -one if (gamma.degree(g1) * gamma.degree(g2)) % 2 else one
-            for k1, ck in gamma.kappa_hat.cols[g1].items():
-                for p, q, ct in tc.tau_legs[g2]:
-                    viadd_term(acc, w2g.flat_index((p, q, k1)), c * ck * ct * sign)
-        rhs_cols.append(w2g.project(acc))
-    lhs = LinearMap(gamma.space, w2g.space, lhs_cols, field)
-    rhs = LinearMap(gamma.space, w2g.space, rhs_cols, field)
-    rep.add(map_equality_record("diff.tau-left-coact", "(F^ (x) id)tau^", lhs, rhs,
-                                witness_space=w2g.space))
-
-    # mu tau^ = eps(.) 1
-    lhs = tc.mu_at(2, 0).compose(tc.tau)
-    rhs_cols = []
-    for gi in range(gamma.dim):
-        acc = {}
-        e = gamma.eps_basis(gi)
-        if e:
-            for i, c in omega.unit.items():
-                viadd_term(acc, tc.w1.flat_index((i,)), e * c)
-        rhs_cols.append(tc.w1.project(acc))
-    rhs = LinearMap(gamma.space, tc.w1.space, rhs_cols, field)
-    rep.add(map_equality_record("diff.tau-eps", "l r = eps(.)1", lhs, rhs,
-                                witness_space=tc.w1.space))
-
-    # graded centrality of im(tau^) with Omega(M)
-    def central_failures():
-        for f in range(base.dim):
-            for gi in range(gamma.dim):
-                if base.degree(f) + gamma.degree(gi) > BUDGET:
-                    continue
-                lv = slot_apply(w2, tc.tau.cols[gi], 0, omega.factor.lact[f])
-                rv = slot_apply(w2, tc.tau.cols[gi], 1, omega.factor.ract[f])
-                sign = -one if (base.degree(f) * gamma.degree(gi)) % 2 else one
-                if lv != vscale(sign, rv):
-                    yield {"base_index": f, "gamma_index": gi}
-
-    rep.check(("diff.tau-central", "im(tau^) graded-commutes with Omega(M)"),
-              central_failures())
-
-    # twisted multiplicativity: tau^(xy) per the chi-formula
-    def mult_failures():
-        for gi in range(gamma.dim):
-            for gj in range(gamma.dim):
-                if gamma.degree(gi) + gamma.degree(gj) > BUDGET:
-                    continue
-                lhs_v = tc.tau.apply(gamma.mul_basis(gi, gj))
-                acc: Vec = {}
-                for u, v_, cu in tc.tau_legs[gj]:
-                    sign = -one if (gamma.degree(gi) * omega.degree(u)) % 2 else one
-                    for p, q, ct in tc.tau_legs[gi]:
-                        c0 = cu * ct * sign
-                        for m, cm in omega.mul_basis(u, p).items():
-                            for m2, cm2 in omega.mul_basis(q, v_).items():
-                                viadd_term(acc, w2.flat_index((m, m2)), c0 * cm * cm2)
-                if lhs_v != w2.project(acc):
-                    yield {"pair": [gi, gj]}
-
-    rep.check(("diff.tau-mult", "tau^ of a product (chi formula)"), mult_failures())
 
     # --- sigma^_M suite --------------------------------------------------------
     ident = LinearMap.identity(w2.space, field)
@@ -548,7 +453,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
                                 witness_space=w2.space))
 
     rep.check(("diff.g-d", "d sigma^ = sigma^ d"),
-              ({"basis_index": b} for b in range(w2.dim) if tc.w2_basis_deg(b) < BUDGET
+              ({"basis_index": b} for b in range(w2.dim) if tc.w2_degrees[b] < BUDGET
                and tc.w2_d(tc.sigma.cols[b]) != tc.sigma.apply(tc.w2_d_cols[b])))
 
     # --- L^ -------------------------------------------------------------------
@@ -597,7 +502,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
     @cache
     def carried_tau(t: int) -> Vec:
         """tau^(theta_t) carried along X_1, once per theta_t."""
-        return tc.transported_mult(2).carry(tc.tau_of(gamma.inv1_vec(t)))
+        return tc.transported_mult(2).carry(tc.tau.apply(gamma.inv1_vec(t)))
 
     def bracket_failures():
         for t in range(gamma.d1):
@@ -608,7 +513,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
                 t1, t2 = divmod(idx, gamma.d1)
                 viadd(lhs_v, c, tc.transported_mult(2).mul_carried(carried_tau(t1),
                                                                     carried_tau(t2)))
-            if lhs_v != tc.w2_d(tc.tau_of(theta_vec)):
+            if lhs_v != tc.w2_d(tc.tau.apply(theta_vec)):
                 yield {"theta_index": t}
 
     bracket = ("diff.tau-bracket", "<tau^,tau^> = d tau^")

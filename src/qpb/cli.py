@@ -96,7 +96,14 @@ def cmd_classicality(args) -> int:
 
 
 def _gauge_group(build: BuildResult):
+    """enumerate_gauge on the build, or None after printing the braided Hopf
+    report when the enumeration is blocked."""
     bh = classical_braided_hopf(build.gauge)
+    blocked = bh.enumeration_blocked
+    if blocked:
+        print(bh.report.to_text())
+        print(f"gauge group not enumerated: {blocked}")
+        return None
     return enumerate_gauge(bh)
 
 
@@ -104,9 +111,12 @@ def cmd_gauge_enumerate(args) -> int:
     try:
         sf = load_file(args.file)
         build = BuildResult(sf)
-        gammas, table, rep = _gauge_group(build)
+        group = _gauge_group(build)
     except QpbError as e:
         return _fail(e)
+    if group is None:
+        return 1
+    gammas, table, rep = group
     print(f"{len(gammas)} gauge transformations")
     base_labels = build.bundle.base.space.labels
     l_dim = len(build.gauge.l_basis)
@@ -150,7 +160,10 @@ def cmd_gauge_act(args) -> int:
     try:
         sf = load_file(args.file)
         build = BuildResult(sf)
-        gammas, _, _ = _gauge_group(build)
+        group = _gauge_group(build)
+        if group is None:
+            return 1
+        gammas = group[0]
         if not 0 <= args.gamma < len(gammas):
             from .errors import InputError
             raise InputError(

@@ -6,7 +6,9 @@ A connection is a hermitian map omega: Gamma_inv -> Omega^1(P) with
 F^ omega(theta) = sum omega(theta_k) (x) c_k + 1 (x) theta.  Its curvature is
 R = d omega - <omega, omega> with the brackets taken through the lifted
 embedded differential delta, and the covariant derivative on horizontal forms
-is D(phi) = d phi - (-1)^{deg phi} sum phi_k omega pi(c_k).
+is D(phi) = d phi - (-1)^{deg phi} sum phi_k omega pi(c_k).  The
+sigma-cochain in tr-R1 and tr-D1 is the tower's BalancedTower.varsigma, the
+one the bundle has in degree zero.
 """
 
 from __future__ import annotations
@@ -149,22 +151,6 @@ def perturbed_connection(tc: TotalCalculus, lam_cols) -> Connection:
     return Connection(tc, cols, name="perturbed")
 
 
-def varsigma_w3(tc: TotalCalculus, a: int) -> Vec:
-    """sigma-cochain l(kappa^-1(a^(1))) (x) tau(a^(2)) r(kappa^-1(a^(1)))
-    of a group basis element, in W_3."""
-    g = tc.group
-    om = tc.omega
-    out: Vec = {}
-    for a1, a2, c in g.sweedler(a):
-        for k, ck in g.antipode_inverse.cols[a1].items():
-            for x, y, ct in tc.tau_legs[tc.gamma.i0(k)]:
-                for u, v, cu in tc.tau_legs[tc.gamma.i0(a2)]:
-                    coeff = c * ck * ct * cu
-                    for w, cw in om.mul_basis(v, y).items():
-                        viadd_term(out, tc.w3.flat_index((x, u, w)), coeff * cw)
-    return tc.w3.project(out)
-
-
 def verify_transformations(conn: Connection) -> ValidationReport:
     """d-aP, gP-inv, the braiding-with-connections display, tr-conn, and both
     forms of the curvature and covariant-derivative transformation laws."""
@@ -184,7 +170,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
     # the W_3 products of tr-R1 and tr-D1 carry each operand along X_2 once
     @cache
     def carried_varsigma(a: int) -> Vec:
-        return tc.transported_mult(3).carry(varsigma_w3(tc, a))
+        return tc.transported_mult(3).carry(tc.varsigma(gamma.i0(a)))
 
     def carried_w3(v: Vec) -> Vec:
         """1 (x) 1 (x) v carried along X_2."""

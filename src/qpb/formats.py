@@ -493,12 +493,10 @@ def run_suites(build: BuildResult, suites, degree: int = 2,
                 bh = classical_braided_hopf(build.gauge)
                 if merge(bh.report):
                     return report
-                # the character split behind the enumeration assumes the
-                # braided Hopf laws; without them it need not end
-                if not bh.report.ok:
+                blocked = bh.enumeration_blocked
+                if blocked:
                     report.add(CheckRecord("gauge-group.enumeration", "enumeration",
-                                           "vacuous", note="skipped: the braided Hopf "
-                                           "structure of L fails"))
+                                           "vacuous", note=f"skipped: {blocked}"))
                 else:
                     try:
                         _, _, gr = enumerate_gauge(bh)

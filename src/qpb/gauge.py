@@ -12,7 +12,9 @@ degrees and the degree budget are the tower's data; L is the instance W = B,
 M = V with every degree zero and no budget.  What only degree zero has is in
 GaugeCoalgebra: the Haar projection p_L = (id (x) h)F_2 and its cross-checks,
 B (x) L, mu_M(L) = V, fgau-F, the Lemma 2.6 antipode identities, delta_3 as a
-*-homomorphism, and the braided product and star of L inside B_2.
+*-homomorphism, and the braided product and star of L inside B_2.  The
+sigma-cochain of a group element is the tower's, BalancedTower.varsigma,
+written once for B_3 and for W_3 of the calculus.
 
 All coalgebra maps are concrete matrices on abstract balanced tensor products
 of L, B and V; inclusions into B_n are solved exactly, so membership claims
@@ -441,23 +443,6 @@ def build_gauge_coalgebra(b: Bundle, braid: BraidOperator | None = None) -> Gaug
     return GaugeCoalgebra(b, braid or sigma_m(b))
 
 
-def varsigma(b: Bundle, a_vec: Vec) -> Vec:
-    """sigma-cochain of a group element:
-    l(kappa^-1(a^(1))) (x) tau(a^(2)) r(kappa^-1(a^(1))), in B_3."""
-    g = b.group
-    b3 = b.b_space(3)
-    out: Vec = {}
-    for a, ca in a_vec.items():
-        for a1, a2, c in g.sweedler(a):
-            for k, ck in g.antipode_inverse.cols[a1].items():
-                for x, y, ct in b.tau_legs[k]:
-                    for u, v, cu in b.tau_legs[a2]:
-                        coeff = ca * c * ck * ct * cu
-                        for w, cw in b.total.mul_basis(v, y).items():
-                            viadd_term(out, b3.flat_index((x, u, w)), coeff * cw)
-    return b3.project(out)
-
-
 # -- classical braided Hopf structure ------------------------------------------
 
 
@@ -648,6 +633,13 @@ class BraidedHopf:
                                     self.kappa_m.compose(self.kappa_m),
                                     LinearMap.identity(gc.l_space, field),
                                     witness_space=gc.l_space))
+
+    @property
+    def enumeration_blocked(self) -> str | None:
+        """Why the gauge group is not enumerated, or None: the character split
+        behind enumerate_gauge assumes the braided Hopf laws, and without them
+        it need not end."""
+        return None if self.report.ok else "the braided Hopf structure of L fails"
 
 
 def _solve_each(m: LinearMap, vecs):

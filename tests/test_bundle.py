@@ -224,3 +224,33 @@ def test_transported_mult_matches_by_lead_on_graded_sums(n):
         assert fast(u, v) == want
         within += 1
     assert within > 20 and past > 20
+
+
+def point_calculus_z2():
+    h = hopf_preset("Z2", "function_algebra")
+    return build_total_calculus(build_fodc(h, universal_ideal(h)),
+                                trivial_base_calculus(functions_on_points(1, h.field)))
+
+
+@pytest.mark.parametrize("make", [lambda: make_point("Z2", "group_algebra"),
+                                  point_calculus_z2], ids=["bundle", "calculus"])
+def test_varsigma_unit(make):
+    """The sigma-cochain of the degree-zero tower (C[Z2] over a point) and of
+    the graded one (the universal calculus of C(Z2) over a point): on the
+    unit of A it is 1 (x) 1 (x) 1, and multiplying its last two slots leaves
+    tau(kappa^-1(a)) for every basis element a."""
+    tower = make()
+    w3, unit = tower.power(3), tower.algebra.unit
+    acc = {}
+    for i, ci in unit.items():
+        for j, cj in unit.items():
+            for k, ck in unit.items():
+                viadd_term(acc, w3.flat_index((i, j, k)), ci * cj * ck)
+    total = {}
+    for a, ca in tower.group.unit.items():
+        for k, c in tower.varsigma(a).items():
+            viadd_term(total, k, ca * c)
+    assert total == w3.project(acc)
+    for a in range(tower.group.dim):
+        assert tower.mu_at(3, 1).apply(tower.varsigma(a)) == \
+            tower.tau.apply(tower.kappa_inv.cols[a])

@@ -4,7 +4,7 @@ from qpb.calculus import (
     build_total_calculus, trivial_base_calculus, universal_base_calculus,
 )
 from qpb.connection import (
-    maurer_cartan, perturbed_connection, varsigma_w3, verify_transformations,
+    maurer_cartan, perturbed_connection, verify_transformations,
 )
 from qpb.errors import NotCovariant
 from qpb.fodc import build_fodc, universal_ideal
@@ -108,14 +108,3 @@ def test_bad_perturbation_rejected():
     i01 = base.space.index("x0|x1")
     with pytest.raises(NotCovariant):
         perturbed_connection(tc, [{i01: tc.field.one}])
-
-
-def test_varsigma_unit_w3():
-    tc = point_calculus("Z2")
-    ident = tc.group.space.index("dr0")  # delta at the identity
-    v = {}
-    from qpb.linalg import viadd
-    for a, ca in tc.group.unit.items():
-        viadd(v, ca, varsigma_w3(tc, a))
-    expect = tc.embed_w3(tc.omega.unit, tc.omega.unit, tc.omega.unit)
-    assert v == expect

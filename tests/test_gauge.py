@@ -5,7 +5,7 @@ from qpb.bundle import build_bundle
 from qpb.errors import NotClassical, NotCommutative
 from qpb.gauge import (
     build_gauge_coalgebra, classical_braided_hopf, enumerate_gauge,
-    gauge_group_table, isotypic_decompose, varsigma,
+    gauge_group_table, isotypic_decompose,
 )
 from qpb.presets import point_bundle_data, trivial_bundle_data
 
@@ -37,25 +37,6 @@ def test_gauge_coalgebra_trivial_bundle():
     gc = build_gauge_coalgebra(b)
     assert gc.report.ok, gc.report.to_text()
     assert len(gc.l_basis) == 4  # V (x) A worth of invariants
-
-
-def test_varsigma_unit_and_linearity():
-    b = make_point("Z2", "group_algebra")
-    one = b.field.one
-    v = varsigma(b, b.group.unit)
-    b3 = b.b_space(3)
-    expect = {}
-    from qpb.linalg import viadd
-    for i, ci in b.total.unit.items():
-        for j, cj in b.total.unit.items():
-            for k, ck in b.total.unit.items():
-                viadd(expect, ci * cj * ck, {b3.flat_index((i, j, k)): one})
-    assert v == b3.project(expect)
-    # linearity
-    va = varsigma(b, {0: one})
-    vb = varsigma(b, {1: one})
-    from qpb.linalg import vadd
-    assert varsigma(b, {0: one, 1: one}) == vadd(va, vb)
 
 
 def test_classical_braided_hopf_cz2():

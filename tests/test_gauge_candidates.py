@@ -2,6 +2,7 @@ from qpb.bundle import build_bundle
 from qpb.gauge import build_gauge_coalgebra, verify_gauge_candidate
 from qpb.linalg import LinearMap
 from qpb.presets import point_bundle_data
+from qpb.tensor import slot_apply
 
 
 def test_counit_is_a_gauge_candidate_noncommutative():
@@ -33,11 +34,9 @@ def test_x_is_a_bimodule_map():
     # X(f.x) = (f (x) 1) X(x) and X(x.f) = X(x) (f (x) 1) for f in V
     ba = b.mixed_space("BA")
     one = b.field.one
-    for fvec in b.base_vectors:
-        lf = b.lmult_map(2, 0, fvec)
-        rf = b.rmult_map(2, 1, fvec)
+    for fvec, lf, rf in zip(b.base_vectors, b.b_factor.lact, b.b_factor.ract):
         for i in range(b.b2.dim):
-            lhs = b.X.apply(lf.apply({i: one}))
+            lhs = b.X.apply(slot_apply(b.b2, {i: one}, 0, lf))
             rhs = {}
             from qpb.linalg import viadd
             for fj, c in ba.lift(b.X.apply({i: one})).items():
@@ -45,7 +44,7 @@ def test_x_is_a_bimodule_map():
                 for k, ck in b.total.mul(fvec, {u: one}).items():
                     viadd(rhs, c * ck, {ba.flat_index((k, a)): one})
             assert lhs == ba.project(rhs)
-            lhs = b.X.apply(rf.apply({i: one}))
+            lhs = b.X.apply(slot_apply(b.b2, {i: one}, 1, rf))
             rhs = {}
             for fj, c in ba.lift(b.X.apply({i: one})).items():
                 u, a = ba.tuples[fj]

@@ -3,18 +3,22 @@
 ``GradedStarAlgebra.add_axiom_records`` checks the *-algebra axioms of A, B,
 Omega(M) and Gamma^, and ``add_coaction_records`` checks phi on A, F on B,
 phi^ on Gamma^, F^ on Omega(P) and the adjoint action; ``add_antipode_record``
-checks kappa^ on Gamma^.  For every site and identity one targeted mutation
+checks kappa^ on Gamma^; ``BalancedTower.add_translation_records`` checks tau on
+P and on Omega(P).  For every site and identity one targeted mutation
 breaks that identity.  A site that records then fails exactly that record
 among the checker's records, with a witness; a site that rejects its input
 raises at that identity.
 """
 
+import copy
+
 import pytest
 
+import qpb.cli as cli_mod
 import qpb.fodc as fodc_mod
 import qpb.formats as formats_mod
 import qpb.hopf as hopf_mod
-from qpb.bundle import build_bundle
+from qpb.bundle import BalancedTower, build_bundle, translation_identities
 from qpb.calculus import (
     build_total_calculus, differential_suite, trivial_base_calculus,
     universal_base_calculus,
@@ -573,3 +577,144 @@ def test_run_suites_skips_the_gauge_group_when_the_braided_hopf_laws_fail(monkey
     rec = {r.identity_id: r for r in report.records}["gauge-group.enumeration"]
     assert (rec.status, rec.note) == ("vacuous",
                                       "skipped: the braided Hopf structure of L fails")
+
+
+def sigma_col_0_negated(build):
+    """The build with column 0 of sigma negated, after it is built."""
+    sigma = build.braid.forward
+    build.braid.forward = build.bundle.sigma = with_col(sigma, 0, negated(sigma.cols[0]))
+    return build
+
+
+@pytest.mark.parametrize("command", [["enumerate"], ["act", "--gamma", "0", "--element", "e"]],
+                         ids=["enumerate", "act"])
+def test_gauge_commands_exit_1_when_the_braided_hopf_laws_fail(monkeypatch, tmp_path, capsys,
+                                                               command):
+    """The same broken C[Z2] as above: qpb gauge enumerate and qpb gauge act
+    print the braided Hopf report and exit 1 without starting the
+    enumeration."""
+    path = tmp_path / "z2.json"
+    path.write_text(serialize_example(generate_example("group-algebra", group="Z2")))
+
+    def unreachable(bh):
+        raise AssertionError("enumerate_gauge ran on a failing braided Hopf structure")
+
+    monkeypatch.setattr(cli_mod, "BuildResult", lambda sf: sigma_col_0_negated(BuildResult(sf)))
+    monkeypatch.setattr(cli_mod, "enumerate_gauge", unreachable)
+    assert cli_mod.main(["gauge", command[0], str(path)] + command[1:]) == 1
+    out = capsys.readouterr().out
+    assert "[FAIL] classical.phiM-star-hom" in out
+    assert out.endswith("gauge group not enumerated: the braided Hopf structure of L fails\n")
+
+
+# -- the translation-map identities of BalancedTower, for P and Omega(P) -----------------
+
+TRANSLATION_KEYS = ("star", "eps", "coaction", "left-coaction", "mult", "centrality")
+TRANSLATION_IDS = {
+    "bundle": dict(zip(TRANSLATION_KEYS, (
+        "translation.star", "translation.eps", "translation.coaction",
+        "translation.left-coaction", "translation.mult", "translation.centrality"))),
+    "calculus": dict(zip(TRANSLATION_KEYS, (
+        "diff.tau-star", "diff.tau-eps", "diff.tau-coact", "diff.tau-left-coact",
+        "diff.tau-mult", "diff.tau-central"))),
+}
+
+
+def translation_caller(caller):
+    """(tower, its suite, the H basis element the mutations touch): the
+    C(Z2) point bundle at dr1, or the universal calculus of C(Z2) over a
+    point at its first element of degree 1."""
+    if caller == "bundle":
+        return build_bundle(*point_bundle_data("Z2")), translation_identities, 1
+    return point_calculus(), differential_suite, 2
+
+
+def with_hopf(tower, **attrs):
+    """The tower with a copy of H whose named attributes are replaced."""
+    h = copy.copy(tower.hopf)
+    for name, value in attrs.items():
+        setattr(h, name, value)
+    tower.hopf = h
+
+
+def star_negated(tower, i):
+    with_hopf(tower, star=with_col(tower.hopf.star, i, negated(tower.hopf.star.cols[i])))
+
+
+def counit_plus_one(tower, i):
+    eps = tower.eps_basis
+    tower.eps_basis = lambda h: eps(h) + tower.field.one if h == i else eps(h)
+
+
+def coproduct_doubled(tower, i):
+    legs = tower.sweedler
+    tower.sweedler = lambda h: [(a, b, c + c) for a, b, c in legs(h)] if h == i else legs(h)
+
+
+def antipode_doubled(tower, i):
+    tower.kappa = with_col(tower.kappa, i, doubled(tower.kappa.cols[i]))
+
+
+def product_plus_unit(tower, i):
+    """e_i e_0 gains the term e_0."""
+    mul, one = tower.hopf.mul_basis, tower.field.one
+    with_hopf(tower, mul_basis=lambda h, g: {**mul(h, g), 0: one} if (h, g) == (i, 0)
+              else mul(h, g))
+
+
+def left_action_doubled(tower, i):
+    lact = tower.factor.lact
+    tower.factor.lact = [LinearMap(lact[0].domain, lact[0].codomain,
+                                   [doubled(c) for c in lact[0].cols], tower.field)] + lact[1:]
+
+
+@pytest.mark.parametrize("caller", ["bundle", "calculus"])
+@pytest.mark.parametrize("mutate, record, also, at", [
+    (star_negated, "star", set(), {"bundle": 1, "calculus": 3}),
+    (counit_plus_one, "eps", set(), None),
+    (coproduct_doubled, "coaction", {"left-coaction"}, None),
+    (antipode_doubled, "left-coaction", {"star"}, {"bundle": 0, "calculus": 2}),
+    (product_plus_unit, "mult", set(), None),
+    (left_action_doubled, "centrality", set(), None),
+], ids=["star", "eps", "coaction", "left-coaction", "mult", "centrality"])
+def test_translation_records_fail_at_the_broken_datum(caller, mutate, record, also, at):
+    """One datum of H or of the coefficient action is changed after the
+    suite has passed once.  Its identity fails with a positioned witness,
+    and no record fails that does not read that datum.  A mutation touches
+    H at element i; the witness names i unless ``at`` says otherwise: the
+    star record reads the star at kappa(h), and the left coaction of dr0
+    reads the antipode of dr1."""
+    tower, suite, i = translation_caller(caller)
+    assert suite(tower).ok
+    mutate(tower, i)
+    ids = TRANSLATION_IDS[caller]
+    failures = {r.identity_id: r.witness for r in suite(tower).failures}
+    assert set(failures) == {ids[k] for k in {record} | also}
+    labels = tower.hopf_factor.space.labels
+    got = failures[ids[record]]
+    if record == "mult":
+        assert got["basis_pair"] == [labels[i], labels[0]]
+        assert got["lhs"] != got["rhs"]
+    elif record == "centrality":
+        assert (got["base_index"], got["group_basis"]) == (0, labels[0])
+        assert got["f.tau(a)"] != got["tau(a).f"]
+    else:
+        j = i if at is None else at[caller]
+        assert (got["basis_index"], got["basis_label"]) == (j, labels[j])
+        assert got["lhs"] != got["rhs"]
+
+
+@pytest.mark.parametrize("caller", ["bundle", "calculus"])
+def test_each_suite_records_the_translation_identities_once(monkeypatch, caller):
+    tower, suite, _ = translation_caller(caller)
+    calls = []
+    real = BalancedTower.add_translation_records
+
+    def counted(self, rep, ids):
+        calls.append([ident for ident, _ in ids])
+        real(self, rep, ids)
+
+    monkeypatch.setattr(BalancedTower, "add_translation_records", counted)
+    rep = suite(tower)
+    assert calls == [list(TRANSLATION_IDS[caller].values())]
+    assert set(calls[0]) <= {r.identity_id for r in rep.records}
