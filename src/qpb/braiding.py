@@ -30,7 +30,7 @@ from .bundle import Bundle
 from .errors import EquivalenceViolation
 from .linalg import LinearMap, Vec, viadd_term
 from .report import CheckRecord, ValidationReport, map_equality_record, passing
-from .tensor import slot_apply, term_map
+from .tensor import embed, slot_apply, term_map
 
 
 class BraidOperator:
@@ -229,14 +229,7 @@ def braided_structure(b: Bundle, n: int, braid: BraidOperator | None = None):
     bn = b.b_space(n)
     mult = braid.mult_n(n)
     star = braid.star_n(n)
-    unit_flat: Vec = {}
-    units = [b.total.unit] * n
-    terms = [((), one)]
-    for uvec in units:
-        terms = [(tup + (k,), c * ck) for tup, c in terms for k, ck in uvec.items()]
-    for tup, c in terms:
-        viadd_term(unit_flat, bn.flat_index(tup), c)
-    unit = bn.project(unit_flat)
+    unit = embed(bn, *[b.total.unit] * n)
 
     e = [{i: one} for i in range(bn.dim)]
     rep.check((f"braided{n}.unit", "unit of prodBB"),

@@ -10,9 +10,13 @@ slots (p, p+1) of W_n, F on one slot of W_2, the flip star on W_n, the
 doubled coaction F_2, the records of the braid equation, the two product
 compatibilities and mu sigma = mu, the Galois tower X_n : W_{n+1} ->
 W (x) H^n with its inverse, and the braided product on W_n transported along
-X_{n-1}.  The degrees of W and H, the coefficient degrees and the degree
-budget are data, so the graded formulas carry their Koszul signs; a sign is
-applied by negating when it is odd, and degree zero does no sign arithmetic.
+X_{n-1}.  So are the three right sides of the gauge-transformation laws:
+for a map phi and the legs c x_k (x) h of F(x), sum c phi(x_k) (x) h in
+W (x) H (coact_side), sum c phi(x_k) (x) tau(h) in W_3 (tau_side) and
+sum c varsigma(h) . phi(x_k) in W_3 (varsigma_side).  The degrees of W and
+H, the coefficient degrees and the degree budget are data, so the graded
+formulas carry their Koszul signs; a sign is applied by negating when it is
+odd, and degree zero does no sign arithmetic.
 Bundle is the instance W = B, M = V, H = A with every degree zero and no
 budget; calculus.TotalCalculus is the graded instance W = Omega(P),
 M = Omega(M), H = Gamma^.
@@ -35,9 +39,9 @@ from .errors import (
     BudgetExceeded, DegreeBudget, InputError, NotCoaction, NotPrincipal, ValidationFailed,
 )
 from .hopf import HopfStarAlgebra, StarAlgebra, add_coaction_records
-from .linalg import BasedSpace, LinearMap, Vec, fixed_points, viadd_term, vneg
+from .linalg import BasedSpace, LinearMap, Vec, fixed_points, viadd, viadd_term, vneg
 from .report import RaisingReport, ValidationReport, map_equality_record
-from .tensor import Factor, TProd, block_terms, slot_apply, term_map
+from .tensor import Factor, TProd, block_terms, embed, slot_apply, term_map
 
 DEFAULT_TOWER_BUDGET = 3
 
@@ -118,13 +122,9 @@ class BalancedTower:
     @cached_property
     def tau(self) -> LinearMap:
         """tau(h) = X^-1(1 (x) h)."""
-        wh = self.hopf_space(1)
-        cols = []
-        for a in range(self.hopf_factor.space.dim):
-            target: Vec = {}
-            for i, c in self.algebra.unit.items():
-                viadd_term(target, wh.flat_index((i, a)), c)
-            cols.append(self.X_inv.apply(wh.project(target)))
+        wh, one = self.hopf_space(1), self.field.one
+        cols = [self.X_inv.apply(embed(wh, self.algebra.unit, {a: one}))
+                for a in range(self.hopf_factor.space.dim)]
         return LinearMap(self.hopf_factor.space, self.power(2).space, cols, self.field)
 
     @cached_property
@@ -221,6 +221,53 @@ class BalancedTower:
                         for w, cw in mul(v, y).items():
                             viadd_term(out, w3.flat_index((x, u, w)), coeff * cw)
         return w3.project(out)
+
+    # -- the right sides of the gauge-transformation laws --------------------------
+    # A leg (k, h, c) is the term c x_k (x) h of a coaction F(x) = sum c x_k (x) h,
+    # and phi(k) is phi(x_k) in W.  No factor passes another, so no sign enters;
+    # a coefficient of phi(k) that is one is not multiplied.
+
+    def coact_side(self, legs, phi) -> Vec:
+        """sum c phi(k) (x) h in W (x) H, the right side of F phi = (phi (x) id)F."""
+        wh, one = self.hopf_space(1), self.field.one
+        out: Vec = {}
+        for k, h, c in legs:
+            for i, ci in phi(k).items():
+                viadd_term(out, wh.flat_index((i, h)), c if ci is one else c * ci)
+        return wh.project(out)
+
+    def tau_side(self, legs, phi) -> Vec:
+        """sum c phi(k) (x) tau(h) in W_3, the right side of Delta phi =
+        (phi (x) tau)F."""
+        w3, tau_legs, one = self.power(3), self.tau_legs, self.field.one
+        out: Vec = {}
+        for k, h, c in legs:
+            for i, ci in phi(k).items():
+                cc = c if ci is one else c * ci
+                for p, q, ct in tau_legs[h]:
+                    viadd_term(out, w3.flat_index((i, p, q)), cc * ct)
+        return w3.project(out)
+
+    def varsigma_side(self, legs, phi) -> Vec:
+        """sum c varsigma(h) . phi(k) in W_3, with each h of degree zero and
+        phi(k) standing for 1 (x) 1 (x) phi(k): the braided product of W_3,
+        transported along X_2.  Each varsigma(h) and each distinct phi(k) is
+        carried once, and kept on the tower."""
+        mult, w3, unit = self.transported_mult(3), self.power(3), self.algebra.unit
+        out: Vec = {}
+        for k, h, c in legs:
+            v = phi(k)
+            viadd(out, c, mult.mul_carried(
+                self._carried(("varsigma", h), lambda: self.varsigma(h)),
+                self._carried(frozenset(v.items()), lambda: embed(w3, unit, unit, v))))
+        return out
+
+    def _carried(self, key, make) -> Vec:
+        """make() carried along X_2, once per key."""
+        key = ("carried", key)
+        if key not in self._ops:
+            self._ops[key] = self.transported_mult(3).carry(make())
+        return self._ops[key]
 
     # -- operators on W_n ----------------------------------------------------------
 
@@ -672,7 +719,8 @@ def galois_tower(b: Bundle, n: int):
     """X_n: B_{n+1} -> B (x) A^n by the recursion, tau_n as its restricted
     inverse; verifies X_n tau_n = 1 (x) id on basis tuples.
 
-    Returns (X_n, tau_n, report).
+    Returns (X_n, tau_n, report); the report's records are those of the
+    translation suite, translation.tower.*.
     """
     if n < 1:
         raise InputError("tower level must be >= 1")
@@ -689,7 +737,7 @@ def galois_tower(b: Bundle, n: int):
     # the rank comes from the elimination that x_n_inverse reuses
     rank = xn.solver().rank
     bijective = xn.domain.dim == xn.codomain.dim and rank == xn.domain.dim
-    rep.check(("tower.bijective", f"X_{n} bijective"),
+    rep.check(("translation.tower.bijective", f"X_{n} bijective"),
               [] if bijective else [{"rank": rank, "dim": xn.domain.dim}])
     if not bijective:
         return xn, None, rep
@@ -722,10 +770,7 @@ def galois_tower(b: Bundle, n: int):
 
     def one_tensor(at) -> Vec:
         """1 (x) a_1 (x) ... (x) a_n in B (x) A^n."""
-        want: Vec = {}
-        for i, c in total.unit.items():
-            viadd_term(want, target.flat_index((i,) + at), c)
-        return target.project(want)
+        return embed(target, total.unit, *({a: one} for a in at))
 
     def labels(at) -> list:
         return [b.group.space.labels[a] for a in at]
@@ -738,11 +783,11 @@ def galois_tower(b: Bundle, n: int):
                 yield {"tuple": labels(at), "lhs": target.render(got),
                        "rhs": target.render(want)}
 
-    rep.check(("tower.inverse", f"X_{n} tau_{n} = 1 (x) id"), inverse_failures())
+    rep.check(("translation.tower.inverse", f"X_{n} tau_{n} = 1 (x) id"), inverse_failures())
 
     # independent check: tau_n agrees with the restricted inverse of X_n
     xinv = b.x_n_inverse(n)
-    rep.check(("tower.formula", f"tau_{n} product formula = X_{n}^-1 restriction"),
+    rep.check(("translation.tower.formula", f"tau_{n} product formula = X_{n}^-1 restriction"),
               ({"tuple": labels(at)} for at in a_tuples
                if xinv.apply(one_tensor(at)) != tau_cols[at]))
 

@@ -24,7 +24,9 @@ product bundle the caller built, and Omega^0(P) lists its basis in the same
 order.  What only the graded case has stays here: X^ bijective in every
 total degree <= 2, d on W_2, the filtration Omega_k(P), the tau-ad and tau-d
 records, and the g-inv, g-star, g-d and gsM-filt checks of
-differential_suite.
+differential_suite.  Elementary tensors in Omega(P), W_n and
+Omega(P) (x) Gamma^, such as the unit, the embedded Omega(M) and the pairs
+of gsM-filt, are tensor.embed's; the tau^ bracket is fodc.Envelope2.bracket.
 
 The differential gauge coalgebra L^ (F^_2-invariants of W_2 with eps^_M,
 Delta^ and phi^_M, and its counital coalgebra identities) is built by
@@ -50,7 +52,7 @@ from .linalg import (
     viadd, viadd_term,
 )
 from .report import ValidationReport, map_equality_record, passing, vacuous
-from .tensor import Factor, TProd, unit_leg
+from .tensor import Factor, TProd, embed, unit_leg
 
 
 class BaseCalculus(GradedStarAlgebra):
@@ -154,12 +156,9 @@ class OmegaP(GradedStarAlgebra):
         m_factor = Factor(base.space, base.degrees)
         self.tp = TProd(field, (m_factor, gamma.factor), budget=BUDGET,
                         name="Omega(P)")
-        unit = {}
-        for m, cm in base.unit.items():
-            for a, ca in gamma.unit.items():
-                unit[self.idx(m, a)] = cm * ca
         super().__init__("Omega(P)", field, self.tp.space,
-                         (self.tp.degree(t) for t in self.tp.tuples), unit)
+                         (self.tp.degree(t) for t in self.tp.tuples),
+                         embed(self.tp, base.unit, gamma.unit))
 
         # the product-calculus star is componentwise
         star_cols = [graded_tensor_star(self.tp, base, gamma, {i: one})
@@ -211,13 +210,6 @@ class OmegaP(GradedStarAlgebra):
             lact.append(LinearMap(self.space, self.space, lcols, field))
             ract.append(LinearMap(self.space, self.space, rcols, field))
         self.factor = Factor(self.space, self.degrees, lact, ract)
-        self.m_embed_cols = []
-        for f in range(base.dim):
-            acc = {}
-            for a, ca in gamma.unit.items():
-                if base.degree(f) <= BUDGET:
-                    acc[self.idx(f, a)] = ca
-            self.m_embed_cols.append(acc)
 
     def idx(self, m: int, g: int) -> int:
         return self.tp.flat_index((m, g))
@@ -282,7 +274,9 @@ class TotalCalculus(BalancedTower):
                           for b in range(self.w2.dim)]
         self.w2_degrees = w2deg
 
-        self.m_embed = LinearMap(base_calc.space, omega.space, omega.m_embed_cols, field)
+        self.m_embed = LinearMap(base_calc.space, omega.space,
+                                 [embed(omega.tp, {f: one}, gamma.unit)
+                                  for f in range(base_calc.dim)], field)
         self.lhat = GradedGaugeCoalgebra("L^", "Omega", self, self.m_embed)
         for lb, deg in zip(self.lhat.l_basis, self.lhat.degrees):
             if any(w2deg[i] != deg for i in lb):
@@ -325,24 +319,6 @@ class TotalCalculus(BalancedTower):
     def f_pos_part(self, i: int):
         return [(w, th, c) for (w, th, c) in self.omega.f_legs[i]
                 if self.gamma.degree(th) == 0]
-
-    def embed_w3(self, x: Vec, y: Vec, z: Vec) -> Vec:
-        """x (x) y (x) z in W_3 from three Omega(P) vectors."""
-        w3 = self.w3
-        out: Vec = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                for k, ck in z.items():
-                    viadd_term(out, w3.flat_index((i, j, k)), ci * cj * ck)
-        return w3.project(out)
-
-    def embed_w2(self, x: Vec, y: Vec) -> Vec:
-        w2 = self.w2
-        out: Vec = {}
-        for i, ci in x.items():
-            for j, cj in y.items():
-                viadd_term(out, w2.flat_index((i, j)), ci * cj)
-        return w2.project(out)
 
 
 def build_total_calculus(fodc: Fodc, base_calc: BaseCalculus) -> TotalCalculus:
@@ -389,7 +365,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
               else [{"dim": len(hor), "expected": len(expected_hor)}])
     fixed = tc.omega_m_fixed()
     rep.check(("diff.omegaM", "Omega(M) = F^-fixed forms"),
-              [] if spans_equal(fixed, omega.m_embed_cols) else [{"dim": len(fixed)}])
+              [] if spans_equal(fixed, tc.m_embed.cols) else [{"dim": len(fixed)}])
 
     # --- tau^ block -----------------------------------------------------------
     tc.add_translation_records(rep, (
@@ -437,8 +413,8 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
             for j in range(omega.dim):
                 if deg_u + omega.degree(j) > BUDGET:
                     continue
-                left_span.append(tc.embed_w2(u, {j: one}))
-                right_span.append(tc.embed_w2({j: one}, u))
+                left_span.append(embed(w2, u, {j: one}))
+                right_span.append(embed(w2, {j: one}, u))
         img = [tc.sigma.apply(v) for v in left_span]
         rep.check((f"diff.gsM-filt-{k}", "gsM-filt"),
                   [] if spans_equal(img, right_span) else [{"k": k}])
@@ -499,26 +475,18 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
         ("diff.Lhat-coasso", "phi^_M coassociative")))
 
     # <tau^, tau^>(theta) = d tau^(theta) on Gamma_inv
-    @cache
-    def carried_tau(t: int) -> Vec:
-        """tau^(theta_t) carried along X_1, once per theta_t."""
-        return tc.transported_mult(2).carry(tc.tau.apply(gamma.inv1_vec(t)))
-
-    def bracket_failures():
-        for t in range(gamma.d1):
-            # theta as the invariant element 1 (x) theta_t of Gamma
-            theta_vec = gamma.inv1_vec(t)
-            lhs_v: Vec = {}
-            for idx, c in tc.env2.delta.cols[t].items():
-                t1, t2 = divmod(idx, gamma.d1)
-                viadd(lhs_v, c, tc.transported_mult(2).mul_carried(carried_tau(t1),
-                                                                    carried_tau(t2)))
-            if lhs_v != tc.w2_d(tc.tau.apply(theta_vec)):
-                yield {"theta_index": t}
-
     bracket = ("diff.tau-bracket", "<tau^,tau^> = d tau^")
     if gamma.d1:
-        rep.check(bracket, bracket_failures())
+        mult = tc.transported_mult(2)
+
+        @cache
+        def carried_tau(t: int) -> Vec:
+            """tau^(theta_t) carried along X_1, once per theta_t."""
+            return mult.carry(tc.tau.apply(gamma.inv1_vec(t)))
+
+        rep.check(bracket, ({"theta_index": t} for t in range(gamma.d1)
+                            if tc.env2.bracket(t, carried_tau, mult.mul_carried)
+                            != tc.w2_d(tc.tau.apply(gamma.inv1_vec(t)))))
     else:
         rep.add(vacuous(*bracket, note="zero calculus"))
 

@@ -13,7 +13,6 @@ import sys
 from .errors import QpbError
 from .formats import SUITES, BuildResult, load_file, require_degree, run_suites
 from .gauge import classical_braided_hopf, enumerate_gauge
-from .hopf import compute_haar
 from .presets import GEN_PRESETS, GROUPS, generate_example, serialize_example
 
 
@@ -75,9 +74,8 @@ def cmd_haar(args) -> int:
     except QpbError as e:
         return _fail(e)
     h = build.hopf
-    haar = h.haar if h.haar is not None else compute_haar(h)
     for i, lab in enumerate(h.space.labels):
-        val = haar.apply({i: h.field.one}).get(0, h.field.zero)
+        val = h.haar.apply({i: h.field.one}).get(0, h.field.zero)
         print(f"h({lab}) = {val.literal()}")
     return 0
 

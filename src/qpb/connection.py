@@ -6,9 +6,18 @@ A connection is a hermitian map omega: Gamma_inv -> Omega^1(P) with
 F^ omega(theta) = sum omega(theta_k) (x) c_k + 1 (x) theta.  Its curvature is
 R = d omega - <omega, omega> with the brackets taken through the lifted
 embedded differential delta, and the covariant derivative on horizontal forms
-is D(phi) = d phi - (-1)^{deg phi} sum phi_k omega pi(c_k).  The
-sigma-cochain in tr-R1 and tr-D1 is the tower's BalancedTower.varsigma, the
-one the bundle has in degree zero.
+is D(phi) = d phi - (-1)^{deg phi} sum phi_k omega pi(c_k).  The bracket is
+the envelope's, fodc.Envelope2.bracket, which diff.tau-bracket reads too.
+
+The transformation laws are the tower's: each compares F^ phi or Delta^ phi
+of a form-valued map phi with one of the three right sides that
+bundle.BalancedTower writes once, sum phi(x_k) (x) c_k (coact_side),
+sum phi(x_k) (x) tau(c_k) (tau_side) or sum varsigma(c_k) . phi(x_k)
+(varsigma_side, the sigma-cochain the bundle has in degree zero).  The
+connection condition, the ad-covariance of a perturbation and R-covariant
+read the first, tr-conn, tr-R2 and tr-D2 the second, tr-R1 and tr-D1 the
+third.  The legs of phi are varpi's for a connection or its curvature, and
+those of F^ on a horizontal form for D.
 """
 
 from __future__ import annotations
@@ -18,8 +27,9 @@ from functools import cache
 from .calculus import TotalCalculus
 from .errors import NotCovariant, ValidationFailed
 from .hopf import BUDGET
-from .linalg import Echelon, LinearMap, Vec, viadd, viadd_term
+from .linalg import Echelon, LinearMap, Vec, vadd, viadd, viadd_term, vsub
 from .report import ValidationReport, vacuous
+from .tensor import embed
 
 
 class Connection:
@@ -32,18 +42,12 @@ class Connection:
         self.omega_map = LinearMap(tc.fodc.inv_space, tc.omega.space,
                                    omega_cols, field)
         om = tc.omega
-        # connection condition
-        og = om.og
+        omega = omega_cols.__getitem__
+        # connection condition F^ omega(theta) = sum omega(theta_k) (x) c_k + 1 (x) theta
         for t in range(tc.fodc.dim):
-            lhs = om.f_hat.apply(omega_cols[t])
-            acc: Vec = {}
-            for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
-                for i, ci in omega_cols[th_k].items():
-                    viadd_term(acc, og.flat_index((i, gamma.i0(c_k))), cc * ci)
-            for i, ci in om.unit.items():
-                for k, ck in gamma.inv1_vec(t).items():
-                    viadd_term(acc, og.flat_index((i, k)), ci * ck)
-            if lhs != og.project(acc):
+            rhs = vadd(tc.coact_side(tc.fodc.varpi_legs[t], omega),
+                       embed(om.og, om.unit, gamma.inv1_vec(t)))
+            if om.f_hat.apply(omega_cols[t]) != rhs:
                 raise NotCovariant(
                     f"{name} violates the connection transformation law")
         if hermitian:
@@ -53,13 +57,8 @@ class Connection:
                 if lhs != rhs:
                     raise NotCovariant(f"{name} is not hermitian")
         # curvature R = d omega - <omega, omega>
-        r_cols = []
-        for t in range(tc.fodc.dim):
-            r = om.d_apply(omega_cols[t])
-            for idx, c in tc.env2.delta.cols[t].items():
-                t1, t2 = divmod(idx, tc.fodc.dim)
-                viadd(r, -c, om.mul(omega_cols[t1], omega_cols[t2]))
-            r_cols.append(r)
+        r_cols = [vsub(om.d_apply(omega_cols[t]), tc.env2.bracket(t, omega, om.mul))
+                  for t in range(tc.fodc.dim)]
         self.curvature = LinearMap(tc.fodc.inv_space, tc.omega.space, r_cols, field)
         # horizontality of the curvature values
         hor = Echelon()
@@ -80,8 +79,7 @@ class Connection:
     def covariant_derivative(self, phi: Vec) -> Vec:
         """D(phi) = d phi - (-1)^{deg phi} sum phi_k omega pi(c_k) on a
         homogeneous horizontal form of degree < 2."""
-        tc = self.tc
-        om = tc.omega
+        om = self.tc.omega
         one = self.field.one
         degs = {om.degree(i) for i in phi}
         if len(degs) > 1:
@@ -89,24 +87,22 @@ class Connection:
         deg = degs.pop() if degs else 0
         out = om.d_apply(phi)
         sign = -one if deg % 2 else one
-        for i, c in phi.items():
-            for w, th, cf in tc.f_pos_part(i):
-                # th is a degree-0 leg (group algebra index)
-                _, a, _ = tc.gamma.split(th)
-                wpi = self.omega_pi({a: one})
-                viadd(out, -(sign * c * cf), om.mul({w: one}, wpi))
+        for w, a, c in horizontal_legs(self.tc, phi):
+            viadd(out, -(sign * c), om.mul({w: one}, self.omega_pi({a: one})))
         return out
+
+
+def horizontal_legs(tc: TotalCalculus, phi: Vec) -> list:
+    """The legs (w, a, c) of F^(phi) with a Gamma^ leg of degree zero: all of
+    F^(phi) on a horizontal form.  That leg is the A index a, as
+    GammaEnvelope.i0 is the identity."""
+    return [(w, a, c * cf) for i, c in phi.items() for w, a, cf in tc.f_pos_part(i)]
 
 
 def maurer_cartan(tc: TotalCalculus) -> Connection:
     """omega(theta) = 1_M (x) theta on a product bundle."""
-    cols = []
-    for t in range(tc.fodc.dim):
-        acc: Vec = {}
-        for m, cm in tc.base_calc.unit.items():
-            for k, ck in tc.gamma.inv1_vec(t).items():
-                acc[tc.omega.idx(m, k)] = cm * ck
-        cols.append(acc)
+    cols = [embed(tc.omega.tp, tc.base_calc.unit, tc.gamma.inv1_vec(t))
+            for t in range(tc.fodc.dim)]
     return Connection(tc, cols, name="maurer-cartan")
 
 
@@ -131,23 +127,12 @@ def perturbed_connection(tc: TotalCalculus, lam_cols) -> Connection:
         if lhs != om.star_vec(lam_omega[t]):
             raise NotCovariant("perturbation is not hermitian")
     # ad-covariance: sum lam(theta_k) (x) c_k = lam(theta) (x) 1
-    og = om.og
     for t in range(tc.fodc.dim):
-        acc = {}
-        for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
-            for i, ci in lam_omega[th_k].items():
-                viadd_term(acc, og.flat_index((i, tc.gamma.i0(c_k))), cc * ci)
-        want: Vec = {}
-        for i, ci in lam_omega[t].items():
-            for a, ca in tc.group.unit.items():
-                viadd_term(want, og.flat_index((i, tc.gamma.i0(a))), ci * ca)
-        if og.project(acc) != og.project(want):
+        if tc.coact_side(tc.fodc.varpi_legs[t], lam_omega.__getitem__) != \
+                embed(om.og, lam_omega[t], tc.gamma.unit):
             raise NotCovariant("perturbation is not ad-covariant")
     mc = maurer_cartan(tc)
-    cols = [dict(mc.omega_map.cols[t]) for t in range(tc.fodc.dim)]
-    for t in range(tc.fodc.dim):
-        for i, c in lam_omega[t].items():
-            viadd_term(cols[t], i, c)
+    cols = [vadd(mc.omega_map.cols[t], lam_omega[t]) for t in range(tc.fodc.dim)]
     return Connection(tc, cols, name="perturbed")
 
 
@@ -161,28 +146,18 @@ def verify_transformations(conn: Connection) -> ValidationReport:
     om = tc.omega
     gamma = tc.gamma
     g = tc.group
-    w2, w3 = tc.w2, tc.w3
+    w2 = tc.w2
     d1 = tc.fodc.dim
 
     def tau0(a: int):
         return tc.tau_legs[gamma.i0(a)]
 
-    # the W_3 products of tr-R1 and tr-D1 carry each operand along X_2 once
-    @cache
-    def carried_varsigma(a: int) -> Vec:
-        return tc.transported_mult(3).carry(tc.varsigma(gamma.i0(a)))
-
-    def carried_w3(v: Vec) -> Vec:
-        """1 (x) 1 (x) v carried along X_2."""
-        return tc.transported_mult(3).carry(tc.embed_w3(om.unit, om.unit, v))
+    omega = conn.omega_map.cols.__getitem__
+    curvature = conn.curvature.cols.__getitem__
 
     @cache
-    def carried_curvature(t: int) -> Vec:
-        return carried_w3(conn.curvature.cols[t])
-
-    @cache
-    def carried_derivative(w: int) -> Vec:
-        return carried_w3(conn.covariant_derivative({w: one}))
+    def derivative(w: int) -> Vec:
+        return conn.covariant_derivative({w: one})
 
     def theta_check(ident, witnesses, note=None):
         """rep.check for an identity over Gamma_inv: vacuous over the zero
@@ -215,7 +190,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
     def gp_inv_failures():
         for t in range(d1):
             lhs = tc.tau.apply(gamma.inv1_vec(t))
-            acc = tc.embed_w2(om.unit, conn.omega_map.cols[t])
+            acc = embed(w2, om.unit, conn.omega_map.cols[t])
             for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
                 wv = conn.omega_map.cols[th_k]
                 for p, q, ct in tau0(c_k):
@@ -234,7 +209,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
             for psi in range(om.dim):
                 if 1 + om.degree(psi) > BUDGET:
                     continue
-                lhs = tc.sigma.apply(tc.embed_w2(wv, {psi: one}))
+                lhs = tc.sigma.apply(embed(w2, wv, {psi: one}))
                 sign = -one if om.degree(psi) % 2 else one
                 acc: Vec = {}
                 for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
@@ -248,7 +223,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
                         for pp, cp in om.mul(right, {p: one}).items():
                             viadd_term(acc, w2.flat_index((pp, q)), -(sign * cc * ct * cp))
                 rhs = w2.project(acc)
-                for k, c in tc.embed_w2({psi: one}, wv).items():
+                for k, c in embed(w2, {psi: one}, wv).items():
                     viadd_term(rhs, k, sign * c)
                 if lhs != rhs:
                     yield {"theta_index": t, "psi": om.space.labels[psi]}
@@ -256,112 +231,43 @@ def verify_transformations(conn: Connection) -> ValidationReport:
     theta_check(("conn.braiding-connection", "braiding with connections"), braiding_failures())
 
     # tr-conn: Delta^ omega(theta) = sum omega(theta_k) (x) tau(c_k) + 1 (x) tau^(theta)
-    def tr_conn_failures():
+    theta_legs = [[(None, h, c) for h, c in gamma.inv1_vec(t).items()] for t in range(d1)]
+    delta3 = tc.lhat.delta3.apply
+    theta_check(("conn.tr-conn", "tr-conn"), (
+        {"theta_index": t} for t in range(d1)
+        if delta3(conn.omega_map.cols[t]) != vadd(
+            tc.tau_side(tc.fodc.varpi_legs[t], omega),
+            tc.tau_side(theta_legs[t], lambda _: om.unit))))
+
+    # the curvature: F^ R(theta) = sum R(theta_k) (x) c_k, and Delta^ R(theta)
+    # is sum R(theta_k) (x) tau(c_k) (tr-R2) and sum varsigma(c_k) . R(theta_k)
+    # (tr-R1, W_3 product)
+    def theta_failures(lhs, side):
         for t in range(d1):
-            lhs = tc.lhat.delta3.apply(conn.omega_map.cols[t])
-            acc: Vec = {}
-            for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
-                for i, ci in conn.omega_map.cols[th_k].items():
-                    for p, q, ct in tau0(c_k):
-                        viadd_term(acc, w3.flat_index((i, p, q)), cc * ci * ct)
-            rhs = w3.project(acc)
-            for fi, c in w2.lift(tc.tau.apply(gamma.inv1_vec(t))).items():
-                p, q = w2.tuples[fi]
-                for i, ci in om.unit.items():
-                    viadd(rhs, c * ci, w3.project({w3.flat_index((i, p, q)): one}))
-            if lhs != rhs:
+            if lhs(conn.curvature.cols[t]) != side(tc.fodc.varpi_legs[t], curvature):
                 yield {"theta_index": t}
 
-    theta_check(("conn.tr-conn", "tr-conn"), tr_conn_failures())
-
-    # curvature covariance F^ R(theta) = sum R(theta_k) (x) c_k
-    og = om.og
-
-    def covariance_failures():
-        for t in range(d1):
-            lhs = om.f_hat.apply(conn.curvature.cols[t])
-            acc = {}
-            for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
-                for i, ci in conn.curvature.cols[th_k].items():
-                    viadd_term(acc, og.flat_index((i, gamma.i0(c_k))), cc * ci)
-            if lhs != og.project(acc):
-                yield {"theta_index": t}
-
-    theta_check(("conn.R-covariant", "curvature F^-covariance"), covariance_failures())
-
-    # tr-R2: Delta^ R(theta) = sum R(theta_k) (x) tau(c_k)
-    def tr_r2_failures():
-        for t in range(d1):
-            lhs = tc.lhat.delta3.apply(conn.curvature.cols[t])
-            acc = {}
-            for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
-                for i, ci in conn.curvature.cols[th_k].items():
-                    for p, q, ct in tau0(c_k):
-                        viadd_term(acc, w3.flat_index((i, p, q)), cc * ci * ct)
-            if lhs != w3.project(acc):
-                yield {"theta_index": t}
-
-    theta_check(("conn.tr-R2", "tr-R2"), tr_r2_failures())
-
-    # tr-R1: Delta^ R(theta) = sum varsigma(c_k) . R(theta_k)  (W_3 product)
-    def tr_r1_failures():
-        for t in range(d1):
-            lhs = tc.lhat.delta3.apply(conn.curvature.cols[t])
-            rhs: Vec = {}
-            for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
-                prod = tc.transported_mult(3).mul_carried(carried_varsigma(c_k),
-                                                          carried_curvature(th_k))
-                viadd(rhs, cc, prod)
-            if lhs != rhs:
-                yield {"theta_index": t}
-
+    theta_check(("conn.R-covariant", "curvature F^-covariance"),
+                theta_failures(om.f_hat.apply, tc.coact_side))
+    theta_check(("conn.tr-R2", "tr-R2"), theta_failures(delta3, tc.tau_side))
     w3_note = "right side multiplied in W_3 with the sigma^_M-induced product"
-    theta_check(("conn.tr-R1", "tr-R1"), tr_r1_failures(), w3_note)
+    theta_check(("conn.tr-R1", "tr-R1"), theta_failures(delta3, tc.varsigma_side), w3_note)
 
     # covariant derivative on horizontal forms of degree <= 1
-    hor = tc.filtration_basis(0)
-    d_checked = []
-    for v in hor:
-        deg = om.degree(min(v))
-        if deg >= BUDGET:
-            continue
-        d_checked.append((v, deg))
+    d_checked = [v for v in tc.filtration_basis(0) if om.degree(min(v)) < BUDGET]
 
     # D maps hor to hor
     rep.check(("conn.D-horizontal", "D preserves horizontal forms"),
-              ({"form": om.space.render(v)} for v, deg in d_checked
+              ({"form": om.space.render(v)} for v in d_checked
                if not conn.hor_span.contains(conn.covariant_derivative(v))))
 
-    # tr-D2: Delta^ D(phi) = sum D(phi_k) (x) tau(c_k)
-    def tr_d2_failures():
-        for v, deg in d_checked:
-            lhs = tc.lhat.delta3.apply(conn.covariant_derivative(v))
-            acc = {}
-            for i, c in v.items():
-                for w, th, cf in tc.f_pos_part(i):
-                    _, a, _ = gamma.split(th)
-                    dw = conn.covariant_derivative({w: one})
-                    for iw, ciw in dw.items():
-                        for p, q, ct in tau0(a):
-                            viadd_term(acc, w3.flat_index((iw, p, q)), c * cf * ciw * ct)
-            if lhs != w3.project(acc):
+    # Delta^ D(phi) is sum D(phi_k) (x) tau(c_k) (tr-D2) and
+    # sum varsigma(c_k) . D(phi_k) (tr-D1, W_3 product)
+    def form_failures(side):
+        for v in d_checked:
+            if delta3(conn.covariant_derivative(v)) != side(horizontal_legs(tc, v), derivative):
                 yield {"form": om.space.render(v)}
 
-    rep.check(("conn.tr-D2", "tr-D2"), tr_d2_failures())
-
-    # tr-D1: Delta^ D(phi) = sum varsigma(c_k) . D(phi_k)  (W_3 product)
-    def tr_d1_failures():
-        for v, deg in d_checked:
-            lhs = tc.lhat.delta3.apply(conn.covariant_derivative(v))
-            rhs = {}
-            for i, c in v.items():
-                for w, th, cf in tc.f_pos_part(i):
-                    _, a, _ = gamma.split(th)
-                    prod = tc.transported_mult(3).mul_carried(carried_varsigma(a),
-                                                              carried_derivative(w))
-                    viadd(rhs, c * cf, prod)
-            if lhs != rhs:
-                yield {"form": om.space.render(v)}
-
-    rep.check(("conn.tr-D1", "tr-D1"), tr_d1_failures(), w3_note)
+    rep.check(("conn.tr-D2", "tr-D2"), form_failures(tc.tau_side))
+    rep.check(("conn.tr-D1", "tr-D1"), form_failures(tc.varsigma_side), w3_note)
     return rep

@@ -10,6 +10,9 @@ The envelope keeps S^2 = {pi(r^(1)) (x) pi(r^(2))}, the quadratic quotient
 Lambda^2, a splitting chosen as the Haar-orthogonal complement of S^2
 (checked to be *- and varpi-compatible), and the lifted embedded
 differential delta with sigma delta - delta = (id (x) pi) varpi.
+Envelope2.bracket is the one bracket <phi, phi>(theta) taken through delta,
+read by the curvature of a connection and by the tau^ bracket record; no
+other module reads the flat layout of Gamma_inv (x) Gamma_inv.
 
 Every map on a quotient is defined once, by descent (``_descend``): a map f
 on the ambient space must kill every relation, or an error is raised, and f
@@ -49,7 +52,7 @@ from .linalg import (
     nullspace_of_columns, span_basis, viadd, viadd_term, vscale,
 )
 from .report import RaisingReport, ValidationReport, passing, vacuous
-from .tensor import Factor, TProd
+from .tensor import Factor, TProd, block_terms, term_map
 
 
 def _descend(f, reps, relations, what: str, reject=None) -> list:
@@ -171,23 +174,16 @@ class Fodc:
             rep.add(vacuous("fodc.braid", "sigma braid equation",
                             note="zero calculus"))
             return rep
-        field = self.field
-        d = self.dim
-        cube = BasedSpace(tuple(str(i) for i in range(d ** 3)))
+        # free products of Gamma_inv: a basis index is the flat one, t0 d^2 + t1 d + t2
+        inv = Factor.ungraded(self.inv_space)
+        sq = TProd(self.field, (inv, inv), name="Gamma_inv^(x)2")
+        cube = TProd(self.field, (inv,) * 3, name="Gamma_inv^(x)3")
 
         def at(p):
-            cols = []
-            for i in range(d ** 3):
-                t = (i // (d * d), (i // d) % d, i % d)
-                acc: Vec = {}
-                pair = t[p] * d + t[p + 1]
-                for idx, c in self.sigma.cols[pair].items():
-                    u, v = divmod(idx, d)
-                    rep_t = list(t)
-                    rep_t[p], rep_t[p + 1] = u, v
-                    acc[rep_t[0] * d * d + rep_t[1] * d + rep_t[2]] = c
-                cols.append(acc)
-            return LinearMap(cube, cube, cols, field)
+            def terms(t):
+                for pair, c in block_terms(sq, t[p:p + 2], self.sigma):
+                    yield t[:p] + pair + t[p + 2:], c
+            return term_map(cube, cube, terms)
 
         s12, s23 = at(0), at(1)
         lhs = s12.compose(s23).compose(s12)
@@ -432,6 +428,15 @@ class Envelope2:
         self.report.check(("envelope.sigma-delta", "sigma delta - delta = (id (x) pi) varpi"),
                           [] if lhs == rhs
                           else [{"first_difference": lhs.first_difference(rhs)}])
+
+    def bracket(self, t: int, phi, mul) -> Vec:
+        """<phi, phi>(theta_t) = sum c mul(phi(t1), phi(t2)) over the terms
+        c theta_t1 (x) theta_t2 of delta(theta_t)."""
+        d, out = self.fodc.dim, {}
+        for idx, c in self.delta.cols[t].items():
+            t1, t2 = divmod(idx, d)
+            viadd(out, c, mul(phi(t1), phi(t2)))
+        return out
 
 
 def build_envelope2(fodc: Fodc) -> Envelope2:

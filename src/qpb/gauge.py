@@ -37,7 +37,7 @@ from .linalg import (
     span_basis, spans_equal, viadd, viadd_term,
 )
 from .report import CheckRecord, ValidationReport, map_equality_record, passing, vacuous
-from .tensor import Factor, TProd, slot_apply, term_map, unit_leg
+from .tensor import Factor, TProd, embed, slot_apply, term_map, unit_leg
 
 
 class GradedGaugeCoalgebra:
@@ -56,7 +56,7 @@ class GradedGaugeCoalgebra:
         self.coeff_embed = coeff_embed
         self.w1, w2, w3 = (tower.power(n) for n in (1, 2, 3))
         self.field = field = tower.field
-        factor, f_legs, tau_legs = tower.factor, tower.f_legs, tower.tau_legs
+        factor, f_legs = tower.factor, tower.f_legs
         coeff_degrees, budget = tower.coeff_degrees, tower.budget
 
         # L = F_2-invariants; each basis vector is homogeneous, of the degree
@@ -111,13 +111,7 @@ class GradedGaugeCoalgebra:
                 f"balanced products with {name} do not embed into {w3.name}")
 
         # delta_3 = (id (x) tau) F, restricted codomain Delta : W -> L (x)_M W
-        delta3_cols = []
-        for i in range(len(f_legs)):
-            acc: Vec = {}
-            for k, a, cf in f_legs[i]:
-                for x, y, ct in tau_legs[a]:
-                    viadd_term(acc, w3.flat_index((k, x, y)), cf * ct)
-            delta3_cols.append(w3.project(acc))
+        delta3_cols = [tower.tau_side(legs, lambda k: {k: field.one}) for legs in f_legs]
         self.delta3 = LinearMap(factor.space, w3.space, delta3_cols, field)
         delta_cols = []
         for col in delta3_cols:
@@ -364,11 +358,9 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
                         viadd(lhs2, coeff * cs,
                               braid.mult2(b2.project_tuple((x2, y2)),
                                           b2.project_tuple((z, q))))
-                prod = b.total.mul_basis(p, q)
-                for k, ck in prod.items():
-                    for u, cu in b.total.unit.items():
-                        viadd(rhs1, c * ck * cu, b2.project_tuple((k, u)))
-                        viadd(rhs2, c * ck * cu, b2.project_tuple((u, k)))
+                prod, unit = b.total.mul_basis(p, q), b.total.unit
+                viadd(rhs1, c, embed(b2, prod, unit))
+                viadd(rhs2, c, embed(b2, unit, prod))
             if lhs1 != rhs1 and bad1 is None:
                 bad1 = {"basis_index": bi, "lhs": b2.render(lhs1),
                         "rhs": b2.render(rhs1)}
@@ -412,7 +404,8 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
     @cached_property
     def l_unit(self) -> Vec:
         """1 (x) 1 in L coordinates."""
-        return self.into_l(unit_b2(self.bundle), "1(x)1")
+        unit = self.bundle.total.unit
+        return self.into_l(embed(self.bundle.b2, unit, unit), "1(x)1")
 
     @cached_property
     def l_mult(self) -> list:
@@ -444,16 +437,6 @@ def build_gauge_coalgebra(b: Bundle, braid: BraidOperator | None = None) -> Gaug
 
 
 # -- classical braided Hopf structure ------------------------------------------
-
-
-def unit_b2(b: Bundle) -> Vec:
-    """1 (x) 1 in canonical B_2 coordinates."""
-    b2 = b.b2
-    acc: Vec = {}
-    for i, ci in b.total.unit.items():
-        for j, cj in b.total.unit.items():
-            viadd_term(acc, b2.flat_index((i, j)), ci * cj)
-    return b2.project(acc)
 
 
 class BraidedHopf:
@@ -888,14 +871,8 @@ def enumerate_gauge(bh: BraidedHopf):
 
     def is_equivariant(act: LinearMap) -> bool:
         """F(gamma.b) = sum (gamma.b_k) (x) c_k on every basis element b."""
-        for p, v in enumerate(e):
-            acc: Vec = {}
-            for k, a, cf in b.f_legs[p]:
-                for u, cu in act.apply(e[k]).items():
-                    viadd_term(acc, u * b.group.dim + a, cf * cu)
-            if b.coaction.apply(act.apply(v)) != acc:
-                return False
-        return True
+        return all(b.coaction.apply(act.cols[p]) == b.coact_side(legs, act.cols.__getitem__)
+                   for p, legs in enumerate(b.f_legs))
 
     rep.check(("gauge-group.automorphisms", "gamma acts by *-automorphisms"),
               ({"gamma_index": i} for i, g in enumerate(gammas) if not is_automorphism(g.action)))
@@ -978,13 +955,7 @@ def isotypic_decompose(b: Bundle, gc: GaugeCoalgebra | None = None) -> IsotypicD
         b2 = b.b2
         for name, d, basis, mult in comps:
             # G_alpha = L  intersect  (B^alpha (x)_V B)
-            span = []
-            for v in basis:
-                for j in range(b.total.dim):
-                    acc: Vec = {}
-                    for i, c in v.items():
-                        viadd_term(acc, b2.flat_index((i, j)), c)
-                    span.append(b2.project(acc))
+            span = [embed(b2, v, {j: field.one}) for v in basis for j in range(b.total.dim)]
             inter = intersect_spans(gc.l_basis, span)
             l_components.append((name, inter))
         sum_l = sum(len(basis) for _, basis in l_components)

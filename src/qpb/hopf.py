@@ -41,7 +41,7 @@ from .linalg import (
     viadd, viadd_term, vscale,
 )
 from .report import RaisingReport, ValidationReport
-from .tensor import Factor, TProd
+from .tensor import Factor, TProd, embed
 
 BUDGET = 2  # top degree kept by every graded algebra and tensor product
 
@@ -337,9 +337,7 @@ def add_coaction_records(rep: ValidationReport, ids, name: str,
         f_legs = _legs(f, wh)
 
     def mult_failures():
-        unit = {wh.flat_index((i, a)): ci * ca
-                for i, ci in w.unit.items() for a, ca in h.unit.items()}
-        if f.apply(w.unit) != wh.project(unit):
+        if f.apply(w.unit) != embed(wh, w.unit, h.unit):
             yield {"reason": f"{name}(1) != 1(x)1"}
         for i in range(n):
             for j in range(n):

@@ -45,7 +45,8 @@ none.  They are unique without a check: input labels hold no "|"
 Operators between TProds are assembled per canonical basis element by lifting
 to the flat tensor basis, rewriting tuples, and projecting back; the caller's
 rewrite rule must descend to the quotient (all rules used here are module maps
-in the balanced slots).
+in the balanced slots).  ``embed`` builds the elementary tensor of one vector
+per factor, such as 1 (x) 1 or x (x) y, the one way to write one.
 """
 
 from __future__ import annotations
@@ -291,6 +292,22 @@ class TProd:
 
     def render(self, v: Vec) -> str:
         return self.space.render(v)
+
+
+def embed(tp: TProd, *vecs) -> Vec:
+    """The elementary tensor of one vector per factor of tp, projected into
+    tp.  A zero tuple goes to the sink and a tuple over the budget raises
+    DegreeBudget, as in ``flat_index``; a coefficient that is one is not
+    multiplied."""
+    one = tp.field.one
+    terms = [((), one)]
+    for v in vecs:
+        terms = [(t + (k,), ck if c is one else c if ck is one else c * ck)
+                 for t, c in terms for k, ck in v.items()]
+    out: Vec = {}
+    for t, c in terms:
+        viadd_term(out, tp.flat_index(t), c)
+    return tp.project(out)
 
 
 def term_map(src: TProd, dst: TProd, fn, antilinear: bool = False,

@@ -85,6 +85,9 @@ def test_galois_tower_z2():
     b = make_point("Z2", "group_algebra")
     xn, tau_n, rep = galois_tower(b, 2)
     assert rep.ok, rep.to_text()
+    # the records are the translation suite's own
+    assert [r.identity_id for r in rep.records] == [
+        "translation.tower.bijective", "translation.tower.inverse", "translation.tower.formula"]
     # X_2 : B_3 <-> B (x) A (x) A, dim 8 both sides
     assert xn.domain.dim == 8 and xn.codomain.dim == 8
 

@@ -8,6 +8,11 @@ P and on Omega(P).  For every site and identity one targeted mutation
 breaks that identity.  A site that records then fails exactly that record
 among the checker's records, with a witness; a site that rejects its input
 raises at that identity.
+
+The gauge-transformation laws compare a left side with one of the right
+sides ``BalancedTower.coact_side``, ``tau_side`` and ``varsigma_side``.  A
+datum there is read by several laws, so a mutation fails exactly the laws
+that read it, the targeted one with its witness.
 """
 
 import copy
@@ -15,19 +20,22 @@ import copy
 import pytest
 
 import qpb.cli as cli_mod
+import qpb.connection as connection_mod
 import qpb.fodc as fodc_mod
 import qpb.formats as formats_mod
+import qpb.gauge as gauge_mod
 import qpb.hopf as hopf_mod
 from qpb.bundle import BalancedTower, build_bundle, translation_identities
 from qpb.calculus import (
     build_total_calculus, differential_suite, trivial_base_calculus,
     universal_base_calculus,
 )
+from qpb.connection import Connection, maurer_cartan, perturbed_connection, verify_transformations
 from qpb.cyclotomic import CycloField
-from qpb.errors import NotCoaction, SpecFileError, ValidationFailed
+from qpb.errors import NotCoaction, NotCovariant, SpecFileError, ValidationFailed
 from qpb.fodc import GammaEnvelope, build_envelope2, build_fodc, universal_ideal
 from qpb.formats import BuildResult, parse_spec, run_suites
-from qpb.gauge import build_gauge_coalgebra, classical_braided_hopf
+from qpb.gauge import build_gauge_coalgebra, classical_braided_hopf, enumerate_gauge
 from qpb.hopf import HopfStarAlgebra, StarAlgebra, adjoint_action, validate_hopf
 from qpb.linalg import LinearMap, viadd
 from qpb.presets import (
@@ -718,3 +726,180 @@ def test_each_suite_records_the_translation_identities_once(monkeypatch, caller)
     rep = suite(tower)
     assert calls == [list(TRANSLATION_IDS[caller].values())]
     assert set(calls[0]) <= {r.identity_id for r in rep.records}
+
+
+# -- the gauge-transformation laws: the three right sides of BalancedTower -------------
+
+
+def curving_calculus():
+    """The universal calculus of C(Z2) over two points at conductor 4, and
+    lambda(eta) = i (e_{x0 x1} - e_{x1 x0}), which perturbs Maurer-Cartan to
+    a connection with nonzero curvature."""
+    h = hopf_preset("Z2", "function_algebra", conductor=4)
+    tc = build_total_calculus(build_fodc(h, universal_ideal(h)),
+                              universal_base_calculus(2, h.field))
+    base, z = tc.base_calc, tc.field.zeta(tc.field.n // 4)
+    return tc, [{base.space.index("x0|x1"): z, base.space.index("x1|x0"): -z}]
+
+
+def curving_connection():
+    """The perturbed connection, built afresh: the tower keeps what it has
+    carried along X_2."""
+    tc, lam = curving_calculus()
+    return tc, perturbed_connection(tc, lam)
+
+
+def index_of(tc, label):
+    return tc.omega.space.index(label)
+
+
+def delta3_doubled_at(label):
+    def mutate(tc, conn):
+        i = index_of(tc, label)
+        tc.lhat.delta3 = with_col(tc.lhat.delta3, i, doubled(tc.lhat.delta3.cols[i]))
+    return mutate
+
+
+def fhat_doubled_at_curvature(tc, conn):
+    i = index_of(tc, "x0|x1|x0|dr0")
+    tc.omega.f_hat = with_col(tc.omega.f_hat, i, doubled(tc.omega.f_hat.cols[i]))
+
+
+def curvature_at_dr0(tc, conn):
+    """R(eta) keeps only its terms over the point dr0 of Z2: no longer
+    F^-covariant."""
+    dr0 = {i for i, lab in enumerate(tc.omega.space.labels) if lab.endswith("|dr0")}
+    col = conn.curvature.cols[0]
+    conn.curvature = with_col(conn.curvature, 0, {i: c for i, c in col.items() if i in dr0})
+
+
+def kappa_inv_doubled(tc, conn):
+    tc.kappa_inv = with_col(tc.kappa_inv, 1, doubled(tc.kappa_inv.cols[1]))
+
+
+def derivative_at_dr0(tc, conn):
+    """D keeps only its terms over the point dr0 of Z2."""
+    real = conn.covariant_derivative
+    dr0 = {i for i, lab in enumerate(tc.omega.space.labels) if lab.endswith("|dr0")}
+    conn.covariant_derivative = lambda v: {i: c for i, c in real(v).items() if i in dr0}
+
+
+CONN_IDS = {"conn.d-aP", "conn.gP-inv", "conn.braiding-connection", "conn.tr-conn",
+            "conn.R-covariant", "conn.tr-R2", "conn.tr-R1", "conn.D-horizontal",
+            "conn.tr-D2", "conn.tr-D1"}
+
+
+@pytest.mark.parametrize("mutate, record, failing", [
+    (delta3_doubled_at("x0|dr0.w[dr1]"), "conn.tr-conn", {"conn.tr-conn"}),
+    (fhat_doubled_at_curvature, "conn.R-covariant", {"conn.R-covariant"}),
+    (curvature_at_dr0, "conn.tr-R2", {"conn.R-covariant", "conn.tr-R2", "conn.tr-R1"}),
+    (kappa_inv_doubled, "conn.tr-R1", {"conn.tr-R1", "conn.tr-D1"}),
+    (derivative_at_dr0, "conn.tr-D2", {"conn.tr-D2", "conn.tr-D1"}),
+    (delta3_doubled_at("x0|x1|x0|dr0"), "conn.tr-D1",
+     {"conn.tr-R2", "conn.tr-R1", "conn.tr-D2", "conn.tr-D1"}),
+], ids=["tr-conn", "R-covariant", "tr-R2", "tr-R1", "tr-D2", "tr-D1"])
+def test_gauge_laws_fail_at_the_broken_datum(mutate, record, failing):
+    """One datum is changed after the connection is built: a column of
+    Delta^ = delta_3 or of F^ (the left sides), the curvature or D (both
+    sides of their laws), or kappa^-1 (the sigma-cochain of tr-R1 and tr-D1).
+    Exactly the laws that read it fail, each over Gamma_inv with its
+    theta_index or over hor(P) with its form."""
+    tc, conn = curving_connection()
+    mutate(tc, conn)
+    failures = {r.identity_id: r.witness for r in verify_transformations(conn).failures}
+    assert set(failures) & CONN_IDS == failing
+    if record.startswith("conn.tr-D"):
+        assert set(failures[record]) == {"form"}
+    else:
+        assert failures[record] == {"theta_index": 0}
+
+
+def test_non_covariant_connection_and_perturbation_are_rejected():
+    """omega = 2 (1 (x) theta) misses the 1 (x) theta term of its coaction.
+    Over the transposition calculus of C(S3), whose varpi mixes Gamma_inv,
+    lambda(eta_0) = e_{x0 x1} + e_{x1 x0} alone is hermitian but not
+    ad-covariant, while the same value on every eta is both."""
+    tc, _ = curving_connection()
+    twice = [doubled(c) for c in maurer_cartan(tc).omega_map.cols]
+    with pytest.raises(NotCovariant, match="omega violates the connection transformation law"):
+        Connection(tc, twice)
+    h = hopf_preset("S3", "function_algebra")
+    one = h.field.one
+    tc = build_total_calculus(build_fodc(h, [{4: one}, {5: one}]),
+                              universal_base_calculus(2, h.field))
+    base = tc.base_calc
+    value = {base.space.index("x0|x1"): one, base.space.index("x1|x0"): one}
+    perturbed_connection(tc, [value] * tc.fodc.dim)
+    with pytest.raises(NotCovariant, match="perturbation is not ad-covariant"):
+        perturbed_connection(tc, [value] + [{}] * (tc.fodc.dim - 1))
+
+
+def swapped_identity_action(monkeypatch):
+    """The identity gauge transformation acts by the *-automorphism that swaps
+    the first and third points of B, which is not F-equivariant."""
+    real = gauge_mod.GaugeTransformation.__init__
+
+    def init(self, gc, functional):
+        real(self, gc, functional)
+        act, one = self.action, gc.field.one
+        if act == LinearMap.identity(act.domain, gc.field):
+            self.action = with_col(with_col(act, 0, {2: one}), 2, {0: one})
+
+    monkeypatch.setattr(gauge_mod.GaugeTransformation, "__init__", init)
+
+
+def test_f_equivariance_fails_at_the_transformation_whose_action_breaks(monkeypatch):
+    """On the trivial C(Z2) bundle over two points the gauge group has four
+    elements; with the identity's action replaced by a swap of two points,
+    F-equivariance fails there, and so does the composition law."""
+    bh = classical_braided_hopf(build_gauge_coalgebra(build_bundle(*bundle_data())))
+    swapped_identity_action(monkeypatch)
+    gammas, _, rep = enumerate_gauge(bh)
+    failures = {r.identity_id: r.witness for r in rep.failures}
+    one = bh.gc.field.one
+    swapped = next(i for i, g in enumerate(gammas) if g.action.cols[0] == {2: one})
+    assert set(failures) == {"gauge-group.action-compat", "gauge-group.F-equivariance"}
+    assert failures["gauge-group.F-equivariance"] == {"gamma_index": swapped}
+
+
+SIDE_NAMES = ("coact_side", "tau_side", "varsigma_side")
+
+
+def test_each_gauge_law_reads_the_tower_sides(monkeypatch):
+    """The nine sites of the gauge-transformation laws call the tower's three
+    right sides: the connection condition and the ad-covariance of lambda
+    when they are built, the six conn.* laws, and F-equivariance of the
+    gauge group on the bundle."""
+    tc, lam = curving_calculus()
+    bh = classical_braided_hopf(build_gauge_coalgebra(build_bundle(*bundle_data())))
+    calls, site = set(), [None]
+
+    def within(site_of, fn):
+        """fn, under which a side is called at the site site_of(its arguments)."""
+        def wrapped(*args, **kwargs):
+            outer, site[0] = site[0], site_of(*args)
+            try:
+                return fn(*args, **kwargs)
+            finally:
+                site[0] = outer
+        return wrapped
+
+    for side in SIDE_NAMES:
+        real = getattr(BalancedTower, side)
+        monkeypatch.setattr(BalancedTower, side, lambda self, legs, phi, real=real, side=side:
+                            calls.add((site[0], side)) or real(self, legs, phi))
+    monkeypatch.setattr(ValidationReport, "check", within(
+        lambda self, ident, *rest: ident and ident[0], ValidationReport.check))
+    monkeypatch.setattr(connection_mod.Connection, "__init__", within(
+        lambda *args: "connection", connection_mod.Connection.__init__))
+    monkeypatch.setattr(connection_mod, "perturbed_connection", within(
+        lambda *args: "perturbation", connection_mod.perturbed_connection))
+    conn = connection_mod.perturbed_connection(tc, lam)
+    assert verify_transformations(conn).ok
+    assert enumerate_gauge(bh)[2].ok
+    assert calls == {
+        ("connection", "coact_side"), ("perturbation", "coact_side"),
+        ("conn.R-covariant", "coact_side"), ("conn.tr-conn", "tau_side"),
+        ("conn.tr-R2", "tau_side"), ("conn.tr-R1", "varsigma_side"),
+        ("conn.tr-D2", "tau_side"), ("conn.tr-D1", "varsigma_side"),
+        ("gauge-group.F-equivariance", "coact_side")}

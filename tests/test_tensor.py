@@ -16,6 +16,7 @@ from types import SimpleNamespace
 import pytest
 
 from qpb import linalg, tensor
+from qpb.cyclotomic import Scalar
 from qpb.errors import DegreeBudget, QpbError
 from qpb.formats import BuildResult, load_file, run_suites
 from qpb.linalg import Echelon, viadd_term
@@ -209,6 +210,43 @@ def test_pair_kernels_and_labels_are_built_once(calculus_z3, monkeypatch):
         assert tp.space.labels == tuple(tuple_label(tp.factors, tp.tuples[k])
                                         for k in tp.quotient.keep), tp.name
     assert count[0] == dim_sum
+
+
+def test_embed_is_the_projected_elementary_tensor(calculus_z3, monkeypatch):
+    """On unit vectors, ``embed`` of calculus-z3's W_3 is ``project_tuple``
+    of the tuple, with no product by one: a zero tuple goes through the sink
+    to 0, and a tuple over the budget raises DegreeBudget.  It is linear in
+    each factor."""
+    assert calculus_z3.failure is None, calculus_z3.failure
+    w3 = next(tp for tp in calculus_z3.built if tp.name == "W_3")
+    one = w3.field.one
+    flat = tensor.flat_tuples(w3.factors, w3.budget)[0]
+    zero = next(t for t in flat if t not in w3.tuple_index)
+    times, unit_operands = Scalar.__mul__, []
+
+    def watched(a, b):
+        if a is one or b is one:
+            unit_operands.append((a, b))
+        return times(a, b)
+
+    monkeypatch.setattr(Scalar, "__mul__", watched)
+    for t in flat[::5] + [zero]:
+        assert tensor.embed(w3, *({i: one} for i in t)) == w3.project_tuple(t), t
+    assert tensor.embed(w3, *({i: one} for i in zero)) == {}
+    assert unit_operands == []
+    monkeypatch.undo()
+    top = tuple(max(range(f.space.dim), key=f.degrees.__getitem__) for f in w3.factors)
+    with pytest.raises(DegreeBudget):
+        tensor.embed(w3, *({i: one} for i in top))
+    two, three = w3.field.rational(2), w3.field.rational(3)
+    t = next(t for t in flat if t in w3.tuple_index)
+    u = next(u for u in w3.tuples if u[:2] == t[:2] and u != t)
+    want = {}
+    for k, c in w3.project_tuple(t).items():
+        viadd_term(want, k, two * c)
+    for k, c in w3.project_tuple(u).items():
+        viadd_term(want, k, two * three * c)
+    assert tensor.embed(w3, {t[0]: two}, {t[1]: one}, {t[2]: one, u[2]: three}) == want
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
