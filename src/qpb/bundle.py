@@ -16,7 +16,8 @@ W (x) H (coact_side), sum c phi(x_k) (x) tau(h) in W_3 (tau_side) and
 sum c varsigma(h) . phi(x_k) in W_3 (varsigma_side).  The degrees of W and
 H, the coefficient degrees and the degree budget are data, so the graded
 formulas carry their Koszul signs; a sign is applied by negating when it is
-odd, and degree zero does no sign arithmetic.
+odd, and degree zero does no sign arithmetic.  sigma and mu on slots of W_n,
+X_n and the point oracle are tensor.slot_terms maps of sigma, mu, X and kappa.
 Bundle is the instance W = B, M = V, H = A with every degree zero and no
 budget; calculus.TotalCalculus is the graded instance W = Omega(P),
 M = Omega(M), H = Gamma^.
@@ -39,9 +40,11 @@ from .errors import (
     BudgetExceeded, DegreeBudget, InputError, NotCoaction, NotPrincipal, ValidationFailed,
 )
 from .hopf import HopfStarAlgebra, StarAlgebra, add_coaction_records
-from .linalg import BasedSpace, LinearMap, Vec, fixed_points, viadd, viadd_term, vneg
+from .linalg import BasedSpace, LinearMap, Vec, fixed_points, viadd, viadd_term, vneg, vscale
 from .report import RaisingReport, ValidationReport, map_equality_record
-from .tensor import Factor, TProd, block_terms, embed, slot_apply, term_map
+from .tensor import (
+    Factor, TProd, chain_terms, embed, flat_legs, slot_apply, slot_terms, term_map,
+)
 
 DEFAULT_TOWER_BUDGET = 3
 
@@ -130,9 +133,7 @@ class BalancedTower:
     @cached_property
     def tau_legs(self) -> list:
         """Flat legs (p, q, c) of tau(e_h), for Sweedler-style loops."""
-        w2 = self.power(2)
-        return [[w2.tuples[fi] + (c,) for fi, c in w2.lift(col).items()]
-                for col in self.tau.cols]
+        return [flat_legs(self.power(2), col) for col in self.tau.cols]
 
     @cached_property
     def sigma(self) -> LinearMap:
@@ -276,27 +277,23 @@ class BalancedTower:
         product with pattern n; cached."""
         key = ("sigma", n, p, inverse)
         if key not in self._ops:
-            m = self.sigma_inv if inverse else self.sigma
-            w2 = self.power(2)
+            m, w2 = self.sigma_inv if inverse else self.sigma, self.power(2)
             wn = self.mixed_space(n) if isinstance(n, str) else self.power(n)
-
-            def terms(t):
-                for pair, c in block_terms(w2, (t[p], t[p + 1]), m):
-                    yield t[:p] + pair + t[p + 2:], c
-
-            self._ops[key] = term_map(wn, wn, terms)
+            self._ops[key] = term_map(wn, wn, slot_terms(p, m, w2, w2))
         return self._ops[key]
 
     def mu_at(self, n: int, p: int) -> LinearMap:
-        """Multiply slots (p, p+1): W_n -> W_{n-1}, cached."""
+        """Multiply slots (p, p+1): W_n -> W_{n-1}, cached; for n >= 3 it is
+        mu_at(2, 0) on those slots."""
         key = ("mu", n, p)
         if key not in self._ops:
-            mul = self.algebra.mul_basis
+            if n == 2:
+                mul = self.algebra.mul_basis
 
-            def terms(t):
-                for k, c in mul(t[p], t[p + 1]).items():
-                    yield t[:p] + (k,) + t[p + 2:], c
-
+                def terms(t):
+                    return (((k,), c) for k, c in mul(*t).items())
+            else:
+                terms = slot_terms(p, self.mu_at(2, 0), self.power(2), self.power(1))
             self._ops[key] = term_map(self.power(n), self.power(n - 1), terms)
         return self._ops[key]
 
@@ -335,19 +332,10 @@ class BalancedTower:
             return self.X
         key = ("X", n)
         if key not in self._ops:
-            prev, prev_src = self.x_n(n - 1), self.power(n)
             w, h = self.letters
-            prev_target = self.mixed_space(w + h * (n - 1))
-            w2, wh = self.power(2), self.hopf_space(1)
-
-            def terms(t):
-                sub = prev.apply(prev_src.project_tuple(t[1:]))
-                for fi, c in prev_target.lift(sub).items():
-                    st = prev_target.tuples[fi]
-                    xv = self.X.apply(w2.project_tuple((t[0], st[0])))
-                    for fj, c2 in wh.lift(xv).items():
-                        yield wh.tuples[fj] + st[1:], c * c2
-
+            terms = chain_terms(
+                slot_terms(1, self.x_n(n - 1), self.power(n), self.mixed_space(w + h * (n - 1))),
+                slot_terms(0, self.X, self.power(2), self.hopf_space(1)))
             self._ops[key] = term_map(self.power(n + 1), self.mixed_space(w + h * n), terms)
         return self._ops[key]
 
@@ -415,12 +403,10 @@ class BalancedTower:
                                     tau.compose(self.hopf.star.compose(self.kappa)),
                                     witness_space=w2.space))
 
-        def unit_terms(h):
-            e = self.eps_basis(h)
-            return (((i,), e * c) for i, c in self.algebra.unit.items())
-
-        rep.add(map_equality_record(*eps, self.mu_at(2, 0).compose(tau),
-                                    h_map(w1, unit_terms), witness_space=w1.space))
+        unit_eps = LinearMap(hspace, w1.space, [vscale(self.eps_basis(h), self.algebra.unit)
+                                                for h in range(hspace.dim)], field)  # W_1 is W
+        rep.add(map_equality_record(*eps, self.mu_at(2, 0).compose(tau), unit_eps,
+                                    witness_space=w1.space))
 
         def coact_tau(p: int) -> LinearMap:
             """F on slot p of tau, along tau's legs only."""
@@ -698,14 +684,7 @@ def translation_identities(b: Bundle) -> ValidationReport:
 
     if b.is_point_trivial():
         g, b2 = b.group, b.b2
-        oracle_cols = []
-        for a in range(g.dim):
-            acc: Vec = {}
-            for a1, a2, c in g.sweedler(a):
-                for k, ck in g.antipode.cols[a1].items():
-                    viadd_term(acc, b2.flat_index((k, a2)), c * ck)
-            oracle_cols.append(b2.project(acc))
-        oracle = LinearMap(g.space, b2.space, oracle_cols, b.field)
+        oracle = term_map(g.square, b2, slot_terms(0, g.antipode)).compose(g.coproduct)
         rep.add(map_equality_record("translation.point-oracle",
                                     "tau = kappa(a^(1)) (x) a^(2) over a point",
                                     b.tau, oracle, witness_space=b2.space))

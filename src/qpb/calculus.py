@@ -52,7 +52,9 @@ from .linalg import (
     viadd, viadd_term,
 )
 from .report import ValidationReport, map_equality_record, passing, vacuous
-from .tensor import Factor, TProd, embed, unit_leg
+from .tensor import (
+    Factor, TProd, apply_terms, chain_terms, embed, flat_legs, slot_terms, unit_leg,
+)
 
 
 class BaseCalculus(GradedStarAlgebra):
@@ -176,18 +178,11 @@ class OmegaP(GradedStarAlgebra):
         for i in range(self.dim):
             m, g = self.tp.tuples[i]
             acc = {}
-            for fj, c in gamma.square.lift(gamma.phi_hat.cols[g]).items():
-                g1, g2 = gamma.square.tuples[fj]
+            for g1, g2, c in flat_legs(gamma.square, gamma.phi_hat.cols[g]):
                 acc[self.og.flat_index((self.idx(m, g1), g2))] = c
             f_cols.append(self.og.project(acc))
         self.f_hat = LinearMap(self.space, self.og.space, f_cols, field)
-        self.f_legs = []
-        for i in range(self.dim):
-            legs = []
-            for fj, c in self.og.lift(self.f_hat.cols[i]).items():
-                w, th = self.og.tuples[fj]
-                legs.append((w, th, c))
-            self.f_legs.append(legs)
+        self.f_legs = [flat_legs(self.og, col) for col in f_cols]
 
         # the Omega(M)-bimodule factor for the balanced powers
         lact, ract = [], []
@@ -241,8 +236,7 @@ class TotalCalculus(BalancedTower):
 
         # the graded tower; X^ maps into Omega(P) (x) Gamma^, where F^ lives
         sq = gamma.square
-        phi_legs = [[sq.tuples[fj] + (c,) for fj, c in sq.lift(col).items()]
-                    for col in gamma.phi_hat.cols]
+        phi_legs = [flat_legs(sq, col) for col in gamma.phi_hat.cols]
         super().__init__(omega, omega.factor, gamma, gamma.factor, gamma.kappa_hat,
                          gamma.kappa_hat_inv, phi_legs.__getitem__, gamma.eps_basis,
                          omega.f_legs, ("W", "G"), coeff_degrees=base_calc.degrees,
@@ -252,7 +246,7 @@ class TotalCalculus(BalancedTower):
         # X^ is bijective in each total degree
         og = omega.og
         w2deg = self.w2.degrees()
-        ogdeg = [og.degree(og.tuples[og.quotient.keep[b]]) for b in range(og.dim)]
+        ogdeg = og.degrees()
         self.x_by_degree_ok = {}
         for k in range(BUDGET + 1):
             src = [i for i in range(self.w2.dim) if w2deg[i] == k]
@@ -376,17 +370,10 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
 
     # F^_2 tau^ = (tau^ (x) id) ad
     w2g = tc.hopf_space(2)
-    ad = gamma.ad_hat()
     lhs = tc.f2.compose(tc.tau)
-    rhs_cols = []
-    for gi in range(gamma.dim):
-        acc = {}
-        for fj, c in gamma.square.lift(ad.cols[gi]).items():
-            g1, g2 = gamma.square.tuples[fj]
-            for p, q, ct in tc.tau_legs[g1]:
-                viadd_term(acc, w2g.flat_index((p, q, g2)), c * ct)
-        rhs_cols.append(w2g.project(acc))
-    rhs = LinearMap(gamma.space, w2g.space, rhs_cols, field)
+    tau_id = slot_terms(0, tc.tau, None, w2)
+    rhs = LinearMap(gamma.space, w2g.space, [apply_terms(gamma.square, w2g, tau_id, col)
+                                             for col in gamma.ad_hat().cols], field)
     rep.add(map_equality_record("diff.tau-ad", "F^_2 tau^ = (tau^ (x) id) ad",
                                 lhs, rhs, witness_space=w2g.space))
 
@@ -444,16 +431,12 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
               ({"basis_index": li} for li, dl in ds.items() if dl is None))
 
     if gauge_coalgebra is not None:
-        # degree-0 part of L^ equals L; basis element k of B is deg0[k] of Omega(P)
-        b2 = gauge_coalgebra.bundle.b2
-        deg0 = tc._deg0
-        l_in_w2 = []
-        for lb in gauge_coalgebra.l_basis:
-            acc = {}
-            for fi, c in b2.lift(lb).items():
-                i, j = b2.tuples[fi]
-                viadd_term(acc, w2.flat_index((deg0[i], deg0[j])), c)
-            l_in_w2.append(w2.project(acc))
+        # degree-0 part of L^ equals L; basis element k of B is deg0[k] of
+        # Omega(P), on both slots of B_2
+        b = gauge_coalgebra.bundle
+        deg0 = LinearMap(b.total.space, omega.space, [{k: one} for k in tc._deg0], field)
+        both = chain_terms(slot_terms(0, deg0), slot_terms(1, deg0))
+        l_in_w2 = [apply_terms(b.b2, w2, both, lb) for lb in gauge_coalgebra.l_basis]
         lhat0 = [lb for li, lb in enumerate(lhat.l_basis) if lhat.degrees[li] == 0]
         rep.check(("diff.Lhat-deg0", "L^0 = L"),
                   [] if spans_equal(l_in_w2, lhat0)

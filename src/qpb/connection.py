@@ -27,9 +27,9 @@ from functools import cache
 from .calculus import TotalCalculus
 from .errors import NotCovariant, ValidationFailed
 from .hopf import BUDGET
-from .linalg import Echelon, LinearMap, Vec, vadd, viadd, viadd_term, vsub
+from .linalg import Echelon, LinearMap, Vec, vadd, viadd, vneg, vsub
 from .report import ValidationReport, vacuous
-from .tensor import embed
+from .tensor import embed, slot_apply
 
 
 class Connection:
@@ -149,8 +149,14 @@ def verify_transformations(conn: Connection) -> ValidationReport:
     w2 = tc.w2
     d1 = tc.fodc.dim
 
-    def tau0(a: int):
-        return tc.tau_legs[gamma.i0(a)]
+    def tau0(a: int) -> Vec:
+        return tc.tau.cols[gamma.i0(a)]
+
+    # multiplication by a fixed form on one slot of W_2: a slot from which no
+    # factor is passed, so no sign enters
+    def times(w: Vec, right: bool):
+        """e_q -> e_q w (right) or w e_q, as a one-slot map."""
+        return (lambda q: om.mul({q: one}, w)) if right else (lambda q: om.mul(w, {q: one}))
 
     omega = conn.omega_map.cols.__getitem__
     curvature = conn.curvature.cols.__getitem__
@@ -170,18 +176,13 @@ def verify_transformations(conn: Connection) -> ValidationReport:
     # d-aP: d tau(a) = tau(a^(1)) omega pi(a^(2)) - omega pi(a^(1)) tau(a^(2))
     def d_ap_failures():
         for a in range(g.dim):
-            lhs = tc.w2_d(tc.tau.cols[gamma.i0(a)])
+            lhs = tc.w2_d(tau0(a))
             acc: Vec = {}
             for a1, a2, c in g.sweedler(a):
-                w2v = conn.omega_pi({a2: one})
-                for p, q, ct in tau0(a1):
-                    for qq, cq in om.mul({q: one}, w2v).items():
-                        viadd_term(acc, w2.flat_index((p, qq)), c * ct * cq)
-                w1v = conn.omega_pi({a1: one})
-                for p, q, ct in tau0(a2):
-                    for pp, cp in om.mul(w1v, {p: one}).items():
-                        viadd_term(acc, w2.flat_index((pp, q)), -(c * ct * cp))
-            if lhs != w2.project(acc):
+                viadd(acc, c, slot_apply(w2, tau0(a1), 1, times(conn.omega_pi({a2: one}), True)))
+                viadd(acc, -c, slot_apply(w2, tau0(a2), 0,
+                                          times(conn.omega_pi({a1: one}), False)))
+            if lhs != acc:
                 yield {"group_basis": g.space.labels[a]}
 
     rep.check(("conn.d-aP", "d-aP"), d_ap_failures())
@@ -190,13 +191,9 @@ def verify_transformations(conn: Connection) -> ValidationReport:
     def gp_inv_failures():
         for t in range(d1):
             lhs = tc.tau.apply(gamma.inv1_vec(t))
-            acc = embed(w2, om.unit, conn.omega_map.cols[t])
+            acc = embed(w2, om.unit, omega(t))
             for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
-                wv = conn.omega_map.cols[th_k]
-                for p, q, ct in tau0(c_k):
-                    for pp, cp in om.mul(wv, {p: one}).items():
-                        viadd(acc, -(cc * ct * cp),
-                              w2.project({w2.flat_index((pp, q)): one}))
+                viadd(acc, -cc, slot_apply(w2, tau0(c_k), 0, times(omega(th_k), False)))
             if lhs != acc:
                 yield {"theta_index": t}
 
@@ -211,20 +208,15 @@ def verify_transformations(conn: Connection) -> ValidationReport:
                     continue
                 lhs = tc.sigma.apply(embed(w2, wv, {psi: one}))
                 sign = -one if om.degree(psi) % 2 else one
-                acc: Vec = {}
+                rhs = embed(w2, {psi: one}, wv)
+                if sign is not one:
+                    rhs = vneg(rhs)
                 for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
-                    wk = conn.omega_map.cols[th_k]
-                    left = om.mul(wk, {psi: one})
-                    for p, q, ct in tau0(c_k):
-                        for pp, cp in om.mul(left, {p: one}).items():
-                            viadd_term(acc, w2.flat_index((pp, q)), cc * ct * cp)
-                    right = om.mul({psi: one}, wk)
-                    for p, q, ct in tau0(c_k):
-                        for pp, cp in om.mul(right, {p: one}).items():
-                            viadd_term(acc, w2.flat_index((pp, q)), -(sign * cc * ct * cp))
-                rhs = w2.project(acc)
-                for k, c in embed(w2, {psi: one}, wv).items():
-                    viadd_term(rhs, k, sign * c)
+                    wk = omega(th_k)
+                    viadd(rhs, cc, slot_apply(w2, tau0(c_k), 0,
+                                              times(om.mul(wk, {psi: one}), False)))
+                    viadd(rhs, -(sign * cc), slot_apply(w2, tau0(c_k), 0,
+                                                        times(om.mul({psi: one}, wk), False)))
                 if lhs != rhs:
                     yield {"theta_index": t, "psi": om.space.labels[psi]}
 

@@ -12,7 +12,10 @@ Lambda^2, a splitting chosen as the Haar-orthogonal complement of S^2
 differential delta with sigma delta - delta = (id (x) pi) varpi.
 Envelope2.bracket is the one bracket <phi, phi>(theta) taken through delta,
 read by the curvature of a connection and by the tau^ bracket record; no
-other module reads the flat layout of Gamma_inv (x) Gamma_inv.
+other module reads the flat layout of Gamma_inv (x) Gamma_inv.  Maps on the
+free products Gamma_inv (x) A, Gamma_inv^(x)2 and Gamma_inv^(x)3, such as
+pi (x) id, pi (x) pi and sigma on slots, are tensor.slot_terms maps, and
+hopf.add_coaction_records checks varpi's comodule and counit laws.
 
 Every map on a quotient is defined once, by descent (``_descend``): a map f
 on the ambient space must kill every relation, or an error is raised, and f
@@ -49,10 +52,12 @@ from .hopf import (
 )
 from .linalg import (
     BasedSpace, Echelon, LinearMap, PreparedSolve, QuotientSpace, Vec,
-    nullspace_of_columns, span_basis, viadd, viadd_term, vscale,
+    nullspace_of_columns, span_basis, tensor_labels, viadd, viadd_term, vscale,
 )
 from .report import RaisingReport, ValidationReport, passing, vacuous
-from .tensor import Factor, TProd, block_terms, term_map
+from .tensor import (
+    Factor, TProd, apply_terms, chain_terms, flat_legs, slot_terms, term_map,
+)
 
 
 def _descend(f, reps, relations, what: str, reject=None) -> list:
@@ -122,27 +127,24 @@ class Fodc:
                 if comp != acc:
                     raise ValidationFailed("circ is not a right module action")
 
+        # the free products Gamma_inv (x) A and Gamma_inv^(x)2: a basis index
+        # is the flat one, as in tensor_labels and sq_space
+        inv = Factor.ungraded(self.inv_space)
+        self.inv_a = inv_a = TProd(field, (inv, Factor.ungraded(g.space)), name="Gamma_inv(x)A")
+        self.inv_sq = TProd(field, (inv, inv), name="Gamma_inv^(x)2")
+
         # varpi pi = (pi (x) id) ad, and its coaction laws
-        id_a = LinearMap.identity(g.space, field)
-        pi_id = self.pi.tensor(id_a)
-        self.varpi = LinearMap(self.inv_space, pi_id.codomain, on_inv(
-            lambda x: pi_id.apply(ad.apply(x)), "varpi",
+        pi_id = slot_terms(0, self.pi)
+        self.varpi = LinearMap(self.inv_space, tensor_labels(self.inv_space, g.space), on_inv(
+            lambda x: apply_terms(g.square, inv_a, pi_id, ad.apply(x)), "varpi",
             NotAdInvariant("ad(R) leaves R (x) A", where="fodc.ideal_basis")), field)
-        lhs = self.varpi.tensor(id_a).compose(self.varpi)
-        rhs = LinearMap.identity(self.inv_space, field).tensor(g.coproduct) \
-            .compose(self.varpi)
-        if lhs != rhs:
-            raise ValidationFailed("varpi is not a coaction")
-        for t in range(self.dim):
-            acc: Vec = {}
-            for idx, c in self.varpi.cols[t].items():
-                th, a = divmod(idx, da)
-                viadd_term(acc, th, c * g.eps_basis(a))
-            if acc != {t: one}:
-                raise ValidationFailed("varpi fails the counit law")
-        self.varpi_legs = [[(idx // da, idx % da, c)
-                            for idx, c in self.varpi.cols[t].items()]
-                           for t in range(self.dim)]
+        add_coaction_records(
+            RaisingReport(ValidationFailed),
+            (None, None, None, ("varpi.comodule", "varpi is not a coaction"),
+             ("varpi.counit", "varpi fails the counit law")),
+            "varpi", self.inv_space, self.varpi, inv_a, g.algebra, g.coproduct, g.square,
+            g.eps_basis)
+        self.varpi_legs = [flat_legs(inv_a, col) for col in self.varpi.cols]
 
         # star on Gamma_inv: pi(x)* = -pi(kappa(x)*)
         self.star_inv = LinearMap(
@@ -174,18 +176,10 @@ class Fodc:
             rep.add(vacuous("fodc.braid", "sigma braid equation",
                             note="zero calculus"))
             return rep
-        # free products of Gamma_inv: a basis index is the flat one, t0 d^2 + t1 d + t2
-        inv = Factor.ungraded(self.inv_space)
-        sq = TProd(self.field, (inv, inv), name="Gamma_inv^(x)2")
-        cube = TProd(self.field, (inv,) * 3, name="Gamma_inv^(x)3")
-
-        def at(p):
-            def terms(t):
-                for pair, c in block_terms(sq, t[p:p + 2], self.sigma):
-                    yield t[:p] + pair + t[p + 2:], c
-            return term_map(cube, cube, terms)
-
-        s12, s23 = at(0), at(1)
+        # the free cube of Gamma_inv: a basis index is the flat one, t0 d^2 + t1 d + t2
+        sq = self.inv_sq
+        cube = TProd(self.field, sq.factors[:1] * 3, name="Gamma_inv^(x)3")
+        s12, s23 = (term_map(cube, cube, slot_terms(p, self.sigma, sq, sq)) for p in (0, 1))
         lhs = s12.compose(s23).compose(s12)
         rhs = s23.compose(s12).compose(s23)
         rep.check(("fodc.braid", "sigma braid equation"),
@@ -223,8 +217,12 @@ class Envelope2:
         self.report = ValidationReport()
 
         # S^2 = (pi (x) pi) phi (R)
-        pp = fodc.pi.tensor(fodc.pi)
-        self.s2_basis = span_basis(pp.apply(g.phi(r)) for r in fodc.ideal_basis)
+        pi_pi = chain_terms(slot_terms(0, fodc.pi), slot_terms(1, fodc.pi))
+
+        def pp(v: Vec) -> Vec:
+            return apply_terms(g.square, fodc.inv_sq, pi_pi, v)
+
+        self.s2_basis = span_basis(pp(g.phi(r)) for r in fodc.ideal_basis)
         self.lambda2 = QuotientSpace(fodc.sq_space.dim, self.s2_basis, field)
         self.l2_space = BasedSpace(tuple(
             f"w2[{fodc.sq_space.labels[i]}]" for i in self.lambda2.keep))
@@ -411,20 +409,16 @@ class Envelope2:
         # by the splitting to delta
         self.dlambda = LinearMap(
             fodc.inv_space, self.l2_space,
-            _descend(lambda x: self.wedge.apply(vscale(-one, pp.apply(g.phi(x)))),
+            _descend(lambda x: self.wedge.apply(vscale(-one, pp(g.phi(x)))),
                      fodc.section.cols, fodc.relations, "dlambda"), field)
         self.delta = self.split_section.compose(self.dlambda)
 
         # sigma delta - delta = (id (x) pi) varpi
         lhs = fodc.sigma.compose(self.delta).sub(self.delta)
-        rhs_cols = []
-        for t in range(d):
-            acc: Vec = {}
-            for th, a, c in fodc.varpi_legs[t]:
-                for u, cu in fodc.pi.cols[a].items():
-                    viadd_term(acc, th * d + u, c * cu)
-            rhs_cols.append(acc)
-        rhs = LinearMap(fodc.inv_space, fodc.sq_space, rhs_cols, field)
+        id_pi = slot_terms(1, fodc.pi)
+        rhs = LinearMap(fodc.inv_space, fodc.sq_space,
+                        [apply_terms(fodc.inv_a, fodc.inv_sq, id_pi, col)
+                         for col in fodc.varpi.cols], field)
         self.report.check(("envelope.sigma-delta", "sigma delta - delta = (id (x) pi) varpi"),
                           [] if lhs == rhs
                           else [{"first_difference": lhs.first_difference(rhs)}])
@@ -704,10 +698,8 @@ class GammaEnvelope(GradedStarAlgebra):
         cols = []
         for i in range(self.dim):
             acc: Vec = {}
-            for fi, c in sq.lift(self.phi_hat.cols[i]).items():
-                u, z = sq.tuples[fi]
-                for fj, c2 in sq.lift(self.phi_hat.cols[u]).items():
-                    x, y = sq.tuples[fj]
+            for u, z, c in flat_legs(sq, self.phi_hat.cols[i]):
+                for x, y, c2 in flat_legs(sq, self.phi_hat.cols[u]):
                     coeff = c * c2
                     for kx, ck in self.kappa_hat.cols[x].items():
                         sign = -one if (self.degree(kx) * self.degree(y)) % 2 else one

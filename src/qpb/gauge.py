@@ -17,7 +17,9 @@ sigma-cochain of a group element is the tower's, BalancedTower.varsigma,
 written once for B_3 and for W_3 of the calculus.
 
 All coalgebra maps are concrete matrices on abstract balanced tensor products
-of L, B and V; inclusions into B_n are solved exactly, so membership claims
+of L, B and V, built as tensor.slot_terms maps from the maps on their slots
+(l_incl, Delta, phi_M, F, Sigma, kappa_M); inclusions into B_n are solved
+exactly, so membership claims
 (delta_3 lands in L (x) B, phi_M lands in L (x) L, ...) are verified rather
 than assumed.
 """
@@ -37,7 +39,10 @@ from .linalg import (
     span_basis, spans_equal, viadd, viadd_term,
 )
 from .report import CheckRecord, ValidationReport, map_equality_record, passing, vacuous
-from .tensor import Factor, TProd, embed, slot_apply, term_map, unit_leg
+from .tensor import (
+    Factor, TProd, apply_terms, chain_terms, embed, flat_legs, slot_apply, slot_terms, term_map,
+    unit_leg,
+)
 
 
 class GradedGaugeCoalgebra:
@@ -52,7 +57,7 @@ class GradedGaugeCoalgebra:
 
     def __init__(self, name, slot, tower, coeff_embed):
         self.name = name
-        self.algebra = algebra = tower.algebra
+        self.algebra = tower.algebra
         self.coeff_embed = coeff_embed
         self.w1, w2, w3 = (tower.power(n) for n in (1, 2, 3))
         self.field = field = tower.field
@@ -99,13 +104,8 @@ class GradedGaugeCoalgebra:
         self.t_lbb = tprod((lf, factor, factor), f"{name}(x){slot}(x){slot}")
         self.t_lll = tprod((lf,) * 3, f"{name}(x){name}(x){name}")
 
-        def j_lb_terms(t):
-            l, j = t
-            for fi, c in w2.lift(self.l_basis[l]).items():
-                x, y = w2.tuples[fi]
-                yield (x, y, j), c
-
-        self.j_lb = term_map(self.t_lb, w3, j_lb_terms)
+        # L (x) W into W_3: l_incl on the L slot
+        self.j_lb = term_map(self.t_lb, w3, slot_terms(0, self.l_incl, None, w2))
         if self.j_lb.solver().rank != self.t_lb.dim:
             raise ValidationFailed(
                 f"balanced products with {name} do not embed into {w3.name}")
@@ -121,54 +121,31 @@ class GradedGaugeCoalgebra:
             delta_cols.append(sol)
         self.delta = LinearMap(factor.space, self.t_lb.space, delta_cols, field)
 
-        # eps_M = mu restricted to L, in coefficient coordinates
+        # eps_M = mu restricted to L, in coefficient coordinates (W_1 is W)
+        mu = tower.mu_at(2, 0)
         eps_cols = []
         for lb in self.l_basis:
-            acc = {}
-            for fi, c in w2.lift(lb).items():
-                x, y = w2.tuples[fi]
-                viadd(acc, c, algebra.mul_basis(x, y))
-            sol = coeff_embed.solve(acc)
+            sol = coeff_embed.solve(mu.apply(lb))
             if sol is None:
                 raise ValidationFailed(f"mu_M({name}) leaves the coefficient algebra")
             eps_cols.append(sol)
         self.eps_m = LinearMap(self.l_space, coeff_embed.domain, eps_cols, field)
 
         # phi_M : L -> L (x)_M L as the restriction of (Delta (x) id)
-        def j_ll_terms(t):
-            l1, l2 = t
-            for fi, c in w2.lift(self.l_basis[l2]).items():
-                x, y = w2.tuples[fi]
-                yield (l1, x, y), c
-
-        self.j_ll = term_map(self.t_ll, self.t_lbb, j_ll_terms)
+        self.j_ll = term_map(self.t_ll, self.t_lbb, slot_terms(1, self.l_incl, None, w2))
+        delta_id = slot_terms(0, self.delta, None, self.t_lb)
         phi_cols = []
         for lb in self.l_basis:
-            acc = {}
-            for fi, c in w2.lift(lb).items():
-                i, j = w2.tuples[fi]
-                for fj, cd in self.t_lb.lift(delta_cols[i]).items():
-                    l1, x = self.t_lb.tuples[fj]
-                    viadd_term(acc, self.t_lbb.flat_index((l1, x, j)), c * cd)
-            sol = self.j_ll.solve(self.t_lbb.project(acc))
+            sol = self.j_ll.solve(apply_terms(w2, self.t_lbb, delta_id, lb))
             if sol is None:
                 raise ValidationFailed(f"phi_M does not land in {name} (x) {name}")
             phi_cols.append(sol)
         self.phi_m = LinearMap(self.l_space, self.t_ll.space, phi_cols, field)
 
         # phi_M (x) id and id (x) phi_M : L (x) L -> L (x) L (x) L
-        def phi_id_terms(t):
-            l1, l2 = t
-            for fj, cp in self.t_ll.lift(phi_cols[l1]).items():
-                yield self.t_ll.tuples[fj] + (l2,), cp
-
-        def id_phi_terms(t):
-            l1, l2 = t
-            for fj, cp in self.t_ll.lift(phi_cols[l2]).items():
-                yield (l1,) + self.t_ll.tuples[fj], cp
-
-        self.phi_id = term_map(self.t_ll, self.t_lll, phi_id_terms)
-        self.id_phi = term_map(self.t_ll, self.t_lll, id_phi_terms)
+        self.phi_id, self.id_phi = (
+            term_map(self.t_ll, self.t_lll, slot_terms(p, self.phi_m, None, self.t_ll))
+            for p in (0, 1))
 
     def into_l(self, v: Vec, what: str = "vector") -> Vec:
         sol = self.l_incl.solve(v)
@@ -197,9 +174,7 @@ class GradedGaugeCoalgebra:
                 for k, ck in self.ract[v].cols[l1].items():
                     yield (k,), c * ck
 
-        resc = LinearMap(self.l_space, t_l.space,
-                         [t_l.project_tuple((i,)) for i in range(self.l_space.dim)],
-                         field)
+        resc = LinearMap.identity(self.l_space, field)  # t_l is L
         rep.add(map_equality_record(*counit_left,
                                     term_map(t_ll, t_l, eps1_terms).compose(self.phi_m),
                                     resc, witness_space=t_l.space))
@@ -215,29 +190,18 @@ class GradedGaugeCoalgebra:
                     for k, ck in self.algebra.mul_basis(i, j).items():
                         yield (k,), c * ci * ck
 
-        w1 = self.w1
-        ident = LinearMap(self.delta.domain, w1.space,
-                          [w1.project_tuple((i,)) for i in range(self.delta.domain.dim)],
-                          field)
+        w1, ident = self.w1, LinearMap.identity(self.delta.domain, field)  # W_1 is W
         rep.add(map_equality_record(*e_fgau,
                                     term_map(self.t_lb, w1, epsd_terms).compose(self.delta),
                                     ident, witness_space=w1.space))
 
         # (id (x) Delta) Delta = (phi_M (x) id) Delta
-        def id_delta_terms(t):
-            l, j = t
-            for fj, cd in self.t_lb.lift(self.delta.cols[j]).items():
-                yield (l,) + self.t_lb.tuples[fj], cd
-
-        def phi_id_terms(t):
-            l, j = t
-            for fj, cp in t_ll.lift(self.phi_m.cols[l]).items():
-                yield t_ll.tuples[fj] + (j,), cp
-
+        t_lb, t_llb = self.t_lb, self.t_llb
         rep.add(map_equality_record(
-            *coact, term_map(self.t_lb, self.t_llb, id_delta_terms).compose(self.delta),
-            term_map(self.t_lb, self.t_llb, phi_id_terms).compose(self.delta),
-            witness_space=self.t_llb.space))
+            *coact,
+            term_map(t_lb, t_llb, slot_terms(1, self.delta, None, t_lb)).compose(self.delta),
+            term_map(t_lb, t_llb, slot_terms(0, self.phi_m, None, t_ll)).compose(self.delta),
+            witness_space=t_llb.space))
 
         # coassociativity of phi_M
         rep.add(map_equality_record(*coasso, self.phi_id.compose(self.phi_m),
@@ -286,13 +250,7 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
         self.t_lba = TProd(field, (self.l_factor, b.b_factor, b.a_factor),
                            name="L(x)B(x)A")
 
-        def j_bl_terms(t):
-            j, l = t
-            for fi, c in b2.lift(self.l_basis[l]).items():
-                x, y = b2.tuples[fi]
-                yield (j, x, y), c
-
-        self.j_bl = term_map(self.t_bl, b.b_space(3), j_bl_terms)
+        self.j_bl = term_map(self.t_bl, b.b_space(3), slot_terms(1, self.l_incl, None, b2))
         if self.j_bl.solver().rank != self.t_bl.dim:
             raise ValidationFailed("balanced products with L do not embed into B_3")
         self._lb_moves: dict = {}
@@ -311,25 +269,12 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
         one = field.one
         rep = self.report
 
-        # fgau-F diagram: (id (x) F) Delta = (Delta (x) id) F
-        def idf_terms(t):
-            l, j = t
-            for k, a, cf in b.f_legs[j]:
-                yield (l, k, a), cf
-
-        idf = term_map(self.t_lb, self.t_lba, idf_terms)
-        lhs = idf.compose(self.delta)
-        cols = []
-        for i in range(b.total.dim):
-            acc: Vec = {}
-            for k, a, cf in b.f_legs[i]:
-                for fj, cd in self.t_lb.lift(self.delta.cols[k]).items():
-                    l, x = self.t_lb.tuples[fj]
-                    viadd_term(acc, self.t_lba.flat_index((l, x, a)), cf * cd)
-            cols.append(self.t_lba.project(acc))
-        rhs = LinearMap(b.total.space, self.t_lba.space, cols, field)
+        # fgau-F diagram: (id (x) F) Delta = (Delta (x) id) F, with F into B (x) A
+        ba, t_lb, t_lba = b.hopf_space(1), self.t_lb, self.t_lba
+        lhs = term_map(t_lb, t_lba, slot_terms(1, b.coaction, None, ba)).compose(self.delta)
+        rhs = term_map(ba, t_lba, slot_terms(0, self.delta, None, t_lb)).compose(b.coaction)
         rep.add(map_equality_record("gauge.fgau-F", "fgau-F", lhs, rhs,
-                                    witness_space=self.t_lba.space))
+                                    witness_space=t_lba.space))
 
         # Lemma 2.6 antipode identities, computed by flat pairing
         braid = self.braid
@@ -342,11 +287,9 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
             lhs2: Vec = {}
             rhs1: Vec = {}
             rhs2: Vec = {}
-            for fi, c in b2.lift({bi: one}).items():
-                p, q = b2.tuples[fi]
+            for p, q, c in flat_legs(b2, {bi: one}):
                 # delta_3(e_p) flat legs (x, y, z)
-                for fj, cd in b3.lift(self.delta3.cols[p]).items():
-                    x, y, z = b3.tuples[fj]
+                for x, y, z, cd in flat_legs(b3, self.delta3.cols[p]):
                     left = b2.project_tuple((x, y))
                     coeff = c * cd
                     # id^2 (x) sigma on (z, q), then mu^2
@@ -427,8 +370,7 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
         if key not in self._lb_moves:
             moved = self.move_lb.apply(self.j_lb.apply(self.t_lb.project_tuple(key)))
             sol = self.j_bl.solve(moved)
-            self._lb_moves[key] = None if sol is None else [
-                self.t_bl.tuples[fj] + (c,) for fj, c in self.t_bl.lift(sol).items()]
+            self._lb_moves[key] = None if sol is None else flat_legs(self.t_bl, sol)
         return self._lb_moves[key]
 
 
@@ -501,15 +443,9 @@ class BraidedHopf:
         s34_4 = braid.at(4, 2)
         big = s23_4.compose(s12_4.compose(s34_4)).compose(s23_4)
 
-        def j_ll4_terms(t):
-            l1, l2 = t
-            for fi, c in b2.lift(gc.l_basis[l1]).items():
-                x, y = b2.tuples[fi]
-                for fj, c2 in b2.lift(gc.l_basis[l2]).items():
-                    u, v = b2.tuples[fj]
-                    yield (x, y, u, v), c * c2
-
-        self.j_ll4 = term_map(gc.t_ll, b4, j_ll4_terms)
+        # L (x) L into B_4: j_ll, then l_incl on slot 0
+        self.j_ll4 = term_map(gc.t_ll, b4, chain_terms(slot_terms(1, gc.l_incl, None, b2),
+                                                       slot_terms(0, gc.l_incl, None, b2)))
         sig_cols, i = _solve_each(self.j_ll4, (big.apply(col) for col in self.j_ll4.cols))
         rep.check(("classical.Sigma-restricts", "Sigma preserves L (x) L"),
                   [] if i is None else [{"t_ll_index": i}])
@@ -540,16 +476,9 @@ class BraidedHopf:
         # Sigma exchange laws with phi_M
         phi1, phi2 = gc.phi_id, gc.id_phi
 
-        def sig_at(p):
-            def terms(t):
-                pair = gc.t_ll.project_tuple((t[p], t[p + 1]))
-                out = self.sigma_ll.apply(pair)
-                for fj, c in gc.t_ll.lift(out).items():
-                    yield t[:p] + gc.t_ll.tuples[fj] + t[p + 2:], c
-            return term_map(gc.t_lll, gc.t_lll, terms)
-
-        sig12 = sig_at(0)
-        sig23 = sig_at(1)
+        sig12, sig23 = (term_map(gc.t_lll, gc.t_lll,
+                                 slot_terms(p, self.sigma_ll, gc.t_ll, gc.t_ll))
+                        for p in (0, 1))
         lhs = phi2.compose(self.sigma_ll)
         rhs = sig12.compose(sig23).compose(phi1)
         rep.add(map_equality_record("classical.Sigma-phi-1",
@@ -589,23 +518,13 @@ class BraidedHopf:
         t_l = gc.t_l
         mu_ll = term_map(gc.t_ll, t_l, mu_ll_terms)
 
-        def kap_at(p):
-            def terms(t):
-                for k, c in self.kappa_m.cols[t[p]].items():
-                    yield t[:p] + (k,) + t[p + 1:], c
-            return term_map(gc.t_ll, gc.t_ll, terms)
-
-        unit_eps_cols = []
-        for i in range(gc.l_space.dim):
-            acc: Vec = {}
-            for v, c in gc.eps_m.cols[i].items():
-                # f . (1 (x) 1) inside L
-                for k, ck in gc.lact[v].apply(gc.l_unit).items():
-                    viadd_term(acc, t_l.flat_index((k,)), c * ck)
-            unit_eps_cols.append(t_l.project(acc))
-        unit_eps = LinearMap(gc.l_space, t_l.space, unit_eps_cols, field)
-        lhs1 = mu_ll.compose(kap_at(0)).compose(gc.phi_m)
-        lhs2 = mu_ll.compose(kap_at(1)).compose(gc.phi_m)
+        # the unit V -> L, f -> f . (1 (x) 1), after eps_M
+        v_space = gc.eps_m.codomain
+        unit_eps = LinearMap(v_space, t_l.space,
+                             [gc.lact[v].apply(gc.l_unit) for v in range(v_space.dim)],
+                             field).compose(gc.eps_m)
+        lhs1, lhs2 = (mu_ll.compose(term_map(gc.t_ll, gc.t_ll, slot_terms(p, self.kappa_m)))
+                      .compose(gc.phi_m) for p in (0, 1))
         rep.add(map_equality_record("classical.antipode-left",
                                     "mu(kappa_M (x) id)phi_M = unit eps_M",
                                     lhs1, unit_eps, witness_space=t_l.space))
@@ -658,8 +577,7 @@ class GaugeTransformation:
         cols = []
         for i in range(b.total.dim):
             acc: Vec = {}
-            for fj, cd in gc.t_lb.lift(gc.delta.cols[i]).items():
-                l, x = gc.t_lb.tuples[fj]
+            for l, x, cd in flat_legs(gc.t_lb, gc.delta.cols[i]):
                 viadd(acc, cd, b.total.mul(in_b[l], {x: field.one}))
             cols.append(acc)
         self.action = LinearMap(b.total.space, b.total.space, cols, field)
@@ -747,8 +665,7 @@ def compose_gammas(g1: GaugeTransformation, g2: GaugeTransformation) -> LinearMa
     cols = []
     for li in range(gc.l_space.dim):
         acc: Vec = {}
-        for fj, c in gc.t_ll.lift(gc.phi_m.cols[li]).items():
-            l1, l2 = gc.t_ll.tuples[fj]
+        for l1, l2, c in flat_legs(gc.t_ll, gc.phi_m.cols[li]):
             viadd(acc, c, base.mul(g1.functional.apply({l1: one}),
                                    g2.functional.apply({l2: one})))
         cols.append(acc)

@@ -41,7 +41,7 @@ from .linalg import (
     viadd, viadd_term, vscale,
 )
 from .report import RaisingReport, ValidationReport
-from .tensor import Factor, TProd, embed
+from .tensor import Factor, TProd, embed, flat_legs
 
 BUDGET = 2  # top degree kept by every graded algebra and tensor product
 
@@ -252,12 +252,11 @@ def graded_tensor_mul(tp: TProd, left: GradedStarAlgebra, right: GradedStarAlgeb
     """Product of u and v in the graded tensor product tp of ``left`` and
     ``right``: (x (x) y)(p (x) q) = (-1)^{|y||p|} xp (x) yq."""
     one = tp.field.one
-    v_terms = [(tp.tuples[iv], cv) for iv, cv in tp.lift(v).items()]
+    v_terms = flat_legs(tp, v)
     out: Vec = {}
-    for iu, cu in tp.lift(u).items():
-        x, y = tp.tuples[iu]
+    for x, y, cu in flat_legs(tp, u):
         dy = right.degree(y)
-        for (p, q), cv in v_terms:
+        for p, q, cv in v_terms:
             xp = left.mul_basis(x, p)
             if not xp:
                 continue
@@ -277,8 +276,7 @@ def graded_tensor_star(tp: TProd, left: GradedStarAlgebra, right: GradedStarAlge
     Koszul sign: the convention under which d and every coaction here are
     hermitian."""
     out: Vec = {}
-    for fi, c in tp.lift(v).items():
-        x, y = tp.tuples[fi]
+    for x, y, c in flat_legs(tp, v):
         c = c.conj()
         for x2, cx in left.star.cols[x].items():
             for y2, cy in right.star.cols[y].items():
@@ -292,8 +290,7 @@ def graded_tensor_d(tp: TProd, left: GradedStarAlgebra, right: GradedStarAlgebra
     the budget dropped."""
     out: Vec = {}
     index = tp.tuple_index
-    for fi, c in tp.lift(v).items():
-        x, y = tp.tuples[fi]
+    for x, y, c in flat_legs(tp, v):
         if left.d_cols[x] is not None:
             for k, ck in left.d_cols[x].items():
                 t = index.get((k, y))
@@ -306,11 +303,6 @@ def graded_tensor_d(tp: TProd, left: GradedStarAlgebra, right: GradedStarAlgebra
                 if t is not None:
                     viadd_term(out, t, cs * ck)
     return tp.project(out)
-
-
-def _legs(m: LinearMap, tp: TProd) -> list:
-    """The flat terms (tuple, coefficient) of each column of m, a map into tp."""
-    return [[(tp.tuples[fi], c) for fi, c in tp.lift(col).items()] for col in m.cols]
 
 
 def add_coaction_records(rep: ValidationReport, ids, name: str,
@@ -328,15 +320,18 @@ def add_coaction_records(rep: ValidationReport, ids, name: str,
     ((id (x) eps)f = id, and (eps (x) id)f = id when f is phi); an identity
     that is None is not computed.  ``name`` names f in the witness of a unit
     failure.  H has no coefficient action, so W (x) H (x) H is free and the
-    comodule law compares flat tuples.
+    comodule law compares flat tuples.  Only the mult, star and d identities
+    read the algebra w; the comodule and counit laws read f's domain, so a
+    caller checking only those may pass a plain space as w.
     """
     mult, star, d, comodule, counit = ids
-    one = w.field.one
-    n, deg, space = w.dim, w.degrees, w.space
+    one, space = f.field.one, f.domain
+    n = space.dim
     if comodule is not None or counit is not None:
-        f_legs = _legs(f, wh)
+        f_legs = [flat_legs(wh, col) for col in f.cols]
 
     def mult_failures():
+        deg = w.degrees
         if f.apply(w.unit) != embed(wh, w.unit, h.unit):
             yield {"reason": f"{name}(1) != 1(x)1"}
         for i in range(n):
@@ -346,14 +341,14 @@ def add_coaction_records(rep: ValidationReport, ids, name: str,
                     yield {"basis_pair": [i, j]}
 
     def comodule_failures():
-        phi_legs = f_legs if phi is f else _legs(phi, hh)
+        phi_legs = f_legs if phi is f else [flat_legs(hh, col) for col in phi.cols]
         for i in range(n):
             lhs: Vec = {}
             rhs: Vec = {}
-            for (x, a), c in f_legs[i]:
-                for (x2, a1), c2 in f_legs[x]:
+            for x, a, c in f_legs[i]:
+                for x2, a1, c2 in f_legs[x]:
                     viadd_term(lhs, (x2, a1, a), c * c2)
-                for (a1, a2), c2 in phi_legs[a]:
+                for a1, a2, c2 in phi_legs[a]:
                     viadd_term(rhs, (x, a1, a2), c * c2)
             if lhs != rhs:
                 yield basis_witness(space, i)
@@ -362,7 +357,7 @@ def add_coaction_records(rep: ValidationReport, ids, name: str,
         for i in range(n):
             right: Vec = {}
             left: Vec = {}
-            for (x, a), c in f_legs[i]:
+            for x, a, c in f_legs[i]:
                 viadd_term(right, x, c * eps_basis(a))
                 if f is phi:
                     viadd_term(left, a, c * eps_basis(x))
@@ -393,8 +388,7 @@ def add_antipode_record(rep: ValidationReport, ident, w: GradedStarAlgebra,
         for i in range(w.dim) if basis is None else basis:
             left: Vec = {}
             right: Vec = {}
-            for fi, c in ww.lift(phi.cols[i]).items():
-                x, y = ww.tuples[fi]
+            for x, y, c in flat_legs(ww, phi.cols[i]):
                 viadd(left, c, w.mul(kappa[x], {y: one}))
                 viadd(right, c, w.mul({x: one}, kappa[y]))
             target = vscale(eps_basis(i), w.unit)

@@ -432,25 +432,6 @@ class LinearMap:
         return LinearMap(self.domain, self.codomain, [vscale(c, col) for col in self.cols],
                          self.field, self.antilinear)
 
-    def tensor(self, other: "LinearMap") -> "LinearMap":
-        if self.antilinear != other.antilinear:
-            raise InputError("tensor factors must have equal antilinearity")
-        dom = tensor_labels(self.domain, other.domain)
-        cod = tensor_labels(self.codomain, other.codomain)
-        bd = other.domain.dim
-        bc = other.codomain.dim
-        cols = []
-        for i in range(self.domain.dim):
-            ci = self.cols[i]
-            for j in range(bd):
-                cj = other.cols[j]
-                col: Vec = {}
-                for r1, c1 in ci.items():
-                    for r2, c2 in cj.items():
-                        col[r1 * bc + r2] = c1 * c2
-                cols.append(col)
-        return LinearMap(dom, cod, cols, self.field, self.antilinear)
-
     # -- solving -----------------------------------------------------------
 
     def solver(self) -> "PreparedSolve":

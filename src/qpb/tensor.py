@@ -45,8 +45,16 @@ none.  They are unique without a check: input labels hold no "|"
 Operators between TProds are assembled per canonical basis element by lifting
 to the flat tensor basis, rewriting tuples, and projecting back; the caller's
 rewrite rule must descend to the quotient (all rules used here are module maps
-in the balanced slots).  ``embed`` builds the elementary tensor of one vector
-per factor, such as 1 (x) 1 or x (x) y, the one way to write one.
+in the balanced slots).  Most maps of the paper act on a few slots and leave
+the others alone, such as sigma on slots (p, p+1), Delta (x) id or
+(X (x) id)(id (x) X_n): ``slot_terms`` is the one rewriter that applies a map
+to a block of slots and splices its image in their place, ``chain_terms``
+runs two rewriters in turn, ``term_map`` builds the map a rewriter defines
+and ``apply_terms`` applies a rewriter to one vector; ``flat_legs`` lists a
+vector's flat tuples with their coefficients.  So the flat layout
+(``tuples``, ``flat_index``, ``lift``) is read here, and a caller names
+slots and maps.  ``embed`` builds the elementary tensor of one vector per
+factor, such as 1 (x) 1 or x (x) y, the one way to write one.
 """
 
 from __future__ import annotations
@@ -294,6 +302,11 @@ class TProd:
         return self.space.render(v)
 
 
+def _times(a, b, one):
+    """a * b, with no product taken when a or b is ``one``."""
+    return b if a is one else a if b is one else a * b
+
+
 def embed(tp: TProd, *vecs) -> Vec:
     """The elementary tensor of one vector per factor of tp, projected into
     tp.  A zero tuple goes to the sink and a tuple over the budget raises
@@ -302,12 +315,18 @@ def embed(tp: TProd, *vecs) -> Vec:
     one = tp.field.one
     terms = [((), one)]
     for v in vecs:
-        terms = [(t + (k,), ck if c is one else c if ck is one else c * ck)
-                 for t, c in terms for k, ck in v.items()]
+        terms = [(t + (k,), _times(c, ck, one)) for t, c in terms for k, ck in v.items()]
     out: Vec = {}
     for t, c in terms:
         viadd_term(out, tp.flat_index(t), c)
     return tp.project(out)
+
+
+def flat_legs(tp: TProd, v: Vec) -> list:
+    """The flat legs t + (c,) of v in tp, one per lifted tuple t with its
+    coefficient c, for Sweedler-style loops."""
+    tuples = tp.tuples
+    return [tuples[fi] + (c,) for fi, c in tp.lift(v).items()]
 
 
 def term_map(src: TProd, dst: TProd, fn, antilinear: bool = False,
@@ -331,24 +350,74 @@ def term_map(src: TProd, dst: TProd, fn, antilinear: bool = False,
     return LinearMap(src.space, dst.space, cols, field, antilinear)
 
 
-def block_terms(sub: TProd, subtuple, m: LinearMap):
-    """Apply a map defined on a sub-TProd to one flat subtuple: project the
-    subtuple, apply, lift back to flat subtuples.  Yields (subtuple, Scalar)."""
-    v = m.apply(sub.project_tuple(subtuple))
-    flat = sub.lift(v)
-    for fi, c in flat.items():
-        yield sub.tuples[fi], c
-
-
-def slot_apply(tp: TProd, v: Vec, slot: int, m: LinearMap) -> Vec:
-    """Apply the one-factor map m to one slot of v; m must descend to the
-    balanced quotient (a module map in the balanced slots does)."""
+def apply_terms(src: TProd, dst: TProd, fn, v: Vec) -> Vec:
+    """The flat term rewriter ``fn`` (as for ``term_map``) applied to one
+    vector v of src, projected into dst; a coefficient one is not
+    multiplied."""
+    one, tuples = src.field.one, src.tuples
     out: Vec = {}
-    for fi, c in tp.lift(v).items():
-        t = tp.tuples[fi]
-        for k, ck in m.cols[t[slot]].items():
-            viadd_term(out, tp.flat_index(t[:slot] + (k,) + t[slot + 1:]), c * ck)
-    return tp.project(out)
+    for fi, c in src.lift(v).items():
+        for t, ct in fn(tuples[fi]):
+            viadd_term(out, dst.flat_index(t), _times(c, ct, one))
+    return dst.project(out)
+
+
+def slot_terms(p: int, m: LinearMap, m_src: TProd | None = None,
+               m_dst: TProd | None = None):
+    """The flat term rewriter, for ``term_map`` or ``apply_terms``, that
+    applies m to the slots of a tuple from slot p on and splices m's image in
+    their place.
+
+    m's domain is one factor (``m_src`` None), read at slot p, or the TProd
+    ``m_src`` spread over as many slots, whose block is projected into it (a
+    block that is zero there goes to the sink, and has no terms).  On one
+    factor, m may also be a function from a basis index to its image, such as
+    a multiplication by a fixed element, computed for the blocks met.  m's
+    codomain is one factor (``m_dst`` None) or the TProd ``m_dst``, whose
+    lifted tuples are spliced in.  Each distinct block is mapped once, when
+    it is first met.  m must descend to the balanced quotient, as a module
+    map in the balanced slots does; it preserves degree and no factor passes
+    another, so no Koszul sign enters.
+    """
+    width = 1 if m_src is None else len(m_src.factors)
+    column = m.cols.__getitem__ if isinstance(m, LinearMap) else m
+    images: dict = {}
+
+    def image(block):
+        v = column(block[0]) if m_src is None else m.apply(m_src.project_tuple(block))
+        if m_dst is None:
+            return [((k,), c) for k, c in v.items()]
+        tuples = m_dst.tuples
+        return [(tuples[fi], c) for fi, c in m_dst.lift(v).items()]
+
+    def terms(t):
+        block = t[p:p + width]
+        img = images.get(block)
+        if img is None:
+            img = images[block] = image(block)
+        head, tail = t[:p], t[p + width:]
+        return [(head + b + tail, c) for b, c in img]
+
+    return terms
+
+
+def chain_terms(first, second):
+    """The rewriter that applies ``first`` and then ``second`` to each tuple
+    ``first`` yields; a coefficient one is not multiplied."""
+    def terms(t):
+        for t1, c1 in first(t):
+            one = c1.field.one
+            for t2, c2 in second(t1):
+                yield t2, _times(c1, c2, one)
+
+    return terms
+
+
+def slot_apply(tp: TProd, v: Vec, slot: int, m) -> Vec:
+    """Apply the one-factor map m (as in ``slot_terms``) to one slot of v; m
+    must descend to the balanced quotient (a module map in the balanced slots
+    does)."""
+    return apply_terms(tp, tp, slot_terms(slot, m), v)
 
 
 def unit_leg(src: TProd, dst: TProd, unit: Vec) -> LinearMap:

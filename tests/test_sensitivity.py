@@ -2,12 +2,13 @@
 
 ``GradedStarAlgebra.add_axiom_records`` checks the *-algebra axioms of A, B,
 Omega(M) and Gamma^, and ``add_coaction_records`` checks phi on A, F on B,
-phi^ on Gamma^, F^ on Omega(P) and the adjoint action; ``add_antipode_record``
-checks kappa^ on Gamma^; ``BalancedTower.add_translation_records`` checks tau on
-P and on Omega(P).  For every site and identity one targeted mutation
-breaks that identity.  A site that records then fails exactly that record
-among the checker's records, with a witness; a site that rejects its input
-raises at that identity.
+phi^ on Gamma^, F^ on Omega(P), the adjoint action and varpi on Gamma_inv;
+``add_antipode_record`` checks kappa^ on Gamma^;
+``BalancedTower.add_translation_records`` checks tau on P and on Omega(P).
+For every site and identity one targeted mutation breaks that identity.  A
+site that records then fails exactly that record among the checker's
+records, with a witness; a site that rejects its input raises at that
+identity.
 
 The gauge-transformation laws compare a left side with one of the right
 sides ``BalancedTower.coact_side``, ``tau_side`` and ``varsigma_side``.  A
@@ -195,6 +196,22 @@ def test_adjoint_action_rejects(monkeypatch, mutate, message):
     patch_coaction_check(monkeypatch, hopf_mod, mutate)
     with pytest.raises(ValidationFailed, match=message):
         adjoint_action(h)
+
+
+@pytest.mark.parametrize("mutate, message", [
+    (lambda w, f, wh, h, phi, hh, eps: (w, f, wh, h, with_col(phi, 1, doubled(phi.cols[1])),
+                                        hh, eps),
+     r"^varpi is not a coaction at basis_index=\d+, basis_label=w\["),
+    (lambda w, f, wh, h, phi, hh, eps: (w, f, wh, h, phi, hh, lambda a: eps(a) + eps(a)),
+     r"^varpi fails the counit law at basis_index=0, basis_label=w\["),
+], ids=["comodule", "counit"])
+def test_fodc_rejects_a_varpi_that_is_no_coaction(monkeypatch, mutate, message):
+    """varpi's laws go through the coaction checker, with Gamma_inv as a
+    plain space, and reject at the first basis element that breaks them."""
+    h = hopf_preset("S3", "function_algebra")
+    patch_coaction_check(monkeypatch, fodc_mod, mutate)
+    with pytest.raises(ValidationFailed, match=message):
+        build_fodc(h, universal_ideal(h))
 
 
 # -- F on B: build_bundle rejects at bundle.coaction --------------------------------

@@ -10,6 +10,7 @@ every flat tuple must agree exactly; a tuple outside the support has class 0.
 """
 
 import json
+import re
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -198,7 +199,7 @@ def test_pair_kernels_and_labels_are_built_once(calculus_z3, monkeypatch):
     assert calculus_z3.labels == 0
     built = calculus_z3.built
     dim_sum = sum(tp.dim for tp in built)
-    assert dim_sum == 15_492 < sum(len(tp.tuples) for tp in built)
+    assert dim_sum == 15_502 < sum(len(tp.tuples) for tp in built)
     tuple_label, count = tensor.tuple_label, [0]
 
     def label(factors, t):
@@ -269,3 +270,102 @@ def test_no_sink_key_reaches_a_linear_map(name, monkeypatch):
             run_suites(BuildResult(load_file(path)), ["all"])
     else:
         assert run_suites(BuildResult(load_file(path)), ["all"]).ok
+
+
+# -- maps on slots ---------------------------------------------------------------------
+
+
+@pytest.fixture(scope="module")
+def z3_tower():
+    """calculus-z3's graded tower, with its differential gauge coalgebra."""
+    return BuildResult(load_file(str(CASES / "calculus-z3.json"))).total_calculus()
+
+
+def spliced(tp, p, width, m, t):
+    """The reference for ``slot_terms``: project the block of t at slots
+    p..p+width-1 into the width-factor product tp, apply m, lift back into
+    tp and splice each tuple in place of the block."""
+    image = tp.lift(m.apply(tp.project_tuple(t[p:p + width])))
+    return {t[:p] + tp.tuples[fi] + t[p + width:]: c for fi, c in image.items()}
+
+
+@pytest.mark.parametrize("p", [0, 1])
+def test_slot_terms_applies_sigma_on_each_pair_of_w3(z3_tower, p):
+    tc = z3_tower
+    w2, w3 = tc.power(2), tc.power(3)
+    fn = tensor.slot_terms(p, tc.sigma, w2, w2)
+    for t in w3.tuples:
+        assert dict(fn(t)) == spliced(w2, p, 2, tc.sigma, t), t
+    assert tensor.term_map(w3, w3, fn) == tc.sigma_at(3, p)
+
+
+def test_slot_terms_splices_the_lifted_image_of_one_slot(z3_tower):
+    """j_lb, l_incl on the L slot of L (x) W into W_3, is the embedding of
+    each l (x) e_j, summed over the flat legs of l in W_2."""
+    lhat, one = z3_tower.lhat, z3_tower.field.one
+    w2, w3, t_lb = z3_tower.power(2), z3_tower.power(3), lhat.t_lb
+    for b, k in enumerate(t_lb.quotient.keep):
+        l, j = t_lb.tuples[k]
+        want = {}
+        for x, y, c in tensor.flat_legs(w2, lhat.l_basis[l]):
+            linalg.viadd(want, c, tensor.embed(w3, {x: one}, {y: one}, {j: one}))
+        assert lhat.j_lb.cols[b] == want, (l, j)
+
+
+def test_a_block_that_is_zero_goes_to_the_sink(z3_tower):
+    """A block that is zero in the map's domain has no terms: a zero pair of
+    W_2, and a zero flat tuple of W_3, where ``flat_index`` is the sink."""
+    tc = z3_tower
+    w2, w3 = tc.power(2), tc.power(3)
+    pair = w2.tuples[min(w2.quotient.zero)]
+    assert tensor.slot_terms(0, tc.sigma, w2, w2)(pair + (0,)) == []
+    flat = tensor.flat_tuples(w3.factors, w3.budget)[0]
+    zero = next(t for t in flat if t not in w3.tuple_index)
+    assert w3.flat_index(zero) is None
+    assert tensor.slot_terms(0, tc.sigma_at(3, 0), w3, w3)(zero) == []
+
+
+def test_slot_terms_maps_each_distinct_block_once(z3_tower, monkeypatch):
+    tc = z3_tower
+    w2, w3 = tc.power(2), tc.power(3)
+    apply, seen = linalg.LinearMap.apply, []
+
+    def watched(m, v):
+        if m is tc.sigma:
+            seen.append(tuple(sorted(v)))
+        return apply(m, v)
+
+    monkeypatch.setattr(linalg.LinearMap, "apply", watched)
+    tensor.term_map(w3, w3, tensor.slot_terms(1, tc.sigma, w2, w2))
+    blocks = {w3.tuples[k][1:] for k in w3.quotient.keep}
+    assert len(seen) == len(blocks) > 1
+
+
+def test_chained_slot_maps_give_the_galois_tower(z3_tower):
+    """X_2, one term map over X on slots 1.. and then X on slots 0-1, is
+    (X (x) id)(id (x) X) built as two separate maps."""
+    tc = z3_tower
+    w2, wg, wwg, wgg = tc.power(2), tc.hopf_space(1), tc.hopf_space(2), tc.mixed_space("WGG")
+    id_x = tensor.term_map(tc.power(3), wwg, tensor.slot_terms(1, tc.X, w2, wg))
+    x_id = tensor.term_map(wwg, wgg, tensor.slot_terms(0, tc.X, w2, wg))
+    assert tc.x_n(2) == x_id.compose(id_x)
+
+
+# -- the flat layout stays here ----------------------------------------------------
+
+
+LAYOUT = re.compile(r"\.tuples\[|\.flat_index\(|\.lift\(")
+LAYOUT_LINES = 29  # at the change that moved the slot maps into tensor.py
+
+
+def test_the_flat_layout_is_read_in_tensor_py():
+    """A guard: the lines outside tensor.py that read a product's flat layout
+    do not grow, and the hand-written block helpers stay deleted; maps on
+    slots are built with ``slot_terms``."""
+    src = Path(__file__).resolve().parents[1] / "src" / "qpb"
+    lines = sum(bool(LAYOUT.search(line))
+                for path in src.glob("*.py") if path.name != "tensor.py"
+                for line in path.read_text(encoding="utf-8").splitlines())
+    assert lines <= LAYOUT_LINES, lines
+    assert not hasattr(tensor, "block_terms")
+    assert not hasattr(linalg.LinearMap, "tensor")
