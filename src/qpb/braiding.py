@@ -31,7 +31,7 @@ from .errors import EquivalenceViolation
 from .linalg import LinearMap, Vec, viadd_term
 from .report import CheckRecord, ValidationReport, map_equality_record, passing
 from .hopf import graded_tensor_mul, graded_tensor_star
-from .tensor import embed, slot_apply
+from .tensor import embed, from_legs, slot_apply
 
 
 class BraidOperator:
@@ -258,13 +258,9 @@ def braided_structure(b: Bundle, n: int, braid: BraidOperator | None = None):
 
 def _tau_beside(b: Bundle, a: int, i: int):
     """tau(e_a) (x) e_i and e_i (x) tau(e_a) in B_3."""
-    b3 = b.b_space(3)
-    tau_b: Vec = {}
-    b_tau: Vec = {}
-    for x, y, ct in b.tau_legs[a]:
-        viadd_term(tau_b, b3.flat_index((x, y, i)), ct)
-        viadd_term(b_tau, b3.flat_index((i, x, y)), ct)
-    return b3.project(tau_b), b3.project(b_tau)
+    b3, legs = b.b_space(3), b.tau_legs[a]
+    return (from_legs(b3, [(x, y, i, ct) for x, y, ct in legs]),
+            from_legs(b3, [(i, x, y, ct) for x, y, ct in legs]))
 
 
 def classicality_report(b: Bundle, braid: BraidOperator | None = None):

@@ -43,7 +43,8 @@ from .hopf import HopfStarAlgebra, StarAlgebra, add_coaction_records
 from .linalg import BasedSpace, LinearMap, Vec, fixed_points, viadd, viadd_term, vneg, vscale
 from .report import RaisingReport, ValidationReport, map_equality_record
 from .tensor import (
-    Factor, TProd, chain_terms, embed, flat_legs, slot_apply, slot_terms, term_map,
+    Factor, TProd, chain_terms, embed, flat_legs, from_legs, slot_apply, slot_terms,
+    term_map,
 )
 
 DEFAULT_TOWER_BUDGET = 3
@@ -567,24 +568,24 @@ class TransportedProduct:
 class Bundle(BalancedTower):
     tower_budget = DEFAULT_TOWER_BUDGET
 
-    def __init__(self, total: StarAlgebra, group: HopfStarAlgebra, coaction: LinearMap,
-                 base_vectors, base: StarAlgebra, base_in_total: LinearMap):
+    def __init__(self, total: StarAlgebra, group: HopfStarAlgebra, ba: TProd,
+                 coaction: LinearMap, base_vectors, base: StarAlgebra,
+                 base_in_total: LinearMap):
         self.total = total
         self.group = group
-        self.coaction = coaction
+        self.coaction = coaction  # into ba, the free product B (x) A
         self.base_vectors = base_vectors  # V basis as vectors in B
         self.base = base                  # abstract V with solved structure constants
         self.base_in_total = base_in_total
         lact = [total.left_mult_map(v) for v in base_vectors]
         ract = [total.right_mult_map(v) for v in base_vectors]
         self.b_factor = Factor.ungraded(total.space, lact, ract)
-        self.a_factor = Factor.ungraded(group.space)
+        self.a_factor = ba.factors[1]
         da = group.dim
-        f_legs = [[(idx // da, idx % da, c) for idx, c in col.items()]
-                  for col in coaction.cols]
+        f_legs = [flat_legs(ba, col) for col in coaction.cols]
         super().__init__(total, self.b_factor, group.algebra, self.a_factor, group.antipode,
                          group.antipode_inverse, group.sweedler, group.eps_basis, f_legs,
-                         ("B", "A"))
+                         ("B", "A"), spaces={"BA": ba})
         self.b2 = self.b_space(2)
         # the rank comes from the elimination that X_inv reuses
         rank = self.X.solver().rank
@@ -620,15 +621,21 @@ class Bundle(BalancedTower):
                 and self.coaction.cols == self.group.coproduct.cols)
 
 
-def build_bundle(total: StarAlgebra, group: HopfStarAlgebra,
-                 coaction: LinearMap) -> Bundle:
+def build_bundle(total: StarAlgebra, group: HopfStarAlgebra, f_legs) -> Bundle:
     """Validate the coaction, compute the base, and assemble X and tau.
 
-    Raises NotCoaction / NotPrincipal on bad input.
+    ``f_legs[i]`` lists the legs (j, k, c) of F(e_i) = sum c e_j (x) e_k.  F
+    maps into the free product B (x) A, which is the group's square when B
+    is A.  Raises NotCoaction / NotPrincipal on bad input.
     """
     field = total.field
-    ba = TProd(field, (Factor.ungraded(total.space), Factor.ungraded(group.space)),
-               name="B(x)A")
+    if total.space is group.space:
+        ba = group.square
+    else:
+        ba = TProd(field, (Factor.ungraded(total.space), Factor.ungraded(group.space)),
+                   name="B(x)A")
+    coaction = LinearMap(total.space, ba.space, [from_legs(ba, legs) for legs in f_legs],
+                         field)
     add_coaction_records(
         RaisingReport(NotCoaction, where="bundle.coaction"),
         (("bundle.F-mult", "F is not unital and multiplicative"),
@@ -639,9 +646,9 @@ def build_bundle(total: StarAlgebra, group: HopfStarAlgebra,
         group.eps_basis)
 
     # base V = F-fixed points
-    iota = LinearMap(total.space, coaction.codomain,
-                     [{i * group.dim + a: c for a, c in group.unit.items()}
-                      for i in range(total.dim)], field)
+    one = field.one
+    iota = LinearMap(total.space, ba.space,
+                     [embed(ba, {i: one}, group.unit) for i in range(total.dim)], field)
     base_vectors = fixed_points(coaction, iota)
     if not base_vectors:
         raise NotCoaction("coaction has no fixed vectors at all", where="bundle.coaction")
@@ -664,7 +671,7 @@ def build_bundle(total: StarAlgebra, group: HopfStarAlgebra,
                   for i in range(nb)]
     vstar = LinearMap(incl.domain, incl.domain, vstar_cols, field, antilinear=True)
     base = StarAlgebra("V", field, incl.domain, vmult, vunit, vstar)
-    return Bundle(total, group, coaction, base_vectors, base, incl)
+    return Bundle(total, group, ba, coaction, base_vectors, base, incl)
 
 
 # -- translation identity suite --------------------------------------------------
@@ -742,10 +749,7 @@ def galois_tower(b: Bundle, n: int):
                         for k, ck in total.mul_basis(yprev, x).items():
                             nxt.append((base + (k, y), c * ct * ck))
             acc_terms = nxt
-        acc: Vec = {}
-        for tup, c in acc_terms:
-            viadd_term(acc, bn1.flat_index(tup), c)
-        tau_cols[at] = bn1.project(acc)
+        tau_cols[at] = from_legs(bn1, [tup + (c,) for tup, c in acc_terms])
 
     def one_tensor(at) -> Vec:
         """1 (x) a_1 (x) ... (x) a_n in B (x) A^n."""

@@ -6,16 +6,20 @@ inside ker(eps); the left-invariant part is Gamma_inv = A / (R + C.1) with
 projection pi, adjoint coaction varpi, the right action circ, and the
 canonical braid sigma(eta (x) theta) = theta_k (x) (eta o c_k).
 
+The free products Gamma_inv (x) A (``Fodc.inv_a``, the codomain of varpi)
+and Gamma_inv (x) Gamma_inv (``Fodc.inv_sq``: sigma, S^2, the star, the
+splitting and delta) are TProds, read and written through tensor.py: sigma
+and the star are term maps, circ chains the slot maps circ(a^(1)) and
+circ(a^(2)), and pi (x) id, pi (x) pi and sigma on slots are slot_terms
+maps.  Lambda^2 keeps its labels w2[x(x)y].  hopf.add_coaction_records
+checks varpi's comodule and counit laws.
+
 The envelope keeps S^2 = {pi(r^(1)) (x) pi(r^(2))}, the quadratic quotient
 Lambda^2, a splitting chosen as the Haar-orthogonal complement of S^2
 (checked to be *- and varpi-compatible), and the lifted embedded
 differential delta with sigma delta - delta = (id (x) pi) varpi.
 Envelope2.bracket is the one bracket <phi, phi>(theta) taken through delta,
-read by the curvature of a connection and by the tau^ bracket record; no
-other module reads the flat layout of Gamma_inv (x) Gamma_inv.  Maps on the
-free products Gamma_inv (x) A, Gamma_inv^(x)2 and Gamma_inv^(x)3, such as
-pi (x) id, pi (x) pi and sigma on slots, are tensor.slot_terms maps, and
-hopf.add_coaction_records checks varpi's comodule and counit laws.
+read by the curvature of a connection and by the tau^ bracket record.
 
 Every map on a quotient is defined once, by descent (``_descend``): a map f
 on the ambient space must kill every relation, or an error is raised, and f
@@ -52,11 +56,12 @@ from .hopf import (
 )
 from .linalg import (
     BasedSpace, Echelon, LinearMap, PreparedSolve, QuotientSpace, Vec,
-    nullspace_of_columns, span_basis, tensor_labels, viadd, viadd_term, vscale,
+    nullspace_of_columns, span_basis, viadd, viadd_term, vscale,
 )
 from .report import RaisingReport, ValidationReport, passing, vacuous
 from .tensor import (
-    Factor, TProd, apply_terms, chain_terms, flat_legs, slot_terms, term_map,
+    Factor, TProd, apply_terms, chain_terms, embed, flat_legs, from_legs, slot_terms,
+    term_map,
 )
 
 
@@ -127,15 +132,14 @@ class Fodc:
                 if comp != acc:
                     raise ValidationFailed("circ is not a right module action")
 
-        # the free products Gamma_inv (x) A and Gamma_inv^(x)2: a basis index
-        # is the flat one, as in tensor_labels and sq_space
+        # the free products Gamma_inv (x) A and Gamma_inv^(x)2
         inv = Factor.ungraded(self.inv_space)
         self.inv_a = inv_a = TProd(field, (inv, Factor.ungraded(g.space)), name="Gamma_inv(x)A")
         self.inv_sq = TProd(field, (inv, inv), name="Gamma_inv^(x)2")
 
         # varpi pi = (pi (x) id) ad, and its coaction laws
         pi_id = slot_terms(0, self.pi)
-        self.varpi = LinearMap(self.inv_space, tensor_labels(self.inv_space, g.space), on_inv(
+        self.varpi = LinearMap(self.inv_space, inv_a.space, on_inv(
             lambda x: apply_terms(g.square, inv_a, pi_id, ad.apply(x)), "varpi",
             NotAdInvariant("ad(R) leaves R (x) A", where="fodc.ideal_basis")), field)
         add_coaction_records(
@@ -157,18 +161,28 @@ class Fodc:
                 LinearMap.identity(self.inv_space, field):
             raise ValidationFailed("star on Gamma_inv is not involutive")
 
-        # canonical braid sigma on Gamma_inv (x) Gamma_inv
-        self.sq_space = BasedSpace(tuple(
-            f"{x}(x){y}" for x in self.inv_space.labels for y in self.inv_space.labels))
-        cols = []
-        for e in range(self.dim):
-            for t in range(self.dim):
-                acc: Vec = {}
-                for th, a, c in self.varpi_legs[t]:
-                    for u, cu in self.circ[a].cols[e].items():
-                        viadd_term(acc, th * self.dim + u, c * cu)
-                cols.append(acc)
-        self.sigma = LinearMap(self.sq_space, self.sq_space, cols, field)
+        # canonical braid sigma(eta (x) theta) = theta_k (x) (eta o c_k) on
+        # Gamma_inv (x) Gamma_inv, for varpi(theta) = sum theta_k (x) c_k
+        def sigma_terms(pair):
+            e, t = pair
+            for th, a, c in self.varpi_legs[t]:
+                for u, cu in self.circ[a].cols[e].items():
+                    yield (th, u), c * cu
+        self.sigma = term_map(self.inv_sq, self.inv_sq, sigma_terms)
+
+    def varpi2_components(self, v: Vec) -> dict:
+        """a -> the A-component at e_a of varpi_2(v) in Gamma_inv (x) Gamma_inv,
+        for varpi_2(theta (x) eta) = sum theta_k (x) eta_l (x) c_k d_l with
+        varpi(theta) = sum theta_k (x) c_k and varpi(eta) = sum eta_l (x) d_l."""
+        sq, legs, mul = self.inv_sq, self.varpi_legs, self.group.algebra.mul_basis
+        by_a: dict = {}
+        for i1, i2, c in flat_legs(sq, v):
+            for t1, a1, c1 in legs[i1]:
+                for t2, a2, c2 in legs[i2]:
+                    coeff = c * c1 * c2
+                    for a, ca in mul(a1, a2).items():
+                        by_a.setdefault(a, []).append((t1, t2, coeff * ca))
+        return {a: from_legs(sq, a_legs) for a, a_legs in by_a.items()}
 
     def braid_equation_report(self) -> ValidationReport:
         rep = ValidationReport()
@@ -176,7 +190,7 @@ class Fodc:
             rep.add(vacuous("fodc.braid", "sigma braid equation",
                             note="zero calculus"))
             return rep
-        # the free cube of Gamma_inv: a basis index is the flat one, t0 d^2 + t1 d + t2
+        # the free cube of Gamma_inv, with sigma on slots (0, 1) and (1, 2)
         sq = self.inv_sq
         cube = TProd(self.field, sq.factors[:1] * 3, name="Gamma_inv^(x)3")
         s12, s23 = (term_map(cube, cube, slot_terms(p, self.sigma, sq, sq)) for p in (0, 1))
@@ -223,16 +237,18 @@ class Envelope2:
             return apply_terms(g.square, fodc.inv_sq, pi_pi, v)
 
         self.s2_basis = span_basis(pp(g.phi(r)) for r in fodc.ideal_basis)
-        self.lambda2 = QuotientSpace(fodc.sq_space.dim, self.s2_basis, field)
+        sq = fodc.inv_sq
+        self.lambda2 = QuotientSpace(sq.dim, self.s2_basis, field)
+        inv_labels = fodc.inv_space.labels
         self.l2_space = BasedSpace(tuple(
-            f"w2[{fodc.sq_space.labels[i]}]" for i in self.lambda2.keep))
-        self.wedge = LinearMap(fodc.sq_space, self.l2_space,
-                               self.lambda2.projection_cols(), field)
+            f"w2[{inv_labels[t1]}(x){inv_labels[t2]}]"
+            for i in self.lambda2.keep for t1, t2, _ in flat_legs(sq, {i: one})))
+        self.wedge = LinearMap(sq.space, self.l2_space, self.lambda2.projection_cols(), field)
 
         if d == 0:
             self.complement = []
-            self.split_section = LinearMap.zero(self.l2_space, fodc.sq_space, field)
-            self.delta = LinearMap.zero(fodc.inv_space, fodc.sq_space, field)
+            self.split_section = LinearMap.zero(self.l2_space, sq.space, field)
+            self.delta = LinearMap.zero(fodc.inv_space, sq.space, field)
             self.dlambda = LinearMap.zero(fodc.inv_space, self.l2_space, field)
             self.circ2 = [LinearMap.zero(self.l2_space, self.l2_space, field)
                           for _ in range(g.dim)]
@@ -288,24 +304,23 @@ class Envelope2:
 
         def inner_sq(u: Vec, v: Vec):
             acc = field.zero
-            for iu, cu in u.items():
-                i1, i2 = divmod(iu, d)
-                for iv, cv in v.items():
-                    j1, j2 = divmod(iv, d)
+            v_legs = flat_legs(sq, v)
+            for i1, i2, cu in flat_legs(sq, u):
+                for j1, j2, cv in v_legs:
                     gg = gram_inv[i1][j1] * gram_inv[i2][j2]
                     if gg:
                         acc = acc + cu.conj() * cv * gg
             return acc
 
         # complement = orthogonal complement of S^2 in Gamma_inv^(x)2
-        cols = [dict() for _ in range(d * d)]
+        cols = [dict() for _ in range(sq.dim)]
         for a, s in enumerate(self.s2_basis):
-            for w in range(d * d):
+            for w in range(sq.dim):
                 val = inner_sq(s, {w: one})
                 if val:
                     cols[w][a] = val
         comp = span_basis(nullspace_of_columns(cols, field))
-        if len(comp) + len(self.s2_basis) != d * d:
+        if len(comp) + len(self.s2_basis) != sq.dim:
             raise SplittingIncompatible(
                 "Haar-orthogonal complement has the wrong dimension")
         self.complement = comp
@@ -315,7 +330,7 @@ class Envelope2:
 
         # section Lambda^2 -> complement: write raw = c + s with c in the
         # complement and s in S^2, and keep c
-        sec_solver = PreparedSolve(comp + self.s2_basis, d * d, field)
+        sec_solver = PreparedSolve(comp + self.s2_basis, sq.dim, field)
         sec_cols = []
         for k in range(self.lambda2.dim):
             sol = sec_solver.solve(self.lambda2.lift({k: field.one}))
@@ -325,7 +340,7 @@ class Envelope2:
                 if idx < len(comp):
                     viadd(c_part, cc, comp[idx])
             sec_cols.append(c_part)
-        self.split_section = LinearMap(self.l2_space, fodc.sq_space, sec_cols, field)
+        self.split_section = LinearMap(self.l2_space, sq.space, sec_cols, field)
         if self.wedge.compose(self.split_section) != \
                 LinearMap.identity(self.l2_space, field):
             raise SplittingIncompatible("splitting is not a section of the projection")
@@ -335,17 +350,14 @@ class Envelope2:
             return _descend(f, self.split_section.cols, self.s2_basis, what)
 
         # star on Gamma_inv^(x)2: (theta (x) eta)* = -eta* (x) theta*
-        star_cols = []
         si = fodc.star_inv
-        for i in range(d * d):
-            i1, i2 = divmod(i, d)
-            acc: Vec = {}
+
+        def star_terms(t):
+            i1, i2 = t
             for u, cu in si.cols[i2].items():
                 for v, cv in si.cols[i1].items():
-                    acc[u * d + v] = -(cu * cv)
-            star_cols.append(acc)
-        self.star_sq = LinearMap(fodc.sq_space, fodc.sq_space, star_cols, field,
-                                 antilinear=True)
+                    yield (u, v), -(cu * cv)
+        self.star_sq = term_map(sq, sq, star_terms, antilinear=True)
         self.star2 = LinearMap(
             self.l2_space, self.l2_space,
             on_l2(lambda v: self.wedge.apply(self.star_sq.apply(v)), "star on Lambda^2"),
@@ -355,30 +367,11 @@ class Envelope2:
                 raise SplittingIncompatible("splitting is not star-compatible")
 
         # varpi_2 covariance of S^2 and of the complement
-        def varpi2_legs(v: Vec):
-            out: Vec = {}
-            for idx, c in v.items():
-                i1, i2 = divmod(idx, d)
-                for t1, a1, c1 in fodc.varpi_legs[i1]:
-                    for t2, a2, c2 in fodc.varpi_legs[i2]:
-                        coeff = c * c1 * c2
-                        for a, ca in g.algebra.mul_basis(a1, a2).items():
-                            viadd_term(out, (t1 * d + t2) * da + a, coeff * ca)
-            return out
-
         def check_covariant(vs, span) -> bool:
             """Every A-component of varpi_2(v), v in vs, lies in ``span``
             (an Echelon or the quotient's relations)."""
-            for v in vs:
-                img = varpi2_legs(v)
-                by_a: dict[int, Vec] = {}
-                for idx, c in img.items():
-                    w, a = divmod(idx, da)
-                    by_a.setdefault(a, {})[w] = c
-                for v2 in by_a.values():
-                    if not span.contains(v2):
-                        return False
-            return True
+            return all(span.contains(w) for v in vs
+                       for w in fodc.varpi2_components(v).values())
 
         if not check_covariant(self.s2_basis, self.lambda2):
             raise SplittingIncompatible("S^2 is not varpi-covariant")
@@ -389,16 +382,14 @@ class Envelope2:
 
         # circ on Lambda^2: (theta (x) eta) o a = (theta o a^(1)) (x) (eta o a^(2))
         def circ_by(a):
+            slot_maps = [(chain_terms(slot_terms(0, fodc.circ[a1]),
+                                      slot_terms(1, fodc.circ[a2])), ca)
+                         for a1, a2, ca in g.sweedler(a)]
+
             def f(v):
                 out: Vec = {}
-                for idx, c in v.items():
-                    i1, i2 = divmod(idx, d)
-                    for a1, a2, ca in g.sweedler(a):
-                        u1 = fodc.circ[a1].cols[i1]
-                        u2 = fodc.circ[a2].cols[i2]
-                        for p, cp in u1.items():
-                            for q, cq in u2.items():
-                                viadd_term(out, p * d + q, c * ca * cp * cq)
+                for terms, ca in slot_maps:
+                    viadd(out, ca, apply_terms(sq, sq, terms, v))
                 return self.wedge.apply(out)
             return f
         self.circ2 = [LinearMap(self.l2_space, self.l2_space,
@@ -416,8 +407,8 @@ class Envelope2:
         # sigma delta - delta = (id (x) pi) varpi
         lhs = fodc.sigma.compose(self.delta).sub(self.delta)
         id_pi = slot_terms(1, fodc.pi)
-        rhs = LinearMap(fodc.inv_space, fodc.sq_space,
-                        [apply_terms(fodc.inv_a, fodc.inv_sq, id_pi, col)
+        rhs = LinearMap(fodc.inv_space, sq.space,
+                        [apply_terms(fodc.inv_a, sq, id_pi, col)
                          for col in fodc.varpi.cols], field)
         self.report.check(("envelope.sigma-delta", "sigma delta - delta = (id (x) pi) varpi"),
                           [] if lhs == rhs
@@ -426,11 +417,15 @@ class Envelope2:
     def bracket(self, t: int, phi, mul) -> Vec:
         """<phi, phi>(theta_t) = sum c mul(phi(t1), phi(t2)) over the terms
         c theta_t1 (x) theta_t2 of delta(theta_t)."""
-        d, out = self.fodc.dim, {}
-        for idx, c in self.delta.cols[t].items():
-            t1, t2 = divmod(idx, d)
+        out: Vec = {}
+        for t1, t2, c in flat_legs(self.fodc.inv_sq, self.delta.cols[t]):
             viadd(out, c, mul(phi(t1), phi(t2)))
         return out
+
+    def wedge_of(self, u: int, s: int) -> Vec:
+        """theta_u ^ theta_s, the class of theta_u (x) theta_s in Lambda^2."""
+        one = self.fodc.field.one
+        return self.wedge.apply(embed(self.fodc.inv_sq, {u: one}, {s: one}))
 
 
 def build_envelope2(fodc: Fodc) -> Envelope2:
@@ -458,8 +453,9 @@ class GammaEnvelope(GradedStarAlgebra):
         labels += [f"{a}.{t}" for a in g.space.labels for t in self.fodc.inv_space.labels]
         labels += [f"{a}.{t}" for a in g.space.labels for t in env.l2_space.labels]
         # the unit of A sits in the degree-0 block, whose indices are A's own
-        super().__init__("Gamma^", g.field, BasedSpace(tuple(labels)),
-                         [0] * da + [1] * (da * d1) + [2] * (da * d2), g.unit)
+        degrees = [deg for deg, size in enumerate((da, da * d1, da * d2))
+                   for _ in range(size)]
+        super().__init__("Gamma^", g.field, BasedSpace(tuple(labels)), degrees, g.unit)
         self.off1 = da
         self.off2 = da + da * d1
         self.factor = Factor(self.space, self.degrees)
@@ -531,12 +527,10 @@ class GammaEnvelope(GradedStarAlgebra):
                     for u, cu in self.env.circ2[b2].cols[t].items():
                         viadd_term(out, self.i2(k, u), c * ck * cu)
         else:  # 1 x 1
-            d1 = self.d1
             for b1, b2, c in g.sweedler(b):
                 for k, ck in g.algebra.mul_basis(a, b1).items():
                     for u, cu in self.fodc.circ[b2].cols[t].items():
-                        w = self.env.wedge.cols[u * d1 + s]
-                        for x, cx in w.items():
+                        for x, cx in self.env.wedge_of(u, s).items():
                             viadd_term(out, self.i2(k, x), c * ck * cu * cx)
         return out
 
@@ -587,8 +581,7 @@ class GammaEnvelope(GradedStarAlgebra):
                 acc = {}
                 for a1, a2, c in g.sweedler(a):
                     for u, cu in fodc.pi.cols[a2].items():
-                        w = env.wedge.cols[u * d1 + t]
-                        for x, cx in w.items():
+                        for x, cx in env.wedge_of(u, t).items():
                             viadd_term(acc, self.i2(a1, x), c * cu * cx)
                 for x, cx in env.dlambda.cols[t].items():
                     viadd_term(acc, self.i2(a, x), cx)
@@ -604,20 +597,16 @@ class GammaEnvelope(GradedStarAlgebra):
         phi_cols = []
         for i in range(self.dim):
             deg, a, t = self.split(i)
-            acc: Vec = {}
             if deg == 0:
-                for a1, a2, c in g.sweedler(a):
-                    viadd_term(acc, sq.flat_index((self.i0(a1), self.i0(a2))), c)
-                phi_cols.append(sq.project(acc))
+                phi_cols.append(from_legs(sq, [(self.i0(a1), self.i0(a2), c)
+                                               for a1, a2, c in g.sweedler(a)]))
             elif deg == 1:
-                for a1, a2, c in g.sweedler(a):
-                    viadd_term(acc, sq.flat_index((self.i0(a1), self.i1(a2, t))), c)
+                legs = [(self.i0(a1), self.i1(a2, t), c) for a1, a2, c in g.sweedler(a)]
                 for th, ck, cc in fodc.varpi_legs[t]:
                     for a1, a2, c in g.sweedler(a):
-                        for m, cm in g.algebra.mul_basis(a2, ck).items():
-                            viadd_term(acc, sq.flat_index((self.i1(a1, th), self.i0(m))),
-                                       cc * c * cm)
-                phi_cols.append(sq.project(acc))
+                        legs += [(self.i1(a1, th), self.i0(m), cc * c * cm)
+                                 for m, cm in g.algebra.mul_basis(a2, ck).items()]
+                phi_cols.append(from_legs(sq, legs))
             else:
                 phi_cols.append(None)  # filled below by multiplicativity
         # degree 2 by multiplicativity: phi^(theta eta) = phi^(theta) phi^(eta)
@@ -630,8 +619,7 @@ class GammaEnvelope(GradedStarAlgebra):
 
         def phi_sq(v):
             acc: Vec = {}
-            for idx, c in v.items():
-                t1, t2 = divmod(idx, d1)
+            for t1, t2, c in flat_legs(fodc.inv_sq, v):
                 viadd(acc, c, graded_tensor_mul(sq, self, self,
                                                 phi_inv1[t1], phi_inv1[t2]))
             return acc
@@ -660,8 +648,7 @@ class GammaEnvelope(GradedStarAlgebra):
         # kappa^(theta eta) = -kappa^(eta) kappa^(theta)
         def kappa_sq(v):
             acc: Vec = {}
-            for idx, c in v.items():
-                t1, t2 = divmod(idx, d1)
+            for t1, t2, c in flat_legs(fodc.inv_sq, v):
                 viadd(acc, -c, self.mul(kap_inv1[t2], kap_inv1[t1]))
             return acc
         kap_inv2 = _descend(kappa_sq, env.split_section.cols, env.s2_basis,
@@ -697,13 +684,13 @@ class GammaEnvelope(GradedStarAlgebra):
         # (phi_hat (x) id) phi_hat per basis element
         cols = []
         for i in range(self.dim):
-            acc: Vec = {}
+            legs = []
             for u, z, c in flat_legs(sq, self.phi_hat.cols[i]):
                 for x, y, c2 in flat_legs(sq, self.phi_hat.cols[u]):
                     coeff = c * c2
                     for kx, ck in self.kappa_hat.cols[x].items():
                         sign = -one if (self.degree(kx) * self.degree(y)) % 2 else one
-                        for m, cm in self.mul_basis(kx, z).items():
-                            viadd_term(acc, sq.flat_index((y, m)), coeff * ck * cm * sign)
-            cols.append(sq.project(acc))
+                        legs += [(y, m, coeff * ck * cm * sign)
+                                 for m, cm in self.mul_basis(kx, z).items()]
+            cols.append(from_legs(sq, legs))
         return LinearMap(self.space, sq.space, cols, field)

@@ -28,8 +28,10 @@ from .hopf import (
     Corepresentation, HopfStarAlgebra, StarAlgebra, algebra_ids, compute_haar,
     validate_hopf,
 )
-from .linalg import LABEL_SEPARATORS, BasedSpace, LinearMap, Vec, tensor_labels
-from .presets import functions_on_points, trivial_bundle
+from .linalg import LABEL_SEPARATORS, BasedSpace, LinearMap, Vec
+from .presets import (
+    functions_on_points, point_bundle, require_universal_points, trivial_bundle,
+)
 from .report import CheckRecord, RaisingReport, ValidationReport
 
 FORMAT_TAG = "qpb-spec/1"
@@ -116,6 +118,15 @@ def _parse_entries3(field, entries, dim_i, dim_j, dim_k, where):
     return out
 
 
+def _legs(entries, dim) -> list:
+    """Entries (i, j) -> Vec over k, as from ``_parse_entries3``, to the legs
+    (j, k, c) of each of the dim basis elements i."""
+    legs = [[] for _ in range(dim)]
+    for (i, j), vec in entries.items():
+        legs[i] += [(j, k, c) for k, c in vec.items()]
+    return legs
+
+
 def _parse_entries2(field, entries, dim_i, dim_j, where):
     out: dict = {}
     _require(isinstance(entries, list), "expected a list of entries", where)
@@ -175,12 +186,8 @@ def parse_spec(text: str) -> SpecFile:
                                    dim, dim, dim, "hopf.mult")
     mult = [[mult_entries.get((i, j), {}) for j in range(dim)] for i in range(dim)]
     # coproduct entries are [i, j, k, c] meaning phi(e_i) += c e_j (x) e_k
-    cop_entries = _parse_entries3(field, hopf_doc.get("coproduct", []),
-                                  dim, dim, dim, "hopf.coproduct")
-    cop_cols = [dict() for _ in range(dim)]
-    for (i, j), vec in cop_entries.items():
-        for k, c in vec.items():
-            cop_cols[i][j * dim + k] = c
+    sweedler = _legs(_parse_entries3(field, hopf_doc.get("coproduct", []),
+                                     dim, dim, dim, "hopf.coproduct"), dim)
     counit_vec = _parse_functional(field, hopf_doc.get("counit", []), dim,
                                    "hopf.counit")
     antipode = _parse_entries2(field, hopf_doc.get("antipode", []), dim, dim,
@@ -194,7 +201,6 @@ def parse_spec(text: str) -> SpecFile:
                          field, antilinear=True)
     antipode_map = LinearMap(space, space, [antipode.get(i, {}) for i in range(dim)],
                              field)
-    coproduct = LinearMap(space, tensor_labels(space, space), cop_cols, field)
     # the unit is solved from the counit law after validation; for building we
     # find it as the unique two-sided unit of the algebra
     unit = _find_unit(field, space, mult, "hopf.mult")
@@ -222,7 +228,7 @@ def parse_spec(text: str) -> SpecFile:
                 name, d, [_parse_scalar(field, s, f"{w}.functional[{k}]")
                           for k, s in enumerate(func)]))
     try:
-        hopf = HopfStarAlgebra(algebra, coproduct, counit, antipode_map,
+        hopf = HopfStarAlgebra(algebra, sweedler, counit, antipode_map,
                                haar=None, corepresentations=coreps)
     except Exception as e:
         raise SpecFileError(f"hopf data is not well formed: {e}", where="hopf") from None
@@ -258,18 +264,15 @@ def parse_spec(text: str) -> SpecFile:
 
 
 def _find_unit(field, space, mult, where) -> Vec:
-    """The two-sided unit, solved from e . x = x for all basis x."""
+    """The two-sided unit, solved from e . x = x for all basis x: one
+    equation (e . x)_k = [x = k] per pair (x, k), numbered as met."""
     from .linalg import PreparedSolve
     dim = space.dim
-    cols = []
-    for i in range(dim):
-        col: Vec = {}
-        for x in range(dim):
-            for k, c in mult[i][x].items():
-                col[x * dim + k] = c
-        cols.append(col)
-    target: Vec = {x * dim + x: field.one for x in range(dim)}
-    sol = PreparedSolve(cols, dim * dim, field).solve(target)
+    eq: dict = {}
+    cols = [{eq.setdefault((x, k), len(eq)): c
+             for x in range(dim) for k, c in mult[i][x].items()} for i in range(dim)]
+    target: Vec = {eq.setdefault((x, x), len(eq)): field.one for x in range(dim)}
+    sol = PreparedSolve(cols, len(eq), field).solve(target)
     if sol is None:
         raise SpecFileError("algebra has no unit", where=where)
     return sol
@@ -303,16 +306,13 @@ class BuildResult:
         if "preset" in spec:
             preset = spec["preset"]
             if preset == "point":
-                return build_bundle(h.algebra, h, h.coproduct)
-            if preset == "trivial":
-                points = spec.get("base_points", 2)
-                if not _is_int(points) or points < 1:
-                    raise SpecFileError("base_points must be a positive integer",
-                                        where="bundle.base_points")
-                total, coaction = trivial_bundle(h, points)
-                return build_bundle(total, h, coaction)
-            raise UnknownPreset(f"unknown bundle preset {preset!r}",
-                                where="bundle.preset")
+                total, f_legs = point_bundle(h)
+            elif preset == "trivial":
+                total, f_legs = trivial_bundle(h, spec.get("base_points", 2))
+            else:
+                raise UnknownPreset(f"unknown bundle preset {preset!r}",
+                                    where="bundle.preset")
+            return build_bundle(total, h, f_legs)
         space = _parse_basis(spec.get("basis"), "bundle.basis")
         dim = space.dim
         field = sf.field
@@ -329,14 +329,9 @@ class BuildResult:
             RaisingReport(SpecFileError, "bundle algebra validation failed: ",
                           where="bundle"),
             algebra_ids("bundle.algebra"))
-        co_entries = _parse_entries3(field, spec.get("coaction", []),
-                                     dim, dim, sf.hopf.dim, "bundle.coaction")
-        cols = [dict() for _ in range(dim)]
-        for (i, j), vec in co_entries.items():
-            for k, c in vec.items():
-                cols[i][j * sf.hopf.dim + k] = c
-        coaction = LinearMap(space, tensor_labels(space, h.space), cols, field)
-        return build_bundle(total, h, coaction)
+        f_legs = _legs(_parse_entries3(field, spec.get("coaction", []),
+                                       dim, dim, h.dim, "bundle.coaction"), dim)
+        return build_bundle(total, h, f_legs)
 
     def _check_expect(self):
         exp = self.sf.expect
@@ -413,9 +408,7 @@ class BuildResult:
             if preset == "trivial":
                 base = trivial_base_calculus(functions_on_points(points, self.field))
             elif preset == "universal":
-                if points > 3:
-                    raise UnknownPreset("universal base calculus supports at most "
-                                        "3 points", where="base_calculus.preset")
+                require_universal_points(points)
                 base = universal_base_calculus(points, self.field)
             else:
                 raise UnknownPreset(f"unknown base calculus preset {preset!r}",

@@ -37,11 +37,10 @@ from functools import cached_property
 from .cyclotomic import CycloField, Scalar
 from .errors import DegreeBudget, InputError, NoHaar, NonUnique, ValidationFailed
 from .linalg import (
-    BasedSpace, LinearMap, Vec, nullspace_of_columns, tensor_labels,
-    viadd, viadd_term, vscale,
+    BasedSpace, LinearMap, Vec, nullspace_of_columns, viadd, viadd_term, vscale,
 )
 from .report import RaisingReport, ValidationReport
-from .tensor import Factor, TProd, embed, flat_legs
+from .tensor import Factor, TProd, embed, flat_legs, from_legs
 
 BUDGET = 2  # top degree kept by every graded algebra and tensor product
 
@@ -402,28 +401,29 @@ def add_antipode_record(rep: ValidationReport, ident, w: GradedStarAlgebra,
 
 
 class HopfStarAlgebra:
-    """Hopf *-algebra with an optional normalized two-sided Haar integral."""
+    """Hopf *-algebra with an optional normalized two-sided Haar integral.
 
-    def __init__(self, algebra: StarAlgebra, coproduct: LinearMap, counit: LinearMap,
+    ``sweedler[i]`` lists legs (j, k, c) of the coproduct
+    phi(e_i) = sum c e_j (x) e_k; the coproduct maps into ``square``, the free
+    product A (x) A, and ``sweedler(i)`` gives its legs back, equal legs
+    merged, in the order of the product's basis."""
+
+    def __init__(self, algebra: StarAlgebra, sweedler, counit: LinearMap,
                  antipode: LinearMap, haar: LinearMap | None = None,
                  corepresentations=None):
         self.algebra = algebra
         self.field = algebra.field
         self.space = algebra.space
-        self.coproduct = coproduct
+        factor = Factor.ungraded(self.space)
+        self.square = square = TProd(self.field, (factor, factor), name="A(x)A")
+        self.coproduct = LinearMap(self.space, square.space,
+                                   [from_legs(square, legs) for legs in sweedler], self.field)
+        self._sweedler = [sorted(flat_legs(square, col)) for col in self.coproduct.cols]
         self.counit = counit  # LinearMap A -> 1-dim space
         self.antipode = antipode
         self.antipode_inverse = antipode.inverse()
         self.haar = haar
         self.corepresentations = corepresentations
-        # Sweedler triples phi(e_i) = sum_c (j, k, c) e_j (x) e_k
-        dim = self.dim
-        self._sweedler = []
-        for i in range(dim):
-            terms = []
-            for idx, c in sorted(coproduct.cols[i].items()):
-                terms.append((idx // dim, idx % dim, c))
-            self._sweedler.append(terms)
 
     @property
     def dim(self) -> int:
@@ -461,12 +461,6 @@ class HopfStarAlgebra:
 
     def star_vec(self, v: Vec) -> Vec:
         return self.algebra.star_vec(v)
-
-    @cached_property
-    def square(self) -> TProd:
-        """A (x) A, the free product whose space the coproduct maps into."""
-        factor = Factor.ungraded(self.space)
-        return TProd(self.field, (factor, factor), name="A(x)A")
 
     def phi2_basis(self, i: int):
         """Triples (j, k, l, c) of (phi (x) id)phi(e_i)."""
@@ -594,17 +588,15 @@ def compute_haar(h: HopfStarAlgebra) -> LinearMap:
 
 def adjoint_action(h: HopfStarAlgebra) -> LinearMap:
     """ad(a) = a^(2) (x) kappa(a^(1)) a^(3), verified to be a right coaction."""
-    field, dim = h.field, h.dim
-    one = field.one
+    field, one = h.field, h.field.one
     cols = []
-    for i in range(dim):
-        out: Vec = {}
+    for i in range(h.dim):
+        legs = []
         for j1, j2, k, c in h.phi2_basis(i):
             prod = h.mul(h.kappa({j1: one}), {k: one})
-            for t, ct in prod.items():
-                viadd_term(out, j2 * dim + t, c * ct)
-        cols.append(out)
-    ad = LinearMap(h.space, h.coproduct.codomain, cols, field)
+            legs += [(j2, t, c * ct) for t, ct in prod.items()]
+        cols.append(from_legs(h.square, legs))
+    ad = LinearMap(h.space, h.square.space, cols, field)
     add_coaction_records(
         RaisingReport(ValidationFailed, "adjoint action: "),
         (None, None, None, ("ad.comodule", "(ad (x) id)ad != (id (x) phi)ad"),
@@ -796,15 +788,10 @@ def gen_from_group_table(t: GroupTable, kind: str, field: CycloField) -> HopfSta
         unit = {i: one for i in range(n)}
         star = LinearMap(space, space, [{i: one} for i in range(n)], field, antilinear=True)
         alg = StarAlgebra(f"C({t.name})", field, space, mult, unit, star)
-        cols = []
-        for g in range(n):
-            col: Vec = {}
-            for x in range(n):
-                for y in range(n):
-                    if t.mult[x][y] == g:
-                        col[x * n + y] = one
-            cols.append(col)
-        coproduct = LinearMap(space, tensor_labels(space, space), cols, field)
+        sweedler = [[] for _ in range(n)]
+        for x in range(n):
+            for y in range(n):
+                sweedler[t.mult[x][y]].append((x, y, one))
         counit = LinearMap(space, BasedSpace(("1",)),
                            [{0: one} if g == t.identity else {} for g in range(n)], field)
         antipode = LinearMap(space, space, [{t.inverse[g]: one} for g in range(n)], field)
@@ -823,7 +810,7 @@ def gen_from_group_table(t: GroupTable, kind: str, field: CycloField) -> HopfSta
                     tr = tr + mats[g][i][i]
                 func.append(d_scal * inv_order * tr.conj())
             coreps.append(Corepresentation(name, d, func))
-        return HopfStarAlgebra(alg, coproduct, counit, antipode, haar, coreps)
+        return HopfStarAlgebra(alg, sweedler, counit, antipode, haar, coreps)
     if kind == "group_algebra":
         labels = tuple(t.element_names)
         space = BasedSpace(labels)
@@ -832,8 +819,6 @@ def gen_from_group_table(t: GroupTable, kind: str, field: CycloField) -> HopfSta
         star = LinearMap(space, space, [{t.inverse[i]: one} for i in range(n)], field,
                          antilinear=True)
         alg = StarAlgebra(f"C[{t.name}]", field, space, mult, unit, star)
-        cols = [{g * n + g: one} for g in range(n)]
-        coproduct = LinearMap(space, tensor_labels(space, space), cols, field)
         counit = LinearMap(space, BasedSpace(("1",)), [{0: one} for _ in range(n)], field)
         antipode = LinearMap(space, space, [{t.inverse[g]: one} for g in range(n)], field)
         haar = LinearMap(space, BasedSpace(("1",)),
@@ -842,5 +827,6 @@ def gen_from_group_table(t: GroupTable, kind: str, field: CycloField) -> HopfSta
         coreps = [Corepresentation(f"g{g}", 1,
                                    [one if x == g else field.zero for x in range(n)])
                   for g in range(n)]
-        return HopfStarAlgebra(alg, coproduct, counit, antipode, haar, coreps)
+        return HopfStarAlgebra(alg, [[(g, g, one)] for g in range(n)], counit, antipode,
+                               haar, coreps)
     raise InputError(f"unknown generator kind {kind!r}")

@@ -164,14 +164,10 @@ class BasedSpace:
         return f"BasedSpace(dim={self.dim})"
 
 
-# "|" joins the factor labels of a TProd's flat tuple and "(x)" those of
-# ``tensor_labels``; a factor label holding either could collide with another
-# tensor label
+# "|" joins the factor labels of a TProd's flat tuple and "(x)" the two
+# Gamma_inv labels in a Lambda^2 label w2[x(x)y]; a factor label holding
+# either could collide with another tensor label
 LABEL_SEPARATORS = ("|", "(x)")
-
-
-def tensor_labels(a: BasedSpace, b: BasedSpace) -> BasedSpace:
-    return BasedSpace(tuple(f"{x}(x){y}" for x in a.labels for y in b.labels))
 
 
 # -- row echelon --------------------------------------------------------------

@@ -9,12 +9,12 @@ nontrivial-base combinations used across the verification suites.
 from __future__ import annotations
 
 from .cyclotomic import CycloField
-from .errors import UnknownPreset
+from .errors import SpecFileError, UnknownPreset
 from .hopf import (
     HopfStarAlgebra, StarAlgebra, gen_from_group_table, group_conductor,
     named_group,
 )
-from .linalg import BasedSpace, LinearMap, Vec, tensor_labels
+from .linalg import BasedSpace, LinearMap, Vec
 
 GROUPS = ("Z2", "Z3", "S3", "trivial")
 KINDS = ("function_algebra", "group_algebra")
@@ -26,11 +26,32 @@ def hopf_preset(group: str, kind: str, conductor: int | None = None) -> HopfStar
     return gen_from_group_table(t, kind, CycloField(n))
 
 
+def point_bundle(h: HopfStarAlgebra):
+    """(total, f_legs) for B = A, F = phi over a point: f_legs[i] lists the
+    legs (j, k, c) of F(e_i) = sum c e_j (x) e_k."""
+    return h.algebra, [h.sweedler(i) for i in range(h.dim)]
+
+
 def point_bundle_data(group: str, kind: str = "function_algebra",
                       conductor: int | None = None):
-    """(total, group_hopf, coaction) for the point-base bundle B = A."""
+    """(total, group_hopf, f_legs) for the point-base bundle B = A."""
     h = hopf_preset(group, kind, conductor)
-    return h.algebra, h, h.coproduct
+    total, f_legs = point_bundle(h)
+    return total, h, f_legs
+
+
+def require_base_points(points) -> None:
+    """A trivial bundle's base is a positive whole number of points."""
+    if isinstance(points, bool) or not isinstance(points, int) or points < 1:
+        raise SpecFileError("base_points must be a positive integer",
+                            where="bundle.base_points")
+
+
+def require_universal_points(points: int) -> None:
+    """The universal base calculus is offered on at most 3 points."""
+    if points > 3:
+        raise UnknownPreset("universal base calculus supports at most 3 points",
+                            where="base_calculus.preset")
 
 
 def functions_on_points(points: int, field: CycloField) -> StarAlgebra:
@@ -47,59 +68,32 @@ def functions_on_points(points: int, field: CycloField) -> StarAlgebra:
 
 
 def trivial_bundle(h: HopfStarAlgebra, points: int):
-    """(total, coaction) for B = C(X) (x) A, F = id (x) phi, over |X| = points."""
+    """(total, f_legs) for B = C(X) (x) A, F = id (x) phi, over |X| = points:
+    B's basis is the pairs (p, a) of a point and a basis element of A, and
+    f_legs[i] lists the legs (j, k, c) of F(e_i) = sum c e_j (x) e_k."""
+    require_base_points(points)
     field = h.field
     one = field.one
-    da = h.dim
-    labels = tuple(f"x{p}.{lab}" for p in range(points) for lab in h.space.labels)
-    space = BasedSpace(labels)
-
-    def idx(p, a):
-        return p * da + a
-
-    mult = []
-    for p in range(points):
-        for a in range(da):
-            row = []
-            for q in range(points):
-                for b_ in range(da):
-                    if p != q:
-                        row.append({})
-                    else:
-                        row.append({idx(p, k): c
-                                    for k, c in h.algebra.mul_basis(a, b_).items()})
-            mult.append(row)
-    unit: Vec = {}
-    for p in range(points):
-        for a, c in h.unit.items():
-            unit[idx(p, a)] = c
-    star_cols = []
-    for p in range(points):
-        for a in range(da):
-            star_cols.append({idx(p, k): c
-                              for k, c in h.star_vec({a: one}).items()})
-    star = LinearMap(space, space, star_cols, field, antilinear=True)
+    pairs = [(p, a) for p in range(points) for a in range(h.dim)]
+    index = {pa: i for i, pa in enumerate(pairs)}
+    space = BasedSpace(tuple(f"x{p}.{h.space.labels[a]}" for p, a in pairs))
+    mult = [[{index[p, k]: c for k, c in h.algebra.mul_basis(a, b_).items()}
+             if p == q else {} for q, b_ in pairs] for p, a in pairs]
+    unit: Vec = {index[p, a]: c for p in range(points) for a, c in h.unit.items()}
+    star = LinearMap(space, space, [{index[p, k]: c for k, c in h.star_vec({a: one}).items()}
+                                    for p, a in pairs], field, antilinear=True)
     total = StarAlgebra(f"C(X{points})(x){h.algebra.name}", field, space, mult, unit,
                         star)
-    f_cols = []
-    for p in range(points):
-        for a in range(da):
-            col: Vec = {}
-            for a1, a2, c in h.sweedler(a):
-                col[idx(p, a1) * da + a2] = c
-            f_cols.append(col)
-    coaction = LinearMap(space, tensor_labels(space, h.space), f_cols, field)
-    return total, coaction
+    f_legs = [[(index[p, a1], a2, c) for a1, a2, c in h.sweedler(a)] for p, a in pairs]
+    return total, f_legs
 
 
 def trivial_bundle_data(group: str, base_points: int, kind: str = "function_algebra",
                         conductor: int | None = None):
-    """(total, group_hopf, coaction) for B = C(X) (x) A, F = id (x) phi."""
-    if base_points < 1:
-        raise UnknownPreset(f"base_points must be >= 1, got {base_points}")
+    """(total, group_hopf, f_legs) for B = C(X) (x) A, F = id (x) phi."""
     h = hopf_preset(group, kind, conductor)
-    total, coaction = trivial_bundle(h, base_points)
-    return total, h, coaction
+    total, f_legs = trivial_bundle(h, base_points)
+    return total, h, f_legs
 
 
 # -- example generation: presets as complete spec files ----------------------------
@@ -114,11 +108,7 @@ def _hopf_sections(h: HopfStarAlgebra) -> dict:
         for j in range(dim):
             for k in sorted(h.algebra.mult[i][j]):
                 mult.append([i, j, k, h.algebra.mult[i][j][k].literal()])
-    cop = []
-    for i in range(dim):
-        for idx in sorted(h.coproduct.cols[i]):
-            j, k = divmod(idx, dim)
-            cop.append([i, j, k, h.coproduct.cols[i][idx].literal()])
+    cop = [[i, j, k, c.literal()] for i in range(dim) for j, k, c in h.sweedler(i)]
     counit = []
     for i in range(dim):
         c = h.eps_basis(i)
@@ -158,7 +148,10 @@ def generate_example(name: str, group: str = "Z2", base_points: int = 2,
     elif name == "point-bundle":
         bundle = {"preset": "point"}
     else:
+        require_base_points(base_points)
         bundle = {"preset": "trivial", "base_points": base_points}
+    if base_calculus == "universal":
+        require_universal_points(bundle.get("base_points", 1))
     h = hopf_preset(group, kind, conductor)
     doc = {
         "format": "qpb-spec/1",

@@ -51,10 +51,13 @@ the others alone, such as sigma on slots (p, p+1), Delta (x) id or
 to a block of slots and splices its image in their place, ``chain_terms``
 runs two rewriters in turn, ``term_map`` builds the map a rewriter defines
 and ``apply_terms`` applies a rewriter to one vector; ``flat_legs`` lists a
-vector's flat tuples with their coefficients.  So the flat layout
-(``tuples``, ``flat_index``, ``lift``) is read here, and a caller names
-slots and maps.  ``embed`` builds the elementary tensor of one vector per
-factor, such as 1 (x) 1 or x (x) y, the one way to write one.
+vector's flat tuples with their coefficients and ``from_legs`` builds a
+vector from them.  So the flat layout (``tuples``, ``flat_index``, ``lift``)
+is read here, and a caller names slots, maps and legs.  ``embed`` builds the
+elementary tensor of one vector per factor, such as 1 (x) 1 or x (x) y, the
+one way to write one.  Free products of two spaces, such as A (x) A,
+B (x) A and Gamma_inv (x) Gamma_inv, are TProds too, so no other module
+computes a product's flat index.
 """
 
 from __future__ import annotations
@@ -327,6 +330,15 @@ def flat_legs(tp: TProd, v: Vec) -> list:
     coefficient c, for Sweedler-style loops."""
     tuples = tp.tuples
     return [tuples[fi] + (c,) for fi, c in tp.lift(v).items()]
+
+
+def from_legs(tp: TProd, legs) -> Vec:
+    """The vector of tp whose flat legs are ``legs``, the inverse of
+    ``flat_legs``: the sum of the legs t + (c,), projected into tp."""
+    out: Vec = {}
+    for leg in legs:
+        viadd_term(out, tp.flat_index(leg[:-1]), leg[-1])
+    return tp.project(out)
 
 
 def term_map(src: TProd, dst: TProd, fn, antilinear: bool = False,

@@ -13,7 +13,7 @@ from qpb.fodc import build_fodc, universal_ideal
 from qpb.formats import BuildResult, load_file
 from qpb.gauge import classical_braided_hopf
 from qpb.hopf import BUDGET
-from qpb.linalg import LinearMap, viadd_term
+from qpb.linalg import viadd_term
 from qpb.presets import (
     functions_on_points, hopf_preset, point_bundle_data, trivial_bundle_data,
 )
@@ -49,15 +49,9 @@ def test_non_principal_rejected():
     from qpb.presets import hopf_preset
     h = hopf_preset("Z2", "function_algebra")
     # trivial coaction b -> b (x) 1 on a dim > 1 algebra
-    cols = []
-    for i in range(h.dim):
-        col = {}
-        for j, c in h.unit.items():
-            col[i * h.dim + j] = c
-        cols.append(col)
-    F = LinearMap(h.space, h.coproduct.codomain, cols, h.field)
+    f_legs = [[(i, j, c) for j, c in h.unit.items()] for i in range(h.dim)]
     with pytest.raises(NotPrincipal):
-        build_bundle(h.algebra, h, F)
+        build_bundle(h.algebra, h, f_legs)
 
 
 @pytest.mark.parametrize("group,kind", [

@@ -31,8 +31,8 @@ def two_point_calculus(group, kind="function_algebra"):
 
 def degree0_bundle(h, points=1):
     """The product bundle C(X) (x) A: its B is Omega^0(P), basis for basis."""
-    total, coaction = trivial_bundle(h, points)
-    return build_bundle(total, h, coaction)
+    total, f_legs = trivial_bundle(h, points)
+    return build_bundle(total, h, f_legs)
 
 
 def test_universal_base_calculus_two_points():

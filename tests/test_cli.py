@@ -57,6 +57,27 @@ def test_check_trivial_bundle_all(tmp_path):
     assert main(["check", path, "--suite", "translation", "--suite", "braiding"]) == 0
 
 
+@pytest.mark.parametrize("args, where, message", [
+    (["--base-points", "0"], "bundle.base_points", "base_points must be a positive integer"),
+    (["--base-points", "-2"], "bundle.base_points", "base_points must be a positive integer"),
+    (["--base-points", "4", "--base-calculus", "universal"], "base_calculus.preset",
+     "universal base calculus supports at most 3 points"),
+], ids=["zero-points", "negative-points", "universal-4-points"])
+def test_gen_rejects_what_check_rejects(tmp_path, capsys, args, where, message):
+    """gen writes no spec file that check would reject: it exits 2 with the
+    diagnostic that check gives for the same file written by hand."""
+    path = tmp_path / "gen.json"
+    assert main(["gen", "trivial-bundle", *args, "-o", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {where}: {message}\n"
+    assert not path.exists()
+    doc = generate_example("trivial-bundle")
+    doc["bundle"]["base_points"] = int(args[1])
+    if "--base-calculus" in args:
+        doc["base_calculus"] = {"preset": "universal"}
+    assert main(["check", write(tmp_path, "by-hand.json", doc), "--suite", "differential"]) == 2
+    assert capsys.readouterr().err == f"error: {where}: {message}\n"
+
+
 def test_haar_and_classicality_commands(tmp_path, capsys):
     path = str(tmp_path / "z2.json")
     main(["gen", "c-group", "--group", "Z2", "-o", path])

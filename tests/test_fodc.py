@@ -4,7 +4,9 @@ from qpb.errors import NotAdInvariant, NotIdeal
 from qpb.fodc import (
     GammaEnvelope, build_envelope2, build_fodc, universal_ideal, zero_ideal,
 )
+from qpb.linalg import viadd
 from qpb.presets import hopf_preset
+from qpb.tensor import embed, flat_legs, from_legs
 
 
 def universal(group, kind="function_algebra"):
@@ -20,13 +22,10 @@ def test_universal_cz2():
     assert f.pi.cols[1] == {0: one}
     assert f.pi.cols[0] == {0: -one}
     # varpi(eta) = eta (x) 1: abelian adjoint is trivial
-    acc = {}
-    for j, c in h.unit.items():
-        acc[0 * h.dim + j] = c
-    assert f.varpi.cols[0] == acc
+    assert f.varpi.cols[0] == embed(f.inv_a, {0: one}, h.unit)
     # sigma = id on the 1-dim square
     from qpb.linalg import LinearMap
-    assert f.sigma == LinearMap.identity(f.sq_space, h.field)
+    assert f.sigma == LinearMap.identity(f.inv_sq.space, h.field)
     assert f.braid_equation_report().ok
 
 
@@ -132,11 +131,8 @@ def test_gamma_envelope_cz3():
     from qpb.hopf import adjoint_action
     cls = adjoint_action(h)
     for a in range(h.dim):
-        expect = {}
-        for idx, c in cls.cols[a].items():
-            j, k = divmod(idx, h.dim)
-            expect[ge.square.flat_index((ge.i0(j), ge.i0(k)))] = c
-        assert ad.cols[ge.i0(a)] == ge.square.project(expect)
+        expect = [(ge.i0(j), ge.i0(k), c) for j, k, c in flat_legs(h.square, cls.cols[a])]
+        assert ad.cols[ge.i0(a)] == from_legs(ge.square, expect)
 
 
 def test_gamma_envelope_group_algebra():
@@ -145,3 +141,48 @@ def test_gamma_envelope_group_algebra():
     env = build_envelope2(f)
     ge = GammaEnvelope(env)
     assert ge.d1 == 1
+
+
+# -- slot order on Gamma_inv (x) Gamma_inv ------------------------------------------
+
+
+def flipped(sq, v):
+    """v with the two slots of Gamma_inv (x) Gamma_inv exchanged."""
+    return from_legs(sq, [(t2, t1, c) for t1, t2, c in flat_legs(sq, v)])
+
+
+def test_bracket_of_the_identity_is_delta():
+    """<id, id>(theta_t) taken with the product theta (x) eta of
+    Gamma_inv^(x)2 is delta(theta_t) itself.  On the universal calculus of
+    the non-abelian C(S3), delta is not symmetric under the flip of its
+    slots, so the bracket's two operands cannot be exchanged."""
+    h, f = universal("S3")
+    env = build_envelope2(f)
+    sq, one = f.inv_sq, h.field.one
+    assert any(flipped(sq, col) != col for col in env.delta.cols)
+    for t in range(f.dim):
+        assert env.bracket(t, lambda i: {i: one}, lambda u, v: embed(sq, u, v)) \
+            == env.delta.cols[t]
+
+
+def test_varpi2_is_the_product_of_the_two_coactions():
+    """varpi_2(theta_i (x) theta_j) = sum theta_k (x) theta_l (x) c_k d_l for
+    varpi(theta_i) = sum theta_k (x) c_k and varpi(theta_j) = sum theta_l (x) d_l,
+    by A-component.  On C(S3) modulo d_r, d_r2, varpi is not trivial and some
+    theta_i (x) theta_j has components that the flip of the slots moves."""
+    h = hopf_preset("S3", "function_algebra")
+    one = h.field.one
+    f = build_fodc(h, [{4: one}, {5: one}])
+    sq, moved = f.inv_sq, False
+    for i in range(f.dim):
+        for j in range(f.dim):
+            expect = {}
+            for k, ck, c1 in flat_legs(f.inv_a, f.varpi.cols[i]):
+                for m, dm, c2 in flat_legs(f.inv_a, f.varpi.cols[j]):
+                    for a, ca in h.mul({ck: c1}, {dm: c2}).items():
+                        viadd(expect.setdefault(a, {}), ca, embed(sq, {k: one}, {m: one}))
+            got = f.varpi2_components(embed(sq, {i: one}, {j: one}))
+            assert {a: w for a, w in got.items() if w} == \
+                {a: w for a, w in expect.items() if w}
+            moved |= any(flipped(sq, w) != w for w in got.values())
+    assert moved

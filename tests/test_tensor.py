@@ -199,7 +199,7 @@ def test_pair_kernels_and_labels_are_built_once(calculus_z3, monkeypatch):
     assert calculus_z3.labels == 0
     built = calculus_z3.built
     dim_sum = sum(tp.dim for tp in built)
-    assert dim_sum == 15_502 < sum(len(tp.tuples) for tp in built)
+    assert dim_sum == 15_484 < sum(len(tp.tuples) for tp in built)
     tuple_label, count = tensor.tuple_label, [0]
 
     def label(factors, t):
@@ -354,14 +354,16 @@ def test_chained_slot_maps_give_the_galois_tower(z3_tower):
 # -- the flat layout stays here ----------------------------------------------------
 
 
-LAYOUT = re.compile(r"\.tuples\[|\.flat_index\(|\.lift\(")
-LAYOUT_LINES = 29  # at the change that moved the slot maps into tensor.py
+LAYOUT = re.compile(r"\.tuples\[|\.flat_index\(|\.lift\(|\bdivmod\(")
+LAYOUT_LINES = 22  # at the change that made every free product of two spaces a TProd
 
 
 def test_the_flat_layout_is_read_in_tensor_py():
     """A guard: the lines outside tensor.py that read a product's flat layout
-    do not grow, and the hand-written block helpers stay deleted; maps on
-    slots are built with ``slot_terms``."""
+    or split an index with ``divmod`` do not grow, and the hand-written block
+    helpers and the second product spaces stay deleted; maps on slots are
+    built with ``slot_terms``, and every free product of two spaces is a
+    TProd."""
     src = Path(__file__).resolve().parents[1] / "src" / "qpb"
     lines = sum(bool(LAYOUT.search(line))
                 for path in src.glob("*.py") if path.name != "tensor.py"
@@ -369,3 +371,5 @@ def test_the_flat_layout_is_read_in_tensor_py():
     assert lines <= LAYOUT_LINES, lines
     assert not hasattr(tensor, "block_terms")
     assert not hasattr(linalg.LinearMap, "tensor")
+    assert not hasattr(linalg, "tensor_labels")
+    assert "sq_space" not in (src / "fodc.py").read_text(encoding="utf-8")
