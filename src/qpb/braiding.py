@@ -28,10 +28,10 @@ from itertools import chain
 
 from .bundle import Bundle
 from .errors import EquivalenceViolation
-from .linalg import LinearMap, Vec, viadd_term
+from .linalg import LinearMap, Vec
 from .report import CheckRecord, ValidationReport, map_equality_record, passing
 from .hopf import graded_tensor_mul, graded_tensor_star
-from .tensor import embed, from_legs, slot_apply
+from .tensor import embed, flat_legs, from_legs, slot_apply
 
 
 class BraidOperator:
@@ -55,29 +55,26 @@ class BraidOperator:
 
     def mult2(self, u: Vec, v: Vec) -> Vec:
         """(p (x) b)(q (x) g) = p sigma(b (x) q) g on B_2."""
-        b = self.bundle
-        b2 = b.b2
-        total = b.total
-        out: Vec = {}
-        for fu, cu in b2.lift(u).items():
-            p, bb = b2.tuples[fu]
-            for fv, cv in b2.lift(v).items():
-                q, g = b2.tuples[fv]
-                mid = self._sigma_pair(bb, q)
-                c0 = cu * cv
-                for (x, y), cs in mid:
-                    for xx, cx in total.mul_basis(p, x).items():
-                        for yy, cy in total.mul_basis(y, g).items():
-                            viadd_term(out, b2.flat_index((xx, yy)), c0 * cs * cx * cy)
-        return b2.project(out)
+        b2, mul = self.bundle.b2, self.bundle.total.mul_basis
+        v_terms = flat_legs(b2, v)
+
+        def terms():
+            for (p, bb), cu in flat_legs(b2, u):
+                for (q, g), cv in v_terms:
+                    c0 = cu * cv
+                    for (x, y), cs in self._sigma_pair(bb, q):
+                        for xx, cx in mul(p, x).items():
+                            for yy, cy in mul(y, g).items():
+                                yield (xx, yy), c0 * cs * cx * cy
+
+        return from_legs(b2, terms())
 
     def _sigma_pair(self, i: int, j: int):
         key = ("pair", i, j)
         if key in self._cache:
             return self._cache[key]
         b2 = self.bundle.b2
-        v = self.forward.apply(b2.project_tuple((i, j)))
-        legs = [(b2.tuples[fi], c) for fi, c in b2.lift(v).items()]
+        legs = flat_legs(b2, self.forward.apply(b2.project_tuple((i, j))))
         self._cache[key] = legs
         return legs
 
@@ -259,8 +256,8 @@ def braided_structure(b: Bundle, n: int, braid: BraidOperator | None = None):
 def _tau_beside(b: Bundle, a: int, i: int):
     """tau(e_a) (x) e_i and e_i (x) tau(e_a) in B_3."""
     b3, legs = b.b_space(3), b.tau_legs[a]
-    return (from_legs(b3, [(x, y, i, ct) for x, y, ct in legs]),
-            from_legs(b3, [(i, x, y, ct) for x, y, ct in legs]))
+    return (from_legs(b3, ((xy + (i,), ct) for xy, ct in legs)),
+            from_legs(b3, (((i,) + xy, ct) for xy, ct in legs)))
 
 
 def classicality_report(b: Bundle, braid: BraidOperator | None = None):

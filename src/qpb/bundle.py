@@ -40,7 +40,7 @@ from .errors import (
     BudgetExceeded, DegreeBudget, InputError, NotCoaction, NotPrincipal, ValidationFailed,
 )
 from .hopf import HopfStarAlgebra, StarAlgebra, add_coaction_records
-from .linalg import BasedSpace, LinearMap, Vec, fixed_points, viadd, viadd_term, vneg, vscale
+from .linalg import BasedSpace, LinearMap, Vec, fixed_points, viadd, vneg, vscale
 from .report import RaisingReport, ValidationReport, map_equality_record
 from .tensor import (
     Factor, TProd, chain_terms, embed, flat_legs, from_legs, slot_apply, slot_terms,
@@ -62,9 +62,9 @@ class BalancedTower:
     ``factor`` its Factor, with the degrees of W and the M-actions; ``hopf``
     is H (``mul_basis``, ``support``, ``unit``, ``star``) with its Factor
     ``hopf_factor``, antipode ``kappa`` and its inverse ``kappa_inv``;
-    ``sweedler(h)`` gives the flat legs (h1, h2, c) of the coproduct of e_h
-    and ``eps_basis(h)`` its counit; ``f_legs[i]`` holds the flat legs
-    (w, h, c) of F(e_i).  ``letters`` name W and H: W_n is "<W>_n" and a
+    ``sweedler(h)`` gives the flat legs ((h1, h2), c) of the coproduct of
+    e_h and ``eps_basis(h)`` its counit; ``f_legs[i]`` holds the flat legs
+    ((w, h), c) of F(e_i).  ``letters`` name W and H: W_n is "<W>_n" and a
     mixed product is named by its pattern over the two letters; ``spaces``
     maps patterns to mixed products the caller has already built.
     """
@@ -85,7 +85,7 @@ class BalancedTower:
         # Galois map X(w (x) w') = w F(w')
         def x_terms(t):
             i, j = t
-            for k, a, c in f_legs[j]:
+            for (k, a), c in f_legs[j]:
                 for u, cu in algebra.mul_basis(i, k).items():
                     yield (u, a), c * cu
 
@@ -133,44 +133,55 @@ class BalancedTower:
 
     @cached_property
     def tau_legs(self) -> list:
-        """Flat legs (p, q, c) of tau(e_h), for Sweedler-style loops."""
+        """Flat legs ((p, q), c) of tau(e_h), for Sweedler-style loops."""
         return [flat_legs(self.power(2), col) for col in self.tau.cols]
 
     @cached_property
     def sigma(self) -> LinearMap:
-        """sigma(w (x) w') = (-1)^{|h||w'|} w_0 w' l(h) (x) r(h), F(w) = w_0 (x) h."""
+        """sigma(w (x) w') = (-1)^{|h||w'|} w_0 w' l(h) (x) r(h), F(w) = w_0 (x) h.
+        w_0 w' is formed once per leg of F(w), and a tau leg l(h) (x) r(h)
+        is met only when w_0 w' l(h) is nonzero, read off ``support``."""
         mul, deg, hdeg = self.algebra.mul_basis, self.factor.degrees, self.hopf_factor.degrees
-        tau_legs = self.tau_legs
+        tau_legs, sup = self.tau_legs, self.algebra.support
 
         def terms(t):
             i, j = t
-            for w, h, c in self.f_legs[i]:
+            for (w, h), c in self.f_legs[i]:
+                wj = [(u, cu, sup[u]) for u, cu in mul(w, j).items()]
+                if not wj:
+                    continue
+                reach = frozenset().union(*(row for _, _, row in wj))
                 odd = hdeg[h] * deg[j] % 2
-                for p, q, ct in tau_legs[h]:
-                    c0 = _signed(c * ct, odd)
-                    for u, cu in mul(w, j).items():
-                        for v, cv in mul(u, p).items():
-                            yield (v, q), c0 * cu * cv
+                for (p, q), ct in tau_legs[h]:
+                    if p in reach:
+                        c0 = _signed(c * ct, odd)
+                        for u, cu, row in wj:
+                            if p in row:
+                                for v, cv in mul(u, p).items():
+                                    yield (v, q), c0 * cu * cv
 
         return term_map(self.power(2), self.power(2), terms)
 
     @cached_property
     def sigma_inv(self) -> LinearMap:
         """sigma^-1(w (x) w') = (-1)^{|h|(|w|+|w'_0|)} l(k) (x) r(k) w w'_0 with
-        F(w') = w'_0 (x) h and k = kappa^-1(h)."""
+        F(w') = w'_0 (x) h and k = kappa^-1(h).  A tau leg l(k) (x) r(k) is
+        met only when r(k) w is nonzero, read off ``support``."""
         mul, deg, hdeg = self.algebra.mul_basis, self.factor.degrees, self.hopf_factor.degrees
-        tau_legs, kinv = self.tau_legs, self.kappa_inv
+        tau_legs, kinv, sup = self.tau_legs, self.kappa_inv, self.algebra.support
 
         def terms(t):
             i, j = t
-            for w, h, c in self.f_legs[j]:
+            for (w, h), c in self.f_legs[j]:
                 odd = hdeg[h] * (deg[i] + deg[w]) % 2
                 for h2, ck in kinv.cols[h].items():
-                    for p, q, ct in tau_legs[h2]:
-                        c0 = _signed(c * ck * ct, odd)
-                        for u, cu in mul(q, i).items():
-                            for v, cv in mul(u, w).items():
-                                yield (p, v), c0 * cu * cv
+                    for (p, q), ct in tau_legs[h2]:
+                        if i in sup[q]:
+                            c0 = _signed(c * ck * ct, odd)
+                            for u, cu in mul(q, i).items():
+                                if w in sup[u]:
+                                    for v, cv in mul(u, w).items():
+                                        yield (p, v), c0 * cu * cv
 
         return term_map(self.power(2), self.power(2), terms)
 
@@ -182,8 +193,8 @@ class BalancedTower:
 
         def terms(t):
             i, j = t
-            for w1, h1, c1 in f_legs[i]:
-                for w2, h2, c2 in f_legs[j]:
+            for (w1, h1), c1 in f_legs[i]:
+                for (w2, h2), c2 in f_legs[j]:
                     c0 = _signed(c1 * c2, hdeg[h1] * deg[w2] % 2)
                     for a, ca in mul(h1, h2).items():
                         yield (w1, w2, a), c0 * ca
@@ -197,7 +208,7 @@ class BalancedTower:
 
         def terms(t):
             passed = sum(deg[i] for i in t[p + 1:])
-            for k, h, c in self.f_legs[t[p]]:
+            for (k, h), c in self.f_legs[t[p]]:
                 yield t[:p] + (k,) + t[p + 1:] + (h,), _signed(c, hdeg[h] * passed % 2)
 
         return terms
@@ -213,42 +224,43 @@ class BalancedTower:
         """The sigma-cochain l(kappa^-1(h^(1))) (x) tau(h^(2)) r(kappa^-1(h^(1)))
         of a basis element h of degree zero, in W_3: every leg has degree
         zero, so no sign enters."""
-        w3, mul, legs = self.power(3), self.algebra.mul_basis, self.tau_legs
-        out: Vec = {}
-        for h1, h2, c in self.sweedler(h):
-            for k, ck in self.kappa_inv.cols[h1].items():
-                for x, y, ct in legs[k]:
-                    for u, v, cu in legs[h2]:
-                        coeff = c * ck * ct * cu
-                        for w, cw in mul(v, y).items():
-                            viadd_term(out, w3.flat_index((x, u, w)), coeff * cw)
-        return w3.project(out)
+        mul, legs = self.algebra.mul_basis, self.tau_legs
+
+        def terms():
+            for (h1, h2), c in self.sweedler(h):
+                for k, ck in self.kappa_inv.cols[h1].items():
+                    for (x, y), ct in legs[k]:
+                        for (u, v), cu in legs[h2]:
+                            coeff = c * ck * ct * cu
+                            for w, cw in mul(v, y).items():
+                                yield (x, u, w), coeff * cw
+
+        return from_legs(self.power(3), terms())
 
     # -- the right sides of the gauge-transformation laws --------------------------
-    # A leg (k, h, c) is the term c x_k (x) h of a coaction F(x) = sum c x_k (x) h,
+    # A leg ((k, h), c) is the term c x_k (x) h of a coaction F(x) = sum c x_k (x) h,
     # and phi(k) is phi(x_k) in W.  No factor passes another, so no sign enters;
     # a coefficient of phi(k) that is one is not multiplied.
 
     def coact_side(self, legs, phi) -> Vec:
         """sum c phi(k) (x) h in W (x) H, the right side of F phi = (phi (x) id)F."""
-        wh, one = self.hopf_space(1), self.field.one
-        out: Vec = {}
-        for k, h, c in legs:
-            for i, ci in phi(k).items():
-                viadd_term(out, wh.flat_index((i, h)), c if ci is one else c * ci)
-        return wh.project(out)
+        one = self.field.one
+        return from_legs(self.hopf_space(1), (((i, h), c if ci is one else c * ci)
+                                              for (k, h), c in legs for i, ci in phi(k).items()))
 
     def tau_side(self, legs, phi) -> Vec:
         """sum c phi(k) (x) tau(h) in W_3, the right side of Delta phi =
         (phi (x) tau)F."""
-        w3, tau_legs, one = self.power(3), self.tau_legs, self.field.one
-        out: Vec = {}
-        for k, h, c in legs:
-            for i, ci in phi(k).items():
-                cc = c if ci is one else c * ci
-                for p, q, ct in tau_legs[h]:
-                    viadd_term(out, w3.flat_index((i, p, q)), cc * ct)
-        return w3.project(out)
+        tau_legs, one = self.tau_legs, self.field.one
+
+        def terms():
+            for (k, h), c in legs:
+                for i, ci in phi(k).items():
+                    cc = c if ci is one else c * ci
+                    for (p, q), ct in tau_legs[h]:
+                        yield (i, p, q), cc * ct
+
+        return from_legs(self.power(3), terms())
 
     def varsigma_side(self, legs, phi) -> Vec:
         """sum c varsigma(h) . phi(k) in W_3, with each h of degree zero and
@@ -257,7 +269,7 @@ class BalancedTower:
         carried once, and kept on the tower."""
         mult, w3, unit = self.transported_mult(3), self.power(3), self.algebra.unit
         out: Vec = {}
-        for k, h, c in legs:
+        for (k, h), c in legs:
             v = phi(k)
             viadd(out, c, mult.mul_carried(
                 self._carried(("varsigma", h), lambda: self.varsigma(h)),
@@ -392,13 +404,8 @@ class BalancedTower:
 
         def h_map(cod: TProd, terms) -> LinearMap:
             """The map H -> cod whose column h sums the flat terms ``terms(h)``."""
-            cols = []
-            for h in range(hspace.dim):
-                acc: Vec = {}
-                for t, c in terms(h):
-                    viadd_term(acc, cod.flat_index(t), c)
-                cols.append(cod.project(acc))
-            return LinearMap(hspace, cod.space, cols, field)
+            return LinearMap(hspace, cod.space, [from_legs(cod, terms(h))
+                                                 for h in range(hspace.dim)], field)
 
         rep.add(map_equality_record(*star, self.flipstar(2).compose(tau),
                                     tau.compose(self.hopf.star.compose(self.kappa)),
@@ -412,12 +419,12 @@ class BalancedTower:
         def coact_tau(p: int) -> LinearMap:
             """F on slot p of tau, along tau's legs only."""
             coact = self.coact_terms(p)
-            return h_map(w2h, lambda h: ((t, ct * c) for x, y, ct in legs[h]
-                                         for t, c in coact((x, y))))
+            return h_map(w2h, lambda h: ((t, ct * c) for xy, ct in legs[h]
+                                         for t, c in coact(xy)))
 
         def tau_h_terms(h):
-            for h1, h2, c in self.sweedler(h):
-                for p, q, ct in legs[h1]:
+            for (h1, h2), c in self.sweedler(h):
+                for (p, q), ct in legs[h1]:
                     yield (p, q, h2), c * ct
 
         rep.add(map_equality_record(*coaction, coact_tau(1), h_map(w2h, tau_h_terms),
@@ -425,31 +432,37 @@ class BalancedTower:
 
         # kappa(h^(1)) moves past tau(h^(2)) to the end
         def kappa_tau_terms(h):
-            for h1, h2, c in self.sweedler(h):
+            for (h1, h2), c in self.sweedler(h):
                 c1 = _signed(c, hdeg[h1] * hdeg[h2] % 2)
                 for k, ck in self.kappa.cols[h1].items():
-                    for p, q, ct in legs[h2]:
+                    for (p, q), ct in legs[h2]:
                         yield (p, q, k), c1 * ck * ct
 
         rep.add(map_equality_record(*left_coaction, coact_tau(0), h_map(w2h, kappa_tau_terms),
                                     witness_space=w2h.space))
 
-        mul = self.algebra.mul_basis
+        mul, sup = self.algebra.mul_basis, self.algebra.support
+
+        def product_terms(h, g):
+            """l(g)l(h) (x) r(h)r(g), meeting only the pairs of legs whose
+            products are both nonzero."""
+            for (u, v), cu in legs[g]:
+                odd, row_u = hdeg[h] * deg[u] % 2, sup[u]
+                for (x, y), cx in legs[h]:
+                    if x in row_u and v in sup[y]:
+                        c0 = _signed(cu * cx, odd)
+                        yv = mul(y, v)
+                        for p, cp in mul(u, x).items():
+                            for q, cq in yv.items():
+                                yield (p, q), c0 * cp * cq
 
         def mult_failures():
             for h in range(hspace.dim):
                 for g in range(hspace.dim):
                     if budget is not None and hdeg[h] + hdeg[g] > budget:
                         continue
-                    acc: Vec = {}
-                    for u, v, cu in legs[g]:
-                        odd = hdeg[h] * deg[u] % 2
-                        for x, y, cx in legs[h]:
-                            c0 = _signed(cu * cx, odd)
-                            for p, cp in mul(u, x).items():
-                                for q, cq in mul(y, v).items():
-                                    viadd_term(acc, w2.flat_index((p, q)), c0 * cp * cq)
-                    lhs, rhs = tau.apply(self.hopf.mul_basis(h, g)), w2.project(acc)
+                    lhs = tau.apply(self.hopf.mul_basis(h, g))
+                    rhs = from_legs(w2, product_terms(h, g))
                     if lhs != rhs:
                         yield {"basis_pair": [hspace.labels[h], hspace.labels[g]],
                                "lhs": w2.render(lhs), "rhs": w2.render(rhs)}
@@ -500,38 +513,40 @@ class TransportedProduct:
         # for each flat tuple with a graded factor (none in degree zero): the
         # degree of each factor and of the factors before it
         self.degs, self.before = degs, before = {}, {}
-        for f, t in enumerate(self.target.tuples):
+        for t in self.target.tuples:
             ds = [d[i] for d, i in zip(fdegs, t)]
             if any(ds):
-                degs[f], before[f] = ds, list(accumulate(ds[:-1], initial=0))
+                degs[t], before[t] = ds, list(accumulate(ds[:-1], initial=0))
 
-    def carry(self, u: Vec) -> Vec:
-        """u in W_n carried to W (x) H^{n-1}, over flat tuples."""
-        return self.target.lift(self.xn.apply(u))
+    def carry(self, u: Vec) -> list:
+        """u in W_n carried to W (x) H^{n-1}, as its flat terms."""
+        return flat_legs(self.target, self.xn.apply(u))
 
     def __call__(self, u: Vec, v: Vec) -> Vec:
         return self.mul_carried(self.carry(u), self.carry(v))
 
-    def mul_carried(self, tu_terms: Vec, tv_terms: Vec) -> Vec:
+    def mul_carried(self, tu_terms: list, tv_terms: list) -> Vec:
         """The product in W_n of two carried operands."""
-        target, degs, before = self.target, self.degs, self.before
-        tuples, budget = target.tuples, self.budget
+        degs, before, budget = self.degs, self.before, self.budget
         if budget is not None and tu_terms and tv_terms and \
-                max(sum(degs.get(f, ())) for f in tu_terms) \
-                + max(sum(degs.get(f, ())) for f in tv_terms) > budget:
+                max(sum(degs.get(t, ())) for t, _ in tu_terms) \
+                + max(sum(degs.get(t, ())) for t, _ in tv_terms) > budget:
             raise DegreeBudget(f"product exceeds the degree budget in {self.where}")
         # the right terms by flat tuple, one factor per level; a leaf holds
         # (tuple, coefficient, degrees before each factor)
         trie: dict = {}
-        for fv, cv in tv_terms.items():
-            tv = tuples[fv]
+        for tv, cv in tv_terms:
             node = trie
             for j in tv[:-1]:
                 node = node.setdefault(j, {})
-            node[tv[-1]] = (tv, cv, before.get(fv))
-        out: Vec = {}
-        for fu, cu in tu_terms.items():
-            tu = tuples[fu]
+            node[tv[-1]] = (tv, cv, before.get(tv))
+        return self.xinv.apply(from_legs(self.target, self._products(tu_terms, trie)))
+
+    def _products(self, tu_terms: list, trie: dict):
+        """The flat terms of the products of the left terms with the right
+        terms in ``trie`` whose factor products are all nonzero."""
+        degs = self.degs
+        for tu, cu in tu_terms:
             # keep, level by level, the children whose factor meets the left
             # term's factor, scanning the smaller of row and node
             nodes = [trie]
@@ -550,7 +565,7 @@ class TransportedProduct:
                 nodes = reached
                 if not nodes:
                     break
-            du = degs.get(fu)
+            du = degs.get(tu)
             for tv, cv, bv in nodes:
                 c0 = cu * cv
                 if du is not None and bv is not None \
@@ -560,9 +575,7 @@ class TransportedProduct:
                 for alg, i, j in zip(self.algs, tu, tv):
                     terms = [(tup + (k,), c * ck) for tup, c in terms
                              for k, ck in alg.mul_basis(i, j).items()]
-                for tup, c in terms:
-                    viadd_term(out, target.flat_index(tup), c)
-        return self.xinv.apply(target.project(out))
+                yield from terms
 
 
 class Bundle(BalancedTower):
@@ -624,7 +637,7 @@ class Bundle(BalancedTower):
 def build_bundle(total: StarAlgebra, group: HopfStarAlgebra, f_legs) -> Bundle:
     """Validate the coaction, compute the base, and assemble X and tau.
 
-    ``f_legs[i]`` lists the legs (j, k, c) of F(e_i) = sum c e_j (x) e_k.  F
+    ``f_legs[i]`` lists the legs ((j, k), c) of F(e_i) = sum c e_j (x) e_k.  F
     maps into the free product B (x) A, which is the group's square when B
     is A.  Raises NotCoaction / NotPrincipal on bad input.
     """
@@ -739,7 +752,7 @@ def galois_tower(b: Bundle, n: int):
         for pos, a in enumerate(at):
             nxt = []
             for tup, c in acc_terms:
-                for x, y, ct in b.tau_legs[a]:
+                for (x, y), ct in b.tau_legs[a]:
                     if pos == 0:
                         nxt.append((tup + (x, y), c * ct))
                     else:
@@ -749,7 +762,7 @@ def galois_tower(b: Bundle, n: int):
                         for k, ck in total.mul_basis(yprev, x).items():
                             nxt.append((base + (k, y), c * ct * ck))
             acc_terms = nxt
-        tau_cols[at] = from_legs(bn1, [tup + (c,) for tup, c in acc_terms])
+        tau_cols[at] = from_legs(bn1, acc_terms)
 
     def one_tensor(at) -> Vec:
         """1 (x) a_1 (x) ... (x) a_n in B (x) A^n."""

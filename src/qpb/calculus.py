@@ -37,7 +37,7 @@ under star and d, eps^_M against star and d, and L^0 = L.
 
 from __future__ import annotations
 
-from functools import cache
+from functools import cache, partial
 
 from .bundle import BalancedTower
 from .errors import DegreeBudget, NotProductBundle, ValidationFailed
@@ -53,7 +53,8 @@ from .linalg import (
 )
 from .report import ValidationReport, map_equality_record, passing, vacuous
 from .tensor import (
-    Factor, TProd, apply_terms, chain_terms, embed, flat_legs, slot_terms, unit_leg,
+    Factor, TProd, apply_terms, chain_terms, embed, flat_legs, from_legs, slot_terms,
+    term_map, unit_leg,
 )
 
 
@@ -147,67 +148,60 @@ def universal_base_calculus(n_points: int, field) -> BaseCalculus:
 
 
 class OmegaP(GradedStarAlgebra):
-    """Omega(M) (x)^ Gamma^ with the product-bundle structure, degree <= 2."""
+    """Omega(M) (x)^ Gamma^ with the product-bundle structure, degree <= 2:
+    its basis is that of the free graded product ``tp``, and F^ = id (x) phi^
+    and the Omega(M)-actions on slot 0 are slot maps on it."""
 
     def __init__(self, base: BaseCalculus, gamma: GammaEnvelope):
         self.base = base
         self.gamma = gamma
         field = gamma.field
         one = field.one
-        # free graded pair space for indexing (no balancing: flat = space)
         m_factor = Factor(base.space, base.degrees)
-        self.tp = TProd(field, (m_factor, gamma.factor), budget=BUDGET,
-                        name="Omega(P)")
-        super().__init__("Omega(P)", field, self.tp.space,
-                         (self.tp.degree(t) for t in self.tp.tuples),
-                         embed(self.tp, base.unit, gamma.unit))
+        self.tp = tp = TProd(field, (m_factor, gamma.factor), budget=BUDGET, name="Omega(P)")
+        super().__init__("Omega(P)", field, tp.space, tp.degrees(),
+                         embed(tp, base.unit, gamma.unit))
 
         # the product-calculus star is componentwise
-        star_cols = [graded_tensor_star(self.tp, base, gamma, {i: one})
+        star_cols = [graded_tensor_star(tp, base, gamma, {i: one})
                      for i in range(self.dim)]
         self.star = LinearMap(self.space, self.space, star_cols, field,
                               antilinear=True)
         self.d_cols = [None if self.degrees[i] >= BUDGET
-                       else graded_tensor_d(self.tp, base, gamma, {i: one})
+                       else graded_tensor_d(tp, base, gamma, {i: one})
                        for i in range(self.dim)]
 
-        # F^ = id (x) phi^ into Omega(P) (x) Gamma^
+        # F^ = id (x) phi^ into Omega(P) (x) Gamma^: phi^ on slot 1, then
+        # slots 0-1 read back as one basis element of Omega(P)
         self.og = TProd(field, (Factor(self.space, self.degrees), gamma.factor),
                         budget=BUDGET, name="Omega(P)(x)Gamma^")
-        f_cols = []
-        for i in range(self.dim):
-            m, g = self.tp.tuples[i]
-            acc = {}
-            for g1, g2, c in flat_legs(gamma.square, gamma.phi_hat.cols[g]):
-                acc[self.og.flat_index((self.idx(m, g1), g2))] = c
-            f_cols.append(self.og.project(acc))
-        self.f_hat = LinearMap(self.space, self.og.space, f_cols, field)
-        self.f_legs = [flat_legs(self.og, col) for col in f_cols]
+        self.f_hat = term_map(tp, self.og, chain_terms(
+            slot_terms(1, gamma.phi_hat, None, gamma.square),
+            slot_terms(0, LinearMap.identity(self.space, field), tp)))
+        self.f_legs = [flat_legs(self.og, col) for col in self.f_hat.cols]
 
         # the Omega(M)-bimodule factor for the balanced powers
-        lact, ract = [], []
-        for f in range(base.dim):
-            lcols, rcols = [], []
-            for i in range(self.dim):
-                m, g = self.tp.tuples[i]
-                lacc: Vec = {}
-                if base.degree(f) + self.degrees[i] <= BUDGET:
-                    for m2, cm in base.mul_basis(f, m).items():
-                        lacc[self.idx(m2, g)] = cm
-                # right: (m (x) g)(f (x) 1) = (-1)^{deg g * deg f} m f (x) g
-                racc: Vec = {}
-                if base.degree(f) + self.degrees[i] <= BUDGET:
-                    sign = -one if (gamma.degree(g) * base.degree(f)) % 2 else one
-                    for m2, cm in base.mul_basis(m, f).items():
-                        racc[self.idx(m2, g)] = sign * cm
-                lcols.append(lacc)
-                rcols.append(racc)
-            lact.append(LinearMap(self.space, self.space, lcols, field))
-            ract.append(LinearMap(self.space, self.space, rcols, field))
+        lact = [self._action(f, False) for f in range(base.dim)]
+        ract = [self._action(f, True) for f in range(base.dim)]
         self.factor = Factor(self.space, self.degrees, lact, ract)
 
-    def idx(self, m: int, g: int) -> int:
-        return self.tp.flat_index((m, g))
+    def _action(self, f: int, right: bool) -> LinearMap:
+        """f in Omega(M) acting on slot 0 from the left, or from the right
+        with the sign of (m (x) g)(f (x) 1) = (-1)^{|g||f|} mf (x) g; zero on
+        the basis elements it would take beyond the budget."""
+        base, gamma, tp = self.base, self.gamma, self.tp
+        fdeg = base.degree(f)
+        move = slot_terms(0, (lambda m: base.mul_basis(m, f)) if right
+                          else partial(base.mul_basis, f))
+
+        def terms(t):
+            if fdeg + tp.degree(t) > BUDGET:
+                return ()
+            if right and gamma.degree(t[1]) * fdeg % 2:
+                return [(s, -c) for s, c in move(t)]
+            return move(t)
+
+        return term_map(tp, tp, terms)
 
     def _product(self, i: int, j: int) -> Vec:
         one = self.field.one
@@ -299,20 +293,14 @@ class TotalCalculus(BalancedTower):
         if k not in self._filtration:
             omega, gamma = self.omega, self.gamma
             og = omega.og
-            cols = []
-            for i in range(omega.dim):
-                col: Vec = {}
-                for w, th, c in omega.f_legs[i]:
-                    if gamma.degree(th) > k:
-                        col[og.flat_index((w, th))] = c
-                cols.append(col)
+            cols = [from_legs(og, (leg for leg in omega.f_legs[i] if gamma.degree(leg[0][1]) > k))
+                    for i in range(omega.dim)]
             self._filtration[k] = span_basis(
                 LinearMap(omega.space, og.space, cols, self.field).nullspace())
         return self._filtration[k]
 
     def f_pos_part(self, i: int):
-        return [(w, th, c) for (w, th, c) in self.omega.f_legs[i]
-                if self.gamma.degree(th) == 0]
+        return [leg for leg in self.omega.f_legs[i] if self.gamma.degree(leg[0][1]) == 0]
 
 
 def build_total_calculus(fodc: Fodc, base_calc: BaseCalculus) -> TotalCalculus:
@@ -349,11 +337,8 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
 
     # horizontal forms and the embedded base calculus
     hor = tc.filtration_basis(0)
-    expected_hor = []
-    for i in range(omega.dim):
-        m, g = omega.tp.tuples[i]
-        if gamma.degree(g) == 0:
-            expected_hor.append({i: one})
+    expected_hor = [{i: one} for i in range(omega.dim)
+                    for (m, g), _ in flat_legs(omega.tp, {i: one}) if gamma.degree(g) == 0]
     rep.check(("diff.hor", "hor(P) = Omega(M) . B"),
               [] if spans_equal(hor, expected_hor)
               else [{"dim": len(hor), "expected": len(expected_hor)}])
@@ -463,7 +448,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
         mult = tc.transported_mult(2)
 
         @cache
-        def carried_tau(t: int) -> Vec:
+        def carried_tau(t: int) -> list:
             """tau^(theta_t) carried along X_1, once per theta_t."""
             return mult.carry(tc.tau.apply(gamma.inv1_vec(t)))
 

@@ -87,16 +87,16 @@ class Connection:
         deg = degs.pop() if degs else 0
         out = om.d_apply(phi)
         sign = -one if deg % 2 else one
-        for w, a, c in horizontal_legs(self.tc, phi):
+        for (w, a), c in horizontal_legs(self.tc, phi):
             viadd(out, -(sign * c), om.mul({w: one}, self.omega_pi({a: one})))
         return out
 
 
 def horizontal_legs(tc: TotalCalculus, phi: Vec) -> list:
-    """The legs (w, a, c) of F^(phi) with a Gamma^ leg of degree zero: all of
-    F^(phi) on a horizontal form.  That leg is the A index a, as
-    GammaEnvelope.i0 is the identity."""
-    return [(w, a, c * cf) for i, c in phi.items() for w, a, cf in tc.f_pos_part(i)]
+    """The legs ((w, a), c) of F^(phi) with a Gamma^ leg of degree zero: all
+    of F^(phi) on a horizontal form.  That leg is the A index a, as A's basis
+    is the degree-0 block of Gamma^."""
+    return [(wa, c * cf) for i, c in phi.items() for wa, cf in tc.f_pos_part(i)]
 
 
 def maurer_cartan(tc: TotalCalculus) -> Connection:
@@ -150,7 +150,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
     d1 = tc.fodc.dim
 
     def tau0(a: int) -> Vec:
-        return tc.tau.cols[gamma.i0(a)]
+        return tc.tau.cols[a]  # A is the degree-0 block of Gamma^
 
     # multiplication by a fixed form on one slot of W_2: a slot from which no
     # factor is passed, so no sign enters
@@ -178,7 +178,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
         for a in range(g.dim):
             lhs = tc.w2_d(tau0(a))
             acc: Vec = {}
-            for a1, a2, c in g.sweedler(a):
+            for (a1, a2), c in g.sweedler(a):
                 viadd(acc, c, slot_apply(w2, tau0(a1), 1, times(conn.omega_pi({a2: one}), True)))
                 viadd(acc, -c, slot_apply(w2, tau0(a2), 0,
                                           times(conn.omega_pi({a1: one}), False)))
@@ -192,7 +192,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
         for t in range(d1):
             lhs = tc.tau.apply(gamma.inv1_vec(t))
             acc = embed(w2, om.unit, omega(t))
-            for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
+            for (th_k, c_k), cc in tc.fodc.varpi_legs[t]:
                 viadd(acc, -cc, slot_apply(w2, tau0(c_k), 0, times(omega(th_k), False)))
             if lhs != acc:
                 yield {"theta_index": t}
@@ -211,7 +211,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
                 rhs = embed(w2, {psi: one}, wv)
                 if sign is not one:
                     rhs = vneg(rhs)
-                for th_k, c_k, cc in tc.fodc.varpi_legs[t]:
+                for (th_k, c_k), cc in tc.fodc.varpi_legs[t]:
                     wk = omega(th_k)
                     viadd(rhs, cc, slot_apply(w2, tau0(c_k), 0,
                                               times(om.mul(wk, {psi: one}), False)))
@@ -223,7 +223,7 @@ def verify_transformations(conn: Connection) -> ValidationReport:
     theta_check(("conn.braiding-connection", "braiding with connections"), braiding_failures())
 
     # tr-conn: Delta^ omega(theta) = sum omega(theta_k) (x) tau(c_k) + 1 (x) tau^(theta)
-    theta_legs = [[(None, h, c) for h, c in gamma.inv1_vec(t).items()] for t in range(d1)]
+    theta_legs = [[((None, h), c) for h, c in gamma.inv1_vec(t).items()] for t in range(d1)]
     delta3 = tc.lhat.delta3.apply
     theta_check(("conn.tr-conn", "tr-conn"), (
         {"theta_index": t} for t in range(d1)

@@ -165,7 +165,7 @@ class Fodc:
         # Gamma_inv (x) Gamma_inv, for varpi(theta) = sum theta_k (x) c_k
         def sigma_terms(pair):
             e, t = pair
-            for th, a, c in self.varpi_legs[t]:
+            for (th, a), c in self.varpi_legs[t]:
                 for u, cu in self.circ[a].cols[e].items():
                     yield (th, u), c * cu
         self.sigma = term_map(self.inv_sq, self.inv_sq, sigma_terms)
@@ -176,12 +176,12 @@ class Fodc:
         varpi(theta) = sum theta_k (x) c_k and varpi(eta) = sum eta_l (x) d_l."""
         sq, legs, mul = self.inv_sq, self.varpi_legs, self.group.algebra.mul_basis
         by_a: dict = {}
-        for i1, i2, c in flat_legs(sq, v):
-            for t1, a1, c1 in legs[i1]:
-                for t2, a2, c2 in legs[i2]:
+        for (i1, i2), c in flat_legs(sq, v):
+            for (t1, a1), c1 in legs[i1]:
+                for (t2, a2), c2 in legs[i2]:
                     coeff = c * c1 * c2
                     for a, ca in mul(a1, a2).items():
-                        by_a.setdefault(a, []).append((t1, t2, coeff * ca))
+                        by_a.setdefault(a, []).append(((t1, t2), coeff * ca))
         return {a: from_legs(sq, a_legs) for a, a_legs in by_a.items()}
 
     def braid_equation_report(self) -> ValidationReport:
@@ -242,7 +242,7 @@ class Envelope2:
         inv_labels = fodc.inv_space.labels
         self.l2_space = BasedSpace(tuple(
             f"w2[{inv_labels[t1]}(x){inv_labels[t2]}]"
-            for i in self.lambda2.keep for t1, t2, _ in flat_legs(sq, {i: one})))
+            for i in self.lambda2.keep for (t1, t2), _ in flat_legs(sq, {i: one})))
         self.wedge = LinearMap(sq.space, self.l2_space, self.lambda2.projection_cols(), field)
 
         if d == 0:
@@ -305,8 +305,8 @@ class Envelope2:
         def inner_sq(u: Vec, v: Vec):
             acc = field.zero
             v_legs = flat_legs(sq, v)
-            for i1, i2, cu in flat_legs(sq, u):
-                for j1, j2, cv in v_legs:
+            for (i1, i2), cu in flat_legs(sq, u):
+                for (j1, j2), cv in v_legs:
                     gg = gram_inv[i1][j1] * gram_inv[i2][j2]
                     if gg:
                         acc = acc + cu.conj() * cv * gg
@@ -384,7 +384,7 @@ class Envelope2:
         def circ_by(a):
             slot_maps = [(chain_terms(slot_terms(0, fodc.circ[a1]),
                                       slot_terms(1, fodc.circ[a2])), ca)
-                         for a1, a2, ca in g.sweedler(a)]
+                         for (a1, a2), ca in g.sweedler(a)]
 
             def f(v):
                 out: Vec = {}
@@ -418,7 +418,7 @@ class Envelope2:
         """<phi, phi>(theta_t) = sum c mul(phi(t1), phi(t2)) over the terms
         c theta_t1 (x) theta_t2 of delta(theta_t)."""
         out: Vec = {}
-        for t1, t2, c in flat_legs(self.fodc.inv_sq, self.delta.cols[t]):
+        for (t1, t2), c in flat_legs(self.fodc.inv_sq, self.delta.cols[t]):
             viadd(out, c, mul(phi(t1), phi(t2)))
         return out
 
@@ -436,110 +436,86 @@ class GammaEnvelope(GradedStarAlgebra):
     """The degree <= 2 graded *-algebra A (+) (A (x) Gamma_inv) (+)
     (A (x) Lambda^2) with differential, coproduct, counit and antipode.
 
-    Basis indexing: degree 0 block first, then (a, theta) pairs, then
-    (a, xi) pairs; products that would exceed degree 2 raise DegreeBudget.
+    Its basis is A's, then those of the free products ``blocks`` =
+    (A (x) Gamma_inv, A (x) Lambda^2), read through their flat legs:
+    ``parts[i]`` is the (degree, a, inner index) of basis element i, the
+    inner index 0 in degree 0, and ``part_index`` maps it back.  Products
+    that would exceed degree 2 raise DegreeBudget.
     """
 
     def __init__(self, env: Envelope2):
         self.env = env
-        self.fodc = env.fodc
-        g = self.fodc.group
-        self.group = g
-        da = g.dim
-        d1 = self.fodc.dim
-        d2 = env.lambda2.dim
-        self.da, self.d1, self.d2 = da, d1, d2
-        labels = list(g.space.labels)
-        labels += [f"{a}.{t}" for a in g.space.labels for t in self.fodc.inv_space.labels]
-        labels += [f"{a}.{t}" for a in g.space.labels for t in env.l2_space.labels]
+        self.fodc = fodc = env.fodc
+        self.group = g = fodc.group
+        field, one = g.field, g.field.one
+        self.da, self.d1, self.d2 = g.dim, fodc.dim, env.lambda2.dim
+        a_factor = g.square.factors[0]
+        self.blocks = (
+            TProd(field, (a_factor, fodc.inv_sq.factors[0]), name="A(x)Gamma_inv"),
+            TProd(field, (a_factor, Factor.ungraded(env.l2_space)), name="A(x)Lambda^2"))
+        self.parts = [(0, a, 0) for a in range(g.dim)] + [
+            (deg, a, x) for deg, block in enumerate(self.blocks, 1)
+            for b in range(block.dim) for (a, x), _ in flat_legs(block, {b: one})]
+        self.part_index = {part: i for i, part in enumerate(self.parts)}
+        a_labels, inner = g.space.labels, (None, fodc.inv_space.labels, env.l2_space.labels)
+        labels = [f"{a_labels[a]}.{inner[deg][x]}" if deg else a_labels[a]
+                  for deg, a, x in self.parts]
         # the unit of A sits in the degree-0 block, whose indices are A's own
-        degrees = [deg for deg, size in enumerate((da, da * d1, da * d2))
-                   for _ in range(size)]
-        super().__init__("Gamma^", g.field, BasedSpace(tuple(labels)), degrees, g.unit)
-        self.off1 = da
-        self.off2 = da + da * d1
+        super().__init__("Gamma^", field, BasedSpace(tuple(labels)),
+                         [deg for deg, _, _ in self.parts], g.unit)
         self.factor = Factor(self.space, self.degrees)
         self._build_maps()
 
-    # -- index helpers -----------------------------------------------------
-
-    def i0(self, a: int) -> int:
-        return a
-
-    def i1(self, a: int, t: int) -> int:
-        return self.off1 + a * self.d1 + t
-
-    def i2(self, a: int, x: int) -> int:
-        return self.off2 + a * self.d2 + x
-
-    def split(self, i: int):
-        """(degree, a, inner_index)."""
-        if i < self.off1:
-            return 0, i, 0
-        if i < self.off2:
-            j = i - self.off1
-            return 1, j // self.d1, j % self.d1
-        j = i - self.off2
-        return 2, j // self.d2, j % self.d2
-
     def inv1_vec(self, t: int) -> Vec:
         """1 (x) theta_t as an element of Gamma (unit in the A leg)."""
-        return {self.i1(k, t): c for k, c in self.group.unit.items()}
+        return {self.part_index[1, k, t]: c for k, c in self.group.unit.items()}
 
     def inv2_vec(self, x: int) -> Vec:
-        return {self.i2(k, x): c for k, c in self.group.unit.items()}
+        return {self.part_index[2, k, x]: c for k, c in self.group.unit.items()}
 
     def kappa_inv(self, t: int) -> Vec:
         """kappa^(theta_t) = -sum_k theta_k kappa(c_k), where varpi(theta_t) =
         sum_k theta_k (x) c_k: read off m(id (x) kappa^)phi^ = eps."""
         one = self.field.one
         acc: Vec = {}
-        for th, a, c in self.fodc.varpi_legs[t]:
+        for (th, a), c in self.fodc.varpi_legs[t]:
             for m, cm in self.group.antipode.cols[a].items():
-                viadd(acc, -(c * cm), self.mul(self.inv1_vec(th), {self.i0(m): one}))
+                viadd(acc, -(c * cm), self.mul(self.inv1_vec(th), {m: one}))
         return acc
 
     # -- algebra structure ----------------------------------------------------
 
     def _product(self, i: int, j: int) -> Vec:
-        g = self.group
-        di, a, t = self.split(i)
-        dj, b, s = self.split(j)
+        g, at = self.group, self.part_index
+        mul = g.algebra.mul_basis
+        di, a, t = self.parts[i]
+        dj, b, s = self.parts[j]
         out: Vec = {}
-        if di == 0 and dj == 0:
-            for k, c in g.algebra.mul_basis(a, b).items():
-                out[self.i0(k)] = c
-        elif di == 0 and dj == 1:
-            for k, c in g.algebra.mul_basis(a, b).items():
-                out[self.i1(k, s)] = c
-        elif di == 0 and dj == 2:
-            for k, c in g.algebra.mul_basis(a, b).items():
-                out[self.i2(k, s)] = c
-        elif di == 1 and dj == 0:
+        if di == 0:
+            # a (b (x) eta) = ab (x) eta
+            for k, c in mul(a, b).items():
+                out[at[dj, k, s]] = c
+        elif dj == 0:
             # (a (x) theta) b = a b^(1) (x) (theta o b^(2))
-            for b1, b2, c in g.sweedler(b):
-                for k, ck in g.algebra.mul_basis(a, b1).items():
-                    for u, cu in self.fodc.circ[b2].cols[t].items():
-                        viadd_term(out, self.i1(k, u), c * ck * cu)
-        elif di == 2 and dj == 0:
-            for b1, b2, c in g.sweedler(b):
-                for k, ck in g.algebra.mul_basis(a, b1).items():
-                    for u, cu in self.env.circ2[b2].cols[t].items():
-                        viadd_term(out, self.i2(k, u), c * ck * cu)
-        else:  # 1 x 1
-            for b1, b2, c in g.sweedler(b):
-                for k, ck in g.algebra.mul_basis(a, b1).items():
+            circ = self.fodc.circ if di == 1 else self.env.circ2
+            for (b1, b2), c in g.sweedler(b):
+                for k, ck in mul(a, b1).items():
+                    for u, cu in circ[b2].cols[t].items():
+                        viadd_term(out, at[di, k, u], c * ck * cu)
+        else:  # 1 x 1: (a (x) theta)(b (x) eta) = a b^(1) (x) (theta o b^(2)) ^ eta
+            for (b1, b2), c in g.sweedler(b):
+                for k, ck in mul(a, b1).items():
                     for u, cu in self.fodc.circ[b2].cols[t].items():
                         for x, cx in self.env.wedge_of(u, s).items():
-                            viadd_term(out, self.i2(k, x), c * ck * cu * cx)
+                            viadd_term(out, at[2, k, x], c * ck * cu * cx)
         return out
 
     def eps_basis(self, i: int):
-        deg, a, _ = self.split(i)
+        deg, a, _ = self.parts[i]
         return self.group.eps_basis(a) if deg == 0 else self.field.zero
 
     def _build_maps(self):
-        g = self.group
+        g, at = self.group, self.part_index
         field = self.field
         one = field.one
         env = self.env
@@ -548,11 +524,9 @@ class GammaEnvelope(GradedStarAlgebra):
 
         # star
         star_cols = []
-        for i in range(self.dim):
-            deg, a, t = self.split(i)
+        for deg, a, t in self.parts:
             if deg == 0:
-                star_cols.append({self.i0(k): c
-                                  for k, c in g.algebra.star.cols[a].items()})
+                star_cols.append(dict(g.algebra.star.cols[a]))
                 continue
             acc: Vec = {}
             stv = fodc.star_inv.cols[t] if deg == 1 else env.star2.cols[t]
@@ -561,7 +535,7 @@ class GammaEnvelope(GradedStarAlgebra):
                 inv = self.inv1_vec(u) if deg == 1 else self.inv2_vec(u)
                 # (1 (x) theta*) . a*  as a Gamma^-product
                 for k, ck in sta.items():
-                    prod = self.mul(inv, {self.i0(k): one})
+                    prod = self.mul(inv, {k: one})
                     viadd(acc, cu * ck, prod)
             star_cols.append(acc)
         self.star = LinearMap(self.space, self.space, star_cols, field,
@@ -569,22 +543,21 @@ class GammaEnvelope(GradedStarAlgebra):
 
         # differential (degree <= 1 columns only)
         d_cols = []
-        for i in range(self.dim):
-            deg, a, t = self.split(i)
+        for deg, a, t in self.parts:
             if deg == 0:
                 acc = {}
-                for a1, a2, c in g.sweedler(a):
+                for (a1, a2), c in g.sweedler(a):
                     for u, cu in fodc.pi.cols[a2].items():
-                        viadd_term(acc, self.i1(a1, u), c * cu)
+                        viadd_term(acc, at[1, a1, u], c * cu)
                 d_cols.append(acc)
             elif deg == 1:
                 acc = {}
-                for a1, a2, c in g.sweedler(a):
+                for (a1, a2), c in g.sweedler(a):
                     for u, cu in fodc.pi.cols[a2].items():
                         for x, cx in env.wedge_of(u, t).items():
-                            viadd_term(acc, self.i2(a1, x), c * cu * cx)
+                            viadd_term(acc, at[2, a1, x], c * cu * cx)
                 for x, cx in env.dlambda.cols[t].items():
-                    viadd_term(acc, self.i2(a, x), cx)
+                    viadd_term(acc, at[2, a, x], cx)
                 d_cols.append(acc)
             else:
                 d_cols.append(None)
@@ -595,16 +568,15 @@ class GammaEnvelope(GradedStarAlgebra):
                             name="Gamma^(x)Gamma^")
         sq = self.square
         phi_cols = []
-        for i in range(self.dim):
-            deg, a, t = self.split(i)
+        for deg, a, t in self.parts:
             if deg == 0:
-                phi_cols.append(from_legs(sq, [(self.i0(a1), self.i0(a2), c)
-                                               for a1, a2, c in g.sweedler(a)]))
+                phi_cols.append(from_legs(sq, g.sweedler(a)))
             elif deg == 1:
-                legs = [(self.i0(a1), self.i1(a2, t), c) for a1, a2, c in g.sweedler(a)]
-                for th, ck, cc in fodc.varpi_legs[t]:
-                    for a1, a2, c in g.sweedler(a):
-                        legs += [(self.i1(a1, th), self.i0(m), cc * c * cm)
+                # phi^(a theta) = a^(1) (x) a^(2) theta + a^(1) theta_k (x) a^(2) c_k
+                legs = [((a1, at[1, a2, t]), c) for (a1, a2), c in g.sweedler(a)]
+                for (th, ck), cc in fodc.varpi_legs[t]:
+                    for (a1, a2), c in g.sweedler(a):
+                        legs += [((at[1, a1, th], m), cc * c * cm)
                                  for m, cm in g.algebra.mul_basis(a2, ck).items()]
                 phi_cols.append(from_legs(sq, legs))
             else:
@@ -614,12 +586,12 @@ class GammaEnvelope(GradedStarAlgebra):
         for t in range(d1):
             acc: Vec = {}
             for k, ck in g.unit.items():
-                viadd(acc, ck, phi_cols[self.i1(k, t)])
+                viadd(acc, ck, phi_cols[at[1, k, t]])
             phi_inv1.append(acc)
 
         def phi_sq(v):
             acc: Vec = {}
-            for t1, t2, c in flat_legs(fodc.inv_sq, v):
+            for (t1, t2), c in flat_legs(fodc.inv_sq, v):
                 viadd(acc, c, graded_tensor_mul(sq, self, self,
                                                 phi_inv1[t1], phi_inv1[t2]))
             return acc
@@ -627,38 +599,38 @@ class GammaEnvelope(GradedStarAlgebra):
                             "extended coproduct")
         for a in range(da):
             for x in range(d2):
-                phi_cols[self.i2(a, x)] = graded_tensor_mul(
-                    sq, self, self, phi_cols[self.i0(a)], phi_inv2[x])
+                phi_cols[at[2, a, x]] = graded_tensor_mul(sq, self, self, phi_cols[a],
+                                                          phi_inv2[x])
         self.phi_hat = LinearMap(self.space, sq.space, phi_cols, field)
 
         # antipode: kappa on A, kappa^(a theta) = kappa^(theta) kappa(a), and
         # kappa_inv on Gamma_inv.  The axiom is checked in degrees <= 1 before
         # kappa^ extends to degree 2, whose well-definedness rests on them.
         antipode = RaisingReport(ValidationFailed, "Gamma^: ")
-        kap_cols: list = [{self.i0(k): c for k, c in g.antipode.cols[a].items()}
-                          for a in range(da)] + [None] * (self.dim - da)
+        kap_cols: list = [dict(g.antipode.cols[a]) for a in range(da)] + [None] * (self.dim - da)
         kap_inv1 = [self.kappa_inv(t) for t in range(d1)]
         for a in range(da):
             for t in range(d1):
-                kap_cols[self.i1(a, t)] = self.mul(kap_inv1[t], kap_cols[self.i0(a)])
+                kap_cols[at[1, a, t]] = self.mul(kap_inv1[t], kap_cols[a])
+        low = [i for i in range(self.dim) if self.degrees[i] < 2]
         add_antipode_record(antipode, ("antipode-1", "antipode axiom fails"), self,
-                            self.phi_hat, sq, kap_cols, self.eps_basis, range(self.off2))
+                            self.phi_hat, sq, kap_cols, self.eps_basis, low)
 
         # degree 2 by graded antimultiplicativity:
         # kappa^(theta eta) = -kappa^(eta) kappa^(theta)
         def kappa_sq(v):
             acc: Vec = {}
-            for t1, t2, c in flat_legs(fodc.inv_sq, v):
+            for (t1, t2), c in flat_legs(fodc.inv_sq, v):
                 viadd(acc, -c, self.mul(kap_inv1[t2], kap_inv1[t1]))
             return acc
         kap_inv2 = _descend(kappa_sq, env.split_section.cols, env.s2_basis,
                             "degree-2 antipode")
         for a in range(da):
             for x in range(d2):
-                kap_cols[self.i2(a, x)] = self.mul(kap_inv2[x], kap_cols[self.i0(a)])
+                kap_cols[at[2, a, x]] = self.mul(kap_inv2[x], kap_cols[a])
         add_antipode_record(antipode, ("antipode-2", "antipode axiom fails"), self,
                             self.phi_hat, sq, kap_cols, self.eps_basis,
-                            range(self.off2, self.dim))
+                            [i for i in range(self.dim) if self.degrees[i] == 2])
         self.kappa_hat = LinearMap(self.space, self.space, kap_cols, field)
         # the rank comes from the elimination that the inverse reuses
         if self.kappa_hat.solver().rank != self.space.dim:
@@ -682,15 +654,14 @@ class GammaEnvelope(GradedStarAlgebra):
         one = field.one
         sq = self.square
         # (phi_hat (x) id) phi_hat per basis element
-        cols = []
-        for i in range(self.dim):
-            legs = []
-            for u, z, c in flat_legs(sq, self.phi_hat.cols[i]):
-                for x, y, c2 in flat_legs(sq, self.phi_hat.cols[u]):
+        def terms(i):
+            for (u, z), c in flat_legs(sq, self.phi_hat.cols[i]):
+                for (x, y), c2 in flat_legs(sq, self.phi_hat.cols[u]):
                     coeff = c * c2
                     for kx, ck in self.kappa_hat.cols[x].items():
                         sign = -one if (self.degree(kx) * self.degree(y)) % 2 else one
-                        legs += [(y, m, coeff * ck * cm * sign)
-                                 for m, cm in self.mul_basis(kx, z).items()]
-            cols.append(from_legs(sq, legs))
-        return LinearMap(self.space, sq.space, cols, field)
+                        for m, cm in self.mul_basis(kx, z).items():
+                            yield (y, m), coeff * ck * cm * sign
+
+        return LinearMap(self.space, sq.space, [from_legs(sq, terms(i)) for i in range(self.dim)],
+                         field)

@@ -30,7 +30,8 @@ from .hopf import (
 )
 from .linalg import LABEL_SEPARATORS, BasedSpace, LinearMap, Vec
 from .presets import (
-    functions_on_points, point_bundle, require_universal_points, trivial_bundle,
+    functions_on_points, point_bundle, require_conductor, require_universal_points,
+    trivial_bundle,
 )
 from .report import CheckRecord, RaisingReport, ValidationReport
 
@@ -120,10 +121,10 @@ def _parse_entries3(field, entries, dim_i, dim_j, dim_k, where):
 
 def _legs(entries, dim) -> list:
     """Entries (i, j) -> Vec over k, as from ``_parse_entries3``, to the legs
-    (j, k, c) of each of the dim basis elements i."""
+    ((j, k), c) of each of the dim basis elements i."""
     legs = [[] for _ in range(dim)]
     for (i, j), vec in entries.items():
-        legs[i] += [(j, k, c) for k, c in vec.items()]
+        legs[i] += [((j, k), c) for k, c in vec.items()]
     return legs
 
 
@@ -173,8 +174,7 @@ def parse_spec(text: str) -> SpecFile:
     _require(doc.get("format") == FORMAT_TAG,
              f"format must be {FORMAT_TAG!r}", "format")
     conductor = doc.get("conductor")
-    _require(_is_int(conductor) and conductor >= 1,
-             "conductor must be a positive integer", "conductor")
+    require_conductor(conductor)
     field = CycloField(conductor)
 
     hopf_doc = doc.get("hopf")

@@ -282,14 +282,14 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
         b3 = b.b_space(3)
         bad1 = bad2 = None
         for bi in range(b2.dim):
-            # input basis element of B_2 with flat legs (p, q)
+            # input basis element of B_2 with flat legs ((p, q), c)
             lhs1: Vec = {}
             lhs2: Vec = {}
             rhs1: Vec = {}
             rhs2: Vec = {}
-            for p, q, c in flat_legs(b2, {bi: one}):
-                # delta_3(e_p) flat legs (x, y, z)
-                for x, y, z, cd in flat_legs(b3, self.delta3.cols[p]):
+            for (p, q), c in flat_legs(b2, {bi: one}):
+                # delta_3(e_p) flat legs ((x, y, z), cd)
+                for (x, y, z), cd in flat_legs(b3, self.delta3.cols[p]):
                     left = b2.project_tuple((x, y))
                     coeff = c * cd
                     # id^2 (x) sigma on (z, q), then mu^2
@@ -364,7 +364,7 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
         return self.braid.at(3, 0).compose(self.braid.at(3, 1))
 
     def lb_move(self, li: int, bi: int):
-        """The flat B (x) L legs (j, l, c) of move_lb(l_li (x) b_bi), or None
+        """The flat B (x) L legs ((j, l), c) of move_lb(l_li (x) b_bi), or None
         where the image leaves B (x) L; memoised."""
         key = (li, bi)
         if key not in self._lb_moves:
@@ -577,7 +577,7 @@ class GaugeTransformation:
         cols = []
         for i in range(b.total.dim):
             acc: Vec = {}
-            for l, x, cd in flat_legs(gc.t_lb, gc.delta.cols[i]):
+            for (l, x), cd in flat_legs(gc.t_lb, gc.delta.cols[i]):
                 viadd(acc, cd, b.total.mul(in_b[l], {x: field.one}))
             cols.append(acc)
         self.action = LinearMap(b.total.space, b.total.space, cols, field)
@@ -635,7 +635,7 @@ def _compatible(gc: GaugeCoalgebra, vals) -> bool | None:
             if legs is None:
                 return None
             rhs: Vec = {}
-            for j, l, c in legs:
+            for (j, l), c in legs:
                 viadd(rhs, c, b.total.mul({j: one}, in_b[l]))
             if b.total.mul(in_b[li], {bi: one}) != rhs:
                 return False
@@ -665,7 +665,7 @@ def compose_gammas(g1: GaugeTransformation, g2: GaugeTransformation) -> LinearMa
     cols = []
     for li in range(gc.l_space.dim):
         acc: Vec = {}
-        for l1, l2, c in flat_legs(gc.t_ll, gc.phi_m.cols[li]):
+        for (l1, l2), c in flat_legs(gc.t_ll, gc.phi_m.cols[li]):
             viadd(acc, c, base.mul(g1.functional.apply({l1: one}),
                                    g2.functional.apply({l2: one})))
         cols.append(acc)
@@ -847,7 +847,7 @@ def isotypic_decompose(b: Bundle, gc: GaugeCoalgebra | None = None) -> IsotypicD
         cols = []
         for i in range(b.total.dim):
             acc: Vec = {}
-            for k, a, cf in b.f_legs[i]:
+            for (k, a), cf in b.f_legs[i]:
                 val = corep.functional[a]
                 if val:
                     viadd_term(acc, k, cf * val)

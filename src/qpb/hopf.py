@@ -249,24 +249,27 @@ class StarAlgebra(GradedStarAlgebra):
 def graded_tensor_mul(tp: TProd, left: GradedStarAlgebra, right: GradedStarAlgebra,
                       u: Vec, v: Vec) -> Vec:
     """Product of u and v in the graded tensor product tp of ``left`` and
-    ``right``: (x (x) y)(p (x) q) = (-1)^{|y||p|} xp (x) yq."""
-    one = tp.field.one
-    v_terms = flat_legs(tp, v)
-    out: Vec = {}
-    for x, y, cu in flat_legs(tp, u):
-        dy = right.degree(y)
-        for p, q, cv in v_terms:
-            xp = left.mul_basis(x, p)
-            if not xp:
-                continue
-            yq = right.mul_basis(y, q)
-            if not yq:
-                continue
-            c0 = cu * cv * (-one if (dy * left.degree(p)) % 2 else one)
-            for k1, c1 in xp.items():
-                for k2, c2 in yq.items():
-                    viadd_term(out, tp.flat_index((k1, k2)), c0 * c1 * c2)
-    return tp.project(out)
+    ``right``: (x (x) y)(p (x) q) = (-1)^{|y||p|} xp (x) yq.  A term p (x) q
+    of v is multiplied only when xp and yq are both nonzero, read off the
+    factors' ``support``."""
+    lsup, rsup, lmul, rmul = left.support, right.support, left.mul_basis, right.mul_basis
+    v_terms = [(p, q, cv, left.degree(p) % 2) for (p, q), cv in flat_legs(tp, v)]
+
+    def terms():
+        for (x, y), cu in flat_legs(tp, u):
+            row_x, row_y, dy = lsup[x], rsup[y], right.degree(y) % 2
+            for p, q, cv, dp in v_terms:
+                if p in row_x and q in row_y:
+                    c0 = cu * cv
+                    if dy and dp:
+                        c0 = -c0
+                    yq = rmul(y, q)
+                    for k1, c1 in lmul(x, p).items():
+                        c01 = c0 * c1
+                        for k2, c2 in yq.items():
+                            yield (k1, k2), c01 * c2
+
+    return from_legs(tp, terms())
 
 
 def graded_tensor_star(tp: TProd, left: GradedStarAlgebra, right: GradedStarAlgebra,
@@ -274,34 +277,34 @@ def graded_tensor_star(tp: TProd, left: GradedStarAlgebra, right: GradedStarAlge
     """The componentwise star (x (x) y)* = x* (x) y*, antilinear and with no
     Koszul sign: the convention under which d and every coaction here are
     hermitian."""
-    out: Vec = {}
-    for x, y, c in flat_legs(tp, v):
-        c = c.conj()
-        for x2, cx in left.star.cols[x].items():
-            for y2, cy in right.star.cols[y].items():
-                viadd_term(out, tp.flat_index((x2, y2)), c * cx * cy)
-    return tp.project(out)
+    lstar, rstar = left.star.cols, right.star.cols
+
+    def terms():
+        for (x, y), c in flat_legs(tp, v):
+            c = c.conj()
+            for x2, cx in lstar[x].items():
+                for y2, cy in rstar[y].items():
+                    yield (x2, y2), c * cx * cy
+
+    return from_legs(tp, terms())
 
 
 def graded_tensor_d(tp: TProd, left: GradedStarAlgebra, right: GradedStarAlgebra,
                     v: Vec) -> Vec:
     """d(x (x) y) = dx (x) y + (-1)^{|x|} x (x) dy, with the terms that leave
     the budget dropped."""
-    out: Vec = {}
-    index = tp.tuple_index
-    for x, y, c in flat_legs(tp, v):
-        if left.d_cols[x] is not None:
-            for k, ck in left.d_cols[x].items():
-                t = index.get((k, y))
-                if t is not None:
-                    viadd_term(out, t, c * ck)
-        if right.d_cols[y] is not None:
-            cs = -c if left.degree(x) % 2 else c
-            for k, ck in right.d_cols[y].items():
-                t = index.get((x, k))
-                if t is not None:
-                    viadd_term(out, t, cs * ck)
-    return tp.project(out)
+    def terms():
+        for (x, y), c in flat_legs(tp, v):
+            dx, dy = left.d_cols[x], right.d_cols[y]
+            if dx is not None:
+                for k, ck in dx.items():
+                    yield (k, y), c * ck
+            if dy is not None:
+                cs = -c if left.degree(x) % 2 else c
+                for k, ck in dy.items():
+                    yield (x, k), cs * ck
+
+    return from_legs(tp, (term for term in terms() if tp.degree(term[0]) <= BUDGET))
 
 
 def add_coaction_records(rep: ValidationReport, ids, name: str,
@@ -344,10 +347,10 @@ def add_coaction_records(rep: ValidationReport, ids, name: str,
         for i in range(n):
             lhs: Vec = {}
             rhs: Vec = {}
-            for x, a, c in f_legs[i]:
-                for x2, a1, c2 in f_legs[x]:
+            for (x, a), c in f_legs[i]:
+                for (x2, a1), c2 in f_legs[x]:
                     viadd_term(lhs, (x2, a1, a), c * c2)
-                for a1, a2, c2 in phi_legs[a]:
+                for (a1, a2), c2 in phi_legs[a]:
                     viadd_term(rhs, (x, a1, a2), c * c2)
             if lhs != rhs:
                 yield basis_witness(space, i)
@@ -356,7 +359,7 @@ def add_coaction_records(rep: ValidationReport, ids, name: str,
         for i in range(n):
             right: Vec = {}
             left: Vec = {}
-            for x, a, c in f_legs[i]:
+            for (x, a), c in f_legs[i]:
                 viadd_term(right, x, c * eps_basis(a))
                 if f is phi:
                     viadd_term(left, a, c * eps_basis(x))
@@ -387,7 +390,7 @@ def add_antipode_record(rep: ValidationReport, ident, w: GradedStarAlgebra,
         for i in range(w.dim) if basis is None else basis:
             left: Vec = {}
             right: Vec = {}
-            for x, y, c in flat_legs(ww, phi.cols[i]):
+            for (x, y), c in flat_legs(ww, phi.cols[i]):
                 viadd(left, c, w.mul(kappa[x], {y: one}))
                 viadd(right, c, w.mul({x: one}, kappa[y]))
             target = vscale(eps_basis(i), w.unit)
@@ -403,7 +406,7 @@ def add_antipode_record(rep: ValidationReport, ident, w: GradedStarAlgebra,
 class HopfStarAlgebra:
     """Hopf *-algebra with an optional normalized two-sided Haar integral.
 
-    ``sweedler[i]`` lists legs (j, k, c) of the coproduct
+    ``sweedler[i]`` lists the legs ((j, k), c) of the coproduct
     phi(e_i) = sum c e_j (x) e_k; the coproduct maps into ``square``, the free
     product A (x) A, and ``sweedler(i)`` gives its legs back, equal legs
     merged, in the order of the product's basis."""
@@ -463,11 +466,11 @@ class HopfStarAlgebra:
         return self.algebra.star_vec(v)
 
     def phi2_basis(self, i: int):
-        """Triples (j, k, l, c) of (phi (x) id)phi(e_i)."""
+        """The legs ((j, k, l), c) of (phi (x) id)phi(e_i)."""
         out = []
-        for j, k, c in self._sweedler[i]:
-            for j1, j2, c1 in self._sweedler[j]:
-                out.append((j1, j2, k, c * c1))
+        for (j, k), c in self._sweedler[i]:
+            for (j1, j2), c1 in self._sweedler[j]:
+                out.append(((j1, j2, k), c * c1))
         return out
 
     def is_commutative(self):
@@ -524,7 +527,7 @@ def validate_hopf(h: HopfStarAlgebra) -> ValidationReport:
         for i in range(dim):
             left: Vec = {}
             right: Vec = {}
-            for j_, k_, c in h.sweedler(i):
+            for (j_, k_), c in h.sweedler(i):
                 viadd_term(left, j_, c * h.haar_of({k_: one}))
                 viadd_term(right, k_, c * h.haar_of({j_: one}))
             target = vscale(h.haar_of({i: one}), h.unit)
@@ -552,7 +555,7 @@ def compute_haar(h: HopfStarAlgebra) -> LinearMap:
     for i in range(dim):
         rows_r: dict[int, Vec] = {}
         rows_l: dict[int, Vec] = {}
-        for j, k, c in h.sweedler(i):
+        for (j, k), c in h.sweedler(i):
             rows_r.setdefault(j, {})
             rows_r[j][k] = rows_r[j].get(k, field.zero) + c
             rows_l.setdefault(k, {})
@@ -591,11 +594,9 @@ def adjoint_action(h: HopfStarAlgebra) -> LinearMap:
     field, one = h.field, h.field.one
     cols = []
     for i in range(h.dim):
-        legs = []
-        for j1, j2, k, c in h.phi2_basis(i):
-            prod = h.mul(h.kappa({j1: one}), {k: one})
-            legs += [(j2, t, c * ct) for t, ct in prod.items()]
-        cols.append(from_legs(h.square, legs))
+        cols.append(from_legs(h.square, (
+            ((j2, t), c * ct) for (j1, j2, k), c in h.phi2_basis(i)
+            for t, ct in h.mul(h.kappa({j1: one}), {k: one}).items())))
     ad = LinearMap(h.space, h.square.space, cols, field)
     add_coaction_records(
         RaisingReport(ValidationFailed, "adjoint action: "),
@@ -791,7 +792,7 @@ def gen_from_group_table(t: GroupTable, kind: str, field: CycloField) -> HopfSta
         sweedler = [[] for _ in range(n)]
         for x in range(n):
             for y in range(n):
-                sweedler[t.mult[x][y]].append((x, y, one))
+                sweedler[t.mult[x][y]].append(((x, y), one))
         counit = LinearMap(space, BasedSpace(("1",)),
                            [{0: one} if g == t.identity else {} for g in range(n)], field)
         antipode = LinearMap(space, space, [{t.inverse[g]: one} for g in range(n)], field)
@@ -827,6 +828,6 @@ def gen_from_group_table(t: GroupTable, kind: str, field: CycloField) -> HopfSta
         coreps = [Corepresentation(f"g{g}", 1,
                                    [one if x == g else field.zero for x in range(n)])
                   for g in range(n)]
-        return HopfStarAlgebra(alg, [[(g, g, one)] for g in range(n)], counit, antipode,
+        return HopfStarAlgebra(alg, [[((g, g), one)] for g in range(n)], counit, antipode,
                                haar, coreps)
     raise InputError(f"unknown generator kind {kind!r}")

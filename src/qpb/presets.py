@@ -21,14 +21,24 @@ KINDS = ("function_algebra", "group_algebra")
 
 
 def hopf_preset(group: str, kind: str, conductor: int | None = None) -> HopfStarAlgebra:
+    """The preset over Q(zeta_n) for the given conductor n, by default the
+    least one whose field holds the group's characters."""
     t = named_group(group)
-    n = conductor if conductor is not None else group_conductor(t)
+    n = group_conductor(t)
+    if conductor is not None:
+        require_conductor(conductor)
+        # group_conductor is never 2 mod 4, so mu_n lies in Q(zeta_conductor)
+        # exactly when n divides the conductor
+        if conductor % n:
+            raise SpecFileError(f"Q(zeta_{conductor}) lacks the roots of unity of {group}: "
+                                f"the conductor must be a multiple of {n}", where="conductor")
+        n = conductor
     return gen_from_group_table(t, kind, CycloField(n))
 
 
 def point_bundle(h: HopfStarAlgebra):
     """(total, f_legs) for B = A, F = phi over a point: f_legs[i] lists the
-    legs (j, k, c) of F(e_i) = sum c e_j (x) e_k."""
+    legs ((j, k), c) of F(e_i) = sum c e_j (x) e_k."""
     return h.algebra, [h.sweedler(i) for i in range(h.dim)]
 
 
@@ -38,6 +48,12 @@ def point_bundle_data(group: str, kind: str = "function_algebra",
     h = hopf_preset(group, kind, conductor)
     total, f_legs = point_bundle(h)
     return total, h, f_legs
+
+
+def require_conductor(n) -> None:
+    """A spec's conductor is a positive whole number."""
+    if isinstance(n, bool) or not isinstance(n, int) or n < 1:
+        raise SpecFileError("conductor must be a positive integer", where="conductor")
 
 
 def require_base_points(points) -> None:
@@ -70,7 +86,7 @@ def functions_on_points(points: int, field: CycloField) -> StarAlgebra:
 def trivial_bundle(h: HopfStarAlgebra, points: int):
     """(total, f_legs) for B = C(X) (x) A, F = id (x) phi, over |X| = points:
     B's basis is the pairs (p, a) of a point and a basis element of A, and
-    f_legs[i] lists the legs (j, k, c) of F(e_i) = sum c e_j (x) e_k."""
+    f_legs[i] lists the legs ((j, k), c) of F(e_i) = sum c e_j (x) e_k."""
     require_base_points(points)
     field = h.field
     one = field.one
@@ -84,7 +100,7 @@ def trivial_bundle(h: HopfStarAlgebra, points: int):
                                     for p, a in pairs], field, antilinear=True)
     total = StarAlgebra(f"C(X{points})(x){h.algebra.name}", field, space, mult, unit,
                         star)
-    f_legs = [[(index[p, a1], a2, c) for a1, a2, c in h.sweedler(a)] for p, a in pairs]
+    f_legs = [[((index[p, a1], a2), c) for (a1, a2), c in h.sweedler(a)] for p, a in pairs]
     return total, f_legs
 
 
@@ -108,7 +124,7 @@ def _hopf_sections(h: HopfStarAlgebra) -> dict:
         for j in range(dim):
             for k in sorted(h.algebra.mult[i][j]):
                 mult.append([i, j, k, h.algebra.mult[i][j][k].literal()])
-    cop = [[i, j, k, c.literal()] for i in range(dim) for j, k, c in h.sweedler(i)]
+    cop = [[i, j, k, c.literal()] for i in range(dim) for (j, k), c in h.sweedler(i)]
     counit = []
     for i in range(dim):
         c = h.eps_basis(i)

@@ -42,22 +42,31 @@ none.  They are unique without a check: input labels hold no "|"
 (``LABEL_SEPARATORS``), so all labels of one factor have the same number of
 "|"-separated parts, and a product label splits back into its tuple.
 
+A vector of a product is written and read one way: as flat terms, pairs
+(t, c) of a flat tuple t and its coefficient c.  ``from_legs`` sums terms
+into a vector (a zero coefficient is skipped, a zero tuple goes to the sink,
+a tuple over the budget raises DegreeBudget) and projects it; ``flat_legs``
+lists a vector's terms, lifted, and ``from_legs`` inverts it.  Term
+rewriters, Sweedler legs and the legs of a coaction are such pairs too, and
+every accumulator that builds a vector term by term feeds its terms, as a
+generator, to ``from_legs``.
+
 Operators between TProds are assembled per canonical basis element by lifting
-to the flat tensor basis, rewriting tuples, and projecting back; the caller's
+to the flat tensor basis, rewriting terms, and projecting back; the caller's
 rewrite rule must descend to the quotient (all rules used here are module maps
 in the balanced slots).  Most maps of the paper act on a few slots and leave
 the others alone, such as sigma on slots (p, p+1), Delta (x) id or
 (X (x) id)(id (x) X_n): ``slot_terms`` is the one rewriter that applies a map
 to a block of slots and splices its image in their place, ``chain_terms``
 runs two rewriters in turn, ``term_map`` builds the map a rewriter defines
-and ``apply_terms`` applies a rewriter to one vector; ``flat_legs`` lists a
-vector's flat tuples with their coefficients and ``from_legs`` builds a
-vector from them.  So the flat layout (``tuples``, ``flat_index``, ``lift``)
-is read here, and a caller names slots, maps and legs.  ``embed`` builds the
+and ``apply_terms`` applies a rewriter to one vector.  So the flat layout
+(``tuples``, ``tuple_index``, ``flat_index``, ``lift``, ``project``) is read
+here, and a caller names slots, maps and terms.  ``embed`` builds the
 elementary tensor of one vector per factor, such as 1 (x) 1 or x (x) y, the
 one way to write one.  Free products of two spaces, such as A (x) A,
-B (x) A and Gamma_inv (x) Gamma_inv, are TProds too, so no other module
-computes a product's flat index.
+B (x) A, Gamma_inv (x) Gamma_inv and the blocks A (x) Gamma_inv and
+A (x) Lambda^2 of Gamma^, are TProds too, so no other module computes a
+product's flat index.
 """
 
 from __future__ import annotations
@@ -312,66 +321,66 @@ def _times(a, b, one):
 
 def embed(tp: TProd, *vecs) -> Vec:
     """The elementary tensor of one vector per factor of tp, projected into
-    tp.  A zero tuple goes to the sink and a tuple over the budget raises
-    DegreeBudget, as in ``flat_index``; a coefficient that is one is not
-    multiplied."""
+    tp by ``from_legs``; a coefficient that is one is not multiplied."""
     one = tp.field.one
     terms = [((), one)]
     for v in vecs:
         terms = [(t + (k,), _times(c, ck, one)) for t, c in terms for k, ck in v.items()]
-    out: Vec = {}
-    for t, c in terms:
-        viadd_term(out, tp.flat_index(t), c)
-    return tp.project(out)
+    return from_legs(tp, terms)
 
 
 def flat_legs(tp: TProd, v: Vec) -> list:
-    """The flat legs t + (c,) of v in tp, one per lifted tuple t with its
-    coefficient c, for Sweedler-style loops."""
-    tuples = tp.tuples
-    return [tuples[fi] + (c,) for fi, c in tp.lift(v).items()]
+    """The flat terms (t, c) of v in tp, one per lifted tuple t with its
+    coefficient c, for Sweedler-style loops; ``from_legs`` inverts it."""
+    tuples, keep = tp.tuples, tp.quotient.keep
+    return [(tuples[keep[b]], c) for b, c in v.items()]
 
 
-def from_legs(tp: TProd, legs) -> Vec:
-    """The vector of tp whose flat legs are ``legs``, the inverse of
-    ``flat_legs``: the sum of the legs t + (c,), projected into tp."""
-    out: Vec = {}
-    for leg in legs:
-        viadd_term(out, tp.flat_index(leg[:-1]), leg[-1])
+def from_legs(tp: TProd, terms) -> Vec:
+    """The vector of tp whose flat terms are ``terms``, (tuple, coefficient)
+    pairs: their sum, projected into tp.  A zero coefficient is skipped, a
+    zero tuple goes to the sink and a tuple over the budget raises
+    DegreeBudget, as in ``flat_index``.  Every vector of a product that is
+    written term by term is written here."""
+    zero, get, out = tp.field.zero, tp.tuple_index.get, {}
+    for t, c in terms:
+        if c is zero:
+            continue
+        k = get(t)
+        if k is None:
+            k = tp.flat_index(t)
+        # viadd_term, inlined: this loop runs once per term of every product
+        s = out.get(k)
+        if s is None:
+            out[k] = c
+        else:
+            s = s + c
+            if s:
+                out[k] = s
+            else:
+                del out[k]
     return tp.project(out)
 
 
-def term_map(src: TProd, dst: TProd, fn, antilinear: bool = False,
-             field: CycloField | None = None) -> LinearMap:
+def term_map(src: TProd, dst: TProd, fn, antilinear: bool = False) -> LinearMap:
     """Build a map src.space -> dst.space from a flat term rewriter.
 
     ``fn(t)`` receives the kept tuple of each source basis element (its
     lift, with coefficient one) and yields (tuple, Scalar) pairs over dst;
     the rewriter must descend to the balanced quotient.
     """
-    field = field or src.field
-    zero = field.zero
-    cols = []
     tuples = src.tuples
-    for k in src.quotient.keep:
-        out: Vec = {}
-        for t2, c2 in fn(tuples[k]):
-            if c2 is not zero:
-                viadd_term(out, dst.flat_index(t2), c2)
-        cols.append(dst.project(out))
-    return LinearMap(src.space, dst.space, cols, field, antilinear)
+    cols = [from_legs(dst, fn(tuples[k])) for k in src.quotient.keep]
+    return LinearMap(src.space, dst.space, cols, src.field, antilinear)
 
 
 def apply_terms(src: TProd, dst: TProd, fn, v: Vec) -> Vec:
     """The flat term rewriter ``fn`` (as for ``term_map``) applied to one
     vector v of src, projected into dst; a coefficient one is not
     multiplied."""
-    one, tuples = src.field.one, src.tuples
-    out: Vec = {}
-    for fi, c in src.lift(v).items():
-        for t, ct in fn(tuples[fi]):
-            viadd_term(out, dst.flat_index(t), _times(c, ct, one))
-    return dst.project(out)
+    one = src.field.one
+    return from_legs(dst, ((t, _times(c, ct, one)) for s, c in flat_legs(src, v)
+                           for t, ct in fn(s)))
 
 
 def slot_terms(p: int, m: LinearMap, m_src: TProd | None = None,
@@ -397,10 +406,7 @@ def slot_terms(p: int, m: LinearMap, m_src: TProd | None = None,
 
     def image(block):
         v = column(block[0]) if m_src is None else m.apply(m_src.project_tuple(block))
-        if m_dst is None:
-            return [((k,), c) for k, c in v.items()]
-        tuples = m_dst.tuples
-        return [(tuples[fi], c) for fi, c in m_dst.lift(v).items()]
+        return [((k,), c) for k, c in v.items()] if m_dst is None else flat_legs(m_dst, v)
 
     def terms(t):
         block = t[p:p + width]

@@ -49,7 +49,7 @@ def test_non_principal_rejected():
     from qpb.presets import hopf_preset
     h = hopf_preset("Z2", "function_algebra")
     # trivial coaction b -> b (x) 1 on a dim > 1 algebra
-    f_legs = [[(i, j, c) for j, c in h.unit.items()] for i in range(h.dim)]
+    f_legs = [[((i, j), c) for j, c in h.unit.items()] for i in range(h.dim)]
     with pytest.raises(NotPrincipal):
         build_bundle(h.algebra, h, f_legs)
 

@@ -1,3 +1,7 @@
+import hashlib
+import json
+from pathlib import Path
+
 import pytest
 
 from qpb.bundle import build_bundle
@@ -7,13 +11,16 @@ from qpb.calculus import (
 )
 from qpb.cyclotomic import CycloField
 from qpb.errors import DegreeBudget, ValidationFailed
+from qpb.formats import BuildResult, load_file
 from qpb.fodc import (
     GammaEnvelope, build_envelope2, build_fodc, universal_ideal, zero_ideal,
 )
 from qpb.hopf import BUDGET, graded_tensor_mul
 from qpb.linalg import LinearMap, viadd_term
-from qpb.presets import functions_on_points, hopf_preset, trivial_bundle
-from qpb.tensor import Factor, TProd
+from qpb.presets import (
+    functions_on_points, generate_example, hopf_preset, serialize_example, trivial_bundle,
+)
+from qpb.tensor import Factor, TProd, embed
 
 
 def point_calculus(group, kind="function_algebra", ideal="universal"):
@@ -243,9 +250,9 @@ def test_differential_suite_reports_lhat_not_closed_under_star():
 def test_tau_hat_restricted_to_degree_zero_is_tau():
     tc = point_calculus("Z2")
     b = degree0_bundle(tc.group)
-    # group basis elements sit in degree 0 of Gamma^
+    # group basis elements sit in degree 0 of Gamma^, with their own indices
     for a in range(tc.group.dim):
-        v = tc.tau.cols[tc.gamma.i0(a)]
+        v = tc.tau.cols[a]
         # translate to b2 coordinates
         acc = {}
         from qpb.linalg import viadd
@@ -312,7 +319,7 @@ def _old_omega_mul_basis(om, i, j):
     out = {}
     for m, cm in om.base.mul_basis(m1, m2).items():
         for g, cg in om.gamma.mul_basis(g1, g2).items():
-            out[om.idx(m, g)] = sign * cm * cg
+            out.update(embed(om.tp, {m: sign * cm * cg}, {g: one}))
     return out
 
 
@@ -359,3 +366,45 @@ def test_graded_tensor_product_matches_explicit_formulas(points):
                         _old_pair_mul(tp, left, right, u, v)
                     pairs += 1
     assert pairs > 100
+
+
+# -- basis labels, degrees and order -------------------------------------------------
+
+CASES = Path(__file__).resolve().parents[1] / "bench" / "cases"
+
+# sha256 of the JSON of [labels, degrees], taken before Gamma^'s degree-1 and
+# degree-2 blocks became TProds
+BASIS_SHA256 = {
+    "calculus-z3": {
+        "Gamma^": "432a3cb582f0e6698fb5ef80d9730f8fa9d5145c79075a3eb8721a1640c095c1",
+        "Omega(P)": "57c0ac793c05145fb31c450163fdf8449b5d56decc78dba71ba120070867d636",
+        "W_2": "fa84cd84ca3c79233d76e2b45ad2387474674c319f1f498d2692e1722ede8752",
+    },
+    "s3-transpositions": {
+        "Gamma^": "40cd79fec611e117da9cb88a1adeb21391a4351d40674b0490afa1b61c773f90",
+        "Omega(P)": "d44753cfa7a62303c0abef84a50783849b0b6dbf67bb1c385e96bfc59f36948b",
+        "W_2": "4b9bf41eadbbe815e22a0b7c2522366966de435f0dede47e4e3f05e8e7ec2172",
+    },
+}
+
+
+def _basis_digest(labels, degrees) -> str:
+    return hashlib.sha256(json.dumps([list(labels), list(degrees)]).encode()).hexdigest()
+
+
+@pytest.mark.parametrize("case", sorted(BASIS_SHA256))
+def test_basis_labels_degrees_and_order_are_pinned(case, tmp_path):
+    """Gamma^, Omega(P) and W_2 keep their basis labels, degrees and order, on
+    calculus-z3 and on the transposition calculus of C(S3) over a point.  A
+    passing report renders no label, so a reordered basis shows only here."""
+    path = CASES / "calculus-z3.json"
+    if case == "s3-transpositions":
+        doc = generate_example("point-bundle", group="S3")
+        doc["fodc"] = {"ideal_basis": [[[4, "1"]], [[5, "1"]]]}
+        path = tmp_path / "s3-transpositions.json"
+        path.write_text(serialize_example(doc), encoding="utf-8")
+    tc = BuildResult(load_file(str(path))).total_calculus()
+    got = {"Gamma^": _basis_digest(tc.gamma.space.labels, tc.gamma.degrees),
+           "Omega(P)": _basis_digest(tc.omega.space.labels, tc.omega.degrees),
+           "W_2": _basis_digest(tc.w2.space.labels, tc.w2.degrees())}
+    assert got == BASIS_SHA256[case]

@@ -78,6 +78,37 @@ def test_gen_rejects_what_check_rejects(tmp_path, capsys, args, where, message):
     assert capsys.readouterr().err == f"error: {where}: {message}\n"
 
 
+@pytest.mark.parametrize("conductor", ["0", "-3"])
+def test_gen_rejects_a_conductor_that_check_rejects(tmp_path, capsys, conductor):
+    """A conductor below one exits 2 at ``conductor`` in gen, with the
+    diagnostic that check gives for the same conductor written by hand."""
+    path = tmp_path / "gen.json"
+    message = "error: conductor: conductor must be a positive integer\n"
+    assert main(["gen", "point-bundle", "--conductor", conductor, "-o", str(path)]) == 2
+    assert capsys.readouterr().err == message
+    assert not path.exists()
+    doc = generate_example("point-bundle")
+    doc["conductor"] = int(conductor)
+    assert main(["check", write(tmp_path, "by-hand.json", doc)]) == 2
+    assert capsys.readouterr().err == message
+
+
+@pytest.mark.parametrize("group, conductor, least", [("Z3", "1", 3), ("S3", "4", 3)])
+def test_gen_rejects_a_conductor_without_the_groups_roots(tmp_path, capsys, group,
+                                                         conductor, least):
+    """A field too small for the group's characters exits 2 at ``conductor``,
+    naming the conductors that would do."""
+    path = tmp_path / "gen.json"
+    assert main(["gen", "point-bundle", "--group", group, "--conductor", conductor,
+                 "-o", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        f"error: conductor: Q(zeta_{conductor}) lacks the roots of unity of {group}: "
+        f"the conductor must be a multiple of {least}\n")
+    assert not path.exists()
+    assert main(["gen", "point-bundle", "--group", group, "--conductor", str(2 * least),
+                 "-o", str(path)]) == 0
+
+
 def test_haar_and_classicality_commands(tmp_path, capsys):
     path = str(tmp_path / "z2.json")
     main(["gen", "c-group", "--group", "Z2", "-o", path])

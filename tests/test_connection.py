@@ -9,6 +9,7 @@ from qpb.connection import (
 from qpb.errors import NotCovariant
 from qpb.fodc import build_fodc, universal_ideal
 from qpb.presets import functions_on_points, hopf_preset
+from qpb.tensor import embed
 
 
 def point_calculus(group):
@@ -85,7 +86,7 @@ def test_perturbed_connection_two_point():
     for lab in ("x0|x1|x0", "x1|x0|x1"):
         m = base.space.index(lab)
         for a, ca in tc.group.unit.items():
-            expect[om.idx(m, tc.gamma.i0(a))] = -(two * ca)
+            expect.update(embed(om.tp, {m: -(two * ca)}, {a: tc.field.one}))
     assert conn.curvature.cols[0] == expect
     rep = verify_transformations(conn)
     assert rep.ok, rep.to_text()

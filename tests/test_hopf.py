@@ -93,7 +93,7 @@ def test_haar_no_solution_for_diagonal_coproduct():
     # phi(e_i) = e_i (x) e_i on C(Z2) is not a coproduct; invariance forces 0
     F = CycloField(1)
     h = make("function_algebra", "Z2", n_field=1)
-    diag = [[(i, i, F.one)] for i in range(2)]
+    diag = [[((i, i), F.one)] for i in range(2)]
     fake = HopfStarAlgebra(h.algebra, diag, h.counit, h.antipode)
     with pytest.raises(NoHaar):
         compute_haar(fake)
@@ -133,7 +133,7 @@ def test_adjoint_action_function_s3_encodes_conjugation():
     ad = adjoint_action(h)  # ad(d_g) = sum_x d_{x^-1 g x} (x) d_{x^-1}
     n = t.order
     for g in range(n):
-        expect = from_legs(h.square, [(t.mult[t.mult[t.inverse[x]][g]][x], t.inverse[x],
+        expect = from_legs(h.square, [((t.mult[t.mult[t.inverse[x]][g]][x], t.inverse[x]),
                                        h.field.one) for x in range(n)])
         assert ad.cols[g] == expect
 

@@ -1,7 +1,7 @@
 """A count-based guard on the hash-consed scalar arithmetic.
 
 The check of the two-point trivial bundle over C(Z3) with universal
-calculi (the calculus-z3 benchmark case) makes about 191k scalar products
+calculi (the calculus-z3 benchmark case) makes about 123k scalar products
 over a few dozen distinct values.  Each field interns one object per value
 and memoizes products on those objects, so the field stays small and almost
 every product is a memo hit.  The counts come from wrappers in a fresh
@@ -49,5 +49,7 @@ def test_calculus_z3_interns_few_scalars_and_computes_few_products(tmp_path):
     got = json.loads(proc.stdout)
     assert got["ok"]
     assert got["interned"]["3"] <= 200, got
-    assert got["products"] > 150_000, got
+    # the floor keeps the memo ratio below meaningful; the tower formulas
+    # skip the legs whose products are zero, so 122,899 products are made
+    assert got["products"] > 110_000, got
     assert got["computed"] < got["products"] // 100, got

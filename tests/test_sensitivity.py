@@ -79,14 +79,14 @@ def magma_coproduct(h):
     legs = [[] for _ in range(n)]
     for x in range(n):
         for y in range(n):
-            legs[x if y == 0 else y if x == 0 else 0].append((x, y, one))
+            legs[x if y == 0 else y if x == 0 else 0].append(((x, y), one))
     return legs
 
 
 def right_unit_coproduct(h):
     """a -> a (x) 1: multiplicative, hermitian, coassociative and right
     counital, but not left counital."""
-    return [[(i, k, c) for k, c in h.unit.items()] for i in range(h.dim)]
+    return [[((i, k), c) for k, c in h.unit.items()] for i in range(h.dim)]
 
 
 def is_basis_witness(witness, space, i):
@@ -241,7 +241,7 @@ def bundle_with_broken_counit():
 
 def bundle_with_doubled_column():
     total, h, f_legs = bundle_data()
-    f_legs[1] = [(j, k, c + c) for j, k, c in f_legs[1]]
+    f_legs[1] = [(jk, c + c) for jk, c in f_legs[1]]
     return total, h, f_legs
 
 
@@ -452,8 +452,8 @@ def kappa_inv_without_kappa(self, t):
     """-sum_k theta_k c_k, with c_k where kappa(c_k) belongs.  On an abelian
     A, varpi(theta) = theta (x) 1 and the two agree."""
     acc = {}
-    for th, a, c in self.fodc.varpi_legs[t]:
-        viadd(acc, -c, self.mul(self.inv1_vec(th), {self.i0(a): self.field.one}))
+    for (th, a), c in self.fodc.varpi_legs[t]:
+        viadd(acc, -c, self.mul(self.inv1_vec(th), {a: self.field.one}))
     return acc
 
 
@@ -673,7 +673,7 @@ def counit_plus_one(tower, i):
 
 def coproduct_doubled(tower, i):
     legs = tower.sweedler
-    tower.sweedler = lambda h: [(a, b, c + c) for a, b, c in legs(h)] if h == i else legs(h)
+    tower.sweedler = lambda h: [(ab, c + c) for ab, c in legs(h)] if h == i else legs(h)
 
 
 def antipode_doubled(tower, i):

@@ -199,7 +199,8 @@ def test_pair_kernels_and_labels_are_built_once(calculus_z3, monkeypatch):
     assert calculus_z3.labels == 0
     built = calculus_z3.built
     dim_sum = sum(tp.dim for tp in built)
-    assert dim_sum == 15_484 < sum(len(tp.tuples) for tp in built)
+    # Gamma^'s blocks A (x) Gamma_inv and A (x) Lambda^2 are 6 + 12 of it
+    assert dim_sum == 15_502 < sum(len(tp.tuples) for tp in built)
     tuple_label, count = tensor.tuple_label, [0]
 
     def label(factors, t):
@@ -248,6 +249,39 @@ def test_embed_is_the_projected_elementary_tensor(calculus_z3, monkeypatch):
     for k, c in w3.project_tuple(u).items():
         viadd_term(want, k, two * three * c)
     assert tensor.embed(w3, {t[0]: two}, {t[1]: one}, {t[2]: one, u[2]: three}) == want
+
+
+def test_from_legs_inverts_flat_legs(calculus_z3):
+    """``from_legs`` of a vector's flat terms is the vector, on every basis
+    vector of calculus-z3's W_2 and W_3 and on a sum of two; a zero tuple
+    within the budget goes to the sink and adds nothing, a zero coefficient
+    is skipped even on a tuple over the budget, and a tuple over the budget
+    with a nonzero coefficient raises DegreeBudget."""
+    assert calculus_z3.failure is None, calculus_z3.failure
+    for name in ("W_2", "W_3"):
+        tp = next(tp for tp in calculus_z3.built if tp.name == name)
+        one, zero = tp.field.one, tp.field.zero
+        for b in range(tp.dim):
+            v = {b: one}
+            legs = tensor.flat_legs(tp, v)
+            assert all(isinstance(t, tuple) and len(t) == len(tp.factors) for t, _ in legs)
+            assert tensor.from_legs(tp, legs) == v, (name, b)
+            assert tensor.from_legs(tp, iter(legs)) == v, (name, b)
+        two = tp.field.rational(2)
+        v = {0: two, tp.dim - 1: one}
+        assert tensor.from_legs(tp, tensor.flat_legs(tp, v)) == v
+    w3 = next(tp for tp in calculus_z3.built if tp.name == "W_3")
+    one, zero = w3.field.one, w3.field.zero
+    flat = tensor.flat_tuples(w3.factors, w3.budget)[0]
+    zero_tuple = next(t for t in flat if t not in w3.tuple_index)
+    kept = w3.tuples[w3.quotient.keep[0]]
+    assert tensor.from_legs(w3, [(zero_tuple, one)]) == {}
+    assert tensor.from_legs(w3, [(zero_tuple, one), (kept, one)]) == {0: one}
+    top = tuple(max(range(f.space.dim), key=f.degrees.__getitem__) for f in w3.factors)
+    assert w3.degree(top) > w3.budget
+    assert tensor.from_legs(w3, [(top, zero)]) == {}
+    with pytest.raises(DegreeBudget):
+        tensor.from_legs(w3, [(kept, one), (top, one)])
 
 
 @pytest.mark.parametrize("name", sorted(EXPECTED))
@@ -307,7 +341,7 @@ def test_slot_terms_splices_the_lifted_image_of_one_slot(z3_tower):
     for b, k in enumerate(t_lb.quotient.keep):
         l, j = t_lb.tuples[k]
         want = {}
-        for x, y, c in tensor.flat_legs(w2, lhat.l_basis[l]):
+        for (x, y), c in tensor.flat_legs(w2, lhat.l_basis[l]):
             linalg.viadd(want, c, tensor.embed(w3, {x: one}, {y: one}, {j: one}))
         assert lhat.j_lb.cols[b] == want, (l, j)
 
@@ -354,16 +388,19 @@ def test_chained_slot_maps_give_the_galois_tower(z3_tower):
 # -- the flat layout stays here ----------------------------------------------------
 
 
-LAYOUT = re.compile(r"\.tuples\[|\.flat_index\(|\.lift\(|\bdivmod\(")
-LAYOUT_LINES = 22  # at the change that made every free product of two spaces a TProd
+LAYOUT = re.compile(r"\.tuples\[|\.flat_index\(|\.tuple_index\b|\.lift\(|\.project\(|\bdivmod\(")
+# the two left: QuotientSpace.contains projecting onto its own quotient, and
+# the lift of a Lambda^2 basis vector to Gamma_inv (x) Gamma_inv in fodc
+LAYOUT_LINES = 2
 
 
 def test_the_flat_layout_is_read_in_tensor_py():
     """A guard: the lines outside tensor.py that read a product's flat layout
-    or split an index with ``divmod`` do not grow, and the hand-written block
-    helpers and the second product spaces stay deleted; maps on slots are
-    built with ``slot_terms``, and every free product of two spaces is a
-    TProd."""
+    (its tuples, their index, a lift or a projection) or split an index with
+    ``divmod`` do not grow, and the hand-written block helpers and the second
+    product spaces stay deleted; maps on slots are built with ``slot_terms``,
+    every free product of two spaces is a TProd, and Gamma^'s blocks are
+    TProds with no index arithmetic."""
     src = Path(__file__).resolve().parents[1] / "src" / "qpb"
     lines = sum(bool(LAYOUT.search(line))
                 for path in src.glob("*.py") if path.name != "tensor.py"
@@ -372,4 +409,7 @@ def test_the_flat_layout_is_read_in_tensor_py():
     assert not hasattr(tensor, "block_terms")
     assert not hasattr(linalg.LinearMap, "tensor")
     assert not hasattr(linalg, "tensor_labels")
-    assert "sq_space" not in (src / "fodc.py").read_text(encoding="utf-8")
+    fodc_text = (src / "fodc.py").read_text(encoding="utf-8")
+    assert "sq_space" not in fodc_text
+    gamma = fodc_text[fodc_text.index("class GammaEnvelope"):]
+    assert not re.search(r" // | % [a-z]|def (split|i1|i2)\b", gamma)
