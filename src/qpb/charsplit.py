@@ -492,10 +492,11 @@ def primitive_idempotents(alg: CommAlgebra):
             minpoly = alg.minpoly_rel(e, x)
             if len(minpoly) - 1 < 2:
                 continue
-            if not p_is_squarefree(minpoly, field):
+            try:  # minpoly is monic, so only a square factor is refused
+                factors = factor_over_field(minpoly, field)
+            except InputError:
                 raise InputError("algebra is not semisimple "
-                                 "(non-squarefree minimal polynomial)")
-            factors = factor_over_field(minpoly, field)
+                                 "(non-squarefree minimal polynomial)") from None
             if len(factors) < 2:
                 continue
             parts = []

@@ -200,20 +200,6 @@ class CycloField:
         # a power of zeta is a unit of Z[zeta], so its row has content 1
         return Scalar(self, self.power_table[k % self.n] + (1,))
 
-    def root_of_unity(self, e: int) -> "Scalar":
-        """A primitive e-th root of unity, when mu_e is contained in the field
-        (that is, when e divides lcm(2, n))."""
-        if e == 1:
-            return self.one
-        if self.n % e == 0:
-            return self.zeta(self.n // e)
-        if self.n % 2 == 1 and e % 2 == 0 and self.n % (e // 2) == 0:
-            d = e // 2
-            if d % 2 == 1:
-                # zeta_{2d} = -zeta_d^{(d+1)/2}
-                return -self.zeta(self.n // d * ((d + 1) // 2))
-        raise InputError(f"Q(zeta_{self.n}) has no primitive {e}-th root of unity")
-
     # -- scalar literal grammar ----------------------------------------
     #   scalar ::= term ("+" term)*
     #   term   ::= rational | rational "*z^" int | "z^" int

@@ -184,22 +184,6 @@ class Fodc:
                         by_a.setdefault(a, []).append(((t1, t2), coeff * ca))
         return {a: from_legs(sq, a_legs) for a, a_legs in by_a.items()}
 
-    def braid_equation_report(self) -> ValidationReport:
-        rep = ValidationReport()
-        if self.dim == 0:
-            rep.add(vacuous("fodc.braid", "sigma braid equation",
-                            note="zero calculus"))
-            return rep
-        # the free cube of Gamma_inv, with sigma on slots (0, 1) and (1, 2)
-        sq = self.inv_sq
-        cube = TProd(self.field, sq.factors[:1] * 3, name="Gamma_inv^(x)3")
-        s12, s23 = (term_map(cube, cube, slot_terms(p, self.sigma, sq, sq)) for p in (0, 1))
-        lhs = s12.compose(s23).compose(s12)
-        rhs = s23.compose(s12).compose(s23)
-        rep.check(("fodc.braid", "sigma braid equation"),
-                  [] if lhs == rhs else [{"first_difference": lhs.first_difference(rhs)}])
-        return rep
-
 
 def build_fodc(group: HopfStarAlgebra, ideal_basis) -> Fodc:
     return Fodc(group, ideal_basis)

@@ -48,12 +48,13 @@ _EXPECT_KEYS = {"base_dim", "b2_dim", "gauge_dim", "gamma_inv_dim", "classical"}
 
 
 class SpecFile:
-    def __init__(self, conductor: int, hopf: HopfStarAlgebra, bundle_spec: dict,
-                 fodc_spec: dict | None, base_calc_spec: dict | None,
+    def __init__(self, conductor: int, hopf: HopfStarAlgebra, corepresentations,
+                 bundle_spec: dict, fodc_spec: dict | None, base_calc_spec: dict | None,
                  connection_spec: dict | None, expect: dict):
         self.conductor = conductor
         self.field = CycloField(conductor)
         self.hopf = hopf
+        self.corepresentations = corepresentations  # the declared section, or None
         self.bundle_spec = bundle_spec
         self.fodc_spec = fodc_spec
         self.base_calc_spec = base_calc_spec
@@ -193,7 +194,6 @@ def parse_spec(text: str) -> SpecFile:
     antipode = _parse_entries2(field, hopf_doc.get("antipode", []), dim, dim,
                                "hopf.antipode")
     star = _parse_entries2(field, hopf_doc.get("star", []), dim, dim, "hopf.star")
-    unit = None
     counit = LinearMap(space, BasedSpace(("1",)),
                        [{0: counit_vec[i]} if i in counit_vec else {}
                         for i in range(dim)], field)
@@ -228,8 +228,7 @@ def parse_spec(text: str) -> SpecFile:
                 name, d, [_parse_scalar(field, s, f"{w}.functional[{k}]")
                           for k, s in enumerate(func)]))
     try:
-        hopf = HopfStarAlgebra(algebra, sweedler, counit, antipode_map,
-                               haar=None, corepresentations=coreps)
+        hopf = HopfStarAlgebra(algebra, sweedler, counit, antipode_map)
     except Exception as e:
         raise SpecFileError(f"hopf data is not well formed: {e}", where="hopf") from None
 
@@ -259,7 +258,7 @@ def parse_spec(text: str) -> SpecFile:
                      f"{key} must be a non-negative integer", f"expect.{key}")
     _require(isinstance(expect.get("classical", False), bool),
              "classical must be true or false", "expect.classical")
-    return SpecFile(conductor, hopf, bundle_spec, fodc_spec, base_spec,
+    return SpecFile(conductor, hopf, coreps, bundle_spec, fodc_spec, base_spec,
                     conn_spec, expect)
 
 
@@ -280,6 +279,21 @@ def _find_unit(field, space, mult, where) -> Vec:
 
 # -- building ----------------------------------------------------------------------
 
+def _check_corepresentations(declared, derived) -> None:
+    """A declared corepresentations section lists the derived dual central
+    idempotents, in any order and under any names: each entry's (functional,
+    dim) is a derived one not matched before, and no derived one is left
+    out.  With the centre of A* not split over K, no section is accepted."""
+    _require(derived is not None, "the centre of the dual of A does not split over "
+             "the field, so A has no corepresentations to declare", "corepresentations")
+    left = [(c.functional, c.dim) for c in derived]
+    for n, c in enumerate(declared):
+        _require((c.functional, c.dim) in left, "no dual central idempotent of A has this "
+                 "functional and dim", f"corepresentations[{n}]")
+        left.remove((c.functional, c.dim))
+    _require(not left, f"the section leaves out {len(left)} of the {len(derived)} "
+             "dual central idempotents of A", "corepresentations")
+
 
 class BuildResult:
     def __init__(self, sf: SpecFile):
@@ -292,6 +306,8 @@ class BuildResult:
                 f"hopf validation failed: {first.identity_id} with witness {first.witness}",
                 where="hopf")
         sf.hopf.haar = compute_haar(sf.hopf)
+        if sf.corepresentations is not None:
+            _check_corepresentations(sf.corepresentations, sf.hopf.corepresentations)
         self.hopf = sf.hopf
         self.bundle = self._build_bundle()
         self._braid = None
@@ -477,25 +493,21 @@ def run_suites(build: BuildResult, suites, degree: int = 2,
         if merge(dich_rep):
             return report
         if classical:
-            try:
-                bh = classical_braided_hopf(build.gauge)
-                if merge(bh.report):
-                    return report
-                blocked = bh.enumeration_blocked
-                if blocked:
+            bh = classical_braided_hopf(build.gauge)
+            if merge(bh.report):
+                return report
+            blocked = bh.enumeration_blocked
+            if blocked:
+                report.add(CheckRecord("gauge-group.enumeration", "enumeration",
+                                       "vacuous", note=f"skipped: {blocked}"))
+            else:
+                try:
+                    _, _, gr = enumerate_gauge(bh)
+                    if merge(gr):
+                        return report
+                except NotCommutative as e:
                     report.add(CheckRecord("gauge-group.enumeration", "enumeration",
-                                           "vacuous", note=f"skipped: {blocked}"))
-                else:
-                    try:
-                        _, _, gr = enumerate_gauge(bh)
-                        if merge(gr):
-                            return report
-                    except NotCommutative as e:
-                        report.add(CheckRecord("gauge-group.enumeration", "enumeration",
-                                               "vacuous", note=f"unsupported: {e}"))
-            except NotCommutative as e:
-                report.add(CheckRecord("classical.braided-hopf", "braided Hopf",
-                                       "vacuous", note=str(e)))
+                                           "vacuous", note=f"unsupported: {e}"))
         else:
             report.add(CheckRecord("classical.status", "classical structure group",
                                    "vacuous",

@@ -1,7 +1,10 @@
 """The gauge coalgebra L (invariants of the doubled coaction on B (x)_V B),
 its braided-Hopf structure over a classical structure group, the gauge group
-of V-valued characters with its action on the bundle, and isotypic
-decompositions from corepresentation data.
+of V-valued characters with its action on the bundle, and the isotypic
+decompositions B = (+) B^alpha and L = (+) G_alpha.  These read the dual
+central idempotents e_alpha that hopf.dual_central_idempotents derives from
+A itself, whatever A is; a spec file's corepresentations section is only
+checked against them.
 
 L and the differential gauge coalgebra L^ of calculus.py come from one
 construction, GradedGaugeCoalgebra, over a bundle.BalancedTower of one slot
@@ -830,15 +833,18 @@ class IsotypicDecomposition:
 
 
 def isotypic_decompose(b: Bundle, gc: GaugeCoalgebra | None = None) -> IsotypicDecomposition:
-    """B = (+) B^alpha via the dual central idempotents of the
-    corepresentation data; over a point the Peter-Weyl count
-    sum multiplicity^2 = dim L is verified when L is available."""
+    """B = (+) B^alpha via the dual central idempotents e_alpha derived from
+    A (HopfStarAlgebra.corepresentations); over a point the Peter-Weyl count
+    sum multiplicity^2 = dim L is verified when L is available.  Vacuous
+    when the centre of A* does not split over K."""
     rep = ValidationReport()
     field = b.field
     g = b.group
-    if not g.corepresentations:
+    if g.corepresentations is None:
         rep.add(vacuous("isotypic.available", "corepresentation data",
-                        note="IrrepsUnavailable: decomposition skipped"))
+                        note=f"IrrepsUnavailable: the centre of the dual of "
+                             f"{g.algebra.name} does not split over Q(zeta_{field.n}); "
+                             f"decomposition skipped"))
         return IsotypicDecomposition(None, None, rep)
     comps = []
     total_dim = 0

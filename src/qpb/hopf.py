@@ -3,8 +3,15 @@ checker of the *-algebra and coaction axioms.
 
 Everything is an explicit matrix or structure tensor over a cyclotomic field.
 The generators produce the function algebra C(G) and the group algebra C[G]
-of a finite group table, together with the dual central idempotents of their
-irreducible corepresentations, used for isotypic decompositions.
+of a finite group table.
+
+The irreducible corepresentations alpha of any A, used for isotypic
+decompositions, are derived, never declared: ``dual_central_idempotents``
+finds their dual central idempotents e_alpha as the primitive idempotents of
+the centre of the convolution algebra A* (charsplit.primitive_idempotents),
+and d_alpha from the rank of e_alpha A*, so sum d_alpha^2 = dim A.  A spec
+file may still declare them; formats checks the declaration against the
+derived list.
 
 GradedStarAlgebra is the one implementation of a unital *-algebra truncated
 at degree BUDGET, with or without d: the memoized basis product and its
@@ -33,11 +40,14 @@ passes a report.RaisingReport, which raises at the first failure.
 from __future__ import annotations
 
 from functools import cached_property
+from math import isqrt, lcm
 
+from .charsplit import CommAlgebra, primitive_idempotents
 from .cyclotomic import CycloField, Scalar
 from .errors import DegreeBudget, InputError, NoHaar, NonUnique, ValidationFailed
 from .linalg import (
-    BasedSpace, LinearMap, Vec, nullspace_of_columns, viadd, viadd_term, vscale,
+    BasedSpace, LinearMap, PreparedSolve, Vec, nullspace_of_columns, span_basis, viadd,
+    viadd_term, vscale,
 )
 from .report import RaisingReport, ValidationReport
 from .tensor import Factor, TProd, embed, flat_legs, from_legs
@@ -412,8 +422,7 @@ class HopfStarAlgebra:
     merged, in the order of the product's basis."""
 
     def __init__(self, algebra: StarAlgebra, sweedler, counit: LinearMap,
-                 antipode: LinearMap, haar: LinearMap | None = None,
-                 corepresentations=None):
+                 antipode: LinearMap, haar: LinearMap | None = None):
         self.algebra = algebra
         self.field = algebra.field
         self.space = algebra.space
@@ -426,11 +435,16 @@ class HopfStarAlgebra:
         self.antipode = antipode
         self.antipode_inverse = antipode.inverse()
         self.haar = haar
-        self.corepresentations = corepresentations
 
     @property
     def dim(self) -> int:
         return self.algebra.dim
+
+    @cached_property
+    def corepresentations(self) -> list | None:
+        """The dual central idempotents of A (``dual_central_idempotents``),
+        derived on first read; A has a normalized Haar integral by then."""
+        return dual_central_idempotents(self)
 
     # -- basic maps -----------------------------------------------------
 
@@ -587,6 +601,79 @@ def compute_haar(h: HopfStarAlgebra) -> LinearMap:
     return LinearMap(h.space, out_space, cols_h, field)
 
 
+# -- irreducible corepresentations ---------------------------------------------
+
+class Corepresentation:
+    """An irreducible corepresentation alpha, for isotypic decompositions.
+
+    ``functional`` is the dual central idempotent e_alpha as coefficients over
+    the Hopf algebra basis: the isotypic projector is (id (x) e_alpha) o F.
+    """
+
+    __slots__ = ("name", "dim", "functional")
+
+    def __init__(self, name: str, dim: int, functional: list):
+        self.name, self.dim, self.functional = name, dim, functional
+
+
+def dual_central_idempotents(h: HopfStarAlgebra) -> list | None:
+    """The Corepresentations alpha0, alpha1, ... of A: the primitive
+    idempotents e_alpha of the centre of the convolution algebra A*, with
+    d_alpha^2 the rank of u -> e_alpha u on A*.
+
+    On the dual basis, delta^j delta^k = sum_i c delta^i over the legs
+    ((j, k), c) of phi(e_i), and the unit is eps.  A cosemisimple A (one
+    with a normalized Haar integral) has a semisimple A*, a product of matrix
+    algebras over extensions of K.  None when the centre does not split over
+    K: some piece has local dimension > 1, or some rank is not a square.
+    """
+    field, n = h.field, h.dim
+    legs = [h.sweedler(i) for i in range(n)]
+
+    def conv(f: Vec, g: Vec) -> Vec:
+        out: Vec = {}
+        for i in range(n):
+            for (j, k), c in legs[i]:
+                if j in f and k in g:
+                    viadd_term(out, i, c * f[j] * g[k])
+        return out
+
+    # z in the centre: (z delta^k - delta^k z)(e_i) = 0, one equation per
+    # (k, i), numbered as met; a leg ((j, k), c) of phi(e_i) puts c at z_j in
+    # equation (k, i) and -c at z_k in equation (j, i)
+    eq: dict = {}
+    cols: list[Vec] = [{} for _ in range(n)]
+    for i in range(n):
+        for (j, k), c in legs[i]:
+            viadd_term(cols[j], eq.setdefault((k, i), len(eq)), c)
+            viadd_term(cols[k], eq.setdefault((j, i), len(eq)), -c)
+    centre = PreparedSolve(cols, len(eq), field).kernel
+    coords = PreparedSolve(centre, n, field)
+
+    def in_dual(u: Vec) -> Vec:
+        out: Vec = {}
+        for a, c in u.items():
+            viadd(out, c, centre[a])
+        return out
+
+    eps = {i: c for i in range(n) if (c := h.eps_basis(i))}
+    alg = CommAlgebra(field, len(centre),
+                      lambda u, v: coords.solve(conv(in_dual(u), in_dual(v))),
+                      coords.solve(eps))
+    out = []
+    for e, local_dim in primitive_idempotents(alg):
+        if local_dim > 1:
+            return None
+        e = in_dual(e)
+        rank = len(span_basis([conv(e, {i: field.one}) for i in range(n)]))
+        d = isqrt(rank)
+        if d * d != rank:
+            return None
+        out.append(Corepresentation(f"alpha{len(out)}", d,
+                                    [e.get(i, field.zero) for i in range(n)]))
+    return out
+
+
 # -- adjoint action -------------------------------------------------------------
 
 def adjoint_action(h: HopfStarAlgebra) -> LinearMap:
@@ -689,11 +776,7 @@ def named_group(name: str) -> GroupTable:
 def group_conductor(t: GroupTable) -> int:
     """Smallest conductor whose field contains all needed roots of unity
     (mu_e is in Q(zeta_n) iff e divides lcm(2, n))."""
-    if t.name == "S3":
-        return 3  # integer characters; zeta_3 for the 2-dim irrep matrices
-    e = 1
-    for x in range(t.order):
-        e = _lcm(e, _element_order(t, x))
+    e = lcm(*(_element_order(t, x) for x in range(t.order)))
     if e <= 2:
         return 1
     if e % 4 == 2:
@@ -707,75 +790,6 @@ def _element_order(t: GroupTable, x: int) -> int:
         y = t.mult[y][x]
         k += 1
     return k
-
-
-def _lcm(a, b):
-    from math import gcd
-    return a * b // gcd(a, b)
-
-
-class Corepresentation:
-    """Irreducible corepresentation data for isotypic decompositions.
-
-    ``functional`` is the dual central idempotent e_alpha as coefficients over
-    the Hopf algebra basis: the isotypic projector is (id (x) e_alpha) o F.
-    """
-
-    __slots__ = ("name", "dim", "functional")
-
-    def __init__(self, name: str, dim: int, functional: list):
-        self.name, self.dim, self.functional = name, dim, functional
-
-
-def _s3_irreps(field: CycloField):
-    """The 1+1+2 irreducible representation set of S3; the 2-dimensional
-    irrep is realized with entries in Q(zeta_3)."""
-    z = field.root_of_unity(3)
-    one, zero = field.one, field.zero
-    # element order: e, s, sr, sr2, r, r2
-    triv = [[[one]] for _ in range(6)]
-    sgn = [[[one]], [[-one]], [[-one]], [[-one]], [[one]], [[one]]]
-    rm = [[z, zero], [zero, z * z]]
-    sm = [[zero, one], [one, zero]]
-
-    def mm(a, b):
-        return [[a[i][0] * b[0][j] + a[i][1] * b[1][j] for j in range(2)]
-                for i in range(2)]
-
-    em = [[one, zero], [zero, one]]
-    two = [em, sm, mm(sm, rm), mm(sm, mm(rm, rm)), rm, mm(rm, rm)]
-    return [("triv", 1, triv), ("sgn", 1, sgn), ("std", 2, two)]
-
-
-def _abelian_irreps(t: GroupTable, field: CycloField):
-    """All characters of an abelian group: homomorphisms G -> mu_e, found by
-    brute force over exponent tuples (group orders here are tiny)."""
-    n = t.order
-    exps = 1
-    for x in range(n):
-        exps = _lcm(exps, _element_order(t, x))
-    root = field.root_of_unity(exps)
-    powers = [field.one]
-    for _ in range(exps - 1):
-        powers.append(powers[-1] * root)
-    from itertools import product as iproduct
-    chars = []
-    for tup in iproduct(range(exps), repeat=n):
-        if tup[t.identity] != 0:
-            continue
-        if all((tup[x] + tup[y]) % exps == tup[t.mult[x][y]]
-               for x in range(n) for y in range(n)):
-            chars.append(tup)
-    assert len(chars) == n, "abelian group must have |G| characters"
-    chars.sort()
-    return [(f"chi{idx}", 1, [[[powers[tup[x]]]] for x in range(n)])
-            for idx, tup in enumerate(chars)]
-
-
-def _irreps_for(t: GroupTable, field: CycloField):
-    if t.name == "S3":
-        return _s3_irreps(field)
-    return _abelian_irreps(t, field)
 
 
 def gen_from_group_table(t: GroupTable, kind: str, field: CycloField) -> HopfStarAlgebra:
@@ -799,19 +813,7 @@ def gen_from_group_table(t: GroupTable, kind: str, field: CycloField) -> HopfSta
         from fractions import Fraction
         haar = LinearMap(space, BasedSpace(("1",)),
                          [{0: field.rational(Fraction(1, n))} for _ in range(n)], field)
-        coreps = []
-        inv_order = field.rational(Fraction(1, n))
-        for name, d, mats in _irreps_for(t, field):
-            # e_alpha(d_g) = (d_alpha/|G|) conj(chi_alpha(g))
-            d_scal = field.rational(d)
-            func = []
-            for g in range(n):
-                tr = field.zero
-                for i in range(d):
-                    tr = tr + mats[g][i][i]
-                func.append(d_scal * inv_order * tr.conj())
-            coreps.append(Corepresentation(name, d, func))
-        return HopfStarAlgebra(alg, sweedler, counit, antipode, haar, coreps)
+        return HopfStarAlgebra(alg, sweedler, counit, antipode, haar)
     if kind == "group_algebra":
         labels = tuple(t.element_names)
         space = BasedSpace(labels)
@@ -824,10 +826,6 @@ def gen_from_group_table(t: GroupTable, kind: str, field: CycloField) -> HopfSta
         antipode = LinearMap(space, space, [{t.inverse[g]: one} for g in range(n)], field)
         haar = LinearMap(space, BasedSpace(("1",)),
                          [{0: one} if g == t.identity else {} for g in range(n)], field)
-        # irreducible corepresentations of C[G] are the group elements
-        coreps = [Corepresentation(f"g{g}", 1,
-                                   [one if x == g else field.zero for x in range(n)])
-                  for g in range(n)]
         return HopfStarAlgebra(alg, [[((g, g), one)] for g in range(n)], counit, antipode,
-                               haar, coreps)
+                               haar)
     raise InputError(f"unknown generator kind {kind!r}")

@@ -261,3 +261,11 @@ def test_root_free_remainder_stays_one_piece():
     alg = quotient_algebra(F, shifted)
     assert sorted(d for _, d in primitive_idempotents(alg)) == [1, 4]
     assert len(field_characters(alg)) == 1
+
+
+def test_dual_numbers_are_not_semisimple():
+    """K[t]/t^2: t has minimal polynomial t^2, which is not squarefree, so
+    the split refuses the algebra."""
+    F = CycloField(3)
+    with pytest.raises(InputError, match="algebra is not semisimple"):
+        primitive_idempotents(quotient_algebra(F, [F.zero, F.zero, F.one]))

@@ -367,7 +367,9 @@ def test_unreadable_spec_file_exits_two(tmp_path, capsys, command, kind):
 
 
 # Runs `qpb check` in a fresh interpreter, counting calls of the root finder,
-# and reports whether sympy was ever imported.
+# and reports whether sympy was ever imported.  On C(Z2) the root finder
+# runs twice: once to split the centre of A* into the dual central
+# idempotents, once to split L for the gauge-group enumeration.
 SYMPY_FREE_RUN = """
 import contextlib, io, json, sys
 import qpb.charsplit as charsplit
@@ -386,7 +388,7 @@ def test_check_runs_without_sympy():
     proc = subprocess.run([sys.executable, "-c", SYMPY_FREE_RUN, str(spec)],
                           capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    assert json.loads(proc.stdout) == {"code": 0, "calls": 1, "sympy": False}
+    assert json.loads(proc.stdout) == {"code": 0, "calls": 2, "sympy": False}
 
 
 def test_importing_the_cli_leaves_dataclasses_unloaded():
@@ -398,3 +400,70 @@ def test_importing_the_cli_leaves_dataclasses_unloaded():
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout == "[]\n"
+
+
+# -- the declared corepresentations section is checked against the derived one ----
+
+def _perturb_functional(doc):
+    doc["corepresentations"][1]["functional"][0] = "1/2"
+
+
+def _double_dim(doc):
+    doc["corepresentations"][2]["dim"] = 4
+
+
+def _drop_entry(doc):
+    del doc["corepresentations"][0]
+
+
+@pytest.mark.parametrize("mutate, where", [
+    (_perturb_functional, "corepresentations[1]"),
+    (_double_dim, "corepresentations[2]"),
+    (_drop_entry, "corepresentations"),
+], ids=["functional", "dim", "dropped"])
+def test_declared_corepresentations_must_match_the_derived(tmp_path, capsys, mutate, where):
+    doc = generate_example("c-group", group="S3")
+    assert [c["dim"] for c in doc["corepresentations"]] == [1, 1, 2]
+    mutate(doc)
+    path = write(tmp_path, "s3.json", doc)
+    with pytest.raises(SpecFileError) as exc:
+        BuildResult(load_file(path))
+    assert exc.value.where == where
+    assert main(["check", path]) == 2
+    assert f"error: {where}: " in capsys.readouterr().err
+
+
+def test_declared_corepresentations_are_matched_in_any_order_under_any_name(tmp_path):
+    doc = generate_example("c-group", group="S3")
+    section = doc["corepresentations"]
+    doc["corepresentations"] = [dict(c, name=f"irrep{i}") for i, c in enumerate(section)][::-1]
+    assert main(["check", write(tmp_path, "s3.json", doc)]) == 0
+
+
+def _c_z3_over_q():
+    """C(Z3) with its rational structure constants over Q = Q(zeta_1), where
+    the centre of its dual C[Z3] = Q (+) Q(zeta_3) does not split."""
+    doc = generate_example("c-group", group="Z3")
+    doc["conductor"] = 1
+    del doc["corepresentations"]
+    return doc
+
+
+def test_unsplit_centre_leaves_the_isotypic_suite_vacuous(tmp_path, capsys):
+    path = write(tmp_path, "cz3-q.json", _c_z3_over_q())
+    assert main(["check", path, "--suite", "all", "--report", "json"]) == 0
+    records = {r["identity_id"]: r for r in json.loads(capsys.readouterr().out)["records"]}
+    available = records["isotypic.available"]
+    assert available["status"] == "vacuous"
+    assert "does not split over Q(zeta_1)" in available["note"]
+    assert not any(ident.startswith("isotypic.") and ident != "isotypic.available"
+                   for ident in records)
+
+
+def test_unsplit_centre_refuses_a_declared_section(tmp_path):
+    doc = _c_z3_over_q()
+    doc["corepresentations"] = [{"name": "triv", "dim": 1,
+                                 "functional": ["1/3", "1/3", "1/3"]}]
+    with pytest.raises(SpecFileError) as exc:
+        BuildResult(load_file(write(tmp_path, "cz3-q.json", doc)))
+    assert exc.value.where == "corepresentations"

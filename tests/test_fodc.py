@@ -6,7 +6,27 @@ from qpb.fodc import (
 )
 from qpb.linalg import viadd
 from qpb.presets import hopf_preset
-from qpb.tensor import embed, flat_legs, from_legs
+from qpb.report import ValidationReport, vacuous
+from qpb.tensor import TProd, embed, flat_legs, from_legs, slot_terms, term_map
+
+
+def braid_equation_report(f):
+    """The braid equation of the canonical braid sigma on Gamma_inv^(x)3
+    (Woronowicz): sigma_12 sigma_23 sigma_12 = sigma_23 sigma_12 sigma_23,
+    vacuous for the zero calculus."""
+    rep = ValidationReport()
+    if f.dim == 0:
+        rep.add(vacuous("fodc.braid", "sigma braid equation", note="zero calculus"))
+        return rep
+    # the free cube of Gamma_inv, with sigma on slots (0, 1) and (1, 2)
+    sq = f.inv_sq
+    cube = TProd(f.field, sq.factors[:1] * 3, name="Gamma_inv^(x)3")
+    s12, s23 = (term_map(cube, cube, slot_terms(p, f.sigma, sq, sq)) for p in (0, 1))
+    lhs = s12.compose(s23).compose(s12)
+    rhs = s23.compose(s12).compose(s23)
+    rep.check(("fodc.braid", "sigma braid equation"),
+              [] if lhs == rhs else [{"first_difference": lhs.first_difference(rhs)}])
+    return rep
 
 
 def universal(group, kind="function_algebra"):
@@ -26,20 +46,20 @@ def test_universal_cz2():
     # sigma = id on the 1-dim square
     from qpb.linalg import LinearMap
     assert f.sigma == LinearMap.identity(f.inv_sq.space, h.field)
-    assert f.braid_equation_report().ok
+    assert braid_equation_report(f).ok
 
 
 def test_universal_cz3():
     h, f = universal("Z3")
     assert f.dim == 2
-    rep = f.braid_equation_report()
+    rep = braid_equation_report(f)
     assert rep.ok, rep.to_text()
 
 
 def test_universal_s3_function_algebra():
     h, f = universal("S3")
     assert f.dim == 5
-    rep = f.braid_equation_report()
+    rep = braid_equation_report(f)
     assert rep.ok, rep.to_text()
 
 
@@ -47,7 +67,7 @@ def test_zero_calculus():
     h = hopf_preset("Z2", "function_algebra")
     f = build_fodc(h, zero_ideal(h))
     assert f.dim == 0
-    rep = f.braid_equation_report()
+    rep = braid_equation_report(f)
     assert any(r.status == "vacuous" for r in rep.records)
 
 
@@ -73,7 +93,7 @@ def test_ad_invariant_but_proper_ideal_s3():
     ideal = [{4: one}, {5: one}]  # d_r, d_r2 (the 3-cycles)
     f = build_fodc(hs, ideal)
     assert f.dim == 3
-    assert f.braid_equation_report().ok
+    assert braid_equation_report(f).ok
     # S^2 != 0: circ, star, phi^ and kappa^ descend to Lambda^2
     env = build_envelope2(f)
     assert env.report.ok, env.report.to_text()

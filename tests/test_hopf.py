@@ -160,3 +160,66 @@ def test_group_table_validation():
         GroupTable.build("bad", [[0, 1], [1, 1]])
     assert cyclic_group(3).order == 3
     assert trivial_group().order == 1
+
+
+# -- derived corepresentations against character tables ------------------------------
+
+def derived(h):
+    """The derived (functional, dim) pairs of A, as a set."""
+    return {(tuple(c.functional), c.dim) for c in h.corepresentations}
+
+
+def from_characters(h, table):
+    """e_alpha(d_g) = (d_alpha/|G|) conj(chi_alpha(g)) for C(G): one pair
+    per character chi_alpha, given by its values in the basis order, the
+    first at the identity, where chi_alpha(e) = d_alpha."""
+    out = set()
+    for chi in table:
+        d = chi[0].rational_value()
+        scale = h.field.rational(d / h.dim)
+        out.add((tuple(scale * x.conj() for x in chi), d))
+    return out
+
+
+def test_c_s3_corepresentations_match_the_character_table():
+    h = make("function_algebra", "S3")
+    assert h.space.labels == ("de", "ds", "dsr", "dsr2", "dr", "dr2")
+    table = [(1, 1, 1, 1, 1, 1), (1, -1, -1, -1, 1, 1), (2, 0, 0, 0, -1, -1)]
+    table = [[h.field.rational(x) for x in chi] for chi in table]
+    assert derived(h) == from_characters(h, table)
+    assert sorted(c.dim for c in h.corepresentations) == [1, 1, 2]
+
+
+@pytest.mark.parametrize("n, conductor", [(2, 4), (3, 3), (4, 4)])
+def test_c_zn_corepresentations_match_the_characters(n, conductor):
+    h = make("function_algebra", f"Z{n}", n_field=conductor)
+    powers = [h.field.one]
+    for _ in range(n - 1):
+        powers.append(powers[-1] * h.field.zeta(conductor // n))
+    # chi_j(r_k) = zeta^(jk)
+    table = [[powers[j * k % n] for k in range(n)] for j in range(n)]
+    assert derived(h) == from_characters(h, table)
+
+
+@pytest.mark.parametrize("group", ["trivial", "Z2", "Z3", "S3"])
+def test_group_algebra_corepresentations_are_the_group_elements(group):
+    h = make("group_algebra", group)
+    field = h.field
+    want = {(tuple(field.one if x == g else field.zero for x in range(h.dim)), 1)
+            for g in range(h.dim)}
+    assert derived(h) == want
+
+
+@pytest.mark.parametrize("kind", ["function_algebra", "group_algebra"])
+@pytest.mark.parametrize("group", ["trivial", "Z2", "Z3", "S3"])
+def test_sum_of_squared_corepresentation_dims_is_dim_a(kind, group):
+    h = make(kind, group)
+    coreps = h.corepresentations
+    assert sum(c.dim ** 2 for c in coreps) == h.dim
+    assert [c.name for c in coreps] == [f"alpha{i}" for i in range(len(coreps))]
+
+
+def test_centre_not_split_over_the_field_gives_none():
+    """Over Q, C[Z3] = Q (+) Q(zeta_3): the centre of the dual of C(Z3) keeps
+    a piece of local dimension 2."""
+    assert make("function_algebra", "Z3", n_field=1).corepresentations is None

@@ -292,8 +292,9 @@ def test_bundle_algebra_rejected_at_bundle(doc, message):
 
 
 def d_times_i(alg):
-    """Scale d by i: still a derivation with d^2 = 0, no longer hermitian."""
-    i = alg.field.root_of_unity(4)
+    """Scale d by i = zeta_4 (both algebras below are over Q(zeta_4)): still a
+    derivation with d^2 = 0, no longer hermitian."""
+    i = alg.field.zeta()
     alg.d_cols = [None if col is None else {k: i * c for k, c in col.items()}
                   for col in alg.d_cols]
 
