@@ -6,13 +6,15 @@ formulas, sigma and mu on slots of B_n, the flip star, F_2, the records of
 the braid equation, the product compatibilities and mu sigma = mu, the Galois
 tower X_n and the product on B_n transported along it belong to
 bundle.BalancedTower, written once for the bundle (degree zero) and for
-Omega(P) (the graded case of calculus.py).  What only degree zero has is
-here: sigma_m raises unless the formula inverse composes to the identity and
-sigma is V-bilinear; the explicit product p sigma(b (x) q) g on B_2 and the
-braid-word star on B_n; the star exchange, mu and tau as *-homomorphisms,
-sigma tau = tau kappa, aP- and F-functoriality; and the four-way
-classicality dichotomy (A commutative <=> two exchange laws <=> sigma
-involutive).
+Omega(P) (the graded case of calculus.py).  The tower applies X_n as X on
+one pair of slots at a time, from slots (n-1, n) down to (0, 1), and X_n^-1
+as X^-1 from (0, 1) up to (n-1, n): only X is inverted by elimination.
+What only degree zero has is here: sigma_m raises unless the formula
+inverse composes to the identity and sigma is V-bilinear; the explicit
+product p sigma(b (x) q) g on B_2 and the braid-word star on B_n; the star
+exchange, mu and tau as *-homomorphisms, sigma tau = tau kappa, aP- and
+F-functoriality; and the four-way classicality dichotomy (A commutative <=>
+two exchange laws <=> sigma involutive).
 
 The paper identifies X_n as a *-isomorphism onto B (x) A^n with the
 componentwise structure.  braided2.X-mult checks X against the explicit B_2
@@ -31,7 +33,7 @@ from .errors import EquivalenceViolation
 from .linalg import LinearMap, Vec
 from .report import CheckRecord, ValidationReport, map_equality_record, passing
 from .hopf import graded_tensor_mul, graded_tensor_star
-from .tensor import embed, flat_legs, from_legs, slot_apply
+from .tensor import _times, embed, flat_legs, from_legs, slot_apply
 
 
 class BraidOperator:
@@ -55,13 +57,13 @@ class BraidOperator:
 
     def mult2(self, u: Vec, v: Vec) -> Vec:
         """(p (x) b)(q (x) g) = p sigma(b (x) q) g on B_2."""
-        b2, mul = self.bundle.b2, self.bundle.total.mul_basis
+        b2, mul, one = self.bundle.b2, self.bundle.total.mul_basis, self.bundle.field.one
         v_terms = flat_legs(b2, v)
 
         def terms():
             for (p, bb), cu in flat_legs(b2, u):
                 for (q, g), cv in v_terms:
-                    c0 = cu * cv
+                    c0 = _times(cu, cv, one)
                     for (x, y), cs in self._sigma_pair(bb, q):
                         for xx, cx in mul(p, x).items():
                             for yy, cy in mul(y, g).items():
@@ -94,7 +96,8 @@ class BraidOperator:
 
     def mult_n(self, n: int):
         """Braided product on B_n (n >= 2): the explicit sigma formula for
-        n = 2, the tower's product transported along X_{n-1} for n >= 3."""
+        n = 2, the tower's product transported along the chain of X_{n-1}
+        for n >= 3."""
         if n == 2:
             return self.mult2
         return self.bundle.transported_mult(n)
@@ -148,7 +151,7 @@ def verify_braiding_suite(b: Bundle, braid: BraidOperator | None = None) -> Vali
 
     fs = b.flipstar(2)
     rep.add(map_equality_record("braiding.star-exchange", "sigma* = *sigma^-1",
-                                braid.forward.compose(fs), fs.compose(braid.inverse),
+                                (braid.forward, fs), (fs, braid.inverse),
                                 witness_space=b2.space))
 
     # mu is a *-homomorphism for the braided structure: star first, then mult
@@ -179,8 +182,8 @@ def verify_braiding_suite(b: Bundle, braid: BraidOperator | None = None) -> Vali
          != braid.mult2(b.tau.cols[a], b.tau.cols[c]))))
 
     rep.add(map_equality_record("braiding.sigma-tau", "sigma tau = tau kappa",
-                                braid.forward.compose(b.tau),
-                                b.tau.compose(g.antipode), witness_space=b2.space))
+                                (braid.forward, b.tau), (b.tau, g.antipode),
+                                witness_space=b2.space))
 
     # aP-funct on A (x) B -> B_3
     ab = b.mixed_space("AB")
@@ -199,10 +202,9 @@ def verify_braiding_suite(b: Bundle, braid: BraidOperator | None = None) -> Vali
 
     # F-funct: (sigma (x) id)(id (x) chi)(F (x) id) = (id (x) F) sigma on B_2
     bba = b.mixed_space("BBA")
-    lhs = b.sigma_at("BBA", 0).compose(b.coact_at(0))
-    rhs = b.coact_at(1).compose(braid.forward)
-    rep.add(map_equality_record("braiding.F-funct", "F-funct", lhs, rhs,
-                                witness_space=bba.space))
+    rep.add(map_equality_record("braiding.F-funct", "F-funct",
+                                (b.sigma_at("BBA", 0), b.coact_at(0)),
+                                (b.coact_at(1), braid.forward), witness_space=bba.space))
     return rep
 
 
@@ -248,8 +250,7 @@ def braided_structure(b: Bundle, n: int, braid: BraidOperator | None = None):
                             [graded_tensor_star(ba, total, g.algebra, {k: one})
                              for k in range(ba.dim)], field, antilinear=True)
         rep.add(map_equality_record("braided2.X-star", "X hermitian",
-                                    b.X.compose(star), ba_star.compose(b.X),
-                                    witness_space=ba.space))
+                                    (b.X, star), (ba_star, b.X), witness_space=ba.space))
     return mult, star, rep
 
 

@@ -17,7 +17,16 @@ sum c varsigma(h) . phi(x_k) in W_3 (varsigma_side).  The degrees of W and
 H, the coefficient degrees and the degree budget are data, so the graded
 formulas carry their Koszul signs; a sign is applied by negating when it is
 odd, and degree zero does no sign arithmetic.  sigma and mu on slots of W_n,
-X_n and the point oracle are tensor.slot_terms maps of sigma, mu, X and kappa.
+the steps of X_n and X_n^-1 and the point oracle are tensor.slot_terms maps
+of sigma, mu, X, X^-1 and kappa.
+
+Above level 1 the Galois tower is a chain of one-pair slot maps, never a
+matrix.  Unrolling X_{m+1} = (X (x) id^m)(id (x) X_m), X_n applies X on
+slots (n-1, n), then on (n-2, n-1), ..., then on (0, 1), and X_n^-1 applies
+X^-1 on (0, 1), then on (1, 2), ..., then on (n-1, n).  X is the one map of
+the tower inverted by elimination; X_n is written out as a matrix only for
+the Galois tower suite, whose rank is the one elimination of an X_n.
+
 Bundle is the instance W = B, M = V, H = A with every degree zero and no
 budget; calculus.TotalCalculus is the graded instance W = Omega(P),
 M = Omega(M), H = Gamma^.
@@ -33,7 +42,7 @@ canonical bases agree across operations.
 from __future__ import annotations
 
 import operator
-from functools import cached_property
+from functools import cached_property, reduce
 from itertools import accumulate
 
 from .errors import (
@@ -43,8 +52,8 @@ from .hopf import HopfStarAlgebra, StarAlgebra, add_coaction_records
 from .linalg import BasedSpace, LinearMap, Vec, fixed_points, viadd, vneg, vscale
 from .report import RaisingReport, ValidationReport, map_equality_record
 from .tensor import (
-    Factor, TProd, chain_terms, embed, flat_legs, from_legs, slot_apply, slot_terms,
-    term_map,
+    Factor, TProd, _times, apply_chain, chain_terms, embed, flat_legs, from_legs, slot_apply,
+    slot_terms, term_map,
 )
 
 DEFAULT_TOWER_BUDGET = 3
@@ -169,6 +178,7 @@ class BalancedTower:
         met only when r(k) w is nonzero, read off ``support``."""
         mul, deg, hdeg = self.algebra.mul_basis, self.factor.degrees, self.hopf_factor.degrees
         tau_legs, kinv, sup = self.tau_legs, self.kappa_inv, self.algebra.support
+        one = self.field.one
 
         def terms(t):
             i, j = t
@@ -177,7 +187,7 @@ class BalancedTower:
                 for h2, ck in kinv.cols[h].items():
                     for (p, q), ct in tau_legs[h2]:
                         if i in sup[q]:
-                            c0 = _signed(c * ck * ct, odd)
+                            c0 = _signed(_times(_times(c, ck, one), ct, one), odd)
                             for u, cu in mul(q, i).items():
                                 if w in sup[u]:
                                     for v, cv in mul(u, w).items():
@@ -315,7 +325,7 @@ class BalancedTower:
         the Koszul sign of the reversal; cached."""
         key = ("flipstar", n)
         if key not in self._ops:
-            star_cols, deg = self.algebra.star.cols, self.factor.degrees
+            star_cols, deg, one = self.algebra.star.cols, self.factor.degrees, self.field.one
 
             def terms(t):
                 odd = seen = 0
@@ -325,7 +335,7 @@ class BalancedTower:
                 rev = t[::-1]
                 acc = [((k,), c) for k, c in star_cols[rev[0]].items()]
                 for i in rev[1:]:
-                    acc = [(tup + (k,), c * ck) for tup, c in acc
+                    acc = [(tup + (k,), _times(c, ck, one)) for tup, c in acc
                            for k, ck in star_cols[i].items()]
                 return [(tup, -c) for tup, c in acc] if odd % 2 else acc
 
@@ -335,33 +345,45 @@ class BalancedTower:
 
     # -- the Galois tower and the transported product -----------------------------
 
-    def x_n(self, n: int) -> LinearMap:
-        """X_n : W_{n+1} -> W (x) H^n, cached: X_1 = X and
-        X_{m+1}(w (x) q) = (X (x) id^m)(w (x) X_m(q)); no factor passes
-        another, so there is no sign."""
+    def x_chain(self, n: int, inverse: bool = False) -> list:
+        """X_n : W_{n+1} -> W (x) H^n, or X_n^-1 with ``inverse``, as the
+        steps it takes in turn, cached: each step is a triple (source,
+        target, rewriter) of X or X^-1 on one pair of slots.  Unrolling
+        X_{m+1} = (X (x) id^m)(id (x) X_m), X_n is X on slots (n-1, n), then
+        on (n-2, n-1), ..., then on (0, 1), and X_n^-1 is X^-1 on (0, 1),
+        then on (1, 2), ..., then on (n-1, n).  Only X is inverted by
+        elimination.  No factor passes another, so no sign enters."""
         if n < 1:
             raise InputError("tower level must be >= 1")
+        key = ("chain", n, inverse)
+        if key not in self._ops:
+            w, h = self.letters
+            w2, wh = self.power(2), self.hopf_space(1)
+
+            def level(k):
+                """k slots of W, then n + 1 - k of H."""
+                return self.power(k) if k == n + 1 else self.mixed_space(w * k + h * (n + 1 - k))
+
+            if inverse:
+                steps = [(level(p + 1), level(p + 2), slot_terms(p, self.X_inv, wh, w2))
+                         for p in range(n)]
+            else:
+                steps = [(level(p + 2), level(p + 1), slot_terms(p, self.X, w2, wh))
+                         for p in reversed(range(n))]
+            self._ops[key] = steps
+        return self._ops[key]
+
+    def x_n(self, n: int) -> LinearMap:
+        """X_n as a matrix, the term map of the chain ``x_chain(n)``, cached;
+        X_1 is X.  Only the Galois tower suite reads it: the tower's products
+        apply the chains."""
         if n == 1:
             return self.X
         key = ("X", n)
         if key not in self._ops:
-            w, h = self.letters
-            terms = chain_terms(
-                slot_terms(1, self.x_n(n - 1), self.power(n), self.mixed_space(w + h * (n - 1))),
-                slot_terms(0, self.X, self.power(2), self.hopf_space(1)))
-            self._ops[key] = term_map(self.power(n + 1), self.mixed_space(w + h * n), terms)
-        return self._ops[key]
-
-    def x_n_inverse(self, n: int) -> LinearMap:
-        """X_n^-1, cached; raises ValidationFailed unless X_n is bijective."""
-        if n == 1:
-            return self.X_inv
-        key = ("Xinv", n)
-        if key not in self._ops:
-            xn = self.x_n(n)
-            if xn.domain.dim != xn.codomain.dim or xn.solver().rank != xn.domain.dim:
-                raise ValidationFailed(f"X_{n} is not bijective")
-            self._ops[key] = xn.inverse()
+            chain = self.x_chain(n)
+            self._ops[key] = term_map(chain[0][0], chain[-1][1],
+                                      reduce(chain_terms, (terms for _, _, terms in chain)))
         return self._ops[key]
 
     def transported_mult(self, n: int) -> "TransportedProduct":
@@ -376,17 +398,16 @@ class BalancedTower:
         and mu sigma = mu; ``ids`` holds their (identity id, paper label)."""
         braid, prod1, prod2, comm = ids
         s12, s23 = self.sigma_at(3, 0), self.sigma_at(3, 1)
-        rep.add(map_equality_record(*braid, s12.compose(s23).compose(s12),
-                                    s23.compose(s12).compose(s23),
+        rep.add(map_equality_record(*braid, (s12, s23, s12), (s23, s12, s23),
                                     witness_space=self.power(3).space))
         mu12, mu23 = self.mu_at(3, 0), self.mu_at(3, 1)
         w2 = self.power(2).space
-        rep.add(map_equality_record(*prod1, self.sigma.compose(mu12),
-                                    mu23.compose(s12).compose(s23), witness_space=w2))
-        rep.add(map_equality_record(*prod2, self.sigma.compose(mu23),
-                                    mu12.compose(s23).compose(s12), witness_space=w2))
+        rep.add(map_equality_record(*prod1, (self.sigma, mu12), (mu23, s12, s23),
+                                    witness_space=w2))
+        rep.add(map_equality_record(*prod2, (self.sigma, mu23), (mu12, s23, s12),
+                                    witness_space=w2))
         mu = self.mu_at(2, 0)
-        rep.add(map_equality_record(*comm, mu.compose(self.sigma), mu,
+        rep.add(map_equality_record(*comm, (mu, self.sigma), mu,
                                     witness_space=self.power(1).space))
 
     def add_translation_records(self, rep: ValidationReport, ids) -> None:
@@ -407,13 +428,12 @@ class BalancedTower:
             return LinearMap(hspace, cod.space, [from_legs(cod, terms(h))
                                                  for h in range(hspace.dim)], field)
 
-        rep.add(map_equality_record(*star, self.flipstar(2).compose(tau),
-                                    tau.compose(self.hopf.star.compose(self.kappa)),
-                                    witness_space=w2.space))
+        rep.add(map_equality_record(*star, (self.flipstar(2), tau),
+                                    (tau, self.hopf.star, self.kappa), witness_space=w2.space))
 
         unit_eps = LinearMap(hspace, w1.space, [vscale(self.eps_basis(h), self.algebra.unit)
                                                 for h in range(hspace.dim)], field)  # W_1 is W
-        rep.add(map_equality_record(*eps, self.mu_at(2, 0).compose(tau), unit_eps,
+        rep.add(map_equality_record(*eps, (self.mu_at(2, 0), tau), unit_eps,
                                     witness_space=w1.space))
 
         def coact_tau(p: int) -> LinearMap:
@@ -489,20 +509,22 @@ class BalancedTower:
 class TransportedProduct:
     """The braided product on W_n (n >= 2) of a tower.
 
-    Both operands are carried along X_{n-1} to W (x) H^{n-1} (``carry``),
-    multiplied there factor by factor with the sign
-    (-1)^{sum_{j<i} |u_i||v_j|} (``mul_carried``), and carried back; calling
-    the product on two W_n vectors does all three.  A caller that multiplies
-    the same operand many times carries it once.  The right operand's flat
-    tuples go into a trie keyed one factor at a time; each left term walks
-    it slot by slot through the smaller of the node's children and its row
-    of each factor algebra's ``support``, so it meets only the right terms
-    whose factor products are all nonzero.  Operands whose degrees add up to
-    more than the budget raise DegreeBudget.
+    Both operands are carried along the chain of X_{n-1} to W (x) H^{n-1}
+    (``carry``), multiplied there factor by factor with the sign
+    (-1)^{sum_{j<i} |u_i||v_j|} (``mul_carried``), and carried back along the
+    chain of X_{n-1}^-1; calling the product on two W_n vectors does all
+    three.  A caller that multiplies the same operand many times carries it
+    once.  The right operand's flat tuples go into a trie keyed one factor
+    at a time; each left term walks it slot by slot through the smaller of
+    the node's children and its row of each factor algebra's ``support``,
+    so it meets only the right terms whose factor products are all nonzero.
+    Operands whose degrees add up to more than the budget raise
+    DegreeBudget.
     """
 
     def __init__(self, tower: BalancedTower, n: int):
-        self.xn, self.xinv = tower.x_n(n - 1), tower.x_n_inverse(n - 1)
+        self.xn, self.xinv = tower.x_chain(n - 1), tower.x_chain(n - 1, inverse=True)
+        self.one = tower.field.one
         w, h = tower.letters
         self.where = f"{w}_{n}"
         self.target = tower.mixed_space(w + h * (n - 1))
@@ -520,7 +542,7 @@ class TransportedProduct:
 
     def carry(self, u: Vec) -> list:
         """u in W_n carried to W (x) H^{n-1}, as its flat terms."""
-        return flat_legs(self.target, self.xn.apply(u))
+        return flat_legs(self.target, apply_chain(self.xn, u))
 
     def __call__(self, u: Vec, v: Vec) -> Vec:
         return self.mul_carried(self.carry(u), self.carry(v))
@@ -540,12 +562,12 @@ class TransportedProduct:
             for j in tv[:-1]:
                 node = node.setdefault(j, {})
             node[tv[-1]] = (tv, cv, before.get(tv))
-        return self.xinv.apply(from_legs(self.target, self._products(tu_terms, trie)))
+        return apply_chain(self.xinv, from_legs(self.target, self._products(tu_terms, trie)))
 
     def _products(self, tu_terms: list, trie: dict):
         """The flat terms of the products of the left terms with the right
         terms in ``trie`` whose factor products are all nonzero."""
-        degs = self.degs
+        degs, one = self.degs, self.one
         for tu, cu in tu_terms:
             # keep, level by level, the children whose factor meets the left
             # term's factor, scanning the smaller of row and node
@@ -567,13 +589,13 @@ class TransportedProduct:
                     break
             du = degs.get(tu)
             for tv, cv, bv in nodes:
-                c0 = cu * cv
+                c0 = _times(cu, cv, one)
                 if du is not None and bv is not None \
                         and sum(map(operator.mul, du, bv)) % 2:
                     c0 = -c0
                 terms = [((), c0)]
                 for alg, i, j in zip(self.algs, tu, tv):
-                    terms = [(tup + (k,), c * ck) for tup, c in terms
+                    terms = [(tup + (k,), _times(c, ck, one)) for tup, c in terms
                              for k, ck in alg.mul_basis(i, j).items()]
                 yield from terms
 
@@ -704,7 +726,7 @@ def translation_identities(b: Bundle) -> ValidationReport:
 
     if b.is_point_trivial():
         g, b2 = b.group, b.b2
-        oracle = term_map(g.square, b2, slot_terms(0, g.antipode)).compose(g.coproduct)
+        oracle = (term_map(g.square, b2, slot_terms(0, g.antipode)), g.coproduct)
         rep.add(map_equality_record("translation.point-oracle",
                                     "tau = kappa(a^(1)) (x) a^(2) over a point",
                                     b.tau, oracle, witness_space=b2.space))
@@ -715,8 +737,10 @@ def translation_identities(b: Bundle) -> ValidationReport:
 
 
 def galois_tower(b: Bundle, n: int):
-    """X_n: B_{n+1} -> B (x) A^n by the recursion, tau_n as its restricted
-    inverse; verifies X_n tau_n = 1 (x) id on basis tuples.
+    """X_n: B_{n+1} -> B (x) A^n as the matrix of its chain, and tau_n by
+    the product formula; verifies that X_n is bijective (its rank, the one
+    elimination of an X_n), X_n tau_n = 1 (x) id on basis tuples, and that
+    tau_n is X_n^-1, the chain of X^-1 steps, on 1 (x) A^n.
 
     Returns (X_n, tau_n, report); the report's records are those of the
     translation suite, translation.tower.*.
@@ -733,7 +757,7 @@ def galois_tower(b: Bundle, n: int):
 
     xn = b.x_n(n)
     target = b.mixed_space("B" + "A" * n)
-    # the rank comes from the elimination that x_n_inverse reuses
+    # the one elimination of an X_n; X_n^-1 below is the chain of X^-1 steps
     rank = xn.solver().rank
     bijective = xn.domain.dim == xn.codomain.dim and rank == xn.domain.dim
     rep.check(("translation.tower.bijective", f"X_{n} bijective"),
@@ -781,11 +805,11 @@ def galois_tower(b: Bundle, n: int):
 
     rep.check(("translation.tower.inverse", f"X_{n} tau_{n} = 1 (x) id"), inverse_failures())
 
-    # independent check: tau_n agrees with the restricted inverse of X_n
-    xinv = b.x_n_inverse(n)
+    # independent check: tau_n agrees with X_n^-1 restricted to 1 (x) A^n
+    xinv = b.x_chain(n, inverse=True)
     rep.check(("translation.tower.formula", f"tau_{n} product formula = X_{n}^-1 restriction"),
               ({"tuple": labels(at)} for at in a_tuples
-               if xinv.apply(one_tensor(at)) != tau_cols[at]))
+               if apply_chain(xinv, one_tensor(at)) != tau_cols[at]))
 
     tau_n = tau_cols
     return xn, tau_n, rep

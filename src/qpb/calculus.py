@@ -51,7 +51,7 @@ from .linalg import (
     BasedSpace, Echelon, LinearMap, Vec, fixed_points, span_basis, spans_equal,
     viadd, viadd_term,
 )
-from .report import ValidationReport, map_equality_record, passing, vacuous
+from .report import ValidationReport, first_difference, map_equality_record, passing, vacuous
 from .tensor import (
     Factor, TProd, apply_terms, chain_terms, embed, flat_legs, from_legs, slot_terms,
     term_map, unit_leg,
@@ -355,12 +355,11 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
 
     # F^_2 tau^ = (tau^ (x) id) ad
     w2g = tc.hopf_space(2)
-    lhs = tc.f2.compose(tc.tau)
     tau_id = slot_terms(0, tc.tau, None, w2)
     rhs = LinearMap(gamma.space, w2g.space, [apply_terms(gamma.square, w2g, tau_id, col)
                                              for col in gamma.ad_hat().cols], field)
     rep.add(map_equality_record("diff.tau-ad", "F^_2 tau^ = (tau^ (x) id) ad",
-                                lhs, rhs, witness_space=w2g.space))
+                                (tc.f2, tc.tau), rhs, witness_space=w2g.space))
 
     # tau^ d = d tau^
     rep.check(("diff.tau-d", "tau^ d = d tau^"),
@@ -370,10 +369,10 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
     # --- sigma^_M suite --------------------------------------------------------
     ident = LinearMap.identity(w2.space, field)
     rep.check(("diff.g-inv", "g-inv"),
-              ({"product": name, "basis_index": j} for name, (m1, m2) in (
+              ({"product": name, "basis_index": diff[0]} for name, sides in (
                   ("sigma^ sigma^-1", (tc.sigma, tc.sigma_inv)),
                   ("sigma^-1 sigma^", (tc.sigma_inv, tc.sigma)))
-               if (j := m1.compose(m2).first_difference(ident)) is not None))
+               if (diff := first_difference(sides, ident)) is not None))
 
     # filtration compatibility for k = 0, 1, 2 (degree-budgeted pairings)
     for k in range(BUDGET + 1):
@@ -396,8 +395,7 @@ def differential_suite(tc: TotalCalculus, gauge_coalgebra=None) -> ValidationRep
         ("diff.prod-gsM2", "prod-gsM2"), ("diff.g-comm", "mu sigma^ = mu")))
 
     rep.add(map_equality_record("diff.g-star", "* sigma^ = sigma^-1 *",
-                                tc.w2_star.compose(tc.sigma),
-                                tc.sigma_inv.compose(tc.w2_star),
+                                (tc.w2_star, tc.sigma), (tc.sigma_inv, tc.w2_star),
                                 witness_space=w2.space))
 
     rep.check(("diff.g-d", "d sigma^ = sigma^ d"),

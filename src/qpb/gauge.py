@@ -178,11 +178,9 @@ class GradedGaugeCoalgebra:
                     yield (k,), c * ck
 
         resc = LinearMap.identity(self.l_space, field)  # t_l is L
-        rep.add(map_equality_record(*counit_left,
-                                    term_map(t_ll, t_l, eps1_terms).compose(self.phi_m),
+        rep.add(map_equality_record(*counit_left, (term_map(t_ll, t_l, eps1_terms), self.phi_m),
                                     resc, witness_space=t_l.space))
-        rep.add(map_equality_record(*counit_right,
-                                    term_map(t_ll, t_l, eps2_terms).compose(self.phi_m),
+        rep.add(map_equality_record(*counit_right, (term_map(t_ll, t_l, eps2_terms), self.phi_m),
                                     resc, witness_space=t_l.space))
 
         # (eps_M (x) id) Delta = id on W
@@ -194,22 +192,20 @@ class GradedGaugeCoalgebra:
                         yield (k,), c * ci * ck
 
         w1, ident = self.w1, LinearMap.identity(self.delta.domain, field)  # W_1 is W
-        rep.add(map_equality_record(*e_fgau,
-                                    term_map(self.t_lb, w1, epsd_terms).compose(self.delta),
+        rep.add(map_equality_record(*e_fgau, (term_map(self.t_lb, w1, epsd_terms), self.delta),
                                     ident, witness_space=w1.space))
 
         # (id (x) Delta) Delta = (phi_M (x) id) Delta
         t_lb, t_llb = self.t_lb, self.t_llb
         rep.add(map_equality_record(
             *coact,
-            term_map(t_lb, t_llb, slot_terms(1, self.delta, None, t_lb)).compose(self.delta),
-            term_map(t_lb, t_llb, slot_terms(0, self.phi_m, None, t_ll)).compose(self.delta),
+            (term_map(t_lb, t_llb, slot_terms(1, self.delta, None, t_lb)), self.delta),
+            (term_map(t_lb, t_llb, slot_terms(0, self.phi_m, None, t_ll)), self.delta),
             witness_space=t_llb.space))
 
         # coassociativity of phi_M
-        rep.add(map_equality_record(*coasso, self.phi_id.compose(self.phi_m),
-                                    self.id_phi.compose(self.phi_m),
-                                    witness_space=self.t_lll.space))
+        rep.add(map_equality_record(*coasso, (self.phi_id, self.phi_m),
+                                    (self.id_phi, self.phi_m), witness_space=self.t_lll.space))
 
 
 class GaugeCoalgebra(GradedGaugeCoalgebra):
@@ -233,7 +229,7 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
         self.p_l = term_map(b.hopf_space(2), b2,
                             lambda t: (((t[0], t[1]), haar[t[2]]),)).compose(b.f2)
         rep.add(map_equality_record("gauge.pL-idem", "p_L idempotent",
-                                    self.p_l.compose(self.p_l), self.p_l))
+                                    (self.p_l, self.p_l), self.p_l))
         image = span_basis(self.p_l.cols)
         onto = spans_equal(image, self.l_basis)
         rep.check(("gauge.pL-image", "im(p_L) = F_2-invariants"),
@@ -274,8 +270,8 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
 
         # fgau-F diagram: (id (x) F) Delta = (Delta (x) id) F, with F into B (x) A
         ba, t_lb, t_lba = b.hopf_space(1), self.t_lb, self.t_lba
-        lhs = term_map(t_lb, t_lba, slot_terms(1, b.coaction, None, ba)).compose(self.delta)
-        rhs = term_map(ba, t_lba, slot_terms(0, self.delta, None, t_lb)).compose(b.coaction)
+        lhs = (term_map(t_lb, t_lba, slot_terms(1, b.coaction, None, ba)), self.delta)
+        rhs = (term_map(ba, t_lba, slot_terms(0, self.delta, None, t_lb)), b.coaction)
         rep.add(map_equality_record("gauge.fgau-F", "fgau-F", lhs, rhs,
                                     witness_space=t_lba.space))
 
@@ -401,9 +397,8 @@ class BraidedHopf:
         b4 = b.b_space(4)
 
         # diagram tw: F_2 sigma = (sigma (x) id) F_2
-        rep.add(map_equality_record("classical.tw", "tw",
-                                    b.f2.compose(braid.forward),
-                                    b.sigma_at("BBA", 0).compose(b.f2),
+        rep.add(map_equality_record("classical.tw", "tw", (b.f2, braid.forward),
+                                    (b.sigma_at("BBA", 0), b.f2),
                                     witness_space=b.hopf_space(2).space))
 
         # L is a *-subalgebra of braided B_2
@@ -440,16 +435,19 @@ class BraidedHopf:
             raise ValidationFailed("L is not sigma-invariant")
         self.kappa_m = LinearMap(gc.l_space, gc.l_space, kap_cols, field)
 
-        # Sigma on L (x) L: restriction of (id x s x id)(s x s)(id x s x id) on B_4
-        s23_4 = braid.at(4, 1)
-        s12_4 = braid.at(4, 0)
-        s34_4 = braid.at(4, 2)
-        big = s23_4.compose(s12_4.compose(s34_4)).compose(s23_4)
+        # Sigma on L (x) L: restriction of (id x s x id)(s x s)(id x s x id) on B_4,
+        # applied one braid at a time: s23, s34, s12, s23
+        braids = [braid.at(4, p) for p in (1, 2, 0, 1)]
+
+        def big(v: Vec) -> Vec:
+            for m in braids:
+                v = m.apply(v)
+            return v
 
         # L (x) L into B_4: j_ll, then l_incl on slot 0
         self.j_ll4 = term_map(gc.t_ll, b4, chain_terms(slot_terms(1, gc.l_incl, None, b2),
                                                        slot_terms(0, gc.l_incl, None, b2)))
-        sig_cols, i = _solve_each(self.j_ll4, (big.apply(col) for col in self.j_ll4.cols))
+        sig_cols, i = _solve_each(self.j_ll4, (big(col) for col in self.j_ll4.cols))
         rep.check(("classical.Sigma-restricts", "Sigma preserves L (x) L"),
                   [] if i is None else [{"t_ll_index": i}])
         if i is not None:
@@ -458,7 +456,7 @@ class BraidedHopf:
 
         ident = LinearMap.identity(gc.t_ll.space, field)
         rep.add(map_equality_record("classical.Sigma-involutive", "Sigma = Sigma^-1",
-                                    self.sigma_ll.compose(self.sigma_ll), ident,
+                                    (self.sigma_ll, self.sigma_ll), ident,
                                     witness_space=gc.t_ll.space))
 
         # star on L (x) L from the braided star on B_4
@@ -472,8 +470,7 @@ class BraidedHopf:
         self.ll_star = LinearMap(gc.t_ll.space, gc.t_ll.space, ll_star_cols,
                                  field, antilinear=True)
         rep.add(map_equality_record("classical.Sigma-star", "*Sigma = Sigma*",
-                                    self.ll_star.compose(self.sigma_ll),
-                                    self.sigma_ll.compose(self.ll_star),
+                                    (self.ll_star, self.sigma_ll), (self.sigma_ll, self.ll_star),
                                     witness_space=gc.t_ll.space))
 
         # Sigma exchange laws with phi_M
@@ -482,13 +479,13 @@ class BraidedHopf:
         sig12, sig23 = (term_map(gc.t_lll, gc.t_lll,
                                  slot_terms(p, self.sigma_ll, gc.t_ll, gc.t_ll))
                         for p in (0, 1))
-        lhs = phi2.compose(self.sigma_ll)
-        rhs = sig12.compose(sig23).compose(phi1)
+        lhs = (phi2, self.sigma_ll)
+        rhs = (sig12, sig23, phi1)
         rep.add(map_equality_record("classical.Sigma-phi-1",
                                     "(id (x) phi_M)Sigma = (Sigma (x) id)(id (x) Sigma)(phi_M (x) id)",
                                     lhs, rhs, witness_space=gc.t_lll.space))
-        lhs = phi1.compose(self.sigma_ll)
-        rhs = sig23.compose(sig12).compose(phi2)
+        lhs = (phi1, self.sigma_ll)
+        rhs = (sig23, sig12, phi2)
         rep.add(map_equality_record("classical.Sigma-phi-2",
                                     "(phi_M (x) id)Sigma = (id (x) Sigma)(Sigma (x) id)(id (x) phi_M)",
                                     lhs, rhs, witness_space=gc.t_lll.space))
@@ -523,11 +520,11 @@ class BraidedHopf:
 
         # the unit V -> L, f -> f . (1 (x) 1), after eps_M
         v_space = gc.eps_m.codomain
-        unit_eps = LinearMap(v_space, t_l.space,
-                             [gc.lact[v].apply(gc.l_unit) for v in range(v_space.dim)],
-                             field).compose(gc.eps_m)
-        lhs1, lhs2 = (mu_ll.compose(term_map(gc.t_ll, gc.t_ll, slot_terms(p, self.kappa_m)))
-                      .compose(gc.phi_m) for p in (0, 1))
+        unit_eps = (LinearMap(v_space, t_l.space,
+                              [gc.lact[v].apply(gc.l_unit) for v in range(v_space.dim)],
+                              field), gc.eps_m)
+        lhs1, lhs2 = ((mu_ll, term_map(gc.t_ll, gc.t_ll, slot_terms(p, self.kappa_m)), gc.phi_m)
+                      for p in (0, 1))
         rep.add(map_equality_record("classical.antipode-left",
                                     "mu(kappa_M (x) id)phi_M = unit eps_M",
                                     lhs1, unit_eps, witness_space=t_l.space))
@@ -535,7 +532,7 @@ class BraidedHopf:
                                     "mu(id (x) kappa_M)phi_M = unit eps_M",
                                     lhs2, unit_eps, witness_space=t_l.space))
         rep.add(map_equality_record("classical.kappaM-squared", "kappa_M^2 = id",
-                                    self.kappa_m.compose(self.kappa_m),
+                                    (self.kappa_m, self.kappa_m),
                                     LinearMap.identity(gc.l_space, field),
                                     witness_space=gc.l_space))
 

@@ -619,13 +619,15 @@ class QuotientSpace:
 
     The projection is kept sparse: a kept index is its own class, a zero
     index has none, and each multi-term pivot has the column
-    ``{keep position: -entry}`` of its row.  The positions are one list,
-    indexed by ambient index, holding ``keep``'s position b at ``keep[b]``
-    and None at every other index.  ``project`` reads ambient indices and
-    drops a zero index and the key None, a ``TProd``'s sink.
-    ``projection_cols`` writes the full column list out for a caller that
-    wants a ``LinearMap``.  Labels belong to the caller: the quotient knows
-    indices only.
+    ``{keep position: -entry}`` of its row.  These columns are the one
+    stored form of the multi-term rows: a row's other entries are at kept
+    indices, so ``rows`` rebuilds each row from its column when read.  The
+    positions are one list, indexed by ambient index, holding ``keep``'s
+    position b at ``keep[b]`` and None at every other index.  ``project``
+    reads ambient indices and drops a zero index and the key None, a
+    ``TProd``'s sink.  ``projection_cols`` writes the full column list out
+    for a caller that wants a ``LinearMap``.  Labels belong to the caller:
+    the quotient knows indices only.
     """
 
     def __init__(self, ambient_dim: int, relations, field: CycloField):
@@ -650,7 +652,6 @@ class QuotientSpace:
             del rows[p]
             zero.add(p)
         self.zero = zero
-        self.rows = rows
         keep = [i for i in range(ambient_dim) if i not in zero and i not in rows]
         self.keep = keep
         self._pos = pos = [None] * ambient_dim
@@ -662,6 +663,15 @@ class QuotientSpace:
     @property
     def dim(self) -> int:
         return len(self.keep)
+
+    @property
+    def rows(self) -> dict[int, Vec]:
+        """pivot -> multi-term RREF row, rebuilt from its projection column:
+        the leading 1 at the pivot, then each kept index with its column
+        entry negated, in the elimination's order."""
+        one, keep = self.field.one, self.keep
+        return {p: {p: one, **{keep[b]: -c for b, c in col.items()}}
+                for p, col in self._cols.items()}
 
     def project(self, v: Vec) -> Vec:
         """The class of v, whose keys are ambient indices or the sink None: a
@@ -704,8 +714,9 @@ class QuotientSpace:
         if any(cols[k] != {b: self.field.one} for b, k in enumerate(self.keep)):
             return False
         ker = nullspace_of_columns(cols, self.field)
-        if len(ker) != len(self.zero) + len(self.rows):
+        rows = self.rows
+        if len(ker) != len(self.zero) + len(rows):
             return False
-        rel = Echelon(dict(self.rows))
+        rel = Echelon(rows)
         return all(not rel.reduce({k: c for k, c in v.items() if k not in self.zero})
                    for v in ker)

@@ -136,19 +136,52 @@ def vacuous(identity_id: str, label: str, note: str = "empty domain") -> CheckRe
 
 def map_equality_record(identity_id: str, label: str, lhs, rhs, witness_space=None,
                         note: str | None = None) -> CheckRecord:
-    """Compare two LinearMaps column by column; on failure report the first
-    differing basis element together with both evaluated sides."""
-    if lhs.antilinear != rhs.antilinear:
+    """Compare two maps column by column; on failure report the first
+    differing basis element together with both evaluated sides.
+
+    Each side is a LinearMap or a composition, written as a sequence of
+    LinearMaps whose last map acts first.  A composition is never built: its
+    column j is the chain applied to the first map's column j, and no column
+    after the first difference is evaluated.  A composition is antilinear
+    when an odd number of its maps are."""
+    lhs, rhs = _parts(lhs), _parts(rhs)
+    if sum(m.antilinear for m in lhs) % 2 != sum(m.antilinear for m in rhs) % 2:
         return failing(identity_id, label, {"reason": "antilinearity mismatch"}, note)
-    j = lhs.first_difference(rhs)
-    if j is None:
+    diff = first_difference(lhs, rhs)
+    if diff is None:
         return passing(identity_id, label, note)
-    dom = lhs.domain
-    cod = witness_space if witness_space is not None else lhs.codomain
+    j, lcol, rcol = diff
+    dom = lhs[-1].domain
+    cod = witness_space if witness_space is not None else lhs[0].codomain
     wit = {
         "basis_index": j,
         "basis_label": dom.labels[j] if j < len(dom.labels) else str(j),
-        "lhs": cod.render(lhs.cols[j]),
-        "rhs": cod.render(rhs.cols[j]),
+        "lhs": cod.render(lcol),
+        "rhs": cod.render(rcol),
     }
     return failing(identity_id, label, wit, note)
+
+
+def first_difference(lhs, rhs):
+    """(j, lhs column j, rhs column j) at the first column where two sides
+    differ, each side written as in ``map_equality_record``, or None; the
+    columns are evaluated one at a time, up to that one."""
+    lhs, rhs = _parts(lhs), _parts(rhs)
+    for j in range(min(lhs[-1].domain.dim, rhs[-1].domain.dim)):
+        lcol, rcol = _column(lhs, j), _column(rhs, j)
+        if lcol != rcol:
+            return j, lcol, rcol
+    return None
+
+
+def _parts(side) -> tuple:
+    """A side of an identity as its maps, the last acting first."""
+    return tuple(side) if isinstance(side, (tuple, list)) else (side,)
+
+
+def _column(parts, j: int):
+    """Column j of the composition of ``parts``."""
+    v = parts[-1].cols[j]
+    for m in reversed(parts[:-1]):
+        v = m.apply(v)
+    return v

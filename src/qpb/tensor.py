@@ -55,11 +55,15 @@ Operators between TProds are assembled per canonical basis element by lifting
 to the flat tensor basis, rewriting terms, and projecting back; the caller's
 rewrite rule must descend to the quotient (all rules used here are module maps
 in the balanced slots).  Most maps of the paper act on a few slots and leave
-the others alone, such as sigma on slots (p, p+1), Delta (x) id or
-(X (x) id)(id (x) X_n): ``slot_terms`` is the one rewriter that applies a map
-to a block of slots and splices its image in their place, ``chain_terms``
-runs two rewriters in turn, ``term_map`` builds the map a rewriter defines
-and ``apply_terms`` applies a rewriter to one vector.  So the flat layout
+the others alone, such as sigma on slots (p, p+1), Delta (x) id or X on
+slots (p, p+1), one step of the Galois tower: X_n is X on slots (n-1, n),
+then on (n-2, n-1), ..., then on (0, 1), and X_n^-1 is X^-1 on the same
+pairs in the opposite order.  ``slot_terms`` is the one rewriter that
+applies a map to a block of slots and splices its image in their place,
+``chain_terms`` runs two rewriters in turn, ``term_map`` builds the map a
+rewriter defines, ``apply_terms`` applies a rewriter to one vector and
+``apply_chain`` applies such steps in turn, projecting after each, which is
+how X_n and X_n^-1 act without a matrix.  So the flat layout
 (``tuples``, ``tuple_index``, ``flat_index``, ``lift``, ``project``) is read
 here, and a caller names slots, maps and terms.  ``embed`` builds the
 elementary tensor of one vector per factor, such as 1 (x) 1 or x (x) y, the
@@ -381,6 +385,14 @@ def apply_terms(src: TProd, dst: TProd, fn, v: Vec) -> Vec:
     one = src.field.one
     return from_legs(dst, ((t, _times(c, ct, one)) for s, c in flat_legs(src, v)
                            for t, ct in fn(s)))
+
+
+def apply_chain(steps, v: Vec) -> Vec:
+    """The steps (src, dst, rewriter) applied to v in turn, each by
+    ``apply_terms``, so every intermediate vector is projected."""
+    for src, dst, fn in steps:
+        v = apply_terms(src, dst, fn, v)
+    return v
 
 
 def slot_terms(p: int, m: LinearMap, m_src: TProd | None = None,

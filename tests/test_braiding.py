@@ -88,9 +88,11 @@ def test_classicality_trivial_bundle():
 
 def all_pairs_mult_n(braid, n):
     """Reference braided product on B_n: every pair of transported terms,
-    multiplied factor by factor in B (x) A^{n-1}, with no pruning."""
+    multiplied factor by factor in B (x) A^{n-1}, with no pruning, and
+    carried back by the elimination inverse of the matrix X_{n-1}."""
     b = braid.bundle
-    xn, xinv = b.x_n(n - 1), b.x_n_inverse(n - 1)
+    xn = b.x_n(n - 1)
+    xinv = xn.inverse()
     target = b.mixed_space("B" + "A" * (n - 1))
     one = b.field.one
 

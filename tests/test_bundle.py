@@ -10,13 +10,14 @@ from qpb.bundle import build_bundle, galois_tower, translation_identities
 from qpb.calculus import build_total_calculus, trivial_base_calculus
 from qpb.errors import BudgetExceeded, DegreeBudget, NotPrincipal
 from qpb.fodc import build_fodc, universal_ideal
-from qpb.formats import BuildResult, load_file
+from qpb.formats import BuildResult, load_file, run_suites
 from qpb.gauge import classical_braided_hopf
 from qpb.hopf import BUDGET
-from qpb.linalg import viadd_term
+from qpb.linalg import LinearMap, viadd_term
 from qpb.presets import (
     functions_on_points, hopf_preset, point_bundle_data, trivial_bundle_data,
 )
+from qpb.tensor import apply_chain
 
 CASES = Path(__file__).resolve().parents[1] / "bench" / "cases"
 
@@ -101,12 +102,54 @@ def test_tower_trivial_bundle():
     assert rep.ok, rep.to_text()
 
 
+def case_tower(case: str):
+    """The bundle of a bench case, or its Omega(P) tower for calculus-z3."""
+    build = BuildResult(load_file(str(CASES / f"{case}.json")))
+    return build.total_calculus() if case == "calculus-z3" else build.bundle
+
+
+@pytest.mark.parametrize("case, levels", [("classical-s3", (2, 3)), ("calculus-z3", (2,))])
+def test_chains_match_the_tower_matrix_and_its_elimination_inverse(case, levels):
+    """X_n and X_n^-1 as chains of X and X^-1 on one pair of slots agree, on
+    every basis element, with the matrix X_n and with its inverse by
+    elimination: on classical-s3's bundle (B_3 and B_4) and on calculus-z3's
+    Omega(P) tower (W_3, 2,106 dims)."""
+    tower = case_tower(case)
+    one = tower.field.one
+    for n in levels:
+        xn = tower.x_n(n)
+        xinv = xn.inverse()
+        forward, back = tower.x_chain(n), tower.x_chain(n, inverse=True)
+        assert len(forward) == len(back) == n
+        assert xn.domain.dim == xn.codomain.dim > 100
+        assert all(apply_chain(forward, {j: one}) == col for j, col in enumerate(xn.cols))
+        assert all(apply_chain(back, {j: one}) == col for j, col in enumerate(xinv.cols))
+
+
+def test_the_check_holds_no_tower_matrix_above_level_one():
+    """After the whole calculus-z3 check, the Omega(P) tower carries its
+    products along the chains of X_2 and X_2^-1 and holds no matrix of X_2
+    or of its inverse."""
+    build = BuildResult(load_file(str(CASES / "calculus-z3.json")))
+    assert run_suites(build, ["all"]).ok
+    tc = build.total_calculus()
+    ops = tc._ops
+    assert ("chain", 2, False) in ops and ("chain", 2, True) in ops
+    assert ("X", 2) not in ops and ("Xinv", 2) not in ops
+    w, h = tc.letters
+    w3, whh = tc.power(3).space, tc.mixed_space(w + h * 2).space
+    assert not [key for key, m in ops.items() if isinstance(m, LinearMap)
+                and {id(m.domain), id(m.codomain)} == {id(w3), id(whh)}]
+
+
 def by_lead_mult(tower, n):
     """Reference transported product on W_n: the right operand's terms
     indexed by their leading factor, and each candidate pair kept only when
     every later factor lies in the left term's support row, then multiplied
-    factor by factor with its Koszul sign."""
-    xn, xinv = tower.x_n(n - 1), tower.x_n_inverse(n - 1)
+    factor by factor with its Koszul sign.  The operands are carried by the
+    matrix X_{n-1} and back by its elimination inverse."""
+    xn = tower.x_n(n - 1)
+    xinv = xn.inverse()
     w, h = tower.letters
     target = tower.mixed_space(w + h * (n - 1))
     tuples, budget = target.tuples, tower.budget

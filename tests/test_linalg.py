@@ -279,6 +279,15 @@ def test_quotient_matches_plain_elimination(script):
     assert rref == plain.rows
     assert [rref[p] for p in sorted(rref)] == plain.basis()
     assert q.keep == [i for i in range(dim) if i not in plain.rows]
+    # the rows rebuilt from the projection columns are the multi-term rows of
+    # eliminating the relations off their unit entries, key order included
+    units = {k for r in relations if len(r) == 1 for k in r}
+    multi = Echelon()
+    for r in relations:
+        if len(r) > 1:
+            multi.add({k: c for k, c in r.items() if k not in units})
+    eliminated = [(p, list(row.items())) for p, row in multi.rows.items() if len(row) > 1]
+    assert [(p, list(row.items())) for p, row in q.rows.items()] == eliminated
     assert q.verify()
     amb, quo = space(dim), space(q.dim, "c")
     projection = LinearMap(amb, quo, q.projection_cols(), field)

@@ -12,8 +12,10 @@ from pathlib import Path
 
 import pytest
 
+from qpb.cyclotomic import CycloField
 from qpb.errors import ValidationFailed
-from qpb.report import RaisingReport, ValidationReport
+from qpb.linalg import BasedSpace, LinearMap
+from qpb.report import RaisingReport, ValidationReport, map_equality_record
 
 ROOT = Path(__file__).resolve().parents[1]
 IDENT = ("suite.law", "the law")
@@ -93,6 +95,59 @@ def test_a_raising_report_raises_at_the_first_witness_with_the_label():
     assert err.value.where == "bundle"
     assert read == [0]
     assert [r.identity_id for r in rep.records] == ["suite.ok"]
+
+
+# -- identities of maps, compared column by column -------------------------------------
+
+
+class ReadCols(list):
+    """A column list that records which columns are read by index."""
+
+    def __init__(self, cols):
+        super().__init__(cols)
+        self.read = []
+
+    def __getitem__(self, j):
+        self.read.append(j)
+        return super().__getitem__(j)
+
+
+def small_maps():
+    """Three maps on Q^4, each column two entries, and their composition."""
+    field = CycloField(1)
+    space = BasedSpace(tuple(f"e{i}" for i in range(4)))
+
+    def shift(k, c):
+        return LinearMap(space, space, [{(j + k) % 4: field.one, j: field.rational(c)}
+                                        for j in range(4)], field)
+
+    maps = [shift(1, 2), shift(2, -1), shift(3, 3)]
+    return field, space, maps, maps[0].compose(maps[1]).compose(maps[2])
+
+
+def test_a_composition_gives_the_materialized_witness_and_stops_there():
+    """A planted difference in column 2 gives the witness of the materialized
+    composition, and the map acting first has no column after it read."""
+    field, space, (a, b, c), abc = small_maps()
+    planted = [dict(col) for col in abc.cols]
+    planted[2][0] = planted[2].get(0, field.zero) + field.one
+    rhs = LinearMap(space, space, planted, field)
+    want = map_equality_record("t.comp", "comp", abc, rhs, witness_space=space)
+    watched = LinearMap(space, space, ReadCols(c.cols), field)
+    got = map_equality_record("t.comp", "comp", (a, b, watched), rhs, witness_space=space)
+    assert got.status == "fail" and got.witness["basis_index"] == 2
+    assert got.as_json_obj() == want.as_json_obj()
+    assert watched.cols.read == [0, 1, 2]
+
+
+def test_a_composition_passes_and_its_parts_set_its_antilinearity():
+    field, space, (a, b, c), abc = small_maps()
+    assert map_equality_record("t.comp", "comp", [a, b, c], abc).status == "pass"
+    # over Q conjugation fixes every coefficient, so only the flags differ
+    conj_a, conj_c = (LinearMap(space, space, m.cols, field, antilinear=True) for m in (a, c))
+    mixed = map_equality_record("t.comp", "comp", (a, b, conj_c), abc)
+    assert (mixed.status, mixed.witness) == ("fail", {"reason": "antilinearity mismatch"})
+    assert map_equality_record("t.comp", "comp", (conj_a, b, conj_c), abc).status == "pass"
 
 
 # -- no module but report.py calls ``failing`` -----------------------------------------

@@ -9,6 +9,7 @@ plain ``Echelon.add``.  RREF is unique, so the kept tuples and the class of
 every flat tuple must agree exactly; a tuple outside the support has class 0.
 """
 
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -186,6 +187,29 @@ def test_balanced_products_skip_dependent_relations(calculus_z3):
     assert calculus_z3.check_adds <= 15_000
 
 
+# sha256 of the JSON of each pair kernel's row_tuples, taken while
+# QuotientSpace stored its multi-term rows beside the projection columns
+ROW_TUPLES_SHA256 = {
+    "W_2": "8b7e68d7a189c69fced0ccca60a4066bd9f29a0144ce4049beeec3ccab89bec7",
+    "L^(x)L^": "8b7e68d7a189c69fced0ccca60a4066bd9f29a0144ce4049beeec3ccab89bec7",
+}
+
+
+def test_row_tuples_survive_the_one_stored_form(calculus_z3):
+    """PairKernel.row_tuples reads the rows that QuotientSpace rebuilds from
+    its projection columns; on calculus-z3's W_2 and L^ (x) L^, 126 rows
+    each, they are the stored rows of before, order and coefficients
+    included."""
+    built = {tp.name: tp for tp in calculus_z3.built}
+    for name, digest in ROW_TUPLES_SHA256.items():
+        tp = built[name]
+        rows = tensor.pair_kernel(tp.field, *tp.factors, tp.coeff_degrees,
+                                  tp.budget).row_tuples
+        doc = [[list(p), [[list(t), str(c)] for t, c in row]] for p, row in rows.items()]
+        assert len(rows) == 126, name
+        assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest, name
+
+
 def test_pair_kernels_and_labels_are_built_once(calculus_z3, monkeypatch):
     """Each factor pair's kernel is built once per coefficient degrees and
     budget, whichever products share it.  Labels are built on demand: the
@@ -199,8 +223,9 @@ def test_pair_kernels_and_labels_are_built_once(calculus_z3, monkeypatch):
     assert calculus_z3.labels == 0
     built = calculus_z3.built
     dim_sum = sum(tp.dim for tp in built)
-    # Gamma^'s blocks A (x) Gamma_inv and A (x) Lambda^2 are 6 + 12 of it
-    assert dim_sum == 15_502 < sum(len(tp.tuples) for tp in built)
+    # Gamma^'s blocks A (x) Gamma_inv and A (x) Lambda^2 are 6 + 12 of it, and
+    # the levels BBBA and BBAA that the chain of X_3 passes through 162 + 162
+    assert dim_sum == 15_826 < sum(len(tp.tuples) for tp in built)
     tuple_label, count = tensor.tuple_label, [0]
 
     def label(factors, t):
