@@ -31,7 +31,9 @@ from itertools import chain
 from .bundle import Bundle
 from .errors import EquivalenceViolation
 from .linalg import LinearMap, Vec
-from .report import CheckRecord, ValidationReport, map_equality_record, passing
+from .report import (
+    CheckRecord, ValidationReport, first_difference, map_equality_record, passing,
+)
 from .hopf import graded_tensor_mul, graded_tensor_star
 from .tensor import _times, embed, flat_legs, from_legs, slot_apply
 
@@ -111,7 +113,8 @@ def sigma_m(b: Bundle) -> BraidOperator:
     b2 = b.b2
     forward, inverse = b.sigma, b.sigma_inv
     ident = LinearMap.identity(b2.space, field)
-    if forward.compose(inverse) != ident or inverse.compose(forward) != ident:
+    if first_difference((forward, inverse), ident) is not None \
+            or first_difference((inverse, forward), ident) is not None:
         raise EquivalenceViolation("sigma and its formula inverse do not compose to id")
     one = field.one
 
@@ -187,17 +190,11 @@ def verify_braiding_suite(b: Bundle, braid: BraidOperator | None = None) -> Vali
 
     # aP-funct on A (x) B -> B_3
     ab = b.mixed_space("AB")
-    lhs_cols = []
-    rhs_cols = []
-    comp = braid.at(3, 0).compose(braid.at(3, 1))
-    for a in range(da):
-        for i in range(total.dim):
-            tau_b, b_tau = _tau_beside(b, a, i)
-            lhs_cols.append(comp.apply(tau_b))
-            rhs_cols.append(b_tau)
-    lhs = LinearMap(ab.space, b3.space, lhs_cols, field)
-    rhs = LinearMap(ab.space, b3.space, rhs_cols, field)
-    rep.add(map_equality_record("braiding.aP-funct", "aP-funct", lhs, rhs,
+    sides = [_tau_beside(b, a, i) for a in range(da) for i in range(total.dim)]
+    tau_b = LinearMap(ab.space, b3.space, [lc for lc, _ in sides], field)
+    b_tau = LinearMap(ab.space, b3.space, [rc for _, rc in sides], field)
+    rep.add(map_equality_record("braiding.aP-funct", "aP-funct",
+                                (braid.at(3, 0), braid.at(3, 1), tau_b), b_tau,
                                 witness_space=b3.space))
 
     # F-funct: (sigma (x) id)(id (x) chi)(F (x) id) = (id (x) F) sigma on B_2
@@ -288,45 +285,36 @@ def classicality_report(b: Bundle, braid: BraidOperator | None = None):
 
     # (ii) F-wrong
     bba = b.mixed_space("BBA")
-    lhs = b.coact_at(0).compose(braid.forward)
-    rhs = b.sigma_at("BBA", 0).compose(b.coact_at(1))
-    dj = lhs.first_difference(rhs)
-    results["ii"] = dj is None
-    if dj is not None:
-        witnesses["ii"] = {"basis_index": dj,
-                           "lhs": bba.render(lhs.cols[dj]),
-                           "rhs": bba.render(rhs.cols[dj])}
+    diff = first_difference((b.coact_at(0), braid.forward),
+                            (b.sigma_at("BBA", 0), b.coact_at(1)))
+    results["ii"] = diff is None
+    if diff is not None:
+        dj, lcol, rcol = diff
+        witnesses["ii"] = {"basis_index": dj, "lhs": bba.render(lcol), "rhs": bba.render(rcol)}
 
     # (iii) aP-wrong on B (x) A -> B_3
-    da = g.dim
-    lhs_cols = []
-    rhs_cols = []
-    comp = braid.at(3, 1).compose(braid.at(3, 0))
-    for i in range(total.dim):
-        for a in range(da):
-            tau_b, b_tau = _tau_beside(b, a, i)
-            lhs_cols.append(tau_b)
-            rhs_cols.append(comp.apply(b_tau))
-    dj = None
-    for k, (lc, rc) in enumerate(zip(lhs_cols, rhs_cols)):
-        if lc != rc:
-            dj = k
+    s12, s23 = braid.at(3, 0), braid.at(3, 1)
+    sides = (_tau_beside(b, a, i) for i in range(total.dim) for a in range(g.dim))
+    diff = None
+    for k, (tau_b, b_tau) in enumerate(sides):
+        rc = s23.apply(s12.apply(b_tau))
+        if tau_b != rc:
+            diff = k, tau_b, rc
             break
-    results["iii"] = dj is None
-    if dj is not None:
-        witnesses["iii"] = {"basis_index": dj,
-                            "lhs": b3.render(lhs_cols[dj]),
-                            "rhs": b3.render(rhs_cols[dj])}
+    results["iii"] = diff is None
+    if diff is not None:
+        dj, lcol, rcol = diff
+        witnesses["iii"] = {"basis_index": dj, "lhs": b3.render(lcol), "rhs": b3.render(rcol)}
 
     # (iv) sigma involutive
-    sq = braid.forward.compose(braid.forward)
-    ident = LinearMap.identity(b2.space, field)
-    dj = sq.first_difference(ident)
-    results["iv"] = dj is None
-    if dj is not None:
+    diff = first_difference((braid.forward, braid.forward),
+                            LinearMap.identity(b2.space, field))
+    results["iv"] = diff is None
+    if diff is not None:
+        dj, sq_col, _ = diff
         witnesses["iv"] = {"basis_index": dj,
                            "basis_label": b2.space.labels[dj],
-                           "sigma^2": b2.render(sq.cols[dj])}
+                           "sigma^2": b2.render(sq_col)}
 
     vals = set(results.values())
     if len(vals) != 1:

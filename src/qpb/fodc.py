@@ -58,7 +58,7 @@ from .linalg import (
     BasedSpace, Echelon, LinearMap, PreparedSolve, QuotientSpace, Vec,
     nullspace_of_columns, span_basis, viadd, viadd_term, vscale,
 )
-from .report import RaisingReport, ValidationReport, passing, vacuous
+from .report import RaisingReport, ValidationReport, first_difference, passing, vacuous
 from .tensor import (
     Factor, TProd, apply_terms, chain_terms, embed, flat_legs, from_legs, slot_terms,
     term_map,
@@ -394,9 +394,9 @@ class Envelope2:
         rhs = LinearMap(fodc.inv_space, sq.space,
                         [apply_terms(fodc.inv_a, sq, id_pi, col)
                          for col in fodc.varpi.cols], field)
+        diff = first_difference(lhs, rhs)
         self.report.check(("envelope.sigma-delta", "sigma delta - delta = (id (x) pi) varpi"),
-                          [] if lhs == rhs
-                          else [{"first_difference": lhs.first_difference(rhs)}])
+                          [] if diff is None else [{"first_difference": diff[0]}])
 
     def bracket(self, t: int, phi, mul) -> Vec:
         """<phi, phi>(theta_t) = sum c mul(phi(t1), phi(t2)) over the terms

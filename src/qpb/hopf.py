@@ -50,7 +50,7 @@ from .linalg import (
     viadd_term, vscale,
 )
 from .report import RaisingReport, ValidationReport
-from .tensor import Factor, TProd, _times, embed, flat_legs, from_legs
+from .tensor import Factor, TProd, embed, flat_legs, from_legs
 
 BUDGET = 2  # top degree kept by every graded algebra and tensor product
 
@@ -263,7 +263,6 @@ def graded_tensor_mul(tp: TProd, left: GradedStarAlgebra, right: GradedStarAlgeb
     of v is multiplied only when xp and yq are both nonzero, read off the
     factors' ``support``."""
     lsup, rsup, lmul, rmul = left.support, right.support, left.mul_basis, right.mul_basis
-    one = tp.field.one
     v_terms = [(p, q, cv, left.degree(p) % 2) for (p, q), cv in flat_legs(tp, v)]
 
     def terms():
@@ -271,7 +270,7 @@ def graded_tensor_mul(tp: TProd, left: GradedStarAlgebra, right: GradedStarAlgeb
             row_x, row_y, dy = lsup[x], rsup[y], right.degree(y) % 2
             for p, q, cv, dp in v_terms:
                 if p in row_x and q in row_y:
-                    c0 = _times(cu, cv, one)
+                    c0 = cu * cv
                     if dy and dp:
                         c0 = -c0
                     yq = rmul(y, q)

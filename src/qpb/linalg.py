@@ -504,13 +504,6 @@ class LinearMap:
                 and self.codomain.dim == other.codomain.dim
                 and self.cols == other.cols)
 
-    def first_difference(self, other: "LinearMap"):
-        """Index of the first differing column, or None if equal."""
-        for j, (a, b) in enumerate(zip(self.cols, other.cols)):
-            if a != b:
-                return j
-        return None
-
     def __repr__(self):
         kind = "antilinear" if self.antilinear else "linear"
         return f"LinearMap({self.domain.dim}->{self.codomain.dim}, {kind})"

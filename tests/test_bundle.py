@@ -17,7 +17,7 @@ from qpb.linalg import LinearMap, viadd_term
 from qpb.presets import (
     functions_on_points, hopf_preset, point_bundle_data, trivial_bundle_data,
 )
-from qpb.tensor import apply_chain
+from qpb.tensor import apply_chain, chain_terms, slot_terms, term_map
 
 CASES = Path(__file__).resolve().parents[1] / "bench" / "cases"
 
@@ -108,16 +108,29 @@ def case_tower(case: str):
     return build.total_calculus() if case == "calculus-z3" else build.bundle
 
 
+def recursive_x_n(tower, n):
+    """X_n as a matrix by the recursion X_{m+1} = (X (x) id^m)(id (x) X_m):
+    X_{n-1} on the last n slots, then X on the first two."""
+    if n == 1:
+        return tower.X
+    w, h = tower.letters
+    terms = chain_terms(
+        slot_terms(1, recursive_x_n(tower, n - 1), tower.power(n), tower.mixed_space(w + h * (n - 1))),
+        slot_terms(0, tower.X, tower.power(2), tower.hopf_space(1)))
+    return term_map(tower.power(n + 1), tower.mixed_space(w + h * n), terms)
+
+
 @pytest.mark.parametrize("case, levels", [("classical-s3", (2, 3)), ("calculus-z3", (2,))])
 def test_chains_match_the_tower_matrix_and_its_elimination_inverse(case, levels):
     """X_n and X_n^-1 as chains of X and X^-1 on one pair of slots agree, on
-    every basis element, with the matrix X_n and with its inverse by
-    elimination: on classical-s3's bundle (B_3 and B_4) and on calculus-z3's
-    Omega(P) tower (W_3, 2,106 dims)."""
+    every basis element, with the matrix X_n built by the recursion and with
+    its inverse by elimination: on classical-s3's bundle (B_3 and B_4) and on
+    calculus-z3's Omega(P) tower (W_3, 2,106 dims)."""
     tower = case_tower(case)
     one = tower.field.one
     for n in levels:
-        xn = tower.x_n(n)
+        xn = recursive_x_n(tower, n)
+        assert tower.x_n(n) == xn
         xinv = xn.inverse()
         forward, back = tower.x_chain(n), tower.x_chain(n, inverse=True)
         assert len(forward) == len(back) == n
@@ -147,8 +160,9 @@ def by_lead_mult(tower, n):
     indexed by their leading factor, and each candidate pair kept only when
     every later factor lies in the left term's support row, then multiplied
     factor by factor with its Koszul sign.  The operands are carried by the
-    matrix X_{n-1} and back by its elimination inverse."""
-    xn = tower.x_n(n - 1)
+    matrix X_{n-1}, built by the recursion, and back by its elimination
+    inverse."""
+    xn = recursive_x_n(tower, n - 1)
     xinv = xn.inverse()
     w, h = tower.letters
     target = tower.mixed_space(w + h * (n - 1))
