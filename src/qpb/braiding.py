@@ -10,11 +10,15 @@ Omega(P) (the graded case of calculus.py).  The tower applies X_n as X on
 one pair of slots at a time, from slots (n-1, n) down to (0, 1), and X_n^-1
 as X^-1 from (0, 1) up to (n-1, n): only X is inverted by elimination.
 What only degree zero has is here: sigma_m raises unless the formula
-inverse composes to the identity and sigma is V-bilinear; the explicit
-product p sigma(b (x) q) g on B_2 and the braid-word star on B_n; the star
-exchange, mu and tau as *-homomorphisms, sigma tau = tau kappa, aP- and
-F-functoriality; and the four-way classicality dichotomy (A commutative <=>
-two exchange laws <=> sigma involutive).
+inverse composes to the identity and sigma is V-bilinear; braided B_2, a
+GradedStarAlgebra whose product p sigma(b (x) q) g of two basis elements is
+formed once; braid words in adjacent sigmas and the braid-word star on B_n,
+applied to vectors as slot rewriters, so no operator on B_n is built for
+them; the braided products of many pairs of a list of vectors, each vector
+carried along X_{n-1} once; the star exchange, mu and tau as
+*-homomorphisms, sigma tau = tau kappa, aP- and F-functoriality; and the
+four-way classicality dichotomy (A commutative <=> two exchange laws <=>
+sigma involutive).
 
 The paper identifies X_n as a *-isomorphism onto B (x) A^n with the
 componentwise structure.  braided2.X-mult checks X against the explicit B_2
@@ -26,6 +30,7 @@ rather than assumed.
 
 from __future__ import annotations
 
+from functools import cached_property
 from itertools import chain
 
 from .bundle import Bundle
@@ -34,8 +39,10 @@ from .linalg import LinearMap, Vec
 from .report import (
     CheckRecord, ValidationReport, first_difference, map_equality_record, passing,
 )
-from .hopf import graded_tensor_mul, graded_tensor_star
-from .tensor import _times, embed, flat_legs, from_legs, slot_apply
+from .hopf import GradedStarAlgebra, graded_tensor_mul, graded_tensor_star
+from .tensor import (
+    _times, apply_chain, apply_terms, embed, flat_legs, from_legs, slot_apply, slot_terms,
+)
 
 
 class BraidOperator:
@@ -55,46 +62,49 @@ class BraidOperator:
         """Multiply slots (p, p+1): B_n -> B_{n-1}."""
         return self.bundle.mu_at(n, p)
 
+    def word(self, n: int, slots):
+        """The braid word that applies sigma on slots (p, p+1) of B_n for each
+        p of ``slots`` in turn, as a function of one vector.  Each letter is
+        a slot rewriter of ``forward``, applied by tensor.apply_chain, so no
+        operator on B_n is built; a caller applies the function to many
+        vectors."""
+        bn, b2 = self.bundle.power(n), self.bundle.b2
+        steps = [(bn, bn, slot_terms(p, self.forward, b2, b2)) for p in slots]
+        return lambda v: apply_chain(steps, v)
+
+    def star_word(self, n: int):
+        """The sigma-induced involution on B_n as a function of one vector:
+        factor reversal with star (antilinear), then the half-twist braid
+        word in adjacent sigmas, applied as ``word`` applies it."""
+        bn = self.bundle.power(n)
+        flip = self.bundle.flipstar_terms
+        twist = self.word(n, [p for k in range(1, n) for p in range(k - 1, -1, -1)])
+        return lambda v: twist(apply_terms(bn, bn, flip, {k: c.conj() for k, c in v.items()}))
+
     # -- braided algebra structure -------------------------------------------
+
+    @property
+    def b2_algebra(self) -> "BraidedB2":
+        """Braided B_2 over the sigma in force: rebuilt, with an empty product
+        memo, whenever ``forward`` is replaced."""
+        alg = self._cache.get("b2")
+        if alg is None or alg.sigma is not self.forward:
+            alg = self._cache["b2"] = BraidedB2(self)
+        return alg
 
     def mult2(self, u: Vec, v: Vec) -> Vec:
         """(p (x) b)(q (x) g) = p sigma(b (x) q) g on B_2."""
-        b2, mul, one = self.bundle.b2, self.bundle.total.mul_basis, self.bundle.field.one
-        v_terms = flat_legs(b2, v)
-
-        def terms():
-            for (p, bb), cu in flat_legs(b2, u):
-                for (q, g), cv in v_terms:
-                    c0 = _times(cu, cv, one)
-                    for (x, y), cs in self._sigma_pair(bb, q):
-                        for xx, cx in mul(p, x).items():
-                            for yy, cy in mul(y, g).items():
-                                yield (xx, yy), c0 * cs * cx * cy
-
-        return from_legs(b2, terms())
-
-    def _sigma_pair(self, i: int, j: int):
-        key = ("pair", i, j)
-        if key in self._cache:
-            return self._cache[key]
-        b2 = self.bundle.b2
-        legs = flat_legs(b2, self.forward.apply(b2.project_tuple((i, j))))
-        self._cache[key] = legs
-        return legs
+        return self.b2_algebra.mul(u, v)
 
     def star_n(self, n: int) -> LinearMap:
-        """The sigma-induced involution on B_n: factor reversal with star,
-        then the half-twist braid word in adjacent sigmas."""
+        """The matrix of ``star_word(n)``; cached."""
         key = ("star", n)
-        if key in self._cache:
-            return self._cache[key]
-        b = self.bundle
-        out = b.flipstar(n)
-        for k in range(1, n):
-            for p in range(k - 1, -1, -1):
-                out = self.at(n, p).compose(out)
-        self._cache[key] = out
-        return out
+        if key not in self._cache:
+            star, one = self.star_word(n), self.bundle.field.one
+            space = self.bundle.power(n).space
+            self._cache[key] = LinearMap(space, space, [star({i: one}) for i in range(space.dim)],
+                                         self.bundle.field, antilinear=True)
+        return self._cache[key]
 
     def mult_n(self, n: int):
         """Braided product on B_n (n >= 2): the explicit sigma formula for
@@ -103,6 +113,50 @@ class BraidOperator:
         if n == 2:
             return self.mult2
         return self.bundle.transported_mult(n)
+
+    def products(self, n: int, vecs: list):
+        """The braided product on B_n (n >= 3) of vecs[i] and vecs[j] for
+        every ordered pair, row by row, yielded as ((i, j), product); each
+        vector is carried along X_{n-1} once (TransportedProduct.products)."""
+        mult = self.mult_n(n)
+        return mult.products([mult.carry(v) for v in vecs])
+
+
+class BraidedB2(GradedStarAlgebra):
+    """B_2 of a bundle with the braided product (p (x) b)(q (x) g) =
+    p sigma(b (x) q) g, a *-algebra of degree zero: each product of two
+    basis elements is formed once, from the sigma legs of its middle pair,
+    and ``mul`` extends it bilinearly.  Its star is the braided star on B_2,
+    BraidOperator.star_n(2)."""
+
+    def __init__(self, braid: BraidOperator):
+        b = braid.bundle
+        self.braid, self.sigma, self.b2, self.total = braid, braid.forward, b.b2, b.total
+        super().__init__("braided B_2", b.field, b.b2.space, (0,) * b.b2.dim,
+                         embed(b.b2, b.total.unit, b.total.unit))
+        self._legs: dict = {}
+        # the kept tuple that each basis element lifts to
+        self._kept = [t for k in range(self.dim) for t, _ in flat_legs(b.b2, {k: b.field.one})]
+
+    @cached_property
+    def star(self) -> LinearMap:
+        return self.braid.star_n(2)
+
+    def sigma_legs(self, i: int, j: int) -> list:
+        """The flat legs of sigma(e_i (x) e_j), once per pair."""
+        legs = self._legs.get((i, j))
+        if legs is None:
+            b2 = self.b2
+            legs = self._legs[i, j] = flat_legs(b2, self.sigma.apply(b2.project_tuple((i, j))))
+        return legs
+
+    def _product(self, i: int, j: int) -> Vec:
+        mul, one = self.total.mul_basis, self.field.one
+        (p, bb), (q, g) = self._kept[i], self._kept[j]
+        return from_legs(self.b2, (((xx, yy), _times(_times(cs, cx, one), cy, one))
+                                   for (x, y), cs in self.sigma_legs(bb, q)
+                                   for xx, cx in mul(p, x).items()
+                                   for yy, cy in mul(y, g).items()))
 
 
 def sigma_m(b: Bundle) -> BraidOperator:
@@ -163,10 +217,10 @@ def verify_braiding_suite(b: Bundle, braid: BraidOperator | None = None) -> Vali
 
     # B_1 is B itself, so mu's columns are vectors of B
     def mu_mult_failures():
+        alg = braid.b2_algebra
         for i in range(b2.dim):
             for j in range(b2.dim):
-                if mu.apply(braid.mult2({i: one}, {j: one})) != \
-                        total.mul(mu.cols[i], mu.cols[j]):
+                if mu.apply(alg.mul_basis(i, j)) != total.mul(mu.cols[i], mu.cols[j]):
                     yield {"basis_pair": [i, j]}
 
     rep.check(("braiding.mu-star-hom", "mu_M is a *-homomorphism"), chain(
@@ -237,10 +291,10 @@ def braided_structure(b: Bundle, n: int, braid: BraidOperator | None = None):
         ba = b.mixed_space("BA")
         total, g = b.total, b.group
 
-        xc = b.X.cols
+        xc, alg = b.X.cols, braid.b2_algebra
         rep.check(("braided2.X-mult", "X multiplicative"), (
             {"basis_pair": [i, j]} for i in range(bn.dim) for j in range(bn.dim)
-            if b.X.apply(mult({i: one}, {j: one}))
+            if b.X.apply(alg.mul_basis(i, j))
             != graded_tensor_mul(ba, total, g.algebra, xc[i], xc[j])))
 
         ba_star = LinearMap(ba.space, ba.space,

@@ -43,7 +43,7 @@ from __future__ import annotations
 
 import operator
 from functools import cached_property, reduce
-from itertools import accumulate
+from itertools import accumulate, product as iproduct
 
 from .errors import (
     BudgetExceeded, DegreeBudget, InputError, NotCoaction, NotPrincipal, ValidationFailed,
@@ -320,27 +320,28 @@ class BalancedTower:
             self._ops[key] = term_map(self.power(n), self.power(n - 1), terms)
         return self._ops[key]
 
+    def flipstar_terms(self, t):
+        """The flat rewriter of the conjugation on W_n, for any n: reverse the
+        slots and star each factor, with the Koszul sign of the reversal.
+        Applied to a vector, it acts after its coefficients are conjugated."""
+        star_cols, deg, one = self.algebra.star.cols, self.factor.degrees, self.field.one
+        odd = seen = 0
+        for i in t:
+            odd += seen * deg[i]
+            seen += deg[i]
+        rev = t[::-1]
+        acc = [((k,), c) for k, c in star_cols[rev[0]].items()]
+        for i in rev[1:]:
+            acc = [(tup + (k,), _times(c, ck, one)) for tup, c in acc
+                   for k, ck in star_cols[i].items()]
+        return [(tup, -c) for tup, c in acc] if odd % 2 else acc
+
     def flipstar(self, n: int) -> LinearMap:
-        """The conjugation on W_n: reverse the slots and star each factor, with
-        the Koszul sign of the reversal; cached."""
+        """The conjugation on W_n, the term map of ``flipstar_terms``; cached."""
         key = ("flipstar", n)
         if key not in self._ops:
-            star_cols, deg, one = self.algebra.star.cols, self.factor.degrees, self.field.one
-
-            def terms(t):
-                odd = seen = 0
-                for i in t:
-                    odd += seen * deg[i]
-                    seen += deg[i]
-                rev = t[::-1]
-                acc = [((k,), c) for k, c in star_cols[rev[0]].items()]
-                for i in rev[1:]:
-                    acc = [(tup + (k,), _times(c, ck, one)) for tup, c in acc
-                           for k, ck in star_cols[i].items()]
-                return [(tup, -c) for tup, c in acc] if odd % 2 else acc
-
             wn = self.power(n)
-            self._ops[key] = term_map(wn, wn, terms, antilinear=True)
+            self._ops[key] = term_map(wn, wn, self.flipstar_terms, antilinear=True)
         return self._ops[key]
 
     # -- the Galois tower and the transported product -----------------------------
@@ -514,12 +515,13 @@ class TransportedProduct:
     (-1)^{sum_{j<i} |u_i||v_j|} (``mul_carried``), and carried back along the
     chain of X_{n-1}^-1; calling the product on two W_n vectors does all
     three.  A caller that multiplies the same operand many times carries it
-    once.  The right operand's flat tuples go into a trie keyed one factor
-    at a time; each left term walks it slot by slot through the smaller of
-    the node's children and its row of each factor algebra's ``support``,
-    so it meets only the right terms whose factor products are all nonzero.
-    Operands whose degrees add up to more than the budget raise
-    DegreeBudget.
+    once, and a caller that multiplies many pairs of a list of operands
+    asks ``products`` for them all.  Flat tuples go into a trie keyed one
+    factor at a time; a left tuple walks it slot by slot through the
+    smaller of the node's children and its row of each factor algebra's
+    ``support``, so it meets only the tuples whose factor products with it
+    are all nonzero.  Operands whose degrees add up to more than the budget
+    raise DegreeBudget.
     """
 
     def __init__(self, tower: BalancedTower, n: int):
@@ -547,57 +549,110 @@ class TransportedProduct:
     def __call__(self, u: Vec, v: Vec) -> Vec:
         return self.mul_carried(self.carry(u), self.carry(v))
 
+    def _over_budget(self, tu_terms: list, tv_terms: list) -> bool:
+        """Whether the top degrees of two nonzero carried operands add up to
+        more than the budget."""
+        if self.budget is None or not tu_terms or not tv_terms:
+            return False
+        degs = self.degs
+        return sum(max(sum(degs.get(t, ())) for t, _ in terms)
+                   for terms in (tu_terms, tv_terms)) > self.budget
+
     def mul_carried(self, tu_terms: list, tv_terms: list) -> Vec:
         """The product in W_n of two carried operands."""
-        degs, before, budget = self.degs, self.before, self.budget
-        if budget is not None and tu_terms and tv_terms and \
-                max(sum(degs.get(t, ())) for t, _ in tu_terms) \
-                + max(sum(degs.get(t, ())) for t, _ in tv_terms) > budget:
+        if self._over_budget(tu_terms, tv_terms):
             raise DegreeBudget(f"product exceeds the degree budget in {self.where}")
-        # the right terms by flat tuple, one factor per level; a leaf holds
-        # (tuple, coefficient, degrees before each factor)
-        trie: dict = {}
-        for tv, cv in tv_terms:
-            node = trie
-            for j in tv[:-1]:
-                node = node.setdefault(j, {})
-            node[tv[-1]] = (tv, cv, before.get(tv))
-        return apply_chain(self.xinv, from_legs(self.target, self._products(tu_terms, trie)))
+        # a leaf holds (tuple, coefficient, degrees before each factor)
+        before, supports = self.before, self.supports
+        trie = _trie((tv, (tv, cv, before.get(tv))) for tv, cv in tv_terms)
+        terms = self._products((tu, cu, tv, cv, bv) for tu, cu in tu_terms
+                               for tv, cv, bv in _walk(trie, supports, tu))
+        return apply_chain(self.xinv, from_legs(self.target, terms))
 
-    def _products(self, tu_terms: list, trie: dict):
-        """The flat terms of the products of the left terms with the right
-        terms in ``trie`` whose factor products are all nonzero."""
+    def products(self, carried: list):
+        """The product in W_n of carried[i] and carried[j] for every ordered
+        pair (i, j), row by row, yielded as ((i, j), product): pair by pair
+        what ``mul_carried`` gives, with its sign, raising DegreeBudget at
+        the same pair.  The flat tuples of all the operands go into one trie,
+        whose leaf for a tuple holds its coefficient in each operand.  The
+        tuples of a left operand walk it once, and the terms they meet are
+        kept by right operand for that operand's row."""
+        before, supports = self.before, self.supports
+        leaves: dict = {}  # tuple -> (tuple, degrees before each factor, {operand: coefficient})
+        for j, terms in enumerate(carried):
+            for t, c in terms:
+                if t not in leaves:
+                    leaves[t] = (t, before.get(t), {})
+                leaves[t][2][j] = c
+        trie = _trie(leaves.items())
+        del leaves  # the trie holds the leaves
+        for i, tu_terms in enumerate(carried):
+            # right operand -> [(left tuple, its coefficient, right tuple, its
+            # coefficient, degrees before each factor)], once the row needs it
+            meets = None
+            for j, tv_terms in enumerate(carried):
+                if self._over_budget(tu_terms, tv_terms):
+                    raise DegreeBudget(f"product exceeds the degree budget in {self.where}")
+                if meets is None:
+                    meets = {}
+                    for tu, cu in tu_terms:
+                        for tv, bv, coeffs in _walk(trie, supports, tu):
+                            for k, cv in coeffs.items():
+                                meets.setdefault(k, []).append((tu, cu, tv, cv, bv))
+                terms = self._products(meets.get(j, ()))
+                yield (i, j), apply_chain(self.xinv, from_legs(self.target, terms))
+
+    def _products(self, meeting):
+        """The flat terms of the products of the meeting pairs of terms
+        (left tuple, coefficient, right tuple, coefficient, degrees before
+        each factor of the right tuple), formed factor by factor with the
+        Koszul sign."""
         degs, one = self.degs, self.one
-        for tu, cu in tu_terms:
-            # keep, level by level, the children whose factor meets the left
-            # term's factor, scanning the smaller of row and node
-            nodes = [trie]
-            for sup, i in zip(self.supports, tu):
-                row, reached = sup[i], []
-                for node in nodes:
-                    if len(row) < len(node):
-                        for j in row:
-                            child = node.get(j)
-                            if child is not None:
-                                reached.append(child)
-                    else:
-                        for j, child in node.items():
-                            if j in row:
-                                reached.append(child)
-                nodes = reached
-                if not nodes:
-                    break
+        for tu, cu, tv, cv, bv in meeting:
             du = degs.get(tu)
-            for tv, cv, bv in nodes:
-                c0 = _times(cu, cv, one)
-                if du is not None and bv is not None \
-                        and sum(map(operator.mul, du, bv)) % 2:
-                    c0 = -c0
-                terms = [((), c0)]
-                for alg, i, j in zip(self.algs, tu, tv):
-                    terms = [(tup + (k,), _times(c, ck, one)) for tup, c in terms
-                             for k, ck in alg.mul_basis(i, j).items()]
-                yield from terms
+            c0 = _times(cu, cv, one)
+            if du is not None and bv is not None \
+                    and sum(map(operator.mul, du, bv)) % 2:
+                c0 = -c0
+            terms = [((), c0)]
+            for alg, i, j in zip(self.algs, tu, tv):
+                terms = [(tup + (k,), _times(c, ck, one)) for tup, c in terms
+                         for k, ck in alg.mul_basis(i, j).items()]
+            yield from terms
+
+
+def _trie(items) -> dict:
+    """The (tuple, leaf) items in a trie keyed one factor per level."""
+    trie: dict = {}
+    for t, leaf in items:
+        node = trie
+        for j in t[:-1]:
+            node = node.setdefault(j, {})
+        node[t[-1]] = leaf
+    return trie
+
+
+def _walk(trie: dict, supports, tu) -> list:
+    """The leaves of ``trie`` under the tuples whose factor products with tu
+    are all nonzero: level by level, the children whose factor meets tu's
+    factor, scanning the smaller of support row and node."""
+    nodes = [trie]
+    for sup, i in zip(supports, tu):
+        row, reached = sup[i], []
+        for node in nodes:
+            if len(row) < len(node):
+                for j in row:
+                    child = node.get(j)
+                    if child is not None:
+                        reached.append(child)
+            else:
+                for j, child in node.items():
+                    if j in row:
+                        reached.append(child)
+        nodes = reached
+        if not nodes:
+            break
+    return nodes
 
 
 class Bundle(BalancedTower):
@@ -767,7 +822,6 @@ def galois_tower(b: Bundle, n: int):
 
     # tau_n via the product formula
     bn1 = b.b_space(n + 1)
-    from itertools import product as iproduct
     tau_cols = {}
     a_tuples = list(iproduct(range(da), repeat=n))
     for at in a_tuples:

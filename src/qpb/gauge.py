@@ -277,6 +277,7 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
 
         # Lemma 2.6 antipode identities, computed by flat pairing
         braid = self.braid
+        alg = braid.b2_algebra
         b2 = b.b2
         b3 = b.b_space(3)
         bad1 = bad2 = None
@@ -292,14 +293,12 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
                     left = b2.project_tuple((x, y))
                     coeff = c * cd
                     # id^2 (x) sigma on (z, q), then mu^2
-                    for (z2, q2), cs in braid._sigma_pair(z, q):
-                        viadd(lhs1, coeff * cs,
-                              braid.mult2(left, b2.project_tuple((z2, q2))))
+                    for (z2, q2), cs in alg.sigma_legs(z, q):
+                        viadd(lhs1, coeff * cs, alg.mul(left, b2.project_tuple((z2, q2))))
                     # sigma (x) id^2 on (x, y), then mu^2
-                    for (x2, y2), cs in braid._sigma_pair(x, y):
+                    for (x2, y2), cs in alg.sigma_legs(x, y):
                         viadd(lhs2, coeff * cs,
-                              braid.mult2(b2.project_tuple((x2, y2)),
-                                          b2.project_tuple((z, q))))
+                              alg.mul(b2.project_tuple((x2, y2)), b2.project_tuple((z, q))))
                 prod, unit = b.total.mul_basis(p, q), b.total.unit
                 viadd(rhs1, c, embed(b2, prod, unit))
                 viadd(rhs2, c, embed(b2, unit, prod))
@@ -314,24 +313,16 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
         rep.check(("gauge.antipode-2", "mu^2(sigma (x) id^2)(delta_3 (x) id) = 1 (x) mu"),
                   [bad2])
 
-        # delta_3 is a *-homomorphism into braided B_3
-        star3 = braid.star_n(3)
-        mult3 = braid.mult_n(3)
+        # delta_3 is a *-homomorphism into braided B_3; the star word acts on
+        # the delta_3 columns, and each column is carried along X_2 once
+        star3 = braid.star_word(3)
         star_b = b.total.star
-
-        def delta3_mult_failures():
-            # each delta_3(e_i) carried along X_2 once
-            carried = [mult3.carry(col) for col in self.delta3.cols]
-            for i in range(b.total.dim):
-                for j in range(b.total.dim):
-                    lhs_v = self.delta3.apply(b.total.mul_basis(i, j))
-                    if lhs_v != mult3.mul_carried(carried[i], carried[j]):
-                        yield {"basis_pair": [i, j], "side": "mult"}
-
         rep.check(("gauge.delta3-star-hom", "delta_3 is a *-homomorphism"), chain(
             ({"basis_index": i, "side": "star"} for i in range(b.total.dim)
-             if self.delta3.apply(star_b.cols[i]) != star3.apply(self.delta3.cols[i])),
-            delta3_mult_failures()))
+             if self.delta3.apply(star_b.cols[i]) != star3(self.delta3.cols[i])),
+            ({"basis_pair": [i, j], "side": "mult"}
+             for (i, j), uv in braid.products(3, self.delta3.cols)
+             if self.delta3.apply(b.total.mul_basis(i, j)) != uv)))
 
         # closure status of L under the sigma-induced conjugation (reported)
         star2 = braid.star_n(2)
@@ -381,7 +372,12 @@ def build_gauge_coalgebra(b: Bundle, braid: BraidOperator | None = None) -> Gaug
 
 
 class BraidedHopf:
-    """{kappa_M, eps_M, phi_M, Sigma} on L over a classical structure group."""
+    """{kappa_M, eps_M, phi_M, Sigma} on L over a classical structure group.
+
+    L (x) L sits in B_4 as the columns of j_LL4.  Sigma and the star on
+    L (x) L are braid words applied to those columns and solved back, and
+    the products of phi_M are taken pair by pair from its columns, each
+    carried along X_3 once: no operator on B_4 is built."""
 
     def __init__(self, gc: GaugeCoalgebra):
         self.gc = gc
@@ -435,18 +431,12 @@ class BraidedHopf:
             raise ValidationFailed("L is not sigma-invariant")
         self.kappa_m = LinearMap(gc.l_space, gc.l_space, kap_cols, field)
 
-        # Sigma on L (x) L: restriction of (id x s x id)(s x s)(id x s x id) on B_4,
-        # applied one braid at a time: s23, s34, s12, s23
-        braids = [braid.at(4, p) for p in (1, 2, 0, 1)]
-
-        def big(v: Vec) -> Vec:
-            for m in braids:
-                v = m.apply(v)
-            return v
-
         # L (x) L into B_4: j_ll, then l_incl on slot 0
         self.j_ll4 = term_map(gc.t_ll, b4, chain_terms(slot_terms(1, gc.l_incl, None, b2),
                                                        slot_terms(0, gc.l_incl, None, b2)))
+        # Sigma on L (x) L: restriction of (id x s x id)(s x s)(id x s x id) on B_4,
+        # the braid word s23, s34, s12, s23 applied to the columns of j_LL4
+        big = braid.word(4, (1, 2, 0, 1))
         sig_cols, i = _solve_each(self.j_ll4, (big(col) for col in self.j_ll4.cols))
         rep.check(("classical.Sigma-restricts", "Sigma preserves L (x) L"),
                   [] if i is None else [{"t_ll_index": i}])
@@ -459,10 +449,9 @@ class BraidedHopf:
                                     (self.sigma_ll, self.sigma_ll), ident,
                                     witness_space=gc.t_ll.space))
 
-        # star on L (x) L from the braided star on B_4
-        star4 = braid.star_n(4)
-        ll_star_cols, i = _solve_each(self.j_ll4,
-                                      (star4.apply(col) for col in self.j_ll4.cols))
+        # star on L (x) L from the braided star word on B_4
+        star4 = braid.star_word(4)
+        ll_star_cols, i = _solve_each(self.j_ll4, (star4(col) for col in self.j_ll4.cols))
         if i is not None:
             raise ValidationFailed("braided star does not preserve L (x) L")
         # j_ll4 is linear, star4 antilinear: solving against linear columns
@@ -491,18 +480,14 @@ class BraidedHopf:
                                     lhs, rhs, witness_space=gc.t_lll.space))
 
         # phi_M is a *-homomorphism (braided product on L (x) L via B_4)
-        mult4 = braid.mult_n(4)
         nl = gc.l_space.dim
 
         def phi_mult_failures():
             # each phi_M(l_i) embedded in B_4 and carried along X_3 once
-            carried = [mult4.carry(self.j_ll4.apply(col)) for col in gc.phi_m.cols]
-            for i in range(nl):
-                for j in range(nl):
-                    lhs_v = gc.phi_m.apply(gc.l_mult[i][j])
-                    sol = self.j_ll4.solve(mult4.mul_carried(carried[i], carried[j]))
-                    if sol is None or sol != lhs_v:
-                        yield {"l_pair": [i, j], "side": "mult"}
+            for (i, j), uv in braid.products(4, [self.j_ll4.apply(col) for col in gc.phi_m.cols]):
+                sol = self.j_ll4.solve(uv)
+                if sol is None or sol != gc.phi_m.apply(gc.l_mult[i][j]):
+                    yield {"l_pair": [i, j], "side": "mult"}
 
         rep.check(("classical.phiM-star-hom", "phi_M is a *-homomorphism"), chain(
             ({"l_basis_index": i, "side": "star"} for i in range(nl)

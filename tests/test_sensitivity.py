@@ -26,6 +26,7 @@ import qpb.fodc as fodc_mod
 import qpb.formats as formats_mod
 import qpb.gauge as gauge_mod
 import qpb.hopf as hopf_mod
+from qpb.braiding import braided_structure, sigma_m, verify_braiding_suite
 from qpb.bundle import BalancedTower, build_bundle, translation_identities
 from qpb.calculus import (
     build_total_calculus, differential_suite, trivial_base_calculus,
@@ -518,6 +519,26 @@ def test_braid_record_witness_names_tensor_basis_elements_by_their_tuples():
         "t.prod2": {"basis_index": 22, "basis_label": "x0.dr2|x0.dr1|x0.dr1",
                     "lhs": "2*x0.dr1|x0.dr2", "rhs": "4*x0.dr1|x0.dr2"},
     }
+
+
+def test_braided_b2_products_are_formed_from_the_sigma_in_force():
+    """Braided B_2 keeps each product of basis elements once formed.  On the
+    C(S3) point bundle, whose sigma is the flip, the B_2 records pass and
+    fill that memo; then column 7 of sigma, at ds|ds, is negated.  The
+    records that read the products fail at ds|ds with a witness: the memo is
+    refilled from the sigma in force."""
+    b = build_bundle(*point_bundle_data("S3"))
+    braid = sigma_m(b)
+    assert braided_structure(b, 2, braid)[2].ok
+    assert verify_braiding_suite(b, braid).ok
+    sigma = braid.forward
+    braid.forward = b.sigma = with_col(sigma, 7, negated(sigma.cols[7]))
+    failures = {r.identity_id: r.witness for r in braided_structure(b, 2, braid)[2].failures}
+    assert failures == {"braided2.unit": {"basis_index": 7},
+                        "braided2.X-mult": {"basis_pair": [7, 7]}}
+    failures = {r.identity_id: r.witness for r in verify_braiding_suite(b, braid).failures}
+    assert failures["braiding.mu-star-hom"] == {"basis_pair": [7, 7]}
+    assert failures["braiding.tau-star-hom"] == {"basis_pair": ["de", "de"], "side": "mult"}
 
 
 # -- records that name the first basis element where an identity breaks -----------------
