@@ -320,16 +320,30 @@ class BalancedTower:
             self._ops[key] = term_map(self.power(n), self.power(n - 1), terms)
         return self._ops[key]
 
+    @cached_property
+    def _star_leg(self) -> list:
+        """(k, c) for each basis element whose star is the one term c e_k,
+        else None."""
+        return [next(iter(col.items())) if len(col) == 1 else None
+                for col in self.algebra.star.cols]
+
     def flipstar_terms(self, t):
         """The flat rewriter of the conjugation on W_n, for any n: reverse the
         slots and star each factor, with the Koszul sign of the reversal.
-        Applied to a vector, it acts after its coefficients are conjugated."""
+        Applied to a vector, it acts after its coefficients are conjugated.
+        When the star of every slot is one term, so is the image."""
         star_cols, deg, one = self.algebra.star.cols, self.factor.degrees, self.field.one
         odd = seen = 0
         for i in t:
             odd += seen * deg[i]
             seen += deg[i]
         rev = t[::-1]
+        legs = [self._star_leg[i] for i in rev]
+        if None not in legs:
+            c = one
+            for _, ck in legs:
+                c = _times(c, ck, one)
+            return [(tuple(k for k, _ in legs), -c if odd % 2 else c)]
         acc = [((k,), c) for k, c in star_cols[rev[0]].items()]
         for i in rev[1:]:
             acc = [(tup + (k,), _times(c, ck, one)) for tup, c in acc

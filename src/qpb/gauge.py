@@ -275,11 +275,20 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
         rep.add(map_equality_record("gauge.fgau-F", "fgau-F", lhs, rhs,
                                     witness_space=t_lba.space))
 
-        # Lemma 2.6 antipode identities, computed by flat pairing
+        # Lemma 2.6 antipode identities, computed by flat pairing; each B_2
+        # tuple is projected once
         braid = self.braid
         alg = braid.b2_algebra
         b2 = b.b2
         b3 = b.b_space(3)
+        projected: dict = {}
+
+        def pair(t):
+            v = projected.get(t)
+            if v is None:
+                v = projected[t] = b2.project_tuple(t)
+            return v
+
         bad1 = bad2 = None
         for bi in range(b2.dim):
             # input basis element of B_2 with flat legs ((p, q), c)
@@ -290,15 +299,14 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
             for (p, q), c in flat_legs(b2, {bi: one}):
                 # delta_3(e_p) flat legs ((x, y, z), cd)
                 for (x, y, z), cd in flat_legs(b3, self.delta3.cols[p]):
-                    left = b2.project_tuple((x, y))
+                    left = pair((x, y))
                     coeff = c * cd
                     # id^2 (x) sigma on (z, q), then mu^2
-                    for (z2, q2), cs in alg.sigma_legs(z, q):
-                        viadd(lhs1, coeff * cs, alg.mul(left, b2.project_tuple((z2, q2))))
+                    for zq, cs in alg.sigma_legs(z, q):
+                        viadd(lhs1, coeff * cs, alg.mul(left, pair(zq)))
                     # sigma (x) id^2 on (x, y), then mu^2
-                    for (x2, y2), cs in alg.sigma_legs(x, y):
-                        viadd(lhs2, coeff * cs,
-                              alg.mul(b2.project_tuple((x2, y2)), b2.project_tuple((z, q))))
+                    for xy, cs in alg.sigma_legs(x, y):
+                        viadd(lhs2, coeff * cs, alg.mul(pair(xy), pair((z, q))))
                 prod, unit = b.total.mul_basis(p, q), b.total.unit
                 viadd(rhs1, c, embed(b2, prod, unit))
                 viadd(rhs2, c, embed(b2, unit, prod))

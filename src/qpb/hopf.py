@@ -50,7 +50,7 @@ from .linalg import (
     viadd_term, vscale,
 )
 from .report import RaisingReport, ValidationReport
-from .tensor import Factor, TProd, embed, flat_legs, from_legs
+from .tensor import Factor, TProd, _times, embed, flat_legs, from_legs
 
 BUDGET = 2  # top degree kept by every graded algebra and tensor product
 
@@ -261,8 +261,9 @@ def graded_tensor_mul(tp: TProd, left: GradedStarAlgebra, right: GradedStarAlgeb
     """Product of u and v in the graded tensor product tp of ``left`` and
     ``right``: (x (x) y)(p (x) q) = (-1)^{|y||p|} xp (x) yq.  A term p (x) q
     of v is multiplied only when xp and yq are both nonzero, read off the
-    factors' ``support``."""
+    factors' ``support``; a coefficient one is not multiplied."""
     lsup, rsup, lmul, rmul = left.support, right.support, left.mul_basis, right.mul_basis
+    one = tp.field.one
     v_terms = [(p, q, cv, left.degree(p) % 2) for (p, q), cv in flat_legs(tp, v)]
 
     def terms():
@@ -270,12 +271,12 @@ def graded_tensor_mul(tp: TProd, left: GradedStarAlgebra, right: GradedStarAlgeb
             row_x, row_y, dy = lsup[x], rsup[y], right.degree(y) % 2
             for p, q, cv, dp in v_terms:
                 if p in row_x and q in row_y:
-                    c0 = cu * cv
+                    c0 = _times(cu, cv, one)
                     if dy and dp:
                         c0 = -c0
                     yq = rmul(y, q)
                     for k1, c1 in lmul(x, p).items():
-                        c01 = c0 * c1
+                        c01 = _times(c0, c1, one)
                         for k2, c2 in yq.items():
                             yield (k1, k2), c01 * c2
 

@@ -10,9 +10,11 @@ free.
 
 The kernel is assembled from adjacent pairs.  A two-factor product emits one
 relation per flat tuple and coefficient basis element; its RREF is the
-``PairKernel`` of the pair, built once per (left factor, right factor,
-coefficient degrees, budget) and cached on the left factor, so the named
-two-factor products and every longer product over the same pair share it.
+``Layout`` of the pair.  A product's layout (its tuples, their index and
+its quotient) is keyed by content, the field, each factor's dim, degrees
+and actions, the coefficient degrees and the budget, so products of equal
+content share one, such as W_2 and L^ (x) L^ when L^ and W are equal
+bimodules, and every longer product over a pair shares the pair's.
 The kernel of an n-factor product is the sum over balanced pairs p of
 F_<p (x) K(F_p, F_p+1) (x) F_>p+1, truncated at the budget, and it splits
 into two parts:
@@ -75,6 +77,7 @@ product's flat index.
 
 from __future__ import annotations
 
+import weakref
 from functools import cached_property, partial
 
 from .cyclotomic import CycloField
@@ -87,23 +90,74 @@ class Factor:
     actions of the coefficient algebra basis (``lact``, ``ract``: one
     ``LinearMap`` per coefficient basis element, or None).
 
-    Factors compare and hash by identity.  ``pair_kernels`` caches the
-    kernels of the two-factor products with this factor on the left, keyed
-    by the right factor itself (so it stays alive), the coefficient degrees
-    and the budget.  A factor's actions must not change once a product has
-    used it.
+    ``shape`` is the factor's content: its dim, degrees and action columns.
+    Factors of equal content hold the one ``Shape``, so products of equal
+    content share one ``Layout`` (``layout``).  A factor's actions must not
+    change once it is built.
     """
 
-    __slots__ = ("space", "degrees", "lact", "ract", "pair_kernels")
+    __slots__ = ("space", "degrees", "lact", "ract", "shape")
 
     def __init__(self, space: BasedSpace, degrees, lact: list | None = None,
                  ract: list | None = None):
         self.space, self.degrees, self.lact, self.ract = space, degrees, lact, ract
-        self.pair_kernels: dict = {}
+        content = (space.dim, tuple(degrees), _action_content(lact), _action_content(ract))
+        shape = _shapes.get(content)
+        if shape is None:
+            shape = _shapes[content] = Shape(content)
+        self.shape = shape
 
     @classmethod
     def ungraded(cls, space: BasedSpace, lact=None, ract=None) -> "Factor":
         return cls(space, (0,) * space.dim, lact, ract)
+
+
+def _action_content(maps):
+    """The columns of an action as sorted (index, Scalar) tuples; scalars are
+    interned, so equal tuples are equal actions."""
+    if maps is None:
+        return None
+    return tuple(tuple(tuple(sorted(col.items())) for col in m.cols) for m in maps)
+
+
+class Shape:
+    """The content of a factor, shared by every factor of that content and
+    found through ``_shapes``, which holds it weakly.  ``layouts`` holds the
+    Layout of each product whose first factor has this shape, keyed by the
+    field, the contents of the other factors, the coefficient degrees and the
+    budget.  A key holds no shape, and an entry is dropped when a shape of
+    its other factors dies, so a layout lives exactly as long as the shapes
+    of its factors, and a dropped build frees its layouts by reference
+    counting."""
+
+    __slots__ = ("content", "layouts", "__weakref__")
+
+    def __init__(self, content):
+        self.content, self.layouts = content, {}
+
+
+_shapes: "weakref.WeakValueDictionary[tuple, Shape]" = weakref.WeakValueDictionary()
+
+
+def layout(field: CycloField, factors, coeff_degrees, budget) -> "Layout":
+    """The shared Layout of the product of ``factors`` at these coefficient
+    degrees and budget, built on first use."""
+    first = factors[0].shape
+    others = [f.shape for f in factors[1:]]
+    key = (field, tuple(s.content for s in others),
+           None if coeff_degrees is None else tuple(coeff_degrees), budget)
+    entry = first.layouts.get(key)
+    if entry is None:
+        anchor = weakref.ref(first)
+
+        def forget(_):
+            shape = anchor()
+            if shape is not None:
+                shape.layouts.pop(key, None)
+
+        guards = [weakref.ref(s, forget) for s in others if s is not first]
+        entry = first.layouts[key] = (Layout(field, factors, coeff_degrees, budget), guards)
+    return entry[0]
 
 
 def flat_tuples(factors, budget, adjacency=None):
@@ -111,7 +165,7 @@ def flat_tuples(factors, budget, adjacency=None):
     are non-negative, so a prefix over the budget is dropped with its tails.
 
     ``adjacency``, if given, has one entry per adjacent pair: None for a free
-    pair, or a balanced pair's ``PairKernel.adjacency``.  A prefix ending in
+    pair, or a balanced pair's ``Layout.adjacency``.  A prefix ending in
     x then grows only by the y listed for x, so the result is the support:
     the flat tuples none of whose balanced pairs is zero."""
     tuples, tuple_degrees = [()], [0]
@@ -147,33 +201,28 @@ def balanced(left: Factor, right: Factor) -> bool:
     return True
 
 
-def pair_kernel(field: CycloField, left: Factor, right: Factor, coeff_degrees,
-                budget) -> "PairKernel":
-    """The cached kernel of left (x) right at these coefficient degrees and
-    budget, built on first use."""
-    key = (right, None if coeff_degrees is None else tuple(coeff_degrees), budget)
-    kernel = left.pair_kernels.get(key)
-    if kernel is None:
-        kernel = left.pair_kernels[key] = PairKernel(field, left, right, coeff_degrees,
-                                                     budget)
-    return kernel
+class Layout:
+    """The flat tuples of a product, their index and its quotient by the
+    middle-linearity relations; it holds no factor.
 
+    A two-factor layout lists all its flat tuples and eliminates one
+    relation per tuple and coefficient basis element.  Its ``adjacency`` and
+    ``row_tuples`` give the kernel by pair tuple, for longer products: each
+    left index x -> the right indices y, ascending, with (x, y) within the
+    budget and not zero, and each multi-term pivot tuple's RREF row as
+    (tuple, coefficient) pairs.  A layout of one or of three or more factors
+    holds the support only, from the layouts of its adjacent pairs."""
 
-class PairKernel:
-    """The two-factor product left (x) right: all its flat tuples, their
-    index, and its quotient by the middle-linearity relations.
-    ``adjacency`` and ``row_tuples`` give the kernel by pair tuple, for
-    longer products: each left index x -> the right indices y, ascending,
-    with (x, y) within the budget and not zero, and each multi-term pivot
-    tuple's RREF row as (tuple, coefficient) pairs."""
-
-    def __init__(self, field: CycloField, left: Factor, right: Factor, coeff_degrees,
-                 budget):
-        self.tuples, tuple_degrees = flat_tuples((left, right), budget)
-        self.tuple_index = {t: i for i, t in enumerate(self.tuples)}
-        relations = ()
-        if balanced(left, right):
-            relations = self._relations(left, right, tuple_degrees, coeff_degrees, budget)
+    def __init__(self, field: CycloField, factors, coeff_degrees, budget):
+        if len(factors) == 2:
+            self.tuples, tuple_degrees = flat_tuples(factors, budget)
+            self.tuple_index = {t: i for i, t in enumerate(self.tuples)}
+            relations = ()
+            if balanced(*factors):
+                relations = self._relations(*factors, tuple_degrees, coeff_degrees, budget)
+        else:
+            self.tuples, self.tuple_index, relations = self._support_and_relations(
+                field, factors, coeff_degrees, budget)
         self.quotient = QuotientSpace(len(self.tuples), relations, field)
 
     def _relations(self, left, right, tuple_degrees, coeff_degrees, budget):
@@ -198,46 +247,10 @@ class PairKernel:
                 if rel:
                     yield rel
 
-    @cached_property
-    def adjacency(self) -> dict:
-        adj: dict = {}
-        zero = self.quotient.zero
-        for i, (x, y) in enumerate(self.tuples):
-            if i not in zero:
-                adj.setdefault(x, []).append(y)
-        return adj
-
-    @cached_property
-    def row_tuples(self) -> dict:
-        tuples = self.tuples
-        return {tuples[p]: [(tuples[k], c) for k, c in row.items()]
-                for p, row in self.quotient.rows.items()}
-
-
-class TProd:
-    def __init__(self, field: CycloField, factors, coeff_degrees=None, budget=None,
-                 name: str = ""):
-        self.field = field
-        self.factors = tuple(factors)
-        self.coeff_degrees = coeff_degrees
-        self.budget = budget
-        self.name = name
-        if len(self.factors) == 2:
-            pair = pair_kernel(field, *self.factors, coeff_degrees, budget)
-            self.tuples, self.tuple_index = pair.tuples, pair.tuple_index
-            self.quotient = pair.quotient
-        else:
-            self.tuples, self.tuple_index, relations = self._support_and_relations()
-            self.quotient = QuotientSpace(len(self.tuples), relations, field)
-        self.space = BasedSpace.deferred(
-            self.quotient.dim, partial(kept_labels, self.factors, self.tuples,
-                                       self.quotient.keep))
-
-    # -- construction ------------------------------------------------------
-
-    def _support_and_relations(self):
-        """(support tuples, their index, multi-term relations) of an
-        n-factor product.
+    @staticmethod
+    def _support_and_relations(field, factors, coeff_degrees, budget):
+        """(support tuples, their index, multi-term relations) of a product
+        of one or of three or more factors.
 
         Each pair's multi-term RREF rows are homogeneous, so a row fits
         beside a (head, tail) context exactly when its pivot tuple does.  The
@@ -247,8 +260,7 @@ class TProd:
         neighbouring pair keeps its contexts: nothing shows that the rest of
         such a row is zero too.
         """
-        factors, budget = self.factors, self.budget
-        kernels = [pair_kernel(self.field, left, right, self.coeff_degrees, budget)
+        kernels = [layout(field, (left, right), coeff_degrees, budget)
                    if balanced(left, right) else None
                    for left, right in zip(factors, factors[1:])]
         adjacency = [k and k.adjacency for k in kernels]
@@ -276,6 +288,36 @@ class TProd:
                         if rel:
                             relations.append(rel)
         return tuples, index, relations
+
+    @cached_property
+    def adjacency(self) -> dict:
+        adj: dict = {}
+        zero = self.quotient.zero
+        for i, (x, y) in enumerate(self.tuples):
+            if i not in zero:
+                adj.setdefault(x, []).append(y)
+        return adj
+
+    @cached_property
+    def row_tuples(self) -> dict:
+        tuples = self.tuples
+        return {tuples[p]: [(tuples[k], c) for k, c in row.items()]
+                for p, row in self.quotient.rows.items()}
+
+
+class TProd:
+    def __init__(self, field: CycloField, factors, coeff_degrees=None, budget=None,
+                 name: str = ""):
+        self.field = field
+        self.factors = tuple(factors)
+        self.coeff_degrees = coeff_degrees
+        self.budget = budget
+        self.name = name
+        lay = layout(field, self.factors, coeff_degrees, budget)
+        self.tuples, self.tuple_index, self.quotient = lay.tuples, lay.tuple_index, lay.quotient
+        self.space = BasedSpace.deferred(
+            self.quotient.dim, partial(kept_labels, self.factors, self.tuples,
+                                       self.quotient.keep))
 
     # -- basic queries -------------------------------------------------------
 

@@ -9,16 +9,20 @@ plain ``Echelon.add``.  RREF is unique, so the kept tuples and the class of
 every flat tuple must agree exactly; a tuple outside the support has class 0.
 """
 
+import gc
 import hashlib
 import json
 import re
+import subprocess
+import sys
+import weakref
 from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
 
 from qpb import linalg, tensor
-from qpb.cyclotomic import Scalar
+from qpb.cyclotomic import CycloField, Scalar
 from qpb.errors import DegreeBudget, QpbError
 from qpb.formats import BuildResult, load_file, run_suites
 from qpb.linalg import Echelon, viadd_term
@@ -71,14 +75,17 @@ def plain_quotient(tp):
 def run_check(name):
     """Every TProd that building and checking a bench case constructs, the
     bundle's four-factor B_4, the ``Echelon.add`` calls made inside
-    ``QuotientSpace.__init__`` during the check, the key of every pair
-    kernel built, the number of flat-tuple labels built, and ``failure``:
-    None for a passing check, else what went wrong."""
+    ``QuotientSpace.__init__`` during the check, the content key of every
+    pair kernel built, the number of flat-tuple labels built, and
+    ``failure``: None for a passing check, else what went wrong.  Layouts
+    are shared by content with every live product, so the cycles of earlier
+    builds are collected first."""
+    gc.collect()
     built, kernels = [], []
     adds, labels = [0], [0]
     inside = [False]
     tprod_init = tensor.TProd.__init__
-    kernel_init = tensor.PairKernel.__init__
+    layout_init = tensor.Layout.__init__
     quotient_init = linalg.QuotientSpace.__init__
     echelon_add = linalg.Echelon.add
     tuple_label = tensor.tuple_label
@@ -87,9 +94,11 @@ def run_check(name):
         tprod_init(self, *args, **kwargs)
         built.append(self)
 
-    def kernel(self, field, left, right, coeff_degrees, budget):
-        kernels.append((left, right, coeff_degrees and tuple(coeff_degrees), budget))
-        kernel_init(self, field, left, right, coeff_degrees, budget)
+    def layout(self, field, factors, coeff_degrees, budget):
+        if len(factors) == 2:
+            kernels.append((field, tuple(f.shape.content for f in factors),
+                            coeff_degrees and tuple(coeff_degrees), budget))
+        layout_init(self, field, factors, coeff_degrees, budget)
 
     def quotient(self, *args, **kwargs):
         outer, inside[0] = inside[0], True
@@ -108,7 +117,7 @@ def run_check(name):
 
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(tensor.TProd, "__init__", tprod)
-        mp.setattr(tensor.PairKernel, "__init__", kernel)
+        mp.setattr(tensor.Layout, "__init__", layout)
         mp.setattr(linalg.QuotientSpace, "__init__", quotient)
         mp.setattr(linalg.Echelon, "add", add)
         mp.setattr(tensor, "tuple_label", label)
@@ -196,29 +205,28 @@ ROW_TUPLES_SHA256 = {
 
 
 def test_row_tuples_survive_the_one_stored_form(calculus_z3):
-    """PairKernel.row_tuples reads the rows that QuotientSpace rebuilds from
+    """Layout.row_tuples reads the rows that QuotientSpace rebuilds from
     its projection columns; on calculus-z3's W_2 and L^ (x) L^, 126 rows
     each, they are the stored rows of before, order and coefficients
     included."""
     built = {tp.name: tp for tp in calculus_z3.built}
     for name, digest in ROW_TUPLES_SHA256.items():
         tp = built[name]
-        rows = tensor.pair_kernel(tp.field, *tp.factors, tp.coeff_degrees,
-                                  tp.budget).row_tuples
+        rows = tensor.layout(tp.field, tp.factors, tp.coeff_degrees, tp.budget).row_tuples
         doc = [[list(p), [[list(t), str(c)] for t, c in row]] for p, row in rows.items()]
         assert len(rows) == 126, name
         assert hashlib.sha256(json.dumps(doc).encode()).hexdigest() == digest, name
 
 
 def test_pair_kernels_and_labels_are_built_once(calculus_z3, monkeypatch):
-    """Each factor pair's kernel is built once per coefficient degrees and
-    budget, whichever products share it.  Labels are built on demand: the
-    passing check builds none, and reading every product's labels afterwards
-    builds one per kept tuple, the sum of the products' dims, not of their
-    flat tuple counts."""
+    """Each pair kernel is built once per content: field, the two factors'
+    dims, degrees and actions, coefficient degrees and budget, whichever
+    products and factors share it.  Labels are built on demand: the passing
+    check builds none, and reading every product's labels afterwards builds
+    one per kept tuple, the sum of the products' dims, not of their flat
+    tuple counts."""
     assert calculus_z3.failure is None, calculus_z3.failure
-    keys = [(id(left), id(right), cdeg, budget)
-            for left, right, cdeg, budget in calculus_z3.kernels]
+    keys = calculus_z3.kernels
     assert keys and len(set(keys)) == len(keys)
     assert calculus_z3.labels == 0
     built = calculus_z3.built
@@ -237,6 +245,106 @@ def test_pair_kernels_and_labels_are_built_once(calculus_z3, monkeypatch):
         assert tp.space.labels == tuple(tuple_label(tp.factors, tp.tuples[k])
                                         for k in tp.quotient.keep), tp.name
     assert count[0] == dim_sum
+
+
+def test_products_of_equal_content_share_one_quotient(calculus_z3):
+    """On calculus-z3, L^ is the same Omega(M)-bimodule as Omega(P), entry for
+    entry, so L^'s products hold W_n's tuples, index and quotient; each keeps
+    its own space and labels."""
+    assert calculus_z3.failure is None, calculus_z3.failure
+    built = {tp.name: tp for tp in calculus_z3.built}
+    for w, lhat in (("W_2", "L^(x)L^"), ("W_2", "L^(x)Omega"), ("W_3", "L^(x)L^(x)L^"),
+                    ("W_3", "L^(x)L^(x)Omega"), ("W_3", "L^(x)Omega(x)Omega")):
+        w, lhat = built[w], built[lhat]
+        assert lhat.factors[0] is not w.factors[0]
+        assert lhat.factors[0].shape is w.factors[0].shape
+        assert lhat.quotient is w.quotient
+        assert lhat.tuples is w.tuples and lhat.tuple_index is w.tuple_index
+        assert lhat.space is not w.space
+        assert lhat.space.labels[0].startswith("L^")
+
+
+def test_free_factors_over_two_fields_do_not_share():
+    """Free factors of equal dims have one shape whatever the field, but their
+    products over Q and Q(zeta_3) keep separate quotients, whose scalars are
+    their own field's; over one field they share."""
+    q, q3 = CycloField(1), CycloField(3)
+    space = linalg.BasedSpace(("a", "b", "c"))
+    left, right = tensor.Factor.ungraded(space), tensor.Factor.ungraded(space)
+    assert left.shape is right.shape
+    over_q = tensor.TProd(q, (left, right))
+    over_q3 = tensor.TProd(q3, (left, right))
+    assert over_q.quotient is not over_q3.quotient
+    assert over_q.project_tuple((0, 1)) == {1: q.one}
+    assert over_q3.project_tuple((0, 1)) == {1: q3.one}
+    assert tensor.TProd(q3, (right, left)).quotient is over_q3.quotient
+
+
+def test_a_layout_dies_with_any_of_its_factors():
+    """A product's layout is cached on its first factor's shape, and it is
+    dropped as soon as the shape of another factor dies, also while the
+    first lives on."""
+    q = CycloField(1)
+    left = tensor.Factor.ungraded(linalg.BasedSpace(("a", "b", "c", "d", "e")))
+    right = tensor.Factor.ungraded(linalg.BasedSpace(("x", "y", "z", "w", "v", "u", "t")))
+    tp = tensor.TProd(q, (left, right))
+    assert tensor.TProd(q, (left, right)).quotient is tp.quotient
+    quotient = weakref.ref(tp.quotient)
+    del tp, right
+    gc.collect()
+    assert quotient() is None
+    assert not left.shape.layouts
+
+
+def test_bimodules_of_unequal_content_do_not_share():
+    """On s3-group-algebra, L^ and Omega(P) have equal dims but different
+    degrees, so their shapes and their products' quotients differ."""
+    tc = BuildResult(load_file(str(CASES / "s3-group-algebra.json"))).total_calculus()
+    lhat, w = tc.lhat.l_factor, tc.factor
+    assert lhat.space.dim == w.space.dim
+    assert lhat.shape is not w.shape and lhat.shape.content != w.shape.content
+    assert tc.lhat.t_ll.quotient is not tc.power(2).quotient
+    assert tc.lhat.t_lll.quotient is not tc.power(3).quotient
+
+
+def test_a_dropped_build_frees_its_shared_quotient():
+    """The layout cache lives as long as the factors that use it: once a
+    build is dropped and its cycles collected, the quotient that B_2 and
+    L (x) L shared is freed, and no shape of its factors is left.  (The
+    module's calculus-z3 build holds z3-trivial-2pt's bundle, so another
+    case is dropped here.)"""
+    gc.collect()
+    build = BuildResult(load_file(str(CASES / "z2-trivial-3pt.json")))
+    assert run_suites(build, ["all"]).ok
+    b2, t_ll = build.bundle.b2, build.gauge.t_ll
+    assert t_ll.quotient is b2.quotient
+    quotient, shape = weakref.ref(b2.quotient), weakref.ref(b2.factors[0].shape)
+    del build, b2, t_ll
+    gc.collect()
+    assert quotient() is None and shape() is None
+
+
+PEAK_RUN = """
+import contextlib, io, sys, tracemalloc
+tracemalloc.start()
+from qpb import cli
+with contextlib.redirect_stdout(io.StringIO()):
+    code = cli.main(["check", sys.argv[1], "--suite", "all"])
+print(code, tracemalloc.get_traced_memory()[1])
+"""
+
+
+def test_calculus_z3_check_stays_within_its_traced_peak():
+    """A guard on shared quotients: in a fresh interpreter, traced from
+    before ``import qpb``, calculus-z3's ``--suite all`` check peaks at about
+    10.4 MB; with a quotient rebuilt for each of L^'s products it peaked at
+    13.5 MB."""
+    proc = subprocess.run([sys.executable, "-c", PEAK_RUN, str(CASES / "calculus-z3.json")],
+                          capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    code, peak = map(int, proc.stdout.split())
+    assert code == 0
+    assert peak <= 11_500_000, peak
 
 
 def test_embed_is_the_projected_elementary_tensor(calculus_z3, monkeypatch):
