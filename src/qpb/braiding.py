@@ -9,8 +9,9 @@ bundle.BalancedTower, written once for the bundle (degree zero) and for
 Omega(P) (the graded case of calculus.py).  The tower applies X_n as X on
 one pair of slots at a time, from slots (n-1, n) down to (0, 1), and X_n^-1
 as X^-1 from (0, 1) up to (n-1, n): only X is inverted by elimination.
-What only degree zero has is here: sigma_m raises unless the formula
-inverse composes to the identity and sigma is V-bilinear; braided B_2, a
+What only degree zero has is here.  The braid is the bundle's: sigma_m
+checks the tower's sigma once per bundle, raising unless the formula inverse
+composes to the identity and sigma is V-bilinear; braided B_2, a
 GradedStarAlgebra whose product p sigma(b (x) q) g of two basis elements is
 formed once; braid words in adjacent sigmas and the braid-word star on B_n,
 applied to vectors as slot rewriters, so no operator on B_n is built for
@@ -46,11 +47,10 @@ from .tensor import (
 
 
 class BraidOperator:
-    def __init__(self, bundle: Bundle, forward: LinearMap, inverse: LinearMap):
+    """One bundle's braid, from sigma_m: it reads sigma on the bundle's tower."""
+
+    def __init__(self, bundle: Bundle):
         self.bundle = bundle
-        self.forward = forward
-        self.inverse = inverse
-        self._cache: dict = {}
 
     # -- slot operators -----------------------------------------------------
 
@@ -65,11 +65,11 @@ class BraidOperator:
     def word(self, n: int, slots):
         """The braid word that applies sigma on slots (p, p+1) of B_n for each
         p of ``slots`` in turn, as a function of one vector.  Each letter is
-        a slot rewriter of ``forward``, applied by tensor.apply_chain, so no
+        a slot rewriter of sigma, applied by tensor.apply_chain, so no
         operator on B_n is built; a caller applies the function to many
         vectors."""
         bn, b2 = self.bundle.power(n), self.bundle.b2
-        steps = [(bn, bn, slot_terms(p, self.forward, b2, b2)) for p in slots]
+        steps = [(bn, bn, slot_terms(p, self.bundle.sigma, b2, b2)) for p in slots]
         return lambda v: apply_chain(steps, v)
 
     def star_word(self, n: int):
@@ -83,28 +83,23 @@ class BraidOperator:
 
     # -- braided algebra structure -------------------------------------------
 
-    @property
+    @cached_property
     def b2_algebra(self) -> "BraidedB2":
-        """Braided B_2 over the sigma in force: rebuilt, with an empty product
-        memo, whenever ``forward`` is replaced."""
-        alg = self._cache.get("b2")
-        if alg is None or alg.sigma is not self.forward:
-            alg = self._cache["b2"] = BraidedB2(self)
-        return alg
+        return BraidedB2(self.bundle)
 
     def mult2(self, u: Vec, v: Vec) -> Vec:
         """(p (x) b)(q (x) g) = p sigma(b (x) q) g on B_2."""
         return self.b2_algebra.mul(u, v)
 
     def star_n(self, n: int) -> LinearMap:
-        """The matrix of ``star_word(n)``; cached."""
-        key = ("star", n)
-        if key not in self._cache:
+        """The matrix of ``star_word(n)``, cached with the tower's operators."""
+        ops, key = self.bundle._ops, ("braided star", n)
+        if key not in ops:
             star, one = self.star_word(n), self.bundle.field.one
             space = self.bundle.power(n).space
-            self._cache[key] = LinearMap(space, space, [star({i: one}) for i in range(space.dim)],
-                                         self.bundle.field, antilinear=True)
-        return self._cache[key]
+            ops[key] = LinearMap(space, space, [star({i: one}) for i in range(space.dim)],
+                                 self.bundle.field, antilinear=True)
+        return ops[key]
 
     def mult_n(self, n: int):
         """Braided product on B_n (n >= 2): the explicit sigma formula for
@@ -127,11 +122,10 @@ class BraidedB2(GradedStarAlgebra):
     p sigma(b (x) q) g, a *-algebra of degree zero: each product of two
     basis elements is formed once, from the sigma legs of its middle pair,
     and ``mul`` extends it bilinearly.  Its star is the braided star on B_2,
-    BraidOperator.star_n(2)."""
+    star_n(2) of the bundle's braid."""
 
-    def __init__(self, braid: BraidOperator):
-        b = braid.bundle
-        self.braid, self.sigma, self.b2, self.total = braid, braid.forward, b.b2, b.total
+    def __init__(self, b: Bundle):
+        self.bundle, self.b2, self.total = b, b.b2, b.total
         super().__init__("braided B_2", b.field, b.b2.space, (0,) * b.b2.dim,
                          embed(b.b2, b.total.unit, b.total.unit))
         self._legs: dict = {}
@@ -140,14 +134,14 @@ class BraidedB2(GradedStarAlgebra):
 
     @cached_property
     def star(self) -> LinearMap:
-        return self.braid.star_n(2)
+        return sigma_m(self.bundle).star_n(2)
 
     def sigma_legs(self, i: int, j: int) -> list:
         """The flat legs of sigma(e_i (x) e_j), once per pair."""
         legs = self._legs.get((i, j))
         if legs is None:
-            b2 = self.b2
-            legs = self._legs[i, j] = flat_legs(b2, self.sigma.apply(b2.project_tuple((i, j))))
+            b2, sigma = self.b2, self.bundle.sigma
+            legs = self._legs[i, j] = flat_legs(b2, sigma.apply(b2.project_tuple((i, j))))
         return legs
 
     def _product(self, i: int, j: int) -> Vec:
@@ -160,39 +154,43 @@ class BraidedB2(GradedStarAlgebra):
 
 
 def sigma_m(b: Bundle) -> BraidOperator:
-    """The braid of the bundle's tower and its formula inverse, verified to
-    compose to the identity; V-bilinearity is checked on each basis vector of
-    B_2 against the V-actions of the balanced slots."""
-    field = b.field
-    b2 = b.b2
-    forward, inverse = b.sigma, b.sigma_inv
+    """The bundle's one braid, kept with the tower's operators.  The first call
+    checks that sigma and its formula inverse compose to the identity both
+    ways and that sigma is V-bilinear, on each basis vector of B_2 against
+    the V-actions of the balanced slots."""
+    braid = b._ops.get("braid")
+    if braid is not None:
+        return braid
+    field, b2 = b.field, b.b2
+    sigma, sigma_inv = b.sigma, b.sigma_inv
     ident = LinearMap.identity(b2.space, field)
-    if first_difference((forward, inverse), ident) is not None \
-            or first_difference((inverse, forward), ident) is not None:
+    if first_difference((sigma, sigma_inv), ident) is not None \
+            or first_difference((sigma_inv, sigma), ident) is not None:
         raise EquivalenceViolation("sigma and its formula inverse do not compose to id")
     one = field.one
 
     def commutes(slot, act):
         """sigma commutes with ``act`` on one slot of B_2."""
-        return all(forward.apply(slot_apply(b2, {i: one}, slot, act))
-                   == slot_apply(b2, forward.cols[i], slot, act) for i in range(b2.dim))
+        return all(sigma.apply(slot_apply(b2, {i: one}, slot, act))
+                   == slot_apply(b2, sigma.cols[i], slot, act) for i in range(b2.dim))
 
     for lf, rf in zip(b.b_factor.lact, b.b_factor.ract):
         if not commutes(0, lf):
             raise EquivalenceViolation("sigma is not left V-linear")
         if not commutes(1, rf):
             raise EquivalenceViolation("sigma is not right V-linear")
-    return BraidOperator(b, forward, inverse)
+    braid = b._ops["braid"] = BraidOperator(b)
+    return braid
 
 
-def verify_braiding_suite(b: Bundle, braid: BraidOperator | None = None) -> ValidationReport:
+def verify_braiding_suite(b: Bundle) -> ValidationReport:
     """Prop 2.1 plus Lemmas 2.2-2.4: braid equation, product compatibility,
     sigma-commutativity, star exchange, tau and F functoriality."""
     rep = ValidationReport()
-    braid = braid or sigma_m(b)
+    braid = sigma_m(b)
     field = b.field
     one = field.one
-    b2, b3 = b.b2, b.b_space(3)
+    b2, b3 = b.b2, b.power(3)
     g = b.group
     da = g.dim
     total = b.total
@@ -202,13 +200,13 @@ def verify_braiding_suite(b: Bundle, braid: BraidOperator | None = None) -> Vali
         ("braiding.prod-sM2", "prod-sM2"), ("braiding.comm", "comm")))
     mu = braid.mu_at(2, 0)
 
-    # inverse formula already verified at construction; record it
+    # inverse formula already verified by sigma_m; record it
     rep.add(passing("braiding.inv", "inv",
                     note="sigma^-1 per the closed formula composes to id both ways"))
 
     fs = b.flipstar(2)
     rep.add(map_equality_record("braiding.star-exchange", "sigma* = *sigma^-1",
-                                (braid.forward, fs), (fs, braid.inverse),
+                                (b.sigma, fs), (fs, b.sigma_inv),
                                 witness_space=b2.space))
 
     # mu is a *-homomorphism for the braided structure: star first, then mult
@@ -239,7 +237,7 @@ def verify_braiding_suite(b: Bundle, braid: BraidOperator | None = None) -> Vali
          != braid.mult2(b.tau.cols[a], b.tau.cols[c]))))
 
     rep.add(map_equality_record("braiding.sigma-tau", "sigma tau = tau kappa",
-                                (braid.forward, b.tau), (b.tau, g.antipode),
+                                (b.sigma, b.tau), (b.tau, g.antipode),
                                 witness_space=b2.space))
 
     # aP-funct on A (x) B -> B_3
@@ -255,11 +253,11 @@ def verify_braiding_suite(b: Bundle, braid: BraidOperator | None = None) -> Vali
     bba = b.mixed_space("BBA")
     rep.add(map_equality_record("braiding.F-funct", "F-funct",
                                 (b.sigma_at("BBA", 0), b.coact_at(0)),
-                                (b.coact_at(1), braid.forward), witness_space=bba.space))
+                                (b.coact_at(1), b.sigma), witness_space=bba.space))
     return rep
 
 
-def braided_structure(b: Bundle, n: int, braid: BraidOperator | None = None):
+def braided_structure(b: Bundle, n: int):
     """Braided algebra structure on B_n; returns (mult, star, report).
 
     For n = 2 the product is the explicit sigma formula and X is verified to
@@ -267,11 +265,11 @@ def braided_structure(b: Bundle, n: int, braid: BraidOperator | None = None):
     along X_{n-1} and the braid-word star is verified to be an involutive
     antiautomorphism.
     """
-    braid = braid or sigma_m(b)
+    braid = sigma_m(b)
     rep = ValidationReport()
     field = b.field
     one = field.one
-    bn = b.b_space(n)
+    bn = b.power(n)
     mult = braid.mult_n(n)
     star = braid.star_n(n)
     unit = embed(bn, *[b.total.unit] * n)
@@ -307,22 +305,22 @@ def braided_structure(b: Bundle, n: int, braid: BraidOperator | None = None):
 
 def _tau_beside(b: Bundle, a: int, i: int):
     """tau(e_a) (x) e_i and e_i (x) tau(e_a) in B_3."""
-    b3, legs = b.b_space(3), b.tau_legs[a]
+    b3, legs = b.power(3), b.tau_legs[a]
     return (from_legs(b3, ((xy + (i,), ct) for xy, ct in legs)),
             from_legs(b3, (((i,) + xy, ct) for xy, ct in legs)))
 
 
-def classicality_report(b: Bundle, braid: BraidOperator | None = None):
+def classicality_report(b: Bundle):
     """Prop 4.1 four-way dichotomy; returns (classical: bool, report).
 
     All four sub-tests are evaluated independently; disagreement raises
     EquivalenceViolation since the equivalence is a theorem.
     """
-    braid = braid or sigma_m(b)
+    braid = sigma_m(b)
     rep = ValidationReport()
     field = b.field
     g = b.group
-    b2, b3 = b.b2, b.b_space(3)
+    b2, b3 = b.b2, b.power(3)
     total = b.total
     results = {}
     witnesses = {}
@@ -339,7 +337,7 @@ def classicality_report(b: Bundle, braid: BraidOperator | None = None):
 
     # (ii) F-wrong
     bba = b.mixed_space("BBA")
-    diff = first_difference((b.coact_at(0), braid.forward),
+    diff = first_difference((b.coact_at(0), b.sigma),
                             (b.sigma_at("BBA", 0), b.coact_at(1)))
     results["ii"] = diff is None
     if diff is not None:
@@ -361,7 +359,7 @@ def classicality_report(b: Bundle, braid: BraidOperator | None = None):
         witnesses["iii"] = {"basis_index": dj, "lhs": b3.render(lcol), "rhs": b3.render(rcol)}
 
     # (iv) sigma involutive
-    diff = first_difference((braid.forward, braid.forward),
+    diff = first_difference((b.sigma, b.sigma),
                             LinearMap.identity(b2.space, field))
     results["iv"] = diff is None
     if diff is not None:

@@ -690,7 +690,7 @@ class Bundle(BalancedTower):
         super().__init__(total, self.b_factor, group.algebra, self.a_factor, group.antipode,
                          group.antipode_inverse, group.sweedler, group.eps_basis, f_legs,
                          ("B", "A"), spaces={"BA": ba})
-        self.b2 = self.b_space(2)
+        self.b2 = self.power(2)
         # the rank comes from the elimination that X_inv reuses
         rank = self.X.solver().rank
         if self.b2.dim != total.dim * da or rank != self.b2.dim:
@@ -707,8 +707,6 @@ class Bundle(BalancedTower):
             raise BudgetExceeded(
                 f"B_{n} exceeds the tensor budget (max n = {self.tower_budget + 1})")
         return super().power(n)
-
-    b_space = power
 
     # -- small conveniences -------------------------------------------------
 
@@ -835,7 +833,7 @@ def galois_tower(b: Bundle, n: int):
         return xn, None, rep
 
     # tau_n via the product formula
-    bn1 = b.b_space(n + 1)
+    bn1 = b.power(n + 1)
     tau_cols = {}
     a_tuples = list(iproduct(range(da), repeat=n))
     for at in a_tuples:

@@ -10,7 +10,7 @@ from __future__ import annotations
 import argparse
 import sys
 
-from .errors import QpbError
+from .errors import InputError, QpbError
 from .formats import SUITES, BuildResult, load_file, require_degree, run_suites
 from .gauge import classical_braided_hopf, enumerate_gauge
 from .presets import GEN_PRESETS, GROUPS, generate_example, serialize_example
@@ -85,7 +85,7 @@ def cmd_classicality(args) -> int:
     try:
         sf = load_file(args.file)
         build = BuildResult(sf)
-        classical, rep = classicality_report(build.bundle, build.braid)
+        classical, rep = classicality_report(build.bundle)
     except QpbError as e:
         return _fail(e)
     print(f"classical: {classical}")
@@ -133,7 +133,6 @@ def cmd_gauge_enumerate(args) -> int:
 
 
 def _parse_element(expr: str, space, field):
-    from .errors import InputError
     vec = {}
     for term in expr.replace(" ", "").split("+"):
         if not term:
@@ -163,7 +162,6 @@ def cmd_gauge_act(args) -> int:
             return 1
         gammas = group[0]
         if not 0 <= args.gamma < len(gammas):
-            from .errors import InputError
             raise InputError(
                 f"--gamma must be in [0, {len(gammas)}), got {args.gamma}")
         vec = _parse_element(args.element, build.bundle.total.space, build.field)

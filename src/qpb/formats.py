@@ -10,16 +10,17 @@ and asserts the optional expect block.  Reports serialize byte-stably
 from __future__ import annotations
 
 import json
+from functools import cached_property
 
-from .braiding import braided_structure, classicality_report, sigma_m, verify_braiding_suite
+from .braiding import braided_structure, classicality_report, verify_braiding_suite
 from .bundle import Bundle, build_bundle, galois_tower, translation_identities
 from .calculus import (
     TotalCalculus, build_total_calculus, trivial_base_calculus, universal_base_calculus,
 )
 from .connection import maurer_cartan, perturbed_connection, verify_transformations
 from .cyclotomic import CycloField
-from .errors import NotCommutative, SpecFileError, UnknownPreset
-from .fodc import universal_ideal, zero_ideal
+from .errors import NotCommutative, NotProductBundle, SpecFileError, UnknownPreset
+from .fodc import build_fodc, universal_ideal, zero_ideal
 from .gauge import (
     build_gauge_coalgebra, classical_braided_hopf, enumerate_gauge,
     isotypic_decompose,
@@ -40,8 +41,6 @@ FORMAT_TAG = "qpb-spec/1"
 _TOP_KEYS = {"format", "conductor", "hopf", "bundle", "fodc", "base_calculus",
              "connection", "corepresentations", "expect"}
 _HOPF_KEYS = {"basis", "mult", "coproduct", "counit", "antipode", "star"}
-_BUNDLE_KEYS = {"preset", "base_points", "basis", "mult", "star", "coaction"}
-_FODC_KEYS = {"preset", "ideal_basis"}
 _BASE_KEYS = {"preset"}
 _CONN_KEYS = {"perturbation"}
 _EXPECT_KEYS = {"base_dim", "b2_dim", "gauge_dim", "gamma_inv_dim", "classical"}
@@ -76,6 +75,21 @@ def _check_keys(obj, allowed, where):
     for k in obj:
         if k not in allowed:
             raise SpecFileError(f"unknown key {k!r}", where=where)
+
+
+def _check_one_form(spec, preset_options, explicit_keys, where):
+    """A section is either a preset, with the options that preset takes
+    (``preset_options``), or explicit data (``explicit_keys``): an unknown
+    key, or a key of the other form, is rejected at its position."""
+    _check_keys(spec, {"preset", *explicit_keys}.union(*preset_options.values()), where)
+    if "preset" in spec:
+        preset = spec["preset"]
+        own = {"preset"}.union(*(opts for p, opts in preset_options.items() if p == preset))
+        conflict = f"cannot be combined with preset {preset!r}"
+    else:
+        own, conflict = explicit_keys, "is an option of a preset, and the section names none"
+    for k in spec:
+        _require(k in own, f"{k!r} {conflict}", f"{where}.{k}")
 
 
 def _parse_basis(basis, where) -> BasedSpace:
@@ -234,11 +248,12 @@ def parse_spec(text: str) -> SpecFile:
 
     bundle_spec = doc.get("bundle", {"preset": "point"})
     _require(isinstance(bundle_spec, dict), "bundle must be an object", "bundle")
-    _check_keys(bundle_spec, _BUNDLE_KEYS, "bundle")
+    _check_one_form(bundle_spec, {"trivial": {"base_points"}},
+                    {"basis", "mult", "star", "coaction"}, "bundle")
     fodc_spec = doc.get("fodc")
     if fodc_spec is not None:
         _require(isinstance(fodc_spec, dict), "fodc must be an object", "fodc")
-        _check_keys(fodc_spec, _FODC_KEYS, "fodc")
+        _check_one_form(fodc_spec, {}, {"ideal_basis"}, "fodc")
     base_spec = doc.get("base_calculus")
     if base_spec is not None:
         _require(isinstance(base_spec, dict), "base_calculus must be an object",
@@ -310,8 +325,6 @@ class BuildResult:
             _check_corepresentations(sf.corepresentations, sf.hopf.corepresentations)
         self.hopf = sf.hopf
         self.bundle = self._build_bundle()
-        self._braid = None
-        self._gauge = None
         self._calc = None
         self._check_expect()
 
@@ -360,7 +373,7 @@ class BuildResult:
                 f"expected dim B_2 = {exp['b2_dim']}, computed {self.bundle.b2.dim}",
                 where="expect.b2_dim")
         if "classical" in exp:
-            classical, _ = classicality_report(self.bundle, self.braid)
+            classical, _ = classicality_report(self.bundle)
             if classical != bool(exp["classical"]):
                 raise SpecFileError(
                     f"expected classical = {exp['classical']}, computed {classical}",
@@ -372,26 +385,17 @@ class BuildResult:
                     f"expected dim L = {exp['gauge_dim']}, computed {len(gc.l_basis)}",
                     where="expect.gauge_dim")
         if "gamma_inv_dim" in exp:
-            fodc = self.build_fodc()
-            if fodc.dim != exp["gamma_inv_dim"]:
+            if self.fodc.dim != exp["gamma_inv_dim"]:
                 raise SpecFileError(
                     f"expected dim Gamma_inv = {exp['gamma_inv_dim']}, computed "
-                    f"{fodc.dim}", where="expect.gamma_inv_dim")
+                    f"{self.fodc.dim}", where="expect.gamma_inv_dim")
 
-    @property
-    def braid(self):
-        if self._braid is None:
-            self._braid = sigma_m(self.bundle)
-        return self._braid
-
-    @property
+    @cached_property
     def gauge(self):
-        if self._gauge is None:
-            self._gauge = build_gauge_coalgebra(self.bundle, self.braid)
-        return self._gauge
+        return build_gauge_coalgebra(self.bundle)
 
-    def build_fodc(self):
-        from .fodc import build_fodc
+    @cached_property
+    def fodc(self):
         spec = self.sf.fodc_spec or {"preset": "universal"}
         if "ideal_basis" in spec:
             vecs = []
@@ -413,11 +417,9 @@ class BuildResult:
         if self._calc is None:
             spec = self.sf.bundle_spec
             if "preset" not in spec:
-                from .errors import NotProductBundle
                 raise NotProductBundle(
                     "differential calculus needs a preset product bundle",
                     where="bundle")
-            fodc = self.build_fodc()
             base_spec = self.sf.base_calc_spec or {"preset": "trivial"}
             preset = base_spec.get("preset", "trivial")
             points = self.bundle.base_dim
@@ -429,7 +431,7 @@ class BuildResult:
             else:
                 raise UnknownPreset(f"unknown base calculus preset {preset!r}",
                                     where="base_calculus.preset")
-            self._calc = build_total_calculus(fodc, base)
+            self._calc = build_total_calculus(self.fodc, base)
         return self._calc
 
     def connection(self, tc: TotalCalculus):
@@ -477,9 +479,9 @@ def run_suites(build: BuildResult, suites, degree: int = 2,
         if merge(galois_tower(build.bundle, 2)[2]):
             return report
     if "braiding" in chosen:
-        if merge(verify_braiding_suite(build.bundle, build.braid)):
+        if merge(verify_braiding_suite(build.bundle)):
             return report
-        _, _, rep2 = braided_structure(build.bundle, 2, build.braid)
+        _, _, rep2 = braided_structure(build.bundle, 2)
         if merge(rep2):
             return report
     if "gauge" in chosen:
@@ -489,7 +491,7 @@ def run_suites(build: BuildResult, suites, degree: int = 2,
         if merge(dec.report):
             return report
     if "classical" in chosen:
-        classical, dich_rep = classicality_report(build.bundle, build.braid)
+        classical, dich_rep = classicality_report(build.bundle)
         if merge(dich_rep):
             return report
         if classical:

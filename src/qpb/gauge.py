@@ -16,6 +16,8 @@ M = V with every degree zero and no budget.  What only degree zero has is in
 GaugeCoalgebra: the Haar projection p_L = (id (x) h)F_2 and its cross-checks,
 B (x) L, mu_M(L) = V, fgau-F, the Lemma 2.6 antipode identities, delta_3 as a
 *-homomorphism, and the braided product and star of L inside B_2.  The
+braid is the bundle's: GaugeCoalgebra and BraidedHopf read the one
+BraidOperator that braiding.sigma_m checks once per bundle.  The
 sigma-cochain of a group element is the tower's, BalancedTower.varsigma,
 written once for B_3 and for W_3 of the calculus.
 
@@ -32,7 +34,7 @@ from __future__ import annotations
 from functools import cached_property
 from itertools import chain
 
-from .braiding import BraidOperator, sigma_m
+from .braiding import sigma_m
 from .bundle import Bundle
 from .charsplit import CommAlgebra, field_characters
 from .errors import NotClassical, NotCommutative, ValidationFailed
@@ -213,9 +215,9 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
     coproduct phi_M, the abstract balanced products they live on, and the
     braided product and star of L inside B_2."""
 
-    def __init__(self, bundle: Bundle, braid: BraidOperator):
+    def __init__(self, bundle: Bundle):
         self.bundle = bundle
-        self.braid = braid
+        self.braid = sigma_m(bundle)
         b = bundle
         g = b.group
         b2 = b.b2
@@ -249,7 +251,7 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
         self.t_lba = TProd(field, (self.l_factor, b.b_factor, b.a_factor),
                            name="L(x)B(x)A")
 
-        self.j_bl = term_map(self.t_bl, b.b_space(3), slot_terms(1, self.l_incl, None, b2))
+        self.j_bl = term_map(self.t_bl, b.power(3), slot_terms(1, self.l_incl, None, b2))
         if self.j_bl.solver().rank != self.t_bl.dim:
             raise ValidationFailed("balanced products with L do not embed into B_3")
         self._lb_moves: dict = {}
@@ -280,7 +282,7 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
         braid = self.braid
         alg = braid.b2_algebra
         b2 = b.b2
-        b3 = b.b_space(3)
+        b3 = b.power(3)
         projected: dict = {}
 
         def pair(t):
@@ -372,8 +374,8 @@ class GaugeCoalgebra(GradedGaugeCoalgebra):
         return self._lb_moves[key]
 
 
-def build_gauge_coalgebra(b: Bundle, braid: BraidOperator | None = None) -> GaugeCoalgebra:
-    return GaugeCoalgebra(b, braid or sigma_m(b))
+def build_gauge_coalgebra(b: Bundle) -> GaugeCoalgebra:
+    return GaugeCoalgebra(b)
 
 
 # -- classical braided Hopf structure ------------------------------------------
@@ -398,10 +400,10 @@ class BraidedHopf:
         self.report = ValidationReport()
         rep = self.report
         b2 = b.b2
-        b4 = b.b_space(4)
+        b4 = b.power(4)
 
         # diagram tw: F_2 sigma = (sigma (x) id) F_2
-        rep.add(map_equality_record("classical.tw", "tw", (b.f2, braid.forward),
+        rep.add(map_equality_record("classical.tw", "tw", (b.f2, b.sigma),
                                     (b.sigma_at("BBA", 0), b.f2),
                                     witness_space=b.hopf_space(2).space))
 
@@ -432,7 +434,7 @@ class BraidedHopf:
                         moved_outside("BL_to_LB", move_bl, gc.j_bl.cols, gc.j_lb.cols)))
 
         # kappa_M = sigma restricted to L
-        kap_cols, li = _solve_each(gc.l_incl, (braid.forward.apply(lb) for lb in gc.l_basis))
+        kap_cols, li = _solve_each(gc.l_incl, (b.sigma.apply(lb) for lb in gc.l_basis))
         rep.check(("classical.L-sigma-invariant", "sigma(L) = L"),
                   [] if li is None else [{"l_basis_index": li}])
         if li is not None:

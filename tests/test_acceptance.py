@@ -8,7 +8,7 @@ from itertools import product as iproduct
 
 import pytest
 
-from qpb.braiding import classicality_report, sigma_m, verify_braiding_suite
+from qpb.braiding import classicality_report, verify_braiding_suite
 from qpb.bundle import build_bundle, translation_identities
 from qpb.calculus import (
     build_total_calculus, differential_suite, trivial_base_calculus,

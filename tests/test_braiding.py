@@ -4,6 +4,7 @@ from pathlib import Path
 
 import pytest
 
+import qpb.braiding as braiding_mod
 import qpb.linalg as linalg_mod
 from qpb.bundle import build_bundle
 from qpb.braiding import (
@@ -12,7 +13,7 @@ from qpb.braiding import (
 from qpb.calculus import build_total_calculus, trivial_base_calculus
 from qpb.errors import DegreeBudget
 from qpb.fodc import build_fodc, universal_ideal
-from qpb.formats import BuildResult, load_file
+from qpb.formats import BuildResult, load_file, run_suites
 from qpb.gauge import classical_braided_hopf
 from qpb.hopf import BUDGET
 from qpb.linalg import LinearMap, viadd, viadd_term
@@ -32,29 +33,29 @@ def make_trivial(group, points):
 
 def test_sigma_on_units():
     b = make_point("Z2", "group_algebra")
-    braid = sigma_m(b)
+    sigma_m(b)
     # sigma(1 (x) q) = q (x) 1 for every q
     one = b.field.one
     for q in range(b.total.dim):
         v = b.b2.project_tuple((0, q))  # basis 0 is the unit e of C[Z2]
-        got = braid.forward.apply(v)
+        got = b.sigma.apply(v)
         assert got == b.b2.project_tuple((q, 0))
 
 
 def test_sigma_z2_group_algebra_values():
     b = make_point("Z2", "group_algebra")
-    braid = sigma_m(b)
+    sigma_m(b)
     # sigma(g (x) h) = ghg^-1 (x) g; for Z2: sigma(g (x) e) = e (x) g etc.
-    assert braid.forward.apply(b.b2.project_tuple((1, 0))) == b.b2.project_tuple((0, 1))
-    assert braid.forward.apply(b.b2.project_tuple((1, 1))) == b.b2.project_tuple((1, 1))
+    assert b.sigma.apply(b.b2.project_tuple((1, 0))) == b.b2.project_tuple((0, 1))
+    assert b.sigma.apply(b.b2.project_tuple((1, 1))) == b.b2.project_tuple((1, 1))
 
 
 def test_sigma_function_algebra_is_flip_over_point():
     b = make_point("S3")
-    braid = sigma_m(b)
+    sigma_m(b)
     for i in range(3):
         for j in range(3):
-            assert braid.forward.apply(b.b2.project_tuple((i, j))) == \
+            assert b.sigma.apply(b.b2.project_tuple((i, j))) == \
                 b.b2.project_tuple((j, i))
 
 
@@ -141,7 +142,7 @@ def test_mult_n_matches_all_pairs_product(mk, ns):
     braid = sigma_m(b)
     one = b.field.one
     for n in ns:
-        bn = b.b_space(n)
+        bn = b.power(n)
         fast, ref = braid.mult_n(n), all_pairs_mult_n(braid, n)
         assert braid.mult_n(n) is fast
         for i in range(bn.dim):
@@ -164,7 +165,7 @@ def sigma_formula_mult(braid, u, v):
     out = {}
     for (p, bb), cu in flat_legs(b2, u):
         for (q, g), cv in flat_legs(b2, v):
-            for (x, y), cs in flat_legs(b2, braid.forward.apply(b2.project_tuple((bb, q)))):
+            for (x, y), cs in flat_legs(b2, b.sigma.apply(b2.project_tuple((bb, q)))):
                 for xx, cx in mul(p, x).items():
                     for yy, cy in mul(y, g).items():
                         viadd_term(out, b2.flat_index((xx, yy)), cu * cv * cs * cx * cy)
@@ -200,7 +201,7 @@ def test_all_pairs_products_match_mul_carried(mk, ns):
     b = mk()
     braid = sigma_m(b)
     for n in ns:
-        mult, dim = braid.mult_n(n), b.b_space(n).dim
+        mult, dim = braid.mult_n(n), b.power(n).dim
         rng = random.Random(dim)
         carried = [mult.carry(random_vec(rng, b.field, dim, rng.randint(1, 4)))
                    for _ in range(5)] + [[]]
@@ -258,8 +259,8 @@ def test_braid_words_applied_to_vectors_match_the_composed_matrices(mk, ns):
     braid = sigma_m(b)
     b2, star = b.b2, b.total.star.cols
     for n in (2,) + ns:
-        bn = b.b_space(n)
-        at = [term_map(bn, bn, slot_terms(p, braid.forward, b2, b2)) for p in range(n - 1)]
+        bn = b.power(n)
+        at = [term_map(bn, bn, slot_terms(p, b.sigma, b2, b2)) for p in range(n - 1)]
 
         def flip(t):
             out = [((), b.field.one)]
@@ -288,7 +289,7 @@ def test_classical_braided_hopf_builds_no_map_on_b4(monkeypatch):
     built, whether by term_map, by compose or directly."""
     build = BuildResult(load_file(str(CASES / "classical-s3.json")))
     gc = build.gauge
-    b4 = build.bundle.b_space(4).space
+    b4 = build.bundle.power(4).space
     on_b4 = []
     init = LinearMap.__init__
 
@@ -302,3 +303,21 @@ def test_classical_braided_hopf_builds_no_map_on_b4(monkeypatch):
     assert on_b4 == []
     build.bundle.sigma_at(4, 0)  # a map on B_4, to see the watch fire
     assert on_b4 == [b4]
+
+
+def test_the_braid_is_checked_once_per_bundle(monkeypatch):
+    """sigma_m returns the bundle's one BraidOperator, and all of
+    ``check --suite all`` on classical-s3 constructs one."""
+    b = make_point("Z2")
+    assert sigma_m(b) is sigma_m(b)
+    made = []
+    init = braiding_mod.BraidOperator.__init__
+
+    def counted(self, bundle):
+        made.append(bundle)
+        init(self, bundle)
+
+    monkeypatch.setattr(braiding_mod.BraidOperator, "__init__", counted)
+    build = BuildResult(load_file(str(CASES / "classical-s3.json")))
+    assert run_suites(build, ["all"]).ok
+    assert made == [build.bundle]

@@ -242,7 +242,7 @@ def test_transported_mult_matches_by_lead_with_full_support_rows():
     assert all(len(row) == dim for row in tower.hopf.support)
     assert all(len(row) == tower.algebra.dim for row in tower.algebra.support)
     fast, ref = tower.transported_mult(3), by_lead_mult(tower, 3)
-    indices = list(range(tower.b_space(3).dim))
+    indices = list(range(tower.power(3).dim))
     rng = random.Random(3)
     for _ in range(30):
         u = random_sum(rng, tower.field, indices, rng.randint(2, 6))

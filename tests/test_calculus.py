@@ -140,7 +140,7 @@ def test_zero_calculus_tower_is_bundle_tower(group, kind, points):
     assert tc.tau_legs == b.tau_legs
     one = h.field.one
     dim = tc.w3.dim
-    assert dim == b.b_space(3).dim
+    assert dim == b.power(3).dim
     # every pair on the small towers, a stride through the 216^2 pairs of S3
     pairs = [(i, j) for i in range(dim) for j in range(dim)][::max(1, dim * dim // 1500)]
     graded, degree0 = tc.transported_mult(3), b.transported_mult(3)

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+import qpb.fodc as fodc_mod
 from qpb.cli import main
 from qpb.errors import SpecFileError
 from qpb.formats import BuildResult, load_file, parse_spec, run_suites
@@ -281,6 +282,32 @@ def test_unknown_key_rejected(tmp_path, capsys):
     assert "unknown key" in capsys.readouterr().err
 
 
+_Z2_EXPLICIT = {"basis": ["b0", "b1"], "mult": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
+                "star": [[0, 0, "1"], [1, 1, "1"]],
+                "coaction": [[0, 0, 0, "1"], [1, 1, 1, "1"]]}
+
+
+@pytest.mark.parametrize("section, spec, where", [
+    ("bundle", {"preset": "point", "base_points": 5, "mult": [[0, 0, 0, "1"]],
+                "coaction": "garbage"}, "bundle.base_points"),
+    ("bundle", {"preset": "trivial", "base_points": 2, **_Z2_EXPLICIT}, "bundle.basis"),
+    ("bundle", {**_Z2_EXPLICIT, "base_points": 2}, "bundle.base_points"),
+    ("fodc", {"preset": "zero", "ideal_basis": []}, "fodc.ideal_basis"),
+], ids=["point-with-data", "trivial-with-data", "data-with-base-points", "fodc-with-ideal"])
+def test_a_preset_mixed_with_explicit_data_exits_two(tmp_path, capsys, section, spec, where):
+    """A bundle or fodc section is either a preset, with the options that
+    preset takes, or explicit data: the first key of the other form exits 2
+    at its position."""
+    doc = generate_example("c-group", group="Z2")
+    doc[section] = spec
+    path = write(tmp_path, "mixed.json", doc)
+    with pytest.raises(SpecFileError) as exc:
+        load_file(path)
+    assert exc.value.where == where
+    assert main(["check", path, "--suite", "all"]) == 2
+    assert where in capsys.readouterr().err
+
+
 def test_expect_block_enforced(tmp_path, capsys):
     doc = generate_example("c-group", group="Z2")
     doc["expect"] = {"base_dim": 7}
@@ -295,6 +322,24 @@ def test_expect_block_passes(tmp_path):
                      "classical": True, "gamma_inv_dim": 1}
     path = write(tmp_path, "expect_ok.json", doc)
     assert main(["validate", path]) == 0
+
+
+def test_the_fodc_is_built_once_per_build(tmp_path, monkeypatch):
+    """The expect block's gamma_inv_dim and the differential suite read one
+    FODC."""
+    doc = generate_example("c-group", group="Z2", fodc="universal")
+    doc["expect"] = {"gamma_inv_dim": 1}
+    made = []
+    init = fodc_mod.Fodc.__init__
+
+    def counted(self, *args, **kwargs):
+        made.append(self)
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(fodc_mod.Fodc, "__init__", counted)
+    build = BuildResult(load_file(write(tmp_path, "expect_fodc.json", doc)))
+    assert run_suites(build, ["all"]).ok
+    assert made == [build.fodc]
 
 
 def test_roundtrip_report_matches_direct_build():

@@ -1,6 +1,5 @@
 import pytest
 
-from qpb.braiding import sigma_m
 from qpb.bundle import build_bundle
 from qpb.errors import NotClassical, NotCommutative
 from qpb.gauge import (

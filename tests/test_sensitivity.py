@@ -521,24 +521,35 @@ def test_braid_record_witness_names_tensor_basis_elements_by_their_tuples():
     }
 
 
+def with_sigma_col_negated(b, i):
+    """b with its braid checked, then column i of sigma negated before
+    anything is derived from sigma: all that is derived later reads the
+    negated column."""
+    sigma_m(b)
+    b.sigma = with_col(b.sigma, i, negated(b.sigma.cols[i]))
+    return b
+
+
 def test_braided_b2_products_are_formed_from_the_sigma_in_force():
-    """Braided B_2 keeps each product of basis elements once formed.  On the
-    C(S3) point bundle, whose sigma is the flip, the B_2 records pass and
-    fill that memo; then column 7 of sigma, at ds|ds, is negated.  The
-    records that read the products fail at ds|ds with a witness: the memo is
-    refilled from the sigma in force."""
+    """The braid is the bundle's, so braided B_2, the braided star and sigma
+    on slots of B_3 all read one sigma.  On the C(S3) point bundle, whose
+    sigma is the flip, the records pass.  With column 7 of sigma, at ds|ds,
+    negated, the B_2 records fail at ds|ds, the star side first where a
+    record checks both, and so does aP-funct on B_3."""
     b = build_bundle(*point_bundle_data("S3"))
-    braid = sigma_m(b)
-    assert braided_structure(b, 2, braid)[2].ok
-    assert verify_braiding_suite(b, braid).ok
-    sigma = braid.forward
-    braid.forward = b.sigma = with_col(sigma, 7, negated(sigma.cols[7]))
-    failures = {r.identity_id: r.witness for r in braided_structure(b, 2, braid)[2].failures}
+    assert braided_structure(b, 2)[2].ok
+    assert verify_braiding_suite(b).ok
+    b = with_sigma_col_negated(build_bundle(*point_bundle_data("S3")), 7)
+    failures = {r.identity_id: r.witness for r in braided_structure(b, 2)[2].failures}
     assert failures == {"braided2.unit": {"basis_index": 7},
-                        "braided2.X-mult": {"basis_pair": [7, 7]}}
-    failures = {r.identity_id: r.witness for r in verify_braiding_suite(b, braid).failures}
-    assert failures["braiding.mu-star-hom"] == {"basis_pair": [7, 7]}
-    assert failures["braiding.tau-star-hom"] == {"basis_pair": ["de", "de"], "side": "mult"}
+                        "braided2.star-antimult": {"basis_pair": [7, 7]},
+                        "braided2.X-mult": {"basis_pair": [7, 7]},
+                        "braided2.X-star": {"basis_index": 7, "basis_label": "ds|ds",
+                                            "lhs": "-1*ds|de", "rhs": "1*ds|de"}}
+    failures = {r.identity_id: r.witness for r in verify_braiding_suite(b).failures}
+    assert failures["braiding.mu-star-hom"] == {"basis_index": 7}
+    assert failures["braiding.tau-star-hom"] == {"group_basis": "de", "side": "star"}
+    assert "braiding.aP-funct" in failures
 
 
 # -- records that name the first basis element where an identity breaks -----------------
@@ -612,8 +623,7 @@ def test_run_suites_skips_the_gauge_group_when_the_braided_hopf_laws_fail(monkey
     enumeration as vacuous and never starts it."""
     build = BuildResult(parse_spec(serialize_example(
         generate_example("group-algebra", group="Z2"))))
-    sigma = build.braid.forward
-    build.braid.forward = build.bundle.sigma = with_col(sigma, 0, negated(sigma.cols[0]))
+    with_sigma_col_negated(build.bundle, 0)
 
     def unreachable(bh):
         raise AssertionError("enumerate_gauge ran on a failing braided Hopf structure")
@@ -628,8 +638,7 @@ def test_run_suites_skips_the_gauge_group_when_the_braided_hopf_laws_fail(monkey
 
 def sigma_col_0_negated(build):
     """The build with column 0 of sigma negated, after it is built."""
-    sigma = build.braid.forward
-    build.braid.forward = build.bundle.sigma = with_col(sigma, 0, negated(sigma.cols[0]))
+    with_sigma_col_negated(build.bundle, 0)
     return build
 
 

@@ -1,4 +1,5 @@
-"""Every function defined in src/qpb is used somewhere in src/qpb.
+"""Every function defined in src/qpb is used somewhere in src/qpb, and every
+name imported into a module of src/qpb is read in that module.
 
 A ``def`` counts as used when its name is read anywhere in the package, as
 a name (``f``, also as a decorator) or as an attribute (``obj.f``); the
@@ -6,6 +7,10 @@ a name (``f``, also as a decorator) or as an attribute (``obj.f``); the
 function whose name is read for something else also counts as used.
 Dunder methods are called by Python itself.  The names below are kept with no caller in the package, each for
 the reason given.
+
+An import counts as read when the name it binds is read as a name anywhere
+in its module, type annotations included; ``from __future__`` imports are
+directives, not names.
 """
 
 import ast
@@ -63,3 +68,30 @@ def test_a_function_read_only_in_its_own_definition_is_found():
               "class C:\n    def __init__(self):\n        self.m()\n\n"
               "    def m(self):\n        return 0\n")
     assert unused({"example.py": source}) == [("orphan", "example.py:5")]
+
+
+def unused_imports(name, source) -> list:
+    """(bound name, "file:line") for each name imported into the module and
+    never read there."""
+    tree = ast.parse(source, name)
+    bound = []
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "__future__":
+            continue
+        if isinstance(node, (ast.Import, ast.ImportFrom)):
+            bound += [((a.asname or a.name).split(".")[0], node.lineno) for a in node.names]
+    reads = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+    return [(n, f"{name}:{line}") for n, line in bound if n not in reads]
+
+
+def test_every_import_in_the_package_is_read():
+    assert [u for name, source in package_sources().items()
+            for u in unused_imports(name, source)] == []
+
+
+def test_an_import_read_only_as_an_attribute_name_is_found():
+    source = ("from __future__ import annotations\n\nimport os.path\n"
+              "from .braiding import BraidOperator, sigma_m\n\n\n"
+              "def f(gc):\n    return os.path.join(gc.braid.sigma_m)\n")
+    assert unused_imports("example.py", source) == [("BraidOperator", "example.py:4"),
+                                                    ("sigma_m", "example.py:4")]
