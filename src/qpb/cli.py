@@ -11,7 +11,10 @@ import argparse
 import sys
 
 from .errors import InputError, QpbError
-from .formats import SUITES, BuildResult, load_file, require_degree, run_suites
+from .formats import (
+    BASE_CALCULUS_PRESETS, FODC_PRESETS, SUITES, BuildResult, load_file, parse_spec,
+    require_degree, run_suites,
+)
 from .gauge import classical_braided_hopf, enumerate_gauge
 from .presets import GEN_PRESETS, GROUPS, generate_example, serialize_example
 
@@ -27,9 +30,10 @@ def cmd_gen(args) -> int:
             args.preset, group=args.group, base_points=args.base_points,
             kind=args.kind.replace("-", "_"), fodc=args.fodc,
             base_calculus=args.base_calculus, conductor=args.conductor)
+        text = serialize_example(doc)
+        parse_spec(text)  # gen writes no file that parsing would reject
     except QpbError as e:
         return _fail(e)
-    text = serialize_example(doc)
     if args.output:
         with open(args.output, "w", encoding="utf-8") as f:
             f.write(text)
@@ -81,11 +85,10 @@ def cmd_haar(args) -> int:
 
 
 def cmd_classicality(args) -> int:
-    from .braiding import classicality_report
     try:
         sf = load_file(args.file)
         build = BuildResult(sf)
-        classical, rep = classicality_report(build.bundle)
+        classical, rep = build.classicality
     except QpbError as e:
         return _fail(e)
     print(f"classical: {classical}")
@@ -184,8 +187,8 @@ def main(argv=None) -> int:
     p.add_argument("--base-points", type=int, default=2)
     p.add_argument("--kind", default="function-algebra",
                    choices=["function-algebra", "group-algebra"])
-    p.add_argument("--fodc", choices=["universal", "zero"])
-    p.add_argument("--base-calculus", choices=["trivial", "universal"])
+    p.add_argument("--fodc", choices=tuple(FODC_PRESETS))
+    p.add_argument("--base-calculus", choices=tuple(BASE_CALCULUS_PRESETS))
     p.add_argument("--conductor", type=int)
     p.add_argument("-o", "--output")
     p.set_defaults(fn=cmd_gen)

@@ -1,9 +1,11 @@
 """The specification file format and the suite runner.
 
 Files are JSON with sparse structure-constant entries [i, j, k, "scalar"]
-over a per-file cyclotomic conductor.  Parsing rejects unknown keys and
-reports a dotted path for every diagnostic; building validates everything
-and asserts the optional expect block.  Reports serialize byte-stably
+over a per-file cyclotomic conductor.  Each section with presets has one
+table of them.  Parsing rejects unknown presets and every other error that
+the file alone shows, with a dotted path for every diagnostic; building only
+looks the presets up, and does what needs built objects (the Hopf, coaction,
+principality and ideal checks, and the optional expect block).  Reports serialize byte-stably
 (sorted records, sorted keys, no timings in the JSON form).
 """
 
@@ -11,6 +13,7 @@ from __future__ import annotations
 
 import json
 from functools import cached_property
+from typing import Callable, NamedTuple
 
 from .braiding import braided_structure, classicality_report, verify_braiding_suite
 from .bundle import Bundle, build_bundle, galois_tower, translation_identities
@@ -29,9 +32,9 @@ from .hopf import (
     Corepresentation, HopfStarAlgebra, StarAlgebra, algebra_ids, compute_haar,
     validate_hopf,
 )
-from .linalg import LABEL_SEPARATORS, BasedSpace, LinearMap, Vec
+from .linalg import LABEL_SEPARATORS, BasedSpace, LinearMap, Vec, viadd_term
 from .presets import (
-    functions_on_points, point_bundle, require_conductor, require_universal_points,
+    functions_on_points, point_bundle, require_base_points, require_conductor,
     trivial_bundle,
 )
 from .report import CheckRecord, RaisingReport, ValidationReport
@@ -41,23 +44,54 @@ FORMAT_TAG = "qpb-spec/1"
 _TOP_KEYS = {"format", "conductor", "hopf", "bundle", "fodc", "base_calculus",
              "connection", "corepresentations", "expect"}
 _HOPF_KEYS = {"basis", "mult", "coproduct", "counit", "antipode", "star"}
-_BASE_KEYS = {"preset"}
+_BUNDLE_KEYS = {"basis", "mult", "star", "coaction"}
 _CONN_KEYS = {"perturbation"}
 _EXPECT_KEYS = {"base_dim", "b2_dim", "gauge_dim", "gamma_inv_dim", "classical"}
 
 
+class Preset(NamedTuple):
+    """A preset of a spec section: the options it takes, with their
+    defaults, and the builder it calls with them."""
+    options: dict
+    build: Callable
+
+
+# The builders read module-level names when called, so that a wrapper put on
+# one of them in this module's namespace (bench/spans.py does) is the one run.
+BUNDLE_PRESETS = {  # build(A, **options) -> (total, f_legs)
+    "point": Preset({}, point_bundle),
+    "trivial": Preset({"base_points": 2}, trivial_bundle),
+}
+FODC_PRESETS = {  # build(A) -> a basis of the ideal
+    "universal": Preset({}, universal_ideal),
+    "zero": Preset({}, zero_ideal),
+}
+BASE_CALCULUS_PRESETS = {  # build(points, field) -> the base calculus
+    "trivial": Preset({}, lambda points, field: trivial_base_calculus(
+        functions_on_points(points, field))),
+    "universal": Preset({}, lambda points, field: universal_base_calculus(points, field)),
+}
+
+
 class SpecFile:
+    """A parsed spec file.  Each section with presets is held as the
+    (name, options) of its preset, or None for explicit data, which is held
+    parsed: the bundle's (total, f_legs) and the fodc's ideal basis."""
+
     def __init__(self, conductor: int, hopf: HopfStarAlgebra, corepresentations,
-                 bundle_spec: dict, fodc_spec: dict | None, base_calc_spec: dict | None,
-                 connection_spec: dict | None, expect: dict):
+                 bundle_preset, bundle_data, fodc_preset, fodc_ideal, base_calc_preset,
+                 connection_spec: dict | None, differential: bool, expect: dict):
         self.conductor = conductor
         self.field = CycloField(conductor)
         self.hopf = hopf
         self.corepresentations = corepresentations  # the declared section, or None
-        self.bundle_spec = bundle_spec
-        self.fodc_spec = fodc_spec
-        self.base_calc_spec = base_calc_spec
+        self.bundle_preset = bundle_preset
+        self.bundle_data = bundle_data
+        self.fodc_preset = fodc_preset
+        self.fodc_ideal = fodc_ideal
+        self.base_calc_preset = base_calc_preset
         self.connection_spec = connection_spec
+        self.differential = differential  # a fodc, base_calculus or connection section
         self.expect = expect
 
 
@@ -77,19 +111,35 @@ def _check_keys(obj, allowed, where):
             raise SpecFileError(f"unknown key {k!r}", where=where)
 
 
-def _check_one_form(spec, preset_options, explicit_keys, where):
-    """A section is either a preset, with the options that preset takes
-    (``preset_options``), or explicit data (``explicit_keys``): an unknown
-    key, or a key of the other form, is rejected at its position."""
-    _check_keys(spec, {"preset", *explicit_keys}.union(*preset_options.values()), where)
-    if "preset" in spec:
-        preset = spec["preset"]
-        own = {"preset"}.union(*(opts for p, opts in preset_options.items() if p == preset))
-        conflict = f"cannot be combined with preset {preset!r}"
-    else:
-        own, conflict = explicit_keys, "is an option of a preset, and the section names none"
+def _optional_section(doc, key):
+    """The object at ``key``, or None when the file has no such section."""
+    spec = doc.get(key)
+    _require(spec is None or isinstance(spec, dict), f"{key} must be an object", key)
+    return spec
+
+
+def _check_one_form(spec, presets, explicit_keys, where, default=None):
+    """A section is either a preset of its table ``presets``, with the
+    options that preset takes, or explicit data (``explicit_keys``); with
+    neither named, it is the ``default`` preset, if any.  An unknown preset
+    or key, or a key of the other form, is rejected at its position.
+    Returns the preset's (name, options), defaults filled in, or None."""
+    _check_keys(spec, {"preset", *explicit_keys}.union(
+        *(p.options for p in presets.values())), where)
+    name = spec.get("preset", default)
+    if "preset" not in spec and (name is None or explicit_keys & spec.keys()):
+        for k in spec:
+            _require(k in explicit_keys, f"{k!r} is an option of a preset, and the "
+                     "section names none", f"{where}.{k}")
+        return None
+    if not (isinstance(name, str) and name in presets):
+        raise UnknownPreset(f"unknown {where.replace('_', ' ')} preset {name!r}",
+                            where=f"{where}.preset")
+    defaults = presets[name].options
     for k in spec:
-        _require(k in own, f"{k!r} {conflict}", f"{where}.{k}")
+        _require(k == "preset" or k in defaults,
+                 f"{k!r} cannot be combined with preset {name!r}", f"{where}.{k}")
+    return name, {**defaults, **{k: v for k, v in spec.items() if k != "preset"}}
 
 
 def _parse_basis(basis, where) -> BasedSpace:
@@ -125,12 +175,7 @@ def _parse_entries3(field, entries, dim_i, dim_j, dim_k, where):
         for name, v, d in (("i", i, dim_i), ("j", j, dim_j), ("k", k, dim_k)):
             _require(_is_int(v) and 0 <= v < d,
                      f"index {name}={v!r} out of range [0, {d})", w)
-        c = _parse_scalar(field, e[3], w)
-        vec = out.setdefault((i, j), {})
-        prev = vec.get(k)
-        vec[k] = c if prev is None else prev + c
-        if not vec[k]:
-            del vec[k]
+        viadd_term(out.setdefault((i, j), {}), k, _parse_scalar(field, e[3], w))
     return out
 
 
@@ -153,12 +198,7 @@ def _parse_entries2(field, entries, dim_i, dim_j, where):
         for name, v, d in (("i", i, dim_i), ("j", j, dim_j)):
             _require(_is_int(v) and 0 <= v < d,
                      f"index {name}={v!r} out of range [0, {d})", w)
-        c = _parse_scalar(field, e[2], w)
-        vec = out.setdefault(i, {})
-        prev = vec.get(j)
-        vec[j] = c if prev is None else prev + c
-        if not vec[j]:
-            del vec[j]
+        viadd_term(out.setdefault(i, {}), j, _parse_scalar(field, e[2], w))
     return out
 
 
@@ -170,11 +210,7 @@ def _parse_functional(field, entries, dim, where):
         _require(isinstance(e, list) and len(e) == 2, "entry must be [i, scalar]", w)
         i = e[0]
         _require(_is_int(i) and 0 <= i < dim, f"index {i!r} out of range", w)
-        c = _parse_scalar(field, e[1], w)
-        prev = out.get(i)
-        out[i] = c if prev is None else prev + c
-        if not out[i]:
-            del out[i]
+        viadd_term(out, i, _parse_scalar(field, e[1], w))
     return out
 
 
@@ -195,11 +231,8 @@ def parse_spec(text: str) -> SpecFile:
     hopf_doc = doc.get("hopf")
     _require(isinstance(hopf_doc, dict), "missing hopf section", "hopf")
     _check_keys(hopf_doc, _HOPF_KEYS, "hopf")
-    space = _parse_basis(hopf_doc.get("basis"), "hopf.basis")
-    dim = space.dim
-    mult_entries = _parse_entries3(field, hopf_doc.get("mult", []),
-                                   dim, dim, dim, "hopf.mult")
-    mult = [[mult_entries.get((i, j), {}) for j in range(dim)] for i in range(dim)]
+    algebra = _parse_star_algebra("A", field, hopf_doc, "hopf")
+    space, dim = algebra.space, algebra.dim
     # coproduct entries are [i, j, k, c] meaning phi(e_i) += c e_j (x) e_k
     sweedler = _legs(_parse_entries3(field, hopf_doc.get("coproduct", []),
                                      dim, dim, dim, "hopf.coproduct"), dim)
@@ -207,18 +240,11 @@ def parse_spec(text: str) -> SpecFile:
                                    "hopf.counit")
     antipode = _parse_entries2(field, hopf_doc.get("antipode", []), dim, dim,
                                "hopf.antipode")
-    star = _parse_entries2(field, hopf_doc.get("star", []), dim, dim, "hopf.star")
     counit = LinearMap(space, BasedSpace(("1",)),
                        [{0: counit_vec[i]} if i in counit_vec else {}
                         for i in range(dim)], field)
-    star_map = LinearMap(space, space, [star.get(i, {}) for i in range(dim)],
-                         field, antilinear=True)
     antipode_map = LinearMap(space, space, [antipode.get(i, {}) for i in range(dim)],
                              field)
-    # the unit is solved from the counit law after validation; for building we
-    # find it as the unique two-sided unit of the algebra
-    unit = _find_unit(field, space, mult, "hopf.mult")
-    algebra = StarAlgebra("A", field, space, mult, unit, star_map)
     coreps = None
     if "corepresentations" in doc:
         coreps = []
@@ -248,22 +274,32 @@ def parse_spec(text: str) -> SpecFile:
 
     bundle_spec = doc.get("bundle", {"preset": "point"})
     _require(isinstance(bundle_spec, dict), "bundle must be an object", "bundle")
-    _check_one_form(bundle_spec, {"trivial": {"base_points"}},
-                    {"basis", "mult", "star", "coaction"}, "bundle")
-    fodc_spec = doc.get("fodc")
-    if fodc_spec is not None:
-        _require(isinstance(fodc_spec, dict), "fodc must be an object", "fodc")
-        _check_one_form(fodc_spec, {}, {"ideal_basis"}, "fodc")
-    base_spec = doc.get("base_calculus")
-    if base_spec is not None:
-        _require(isinstance(base_spec, dict), "base_calculus must be an object",
-                 "base_calculus")
-        _check_keys(base_spec, _BASE_KEYS, "base_calculus")
-    conn_spec = doc.get("connection")
-    if conn_spec is not None:
-        _require(isinstance(conn_spec, dict), "connection must be an object",
-                 "connection")
-        _check_keys(conn_spec, _CONN_KEYS, "connection")
+    bundle_preset = _check_one_form(bundle_spec, BUNDLE_PRESETS, _BUNDLE_KEYS, "bundle")
+    points = bundle_data = None  # a preset bundle's base points; an explicit one's data
+    if bundle_preset is not None:
+        points = bundle_preset[1].get("base_points", 1)
+        require_base_points(points)
+    else:
+        total = _parse_star_algebra("B", field, bundle_spec, "bundle")
+        bundle_data = total, _legs(_parse_entries3(
+            field, bundle_spec.get("coaction", []), total.dim, total.dim, dim,
+            "bundle.coaction"), total.dim)
+    fodc_spec = _optional_section(doc, "fodc")
+    fodc_preset = _check_one_form(fodc_spec or {}, FODC_PRESETS, {"ideal_basis"}, "fodc",
+                                  "universal")
+    fodc_ideal = None
+    if fodc_preset is None:
+        ib = fodc_spec["ideal_basis"]
+        _require(isinstance(ib, list), "ideal_basis must be a list", "fodc.ideal_basis")
+        fodc_ideal = [_parse_functional(field, entries, dim, f"fodc.ideal_basis[{n}]")
+                      for n, entries in enumerate(ib)]
+    base_spec = _optional_section(doc, "base_calculus")
+    base_preset = _check_one_form(base_spec or {}, BASE_CALCULUS_PRESETS, set(),
+                                  "base_calculus", "trivial")
+    _require(base_preset[0] != "universal" or points is None or points <= 3,
+             "universal base calculus supports at most 3 points", "base_calculus.preset")
+    conn_spec = _optional_section(doc, "connection")
+    _check_keys(conn_spec or {}, _CONN_KEYS, "connection")
     expect = doc.get("expect", {})
     _require(isinstance(expect, dict), "expect must be an object", "expect")
     _check_keys(expect, _EXPECT_KEYS, "expect")
@@ -273,8 +309,23 @@ def parse_spec(text: str) -> SpecFile:
                      f"{key} must be a non-negative integer", f"expect.{key}")
     _require(isinstance(expect.get("classical", False), bool),
              "classical must be true or false", "expect.classical")
-    return SpecFile(conductor, hopf, coreps, bundle_spec, fodc_spec, base_spec,
-                    conn_spec, expect)
+    differential = any(x is not None for x in (fodc_spec, base_spec, conn_spec))
+    return SpecFile(conductor, hopf, coreps, bundle_preset, bundle_data, fodc_preset,
+                    fodc_ideal, base_preset, conn_spec, differential, expect)
+
+
+def _parse_star_algebra(name, field, spec, where) -> StarAlgebra:
+    """The *-algebra of a section's basis, mult and star entries, with its
+    unit solved from the product."""
+    space = _parse_basis(spec.get("basis"), f"{where}.basis")
+    dim = space.dim
+    entries = _parse_entries3(field, spec.get("mult", []), dim, dim, dim, f"{where}.mult")
+    mult = [[entries.get((i, j), {}) for j in range(dim)] for i in range(dim)]
+    star = _parse_entries2(field, spec.get("star", []), dim, dim, f"{where}.star")
+    star_map = LinearMap(space, space, [star.get(i, {}) for i in range(dim)], field,
+                         antilinear=True)
+    return StarAlgebra(name, field, space, mult,
+                       _find_unit(field, space, mult, f"{where}.mult"), star_map)
 
 
 def _find_unit(field, space, mult, where) -> Vec:
@@ -330,107 +381,57 @@ class BuildResult:
 
     def _build_bundle(self) -> Bundle:
         sf = self.sf
-        h = sf.hopf
-        spec = sf.bundle_spec
-        if "preset" in spec:
-            preset = spec["preset"]
-            if preset == "point":
-                total, f_legs = point_bundle(h)
-            elif preset == "trivial":
-                total, f_legs = trivial_bundle(h, spec.get("base_points", 2))
-            else:
-                raise UnknownPreset(f"unknown bundle preset {preset!r}",
-                                    where="bundle.preset")
-            return build_bundle(total, h, f_legs)
-        space = _parse_basis(spec.get("basis"), "bundle.basis")
-        dim = space.dim
-        field = sf.field
-        mult_entries = _parse_entries3(field, spec.get("mult", []), dim, dim, dim,
-                                       "bundle.mult")
-        mult = [[mult_entries.get((i, j), {}) for j in range(dim)]
-                for i in range(dim)]
-        star = _parse_entries2(field, spec.get("star", []), dim, dim, "bundle.star")
-        star_map = LinearMap(space, space, [star.get(i, {}) for i in range(dim)],
-                             field, antilinear=True)
-        unit = _find_unit(field, space, mult, "bundle.mult")
-        total = StarAlgebra("B", field, space, mult, unit, star_map)
-        total.add_axiom_records(
-            RaisingReport(SpecFileError, "bundle algebra validation failed: ",
-                          where="bundle"),
-            algebra_ids("bundle.algebra"))
-        f_legs = _legs(_parse_entries3(field, spec.get("coaction", []),
-                                       dim, dim, h.dim, "bundle.coaction"), dim)
-        return build_bundle(total, h, f_legs)
+        if sf.bundle_preset is not None:
+            name, options = sf.bundle_preset
+            total, f_legs = BUNDLE_PRESETS[name].build(sf.hopf, **options)
+        else:
+            total, f_legs = sf.bundle_data
+            total.add_axiom_records(
+                RaisingReport(SpecFileError, "bundle algebra validation failed: ",
+                              where="bundle"),
+                algebra_ids("bundle.algebra"))
+        return build_bundle(total, sf.hopf, f_legs)
 
     def _check_expect(self):
-        exp = self.sf.expect
-        if "base_dim" in exp and self.bundle.base_dim != exp["base_dim"]:
-            raise SpecFileError(
-                f"expected base dimension {exp['base_dim']}, computed "
-                f"{self.bundle.base_dim}", where="expect.base_dim")
-        if "b2_dim" in exp and self.bundle.b2.dim != exp["b2_dim"]:
-            raise SpecFileError(
-                f"expected dim B_2 = {exp['b2_dim']}, computed {self.bundle.b2.dim}",
-                where="expect.b2_dim")
-        if "classical" in exp:
-            classical, _ = classicality_report(self.bundle)
-            if classical != bool(exp["classical"]):
-                raise SpecFileError(
-                    f"expected classical = {exp['classical']}, computed {classical}",
-                    where="expect.classical")
-        if "gauge_dim" in exp:
-            gc = self.gauge
-            if len(gc.l_basis) != exp["gauge_dim"]:
-                raise SpecFileError(
-                    f"expected dim L = {exp['gauge_dim']}, computed {len(gc.l_basis)}",
-                    where="expect.gauge_dim")
-        if "gamma_inv_dim" in exp:
-            if self.fodc.dim != exp["gamma_inv_dim"]:
-                raise SpecFileError(
-                    f"expected dim Gamma_inv = {exp['gamma_inv_dim']}, computed "
-                    f"{self.fodc.dim}", where="expect.gamma_inv_dim")
+        """Each figure of the expect block against the computed one, in order."""
+        computed = {"base_dim": ("base dimension ", lambda: self.bundle.base_dim),
+                    "b2_dim": ("dim B_2 = ", lambda: self.bundle.b2.dim),
+                    "classical": ("classical = ", lambda: self.classicality[0]),
+                    "gauge_dim": ("dim L = ", lambda: len(self.gauge.l_basis)),
+                    "gamma_inv_dim": ("dim Gamma_inv = ", lambda: self.fodc.dim)}
+        for key, (what, compute) in computed.items():
+            if key in self.sf.expect:
+                want, got = self.sf.expect[key], compute()
+                _require(got == want, f"expected {what}{want}, computed {got}",
+                         f"expect.{key}")
 
     @cached_property
     def gauge(self):
         return build_gauge_coalgebra(self.bundle)
 
     @cached_property
+    def classicality(self):
+        """(classical, report) of the classicality dichotomy on the bundle."""
+        return classicality_report(self.bundle)
+
+    @cached_property
     def fodc(self):
-        spec = self.sf.fodc_spec or {"preset": "universal"}
-        if "ideal_basis" in spec:
-            vecs = []
-            ib = spec["ideal_basis"]
-            _require(isinstance(ib, list), "ideal_basis must be a list",
-                     "fodc.ideal_basis")
-            for n, entries in enumerate(ib):
-                vecs.append(_parse_functional(self.field, entries, self.hopf.dim,
-                                              f"fodc.ideal_basis[{n}]"))
-            return build_fodc(self.hopf, vecs)
-        preset = spec.get("preset", "universal")
-        if preset == "universal":
-            return build_fodc(self.hopf, universal_ideal(self.hopf))
-        if preset == "zero":
-            return build_fodc(self.hopf, zero_ideal(self.hopf))
-        raise UnknownPreset(f"unknown fodc preset {preset!r}", where="fodc.preset")
+        sf = self.sf
+        ideal = sf.fodc_ideal
+        if sf.fodc_preset is not None:
+            name, options = sf.fodc_preset
+            ideal = FODC_PRESETS[name].build(self.hopf, **options)
+        return build_fodc(self.hopf, ideal)
 
     def total_calculus(self) -> TotalCalculus:
         if self._calc is None:
-            spec = self.sf.bundle_spec
-            if "preset" not in spec:
+            if self.sf.bundle_preset is None:
                 raise NotProductBundle(
                     "differential calculus needs a preset product bundle",
                     where="bundle")
-            base_spec = self.sf.base_calc_spec or {"preset": "trivial"}
-            preset = base_spec.get("preset", "trivial")
-            points = self.bundle.base_dim
-            if preset == "trivial":
-                base = trivial_base_calculus(functions_on_points(points, self.field))
-            elif preset == "universal":
-                require_universal_points(points)
-                base = universal_base_calculus(points, self.field)
-            else:
-                raise UnknownPreset(f"unknown base calculus preset {preset!r}",
-                                    where="base_calculus.preset")
+            name, options = self.sf.base_calc_preset
+            base = BASE_CALCULUS_PRESETS[name].build(self.bundle.base_dim, self.field,
+                                                     **options)
             self._calc = build_total_calculus(self.fodc, base)
         return self._calc
 
@@ -491,7 +492,7 @@ def run_suites(build: BuildResult, suites, degree: int = 2,
         if merge(dec.report):
             return report
     if "classical" in chosen:
-        classical, dich_rep = classicality_report(build.bundle)
+        classical, dich_rep = build.classicality
         if merge(dich_rep):
             return report
         if classical:
@@ -516,9 +517,7 @@ def run_suites(build: BuildResult, suites, degree: int = 2,
                                    note="NotClassical: the structure group "
                                         "algebra is noncommutative"))
     if "differential" in chosen:
-        sf = build.sf
-        if sf.fodc_spec is None and sf.base_calc_spec is None \
-                and sf.connection_spec is None:
+        if not build.sf.differential:
             report.add(CheckRecord(
                 "diff.available", "differential sections", "vacuous",
                 note="file has no fodc / base_calculus / connection sections"))

@@ -63,13 +63,6 @@ def require_base_points(points) -> None:
                             where="bundle.base_points")
 
 
-def require_universal_points(points: int) -> None:
-    """The universal base calculus is offered on at most 3 points."""
-    if points > 3:
-        raise UnknownPreset("universal base calculus supports at most 3 points",
-                            where="base_calculus.preset")
-
-
 def functions_on_points(points: int, field: CycloField) -> StarAlgebra:
     """C(X) for a set X of ``points`` points: delta functions x0, x1, ... with
     the pointwise product and the trivial star; points = 1 gives C(pt)."""
@@ -83,22 +76,22 @@ def functions_on_points(points: int, field: CycloField) -> StarAlgebra:
                        {i: one for i in range(points)}, star)
 
 
-def trivial_bundle(h: HopfStarAlgebra, points: int):
-    """(total, f_legs) for B = C(X) (x) A, F = id (x) phi, over |X| = points:
+def trivial_bundle(h: HopfStarAlgebra, base_points: int):
+    """(total, f_legs) for B = C(X) (x) A, F = id (x) phi, over |X| = base_points:
     B's basis is the pairs (p, a) of a point and a basis element of A, and
     f_legs[i] lists the legs ((j, k), c) of F(e_i) = sum c e_j (x) e_k."""
-    require_base_points(points)
+    require_base_points(base_points)
     field = h.field
     one = field.one
-    pairs = [(p, a) for p in range(points) for a in range(h.dim)]
+    pairs = [(p, a) for p in range(base_points) for a in range(h.dim)]
     index = {pa: i for i, pa in enumerate(pairs)}
     space = BasedSpace(tuple(f"x{p}.{h.space.labels[a]}" for p, a in pairs))
     mult = [[{index[p, k]: c for k, c in h.algebra.mul_basis(a, b_).items()}
              if p == q else {} for q, b_ in pairs] for p, a in pairs]
-    unit: Vec = {index[p, a]: c for p in range(points) for a, c in h.unit.items()}
+    unit: Vec = {index[p, a]: c for p in range(base_points) for a, c in h.unit.items()}
     star = LinearMap(space, space, [{index[p, k]: c for k, c in h.star_vec({a: one}).items()}
                                     for p, a in pairs], field, antilinear=True)
-    total = StarAlgebra(f"C(X{points})(x){h.algebra.name}", field, space, mult, unit,
+    total = StarAlgebra(f"C(X{base_points})(x){h.algebra.name}", field, space, mult, unit,
                         star)
     f_legs = [[((index[p, a1], a2), c) for (a1, a2), c in h.sweedler(a)] for p, a in pairs]
     return total, f_legs
@@ -152,7 +145,8 @@ def generate_example(name: str, group: str = "Z2", base_points: int = 2,
                      kind: str = "function_algebra", fodc: str | None = None,
                      base_calculus: str | None = None,
                      conductor: int | None = None) -> dict:
-    """A complete spec-file document (as a JSON-ready dict) for a preset."""
+    """A complete spec-file document (as a JSON-ready dict) for a preset.
+    Its bundle and calculus options are checked when it is parsed."""
     if name not in GEN_PRESETS:
         raise UnknownPreset(f"unknown example preset {name!r}")
     if name == "c-group":
@@ -164,10 +158,7 @@ def generate_example(name: str, group: str = "Z2", base_points: int = 2,
     elif name == "point-bundle":
         bundle = {"preset": "point"}
     else:
-        require_base_points(base_points)
         bundle = {"preset": "trivial", "base_points": base_points}
-    if base_calculus == "universal":
-        require_universal_points(bundle.get("base_points", 1))
     h = hopf_preset(group, kind, conductor)
     doc = {
         "format": "qpb-spec/1",

@@ -6,9 +6,12 @@ from pathlib import Path
 import pytest
 
 import qpb.fodc as fodc_mod
+from qpb import formats
 from qpb.cli import main
 from qpb.errors import SpecFileError
-from qpb.formats import BuildResult, load_file, parse_spec, run_suites
+from qpb.formats import (
+    BASE_CALCULUS_PRESETS, FODC_PRESETS, BuildResult, load_file, parse_spec, run_suites,
+)
 from qpb.presets import generate_example, serialize_example
 
 
@@ -25,6 +28,12 @@ def test_gen_validate_roundtrip(tmp_path, capsys):
     assert main(["validate", path]) == 0
     out = capsys.readouterr().out
     assert "dim B_2 = 4" in out
+    for fodc in FODC_PRESETS:
+        for base in BASE_CALCULUS_PRESETS:
+            path = str(tmp_path / f"triv-{fodc}-{base}.json")
+            assert main(["gen", "trivial-bundle", "--fodc", fodc, "--base-calculus", base,
+                         "-o", path]) == 0
+            assert main(["validate", path]) == 0, (fodc, base)
 
 
 def test_check_exit_zero_and_deterministic_json(tmp_path, capsys):
@@ -340,6 +349,55 @@ def test_the_fodc_is_built_once_per_build(tmp_path, monkeypatch):
     build = BuildResult(load_file(write(tmp_path, "expect_fodc.json", doc)))
     assert run_suites(build, ["all"]).ok
     assert made == [build.fodc]
+
+
+@pytest.mark.parametrize("sections, message", [
+    ({"bundle": {"preset": "bogus"}}, "bundle.preset: unknown bundle preset 'bogus'"),
+    ({"fodc": {"preset": "bogus"}}, "fodc.preset: unknown fodc preset 'bogus'"),
+    ({"fodc": {"preset": ["universal"]}},
+     "fodc.preset: unknown fodc preset ['universal']"),
+    ({"base_calculus": {"preset": "bogus"}},
+     "base_calculus.preset: unknown base calculus preset 'bogus'"),
+    ({"fodc": {"ideal_basis": "x"}}, "fodc.ideal_basis: ideal_basis must be a list"),
+    ({"fodc": {"ideal_basis": [[[99, "1"]]]}}, "fodc.ideal_basis[0][0]: index 99 out of range"),
+    ({"bundle": {"preset": "trivial", "base_points": 5},
+      "base_calculus": {"preset": "universal"}},
+     "base_calculus.preset: universal base calculus supports at most 3 points"),
+    ({"bundle": {"preset": "trivial", "base_points": "x"},
+      "base_calculus": {"preset": "universal"}},
+     "bundle.base_points: base_points must be a positive integer"),
+], ids=["bundle-preset", "fodc-preset", "fodc-preset-unhashable", "base-preset",
+        "ideal-not-list", "ideal-index", "universal-5-points", "base-points-not-int"])
+def test_what_the_file_alone_shows_is_rejected_by_every_command(tmp_path, capsys,
+                                                                sections, message):
+    """An error that the file alone shows exits 2 when the file is parsed,
+    whichever suites run: validate and the braiding suite, which build no
+    calculus, reject it with the diagnostic that the full check gives."""
+    doc = generate_example("c-group", group="Z2")
+    doc.update(sections)
+    path = write(tmp_path, "bad.json", doc)
+    for argv in (["validate", path], ["check", path, "--suite", "braiding"],
+                 ["check", path, "--suite", "all"]):
+        assert main(argv) == 2, argv
+        assert capsys.readouterr().err == f"error: {message}\n", argv
+
+
+def test_classicality_runs_once_per_build(tmp_path, monkeypatch):
+    """The expect block's classical flag and the classical suite read one
+    classicality report."""
+    doc = generate_example("c-group", group="S3")
+    doc["expect"] = {"classical": True}
+    calls = []
+    report = formats.classicality_report
+
+    def counted(bundle):
+        calls.append(bundle)
+        return report(bundle)
+
+    monkeypatch.setattr(formats, "classicality_report", counted)
+    build = BuildResult(load_file(write(tmp_path, "s3.json", doc)))
+    assert run_suites(build, ["all"]).ok
+    assert calls == [build.bundle]
 
 
 def test_roundtrip_report_matches_direct_build():
