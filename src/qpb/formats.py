@@ -56,8 +56,6 @@ class Preset(NamedTuple):
     build: Callable
 
 
-# The builders read module-level names when called, so that a wrapper put on
-# one of them in this module's namespace (bench/spans.py does) is the one run.
 BUNDLE_PRESETS = {  # build(A, **options) -> (total, f_legs)
     "point": Preset({}, point_bundle),
     "trivial": Preset({"base_points": 2}, trivial_bundle),
@@ -66,6 +64,8 @@ FODC_PRESETS = {  # build(A) -> a basis of the ideal
     "universal": Preset({}, universal_ideal),
     "zero": Preset({}, zero_ideal),
 }
+# The base calculus rows are lambdas, which look their builders up here when
+# called: bench/spans.py wraps those names in this module's namespace.
 BASE_CALCULUS_PRESETS = {  # build(points, field) -> the base calculus
     "trivial": Preset({}, lambda points, field: trivial_base_calculus(
         functions_on_points(points, field))),
