@@ -54,9 +54,9 @@ class BraidOperator:
 
     # -- slot operators -----------------------------------------------------
 
-    def at(self, n: int, p: int, inverse: bool = False) -> LinearMap:
-        """sigma (or its inverse) on slots (p, p+1) of B_n."""
-        return self.bundle.sigma_at(n, p, inverse)
+    def at(self, n: int, p: int) -> LinearMap:
+        """sigma on slots (p, p+1) of B_n."""
+        return self.bundle.sigma_at(n, p)
 
     def mu_at(self, n: int, p: int) -> LinearMap:
         """Multiply slots (p, p+1): B_n -> B_{n-1}."""

@@ -295,14 +295,14 @@ class BalancedTower:
 
     # -- operators on W_n ----------------------------------------------------------
 
-    def sigma_at(self, n, p: int, inverse: bool = False) -> LinearMap:
-        """sigma (or its inverse) on slots (p, p+1) of W_n, or of the mixed
-        product with pattern n; cached."""
-        key = ("sigma", n, p, inverse)
+    def sigma_at(self, n, p: int) -> LinearMap:
+        """sigma on slots (p, p+1) of W_n, or of the mixed product with
+        pattern n; cached."""
+        key = ("sigma", n, p)
         if key not in self._ops:
-            m, w2 = self.sigma_inv if inverse else self.sigma, self.power(2)
+            w2 = self.power(2)
             wn = self.mixed_space(n) if isinstance(n, str) else self.power(n)
-            self._ops[key] = term_map(wn, wn, slot_terms(p, m, w2, w2))
+            self._ops[key] = term_map(wn, wn, slot_terms(p, self.sigma, w2, w2))
         return self._ops[key]
 
     def mu_at(self, n: int, p: int) -> LinearMap:

@@ -48,7 +48,7 @@ from .hopf import (
     graded_tensor_mul, graded_tensor_star,
 )
 from .linalg import (
-    BasedSpace, Echelon, LinearMap, Vec, fixed_points, span_basis, spans_equal,
+    BasedSpace, LinearMap, Vec, fixed_points, span_basis, spans_equal,
     viadd, viadd_term,
 )
 from .report import ValidationReport, first_difference, map_equality_record, passing, vacuous
@@ -237,20 +237,14 @@ class TotalCalculus(BalancedTower):
                          budget=BUDGET, spaces={"WG": omega.og})
         self.w1, self.w2, self.w3 = (self.power(n) for n in (1, 2, 3))
 
-        # X^ is bijective in each total degree
-        og = omega.og
+        # X^ is bijective in each total degree.  It preserves degree, so a
+        # column is a pivot of its one elimination exactly when it is
+        # independent of the earlier columns of its degree.
         w2deg = self.w2.degrees()
-        ogdeg = og.degrees()
-        self.x_by_degree_ok = {}
-        for k in range(BUDGET + 1):
-            src = [i for i in range(self.w2.dim) if w2deg[i] == k]
-            dst = [i for i in range(og.dim) if ogdeg[i] == k]
-            ech = Echelon()
-            rank = 0
-            for i in src:
-                if ech.add(self.X.cols[i]):
-                    rank += 1
-            self.x_by_degree_ok[k] = (len(src) == len(dst) == rank)
+        ogdeg = omega.og.degrees()
+        pivot_degs = [w2deg[i] for i in self.X.solver().pivots]
+        self.x_by_degree_ok = {k: w2deg.count(k) == ogdeg.count(k) == pivot_degs.count(k)
+                               for k in range(BUDGET + 1)}
         if not all(self.x_by_degree_ok.values()):
             raise NotProductBundle(
                 f"X^ fails degreewise bijectivity: {self.x_by_degree_ok}")

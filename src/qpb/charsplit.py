@@ -2,7 +2,8 @@
 idempotent pieces, and enumerating their K-valued characters.
 
 Minimal polynomials are computed by exact Krylov iteration and the pieces
-are cut out by polynomial CRT.  A character into K lives on a 1-dimensional
+are cut out by polynomial CRT, with the polynomial division, gcd and extended
+Euclid of ``cyclotomic`` (``p_divmod``, ``p_gcd``, ``p_eea``) over K.  A character into K lives on a 1-dimensional
 piece, and a piece splits off a 1-dimensional summand exactly when some
 element's minimal polynomial on it has a root in K, so factoring needs only
 the roots: ``factor_over_field`` returns t - r for each root r in K and the
@@ -41,85 +42,15 @@ from fractions import Fraction
 from functools import lru_cache
 from math import isqrt, lcm
 
-from .cyclotomic import CycloField, Scalar, cyclotomic_polynomial
+from .cyclotomic import (
+    CycloField, Scalar, cyclotomic_polynomial, p_divmod, p_eea, p_gcd, p_mul, p_trim,
+)
 from .errors import InputError
 from .linalg import Echelon, PreparedSolve, Vec, solve_columns, viadd
 
-# -- dense univariate polynomials over Scalar (ascending coefficients) ---------
-
-
-def p_trim(p):
-    while p and p[-1].is_zero():
-        p.pop()
-    return p
-
-
-def p_divmod(num, den):
-    num = list(num)
-    if not den:
-        raise ZeroDivisionError("polynomial division by zero")
-    q = [den[0].field.zero] * max(0, len(num) - len(den) + 1)
-    inv = den[-1].inverse()
-    for k in range(len(num) - len(den), -1, -1):
-        c = num[k + len(den) - 1] * inv
-        if c:
-            q[k] = c
-            for i, d in enumerate(den):
-                num[k + i] = num[k + i] - c * d
-    return q, p_trim(num)
-
-
-def p_mul(a, b, field):
-    if not a or not b:
-        return []
-    out = [field.zero] * (len(a) + len(b) - 1)
-    for i, x in enumerate(a):
-        if not x:
-            continue
-        for j, y in enumerate(b):
-            if y:
-                out[i + j] = out[i + j] + x * y
-    return p_trim(out)
-
-
-def p_sub(a, b, field):
-    n = max(len(a), len(b))
-    a = a + [field.zero] * (n - len(a))
-    b = b + [field.zero] * (n - len(b))
-    return p_trim([x - y for x, y in zip(a, b)])
-
-
-def p_monic(p):
-    inv = p[-1].inverse()
-    return [c * inv for c in p]
-
-
-def p_gcd(a, b):
-    a, b = list(a), list(b)
-    while b:
-        _, r = p_divmod(a, b)
-        a, b = b, r
-    return p_monic(a) if a else a
-
-
-def p_eea(a, b, field):
-    """(g, u, v) with u*a + v*b = g, g the monic gcd."""
-    r0, r1 = list(a), list(b)
-    s0, s1 = [field.one], []
-    t0, t1 = [], [field.one]
-    while r1:
-        q, r = p_divmod(r0, r1)
-        r0, r1 = r1, r
-        s0, s1 = s1, p_sub(s0, p_mul(q, s1, field), field)
-        t0, t1 = t1, p_sub(t0, p_mul(q, t1, field), field)
-    lead = r0[-1].inverse()
-    return ([c * lead for c in r0], [c * lead for c in s0], [c * lead for c in t0])
-
-
 def p_is_squarefree(p, field):
     dp = p_trim([p[i] * field.rational(i) for i in range(1, len(p))])
-    g = p_gcd(p, dp)
-    return len(g) == 1
+    return len(p_gcd(p, dp, field.one)) == 1
 
 
 # -- roots over Q(zeta_n), found p-adically -------------------------------------
@@ -169,12 +100,12 @@ def factor_over_field(coeffs, field: CycloField):
     factors = [[-r, one] for r in roots]
     cof = list(coeffs)
     for fac in factors:
-        cof, _ = p_divmod(cof, fac)
+        cof, _ = p_divmod(cof, fac, one)
     if len(cof) > 1:
         factors.append(cof)
     prod = [one]
     for fac in factors:
-        prod = p_mul(prod, fac, field)
+        prod = p_mul(prod, fac, one)
     assert prod == list(coeffs), "factors do not multiply back to the polynomial"
     return [(fac, 1) for fac in factors]
 
@@ -481,10 +412,11 @@ def primitive_idempotents(alg: CommAlgebra):
     order: every 1-dimensional piece, and the root-free remainders of
     dimension > 1.  Raises InputError on non-semisimple input."""
     field = alg.field
-    candidates = [{i: field.one} for i in range(alg.dim)]
+    one = field.one
+    candidates = [{i: one} for i in range(alg.dim)]
     for i in range(alg.dim):
         for j in range(i + 1, alg.dim):
-            candidates.append({**{i: field.one}, j: field.one})
+            candidates.append({**{i: one}, j: one})
 
     def split_once(e: Vec):
         for cand in candidates:
@@ -501,13 +433,12 @@ def primitive_idempotents(alg: CommAlgebra):
                 continue
             parts = []
             for fac, _ in factors:
-                cof, _ = p_divmod(minpoly, fac)
+                cof, _ = p_divmod(minpoly, fac, one)
                 # CRT projector: cof * (cof^{-1} mod fac), evaluated at x
-                g, u, _ = p_eea(cof, fac, field)
+                g, u = p_eea(cof, fac, one)
                 if len(g) != 1:
                     raise InputError("inseparable factor while splitting")
-                inv0 = g[0].inverse()
-                proj = p_mul(cof, [c * inv0 for c in u], field)
+                proj = p_mul(cof, u, one)
                 parts.append(alg.eval_poly_rel(e, proj, x))
             return parts
         return None

@@ -33,7 +33,7 @@ from .tensor import embed, slot_apply
 
 
 class Connection:
-    def __init__(self, tc: TotalCalculus, omega_cols, hermitian=True, name="omega"):
+    def __init__(self, tc: TotalCalculus, omega_cols, name="omega"):
         self.tc = tc
         self.name = name
         field = tc.field
@@ -50,12 +50,9 @@ class Connection:
             if om.f_hat.apply(omega_cols[t]) != rhs:
                 raise NotCovariant(
                     f"{name} violates the connection transformation law")
-        if hermitian:
-            for t in range(tc.fodc.dim):
-                lhs = self.omega_of(tc.fodc.star_inv.cols[t])
-                rhs = om.star_vec(omega_cols[t])
-                if lhs != rhs:
-                    raise NotCovariant(f"{name} is not hermitian")
+        for t in range(tc.fodc.dim):
+            if self.omega_of(tc.fodc.star_inv.cols[t]) != om.star_vec(omega_cols[t]):
+                raise NotCovariant(f"{name} is not hermitian")
         # curvature R = d omega - <omega, omega>
         r_cols = [vsub(om.d_apply(omega_cols[t]), tc.env2.bracket(t, omega, om.mul))
                   for t in range(tc.fodc.dim)]

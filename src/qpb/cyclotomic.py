@@ -12,7 +12,10 @@ z^{n-1} = z^{-1} and is an involutive field automorphism fixing Q.
 
 This is the representation of FLINT/Antic's ``nf_elem`` (W. Hart, "ANTIC:
 Algebraic Number Theory In C", 2015).  ``Scalar.fractions()`` gives the
-coefficients as ``Fraction``s.
+coefficients as ``Fraction``s.  The dense polynomial arithmetic over a field
+(``p_trim``, ``p_divmod``, ``p_mul``, ``p_gcd``, ``p_eea``) lives here, once:
+over ``Fraction``s for Phi_n and ``Scalar.inverse``, over ``Scalar``s for
+``charsplit``.
 
 The conductor is fixed per field instance; scalars from different conductors
 never mix.
@@ -49,36 +52,63 @@ _ZERO = Fraction(0)
 _ONE = Fraction(1)
 
 
-def _poly_trim(p: list[Fraction]) -> list[Fraction]:
-    while p and p[-1] == 0:
+# -- dense univariate polynomials over a field (ascending coefficients) --------
+#
+# The coefficients support + - * / and are false exactly when zero: Fractions
+# for Phi_n and Scalar.inverse, Scalars for the character split (charsplit).
+# ``one`` is the field's unit; one - one is its zero.
+
+def p_trim(p):
+    """p with its top zero coefficients popped, in place."""
+    while p and not p[-1]:
         p.pop()
     return p
 
 
-def _poly_divmod(num: list[Fraction], den: list[Fraction]):
+def p_divmod(num, den, one):
+    """(quotient, remainder) of num by den, whose top coefficient is nonzero."""
     num = list(num)
-    q = [_ZERO] * max(0, len(num) - len(den) + 1)
-    inv_lead = 1 / den[-1]
+    q = [one - one] * max(0, len(num) - len(den) + 1)
+    inv_lead = one / den[-1]
     for k in range(len(num) - len(den), -1, -1):
         c = num[k + len(den) - 1] * inv_lead
         if c:
             q[k] = c
             for i, d in enumerate(den):
                 num[k + i] -= c * d
-    return q, _poly_trim(num)
+    return q, p_trim(num)
 
 
-def _poly_inverse_mod(p, modulus: list[Fraction]) -> list[Fraction]:
-    """u with u*p = 1 modulo an irreducible modulus (p nonzero, reduced),
-    by the extended Euclid algorithm in Q[x]."""
-    # u*p + v*modulus = gcd = nonzero rational
-    r0 = _poly_trim(list(p))
-    r1 = list(modulus)
-    s0: list[Fraction] = [_ONE]
-    s1: list[Fraction] = []
+def p_mul(a, b, one):
+    if not a or not b:
+        return []
+    out = [one - one] * (len(a) + len(b) - 1)
+    for i, x in enumerate(a):
+        if x:
+            for j, y in enumerate(b):
+                if y:
+                    out[i + j] += x * y
+    return p_trim(out)
+
+
+def p_gcd(a, b, one):
+    """The monic gcd of a and b, not both zero."""
+    a, b = p_trim(list(a)), p_trim(list(b))
+    while b:
+        a, b = b, p_divmod(a, b, one)[1]
+    inv_lead = one / a[-1]
+    return [c * inv_lead for c in a]
+
+
+def p_eea(a, b, one):
+    """(g, u): g the monic gcd of a and b (not both zero) and u with
+    u*a = g modulo b, by the extended Euclid algorithm."""
+    zero = one - one
+    r0, r1 = p_trim(list(a)), p_trim(list(b))
+    s0, s1 = [one], []
     while r1:
-        q, r = _poly_divmod(r0, r1)
-        # s0 - q*s1
+        q, r = p_divmod(r0, r1, one)
+        # s0 - q*s1, in one pass over the nonzero terms
         s = list(s0)
         for i, qi in enumerate(q):
             if not qi:
@@ -87,13 +117,12 @@ def _poly_inverse_mod(p, modulus: list[Fraction]) -> list[Fraction]:
                 if sj:
                     k = i + j
                     while len(s) <= k:
-                        s.append(_ZERO)
+                        s.append(zero)
                     s[k] -= qi * sj
         r0, r1 = r1, r
-        s0, s1 = s1, _poly_trim(s)
-    assert len(r0) == 1, "gcd with cyclotomic polynomial must be constant"
-    c = 1 / r0[0]
-    return [x * c for x in s0]
+        s0, s1 = s1, p_trim(s)
+    inv_lead = one / r0[-1]
+    return [c * inv_lead for c in r0], [c * inv_lead for c in s0]
 
 
 def cyclotomic_polynomial(n: int, _cache={}) -> list[Fraction]:
@@ -105,7 +134,7 @@ def cyclotomic_polynomial(n: int, _cache={}) -> list[Fraction]:
     p = xn1
     for d in range(1, n):
         if n % d == 0:
-            p, r = _poly_divmod(p, cyclotomic_polynomial(d))
+            p, r = p_divmod(p, cyclotomic_polynomial(d), _ONE)
             assert not r
     _cache[n] = p
     return p
@@ -379,9 +408,10 @@ class Scalar:
             num, den = (a[-1], a[0]) if a[0] > 0 else (-a[-1], -a[0])
             return Scalar(f, (num,) + a[1:-1] + (den,))
         # (sum a_k z^k / d)^-1 = d * (sum a_k z^k)^-1
+        g, u = p_eea(list(map(Fraction, a[:-1])), f.modulus, _ONE)
+        assert len(g) == 1, "gcd with cyclotomic polynomial must be constant"
         d = a[-1]
-        return f.scalar([x * d for x in _poly_inverse_mod(list(map(Fraction, a[:-1])),
-                                                            f.modulus)])
+        return f.scalar([x * d for x in u])
 
     def __truediv__(self, other):
         self._check(other)

@@ -111,10 +111,13 @@ def _check_keys(obj, allowed, where):
             raise SpecFileError(f"unknown key {k!r}", where=where)
 
 
-def _optional_section(doc, key):
-    """The object at ``key``, or None when the file has no such section."""
+def _optional_section(doc, key, absent=None):
+    """The object at ``key``, or ``absent`` when the file has no such section
+    or it is null."""
     spec = doc.get(key)
-    _require(spec is None or isinstance(spec, dict), f"{key} must be an object", key)
+    if spec is None:
+        return absent
+    _require(isinstance(spec, dict), f"{key} must be an object", key)
     return spec
 
 
@@ -272,8 +275,7 @@ def parse_spec(text: str) -> SpecFile:
     except Exception as e:
         raise SpecFileError(f"hopf data is not well formed: {e}", where="hopf") from None
 
-    bundle_spec = doc.get("bundle", {"preset": "point"})
-    _require(isinstance(bundle_spec, dict), "bundle must be an object", "bundle")
+    bundle_spec = _optional_section(doc, "bundle", {"preset": "point"})
     bundle_preset = _check_one_form(bundle_spec, BUNDLE_PRESETS, _BUNDLE_KEYS, "bundle")
     points = bundle_data = None  # a preset bundle's base points; an explicit one's data
     if bundle_preset is not None:
@@ -300,8 +302,7 @@ def parse_spec(text: str) -> SpecFile:
              "universal base calculus supports at most 3 points", "base_calculus.preset")
     conn_spec = _optional_section(doc, "connection")
     _check_keys(conn_spec or {}, _CONN_KEYS, "connection")
-    expect = doc.get("expect", {})
-    _require(isinstance(expect, dict), "expect must be an object", "expect")
+    expect = _optional_section(doc, "expect", {})
     _check_keys(expect, _EXPECT_KEYS, "expect")
     for key in ("base_dim", "b2_dim", "gauge_dim", "gamma_inv_dim"):
         if key in expect:

@@ -16,7 +16,7 @@ from qpb.fodc import (
     GammaEnvelope, build_envelope2, build_fodc, universal_ideal, zero_ideal,
 )
 from qpb.hopf import BUDGET, graded_tensor_mul
-from qpb.linalg import LinearMap, viadd_term
+from qpb.linalg import Echelon, LinearMap, viadd_term
 from qpb.presets import (
     functions_on_points, generate_example, hopf_preset, serialize_example, trivial_bundle,
 )
@@ -40,6 +40,21 @@ def degree0_bundle(h, points=1):
     """The product bundle C(X) (x) A: its B is Omega^0(P), basis for basis."""
     total, f_legs = trivial_bundle(h, points)
     return build_bundle(total, h, f_legs)
+
+
+@pytest.mark.parametrize("make", [lambda: point_calculus("Z3"),
+                                  lambda: two_point_calculus("Z2")], ids=["Z3-point", "Z2-2pt"])
+def test_xhat_bijectivity_matches_a_per_degree_elimination(make):
+    """The per-degree verdict read off X^'s one elimination equals the rank
+    of each degree's columns, eliminated apart, against both dimensions."""
+    tc = make()
+    w2deg, ogdeg = tc.w2.degrees(), tc.omega.og.degrees()
+    expected = {}
+    for k in range(BUDGET + 1):
+        ech = Echelon()
+        rank = sum(1 for i in range(tc.w2.dim) if w2deg[i] == k and ech.add(tc.X.cols[i]))
+        expected[k] = w2deg.count(k) == ogdeg.count(k) == rank
+    assert tc.x_by_degree_ok == expected == {0: True, 1: True, 2: True}
 
 
 def test_universal_base_calculus_two_points():

@@ -301,12 +301,16 @@ _Z2_EXPLICIT = {"basis": ["b0", "b1"], "mult": [[0, 0, 0, "1"], [1, 1, 1, "1"]],
                 "coaction": "garbage"}, "bundle.base_points"),
     ("bundle", {"preset": "trivial", "base_points": 2, **_Z2_EXPLICIT}, "bundle.basis"),
     ("bundle", {**_Z2_EXPLICIT, "base_points": 2}, "bundle.base_points"),
+    ("bundle", {"base_points": 3}, "bundle.base_points"),
+    ("bundle", {}, "bundle.basis"),
     ("fodc", {"preset": "zero", "ideal_basis": []}, "fodc.ideal_basis"),
-], ids=["point-with-data", "trivial-with-data", "data-with-base-points", "fodc-with-ideal"])
+], ids=["point-with-data", "trivial-with-data", "data-with-base-points", "options-alone",
+        "empty-bundle", "fodc-with-ideal"])
 def test_a_preset_mixed_with_explicit_data_exits_two(tmp_path, capsys, section, spec, where):
     """A bundle or fodc section is either a preset, with the options that
     preset takes, or explicit data: the first key of the other form exits 2
-    at its position."""
+    at its position.  An empty bundle section is explicit data; only an
+    absent or null one is the point preset."""
     doc = generate_example("c-group", group="Z2")
     doc[section] = spec
     path = write(tmp_path, "mixed.json", doc)
@@ -315,6 +319,19 @@ def test_a_preset_mixed_with_explicit_data_exits_two(tmp_path, capsys, section, 
     assert exc.value.where == where
     assert main(["check", path, "--suite", "all"]) == 2
     assert where in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("section", ["bundle", "fodc", "base_calculus", "connection",
+                                     "expect"])
+def test_a_null_section_is_an_absent_one(tmp_path, capsys, section):
+    doc = generate_example("c-group", group="Z2")
+    doc.pop(section, None)
+    reports = []
+    for name, sections in (("absent.json", {}), ("null.json", {section: None})):
+        path = write(tmp_path, name, {**doc, **sections})
+        assert main(["check", path, "--suite", "all", "--report", "json"]) == 0, name
+        reports.append(capsys.readouterr().out)
+    assert reports[0] == reports[1]
 
 
 def test_expect_block_enforced(tmp_path, capsys):

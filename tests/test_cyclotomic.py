@@ -3,9 +3,11 @@ from math import gcd
 from operator import add, mul, sub
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
-from qpb.cyclotomic import CycloField, _poly_divmod, _poly_inverse_mod, cyclotomic_polynomial
+from qpb.cyclotomic import (
+    CycloField, cyclotomic_polynomial, p_divmod, p_eea, p_gcd, p_mul, p_trim,
+)
 from qpb.errors import BadScalarLiteral, InputError
 
 
@@ -112,7 +114,8 @@ def test_rational_inverse_equals_extended_euclid(n):
     F = CycloField(n)
     for q in RATIONALS:
         x = F.rational(q)
-        euclid = F.scalar(_poly_inverse_mod(x.fractions(), F.modulus))
+        _, u = p_eea(x.fractions(), F.modulus, Fraction(1))
+        euclid = F.scalar(u)
         inv = x.inverse()
         assert inv.coeffs == euclid.coeffs
         assert inv.is_rational() and inv.rational_value() == 1 / q
@@ -139,8 +142,50 @@ def test_power_table_matches_division_reference():
         F = CycloField(n)
         assert len(F.power_table) == 2 * n
         for k, row in enumerate(F.power_table):
-            _, r = _poly_divmod([Fraction(0)] * k + [Fraction(1)], F.modulus)
+            _, r = p_divmod([Fraction(0)] * k + [Fraction(1)], F.modulus, Fraction(1))
             assert row == tuple(r) + (0,) * (F.degree - len(r)), (n, k)
+
+
+# -- the polynomial routines over Fractions and over Scalars ---------------------
+
+@st.composite
+def poly_pairs(draw):
+    """(one, a, b): the unit of Q (a Fraction) or of Q(zeta_3) or Q(zeta_12)
+    (a Scalar), and polynomials a = a' c and b = b' c over that field with a
+    drawn common factor c, b nonzero."""
+    n = draw(st.sampled_from([None, 3, 12]))
+    q = st.fractions(min_value=-4, max_value=4, max_denominator=3)
+    if n is None:
+        one, coeff = Fraction(1), q
+    else:
+        F = CycloField(n)
+        one, coeff = F.one, st.lists(q, max_size=F.degree).map(F.scalar)
+    poly = st.lists(coeff, max_size=4)
+    c = draw(st.lists(coeff, min_size=1, max_size=3))
+    a, b = p_mul(draw(poly), c, one), p_mul(draw(poly), c, one)
+    assume(b)
+    return one, a, b
+
+
+def p_sub(p, q, zero):
+    n = max(len(p), len(q))
+    p, q = p + [zero] * (n - len(p)), q + [zero] * (n - len(q))
+    return p_trim([x - y for x, y in zip(p, q)])
+
+
+@settings(max_examples=100, deadline=None)
+@given(poly_pairs())
+def test_division_and_extended_euclid(case):
+    one, a, b = case
+    zero = one - one
+    q, r = p_divmod(a, b, one)
+    assert len(r) < len(b)
+    assert p_sub(a, p_mul(q, b, one), zero) == r
+    g, u = p_eea(a, b, one)
+    assert g[-1] == one
+    assert p_divmod(a, g, one)[1] == [] and p_divmod(b, g, one)[1] == []
+    assert p_divmod(p_sub(p_mul(u, a, one), g, zero), b, one)[1] == []
+    assert p_gcd(a, b, one) == g
 
 
 # -- the integer form against a Fraction-polynomial oracle mod Phi_n -----------
@@ -151,7 +196,7 @@ CONDUCTORS = [1, 3, 4, 5, 8, 12]
 def ref_reduce(p, n):
     """p mod Phi_n by long division over Q, padded to euler_phi(n) Fractions."""
     modulus = cyclotomic_polynomial(n)
-    _, r = _poly_divmod([Fraction(c) for c in p], modulus)
+    _, r = p_divmod([Fraction(c) for c in p], modulus, Fraction(1))
     return tuple(r) + (Fraction(0),) * (len(modulus) - 1 - len(r))
 
 
@@ -261,10 +306,12 @@ def test_every_constructor_returns_the_fields_unit_objects(case):
     assert_value(F, x * F.zero, ref_reduce([0], n))
     assert_value(F, unit * unit, ref_mul(ru, ru, n))
     if x:
-        other = F.scalar(ref_mul(ru, _poly_inverse_mod(rx, F.modulus), n))
+        inv = x.inverse()
+        assert ref_mul(rx, inv.fractions(), n) == ref_reduce([1], n)
+        assert_value(F, inv, inv.fractions())
+        other = F.scalar(ref_mul(ru, inv.fractions(), n))
         assert_value(F, x * other, ru)
         assert_value(F, other * x, ru)
-        assert_value(F, x.inverse(), ref_reduce(_poly_inverse_mod(rx, F.modulus), n))
     if u:
         assert_value(F, unit.inverse(), ru)
     assert_value(F, unit.conj(), ru)

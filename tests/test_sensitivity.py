@@ -69,7 +69,7 @@ def rebuilt(h, mult=None, unit=None, star=None, coproduct=None, counit=None):
     alg = StarAlgebra(a.name, a.field, a.space, mult or a.mult,
                       a.unit if unit is None else unit, star or a.star)
     return HopfStarAlgebra(alg, coproduct or [h.sweedler(i) for i in range(h.dim)],
-                           counit or h.counit, h.antipode, h.haar)
+                           counit or h.counit, h.antipode)
 
 
 def magma_coproduct(h):
